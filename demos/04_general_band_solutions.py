@@ -10,9 +10,9 @@ validated assignment pairs each starting root with the OPPOSITE extreme
 
     modulus^2 = ((f2 - f1)(f4 - f3)) / ((f3 - f1)(f4 - f2)),
 
-the complementary value of the printed one.  The constructor tries the
-printed branch first and falls back, recording the correction in the
-solution's provenance notes.
+the complementary value of the printed one.  The constructor builds that
+pairing directly and records the correction in the solution's provenance
+notes.
 """
 
 import numpy as np

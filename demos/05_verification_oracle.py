@@ -23,7 +23,7 @@ print()
 print("== detector sanity: corrupt the pulse amplitude by 1% ==")
 sol, params = kb.build_preset("fig-case1a")
 xi = np.linspace(-10, 10, 2000)
-f, fp, _ = sol.profile(xi)
+f, fp = sol.profile(xi)
 res_bad = np.max(np.abs(fp**2 - kb.eval_F(params, -2.0 + 1.01 * (f + 2.0))))
 print(f"  corrupted residual: {res_bad:.3e}  (clean: {kb.ode_residual(sol, params):.3e})")
 

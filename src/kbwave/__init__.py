@@ -22,7 +22,6 @@ Library layout:
 from .elliptic import JacobiTriple, complete_K, jacobi, jacobi_derived, normalize_modulus
 from .errors import (
     BlowUp,
-    DegenerateDomain,
     InfeasibleBranch,
     InfinitePeriod,
     InvalidConfiguration,
@@ -59,12 +58,10 @@ from .quartic import (
 from .reduction import LocalForm, g_from_f, local_behavior, vanishing_reduction_l2
 from .solutions import (
     ClosedFormSolution,
-    DerivedCoefficients,
     Infeasible,
     case1,
     case2,
     discrepancy_report,
-    evaluate,
     general_sn2,
     limiting_form,
     periodic_trig,
@@ -86,8 +83,8 @@ __all__ = [
     # reduction
     "LocalForm", "g_from_f", "local_behavior", "vanishing_reduction_l2",
     # solutions
-    "ClosedFormSolution", "DerivedCoefficients", "Infeasible", "case1", "case2",
-    "discrepancy_report", "evaluate", "general_sn2", "limiting_form",
+    "ClosedFormSolution", "Infeasible", "case1", "case2",
+    "discrepancy_report", "general_sn2", "limiting_form",
     "periodic_trig", "solitary_double", "solitary_triple", "u_v_pair",
     # verify
     "Profile", "build_profile", "compare_profiles", "ode_residual",
@@ -102,6 +99,6 @@ __all__ = [
     "PRESETS", "build_preset",
     # errors
     "KBWaveError", "InfinitePeriod", "PoleSample", "InvalidConfiguration",
-    "InfeasibleBranch", "UnresolvedBranch", "DegenerateDomain", "BlowUp",
+    "InfeasibleBranch", "UnresolvedBranch", "BlowUp",
     "OutOfBranchRange",
 ]

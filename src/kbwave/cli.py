@@ -11,7 +11,7 @@ Verbs:
 
 Outputs are deterministic: 17 significant digits, LF line endings, atomic
 writes.  The environment variable KBWAVE_TOL overrides the residual gate
-(relative to scale^4, default 1e-8).
+(relative to scale^4, default solutions.RESIDUAL_RTOL = 1e-8).
 """
 
 from __future__ import annotations
@@ -29,8 +29,17 @@ import numpy as np
 from . import __version__, evolution
 from .errors import KBWaveError
 from .presets import PRESETS, build_preset
-from .quartic import CaseTag, Params, classify, existence, params_from_roots, roots_of_F
+from .quartic import (
+    CaseTag,
+    Params,
+    RootMultiset,
+    classify,
+    existence,
+    params_from_roots,
+    roots_of_F,
+)
 from .solutions import (
+    RESIDUAL_RTOL,
     ClosedFormSolution,
     Infeasible,
     case1,
@@ -96,7 +105,7 @@ def _parse_list(text: str):
 def residual_tolerance() -> float:
     raw = os.environ.get("KBWAVE_TOL")
     if raw is None:
-        return 1e-8
+        return RESIDUAL_RTOL
     try:
         val = float(raw)
     except ValueError:
@@ -150,9 +159,7 @@ def _resolve_problem(cfg):
         if not 2 <= len(root_list) <= 4:
             raise SystemExit("config error: --roots needs 2 to 4 values")
     if p is not None and root_list is not None and len(root_list) == 4:
-        from .solutions import _multiset_from_values
-
-        candidate = params_from_roots(_multiset_from_values(root_list)).as_floats()
+        candidate = params_from_roots(RootMultiset.from_values(root_list)).as_floats()
         for name in ("c", "d1", "d2", "d3"):
             got, want = getattr(candidate, name), getattr(p, name)
             if abs(got - want) > 1e-9 * max(1.0, abs(want)):
@@ -162,13 +169,11 @@ def _resolve_problem(cfg):
                     "drop one of them or fix the values"
                 )
     if p is None:
-        from .solutions import _multiset_from_values
-
         if len(root_list) != 4:
             raise SystemExit(
                 "config error: params can only be derived from exactly 4 roots"
             )
-        p = params_from_roots(_multiset_from_values(root_list)).as_floats()
+        p = params_from_roots(RootMultiset.from_values(root_list)).as_floats()
     return p, root_list
 
 
@@ -284,8 +289,6 @@ def _profile_csv(profile) -> str:
     fp = profile.f_prime if profile.f_prime is not None else np.full_like(profile.f, np.nan)
     g = profile.g if profile.g is not None else np.full_like(profile.f, np.nan)
     for x, f, d, gg in zip(profile.xi, profile.f, fp, g):
-        if not np.isfinite(f):
-            continue  # singular sample of a non-global branch
         lines.append(f"{_fmt(x)},{_fmt(f)},{_fmt(d)},{_fmt(gg)}")
     return "\n".join(lines) + "\n"
 
@@ -336,9 +339,7 @@ def cmd_classify(args) -> int:
     cfg = _load_config(args)
     params, root_list = _resolve_problem(cfg)
     if root_list is not None and len(root_list) == 4:
-        from .solutions import _multiset_from_values
-
-        rm = _multiset_from_values(root_list)
+        rm = RootMultiset.from_values(root_list)
     else:
         rm = roots_of_F(params, tol=args.tol)
     tag = classify(rm)
@@ -395,7 +396,6 @@ def cmd_solve(args) -> int:
         rows = [
             {"xi": x, "f": f, "f_prime": d, "g": g}
             for x, f, d, g in zip(profile.xi, profile.f, profile.f_prime, profile.g)
-            if np.isfinite(f)
         ]
         doc = json.loads(_sidecar(sol, params, res, gate))
         doc["profile"] = rows
@@ -439,7 +439,12 @@ def cmd_oracle(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = _load_config(args)
     sol, params = _construct(cfg)
-    L = float(cfg.get("L", args.L))
+    L = cfg.get("L", args.L)
+    if L is None:
+        # a periodic wave needs a whole number of periods on the periodic grid
+        T = sol.period
+        L = 40.0 * math.pi if T is None else max(1, round(40.0 * math.pi / T)) * T
+    L = float(L)
     n = int(cfg.get("n_grid", args.n_grid))
     state0 = evolution.state_from_callable(lambda xi: sol.profile(xi)[0], params, L, n)
     dt = args.dt if args.dt is not None else 0.5 * evolution.stability_limit(state0)
@@ -573,7 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evolve", help="pseudo-spectral time evolution")
     _add_problem_args(sp)
-    sp.add_argument("--L", type=float, default=40.0 * math.pi)
+    sp.add_argument("--L", type=float, default=None,
+                    help="domain length (default: the whole number of periods "
+                         "nearest 40 pi, or 40 pi for a pulse)")
     sp.add_argument("--n-grid", type=int, default=1024)
     sp.add_argument("--dt", type=float, default=None)
     sp.add_argument("--T", type=float, default=1.0)

@@ -29,10 +29,6 @@ class UnresolvedBranch(KBWaveError):
         self.candidate = candidate
 
 
-class DegenerateDomain(KBWaveError):
-    """All samples of a verification domain were singular."""
-
-
 class BlowUp(KBWaveError):
     """Non-finite values appeared during time evolution."""
 

@@ -102,6 +102,22 @@ class RootMultiset:
     def scale(self) -> float:
         return max([1.0] + [abs(float(v)) for v, _ in self.entries])
 
+    @classmethod
+    def from_values(cls, values, tol: float = 1e-9) -> "RootMultiset":
+        """Cluster listed zeros (repeats allowed) into a multiset.
+
+        Sorted values within tol*max(1, |value|) of their neighbor merge into
+        one entry at the cluster mean, with the cluster size as multiplicity.
+        """
+        vals = sorted(float(v) for v in values)
+        clusters = [[vals[0]]]
+        for v in vals[1:]:
+            if v - clusters[-1][-1] <= tol * max(1.0, abs(v)):
+                clusters[-1].append(v)
+            else:
+                clusters.append([v])
+        return cls(tuple((float(np.mean(c)), len(c)) for c in clusters))
+
 
 class CaseTag(enum.Enum):
     """Taxonomy of real-zero configurations of F."""

@@ -1,7 +1,18 @@
 """Closed-form traveling waves: solitary, trigonometric and elliptic families.
 
-Every constructor returns a :class:`ClosedFormSolution`, an immutable
-evaluable descriptor whose defining property is the first-integral residual
+Every constructor returns a :class:`ClosedFormSolution` in one representation,
+a linear-fractional (Moebius) map of a Jacobi-type kernel,
+
+    f(xi) = (A + B y) / (C + D y),   y = kernel(beta (xi - xi0), k),
+    f'(xi) = (B C - A D) beta y' / (C + D y)^2,
+
+with the kernel one of sn, cn, dn, sn^2, sin, sech, the triple-zero rational
+kernel 1/(1 + x^2), or the constant 1 (Byrd & Friedman, Handbook of Elliptic
+Integrals).  A form whose denominator C + D y can vanish over the kernel's
+range is refused at construction with InvalidConfiguration: F(f) = -f^4 + ...
+is negative for large |f|, so no real solution of f'^2 = F(f) reaches a pole.
+
+The defining property is the first-integral residual
 
     f'(xi)^2 = F(f(xi))
 
@@ -33,21 +44,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .elliptic import complete_K, jacobi, normalize_modulus
-from .errors import (
-    InfeasibleBranch,
-    InvalidConfiguration,
-    PoleSample,
-    UnresolvedBranch,
-)
-from .quartic import Params, RootMultiset, classify, eval_F, eval_F_deriv, params_from_roots
+from .errors import InfeasibleBranch, InvalidConfiguration, UnresolvedBranch
+from .quartic import Params, RootMultiset, classify, eval_F, params_from_roots
 from .reduction import g_from_f
 
 __all__ = [
-    "DerivedCoefficients",
     "ClosedFormSolution",
     "Infeasible",
     "solitary_double",
@@ -57,7 +64,6 @@ __all__ = [
     "case1",
     "case2",
     "general_sn2",
-    "evaluate",
     "u_v_pair",
     "DISCREPANCIES",
     "discrepancy_report",
@@ -66,8 +72,6 @@ __all__ = [
 
 RESIDUAL_RTOL = 1e-8          # defining-residual gate: < RTOL * scale^4
 MODULUS_CLAMP = 1e-9          # k^2 in (1, 1+clamp] snaps to 1; in [-clamp, 0) to 0
-POLE_GUARD = 1e-9             # refuse samples with |denominator| below this (scaled)
-_BIG_ARG = 350.0              # beyond this cosh/sech tails are below 1e-150
 
 CASE2_KINDS = ("sn", "cn", "dn", "inv_sn", "inv_cn", "tn", "dn_tn")
 
@@ -113,34 +117,90 @@ def discrepancy_report():
     return [dict(d) for d in DISCREPANCIES]
 
 
-@dataclass(frozen=True)
-class DerivedCoefficients:
-    """Derived constants of a closed form; only kind-relevant fields are set."""
+# ---------------------------------------------------------------------------
+# kernels: y(x, k) and dy/dx, with the period in x and the range of y
+# ---------------------------------------------------------------------------
+# The elliptic kernels call ``jacobi`` through this module's global name.
 
-    c1: float | None = None
-    c2: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    gamma: float | None = None
-    a1: float | None = None
-    a2: float | None = None
-    b1: float | None = None
-    b2: float | None = None
-    a: float | None = None
-    b: float | None = None
-    mu0: float | None = None
-    mu2: float | None = None
-    nu0: float | None = None
-    nu2: float | None = None
-    nu4: float | None = None
-    omega1: float | None = None
-    omega2: float | None = None
-    omega3: float | None = None
-    Omega0: float | None = None
-    Omega1: float | None = None
-    Omega2: float | None = None
-    Omega3: float | None = None
-    Omega4: float | None = None
+
+def _sn(x, k):
+    s, c, d = jacobi(x, k)
+    return s, c * d
+
+
+def _cn(x, k):
+    s, c, d = jacobi(x, k)
+    return c, -s * d
+
+
+def _dn(x, k):
+    s, c, d = jacobi(x, k)
+    return d, -(k * k) * s * c
+
+
+def _sn2(x, k):
+    s, c, d = jacobi(x, k)
+    return s * s, 2.0 * s * c * d
+
+
+def _sin(x, k):
+    return np.sin(x), np.cos(x)
+
+
+def _sech(x, k):
+    # exp(-|x|) form: no cosh overflow in the far tails
+    with np.errstate(over="ignore"):
+        e = np.exp(-np.abs(x))
+    y = 2.0 * e / (1.0 + e * e)
+    return y, -y * np.tanh(x)
+
+
+def _rational(x, k):
+    y = 1.0 / (1.0 + x * x)
+    return y, -2.0 * x * y * y
+
+
+def _const(x, k):
+    return np.ones_like(x), np.zeros_like(x)
+
+
+def _none(_):
+    return None
+
+
+def _periods_K(n):
+    """Period n K(k) in the argument; none at k = 1, where the kernel is a pulse."""
+    return lambda k: n * complete_K(k) if k < 1.0 else None
+
+
+def _algebraic_decay(beta):
+    # rational kernel: f - f_triple ~ 4/(amp xi^2) with |amp| = 2 beta
+    return math.sqrt(2.0 * abs(beta))
+
+
+class _Kernel(NamedTuple):
+    fn: Callable      # (x, k) -> (y, dy/dx)
+    period: Callable  # k -> period in x, or None for a pulse
+    span: Callable    # k -> (min y, max y) over the orbit
+    decay: Callable   # beta -> decay rate of the pulse, or None
+
+
+_KERNELS = {
+    "sn": _Kernel(_sn, _periods_K(4.0), lambda k: (-1.0, 1.0), abs),
+    "cn": _Kernel(_cn, _periods_K(4.0), lambda k: (0.0 if k == 1.0 else -1.0, 1.0), abs),
+    "dn": _Kernel(_dn, _periods_K(2.0),
+                  lambda k: (math.sqrt(max(0.0, (1.0 - k) * (1.0 + k))), 1.0), abs),
+    "sn2": _Kernel(_sn2, _periods_K(2.0), lambda k: (0.0, 1.0), abs),
+    "sin": _Kernel(_sin, lambda k: 2.0 * math.pi, lambda k: (-1.0, 1.0), abs),
+    "sech": _Kernel(_sech, _none, lambda k: (0.0, 1.0), abs),
+    "rational": _Kernel(_rational, _none, lambda k: (0.0, 1.0), _algebraic_decay),
+    "const": _Kernel(_const, _none, lambda k: (1.0, 1.0), _none),
+}
+
+
+# ---------------------------------------------------------------------------
+# the solution type
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -159,47 +219,66 @@ class Infeasible:
 class ClosedFormSolution:
     """Evaluable closed-form traveling wave f(xi), xi = x - c t.
 
+    f = (A + B y)/(C + D y) with y = kernel(beta (xi - xi0), modulus); the
+    kernel names an entry of the kernel table (sn, cn, dn, sn2, sin, sech,
+    rational, const).  Construction raises InvalidConfiguration when C + D y
+    can vanish over the kernel's range, so every instance is pole-free.
     Immutable after construction and safe to share across threads.  The
-    defining property, checked at construction, is (f')^2 = F(f) with F the
-    quartic of ``params``.  ``variant`` selects a reduced evaluation formula
-    (sech limits, constants); ``non_global`` marks branches with poles, whose
-    ``evaluate`` refuses samples too close to a pole.
+    defining property, checked by the family constructors, is (f')^2 = F(f)
+    with F the quartic of ``params``.  ``details`` holds constants that only
+    describe a family (mu0, mu2 for case1; a, b, nu0, nu2, nu4 for case2);
+    ``variant`` labels the reduced forms (sech limits, constants).
     """
 
     kind: str
     roots: RootMultiset
     params: Params
     c: float
+    A: float
+    B: float
+    C: float
+    D: float
+    kernel: str
+    beta: float = 0.0
+    modulus: float | None = None
     xi0: float = 0.0
     branch: str = "upper"
-    modulus: float | None = None
-    coeffs: DerivedCoefficients = field(default_factory=DerivedCoefficients)
     notes: tuple = ()
-    non_global: bool = False
     variant: str | None = None
-    value: float | None = None  # constant solutions only
+    details: Mapping = field(default_factory=dict, hash=False)
+
+    def __post_init__(self):
+        if self.kernel not in _KERNELS:
+            raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {tuple(_KERNELS)}")
+        object.__setattr__(self, "details", MappingProxyType(dict(self.details)))
+        lo, hi = _KERNELS[self.kernel].span(self.modulus)
+        ends = (self.C + self.D * lo, self.C + self.D * hi)
+        if not (min(ends) > 0.0 or max(ends) < 0.0):
+            raise InvalidConfiguration(
+                f"{self.kind}: denominator C + D*y = {self.C!r} + {self.D!r}*y "
+                f"vanishes for y in [{lo!r}, {hi!r}]"
+            )
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, xi):
-        """Return (f, f') at xi (scalar or array); raises PoleSample at poles."""
-        f, fp, ok = self._eval(np.asarray(xi, dtype=float))
-        if not np.all(ok):
-            raise PoleSample(f"singular sample in {self.kind} evaluation")
-        if np.isscalar(xi) or np.ndim(xi) == 0:
+        """Return (f, f') at xi (scalar or array)."""
+        f, fp = self.profile(xi)
+        if np.ndim(xi) == 0:
             return float(f), float(fp)
         return f, fp
 
     def profile(self, xi):
-        """Vector evaluation returning (f, f_prime, valid_mask)."""
-        return self._eval(np.asarray(xi, dtype=float))
+        """Vector evaluation returning (f, f_prime)."""
+        x = self.beta * (np.asarray(xi, dtype=float) - self.xi0)
+        y, yp = _KERNELS[self.kernel].fn(x, self.modulus)
+        den = self.C + self.D * y
+        f = (self.A + self.B * y) / den
+        fp = (self.B * self.C - self.A * self.D) * self.beta * yp / (den * den)
+        return f, fp
 
     def __call__(self, xi):
         return self.evaluate(xi)[0]
-
-    def _eval(self, xi):
-        t = xi - self.xi0
-        return _EVALUATORS[self.variant or self.kind](self, t)
 
     # -- descriptive properties ----------------------------------------------
 
@@ -208,39 +287,24 @@ class ClosedFormSolution:
         return classify(self.roots)
 
     @property
+    def non_global(self) -> bool:
+        """Always False: construction refuses forms with a pole."""
+        return False
+
+    @property
     def period(self) -> float | None:
         """Fundamental period in xi, or None for non-periodic solutions."""
-        if self.variant == "constant":
-            return None
-        if self.kind == "periodic_trig":
-            w = _trig_frequency(self)
-            return 2.0 * math.pi / w
-        if self.kind in ("case1_cn", "case1_dn", "case2_sn", "case2_cn",
-                         "case2_dn", "case2_inv_sn", "case2_inv_cn", "general_sn2"):
-            k = self.modulus
-            if k is None or k >= 1.0:
-                return None
-            beta = self.coeffs.beta
-            K = complete_K(k)
-            if self.kind in ("case1_dn", "case2_dn", "general_sn2"):
-                return 2.0 * K / abs(beta)
-            return 4.0 * K / abs(beta)
-        return None
+        P = _KERNELS[self.kernel].period(self.modulus)
+        return None if P is None else P / abs(self.beta)
 
     @property
     def decay_rate(self) -> float | None:
         """Exponential decay rate toward the double zero, or the algebraic
-        coefficient for the triple-zero pulse; None for periodic solutions."""
-        if self.kind in ("solitary_double",) or self.variant in (
-            "sech_pulse", "cosh_ratio", "sech_ratio",
-        ):
-            return _solitary_frequency(self)
-        if self.kind == "solitary_triple":
-            ftr = _triple_root(self)
-            return math.sqrt(abs(eval_F_deriv(self.params, ftr, 3)) / 6.0)
-        if self.modulus == 1.0 and self.coeffs.beta is not None:
-            return abs(self.coeffs.beta)
-        return None
+        coefficient sqrt|f_simple - f_triple| for the triple-zero pulse;
+        None for periodic and constant solutions."""
+        if self.period is not None:
+            return None
+        return _KERNELS[self.kernel].decay(self.beta)
 
     def with_phase(self, xi0: float) -> "ClosedFormSolution":
         return replace(self, xi0=float(xi0))
@@ -251,44 +315,20 @@ class ClosedFormSolution:
 # ---------------------------------------------------------------------------
 
 
-def _multiset_from_values(values, tol=1e-9):
-    vals = sorted(float(v) for v in values)
-    clusters = [[vals[0]]]
-    for v in vals[1:]:
-        if v - clusters[-1][-1] <= tol * max(1.0, abs(v)):
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return RootMultiset(tuple((float(np.mean(c)), len(c)) for c in clusters))
+def _solution(kind, roots, xi0, mobius, kernel, **kw):
+    params = params_from_roots(roots).as_floats()
+    A, B, C, D = (float(v) for v in mobius)
+    return ClosedFormSolution(kind=kind, roots=roots, params=params, c=params.c,
+                              A=A, B=B, C=C, D=D, kernel=kernel, xi0=float(xi0), **kw)
 
 
-def _sech(a):
-    with np.errstate(over="ignore"):
-        e = np.exp(-np.abs(a))
-        return 2.0 * e / (1.0 + e * e)
+def _constant(kind, roots, xi0, value, **kw):
+    return _solution(kind, roots, xi0, (value, 0.0, 1.0, 0.0), "const",
+                     variant="constant", **kw)
 
 
-def _solitary_roots(sol):
-    (f_lo, _), (f_dbl, _), (f_hi, _) = sol.roots.entries
-    return f_lo, f_dbl, f_hi
-
-
-def _triple_root(sol):
-    for v, m in sol.roots.entries:
-        if m == 3:
-            return v
-    raise ValueError("no triple root present")
-
-
-def _solitary_frequency(sol):
-    f_lo, f_dbl, f_hi = _solitary_roots(sol)
+def _pulse_frequency(f_lo, f_dbl, f_hi):
     return math.sqrt((f_dbl - f_lo) * (f_hi - f_dbl))
-
-
-def _trig_frequency(sol):
-    dbl = next(v for v, m in sol.roots.entries if m == 2)
-    simples = [v for v, m in sol.roots.entries if m == 1]
-    return math.sqrt(abs((dbl - simples[0]) * (simples[1] - dbl)))
 
 
 def _branch_sigma(branch: str) -> float:
@@ -299,192 +339,18 @@ def _branch_sigma(branch: str) -> float:
     raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
 
 
-def _kernel(kind: str, arg, k: float):
-    """Kernel value and derivative (in the kernel argument) for elliptic kinds."""
-    s, c, d = jacobi(arg, k)
-    if kind.endswith("sn"):
-        return s, c * d
-    if kind.endswith("cn"):
-        return c, -s * d
-    if kind.endswith("dn"):
-        return d, -(k * k) * s * c
-    raise ValueError(kind)
-
-
-# ---------------------------------------------------------------------------
-# evaluators (one per kind/variant); each returns (f, fp, valid_mask)
-# ---------------------------------------------------------------------------
-
-
-def _eval_constant(sol, t):
-    f = np.full_like(t, sol.value, dtype=float)
-    return f, np.zeros_like(f), np.ones_like(f, dtype=bool)
-
-
-def _eval_solitary_double(sol, t):
-    _, f_dbl, _ = _solitary_roots(sol)
-    w = _solitary_frequency(sol)
-    c1, c2 = sol.coeffs.c1, sol.coeffs.c2
-    sigma = -1.0 if sol.branch == "upper" else 1.0
-    a = w * t
-    big = np.abs(a) > _BIG_ARG
-    with np.errstate(over="ignore", invalid="ignore"):
-        ch = np.cosh(np.where(big, 0.0, a))
-        sh = np.sinh(np.where(big, 0.0, a))
-        den = c1 + sigma * c2 * ch
-        f = np.where(big, f_dbl, f_dbl + 2.0 / den)
-        fp = np.where(big, 0.0, -2.0 * sigma * c2 * w * sh / (den * den))
-    return f, fp, np.ones_like(f, dtype=bool)
-
-
-def _eval_periodic_trig(sol, t):
-    dbl = next(v for v, m in sol.roots.entries if m == 2)
-    w = _trig_frequency(sol)
-    c1, c2 = sol.coeffs.c1, sol.coeffs.c2
-    sigma = _branch_sigma(sol.branch)
-    s = np.sin(w * t)
-    den = c1 + sigma * c2 * s
-    ok = np.abs(den) > POLE_GUARD * max(1.0, abs(c1), abs(c2))
-    safe = np.where(ok, den, 1.0)
-    f = dbl + 2.0 / safe
-    fp = -2.0 * sigma * c2 * w * np.cos(w * t) / (safe * safe)
-    return f, fp, ok
-
-
-def _eval_solitary_triple(sol, t):
-    ftr = _triple_root(sol)
-    fs = next(v for v, m in sol.roots.entries if m == 1)
-    A = fs - ftr
-    B = 0.25 * A * A
-    den = 1.0 + B * t * t
-    f = ftr + A / den
-    fp = -2.0 * A * B * t / (den * den)
-    return f, fp, np.ones_like(f, dtype=bool)
-
-
-def _eval_sech_pulse(sol, t):
-    f_lo, f_dbl, f_hi = _solitary_roots(sol)
-    w = _solitary_frequency(sol)
-    amp = 2.0 * (f_dbl - f_lo) * (f_hi - f_dbl) / (f_hi - f_lo)
-    sigma = _branch_sigma(sol.branch)
-    a = w * t
-    sech = _sech(a)
-    tanh = np.tanh(a)
-    f = f_dbl + sigma * amp * sech
-    fp = -sigma * amp * w * sech * tanh
-    return f, fp, np.ones_like(f, dtype=bool)
-
-
-def _eval_cosh_ratio(sol, t):
-    _, f_dbl, _ = _solitary_roots(sol)
-    w = _solitary_frequency(sol)
-    c1, c2 = sol.coeffs.c1, sol.coeffs.c2
-    sigma = -1.0 if sol.branch == "upper" else 1.0
-    a = w * t
-    sech = _sech(a)
-    tanh = np.tanh(a)
-    den = c2 + sigma * c1 * sech
-    f = f_dbl * c2 / den
-    fp = f_dbl * c2 * sigma * c1 * w * sech * tanh / (den * den)
-    return f, fp, np.ones_like(f, dtype=bool)
-
-
-def _eval_sech_ratio(sol, t):
-    f_lo, _, f_hi = _solitary_roots(sol)  # the double zero is 0 here
-    w = _solitary_frequency(sol)
-    sigma = -1.0 if sol.branch == "upper" else 1.0
-    a = w * t
-    sech = _sech(a)
-    tanh = np.tanh(a)
-    den = (f_lo + f_hi) * sech + sigma * (f_hi - f_lo)
-    f = 2.0 * f_lo * f_hi * sech / den
-    fp = -2.0 * f_lo * f_hi * w * sech * tanh * sigma * (f_hi - f_lo) / (den * den)
-    return f, fp, np.ones_like(f, dtype=bool)
-
-
-def _eval_case1(sol, t):
-    kern = "cn" if sol.kind.endswith("cn") else "dn"
-    beta, alpha, gamma = sol.coeffs.beta, sol.coeffs.alpha, sol.coeffs.gamma
-    y, yp = _kernel(kern, beta * t, sol.modulus)
-    f = gamma + alpha * y
-    fp = alpha * beta * yp
-    return f, fp, np.ones_like(np.asarray(f), dtype=bool)
-
-
-def _eval_case2_direct(sol, t):
-    kern = sol.kind.split("_")[-1]
-    a, b, beta = sol.coeffs.a, sol.coeffs.b, sol.coeffs.beta
-    y, yp = _kernel(kern, beta * t, sol.modulus)
-    den = a + b * y
-    ok = np.abs(den) > POLE_GUARD * max(1.0, abs(a), abs(b))
-    safe = np.where(ok, den, 1.0)
-    f = 1.0 / safe
-    fp = -b * beta * yp / (safe * safe)
-    return f, fp, ok
-
-
-def _eval_case2_inverse(sol, t):
-    base = "sn" if sol.kind.endswith("inv_sn") else "cn"
-    a, b, beta = sol.coeffs.a, sol.coeffs.b, sol.coeffs.beta
-    y, yp = _kernel(base, beta * t, sol.modulus)
-    den = a * y + b
-    ok = np.abs(den) > POLE_GUARD * max(1.0, abs(a), abs(b))
-    safe = np.where(ok, den, 1.0)
-    f = y / safe
-    fp = b * beta * yp / (safe * safe)
-    return f, fp, ok
-
-
-def _eval_general_sn2(sol, t):
-    co = sol.coeffs
-    s, c, d = jacobi(co.beta * t, sol.modulus)
-    S = s * s
-    den = co.a2 + co.b2 * S
-    ok = np.abs(den) > POLE_GUARD * max(1.0, abs(co.a2), abs(co.b2))
-    safe = np.where(ok, den, 1.0)
-    f = (co.a1 + co.b1 * S) / safe
-    Sp = 2.0 * s * c * d * co.beta
-    fp = (co.b1 * co.a2 - co.a1 * co.b2) * Sp / (safe * safe)
-    return f, fp, ok
-
-
-_EVALUATORS = {
-    "constant": _eval_constant,
-    "solitary_double": _eval_solitary_double,
-    "periodic_trig": _eval_periodic_trig,
-    "solitary_triple": _eval_solitary_triple,
-    "sech_pulse": _eval_sech_pulse,
-    "cosh_ratio": _eval_cosh_ratio,
-    "sech_ratio": _eval_sech_ratio,
-    "case1_cn": _eval_case1,
-    "case1_dn": _eval_case1,
-    "case2_sn": _eval_case2_direct,
-    "case2_cn": _eval_case2_direct,
-    "case2_dn": _eval_case2_direct,
-    "case2_inv_sn": _eval_case2_inverse,
-    "case2_inv_cn": _eval_case2_inverse,
-    "general_sn2": _eval_general_sn2,
-}
-
-
 # ---------------------------------------------------------------------------
 # validation gate
 # ---------------------------------------------------------------------------
 
 
-def _residual_gate(sol, n=513, domain=None):
+def _residual_gate(sol, n=513):
     """Max defining residual |f'^2 - F(f)| over a grid; raises if over gate."""
-    if sol.variant == "constant":
-        return 0.0
-    if domain is None:
-        T = sol.period
-        half = 0.5 * T if T is not None else 10.0
-        domain = (sol.xi0 - half, sol.xi0 + half)
-    xi = np.linspace(domain[0], domain[1], n)
-    f, fp, ok = sol.profile(xi)
-    if not np.any(ok):
-        raise InvalidConfiguration("all validation samples singular")
-    res = np.max(np.abs(fp[ok] ** 2 - eval_F(sol.params, f[ok])))
+    T = sol.period
+    half = 0.5 * T if T is not None else 10.0
+    xi = np.linspace(sol.xi0 - half, sol.xi0 + half, n)
+    f, fp = sol.profile(xi)
+    res = np.max(np.abs(fp ** 2 - eval_F(sol.params, f)))
     gate = RESIDUAL_RTOL * sol.roots.scale() ** 4
     if not res < gate:
         raise UnresolvedBranch(
@@ -502,19 +368,12 @@ def _orbit_spotcheck(sol, h=1e-3, tol_scale=1e-6):
     homoclinic orbits and discriminates wrong branches at tight tolerance."""
     from .verify import oracle_integrate  # function-local: avoids module cycle
 
-    if sol.variant == "constant":
-        return
     T = sol.period
     length = T if T is not None else min(10.0, 6.0 / max(sol.decay_rate or 1.0, 0.6))
-    try:
-        f0, fp0 = sol.evaluate(sol.xi0)
-    except PoleSample:
-        return  # non-global branch: grid residual gate already ran
+    f0, fp0 = sol.evaluate(sol.xi0)
     prof = oracle_integrate(sol.params, f0, 1 if fp0 >= 0 else -1, length, h=h)
-    f, _, ok = sol.profile(sol.xi0 + prof.xi)
-    if not np.any(ok):
-        return
-    worst = float(np.max(np.abs(prof.f[ok] - f[ok])))
+    f, _ = sol.profile(sol.xi0 + prof.xi)
+    worst = float(np.max(np.abs(prof.f - f)))
     gate = tol_scale * sol.roots.scale()
     if not worst < gate:
         raise UnresolvedBranch(
@@ -523,8 +382,8 @@ def _orbit_spotcheck(sol, h=1e-3, tol_scale=1e-6):
         )
 
 
-def _validated(sol, *, orbit_check=False, domain=None):
-    _residual_gate(sol, domain=domain)
+def _validated(sol, *, orbit_check=False):
+    _residual_gate(sol)
     if orbit_check:
         _orbit_spotcheck(sol)
     return sol
@@ -542,7 +401,9 @@ def solitary_double(f_lo, f_dbl, f_hi, branch="upper", xi0=0.0) -> ClosedFormSol
     c1 = 1/(f_lo - f_dbl) + 1/(f_hi - f_dbl), c2 = 1/(f_lo - f_dbl) -
     1/(f_hi - f_dbl) and w = sqrt((f_dbl - f_lo)(f_hi - f_dbl)); the branch
     selects which simple zero the pulse touches at xi0 ('upper' -> f_hi).
-    Decays exponentially to f_dbl in both directions.
+    Decays exponentially to f_dbl in both directions.  Evaluated through the
+    sech kernel: f = (f_dbl s c2 + (f_dbl c1 + 2) sech) / (s c2 + c1 sech),
+    s = -1 on the upper branch.
     """
     f_lo, f_dbl, f_hi = float(f_lo), float(f_dbl), float(f_hi)
     if not (f_lo < f_dbl < f_hi):
@@ -553,15 +414,11 @@ def solitary_double(f_lo, f_dbl, f_hi, branch="upper", xi0=0.0) -> ClosedFormSol
         raise ValueError("branch must be 'upper' or 'lower'")
     c1 = 1.0 / (f_lo - f_dbl) + 1.0 / (f_hi - f_dbl)
     c2 = 1.0 / (f_lo - f_dbl) - 1.0 / (f_hi - f_dbl)
-    roots = RootMultiset(((f_lo, 1), (f_dbl, 2), (f_hi, 1)))
-    sol = ClosedFormSolution(
-        kind="solitary_double",
-        roots=roots,
-        params=params_from_roots(roots).as_floats(),
-        c=float(params_from_roots(roots).c),
-        xi0=float(xi0),
-        branch=branch,
-        coeffs=DerivedCoefficients(c1=c1, c2=c2),
+    s_c2 = (-1.0 if branch == "upper" else 1.0) * c2
+    sol = _solution(
+        "solitary_double", RootMultiset(((f_lo, 1), (f_dbl, 2), (f_hi, 1))), xi0,
+        (f_dbl * s_c2, f_dbl * c1 + 2.0, s_c2, c1), "sech",
+        beta=_pulse_frequency(f_lo, f_dbl, f_hi), branch=branch,
     )
     return _validated(sol)
 
@@ -581,19 +438,13 @@ def periodic_trig(f_s1, f_s2, f_dbl, sign="lower", xi0=0.0) -> ClosedFormSolutio
         )
     u1, u3 = f_s1 - f_dbl, f_s2 - f_dbl
     c1 = 1.0 / u1 + 1.0 / u3
-    c2 = 1.0 / u1 - 1.0 / u3
-    if abs(c2) >= abs(c1):
-        raise InvalidConfiguration("singular periodic branch: denominator vanishes")
-    entries = sorted([(lo, 1), (hi, 1), (f_dbl, 2)])
-    roots = RootMultiset(tuple(entries))
-    sol = ClosedFormSolution(
-        kind="periodic_trig",
-        roots=roots,
-        params=params_from_roots(roots).as_floats(),
-        c=float(params_from_roots(roots).c),
-        xi0=float(xi0),
-        branch="lower" if _branch_sigma(sign) < 0 else "upper",
-        coeffs=DerivedCoefficients(c1=c1, c2=c2),
+    sigma = _branch_sigma(sign)
+    s_c2 = sigma * (1.0 / u1 - 1.0 / u3)
+    sol = _solution(
+        "periodic_trig", RootMultiset(tuple(sorted([(lo, 1), (hi, 1), (f_dbl, 2)]))),
+        xi0, (f_dbl * c1 + 2.0, f_dbl * s_c2, c1, s_c2), "sin",
+        beta=math.sqrt(abs((f_dbl - lo) * (hi - f_dbl))),
+        branch="lower" if sigma < 0 else "upper",
         notes=("periodic-frequency-absolute-value",),
     )
     return _validated(sol)
@@ -609,15 +460,11 @@ def solitary_triple(f_triple, f_simple, xi0=0.0) -> ClosedFormSolution:
     f_triple, f_simple = float(f_triple), float(f_simple)
     if f_triple == f_simple:
         raise InvalidConfiguration("triple and simple zeros must differ")
-    entries = sorted([(f_triple, 3), (f_simple, 1)])
-    roots = RootMultiset(tuple(entries))
-    sol = ClosedFormSolution(
-        kind="solitary_triple",
-        roots=roots,
-        params=params_from_roots(roots).as_floats(),
-        c=float(params_from_roots(roots).c),
-        xi0=float(xi0),
-        branch="upper" if f_simple > f_triple else "lower",
+    amp = f_simple - f_triple
+    sol = _solution(
+        "solitary_triple", RootMultiset(tuple(sorted([(f_triple, 3), (f_simple, 1)]))),
+        xi0, (f_triple, amp, 1.0, 0.0), "rational", beta=0.5 * abs(amp),
+        branch="upper" if amp > 0 else "lower",
     )
     return _validated(sol)
 
@@ -645,31 +492,20 @@ def limiting_form(case, roots, branch="upper", xi0=0.0) -> ClosedFormSolution:
     if case == "d":
         if abs(f2 - f1) <= tol:
             rm = RootMultiset(tuple(sorted([(f1, 3), (f3, 1)])))
-            return ClosedFormSolution(
-                kind="solitary_double",
-                roots=rm,
-                params=params_from_roots(rm).as_floats(),
-                c=float(params_from_roots(rm).c),
-                xi0=float(xi0),
-                variant="constant",
-                value=f1,
-            )
+            return _constant("solitary_double", rm, xi0, f1)
         if abs(f2 - f3) <= tol:
             return solitary_triple(f3, f1, xi0=xi0)
         raise InvalidConfiguration("limiting constraint unmet: f2 must meet f1 or f3")
 
     if not (f1 < f2 < f3):
         raise InvalidConfiguration("need f1 < f2 < f3 with f2 the double zero")
-    rm = RootMultiset(((f1, 1), (f2, 2), (f3, 1)))
-    params = params_from_roots(rm).as_floats()
-    common = dict(
-        roots=rm, params=params, c=params.c, xi0=float(xi0), branch=branch,
-        kind="solitary_double",
-    )
+    s = -1.0 if branch == "upper" else 1.0
     if case == "a":
         if abs(f1 + f3 - 2.0 * f2) > tol:
             raise InvalidConfiguration("limiting constraint unmet: f1 + f3 = 2 f2")
-        sol = ClosedFormSolution(variant="sech_pulse", **common)
+        amp = 2.0 * (f2 - f1) * (f3 - f2) / (f3 - f1)
+        mobius, variant, notes = (
+            (f2, _branch_sigma(branch) * amp, 1.0, 0.0), "sech_pulse", ())
     elif case == "b":
         if abs(2.0 * f1 * f3 - f2 * (f1 + f3)) > tol * scale:
             raise InvalidConfiguration(
@@ -677,20 +513,22 @@ def limiting_form(case, roots, branch="upper", xi0=0.0) -> ClosedFormSolution:
             )
         c1 = 1.0 / (f1 - f2) + 1.0 / (f3 - f2)
         c2 = 1.0 / (f1 - f2) - 1.0 / (f3 - f2)
-        sol = ClosedFormSolution(
-            variant="cosh_ratio",
-            coeffs=DerivedCoefficients(c1=c1, c2=c2),
-            notes=("cosh-ratio-scaled-by-double-root",),
-            **common,
-        )
+        mobius, variant, notes = (
+            (f2 * c2, 0.0, c2, s * c1), "cosh_ratio", ("cosh-ratio-scaled-by-double-root",))
     elif case == "c":
         if abs(f2) > tol:
             raise InvalidConfiguration("limiting constraint unmet: f2 = 0")
         if not f1 * f3 < 0:
             raise InvalidConfiguration("sech-ratio form requires f1 f3 < 0")
-        sol = ClosedFormSolution(variant="sech_ratio", **common)
+        mobius, variant, notes = (
+            (0.0, 2.0 * f1 * f3, s * (f3 - f1), f1 + f3), "sech_ratio", ())
     else:
         raise ValueError(f"case must be one of 'a', 'b', 'c', 'd', got {case!r}")
+    sol = _solution(
+        "solitary_double", RootMultiset(((f1, 1), (f2, 2), (f3, 1))), xi0, mobius,
+        "sech", beta=_pulse_frequency(f1, f2, f3), branch=branch, variant=variant,
+        notes=notes,
+    )
     return _validated(sol)
 
 
@@ -698,15 +536,13 @@ def _case1_shared(f1, f2, f3):
     fs = sorted((float(f1), float(f2), float(f3)))
     f1, f2, f3 = fs
     f4 = f1 + f3 - f2  # the implied fourth zero; makes d2 = c d1 hold
-    roots = _multiset_from_values([f1, f2, f3, f4])
-    params = params_from_roots(roots).as_floats()
+    roots = RootMultiset.from_values([f1, f2, f3, f4])
     e1 = f1 + f2 + f3 + f4
     e2 = (f1 * f2 + f1 * f3 + f1 * f4 + f2 * f3 + f2 * f4 + f3 * f4)
     e4 = f1 * f2 * f3 * f4
     mu2 = 0.375 * e1 * e1 - e2
     mu0 = (e1 * e1 / 16.0) * e2 - (5.0 / 256.0) * e1 ** 4 - e4
-    gamma = 0.5 * (f1 + f3)
-    return f1, f2, f3, f4, roots, params, mu0, mu2, gamma
+    return f1, f2, f3, roots, {"mu0": mu0, "mu2": mu2}
 
 
 def case1(kind, f1, f2, f3, sign="+", xi0=0.0) -> ClosedFormSolution:
@@ -727,14 +563,11 @@ def case1(kind, f1, f2, f3, sign="+", xi0=0.0) -> ClosedFormSolution:
     """
     if kind not in ("cn", "dn"):
         raise ValueError("case1 kind must be 'cn' or 'dn'")
-    f1, f2, f3, f4, roots, params, mu0, mu2, gamma = _case1_shared(f1, f2, f3)
+    f1, f2, f3, roots, details = _case1_shared(f1, f2, f3)
     sigma = _branch_sigma(sign)
+    gamma = 0.5 * (f1 + f3)
     if f3 - f1 <= 1e-14 * max(1.0, abs(f1)):
-        return ClosedFormSolution(
-            kind=f"case1_{kind}", roots=roots, params=params, c=params.c,
-            xi0=float(xi0), variant="constant", value=f1,
-            coeffs=DerivedCoefficients(gamma=gamma, mu0=mu0, mu2=mu2),
-        )
+        return _constant(f"case1_{kind}", roots, xi0, f1, details=details)
     span2 = (f2 - f1) * (f3 - f2)
     if kind == "cn":
         if span2 <= 0.0:
@@ -756,24 +589,11 @@ def case1(kind, f1, f2, f3, sign="+", xi0=0.0) -> ClosedFormSolution:
         beta = 0.5 * (f3 - f1)
         if k == 0.0:
             # f2 meets f1 or f3: dn == 1 and the solution is a constant band edge
-            return ClosedFormSolution(
-                kind="case1_dn", roots=roots, params=params, c=params.c,
-                xi0=float(xi0), variant="constant",
-                value=gamma + sigma * 0.5 * (f3 - f1),
-                coeffs=DerivedCoefficients(gamma=gamma, mu0=mu0, mu2=mu2),
-            )
-    alpha = sigma * 0.5 * (f3 - f1)
-    sol = ClosedFormSolution(
-        kind=f"case1_{kind}",
-        roots=roots,
-        params=params,
-        c=params.c,
-        xi0=float(xi0),
-        branch="upper" if sigma > 0 else "lower",
-        modulus=k,
-        coeffs=DerivedCoefficients(
-            alpha=alpha, beta=beta, gamma=gamma, mu0=mu0, mu2=mu2,
-        ),
+            return _constant("case1_dn", roots, xi0, gamma + sigma * 0.5 * (f3 - f1),
+                             details=details)
+    sol = _solution(
+        f"case1_{kind}", roots, xi0, (gamma, sigma * 0.5 * (f3 - f1), 1.0, 0.0), kind,
+        beta=beta, modulus=k, branch="upper" if sigma > 0 else "lower", details=details,
     )
     return _validated(sol, orbit_check=True)
 
@@ -797,9 +617,7 @@ def _case2_shared(f1, f2, f3):
     gscale = max(1.0, float(np.max(np.abs(g))))
     if abs(g[1]) > 1e-9 * gscale or abs(g[3]) > 1e-9 * gscale:
         raise InvalidConfiguration("odd coefficients failed to vanish")  # unreachable
-    roots = _multiset_from_values(vals)
-    params = params_from_roots(roots).as_floats()
-    return f1, f2, f3, f4, a, b, g, roots, params
+    return f1, f2, f3, a, b, g, RootMultiset.from_values(vals)
 
 
 def case2(kind, f1, f2, f3, xi0=0.0):
@@ -813,7 +631,8 @@ def case2(kind, f1, f2, f3, xi0=0.0):
         u = 2 f1 f3 / ((f1 + f3) + (f1 - f3) y)          (y = sn, cn, dn)
         u = 2 f1 f3 y / ((f1 + f3) y + (f1 - f3))        (y = 1/sn, 1/cn)
 
-    and the speed is c = -(f1 + f2 + f3 + f4)/4.
+    and the speed is c = -(f1 + f2 + f3 + f4)/4.  The inverse kinds are the
+    Moebius forms y/(b + a y) of the base kernel sn or cn.
 
     Per-kind frequency and modulus come from matching the reduced quartic
     coefficients (nu4, nu2, nu0); branches whose frequency^2, modulus^2 or
@@ -824,13 +643,9 @@ def case2(kind, f1, f2, f3, xi0=0.0):
     """
     if kind not in CASE2_KINDS:
         raise ValueError(f"case2 kind must be one of {CASE2_KINDS}")
-    f1, f2, f3, f4, a, b, g, roots, params = _case2_shared(f1, f2, f3)
+    f1, f2, f3, a, b, g, roots = _case2_shared(f1, f2, f3)
     if b == 0.0:
-        return ClosedFormSolution(
-            kind=f"case2_{kind}", roots=roots, params=params, c=params.c,
-            xi0=float(xi0), variant="constant", value=f1,
-            coeffs=DerivedCoefficients(a=a, b=b),
-        )
+        return _constant(f"case2_{kind}", roots, xi0, f1, details={"a": a, "b": b})
     nu4 = g[4] / (b * b)
     nu2 = g[2] / (b * b)
     nu0 = g[0]
@@ -919,48 +734,16 @@ def case2(kind, f1, f2, f3, xi0=0.0):
                    "is inconsistent with this kernel",
             witness={"r_resid": r_resid, "k2": k2, "beta2": beta2},
         )
-    k = normalize_modulus(math.sqrt(k2))
-    sol = ClosedFormSolution(
-        kind=f"case2_{kind}",
-        roots=roots,
-        params=params,
-        c=params.c,
-        xi0=float(xi0),
-        modulus=k,
-        coeffs=DerivedCoefficients(
-            a1=1.0, a2=a, b2=b, a=a, b=b,
-            beta=math.sqrt(beta2), nu0=nu0, nu2=nu2, nu4=nu4,
-        ),
-    )
-    # pole scan over the kernel's range
-    sol = replace(sol, non_global=_case2_has_pole(sol, kind, k))
-    return _validated(sol, orbit_check=not sol.non_global)
-
-
-def _case2_has_pole(sol, kind, k):
-    a, b = sol.coeffs.a, sol.coeffs.b
-    kp = math.sqrt(max(0.0, (1.0 - k) * (1.0 + k)))
-    if kind in ("sn", "cn"):
-        lo, hi = -1.0, 1.0
-    elif kind == "dn":
-        lo, hi = kp, 1.0
-    else:  # inverse kinds: denominator a*y + b over the base kernel's range
-        lo, hi = -1.0, 1.0
-    if kind in ("inv_sn", "inv_cn"):
-        dlo, dhi = sorted((a * lo + b, a * hi + b))
+    if kind.startswith("inv_"):
+        mobius, kernel = (0.0, 1.0, b, a), kind[len("inv_"):]
     else:
-        dlo, dhi = sorted((a + b * lo, a + b * hi))
-    return dlo <= 0.0 <= dhi
-
-
-def _sn2_candidate(roots, a_idx, b_idx, hi_idx, beta, k2, label):
-    fs = roots
-    a_val, b_val, f_hi = fs[a_idx], fs[b_idx], fs[hi_idx]
-    b2 = (f_hi - a_val) / (b_val - f_hi)
-    return {
-        "a1": a_val, "a2": 1.0, "b1": b_val * b2, "b2": b2,
-        "a": a_val, "b": b_val, "beta": beta, "k2": k2, "label": label,
-    }
+        mobius, kernel = (1.0, 0.0, a, b), kind
+    sol = _solution(
+        f"case2_{kind}", roots, xi0, mobius, kernel, beta=math.sqrt(beta2),
+        modulus=normalize_modulus(math.sqrt(k2)),
+        details={"a": a, "b": b, "nu0": nu0, "nu2": nu2, "nu4": nu4},
+    )
+    return _validated(sol, orbit_check=True)
 
 
 def general_sn2(roots, initial_index=1, xi0=0.0) -> ClosedFormSolution:
@@ -973,13 +756,13 @@ def general_sn2(roots, initial_index=1, xi0=0.0) -> ClosedFormSolution:
 
     The classically printed per-branch coefficients pair adjacent roots
     (a = f1 with b = f2, etc.); validated against the defining residual they
-    fail for sorted roots, while the complementary pairing (f1<->f4, f2<->f3,
-    modulus^2 = ((f2 - f1)(f4 - f3))/((f3 - f1)(f4 - f2))) passes.  The
-    constructor tries the printed branch first (normalizing any modulus^2 > 1
-    through the reciprocal-modulus identity), falls back to the corrected
-    pairing, and records which correction was applied in the provenance
-    notes.  If no candidate validates, UnresolvedBranch is raised with the
-    raw candidate attached.
+    fail for sorted roots.  The constructor uses the complementary pairing
+    (f1<->f4, f2<->f3), a1 = a, a2 = 1, b2 = (f_adj - a)/(b - f_adj), b1 =
+    b b2 with f_adj the adjacent root of the band, and modulus^2 =
+    ((f2 - f1)(f4 - f3))/((f3 - f1)(f4 - f2)), which lies in (0, 1) for
+    distinct sorted roots; the correction is recorded in the provenance
+    notes.  A branch that fails validation raises UnresolvedBranch with the
+    candidate attached.
     """
     fs = tuple(sorted(float(v) for v in roots))
     if len(fs) != 4 or any(
@@ -990,108 +773,22 @@ def general_sn2(roots, initial_index=1, xi0=0.0) -> ClosedFormSolution:
         raise ValueError("initial_index must be 1..4")
     f1, f2, f3, f4 = fs
     i = initial_index - 1
-    beta = 0.5 * math.sqrt((f3 - f1) * (f4 - f2))
-
-    printed_k2 = {
-        1: (f2 - f3) * (f1 - f4) / ((f1 - f3) * (f2 - f4)),
-        2: (f2 - f4) * (f1 - f3) / ((f1 - f4) * (f2 - f3)),
-        3: (f4 - f1) * (f3 - f2) / ((f3 - f1) * (f4 - f2)),
-        4: (f3 - f2) * (f4 - f1) / ((f3 - f1) * (f4 - f2)),
-    }[initial_index]
-    printed_b_idx = {1: 1, 2: 0, 3: 3, 4: 2}[initial_index]
-    # printed b2/a2 ratios pair adjacent roots; reproduce them literally
-    printed_b2 = {
-        1: (f4 - f1) / (f2 - f4),
-        2: (f3 - f2) / (f1 - f3),
-        3: (f2 - f3) / (f4 - f2),
-        4: (f1 - f4) / (f3 - f1),
-    }[initial_index]
-    printed = {
-        "a1": fs[i], "a2": 1.0, "b1": fs[printed_b_idx] * printed_b2,
-        "b2": printed_b2, "a": fs[i], "b": fs[printed_b_idx],
-        "beta": beta, "k2": printed_k2, "label": "printed-adjacent-pairing",
-    }
-
-    corrected_k2 = (f2 - f1) * (f4 - f3) / ((f3 - f1) * (f4 - f2))
-    partner = {0: 1, 1: 0, 2: 3, 3: 2}
-    corrected = _sn2_candidate(
-        fs, i, 3 - i, partner[i], beta, corrected_k2, "complementary-pairing"
-    )
-
-    last_err = None
-    for cand in (printed, corrected):
-        sol, err = _try_sn2_candidate(cand, fs, initial_index, xi0)
-        if sol is not None:
-            notes = list(sol.notes)
-            if cand["label"] == "complementary-pairing":
-                notes.append("band-pairing-complementary")
-            return replace(sol, notes=tuple(notes))
-        last_err = err
-    raise UnresolvedBranch(
-        "no validated sn^2 branch found for these roots", candidate=printed
-    ) from last_err
-
-
-def _try_sn2_candidate(cand, fs, initial_index, xi0):
-    k2 = cand["k2"]
-    notes = []
-    a1, a2, b1, b2, beta = (cand[k] for k in ("a1", "a2", "b1", "b2", "beta"))
-    if k2 < -MODULUS_CLAMP:
-        return None, InfeasibleBranch(f"modulus^2 = {k2:.6g} < 0")
-    if k2 > 1.0 + MODULUS_CLAMP:
-        # sn(u, k) = (1/k) sn(k u, 1/k): rescale the sn^2 coefficients
-        k2n = 1.0 / k2
-        b1, b2, beta = b1 * k2n, b2 * k2n, beta * math.sqrt(k2)
-        k2 = k2n
-        notes.append("reciprocal-modulus-normalization")
-    k2 = min(max(k2, 0.0), 1.0)
-    omegas = _sn2_omegas(cand["a"], cand["b"], fs)
-    coeffs = DerivedCoefficients(
-        a1=a1, a2=a2, b1=b1, b2=b2, a=cand["a"], b=cand["b"],
-        beta=beta, **omegas,
-    )
-    roots = _multiset_from_values(fs)
-    params = params_from_roots(roots).as_floats()
-    sol = ClosedFormSolution(
-        kind="general_sn2",
-        roots=roots,
-        params=params,
-        c=params.c,
-        xi0=float(xi0),
-        branch=f"initial_f{initial_index}",
+    # start at fs[i], turn at its band neighbor fs[i ^ 1]; pair with fs[3 - i]
+    a, b, f_adj = fs[i], fs[3 - i], fs[i ^ 1]
+    b2 = (f_adj - a) / (b - f_adj)
+    k2 = (f2 - f1) * (f4 - f3) / ((f3 - f1) * (f4 - f2))
+    sol = _solution(
+        "general_sn2", RootMultiset.from_values(fs), xi0, (a, b * b2, 1.0, b2), "sn2",
+        beta=0.5 * math.sqrt((f3 - f1) * (f4 - f2)),
         modulus=normalize_modulus(math.sqrt(k2)),
-        coeffs=coeffs,
-        notes=tuple(notes),
+        branch=f"initial_f{initial_index}", notes=("band-pairing-complementary",),
     )
-    try:
-        return _validated(sol, orbit_check=True), None
-    except (UnresolvedBranch, InvalidConfiguration) as err:
-        return None, err
-
-
-def _sn2_omegas(a_val, b_val, fs):
-    """omega and Omega coefficients of the reduced quartic for zeros a, b."""
-    rest = [v for v in fs if v not in (a_val, b_val)]
-    r, s = rest if len(rest) == 2 else (rest + rest)[:2]
-    d2 = (a_val - b_val) ** 2
-    omega1 = 0.25 * d2 * (a_val - r) * (a_val - s)
-    omega3 = 0.25 * d2 * (b_val - r) * (b_val - s)
-    omega2 = 0.5 * d2 * ((b_val - r) * (a_val - s) + (a_val - r) * (b_val - s))
-    return {
-        "omega1": omega1, "omega2": omega2, "omega3": omega3,
-        "Omega0": 0.0, "Omega4": 0.0,  # a and b are zeros of F
-        "Omega1": 4.0 * omega1, "Omega2": 2.0 * omega2, "Omega3": 4.0 * omega3,
-    }
+    return _validated(sol, orbit_check=True)
 
 
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def evaluate(s: ClosedFormSolution, xi):
-    """Value and analytic derivative of a closed form at xi."""
-    return s.evaluate(xi)
 
 
 def u_v_pair(s: ClosedFormSolution, p: Params):

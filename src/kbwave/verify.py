@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DegenerateDomain, InvalidConfiguration
+from .errors import InvalidConfiguration
 from .quartic import Params, eval_F, eval_F_deriv, roots_of_F
 from .reduction import g_from_f
 from .solutions import ClosedFormSolution
@@ -77,31 +77,21 @@ class Profile:
 
 
 def build_profile(sol: ClosedFormSolution, p: Params, domain, n: int) -> Profile:
-    """Sample a closed form (with g) on a uniform grid, skipping poles."""
+    """Sample a closed form (with g) on a uniform grid."""
     xi = np.linspace(domain[0], domain[1], n)
-    f, fp, ok = sol.profile(xi)
-    if not np.all(ok):
-        # keep the grid uniform: mark singular samples as NaN
-        f = np.where(ok, f, np.nan)
-        fp = np.where(ok, fp, np.nan)
+    f, fp = sol.profile(xi)
     pf = p.as_floats()
     return Profile(xi=xi, f=f, f_prime=fp, g=g_from_f(f, pf.c, pf.d1))
 
 
 def ode_residual(sol: ClosedFormSolution, p: Params, domain=(-10.0, 10.0),
                  n: int = 2000) -> float:
-    """Max over the grid of |f'^2 - F(f)| using the analytic derivative.
-
-    Singular samples of non-global branches are skipped; if every sample is
-    singular, DegenerateDomain is raised.
-    """
+    """Max over the grid of |f'^2 - F(f)| using the analytic derivative."""
     if n < 2:
         raise ValueError("need n >= 2")
     xi = np.linspace(domain[0], domain[1], n)
-    f, fp, ok = sol.profile(xi)
-    if not np.any(ok):
-        raise DegenerateDomain("all samples singular")
-    return float(np.max(np.abs(fp[ok] ** 2 - eval_F(p.as_floats(), f[ok]))))
+    f, fp = sol.profile(xi)
+    return float(np.max(np.abs(fp ** 2 - eval_F(p.as_floats(), f))))
 
 
 def pde_residual(sol: ClosedFormSolution, p: Params, domain=(-10.0, 10.0),
@@ -125,12 +115,7 @@ def pde_residual(sol: ClosedFormSolution, p: Params, domain=(-10.0, 10.0),
     xi = np.linspace(domain[0], domain[1], n)
     offs = np.arange(-3, 4) * h_fd
     grid = xi[:, None] + offs[None, :]
-    f, _, ok = sol.profile(grid.ravel())
-    f = f.reshape(grid.shape)
-    rows = np.all(ok.reshape(grid.shape), axis=1)
-    if not np.any(rows):
-        raise DegenerateDomain("all stencil rows singular")
-    u = f[rows]
+    u = sol.profile(grid.ravel())[0].reshape(grid.shape)
     v = g_from_f(u, c, d1)
 
     def d1_4th(a):  # 4th-order first derivative, 5-point

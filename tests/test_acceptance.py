@@ -234,14 +234,14 @@ def test_criterion_08_limiting_coherence():
          kb.limiting_form("c", (-1.0, 0.0, 1 / 3), branch="upper")),
     ]
     for a, b in pairs:
-        fa, _, _ = a.profile(xi)
-        fb, _, _ = b.profile(xi)
+        fa, _ = a.profile(xi)
+        fb, _ = b.profile(xi)
         assert np.max(np.abs(fa - fb)) < 1e-10
     # the two consistency identities on accepted inputs
     c1 = kb.case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, sign="+")
     assert abs(c1.params.d2 - c1.params.c * c1.params.d1) < 1e-10
     c2 = kb.case2("dn", 1.0, 2.0, 3.0)
-    assert abs(c2.params.d2 + 4.0 * c2.params.d3 * c2.coeffs.a) < 1e-10
+    assert abs(c2.params.d2 + 4.0 * c2.params.d3 * c2.details["a"]) < 1e-10
     _report(8, "limit formulas agree to 1e-10; constraint identities hold")
 
 

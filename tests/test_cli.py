@@ -158,6 +158,21 @@ class TestEvolveVerb:
         assert header == "x,u,v"
         assert len(rows) == 256
 
+    def test_periodic_preset_default_length(self, tmp_path):
+        """Without --L a periodic wave gets the whole number of periods
+        nearest 40 pi, so the periodic grid carries it without a seam."""
+        from kbwave.presets import build_preset
+
+        base = tmp_path / "evo.csv"
+        code = main(["evolve", "--preset", "fig-case1b-k05", "--T", "0.05",
+                     "--out", str(base)])
+        assert code == 0
+        summary = json.loads((tmp_path / "evo-summary.json").read_text())
+        periods = summary["L"] / build_preset("fig-case1b-k05")[0].period
+        assert periods == pytest.approx(round(periods), abs=1e-9)
+        assert abs(summary["L"] - 40 * math.pi) <= 0.5 * summary["L"] / periods
+        assert summary["permanence_error"] < 1e-8
+
 
 class TestReduceVerb:
     def test_ell4_exact_coefficients(self, tmp_path):

@@ -111,7 +111,7 @@ class TestTails:
         sol = solitary_double(-3.0, -2.0, -1.0, branch="upper")
         rate = local_behavior(-2.0, 2, P_CASE1A).rate
         xi = np.linspace(8.0, 12.0, 81)
-        f, _, _ = sol.profile(xi)
+        f, _ = sol.profile(xi)
         slope = np.polyfit(xi, np.log(np.abs(f + 2.0)), 1)[0]
         assert abs(slope + rate) < 0.01 * rate
 

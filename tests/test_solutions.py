@@ -4,9 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from kbwave.elliptic import complete_K, jacobi
-from kbwave.errors import InfeasibleBranch, InvalidConfiguration, PoleSample
+from kbwave.errors import (
+    InfeasibleBranch,
+    InvalidConfiguration,
+    KBWaveError,
+    UnresolvedBranch,
+)
 from kbwave.quartic import Params, eval_F
 from kbwave.solutions import (
     Infeasible,
@@ -28,8 +35,8 @@ XI = np.linspace(-10.0, 10.0, 801)
 
 def residual(sol, domain=(-10, 10), n=2000):
     xi = np.linspace(domain[0], domain[1], n)
-    f, fp, ok = sol.profile(xi)
-    return float(np.max(np.abs(fp[ok] ** 2 - eval_F(sol.params, f[ok]))))
+    f, fp = sol.profile(xi)
+    return float(np.max(np.abs(fp ** 2 - eval_F(sol.params, f))))
 
 
 class TestSolitaryDouble:
@@ -38,13 +45,13 @@ class TestSolitaryDouble:
         f0, fp0 = sol.evaluate(0.0)
         assert f0 == pytest.approx(-3.0, abs=1e-14)
         assert fp0 == pytest.approx(0.0, abs=1e-14)
-        f, _, _ = sol.profile(XI)
+        f, _ = sol.profile(XI)
         assert np.max(np.abs(f - (-2.0 - 1.0 / np.cosh(XI)))) < 1e-12
 
     def test_upper_branch_touches_high_zero(self):
         sol = solitary_double(-3, -2, -1, branch="upper")
         assert sol.evaluate(0.0)[0] == pytest.approx(-1.0, abs=1e-14)
-        f, _, _ = sol.profile(XI)
+        f, _ = sol.profile(XI)
         assert np.max(np.abs(f - (-2.0 + 1.0 / np.cosh(XI)))) < 1e-12
 
     def test_far_tail_decay(self):
@@ -72,7 +79,7 @@ class TestPeriodicTrig:
     def test_case2e_display(self):
         sol = periodic_trig(-1.0, 1.0 / 3.0, 1.0, sign="lower")
         b = 2 * S3 / 3
-        f, _, _ = sol.profile(XI)
+        f, _ = sol.profile(XI)
         assert np.max(np.abs(f - np.sin(b * XI) / (np.sin(b * XI) + 2))) < 1e-12
         assert sol.period == pytest.approx(S3 * math.pi, rel=1e-14)
 
@@ -80,14 +87,14 @@ class TestPeriodicTrig:
         lo, hi = -2 - S3, -2 + S3
         for sign, expected_sign in (("lower", -1.0), ("upper", 1.0)):
             sol = periodic_trig(lo, hi, 0.0, sign=sign)
-            f, _, _ = sol.profile(XI)
+            f, _ = sol.profile(XI)
             ref = 1.0 / (-2.0 + expected_sign * S3 * np.sin(XI))
             assert np.max(np.abs(f - ref)) < 1e-12
 
     def test_band_extremes_hit_simple_zeros(self):
         sol = periodic_trig(0.5, 1.5, 3.0, sign="lower")
         xi = np.linspace(0.0, sol.period, 200_001)
-        f, _, _ = sol.profile(xi)
+        f, _ = sol.profile(xi)
         assert abs(f.min() - 0.5) < 1e-9
         assert abs(f.max() - 1.5) < 1e-9
 
@@ -109,14 +116,14 @@ class TestSolitaryTriple:
     def test_cubed_factor_residual(self):
         # (f')^2 = -(f - f_triple)^3 (f - f_simple)
         sol = solitary_triple(0.0, 2.0)
-        f, fp, _ = sol.profile(XI)
+        f, fp = sol.profile(XI)
         res = np.abs(fp**2 + (f - 0.0) ** 3 * (f - 2.0))
         assert np.max(res) < 1e-9
 
     def test_reproduces_merge_limit(self):
         # the double->triple merge formula with the surviving simple zero below
         sol = solitary_triple(-1.0, -3.0)
-        f, _, _ = sol.profile(XI)
+        f, _ = sol.profile(XI)
         ref = -1.0 + (-3.0 + 1.0) / (1.0 + 0.25 * 4.0 * XI**2)
         assert np.max(np.abs(f - ref)) == 0.0
 
@@ -131,8 +138,8 @@ class TestLimitingForms:
         # amplitude 2(f2-f1)(f3-f2)/(f3-f1) = 1
         assert sol.evaluate(0.0)[0] == pytest.approx(-1.0, abs=1e-14)
         gen = solitary_double(-3, -2, -1, branch="upper")
-        fa, _, _ = sol.profile(XI)
-        fg, _, _ = gen.profile(XI)
+        fa, _ = sol.profile(XI)
+        fg, _ = gen.profile(XI)
         assert np.max(np.abs(fa - fg)) < 1e-10
 
     @pytest.mark.parametrize("branch", ["upper", "lower"])
@@ -140,16 +147,16 @@ class TestLimitingForms:
         f1, f3 = 8 - 2 * S14, 8 + 2 * S14  # 2 f1 f3 = f2 (f1 + f3) with f2 = 1
         sol = limiting_form("b", (f1, 1.0, f3), branch=branch)
         gen = solitary_double(f1, 1.0, f3, branch=branch)
-        fa, _, _ = sol.profile(XI)
-        fg, _, _ = gen.profile(XI)
+        fa, _ = sol.profile(XI)
+        fg, _ = gen.profile(XI)
         assert np.max(np.abs(fa - fg)) < 1e-10
 
     @pytest.mark.parametrize("branch", ["upper", "lower"])
     def test_case_c_agrees_with_generic(self, branch):
         sol = limiting_form("c", (-1.0, 0.0, 1.0 / 3.0), branch=branch)
         gen = solitary_double(-1.0, 0.0, 1.0 / 3.0, branch=branch)
-        fa, _, _ = sol.profile(XI)
-        fg, _, _ = gen.profile(XI)
+        fa, _ = sol.profile(XI)
+        fg, _ = gen.profile(XI)
         assert np.max(np.abs(fa - fg)) < 1e-10
 
     def test_case_d_constant(self):
@@ -160,8 +167,8 @@ class TestLimitingForms:
     def test_case_d_triple_merge(self):
         sol = limiting_form("d", (-3.0, -1.0, -1.0))
         ref = solitary_triple(-1.0, -3.0)
-        fa, _, _ = sol.profile(XI)
-        fg, _, _ = ref.profile(XI)
+        fa, _ = sol.profile(XI)
+        fg, _ = ref.profile(XI)
         assert np.max(np.abs(fa - fg)) < 1e-10
 
     def test_constraint_violation(self):
@@ -176,8 +183,8 @@ class TestCase1:
         sol = case1("cn", -3.0, -2.0, -1.0, sign="+")
         assert sol.modulus == 1.0
         gen = solitary_double(-3, -2, -1, branch="upper")
-        fa, _, _ = sol.profile(XI)
-        fg, _, _ = gen.profile(XI)
+        fa, _ = sol.profile(XI)
+        fg, _ = gen.profile(XI)
         assert np.max(np.abs(fa - fg)) < 1e-10
         lower = case1("cn", -3.0, -2.0, -1.0, sign="-")
         assert lower.evaluate(0.0)[0] == pytest.approx(-3.0, abs=1e-12)
@@ -185,9 +192,9 @@ class TestCase1:
     def test_dn_fixture_modulus_half(self):
         sol = case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, sign="+")
         assert sol.modulus == pytest.approx(0.5, abs=1e-12)
-        assert sol.coeffs.beta == pytest.approx(1.0, abs=1e-12)
+        assert sol.beta == pytest.approx(1.0, abs=1e-12)
         dn = jacobi(XI, 0.5).dn
-        f, _, _ = sol.profile(XI)
+        f, _ = sol.profile(XI)
         assert np.max(np.abs(f - (dn - 2.0))) < 1e-12
         want = Params(2.0, -25 / 16, -25 / 8, -39 / 32)
         for name in ("c", "d1", "d2", "d3"):
@@ -197,8 +204,8 @@ class TestCase1:
         upper = case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, sign="+")
         lower = case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, sign="-")
         grid = np.linspace(0.0, upper.period, 200_001)
-        fu, _, _ = upper.profile(grid)
-        fl, _, _ = lower.profile(grid)
+        fu, _ = upper.profile(grid)
+        fl, _ = lower.profile(grid)
         # bands bounded by adjacent zeros of F
         assert fu.min() == pytest.approx(-2.0 + 0.5 * S3, abs=1e-9)
         assert fu.max() == pytest.approx(-1.0, abs=1e-9)
@@ -243,12 +250,12 @@ class TestCase1:
         e4 = e[0] * e[1] * e[2] * e[3]
         mu2 = 0.375 * e1**2 - e2
         mu0 = e1**2 / 16 * e2 - 5 / 256 * e1**4 - e4
-        assert sol.coeffs.mu2 == pytest.approx(mu2, abs=1e-10)
-        assert sol.coeffs.mu0 == pytest.approx(mu0, abs=1e-10)
+        assert sol.details["mu2"] == pytest.approx(mu2, abs=1e-10)
+        assert sol.details["mu0"] == pytest.approx(mu0, abs=1e-10)
         # the mu-form parameter displays agree with the root-expressed ones
         k2 = sol.modulus**2
         disc = math.sqrt(4 * mu0 + mu2**2)
-        assert sol.coeffs.beta**2 == pytest.approx(2 * mu0 / (-mu2 + disc), rel=1e-10)
+        assert sol.beta**2 == pytest.approx(2 * mu0 / (-mu2 + disc), rel=1e-10)
         assert k2 == pytest.approx(2 + mu2**2 / (2 * mu0) - mu2 / (2 * mu0) * disc,
                                    rel=1e-9)
 
@@ -257,15 +264,15 @@ class TestCase2:
     def test_2a_display(self):
         sol = case2("sn", -2 - S3, 0.0, -2 + S3)
         assert sol.modulus == 0.0
-        assert sol.coeffs.beta == pytest.approx(1.0, abs=1e-12)
-        f, _, _ = sol.profile(XI)
+        assert sol.beta == pytest.approx(1.0, abs=1e-12)
+        f, _ = sol.profile(XI)
         assert np.max(np.abs(f - 1.0 / (-2.0 - S3 * np.sin(XI)))) < 1e-12
         assert sol.c == pytest.approx(1.0, abs=1e-12)
         assert sol.evaluate(0.0)[0] == pytest.approx(-0.5, abs=1e-14)
 
     def test_2b_display(self):
         sol = case2("cn", 2 - S3, 0.0, 2 + S3)
-        f, _, _ = sol.profile(XI)
+        f, _ = sol.profile(XI)
         assert np.max(np.abs(f - 1.0 / (2.0 - S3 * np.cos(XI)))) < 1e-12
         assert sol.c == pytest.approx(-1.0, abs=1e-12)
 
@@ -274,8 +281,8 @@ class TestCase2:
         for kind in ("dn", "cn"):
             sol = case2(kind, f1, 1.0, f3)
             assert sol.modulus == 1.0
-            assert sol.coeffs.beta == pytest.approx(math.sqrt(7.0), rel=1e-12)
-            f, _, _ = sol.profile(XI)
+            assert sol.beta == pytest.approx(math.sqrt(7.0), rel=1e-12)
+            f, _ = sol.profile(XI)
             ref = 1.0 / (1.0 - math.sqrt(7.0 / 8.0) / np.cosh(math.sqrt(7.0) * XI))
             assert np.max(np.abs(f - ref)) < 1e-11
             assert sol.c == pytest.approx(-4.5, abs=1e-12)
@@ -283,14 +290,14 @@ class TestCase2:
     def test_2e_display(self):
         sol = case2("inv_sn", -1.0, 1.0, 1.0 / 3.0)
         b = 2 * S3 / 3
-        assert sol.coeffs.beta == pytest.approx(b, rel=1e-12)
-        f, _, _ = sol.profile(XI)
+        assert sol.beta == pytest.approx(b, rel=1e-12)
+        f, _ = sol.profile(XI)
         assert np.max(np.abs(f - np.sin(b * XI) / (np.sin(b * XI) + 2.0))) < 1e-12
 
     def test_2f_display(self):
         sol = case2("inv_cn", -1.0, 1.0, 1.0 / 3.0)
         b = 2 * S3 / 3
-        f, _, _ = sol.profile(XI)
+        f, _ = sol.profile(XI)
         assert np.max(np.abs(f - np.cos(b * XI) / (np.cos(b * XI) + 2.0))) < 1e-12
 
     def test_2f_modulus_one_display(self):
@@ -298,7 +305,7 @@ class TestCase2:
         assert sol.modulus == 1.0
         b = S3 / 3
         sech = 1.0 / np.cosh(b * XI)
-        f, _, _ = sol.profile(XI)
+        f, _ = sol.profile(XI)
         assert np.max(np.abs(f - sech / (sech + 2.0))) < 1e-12
         assert sol.evaluate(0.0)[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
@@ -311,7 +318,7 @@ class TestCase2:
         ):
             sol = build()
             p = sol.params
-            a = sol.coeffs.a
+            a = sol.details["a"]
             assert abs(p.d2 + 4.0 * p.d3 * a) < 1e-10 * max(1.0, abs(p.d2))
 
     def test_k1_forces_harmonic_relation(self):
@@ -324,7 +331,7 @@ class TestCase2:
     def test_generic_dn_family(self):
         sol = case2("dn", 1.0, 2.0, 3.0)
         assert 0.0 < sol.modulus < 1.0
-        f, _, _ = sol.profile(np.linspace(0, sol.period, 4001))
+        f, _ = sol.profile(np.linspace(0, sol.period, 4001))
         assert f.min() == pytest.approx(2.0, abs=1e-9)
         assert f.max() == pytest.approx(3.0, abs=1e-9)
 
@@ -366,15 +373,15 @@ class TestCase2:
         e3 = sum(e[i] * e[j] * e[k]
                  for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4))
         e4 = e[0] * e[1] * e[2] * e[3]
-        b = sol.coeffs.b
-        assert sol.coeffs.nu4 == pytest.approx(-b * b * e4, rel=1e-10)
+        b = sol.details["b"]
+        assert sol.details["nu4"] == pytest.approx(-b * b * e4, rel=1e-10)
         # root-expressed displays, valid whenever e3, e4 are nonzero
-        assert sol.coeffs.nu2 == pytest.approx(
+        assert sol.details["nu2"] == pytest.approx(
             e3 * e3 / (8 * e4) - 2 * e4 * e1 / e3, rel=1e-10)
-        assert sol.coeffs.nu0 == pytest.approx(
+        assert sol.details["nu0"] == pytest.approx(
             e1 * e3 / (8 * e4) - e3**4 / (256 * e4**3) - 1.0, rel=1e-10)
         # a is the triple-product ratio of the zeros
-        assert sol.coeffs.a == pytest.approx(e3 / (4 * e4), rel=1e-12)
+        assert sol.details["a"] == pytest.approx(e3 / (4 * e4), rel=1e-12)
 
     def test_sn_infeasible_on_generic_roots(self):
         out = case2("sn", 1.0, 2.0, 3.0)
@@ -404,7 +411,7 @@ class TestGeneralSn2:
         beta = 0.5 * math.sqrt(4.0)
         assert sol.period == pytest.approx(2 * complete_K(0.5) / beta, rel=1e-13)
         xi = np.linspace(0, sol.period, 8001)
-        f, _, _ = sol.profile(xi)
+        f, _ = sol.profile(xi)
         assert f.min() == pytest.approx(0.0, abs=1e-9)
         assert f.max() == pytest.approx(1.0, abs=1e-9)
 
@@ -423,8 +430,8 @@ class TestGeneralSn2:
         sol = general_sn2(roots, initial_index=1)
         ref = solitary_double(0.0, 1.0, 3.0, branch="lower")
         xi = np.linspace(-3, 3, 301)
-        fa, _, _ = sol.profile(xi)
-        fg, _, _ = ref.profile(xi)
+        fa, _ = sol.profile(xi)
+        fg, _ = ref.profile(xi)
         assert np.max(np.abs(fa - fg)) < 1e-3
 
     def test_distinct_roots_required(self):
@@ -432,26 +439,66 @@ class TestGeneralSn2:
             general_sn2((0.0, 1.0, 1.0, 3.0))
 
     def test_omega_coefficients_reproduce(self):
-        sol = general_sn2((0.0, 1.0, 2.0, 3.0), initial_index=1)
-        co = sol.coeffs
-        a, b = co.a, co.b
-        rest = [v for v in (0.0, 1.0, 2.0, 3.0) if v not in (a, b)]
-        r, s = rest
+        roots = (0.0, 1.0, 2.0, 3.0)
+        sol = general_sn2(roots, initial_index=1)
+        # the branch from f1 pairs it with f4; the other two zeros are r, s
+        a, b = roots[0], roots[3]
+        r, s = roots[1], roots[2]
         d2 = (a - b) ** 2
-        assert co.omega1 == pytest.approx(0.25 * d2 * (a - r) * (a - s), rel=1e-12)
-        assert co.omega3 == pytest.approx(0.25 * d2 * (b - r) * (b - s), rel=1e-12)
-        assert co.omega2 == pytest.approx(
-            0.5 * d2 * ((b - r) * (a - s) + (a - r) * (b - s)), rel=1e-12
-        )
-        # generic frequency relation beta^4 = omega1 omega3 / (k^2 (b-a)^4)
-        beta4 = co.omega1 * co.omega3 / (sol.modulus**2 * (b - a) ** 4)
-        assert co.beta**4 == pytest.approx(beta4, rel=1e-10)
-        # generic coefficient ratio b2/a2 = -2 (1 + k^2) omega1 / omega2
+        omega1 = 0.25 * d2 * (a - r) * (a - s)
+        omega3 = 0.25 * d2 * (b - r) * (b - s)
+        omega2 = 0.5 * d2 * ((b - r) * (a - s) + (a - r) * (b - s))
         k2 = sol.modulus**2
-        assert co.b2 / co.a2 == pytest.approx(-2 * (1 + k2) * co.omega1 / co.omega2,
+        # generic frequency relation beta^4 = omega1 omega3 / (k^2 (b-a)^4)
+        beta4 = omega1 * omega3 / (k2 * (b - a) ** 4)
+        assert sol.beta**4 == pytest.approx(beta4, rel=1e-10)
+        # generic coefficient ratio b2/a2 = D/C = -2 (1 + k^2) omega1 / omega2
+        assert sol.D / sol.C == pytest.approx(-2 * (1 + k2) * omega1 / omega2,
                                               rel=1e-10)
-        # a and b are zeros of F, so the outer quartic coefficients vanish
-        assert co.Omega0 == 0.0 and co.Omega4 == 0.0
+
+    # the classically printed adjacent pairing, per starting root: the partner
+    # zero's index and b2/a2, with modulus^2 as printed
+    @staticmethod
+    def _printed(roots, idx):
+        f1, f2, f3, f4 = roots
+        k2 = {
+            1: (f2 - f3) * (f1 - f4) / ((f1 - f3) * (f2 - f4)),
+            2: (f2 - f4) * (f1 - f3) / ((f1 - f4) * (f2 - f3)),
+            3: (f4 - f1) * (f3 - f2) / ((f3 - f1) * (f4 - f2)),
+            4: (f3 - f2) * (f4 - f1) / ((f3 - f1) * (f4 - f2)),
+        }[idx]
+        b = roots[{1: 1, 2: 0, 3: 3, 4: 2}[idx]]
+        b2 = {
+            1: (f4 - f1) / (f2 - f4),
+            2: (f3 - f2) / (f1 - f3),
+            3: (f2 - f3) / (f4 - f2),
+            4: (f1 - f4) / (f3 - f1),
+        }[idx]
+        beta = 0.5 * math.sqrt((f3 - f1) * (f4 - f2))
+        b1 = b * b2
+        if k2 > 1.0:  # reciprocal-modulus normalization
+            b1, b2, beta, k2 = b1 / k2, b2 / k2, beta * math.sqrt(k2), 1.0 / k2
+        return dict(A=roots[idx - 1], B=b1, C=1.0, D=b2, beta=beta,
+                    modulus=math.sqrt(k2))
+
+    @pytest.mark.parametrize("idx, error", [
+        (1, InvalidConfiguration),  # printed denominator crosses zero
+        (2, UnresolvedBranch),
+        (3, UnresolvedBranch),
+        (4, InvalidConfiguration),
+    ])
+    def test_printed_adjacent_pairing_rejected(self, idx, error):
+        """The printed sn^2 coefficients, built as an sn^2 Moebius form, are
+        refused for sorted roots: by the defining residual gate, or at
+        construction where the printed denominator has a pole."""
+        from dataclasses import replace
+
+        from kbwave.solutions import _residual_gate
+
+        roots = (0.0, 1.0, 2.0, 3.0)
+        ref = general_sn2(roots, initial_index=idx)
+        with pytest.raises(error):
+            _residual_gate(replace(ref, **self._printed(roots, idx)))
 
 
 class TestEvaluateAndPairs:
@@ -477,16 +524,16 @@ class TestEvaluateAndPairs:
         base = solitary_double(-3, -2, -1, branch="upper")
         shifted = base.with_phase(1.375)
         xi = np.linspace(-5, 5, 101)
-        f0, _, _ = base.profile(xi - 1.375)
-        f1, _, _ = shifted.profile(xi)
+        f0, _ = base.profile(xi - 1.375)
+        f1, _ = shifted.profile(xi)
         assert np.array_equal(f0, f1)
 
     def test_periodicity_sampled(self):
         sol = case2("dn", 1.0, 2.0, 3.0)
         T = sol.period
         xi = np.linspace(-3, 3, 41)
-        f0, _, _ = sol.profile(xi)
-        f1, _, _ = sol.profile(xi + T)
+        f0, _ = sol.profile(xi)
+        f1, _ = sol.profile(xi + T)
         assert np.max(np.abs(f0 - f1)) < 1e-8
 
     def test_u_v_pair_case1a(self):
@@ -519,45 +566,39 @@ class TestCoherence:
     def test_case1_cn_k1_equals_solitary_double(self):
         a = case1("cn", -3.0, -2.0, -1.0, sign="+")
         b = solitary_double(-3.0, -2.0, -1.0, branch="upper")
-        fa, _, _ = a.profile(XI)
-        fb, _, _ = b.profile(XI)
+        fa, _ = a.profile(XI)
+        fb, _ = b.profile(XI)
         assert np.max(np.abs(fa - fb)) < 1e-10
 
     def test_case2_k1_equals_cosh_ratio_limit(self):
         f1, f3 = 8 - 2 * S14, 8 + 2 * S14
         a = case2("dn", f1, 1.0, f3)
         b = limiting_form("b", (f1, 1.0, f3), branch="upper")
-        fa, _, _ = a.profile(XI)
-        fb, _, _ = b.profile(XI)
+        fa, _ = a.profile(XI)
+        fb, _ = b.profile(XI)
         assert np.max(np.abs(fa - fb)) < 1e-10
 
     def test_case2_inv_cn_k1_equals_sech_ratio_limit(self):
         a = case2("inv_cn", -1.0, 0.0, 1.0 / 3.0)
         b = limiting_form("c", (-1.0, 0.0, 1.0 / 3.0), branch="upper")
-        fa, _, _ = a.profile(XI)
-        fb, _, _ = b.profile(XI)
+        fa, _ = a.profile(XI)
+        fb, _ = b.profile(XI)
         assert np.max(np.abs(fa - fb)) < 1e-10
 
 
-def test_singular_sample_guard():
-    """Hand-built pole-crossing branch: evaluate refuses near-pole samples.
+def test_pole_crossing_form_rejected_at_construction():
+    """A hand-built Moebius form whose denominator crosses zero is refused.
 
-    Validated constructions never produce one (bounded bands avoid the
-    kernel's zero), so the guard is exercised on a synthetic descriptor.
+    Validated constructions never produce one (no real orbit of f'^2 = F(f)
+    reaches a pole), so the check is exercised on a synthetic descriptor.
     """
     from dataclasses import replace
 
-    base = case2("sn", -2 - S3, 0.0, -2 + S3)
-    # shrink |a| below |b| so the denominator a + b*sn crosses zero; the
-    # modulus is 0, so the kernel is sin and the pole sits at asin(a/|b|)
-    bad = replace(base, coeffs=replace(base.coeffs, a=0.5), non_global=True)
-    pole = math.asin(0.5 / S3)
-    xi = np.array([0.0, 0.5, pole, 1.0])
-    f, fp, ok = bad.profile(xi)
-    assert not ok[2] and ok[0] and ok[1] and ok[3]
-    with pytest.raises(PoleSample):
-        bad.evaluate(xi)
-    assert bad.evaluate(0.5)  # individual non-pole samples still fine
+    base = case2("sn", -2 - S3, 0.0, -2 + S3)  # C + D sin, C = -2, D = -sqrt(3)
+    with pytest.raises(InvalidConfiguration, match="vanishes"):
+        replace(base, C=0.5)  # 0.5 - sqrt(3) sin crosses zero
+    with pytest.raises(InvalidConfiguration, match="vanishes"):
+        replace(base, C=-base.D)  # touches zero at the end of the range
 
 
 def test_discrepancy_report_shape():
@@ -566,3 +607,113 @@ def test_discrepancy_report_shape():
     assert "band-pairing-complementary" in ids
     assert "periodic-frequency-absolute-value" in ids
     assert all({"id", "applies_to", "detail"} <= set(r) for r in rep)
+
+
+# ---------------------------------------------------------------------------
+# property sweep over each constructor's feasible region
+# ---------------------------------------------------------------------------
+
+
+def _sweep(n):
+    return settings(max_examples=n, derandomize=True, deadline=None,
+                    suppress_health_check=list(HealthCheck))
+
+
+ZERO = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+def _spread(vals, gap=0.05):
+    """Sorted values, each pair at least ``gap`` apart."""
+    vals = sorted(vals)
+    assume(all(b - a > gap for a, b in zip(vals, vals[1:])))
+    return vals
+
+
+def _accepted(build):
+    """The constructor's solution, skipping inputs outside its feasible
+    region and the oracle's known false rejections; a pole rejection fails."""
+    try:
+        sol = build()
+    except InvalidConfiguration as err:
+        assert "vanishes" not in str(err), err
+        assume(False)
+    except KBWaveError:
+        assume(False)
+    assume(not isinstance(sol, Infeasible))
+    return sol
+
+
+def _check_representation(sol):
+    """C + D y keeps one sign over the kernel's range, with the form inside
+    the root band there (so the denominator stays away from zero), and the
+    period is None exactly for the pulse kernels."""
+    k = sol.modulus
+    lo, hi = {
+        "sn": (-1.0, 1.0), "cn": (0.0 if k == 1.0 else -1.0, 1.0),
+        "dn": (math.sqrt(1.0 - k * k) if k is not None else 1.0, 1.0),
+        "sn2": (0.0, 1.0), "sin": (-1.0, 1.0), "sech": (0.0, 1.0),
+        "rational": (0.0, 1.0),
+    }[sol.kernel]
+    y = np.linspace(lo, hi, 257)
+    den = sol.C + sol.D * y
+    assert np.all(den > 0.0) or np.all(den < 0.0)
+    f = (sol.A + sol.B * y) / den
+    vals = sol.roots.values()
+    tol = 1e-9 * sol.roots.scale()
+    assert vals[0] - tol <= f.min() and f.max() <= vals[-1] + tol
+    pulse = sol.kernel in ("sech", "rational") or k == 1.0
+    assert (sol.period is None) == pulse
+    assert (sol.decay_rate is not None) == pulse
+
+
+@_sweep(30)
+@given(st.lists(ZERO, min_size=3, max_size=3), st.sampled_from(["upper", "lower"]))
+def test_solitary_double_representation(zeros, branch):
+    lo, dbl, hi = _spread(zeros)
+    _check_representation(_accepted(lambda: solitary_double(lo, dbl, hi, branch=branch)))
+
+
+@_sweep(30)
+@given(st.lists(ZERO, min_size=3, max_size=3), st.sampled_from(["upper", "lower"]))
+def test_periodic_trig_representation(zeros, sign):
+    s1, s2, dbl = zeros
+    _spread(zeros)
+    _check_representation(_accepted(lambda: periodic_trig(s1, s2, dbl, sign=sign)))
+
+
+@_sweep(30)
+@given(ZERO, ZERO)
+def test_solitary_triple_representation(f_triple, f_simple):
+    _spread([f_triple, f_simple])
+    _check_representation(_accepted(lambda: solitary_triple(f_triple, f_simple)))
+
+
+@_sweep(10)
+@given(st.lists(ZERO, min_size=3, max_size=3), st.sampled_from(["+", "-"]),
+       st.booleans())
+def test_case1_representation(zeros, sign, midpoint):
+    f1, f2, f3 = _spread(zeros)
+    kind = "dn"
+    if midpoint:  # the cn kernel exists only at 2 f2 = f1 + f3
+        kind, f2 = "cn", 0.5 * (f1 + f3)
+    _check_representation(_accepted(lambda: case1(kind, f1, f2, f3, sign=sign)))
+
+
+@pytest.mark.parametrize("kind", ["sn", "cn", "dn", "inv_sn", "inv_cn"])
+def test_case2_representation(kind):
+    @_sweep(5)
+    @given(st.lists(ZERO, min_size=3, max_size=3))
+    def check(zeros):
+        f1, f2, f3 = zeros
+        _spread(zeros)
+        assume(min(abs(f1), abs(f3)) > 0.05)
+        _check_representation(_accepted(lambda: case2(kind, f1, f2, f3)))
+
+    check()
+
+
+@_sweep(8)
+@given(st.lists(ZERO, min_size=4, max_size=4), st.integers(1, 4))
+def test_general_sn2_representation(zeros, idx):
+    roots = _spread(zeros)
+    _check_representation(_accepted(lambda: general_sn2(roots, initial_index=idx)))

@@ -44,7 +44,7 @@ class TestOdeResidual:
         """A 1% amplitude corruption must blow far past the gate."""
         sol = solitary_double(-3, -2, -1, branch="upper")
         xi = np.linspace(-10, 10, 2000)
-        f, fp, _ = sol.profile(xi)
+        f, fp = sol.profile(xi)
         f_bad = -2.0 + 1.01 * (f + 2.0)
         res = np.max(np.abs(fp**2 - eval_F(P_CASE1A, f_bad)))
         assert res > 1e-3
@@ -165,8 +165,8 @@ class TestCompareProfiles:
         sol = solitary_double(-3, -2, -1, branch="upper")
         h = 1e-3
         xi = np.arange(0, 5, h)
-        f, fp, _ = sol.profile(xi)
-        f2, _, _ = sol.profile(xi + h)
+        f, fp = sol.profile(xi)
+        f2, _ = sol.profile(xi + h)
         linf, _ = compare_profiles(Profile(xi=xi, f=f), Profile(xi=xi, f=f2))
         assert linf <= 1.05 * h * np.max(np.abs(fp))
 
