@@ -439,13 +439,14 @@ def cmd_oracle(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = _load_config(args)
     sol, params = _construct(cfg)
-    L = cfg.get("L", args.L)
+    # explicit flags win over the config file
+    L = args.L if args.L is not None else cfg.get("L")
     if L is None:
         # a periodic wave needs a whole number of periods on the periodic grid
         T = sol.period
         L = 40.0 * math.pi if T is None else max(1, round(40.0 * math.pi / T)) * T
     L = float(L)
-    n = int(cfg.get("n_grid", args.n_grid))
+    n = int(args.n_grid if args.n_grid is not None else cfg.get("n_grid", 1024))
     state0 = evolution.state_from_callable(lambda xi: sol.profile(xi)[0], params, L, n)
     dt = args.dt if args.dt is not None else 0.5 * evolution.stability_limit(state0)
     steps = max(1, int(round(args.T / dt)))
@@ -581,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L", type=float, default=None,
                     help="domain length (default: the whole number of periods "
                          "nearest 40 pi, or 40 pi for a pulse)")
-    sp.add_argument("--n-grid", type=int, default=1024)
+    sp.add_argument("--n-grid", type=int, default=None,
+                    help="grid points (default: the config's n_grid, else 1024)")
     sp.add_argument("--dt", type=float, default=None)
     sp.add_argument("--T", type=float, default=1.0)
     sp.set_defaults(fn=cmd_evolve)

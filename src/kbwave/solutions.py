@@ -16,11 +16,12 @@ The defining property is the first-integral residual
 
     f'(xi)^2 = F(f(xi))
 
-checked on a grid (and by an independent RK4 orbit integration for the
-elliptic families) before the object is surfaced.  Where the classical
-printed formulas for a family fail that gate, the constructor applies a
-documented correction and records it in the solution's provenance notes; the
-static :data:`DISCREPANCIES` table aggregates the corrections.
+checked on a grid before the object is surfaced.  The elliptic families are
+also checked against the orbit through f(xi0), followed over one period by
+quadrature of xi(f) = int df / sqrt(F) (see ``_orbit_check``).  Where the
+classical printed formulas for a family fail these gates, the constructor
+applies a documented correction and records it in the solution's provenance
+notes; the static :data:`DISCREPANCIES` table aggregates the corrections.
 
 Families
 --------
@@ -48,6 +49,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .elliptic import complete_K, jacobi, normalize_modulus
 from .errors import InfeasibleBranch, InvalidConfiguration, UnresolvedBranch
@@ -71,6 +73,7 @@ __all__ = [
 ]
 
 RESIDUAL_RTOL = 1e-8          # defining-residual gate: < RTOL * scale^4
+ORBIT_RTOL = 1e-6             # orbit check: |closed form - orbit| < RTOL * scale
 MODULUS_CLAMP = 1e-9          # k^2 in (1, 1+clamp] snaps to 1; in [-clamp, 0) to 0
 
 CASE2_KINDS = ("sn", "cn", "dn", "inv_sn", "inv_cn", "tn", "dn_tn")
@@ -103,11 +106,6 @@ DISCREPANCIES = (
             "((f2-f1)(f4-f3))/((f3-f1)(f4-f2)); adjacent pairing with the "
             "complementary modulus fails the defining residual for sorted roots"
         ),
-    },
-    {
-        "id": "reciprocal-modulus-normalization",
-        "applies_to": "general_sn2",
-        "detail": "modulus^2 > 1 is normalized via sn(u, k) = (1/k) sn(k u, 1/k)",
     },
 )
 
@@ -360,32 +358,134 @@ def _residual_gate(sol, n=513):
     return float(res)
 
 
-def _orbit_spotcheck(sol, h=1e-3, tol_scale=1e-6):
-    """Compare the closed form against the brute-force first-order orbit
-    integrator (f' = s sqrt(F), turning points reflected) over one period or
-    a few decay lengths.  The first-order oracle rides the energy surface
-    exactly, so unlike second-order shooting it does not diverge from
-    homoclinic orbits and discriminates wrong branches at tight tolerance."""
-    from .verify import oracle_integrate  # function-local: avoids module cycle
+# The orbit check follows the wave through f0 = f(xi0) by quadrature of
+# xi(f) = int df / sqrt(F), with F = -prod(f - r) factored from sol.roots.
+# In a band [e, o] of F > 0 the substitution f = e + (o - e) sin^2(theta)
+# (Byrd & Friedman) removes both turning-point singularities:
+#
+#     d xi / d theta = 2 / sqrt(Q(f)),   Q = (f - r3)(f - r4),
+#
+# r3, r4 the zeros other than e and o.  Q is small only where r3 or r4 nearly
+# meets a band edge, and vanishes there when that edge is a double zero (a
+# pulse, whose xi diverges logarithmically).  Chebyshev-Lobatto panels, halved
+# toward each such edge down to the width of its feature, integrate d xi /
+# d theta to near machine precision; a pulse is followed until |f - o| is
+# about 1e-14 |o - e|.
 
-    T = sol.period
-    length = T if T is not None else min(10.0, 6.0 / max(sol.decay_rate or 1.0, 0.6))
+_PANEL = 16
+_LOBATTO = -np.cos(np.pi * np.arange(_PANEL) / (_PANEL - 1))  # ascending on [-1, 1]
+_TO_COEFFS = np.linalg.inv(chebvander(_LOBATTO, _PANEL - 1))
+# values at the nodes -> integral from -1 to each node
+_CUMULATIVE = (chebvander(_LOBATTO, _PANEL) @ chebint(np.eye(_PANEL), lbnd=-1.0)
+               @ _TO_COEFFS)
+_PULSE_CUTOFF = 1e-7  # pi/2 - theta where a pulse's quadrature stops
+_QUADRANT = 0.25 * math.pi
+
+
+def _halvings(depth):
+    """Panel breaks pi/4 * 2**-j, ascending, the smallest no wider than depth."""
+    m = max(0, math.ceil(math.log2(_QUADRANT / depth)))
+    return [_QUADRANT * 0.5 ** j for j in range(m, 0, -1)]
+
+
+def _band(sol, f0, gate):
+    """The band (e, o) of F > 0 that holds f0, anchored at a simple zero e,
+    and the two other zeros; raises when f0 lies outside every band."""
+    zeros = sol.roots.expand()
+    vals = sol.roots.values()
+    bands = [(lo, hi) for lo, hi in zip(vals, vals[1:])
+             if -math.prod(0.5 * (lo + hi) - r for r in zeros) > 0.0]
+    dist = [max(lo - f0, f0 - hi, 0.0) for lo, hi in bands]
+    if not dist or not min(dist) < gate:
+        raise UnresolvedBranch(
+            f"{sol.kind} failed the orbit check: f(xi0) = {f0!r} lies in no band "
+            f"of F > 0 for the zeros {zeros}", candidate=sol)
+    lo, hi = bands[dist.index(min(dist))]
+    rest = list(zeros)
+    rest.remove(lo)
+    rest.remove(hi)
+    # a double zero cannot bound the band on both sides (F <= 0 there), so
+    # at least one edge is simple; anchor there, where the orbit turns
+    if min(abs(r - lo) for r in rest) >= min(abs(r - hi) for r in rest):
+        return lo, hi, rest
+    return hi, lo, rest
+
+
+def _orbit_check(sol):
+    """Compare the closed form with the orbit of f'^2 = F(f) through f(xi0)
+    over one period (or, for a pulse, until it meets its double zero), at
+    the bound ORBIT_RTOL * scale; raises UnresolvedBranch with the solution
+    as candidate.  Returns the largest deviation."""
+    gate = ORBIT_RTOL * sol.roots.scale()
     f0, fp0 = sol.evaluate(sol.xi0)
-    prof = oracle_integrate(sol.params, f0, 1 if fp0 >= 0 else -1, length, h=h)
-    f, _ = sol.profile(sol.xi0 + prof.xi)
-    worst = float(np.max(np.abs(prof.f - f)))
-    gate = tol_scale * sol.roots.scale()
+    rest_point = [v for v, m in sol.roots.entries if m > 1 and abs(f0 - v) < gate]
+    if rest_point:
+        # the orbit through a double zero is that zero: the form must stay there
+        T = sol.period
+        span = 0.5 * T if T is not None else 10.0
+        f, _ = sol.profile(np.linspace(sol.xi0 - span, sol.xi0 + span, 129))
+        return _orbit_verdict(sol, float(np.max(np.abs(f - rest_point[0]))), gate)
+
+    e, o, (r3, r4) = _band(sol, f0, gate)
+    w = o - e
+    depth = {z: math.sqrt(min(abs(r3 - z), abs(r4 - z)) / abs(w)) for z in (e, o)}
+    breaks = [0.0, *_halvings(depth[e]), _QUADRANT]
+    if depth[o] > 0.0:
+        breaks += [0.5 * math.pi - b for b in (*_halvings(depth[o]), 0.0)]
+    else:  # a pulse: stop short of the double zero
+        breaks += [0.5 * math.pi - b for b in _halvings(_PULSE_CUTOFF)]
+
+    # theta0 from f0 in the middle of the band and from |f'(xi0)| near its
+    # edges, where f0 alone fixes theta0 only to the square root of its error
+    def minus(z, sin2, cos2):  # f - z without cancellation near either edge
+        return (e - z) + w * sin2 if abs(e - z) <= abs(o - z) else (o - z) - w * cos2
+
+    s2, c2 = (min(max(v / w, 0.0), 1.0) for v in (f0 - e, o - f0))  # sin^2, cos^2
+    q0 = abs(minus(r3, s2, c2) * minus(r4, s2, c2))
+    sc = abs(fp0) / (abs(w) * math.sqrt(q0)) if q0 > 0.0 else 0.0  # sin * cos
+    theta0 = math.atan2(sc, c2) if s2 <= c2 else 0.5 * math.pi - math.atan2(sc, s2)
+    theta0 = min(theta0, max(breaks))
+
+    breaks = np.unique(np.array([*breaks, theta0]))
+    half = 0.5 * np.diff(breaks)
+    theta = (0.5 * (breaks[:-1] + breaks[1:]))[:, None] + half[:, None] * _LOBATTO
+    sin2, cos2 = np.sin(theta) ** 2, np.cos(theta) ** 2
+    dxi = 2.0 / np.sqrt(minus(r3, sin2, cos2) * minus(r4, sin2, cos2))
+    within = half[:, None] * (dxi @ _CUMULATIVE.T)
+    before = np.concatenate(([0.0], np.cumsum(within[:, -1])))
+    xi = before[:-1, None] + within
+
+    f = e + w * sin2
+    speed = float(np.sqrt(np.max(np.abs(eval_F(sol.params, f)))))
+    # the two highest Chebyshev coefficients per panel bound the error in xi
+    tail = np.abs(dxi @ _TO_COEFFS[-2:].T).sum(axis=1)
+    bound = speed * float(np.sum(half * tail))
+    if not bound < 0.1 * gate:
+        raise UnresolvedBranch(
+            f"{sol.kind}: the orbit quadrature did not converge: its error moves "
+            f"f by up to {bound:.3e}, against the bound {gate:.3e}", candidate=sol)
+
+    # the orbit turns at e, at xi_e; f(xi_e +- xi(theta)) = f(theta)
+    s = 1.0 if fp0 * w >= 0.0 else -1.0
+    xi_e = sol.xi0 - s * before[int(np.searchsorted(breaks, theta0))]
+    worst = max(float(np.max(np.abs(sol.profile(xi_e + sign * xi)[0] - f)))
+                for sign in (1.0, -1.0))
+    return _orbit_verdict(sol, worst, gate)
+
+
+def _orbit_verdict(sol, worst, gate):
     if not worst < gate:
         raise UnresolvedBranch(
-            f"{sol.kind} failed the orbit integration check: {worst:.3e} >= {gate:.3e}",
+            f"{sol.kind} failed the orbit check: {worst:.3e} >= {gate:.3e}",
             candidate=sol,
         )
+    return worst
 
 
 def _validated(sol, *, orbit_check=False):
     _residual_gate(sol)
     if orbit_check:
-        _orbit_spotcheck(sol)
+        _orbit_check(sol)
     return sol
 
 

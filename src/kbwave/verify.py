@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidConfiguration
 from .quartic import Params, eval_F, eval_F_deriv, roots_of_F
@@ -237,8 +236,9 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
     rm = roots_of_F(p)
     q = _Quartic(p, factor_roots=rm.expand() if rm.total() == 4 else None)
     f0 = float(f0)
-    scale = max(1.0, abs(f0)) ** 4
-    if q.F(f0) < -1e-12 * scale:
+    # relative to the zeros' scale, like the residual gate: F near a zero
+    # carries rounding of order eps * scale^4
+    if q.F(f0) < -1e-12 * rm.scale() ** 4:
         raise InvalidConfiguration(
             f"start point infeasible: F({f0}) = {q.F(f0):.3e} < 0"
         )
@@ -370,6 +370,8 @@ def compare_profiles(a: Profile, b: Profile):
         hi = min(xa[-1], b.xi[-1])
         if not lo < hi:
             raise InvalidConfiguration("profiles cover disjoint domains")
+        from scipy.interpolate import CubicSpline  # deferred: slow to import
+
         good = np.isfinite(b.f)
         spline = CubicSpline(b.xi[good], b.f[good])
         mask = (xa >= lo) & (xa <= hi) & np.isfinite(fa)

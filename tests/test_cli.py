@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kbwave
 from kbwave.cli import main
 
 S3 = math.sqrt(3.0)
@@ -173,6 +176,25 @@ class TestEvolveVerb:
         assert abs(summary["L"] - 40 * math.pi) <= 0.5 * summary["L"] / periods
         assert summary["permanence_error"] < 1e-8
 
+    def test_explicit_flags_beat_config(self, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"preset": "fig-case1a", "L": 50, "n_grid": 128}))
+        base = tmp_path / "evo.csv"
+        code = main(["evolve", "--config", str(cfg), "--L", "60", "--n-grid", "256",
+                     "--T", "0.05", "--out", str(base)])
+        assert code == 0
+        summary = json.loads((tmp_path / "evo-summary.json").read_text())
+        assert (summary["L"], summary["n"]) == (60.0, 256)
+
+    def test_config_fills_missing_flags(self, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"preset": "fig-case1a", "L": 50, "n_grid": 128}))
+        base = tmp_path / "evo.csv"
+        code = main(["evolve", "--config", str(cfg), "--T", "0.05", "--out", str(base)])
+        assert code == 0
+        summary = json.loads((tmp_path / "evo-summary.json").read_text())
+        assert (summary["L"], summary["n"]) == (50.0, 128)
+
 
 class TestReduceVerb:
     def test_ell4_exact_coefficients(self, tmp_path):
@@ -232,3 +254,15 @@ class TestConfigFile:
     def test_missing_problem_rejected(self):
         with pytest.raises(SystemExit):
             main(["classify"])
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy loads only where it is used (the resampling in compare_profiles),
+    so importing the package and its CLI stays fast."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kbwave.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, kbwave, kbwave.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

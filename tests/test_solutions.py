@@ -1,6 +1,8 @@
 """Closed-form families: fixtures, residuals, coherence and corrections."""
 
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +13,13 @@ from kbwave.elliptic import complete_K, jacobi
 from kbwave.errors import (
     InfeasibleBranch,
     InvalidConfiguration,
-    KBWaveError,
     UnresolvedBranch,
 )
-from kbwave.quartic import Params, eval_F
+from kbwave.presets import build_preset
+from kbwave.quartic import Params, eval_F, eval_F_deriv
 from kbwave.solutions import (
     Infeasible,
+    _orbit_check,
     case1,
     case2,
     discrepancy_report,
@@ -501,6 +504,166 @@ class TestGeneralSn2:
             _residual_gate(replace(ref, **self._printed(roots, idx)))
 
 
+def _dop853_deviation(sol):
+    """Largest |closed form - DOP853| / scale over one period centred on xi0,
+    or 6 decay lengths either side of a pulse's xi0, integrating f'' =
+    F'(f)/2 (rtol 1e-13) from the closed form's value and slope at xi0."""
+    from scipy.integrate import solve_ivp
+
+    p, scale = sol.params, sol.roots.scale()
+    span = 0.5 * sol.period if sol.period is not None else 6.0 / sol.decay_rate
+    worst = 0.0
+    for end in (sol.xi0 + span, sol.xi0 - span):
+        xi = np.linspace(sol.xi0, end, 129)
+        ref = solve_ivp(lambda _, y: (y[1], 0.5 * eval_F_deriv(p, y[0])), (sol.xi0, end),
+                        sol.evaluate(sol.xi0), method="DOP853", t_eval=xi,
+                        rtol=1e-13, atol=1e-13 * scale)
+        worst = max(worst, float(np.max(np.abs(ref.y[0] - sol.profile(xi)[0]))) / scale)
+    return worst
+
+
+def _abs_sn(x, k):
+    s, c, d = jacobi(x, k)
+    return np.abs(s), np.where(s < 0.0, -1.0, 1.0) * c * d  # right derivative at the kink
+
+
+ELLIPTIC_PRESETS = ("fig-case1b-k05", "fig-case2a", "fig-case2b", "fig-case2bc-k1",
+                    "fig-case2e", "fig-case2f", "fig-case2f-k1")
+WIDE_FOUR = (-2.3, -0.7, 1.1, 4.6)
+
+
+MUTATION_BASES = {
+    **{name: build_preset(name)[0] for name in ELLIPTIC_PRESETS},
+    **{f"general_sn2-f{i}": general_sn2(WIDE_FOUR, initial_index=i) for i in (1, 2, 3, 4)},
+}
+
+
+class TestOrbitCheck:
+    """The quadrature orbit check: no false rejections, every mutation caught."""
+
+    @pytest.mark.parametrize("f1, f2, f3", [
+        (1.504592762678163, 1.8554198448069474, 1.8844673057094008),
+        (1.8056260976959813, 1.807608241860267, 2.062353133613742),
+        (3.0019257689350525, 4.294170006228567, 4.32479493058786),
+        (-1.2081772252775136, -1.2077006995676074, 4.2821117592733025),
+    ])
+    def test_case1_dn_accepted(self, f1, f2, f3):
+        # a fixed-step RK4 check rejected these; DOP853 agrees with them
+        sol = case1("dn", f1, f2, f3)
+        assert _orbit_check(sol) < 1e-12 * sol.roots.scale()
+        assert _dop853_deviation(sol) < 1e-9
+
+    @pytest.mark.parametrize("kind, f1, f2, f3", [
+        ("inv_sn", -3.1933706513223035, 3.1560461282975467, 0.0006870581931064379),
+        ("sn", -0.0010067437975607163, 4.68689723516292, -4.1858572716905655),
+    ])
+    def test_near_homoclinic_accepted(self, kind, f1, f2, f3):
+        # a zero 1e-7 (relative) beyond a band edge: the graded panels resolve it
+        sol = case2(kind, f1, f2, f3)
+        gaps = np.diff(sol.roots.values()) / sol.roots.scale()
+        assert gaps.min() < 1e-7
+        assert _orbit_check(sol) < 1e-10 * sol.roots.scale()
+
+    def test_unresolved_quadrature_is_loud(self, monkeypatch):
+        """Without the graded panels the near-homoclinic band is not resolved,
+        and the check says so rather than passing or failing on noise."""
+        import kbwave.solutions as S
+
+        sol = case2("inv_sn", -3.1933706513223035, 3.1560461282975467,
+                    0.0006870581931064379)
+        monkeypatch.setattr(S, "_halvings", lambda depth: [])
+        with pytest.raises(UnresolvedBranch, match="did not converge"):
+            _orbit_check(sol)
+
+    def test_merged_zeros_tiny_band_accepted(self):
+        # f2 - f1 below the clustering tolerance: the zeros merge into two
+        # doubles and the wave, 1e-9 wide, stays on the double zero
+        sol = case1("dn", -3.5693995947304504, -3.5693995938207603, -0.6228534466259203)
+        assert sol.roots.multiplicities() == (2, 2)
+        assert _orbit_check(sol) < 1e-9
+
+    @pytest.mark.parametrize("name", MUTATION_BASES)
+    def test_bases_match_to_rounding(self, name):
+        # fig-case2bc-k1 starts 3e-14 inside its band edge: a start phase from
+        # f(xi0) alone would be off by the square root of that
+        sol = MUTATION_BASES[name]
+        assert _orbit_check(sol) < 1e-10 * sol.roots.scale()
+
+    @pytest.mark.parametrize("name", MUTATION_BASES)
+    def test_wrong_beta_rejected(self, name):
+        sol = MUTATION_BASES[name]
+        with pytest.raises(UnresolvedBranch, match="orbit check"):
+            _orbit_check(replace(sol, beta=sol.beta * 1.001))
+
+    @pytest.mark.parametrize("name", [n for n, s in MUTATION_BASES.items() if s.modulus < 1.0])
+    def test_wrong_modulus_rejected(self, name):
+        sol = MUTATION_BASES[name]
+        with pytest.raises(UnresolvedBranch, match="orbit check"):
+            _orbit_check(replace(sol, modulus=sol.modulus + 0.01))
+
+    @pytest.mark.parametrize("idx", [2, 3])
+    def test_printed_adjacent_pairing_rejected(self, idx):
+        roots = (0.0, 1.0, 2.0, 3.0)
+        printed = replace(general_sn2(roots, initial_index=idx),
+                          **TestGeneralSn2._printed(roots, idx))
+        with pytest.raises(UnresolvedBranch, match="orbit check"):
+            _orbit_check(printed)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_preset("fig-case2a")[0],
+        lambda: build_preset("fig-case2e")[0],
+        lambda: case2("sn", -0.0010067437975607163, 4.68689723516292, -4.1858572716905655),
+    ])
+    def test_abs_sn_kink_rejected(self, build, monkeypatch):
+        """|sn| satisfies the same first-order equation away from its kink,
+        so the residual gate passes it; the orbit check does not."""
+        import kbwave.solutions as S
+
+        monkeypatch.setitem(S._KERNELS, "abs_sn", S._KERNELS["sn"]._replace(fn=_abs_sn))
+        kinked = replace(build(), kernel="abs_sn")
+        S._residual_gate(kinked)
+        with pytest.raises(UnresolvedBranch, match="orbit check"):
+            _orbit_check(kinked)
+
+    def test_seeded_sweep_has_no_false_rejections(self):
+        """Every elliptic constructor on 500 random triples and quadruples:
+        a rejection counts as false when DOP853 agrees with the candidate to
+        1e-9 (relative to the zeros' scale); there must be none.  A sample of
+        the accepted forms is refereed the same way at the check's bound."""
+        rng = np.random.default_rng(0)
+        accepted = []
+        for _ in range(500):
+            triple, quad = rng.uniform(-5.0, 5.0, 3), rng.uniform(-5.0, 5.0, 4)
+            lo, mid, hi = np.sort(triple)
+            builds = [lambda k=k, s=s: case1(k, lo, mid, hi, sign=s)
+                      for k in ("cn", "dn") for s in ("+", "-")]
+            builds += [lambda k=k: case2(k, *triple)
+                       for k in ("sn", "cn", "dn", "inv_sn", "inv_cn")]
+            builds += [lambda i=i: general_sn2(quad, initial_index=i) for i in (1, 2, 3, 4)]
+            for build in builds:
+                try:
+                    sol = build()
+                except UnresolvedBranch as err:
+                    assert not _dop853_deviation(err.candidate) < 1e-9, err
+                    continue
+                except (InfeasibleBranch, InvalidConfiguration):
+                    continue
+                if not isinstance(sol, Infeasible):
+                    accepted.append(sol)
+        assert len(accepted) > 2500
+        for sol in accepted[::100]:
+            assert _dop853_deviation(sol) < 1e-6
+
+    def test_presets_construct_fast(self):
+        for name in ELLIPTIC_PRESETS:
+            best = math.inf
+            for _ in range(20):
+                t0 = time.perf_counter()
+                build_preset(name)
+                best = min(best, time.perf_counter() - t0)
+            assert best < 5e-3, (name, best)
+
+
 class TestEvaluateAndPairs:
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -631,13 +794,13 @@ def _spread(vals, gap=0.05):
 
 def _accepted(build):
     """The constructor's solution, skipping inputs outside its feasible
-    region and the oracle's known false rejections; a pole rejection fails."""
+    region; a pole rejection or a failed validation gate fails."""
     try:
         sol = build()
     except InvalidConfiguration as err:
         assert "vanishes" not in str(err), err
         assume(False)
-    except KBWaveError:
+    except InfeasibleBranch:
         assume(False)
     assume(not isinstance(sol, Infeasible))
     return sol

@@ -121,6 +121,19 @@ class TestOracle:
         with pytest.raises(InvalidConfiguration, match="infeasible"):
             oracle_integrate(P_CASE1A, 0.5, +1, 1.0, h=1e-3)  # F(0.5) < 0
 
+    def test_turning_point_start_on_wide_roots(self):
+        """A start 1e-13 past a turning point near 0, with the other zeros
+        near +-5, has F(f0) ~ -1e-11: rounding at the zeros' scale, accepted."""
+        roots = (-4.75, -0.25, 4.5, 4.875)
+        p = params_from_roots(RootMultiset.from_values(roots)).as_floats()
+        f0 = -0.25 + 1e-13
+        assert eval_F(p, f0) < -1e-12
+        prof = oracle_integrate(p, f0, +1, 1.0, h=1e-3)
+        assert prof.f.max() <= f0 and prof.f[-1] < -0.3
+        sol = general_sn2(roots, initial_index=2)
+        linf, _ = compare_profiles(prof, build_profile(sol, p, (0.0, 1.0), len(prof.xi)))
+        assert linf < 1e-6
+
     def test_energy_identity_along_profile(self):
         sol = periodic_trig(-1.0, 1 / 3, 1.0, sign="lower")
         prof = oracle_integrate(sol.params, sol.evaluate(0.0)[0], +1, 5.0, h=1e-3)
