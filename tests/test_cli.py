@@ -126,6 +126,93 @@ class TestSolve:
         assert row0["f"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
+# every --kind with valid --roots, and the kind its sidecar reports
+KIND_ROOTS = {
+    "solitary_double": ("-3,-1,1", "solitary_double"),
+    "periodic_trig": ("1,2,0", "periodic_trig"),
+    "solitary_triple": ("0,1", "solitary_triple"),
+    "case1-cn": ("0,1,2", "case1_cn"),
+    "case1-dn": ("0,1,3", "case1_dn"),
+    "case2-sn": ("-3,-1,-2", "case2_sn"),
+    "case2-cn": ("-3,-2,-1.5", "case2_cn"),
+    "case2-dn": ("1,2,3", "case2_dn"),
+    "case2-inv-sn": ("-3,1,0.5", "case2_inv_sn"),
+    "case2-inv-cn": ("-3,3,1", "case2_inv_cn"),
+    "general-sn2": ("0,1,2,3", "general_sn2"),
+}
+
+# --params of each case tag with a closed form, and the kind auto builds
+AUTO_PARAMS = {
+    "DoubleBetweenSimples": ("2,-7/4,-7/2,-3/2", "solitary_double"),
+    "DoubleBelowSimples": ("-1/4,13/16,-1/8,-1/4", "periodic_trig"),
+    "DoubleAboveSimples": ("-9/4,-35/16,39/8,-9/4", "periodic_trig"),
+    "TripleWithSimpleAbove": ("-1/4,1/16,0,0", "solitary_triple"),
+    "TripleWithSimpleBelow": ("1/4,1/16,0,0", "solitary_triple"),
+    "FourSimple": ("2,-25/16,-25/8,-39/32", "general_sn2"),
+}
+
+
+def _solve_choices():
+    from kbwave.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "verb")
+    return tuple(next(a for a in sub.choices["solve"]._actions if a.dest == "kind").choices)
+
+
+class TestKindChoices:
+    def test_choices_and_order(self):
+        assert _solve_choices() == ("auto", *KIND_ROOTS)
+
+    @pytest.mark.parametrize("kind", list(KIND_ROOTS))
+    def test_each_kind(self, kind, tmp_path):
+        roots, want = KIND_ROOTS[kind]
+        out = tmp_path / "k.csv"
+        assert main(["solve", "--kind", kind, f"--roots={roots}", "--n", "101",
+                     "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "k.json").read_text())
+        assert sidecar["kind"] == want
+        assert sidecar["residual"]["passed"] is True
+
+    @pytest.mark.parametrize("kind", list(KIND_ROOTS))
+    def test_wrong_root_count(self, kind):
+        roots = "0,1,2" if kind in ("solitary_triple", "general-sn2") else "0,1"
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--kind", kind, "--roots", roots])
+        assert "--roots" in str(err.value)
+
+    @pytest.mark.parametrize("tag", list(AUTO_PARAMS))
+    def test_auto_per_tag(self, tag, tmp_path):
+        params, want = AUTO_PARAMS[tag]
+        out = tmp_path / "a.csv"
+        assert main(["solve", "--kind", "auto", f"--params={params}", "--n", "101",
+                     "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "a.json").read_text())
+        assert (sidecar["kind"], sidecar["case_tag"]) == (want, tag)
+        # auto reports the caller's params, not the constructor's rounding of them
+        from kbwave.cli import _parse_list
+
+        assert [sidecar["params"][k] for k in ("c", "d1", "d2", "d3")] == _parse_list(params)
+
+    def test_auto_two_simple_only(self):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--params=-1/4,-3/16,1/8,0"])
+        assert "TwoSimpleOnly" in str(err.value)
+        assert "oracle" in str(err.value)
+
+    @pytest.mark.parametrize("params", ["0,0,0,-1/8", "0,0,0,0"])
+    def test_auto_no_solution(self, params):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--params", params])
+        assert "no non-constant solution" in str(err.value)
+
+    def test_infeasible_hint_lists_feasible_kinds(self):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--kind", "case2-sn", "--roots", "1,2,3"])
+        msg = str(err.value)
+        assert msg.startswith("infeasible: ")
+        assert msg.endswith("feasible kinds for these roots: case2-dn")
+
+
 class TestVerifyVerb:
     def test_report(self, tmp_path):
         out = tmp_path / "rep.json"
