@@ -19,7 +19,7 @@ Library layout:
 * :mod:`kbwave.cli`        command-line front end (``kbwave --help``).
 """
 
-from .elliptic import JacobiTriple, complete_K, jacobi, jacobi_derived, normalize_modulus
+from .elliptic import JacobiTriple, complete_K, jacobi, normalize_modulus
 from .errors import (
     BlowUp,
     InfeasibleBranch,
@@ -27,7 +27,6 @@ from .errors import (
     InvalidConfiguration,
     KBWaveError,
     OutOfBranchRange,
-    PoleSample,
     UnresolvedBranch,
 )
 from .evolution import EvolutionState, evolve, kb_rhs, stability_limit, state_from_callable
@@ -76,7 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # elliptic
-    "JacobiTriple", "complete_K", "jacobi", "jacobi_derived", "normalize_modulus",
+    "JacobiTriple", "complete_K", "jacobi", "normalize_modulus",
     # quartic
     "CaseTag", "Params", "RootMultiset", "classify", "eval_F", "eval_F_deriv",
     "existence", "params_from_roots", "quadratic_cofactor", "roots_of_F",
@@ -98,7 +97,7 @@ __all__ = [
     # presets
     "PRESETS", "build_preset",
     # errors
-    "KBWaveError", "InfinitePeriod", "PoleSample", "InvalidConfiguration",
+    "KBWaveError", "InfinitePeriod", "InvalidConfiguration",
     "InfeasibleBranch", "UnresolvedBranch", "BlowUp",
     "OutOfBranchRange",
 ]

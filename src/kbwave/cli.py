@@ -10,8 +10,10 @@ Verbs:
     figures    emit the reference figure presets as golden CSV files
 
 Outputs are deterministic: 17 significant digits, LF line endings, atomic
-writes.  The environment variable KBWAVE_TOL overrides the residual gate
-(relative to scale^4, default solutions.RESIDUAL_RTOL = 1e-8).
+writes.  ``solve``, ``verify`` and ``figures`` report the defining residual
+against the bound the constructors enforce,
+``ClosedFormSolution.residual_bound``.  The ``--kind`` choices and what
+``--kind auto`` builds for each case tag come from one table, ``KINDS``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,20 +33,22 @@ from . import __version__, evolution
 from .errors import KBWaveError
 from .presets import PRESETS, build_preset
 from .quartic import (
+    DEFAULT_CLUSTER_TOL,
     CaseTag,
     Params,
     RootMultiset,
     classify,
     existence,
     params_from_roots,
+    quadratic_cofactor,
     roots_of_F,
 )
 from .solutions import (
-    RESIDUAL_RTOL,
     ClosedFormSolution,
     Infeasible,
     case1,
     case2,
+    discrepancy_report,
     general_sn2,
     periodic_trig,
     solitary_double,
@@ -55,12 +60,8 @@ from .hierarchy import conjecture_report, reduce_vanishing
 CSV_HEADER = "xi,f,f_prime,g"
 SCHEMA_VERSION = 1
 
-KIND_CHOICES = (
-    "auto", "solitary_double", "periodic_trig", "solitary_triple",
-    "case1-cn", "case1-dn",
-    "case2-sn", "case2-cn", "case2-dn", "case2-inv-sn", "case2-inv-cn",
-    "general-sn2",
-)
+PDE_RTOL = 1e-6  # bound on the scaled coupled-system defects of pde_residual
+PERMANENCE_TOL = 1e-3  # bound on max |u(T) - exact| after evolve
 
 
 def _fmt(x: float) -> str:
@@ -102,19 +103,6 @@ def _parse_list(text: str):
     return [_parse_number(t) for t in text.split(",") if t.strip()]
 
 
-def residual_tolerance() -> float:
-    raw = os.environ.get("KBWAVE_TOL")
-    if raw is None:
-        return RESIDUAL_RTOL
-    try:
-        val = float(raw)
-    except ValueError:
-        raise SystemExit(f"KBWAVE_TOL must be a float, got {raw!r}")
-    if val <= 0:
-        raise SystemExit("KBWAVE_TOL must be positive")
-    return val
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -135,45 +123,40 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _resolve_problem(cfg):
-    """Return (params, roots_multiset, explicit_roots_list) from a config.
+def _numbers(cfg, key):
+    """The list of numbers under ``key`` (a JSON list or a comma string), or None."""
+    val = cfg.get(key)
+    return val if val is None or isinstance(val, list) else _parse_list(val)
 
-    Exactly one of params/roots must be present unless they agree; a
-    mismatched pair is rejected with a reconciliation hint.
+
+def _resolve_problem(cfg):
+    """Return (params, explicit_roots_list) from a config.
+
+    Params come from --params or else from exactly four --roots; when both
+    are given they must agree, and a mismatched pair is rejected with a
+    reconciliation hint.
     """
-    params = cfg.get("params")
-    roots = cfg.get("roots")
-    if params is None and roots is None:
+    vals, root_list = _numbers(cfg, "params"), _numbers(cfg, "roots")
+    if vals is None and root_list is None:
         raise SystemExit("config error: provide --params c,d1,d2,d3 or --roots r1,...")
-    p = None
-    if params is not None:
-        vals = params if isinstance(params, list) else _parse_list(params)
-        if len(vals) != 4:
-            raise SystemExit(
-                f"config error: --params needs 4 values c,d1,d2,d3; got {len(vals)}"
-            )
-        p = Params(*[float(v) for v in vals])
-    root_list = None
-    if roots is not None:
-        root_list = roots if isinstance(roots, list) else _parse_list(roots)
-        if not 2 <= len(root_list) <= 4:
-            raise SystemExit("config error: --roots needs 2 to 4 values")
-    if p is not None and root_list is not None and len(root_list) == 4:
-        candidate = params_from_roots(RootMultiset.from_values(root_list)).as_floats()
+    if vals is not None and len(vals) != 4:
+        raise SystemExit(f"config error: --params needs 4 values c,d1,d2,d3; got {len(vals)}")
+    if root_list is not None and not 2 <= len(root_list) <= 4:
+        raise SystemExit("config error: --roots needs 2 to 4 values")
+    p = None if vals is None else Params(*[float(v) for v in vals])
+    if root_list is not None and len(root_list) == 4:
+        derived = params_from_roots(RootMultiset.from_values(root_list)).as_floats()
         for name in ("c", "d1", "d2", "d3"):
-            got, want = getattr(candidate, name), getattr(p, name)
+            got, want = getattr(derived, name), getattr(p or derived, name)
             if abs(got - want) > 1e-9 * max(1.0, abs(want)):
                 raise SystemExit(
                     "config error: params and roots disagree "
                     f"({name}: roots give {got!r}, params say {want!r}); "
                     "drop one of them or fix the values"
                 )
+        p = p or derived
     if p is None:
-        if len(root_list) != 4:
-            raise SystemExit(
-                "config error: params can only be derived from exactly 4 roots"
-            )
-        p = params_from_roots(RootMultiset.from_values(root_list)).as_floats()
+        raise SystemExit("config error: params can only be derived from exactly 4 roots")
     return p, root_list
 
 
@@ -182,101 +165,96 @@ def _resolve_problem(cfg):
 # ---------------------------------------------------------------------------
 
 
+class _Kind(NamedTuple):
+    """One --kind: the zeros it takes, in --roots order ("dbl" and "triple"
+    name multiple zeros), its constructor call, the case tags --kind auto
+    builds with it, and the branch auto fixes there (None: the --branch)."""
+
+    zeros: str
+    build: Callable  # (zeros, branch, xi0, initial_index) -> solution or Infeasible
+    auto: tuple = ()
+    auto_branch: str | None = None
+
+
+# the --kind choices after auto, in --help order; the constructors are looked
+# up at call time, so wrappers installed on this module see the calls
+KINDS = {
+    "solitary_double": _Kind(
+        "lo,dbl,hi", lambda z, branch, xi0, _: solitary_double(*z, branch=branch, xi0=xi0),
+        auto=(CaseTag.DOUBLE_BETWEEN_SIMPLES,)),
+    "periodic_trig": _Kind(
+        "s1,s2,dbl",
+        lambda z, branch, xi0, _: periodic_trig(
+            *z, sign="lower" if branch == "lower" else "upper", xi0=xi0),
+        auto=(CaseTag.DOUBLE_BELOW_SIMPLES, CaseTag.DOUBLE_ABOVE_SIMPLES), auto_branch="lower"),
+    "solitary_triple": _Kind(
+        "triple,simple", lambda z, branch, xi0, _: solitary_triple(*z, xi0=xi0),
+        auto=(CaseTag.TRIPLE_WITH_SIMPLE_ABOVE, CaseTag.TRIPLE_WITH_SIMPLE_BELOW)),
+    **{f"case1-{k}": _Kind(
+        "f1,f2,f3", lambda z, branch, xi0, _, k=k: case1(
+            k, *z, sign="+" if branch == "upper" else "-", xi0=xi0))
+       for k in ("cn", "dn")},
+    **{f"case2-{k.replace('_', '-')}": _Kind(
+        "f1,f2,f3", lambda z, branch, xi0, _, k=k: case2(k, *z, xi0=xi0))
+       for k in ("sn", "cn", "dn", "inv_sn", "inv_cn")},
+    "general-sn2": _Kind(
+        "f1,f2,f3,f4",
+        lambda z, branch, xi0, index: general_sn2(z, initial_index=index, xi0=xi0),
+        auto=(CaseTag.FOUR_SIMPLE,)),
+}
+_MULTIPLICITY = {"dbl": 2, "triple": 3}
+
+
 def _construct(cfg):
     """Build the requested solution; returns (solution, params) or raises."""
     if cfg.get("preset"):
-        sol, params = build_preset(cfg["preset"], xi0=float(cfg.get("xi0", 0.0)))
-        return sol, params
+        return build_preset(cfg["preset"], xi0=float(cfg.get("xi0", 0.0)))
     kind = cfg.get("kind") or "auto"
-    xi0 = float(cfg.get("xi0", 0.0))
-    branch = cfg.get("branch") or "upper"
+    branch, xi0 = cfg.get("branch") or "upper", float(cfg.get("xi0", 0.0))
     if kind == "auto":
         params, _ = _resolve_problem(cfg)
-        return _construct_auto(params, xi0, branch), params
-    roots = cfg.get("roots")
-    root_list = None
-    if roots is not None:
-        root_list = roots if isinstance(roots, list) else _parse_list(roots)
-    if kind in ("case1-cn", "case1-dn", "case2-sn", "case2-cn", "case2-dn",
-                "case2-inv-sn", "case2-inv-cn"):
-        if root_list is None or len(root_list) != 3:
-            raise SystemExit(f"config error: kind {kind} needs --roots f1,f2,f3")
-        f1, f2, f3 = root_list
-        if kind.startswith("case1"):
-            sol = case1(kind.split("-")[1], f1, f2, f3,
-                        sign="+" if branch == "upper" else "-", xi0=xi0)
-        else:
-            sol = case2(kind[len("case2-"):].replace("-", "_"), f1, f2, f3, xi0=xi0)
-            if isinstance(sol, Infeasible):
-                raise SystemExit(
-                    f"infeasible: {sol.reason}\nfeasible kinds for these roots: "
-                    + ", ".join(_feasible_case2_kinds(f1, f2, f3))
-                )
-        return sol, sol.params
-    if kind == "general-sn2":
-        if root_list is None or len(root_list) != 4:
-            raise SystemExit("config error: general-sn2 needs --roots f1,f2,f3,f4")
-        sol = general_sn2(root_list, initial_index=int(cfg.get("initial_index", 1)),
-                          xi0=xi0)
-        return sol, sol.params
-    if kind == "solitary_double":
-        if root_list is None or len(root_list) != 3:
-            raise SystemExit("config error: solitary_double needs --roots lo,dbl,hi")
-        sol = solitary_double(*root_list, branch=branch, xi0=xi0)
-        return sol, sol.params
-    if kind == "periodic_trig":
-        if root_list is None or len(root_list) != 3:
-            raise SystemExit("config error: periodic_trig needs --roots s1,s2,dbl")
-        sol = periodic_trig(*root_list, sign="lower" if branch == "lower" else "upper",
-                            xi0=xi0)
-        return sol, sol.params
-    if kind == "solitary_triple":
-        if root_list is None or len(root_list) != 2:
-            raise SystemExit("config error: solitary_triple needs --roots triple,simple")
-        sol = solitary_triple(*root_list, xi0=xi0)
-        return sol, sol.params
-    raise SystemExit(f"config error: unknown kind {kind!r}")
+        rm = roots_of_F(params)
+        tag = classify(rm)
+        verdict = existence(tag)
+        if verdict == "none":
+            raise SystemExit(
+                f"case {tag.value} admits no non-constant solution; nothing to solve"
+            )
+        entry = next((e for e in KINDS.values() if tag in e.auto), None)
+        if entry is None:
+            # TwoSimpleOnly: no implemented family covers its bounded orbit
+            raise SystemExit(
+                f"case {tag.value}: {verdict} orbit exists but has no closed form here; "
+                "use the 'oracle' verb to integrate it numerically"
+            )
+        # each zero the kind takes is the lowest unused zero of its multiplicity
+        left, zeros = list(rm.entries), []
+        for name in entry.zeros.split(","):
+            m = _MULTIPLICITY.get(name, 1)
+            zeros.append(left.pop(next(i for i, e in enumerate(left) if e[1] == m))[0])
+        return entry.build(zeros, entry.auto_branch or branch, xi0, 1), params
+    if kind not in KINDS:
+        raise SystemExit(f"config error: unknown kind {kind!r}")
+    zeros = _numbers(cfg, "roots")
+    if zeros is None or len(zeros) != len(KINDS[kind].zeros.split(",")):
+        raise SystemExit(f"config error: kind {kind} needs --roots {KINDS[kind].zeros}")
+
+    def build(k):
+        return KINDS[k].build(zeros, branch, xi0, int(cfg.get("initial_index", 1)))
+
+    sol = build(kind)
+    if isinstance(sol, Infeasible):
+        family = [k for k in KINDS if k.split("-")[0] == kind.split("-")[0]]
+        raise SystemExit(f"infeasible: {sol.reason}\nfeasible kinds for these roots: "
+                         + (", ".join(k for k in family if _feasible(build, k)) or "(none)"))
+    return sol, sol.params
 
 
-def _feasible_case2_kinds(f1, f2, f3):
-    out = []
-    for k in ("sn", "cn", "dn", "inv_sn", "inv_cn"):
-        try:
-            if not isinstance(case2(k, f1, f2, f3), Infeasible):
-                out.append(f"case2-{k.replace('_', '-')}")
-        except KBWaveError:
-            pass
-    return out or ["(none)"]
-
-
-def _construct_auto(params: Params, xi0: float, branch: str):
-    rm = roots_of_F(params)
-    tag = classify(rm)
-    verdict = existence(tag)
-    if verdict == "none":
-        raise SystemExit(
-            f"case {tag.value} admits no non-constant solution; nothing to solve"
-        )
-    entries = rm.entries
-    if tag is CaseTag.DOUBLE_BETWEEN_SIMPLES:
-        (lo, _), (dbl, _), (hi, _) = entries
-        return solitary_double(lo, dbl, hi, branch=branch, xi0=xi0)
-    if tag in (CaseTag.DOUBLE_BELOW_SIMPLES, CaseTag.DOUBLE_ABOVE_SIMPLES):
-        dbl = next(v for v, m in entries if m == 2)
-        s1, s2 = [v for v, m in entries if m == 1]
-        return periodic_trig(s1, s2, dbl, sign="lower", xi0=xi0)
-    if tag in (CaseTag.TRIPLE_WITH_SIMPLE_ABOVE, CaseTag.TRIPLE_WITH_SIMPLE_BELOW):
-        tr = next(v for v, m in entries if m == 3)
-        simple = next(v for v, m in entries if m == 1)
-        return solitary_triple(tr, simple, xi0=xi0)
-    if tag is CaseTag.FOUR_SIMPLE:
-        return general_sn2([v for v, _ in entries], initial_index=1, xi0=xi0)
-    # TwoSimpleOnly: a bounded periodic orbit exists (oracle-verified), but
-    # no closed form in the implemented families covers it
-    raise SystemExit(
-        "case TwoSimpleOnly: periodic orbit exists but has no closed form here; "
-        "use the 'oracle' verb to integrate it numerically"
-    )
+def _feasible(build, kind) -> bool:
+    try:
+        return not isinstance(build(kind), Infeasible)
+    except KBWaveError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +262,20 @@ def _construct_auto(params: Params, xi0: float, branch: str):
 # ---------------------------------------------------------------------------
 
 
+def _csv(header: str, *columns) -> str:
+    """CSV text of float columns, each value as _fmt writes it."""
+    row = ",".join(["{:.17g}"] * len(columns)).format
+    values = (np.asarray(c, dtype=float).tolist() for c in columns)
+    return "\n".join([header, *(row(*r) for r in zip(*values))]) + "\n"
+
+
 def _profile_csv(profile) -> str:
-    lines = [CSV_HEADER]
-    fp = profile.f_prime if profile.f_prime is not None else np.full_like(profile.f, np.nan)
-    g = profile.g if profile.g is not None else np.full_like(profile.f, np.nan)
-    for x, f, d, gg in zip(profile.xi, profile.f, fp, g):
-        lines.append(f"{_fmt(x)},{_fmt(f)},{_fmt(d)},{_fmt(gg)}")
-    return "\n".join(lines) + "\n"
+    return _csv(CSV_HEADER, profile.xi, profile.f, profile.f_prime, profile.g)
 
 
-def _sidecar(sol: ClosedFormSolution, params: Params, residual, gate, extra=None):
+def _sidecar(sol: ClosedFormSolution, params: Params, residual, extra=None):
     pf = params.as_floats()
+    gate = sol.residual_bound
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": sol.kind,
@@ -319,8 +300,7 @@ def _sidecar(sol: ClosedFormSolution, params: Params, residual, gate, extra=None
 
 def _solution_domain(sol, cfg):
     if cfg.get("domain"):
-        dom = cfg["domain"]
-        vals = dom if isinstance(dom, list) else _parse_list(dom)
+        vals = _numbers(cfg, "domain")
         if len(vals) != 2 or not vals[0] < vals[1]:
             raise SystemExit("config error: --domain needs a,b with a < b")
         return tuple(vals)
@@ -355,29 +335,19 @@ def cmd_classify(args) -> int:
         f"existence: {_verdict_text(tag, verdict)}",
     ]
     if tag in (CaseTag.ONE_DOUBLE_ONLY, CaseTag.TWO_SIMPLE_ONLY):
-        from .quartic import quadratic_cofactor
-
-        vals = rm.values()
-        _, _, disc = (
-            quadratic_cofactor(params, vals[0])
-            if tag is CaseTag.ONE_DOUBLE_ONLY
-            else quadratic_cofactor(params, vals[0], vals[1])
-        )
-        lines.append(
-            f"cofactor: complex-pair quadratic, discriminant {_fmt(disc)}"
-        )
+        # the double zero, or the two simple zeros
+        _, _, disc = quadratic_cofactor(params, *rm.values())
+        lines.append(f"cofactor: complex-pair quadratic, discriminant {_fmt(disc)}")
     _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def _verdict_text(tag: CaseTag, verdict: str) -> str:
-    if verdict == "none":
-        return "no non-constant real solution"
-    if verdict == "solitary":
-        if tag is CaseTag.DOUBLE_BETWEEN_SIMPLES:
-            return "solitary: two solitary branches (upper and lower)"
-        return "solitary: algebraically decaying pulse"
-    return "periodic: bounded orbit between adjacent simple zeros"
+    if tag is CaseTag.DOUBLE_BETWEEN_SIMPLES:
+        return "solitary: two solitary branches (upper and lower)"
+    return {"none": "no non-constant real solution",
+            "solitary": "solitary: algebraically decaying pulse",
+            "periodic": "periodic: bounded orbit between adjacent simple zeros"}[verdict]
 
 
 def cmd_solve(args) -> int:
@@ -389,7 +359,7 @@ def cmd_solve(args) -> int:
     domain = _solution_domain(sol, cfg)
     profile = build_profile(sol, params, domain, n)
     res = ode_residual(sol, params, domain=domain, n=n)
-    gate = residual_tolerance() * sol.roots.scale() ** 4
+    gate = sol.residual_bound
     out = cfg.get("out")
     fmt = cfg.get("format", "csv")
     if fmt == "json":
@@ -397,14 +367,14 @@ def cmd_solve(args) -> int:
             {"xi": x, "f": f, "f_prime": d, "g": g}
             for x, f, d, g in zip(profile.xi, profile.f, profile.f_prime, profile.g)
         ]
-        doc = json.loads(_sidecar(sol, params, res, gate))
+        doc = json.loads(_sidecar(sol, params, res))
         doc["profile"] = rows
         _emit(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         _emit(out, _profile_csv(profile))
         if out:
             _atomic_write(os.path.splitext(out)[0] + ".json",
-                          _sidecar(sol, params, res, gate))
+                          _sidecar(sol, params, res))
     if not res < gate:
         print(f"residual gate FAILED: {res:.3e} >= {gate:.3e}", file=sys.stderr)
         return 2
@@ -419,13 +389,12 @@ def cmd_verify(args) -> int:
     res = ode_residual(sol, params, domain=domain, n=n)
     r_u, r_v = pde_residual(sol, params, domain=domain,
                             n=min(n, 500), h_fd=args.h_fd)
-    gate = residual_tolerance() * sol.roots.scale() ** 4
-    doc = json.loads(_sidecar(sol, params, res, gate))
+    doc = json.loads(_sidecar(sol, params, res))
+    pde_ok = max(r_u, r_v) < PDE_RTOL
     doc["pde_residual"] = {"r_u": r_u, "r_v": r_v, "h_fd": args.h_fd,
-                           "passed": bool(max(r_u, r_v) < 1e-6)}
+                           "passed": bool(pde_ok)}
     _emit(cfg.get("out"), json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    ok = res < gate and max(r_u, r_v) < 1e-6
-    return 0 if ok else 2
+    return 0 if doc["residual"]["passed"] and pde_ok else 2
 
 
 def cmd_oracle(args) -> int:
@@ -459,25 +428,18 @@ def cmd_evolve(args) -> int:
     base = cfg.get("out") or "evolve"
     root, ext = os.path.splitext(base)
     ext = ext or ".csv"
-
-    def state_csv(state):
-        lines = ["x,u,v"]
-        for x, u, v in zip(state.x, state.u, state.v):
-            lines.append(f"{_fmt(x)},{_fmt(u)},{_fmt(v)}")
-        return "\n".join(lines) + "\n"
-
-    _atomic_write(f"{root}-initial{ext}", state_csv(state0))
-    _atomic_write(f"{root}-final{ext}", state_csv(final))
+    for name, state in (("initial", state0), ("final", final)):
+        _atomic_write(f"{root}-{name}{ext}", _csv("x,u,v", state.x, state.u, state.v))
     summary = {
         "schema": SCHEMA_VERSION,
         "L": L, "n": n, "dt": dt, "T": args.T,
         "permanence_error": err,
         "mean_drift": mean_drift,
-        "passed": bool(err < 1e-3),
+        "passed": bool(err < PERMANENCE_TOL),
     }
     _atomic_write(f"{root}-summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"permanence error {err:.3e}; mean drift {mean_drift:.3e}")
-    return 0 if err < 1e-3 else 2
+    return 0 if err < PERMANENCE_TOL else 2
 
 
 def cmd_reduce(args) -> int:
@@ -495,8 +457,6 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    from .solutions import discrepancy_report
-
     names = sorted(PRESETS) if args.preset in (None, "all") else [args.preset]
     outdir = args.out or "figures"
     _atomic_write(
@@ -507,21 +467,18 @@ def cmd_figures(args) -> int:
     failures = 0
     for name in names:
         sol, params = build_preset(name)
-        T = sol.period
-        domain = (sol.xi0, sol.xi0 + T) if T is not None else (-10.0, 10.0)
+        domain = _solution_domain(sol, {})
         profile = build_profile(sol, params, domain, args.n)
         res = ode_residual(sol, params, domain=domain, n=args.n)
-        gate = residual_tolerance() * sol.roots.scale() ** 4
         _atomic_write(os.path.join(outdir, f"{name}.csv"), _profile_csv(profile))
         _atomic_write(
             os.path.join(outdir, f"{name}.json"),
-            _sidecar(sol, params, res, gate,
+            _sidecar(sol, params, res,
                      extra={"preset": name, "display": PRESETS[name].display}),
         )
-        status = "ok" if res < gate else "RESIDUAL FAIL"
-        print(f"{name}: {status} (residual {res:.3e})")
-        if res >= gate:
-            failures += 1
+        passed = res < sol.residual_bound
+        print(f"{name}: {'ok' if passed else 'RESIDUAL FAIL'} (residual {res:.3e})")
+        failures += not passed
     return 0 if failures == 0 else 2
 
 
@@ -536,7 +493,7 @@ def _add_problem_args(sp, with_kind=True):
     sp.add_argument("--preset", choices=sorted(PRESETS), help="figure preset name")
     sp.add_argument("--config", help="JSON file mirroring the job configuration")
     if with_kind:
-        sp.add_argument("--kind", choices=KIND_CHOICES, default=None)
+        sp.add_argument("--kind", choices=("auto", *KINDS), default=None)
         sp.add_argument("--initial-index", type=int, default=None,
                         help="starting root (1..4) for general-sn2")
         sp.add_argument("--branch", choices=("upper", "lower"), default=None)
@@ -557,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="case taxonomy of the quartic")
     _add_problem_args(sp, with_kind=False)
-    sp.add_argument("--tol", type=float, default=1e-7, help="root clustering tolerance")
+    sp.add_argument("--tol", type=float, default=DEFAULT_CLUSTER_TOL,
+                    help="root clustering tolerance")
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("solve", help="construct and emit a closed form")
@@ -606,8 +564,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     except (KBWaveError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

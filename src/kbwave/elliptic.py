@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfinitePeriod, PoleSample
+from .errors import InfinitePeriod
 
 __all__ = [
     "JacobiTriple",
@@ -32,17 +32,12 @@ __all__ = [
     "agm",
     "complete_K",
     "jacobi",
-    "jacobi_derived",
-    "DERIVED_KINDS",
 ]
 
 AGM_RTOL = 1e-15
 AGM_MAX_ITER = 64
 MODULUS_SNAP = 1e-12  # distance from {0, 1} inside which k snaps to the limit
-POLE_TOL = 1e-12
 _LANDEN_FLOOR = 1e-10  # below this the trigonometric limit is exact to ~1e-20
-
-DERIVED_KINDS = ("tn", "inv_sn", "inv_cn", "dn_tn")
 
 
 class JacobiTriple(NamedTuple):
@@ -160,26 +155,3 @@ def jacobi(u, k: float) -> JacobiTriple:
     if scalar:
         return JacobiTriple(float(s), float(c), float(d))
     return JacobiTriple(s, c, d)
-
-
-def jacobi_derived(u: float, k: float, kind: str) -> float:
-    """Derived Jacobi functions: tn = sn/cn, 1/sn, 1/cn, and dn*tn.
-
-    Each satisfies its own first-order equation, e.g. (tn')^2 =
-    (1+tn^2)(1+(1-k^2)tn^2).  Raises PoleSample when the defining denominator
-    (cn for tn, 1/cn, dn*tn; sn for 1/sn) is within 1e-12 of zero.
-    """
-    if kind not in DERIVED_KINDS:
-        raise ValueError(f"unknown derived kind {kind!r}; expected one of {DERIVED_KINDS}")
-    s, c, d = jacobi(float(u), k)
-    if kind == "inv_sn":
-        if abs(s) < POLE_TOL:
-            raise PoleSample(f"pole: sn({u!r}) ~ 0")
-        return 1.0 / s
-    if abs(c) < POLE_TOL:
-        raise PoleSample(f"pole: cn({u!r}) ~ 0")
-    if kind == "tn":
-        return s / c
-    if kind == "inv_cn":
-        return 1.0 / c
-    return d * s / c  # dn_tn

@@ -9,10 +9,6 @@ class InfinitePeriod(KBWaveError):
     """Complete elliptic integral requested at modulus 1 (period diverges)."""
 
 
-class PoleSample(KBWaveError):
-    """Evaluation requested too close to a pole of a singular branch."""
-
-
 class InvalidConfiguration(KBWaveError, ValueError):
     """Root configuration does not match the requested solution family."""
 

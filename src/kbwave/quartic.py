@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from numbers import Rational
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-7  # double roots of a double-precision quartic keep ~8 digits
+_NEAR = 1e-2  # roots this close (relative) may be one multiple zero split by np.roots
+_ROUNDING = 8 * float(np.finfo(float).eps)  # twice Horner's bound 2n u = 4 eps (n = 4)
 
 
 @dataclass(frozen=True)
@@ -109,14 +112,19 @@ class RootMultiset:
         Sorted values within tol*max(1, |value|) of their neighbor merge into
         one entry at the cluster mean, with the cluster size as multiplicity.
         """
-        vals = sorted(float(v) for v in values)
-        clusters = [[vals[0]]]
-        for v in vals[1:]:
-            if v - clusters[-1][-1] <= tol * max(1.0, abs(v)):
-                clusters[-1].append(v)
-            else:
-                clusters.append([v])
+        clusters = _clustered([float(v) for v in values], tol)
         return cls(tuple((float(np.mean(c)), len(c)) for c in clusters))
+
+
+def _clustered(values, tol):
+    """Sorted values in runs where each is within tol*max(1, |value|) of the last."""
+    clusters = []
+    for v in sorted(values):
+        if clusters and v - clusters[-1][-1] <= tol * max(1.0, abs(v)):
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    return clusters
 
 
 class CaseTag(enum.Enum):
@@ -173,43 +181,100 @@ def eval_F_deriv(p: Params, f, order: int = 1):
     raise ValueError(f"order must be 0..4, got {order}")
 
 
+def _taylor(coeffs, x, n):
+    """[(F^(j)(x), M_j)] for j < n, F the polynomial with ``coeffs`` (highest
+    degree first) and M_j the same derivative of the polynomial with absolute
+    coefficients at |x|, which bounds the rounding of F^(j)(x) in units of eps."""
+    out = []
+    for _ in range(n):
+        v = m = 0.0
+        for a in coeffs:
+            v, m = v * x + a, m * abs(x) + abs(a)
+        out.append((v, m))
+        coeffs = [a * (len(coeffs) - 1 - i) for i, a in enumerate(coeffs[:-1])]
+    return out
+
+
+def _multiple_zero(coeffs, group, tol):
+    """The real m-fold zero of F that the m roots of ``group`` split from, or None.
+
+    Their mean stays accurate, and one Newton step on F^(m-1) from it finds
+    the m-fold zero, where F and its derivatives below m - 1 must vanish to
+    within their rounding.  The mean is returned, like merged roots below.
+    """
+    m = len(group)
+    mean = sum(group) / m
+    if abs(mean.imag) > tol * max(1.0, abs(mean)):
+        return None
+    d = _taylor(coeffs, mean.real, m + 1)
+    x = mean.real - (d[m - 1][0] / d[m][0] if d[m][0] else 0.0)
+    if abs(x - mean.real) <= max(abs(z - mean) for z in group) and all(
+            abs(v) <= _ROUNDING * bound for v, bound in _taylor(coeffs, x, m - 1)):
+        return mean.real
+    return None
+
+
+def _multiple_zeros(coeffs, roots, tol, radius, floor):
+    """Split roots into multiple zeros [(value, m)] and the roots left over.
+
+    Roots chained by distances of at most ``radius`` form a group; a group
+    that is no multiple zero is split again at a tenth of the radius, down
+    to ``floor``.
+    """
+    if not any(abs(a - b) <= radius for a, b in combinations(roots, 2)):
+        return [], roots
+    groups = []
+    for z in roots:
+        hit = [g for g in groups if any(abs(z - w) <= radius for w in g)]
+        groups = [g for g in groups if g not in hit] + [[z, *(w for g in hit for w in g)]]
+    found, rest = [], []
+    for g in groups:
+        x = _multiple_zero(coeffs, g, tol) if len(g) > 1 else None
+        if x is not None:
+            found.append((x, len(g)))
+        elif len(g) > 1 and radius > floor:
+            more, left = _multiple_zeros(coeffs, g, tol, 0.1 * radius, floor)
+            found += more
+            rest += left
+        else:
+            rest += g
+    return found, rest
+
+
 def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
     """Real roots of F, clustered into a multiset.
 
-    Companion-matrix eigenvalues (numpy.roots) give the raw roots; roots
-    closer than tol*max(1, |root|) are merged into one entry with summed
-    multiplicity, and a root is treated as real when its imaginary part is
-    within the same relative tolerance.  Multiplicities are sanity-checked by
-    smallness of the lower derivatives of F at the cluster center.
+    Companion-matrix eigenvalues (numpy.roots) give the raw roots.  These
+    split an m-fold zero into m roots about eps^(1/m) apart (up to 1e-3
+    relative for a quadruple zero), so roots within 1e-2 relative of each
+    other are grouped, and a group of m becomes one m-fold zero when its mean
+    is real and F vanishes there to m-fold order (see ``_multiple_zero``).
+    The other roots are real when their imaginary part is within
+    tol*max(1, |root|), and real roots closer than that merge into one entry
+    with summed multiplicity, sanity-checked by the smallness of the lower
+    derivatives of F at the cluster center.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     coeffs = [float(v) for v in p.coefficients()]
-    raw = np.roots(coeffs)
-    real = sorted(z.real for z in raw if abs(z.imag) <= tol * max(1.0, abs(z)))
-    clusters: list[list[float]] = []
-    for v in real:
-        if clusters and v - clusters[-1][-1] <= tol * max(1.0, abs(v)):
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    entries = []
-    fp = p.as_floats()
-    for members in clusters:
-        center = float(np.mean(members))
+    raw = np.roots(coeffs).tolist()
+    scale = max(1.0, *map(abs, raw))
+    entries, rest = _multiple_zeros(coeffs, raw, tol, _NEAR * scale, tol * scale)
+    real = [z.real for z in rest if abs(z.imag) <= tol * max(1.0, abs(z))]
+    for members in _clustered(real, tol):
         m = len(members)
+        center = sum(members) / m
         # lower derivatives must vanish at an m-fold root; loose gate, this
         # only guards against a grossly mis-set clustering tolerance
         scale = max(1.0, abs(center))
-        for j in range(m):
-            bound = 1e-3 * scale ** (4 - j)
-            if abs(eval_F_deriv(fp, center, j)) > bound:
+        for j, (v, _) in enumerate(_taylor(coeffs, center, m)):
+            if abs(v) > 1e-3 * scale ** (4 - j):
                 raise ValueError(
                     f"cluster at {center} fails multiplicity-{m} check "
-                    f"(|F^({j})| = {abs(eval_F_deriv(fp, center, j)):.3e})"
+                    f"(|F^({j})| = {abs(v):.3e})"
                 )
         entries.append((center, m))
-    return RootMultiset(tuple(entries))
+    return RootMultiset(tuple(sorted(entries)))
 
 
 def params_from_roots(r: RootMultiset) -> Params:

@@ -278,6 +278,18 @@ class ClosedFormSolution:
     def __call__(self, xi):
         return self.evaluate(xi)[0]
 
+    def residual(self, xi, params: Params | None = None) -> float:
+        """max |f'^2 - F(f)| over the points xi, with F the quartic of
+        ``params`` (default: the solution's own)."""
+        f, fp = self.profile(xi)
+        p = self.params if params is None else params.as_floats()
+        return float(np.max(np.abs(fp ** 2 - eval_F(p, f))))
+
+    @property
+    def residual_bound(self) -> float:
+        """The defining-residual gate the constructors enforce: RESIDUAL_RTOL * scale^4."""
+        return RESIDUAL_RTOL * self.roots.scale() ** 4
+
     # -- descriptive properties ----------------------------------------------
 
     @property
@@ -346,16 +358,14 @@ def _residual_gate(sol, n=513):
     """Max defining residual |f'^2 - F(f)| over a grid; raises if over gate."""
     T = sol.period
     half = 0.5 * T if T is not None else 10.0
-    xi = np.linspace(sol.xi0 - half, sol.xi0 + half, n)
-    f, fp = sol.profile(xi)
-    res = np.max(np.abs(fp ** 2 - eval_F(sol.params, f)))
-    gate = RESIDUAL_RTOL * sol.roots.scale() ** 4
+    res = sol.residual(np.linspace(sol.xi0 - half, sol.xi0 + half, n))
+    gate = sol.residual_bound
     if not res < gate:
         raise UnresolvedBranch(
             f"{sol.kind} failed the defining residual gate: {res:.3e} >= {gate:.3e}",
             candidate=sol,
         )
-    return float(res)
+    return res
 
 
 # The orbit check follows the wave through f0 = f(xi0) by quadrature of

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfiguration
-from .quartic import Params, eval_F, eval_F_deriv, roots_of_F
+from .quartic import Params, eval_F_deriv, roots_of_F
 from .reduction import g_from_f
 from .solutions import ClosedFormSolution
 
@@ -88,9 +88,7 @@ def ode_residual(sol: ClosedFormSolution, p: Params, domain=(-10.0, 10.0),
     """Max over the grid of |f'^2 - F(f)| using the analytic derivative."""
     if n < 2:
         raise ValueError("need n >= 2")
-    xi = np.linspace(domain[0], domain[1], n)
-    f, fp = sol.profile(xi)
-    return float(np.max(np.abs(fp ** 2 - eval_F(p.as_floats(), f))))
+    return sol.residual(np.linspace(domain[0], domain[1], n), p)
 
 
 def pde_residual(sol: ClosedFormSolution, p: Params, domain=(-10.0, 10.0),

@@ -52,6 +52,13 @@ class TestClassify:
         assert code == 0
         assert "FourSimple" in out
 
+    def test_quadruple_zero(self, capsys):
+        """F = -(f - 5)^4: numpy.roots splits the zero about 1e-3 apart."""
+        code, out = run(["classify", "--params=-5,-25/2,125/2,-625/8"], capsys)
+        assert code == 0
+        assert "roots: 5 (x4)" in out
+        assert "case: Quadruple" in out
+
 
 class TestSolve:
     def test_preset_profile_and_sidecar(self, tmp_path):
@@ -107,13 +114,26 @@ class TestSolve:
             main(["solve", "--params", "1,0,0,0", "--roots", "0,1,2,3"])
         assert "disagree" in str(err.value)
 
-    def test_residual_gate_env_override(self, tmp_path, monkeypatch):
-        out = tmp_path / "x.csv"
-        monkeypatch.setenv("KBWAVE_TOL", "1e-30")
-        code = main(["solve", "--preset", "fig-case1a", "--out", str(out)])
-        assert code == 2  # impossible gate: emits but signals failure
-        monkeypatch.setenv("KBWAVE_TOL", "1e-3")
-        assert main(["solve", "--preset", "fig-case1a", "--out", str(out)]) == 0
+    def test_residual_gate_is_the_constructors(self, tmp_path):
+        """The sidecar reports against the bound the constructors enforce."""
+        from kbwave.presets import build_preset
+        from kbwave.solutions import RESIDUAL_RTOL
+
+        for preset in ("fig-case1a", "fig-case2bc-k1"):
+            out = tmp_path / f"{preset}.csv"
+            assert main(["solve", "--preset", preset, "--out", str(out)]) == 0
+            sidecar = json.loads((tmp_path / f"{preset}.json").read_text())
+            sol = build_preset(preset)[0]
+            assert sidecar["residual"]["gate"] == sol.residual_bound
+            assert sol.residual_bound == RESIDUAL_RTOL * sol.roots.scale() ** 4
+
+    def test_impossible_gate_fails_in_the_constructor(self, tmp_path, monkeypatch, capsys):
+        """One bound: with an impossible RESIDUAL_RTOL the constructor refuses
+        the wave, so the CLI cannot report a pass the library would refuse."""
+        monkeypatch.setattr("kbwave.solutions.RESIDUAL_RTOL", 1e-30)
+        assert main(["solve", "--preset", "fig-case1a", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "defining residual gate" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "prof.json"
@@ -192,6 +212,14 @@ class TestKindChoices:
         from kbwave.cli import _parse_list
 
         assert [sidecar["params"][k] for k in ("c", "d1", "d2", "d3")] == _parse_list(params)
+
+    def test_auto_shifted_triple(self, tmp_path):
+        """F = -(f - 1)^3 (f - 2): a triple zero away from 0 builds the pulse."""
+        out = tmp_path / "t.csv"
+        assert main(["solve", "--params=-5/4,-11/16,7/8,-1/4", "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "t.json").read_text())
+        assert (sidecar["kind"], sidecar["case_tag"]) == ("solitary_triple",
+                                                          "TripleWithSimpleAbove")
 
     def test_auto_two_simple_only(self):
         with pytest.raises(SystemExit) as err:

@@ -97,6 +97,80 @@ class TestRoots:
             roots_of_F(P_CASE1A, tol=0.0)
 
 
+def _exact_params(zeros, pairs=()):
+    """Params of F = -prod (f - z)^m * prod ((f - x)^2 + y^2), exactly."""
+    poly = [Fraction(1)]  # -F, highest degree first
+    factors = [[1, -z] for z, m in zeros for _ in range(m)]
+    factors += [[1, -2 * x, x * x + y * y] for x, y in pairs]
+    for fac in factors:
+        out = [Fraction(0)] * (len(poly) + len(fac) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(fac):
+                out[i + j] += a * b
+        poly = out
+    _, a3, a2, a1, a0 = poly
+    c = a3 / 4
+    return Params(c, c * c - a2 / 4, -a1 / 8, -a0 / 8)
+
+
+class TestMultipleZeros:
+    """np.roots splits an m-fold zero into m roots about eps^(1/m) apart;
+    roots_of_F must still report one m-fold zero."""
+
+    F = Fraction
+    # (real zeros with multiplicities, complex pairs (x, y)) per case tag
+    SIGNATURES = {
+        CaseTag.NO_REAL_ZEROS: ((), ((F(-1), F(1, 2)), (F(3, 4), F(5, 4)))),
+        CaseTag.TWO_SIMPLE_ONLY: (((F(-3, 2), 1), (F(5, 4), 1)), ((F(1, 4), F(3, 4)),)),
+        CaseTag.ONE_DOUBLE_ONLY: (((F(-5, 4), 2),), ((F(1, 2), F(7, 8)),)),
+        CaseTag.TWO_DOUBLES_ONLY: (((F(-7, 4), 2), (F(3, 2), 2)), ()),
+        CaseTag.QUADRUPLE: (((F(-5, 4), 4),), ()),
+        CaseTag.DOUBLE_BELOW_SIMPLES: (((F(-2), 2), (F(-1, 4), 1), (F(3, 2), 1)), ()),
+        CaseTag.DOUBLE_BETWEEN_SIMPLES: (((F(-2), 1), (F(-1, 4), 2), (F(3, 2), 1)), ()),
+        CaseTag.DOUBLE_ABOVE_SIMPLES: (((F(-2), 1), (F(-1, 4), 1), (F(3, 2), 2)), ()),
+        CaseTag.TRIPLE_WITH_SIMPLE_ABOVE: (((F(-3, 4), 3), (F(9, 8), 1)), ()),
+        CaseTag.TRIPLE_WITH_SIMPLE_BELOW: (((F(-3, 4), 1), (F(9, 8), 3)), ()),
+        CaseTag.FOUR_SIMPLE: (((F(-2), 1), (F(-1, 4), 1), (F(1, 2), 1), (F(3, 2), 1)), ()),
+    }
+
+    def test_every_tag_listed(self):
+        assert set(self.SIGNATURES) == set(CaseTag)
+
+    @pytest.mark.parametrize("shift", [Fraction(0), Fraction(29, 8), Fraction(-213, 64)])
+    @pytest.mark.parametrize("tag", list(SIGNATURES), ids=lambda t: t.value)
+    def test_exact_signature(self, tag, shift):
+        zeros, pairs = self.SIGNATURES[tag]
+        zeros = tuple((z + shift, m) for z, m in zeros)
+        pairs = tuple((x + shift, y) for x, y in pairs)
+        rm = roots_of_F(_exact_params(zeros, pairs))
+        assert classify(rm) is tag
+        scale = max([1.0] + [abs(float(z)) for z, _ in zeros])
+        for (got, m), (want, n) in zip(rm.entries, zeros):
+            assert m == n
+            assert abs(got - float(want)) < 1e-8 * scale
+
+    def test_found_quadruple_example(self):
+        """F = -(f - 5)^4, which np.roots splits into two real roots and a
+        complex pair about 1e-3 apart; it was tagged TwoSimpleOnly."""
+        p = Params(Fraction(-5), Fraction(-25, 2), Fraction(125, 2), Fraction(-625, 8))
+        assert _exact_params(((Fraction(5), 4),)) == p
+        rm = roots_of_F(p)
+        assert classify(rm) is CaseTag.QUADRUPLE
+        assert rm.entries[0][0] == pytest.approx(5.0, abs=1e-12)
+
+    def test_near_coincident_simple_zeros_stay_apart(self):
+        """Zeros 1e-5 apart (relative) are two simple zeros, not a double."""
+        zeros = ((-2.0, 1), (0.5, 1), (0.5 + 1e-5, 1), (3.0, 1))
+        rm = roots_of_F(params_from_roots(RootMultiset(zeros)))
+        assert rm.multiplicities() == (1, 1, 1, 1)
+
+    def test_near_double_complex_pair_stays_complex(self):
+        """A complex pair 1e-5 off the real axis is no double zero."""
+        p = _exact_params(((Fraction(-2), 1), (Fraction(3), 1)),
+                          ((Fraction(1, 2), Fraction(1, 100000)),))
+        assert classify(roots_of_F(p)) is CaseTag.TWO_SIMPLE_ONLY
+
+
 class TestParamsFromRoots:
     def test_case1a_exact(self):
         rm = RootMultiset(((Fraction(-3), 1), (Fraction(-2), 2), (Fraction(-1), 1)))
