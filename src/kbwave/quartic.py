@@ -184,7 +184,7 @@ def eval_F_deriv(p: Params, f, order: int = 1):
 def _taylor(coeffs, x, n):
     """[(F^(j)(x), M_j)] for j < n, F the polynomial with ``coeffs`` (highest
     degree first) and M_j the same derivative of the polynomial with absolute
-    coefficients at |x|, which bounds the rounding of F^(j)(x) in units of eps."""
+    coefficients at |x|: a few eps times M_j bounds the rounding of F^(j)(x)."""
     out = []
     for _ in range(n):
         v = m = 0.0
@@ -200,7 +200,7 @@ def _multiple_zero(coeffs, group, tol):
 
     Their mean stays accurate, and one Newton step on F^(m-1) from it finds
     the m-fold zero, where F and its derivatives below m - 1 must vanish to
-    within their rounding.  The mean is returned, like merged roots below.
+    within their rounding.  The mean is returned, as for roots merged within tol.
     """
     m = len(group)
     mean = sum(group) / m
