@@ -198,18 +198,15 @@ def _taylor(coeffs, x, n):
 def _multiple_zero(coeffs, group, tol):
     """The real m-fold zero of F that the m roots of ``group`` split from, or None.
 
-    Their mean stays accurate, and one Newton step on F^(m-1) from it finds
-    the m-fold zero, where F and its derivatives below m - 1 must vanish to
-    within their rounding.  The mean is returned, as for roots merged within tol.
+    Their mean stays accurate, and there F and its derivatives below m - 1
+    must vanish to within their rounding (F^(m-1) is not asked to: the
+    mean's own error moves it by that error times F^(m)).
     """
     m = len(group)
     mean = sum(group) / m
     if abs(mean.imag) > tol * max(1.0, abs(mean)):
         return None
-    d = _taylor(coeffs, mean.real, m + 1)
-    x = mean.real - (d[m - 1][0] / d[m][0] if d[m][0] else 0.0)
-    if abs(x - mean.real) <= max(abs(z - mean) for z in group) and all(
-            abs(v) <= _ROUNDING * bound for v, bound in _taylor(coeffs, x, m - 1)):
+    if all(abs(v) <= _ROUNDING * bound for v, bound in _taylor(coeffs, mean.real, m - 1)):
         return mean.real
     return None
 

@@ -161,14 +161,14 @@ KIND_ROOTS = {
     "general-sn2": ("0,1,2,3", "general_sn2"),
 }
 
-# --params of each case tag with a closed form, and the kind auto builds
+# --params of each case tag with a closed form, and the kind and branch auto builds
 AUTO_PARAMS = {
-    "DoubleBetweenSimples": ("2,-7/4,-7/2,-3/2", "solitary_double"),
-    "DoubleBelowSimples": ("-1/4,13/16,-1/8,-1/4", "periodic_trig"),
-    "DoubleAboveSimples": ("-9/4,-35/16,39/8,-9/4", "periodic_trig"),
-    "TripleWithSimpleAbove": ("-1/4,1/16,0,0", "solitary_triple"),
-    "TripleWithSimpleBelow": ("1/4,1/16,0,0", "solitary_triple"),
-    "FourSimple": ("2,-25/16,-25/8,-39/32", "general_sn2"),
+    "DoubleBetweenSimples": ("2,-7/4,-7/2,-3/2", "solitary_double", "upper"),
+    "DoubleBelowSimples": ("-1/4,13/16,-1/8,-1/4", "periodic_trig", "lower"),
+    "DoubleAboveSimples": ("-9/4,-35/16,39/8,-9/4", "periodic_trig", "lower"),
+    "TripleWithSimpleAbove": ("-1/4,1/16,0,0", "solitary_triple", "upper"),
+    "TripleWithSimpleBelow": ("1/4,1/16,0,0", "solitary_triple", "lower"),
+    "FourSimple": ("2,-25/16,-25/8,-39/32", "general_sn2", "initial_f1"),
 }
 
 
@@ -202,12 +202,12 @@ class TestKindChoices:
 
     @pytest.mark.parametrize("tag", list(AUTO_PARAMS))
     def test_auto_per_tag(self, tag, tmp_path):
-        params, want = AUTO_PARAMS[tag]
+        params, kind, branch = AUTO_PARAMS[tag]
         out = tmp_path / "a.csv"
         assert main(["solve", "--kind", "auto", f"--params={params}", "--n", "101",
                      "--out", str(out)]) == 0
         sidecar = json.loads((tmp_path / "a.json").read_text())
-        assert (sidecar["kind"], sidecar["case_tag"]) == (want, tag)
+        assert (sidecar["kind"], sidecar["case_tag"], sidecar["branch"]) == (kind, tag, branch)
         # auto reports the caller's params, not the constructor's rounding of them
         from kbwave.cli import _parse_list
 

@@ -149,6 +149,18 @@ class TestMultipleZeros:
             assert m == n
             assert abs(got - float(want)) < 1e-8 * scale
 
+    @pytest.mark.parametrize("zeros", [
+        ((Fraction(-193, 64), 1), (Fraction(-385, 128), 2), (Fraction(277, 64), 1)),
+        ((Fraction(-81, 128), 3), (Fraction(-5, 8), 1)),
+    ], ids=["double", "triple"])
+    def test_multiple_zero_next_to_a_close_zero(self, zeros):
+        """A simple zero 1/128 away from the multiple zero joins its first
+        group; the grouping must look again inside it."""
+        rm = roots_of_F(_exact_params(zeros))
+        assert rm.multiplicities() == tuple(m for _, m in zeros)
+        for (got, _), (want, _) in zip(rm.entries, zeros):
+            assert abs(got - float(want)) < 1e-7
+
     def test_found_quadruple_example(self):
         """F = -(f - 5)^4, which np.roots splits into two real roots and a
         complex pair about 1e-3 apart; it was tagged TwoSimpleOnly."""
