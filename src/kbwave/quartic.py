@@ -245,7 +245,8 @@ def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
     split an m-fold zero into m roots about eps^(1/m) apart (up to 1e-3
     relative for a quadruple zero), so roots within 1e-2 relative of each
     other are grouped, and a group of m becomes one m-fold zero when its mean
-    is real and F vanishes there to m-fold order (see ``_multiple_zero``).
+    is real and F and its lower derivatives vanish there to within rounding
+    (see ``_multiple_zero``).
     The other roots are real when their imaginary part is within
     tol*max(1, |root|), and real roots closer than that merge into one entry
     with summed multiplicity, sanity-checked by the smallness of the lower
