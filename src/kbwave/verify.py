@@ -14,6 +14,11 @@ keeps the scheme effectively 4th order: the raw square-root field degrades
 RK4 near its zeros, while the series is exact there to O(d^8).  Double and
 triple zeros are only approached asymptotically; the integration clamps to
 the zero once |f - zero| < 1e-10.
+
+Per call, not per step: the zeros of F, and for each simple zero its series
+constants A2, A4, A6 and its window (``_Turn``), which the window test, the
+series inversion and the series steps read.  Within the loop, a plain step
+reuses the previous step's f' as RK4's first stage.
 """
 
 from __future__ import annotations
@@ -172,27 +177,43 @@ class _Quartic:
     def dF(self, f, order=1):
         return eval_F_deriv(self.p, f, order)
 
-    def series_coeffs(self, r):
-        fp = self.dF(r, 1)
-        fpp = self.dF(r, 2)
-        fppp = self.dF(r, 3)
-        A2 = fp / 4.0
-        A4 = fpp * fp / 96.0
-        A6 = fpp * fpp * fp / 5760.0 + fppp * fp * fp / 1920.0
-        return A2, A4, A6
 
-    def series_eval(self, r, delta):
-        A2, A4, A6 = self.series_coeffs(r)
+class _Turn:
+    """The turning series at one simple zero r, built once per oracle call:
+    its constants A2, A4, A6 and its window in xi."""
+
+    __slots__ = ("r", "A2", "A4", "A6", "window")
+
+    def __init__(self, q: _Quartic, r: float, h: float):
+        fp = q.dF(r, 1)
+        fpp = q.dF(r, 2)
+        fppp = q.dF(r, 3)
+        self.r = r
+        self.A2 = A2 = fp / 4.0
+        self.A4 = A4 = fpp * fp / 96.0
+        self.A6 = A6 = fpp * fpp * fp / 5760.0 + fppp * fp * fp / 1920.0
+        # the series' local convergence scale at r
+        ell = 1.0
+        if A4 != 0.0:
+            ell = min(ell, math.sqrt(abs(A2 / A4)))
+        if A6 != 0.0:
+            ell = min(ell, abs(A2 / A6) ** 0.25)
+        # wide enough that RK4 never sees the square-root singularity,
+        # narrow enough that the series stays exact
+        self.window = max(3.0 * h, min(math.sqrt(h), 0.075 * ell))
+
+    def at(self, delta):
+        """(f, f') a distance delta in xi past the turning point."""
         d2 = delta * delta
-        f = r + d2 * (A2 + d2 * (A4 + d2 * A6))
-        fprime = delta * (2.0 * A2 + d2 * (4.0 * A4 + 6.0 * A6 * d2))
+        f = self.r + d2 * (self.A2 + d2 * (self.A4 + d2 * self.A6))
+        fprime = delta * (2.0 * self.A2 + d2 * (4.0 * self.A4 + 6.0 * self.A6 * d2))
         return f, fprime
 
-    def time_to_turn(self, r, f):
-        """Series inversion: |delta| with series(r, delta) = f, or inf when f
-        is outside the series' reach (wrong side, or inversion diverges)."""
-        A2, A4, A6 = self.series_coeffs(r)
-        u = f - r
+    def time_to(self, f):
+        """Series inversion: |delta| with at(delta)[0] = f, or inf when f is
+        outside the series' reach (wrong side, or inversion diverges)."""
+        A2, A4, A6 = self.A2, self.A4, self.A6
+        u = f - self.r
         if u == 0.0:
             return 0.0
         if u / A2 < 0.0:
@@ -203,16 +224,6 @@ class _Quartic:
             if d2 < 0.0:
                 return math.inf
         return math.sqrt(d2)
-
-    def series_scale(self, r):
-        """Local convergence scale of the turning series at root r (in xi)."""
-        A2, A4, A6 = self.series_coeffs(r)
-        ell = 1.0
-        if A4 != 0.0:
-            ell = min(ell, math.sqrt(abs(A2 / A4)))
-        if A6 != 0.0:
-            ell = min(ell, abs(A2 / A6) ** 0.25)
-        return ell
 
 
 def oracle_integrate(p: Params, f0: float, sign: int, length: float,
@@ -242,39 +253,38 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
         )
     simple = [v for v, m in rm.entries if m == 1]
     multi = [v for v, m in rm.entries if m >= 2]
+    turns = {r: _Turn(q, r, h) for r in simple}
+    # the zeros whose window the plain steps test (A2 = 0 has no series)
+    approachable = [t for t in turns.values() if t.A2 != 0.0]
 
     n = int(round(length / h))
     fs = np.empty(n + 1)
     fps = np.empty(n + 1)
     fs[0] = f0
     s = 1.0 if sign >= 0 else -1.0
-    # per-root analytic window: wide enough that RK4 never sees the
-    # square-root singularity, narrow enough that the series stays exact
-    window = {
-        r: max(3.0 * h, min(math.sqrt(h), 0.075 * q.series_scale(r)))
-        for r in (v for v, m in rm.entries if m == 1)
-    }
     events: list[float] = []
 
     def rhs(x):
         return s * math.sqrt(max(q.F(x), 0.0))
 
-    def rk4(fcur, hh):
-        k1 = rhs(fcur)
+    def rk4(fcur, hh, k1):
         k2 = rhs(fcur + 0.5 * hh * k1)
         k3 = rhs(fcur + 0.5 * hh * k2)
         k4 = rhs(fcur + hh * k3)
         return fcur + hh / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     f = f0
-    fps[0] = rhs(f0)
+    # RK4's k1 = rhs(f), kept from the last plain step; None once a series
+    # step has moved f (s flips only on leaving the series; a clamp ends the
+    # stepping)
+    k1 = fps[0] = rhs(f0)
     clamp_to = None
-    mode = None  # (root, delta): inside the series window, delta since xi*
+    mode = None  # (turn, delta): inside the series window, delta since xi*
 
     # starting exactly at a simple turning point: enter the window immediately
     for r in simple:
         if abs(f0 - r) <= 1e-12 * max(1.0, abs(r)):
-            mode = (r, 0.0)
+            mode = (turns[r], 0.0)
             events.append(0.0)
             fps[0] = 0.0
             break
@@ -287,42 +297,44 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
             i += 1
             continue
         if mode is None:
-            for r in simple:
-                A2, _, _ = q.series_coeffs(r)
-                if A2 == 0.0:
-                    continue
-                tau = q.time_to_turn(r, f)
-                if not tau <= window[r]:
-                    continue  # outside the series window (or wrong side)
-                moving_toward = s * (r - f) > 0.0 or abs(f - r) <= 1e-12 * max(1.0, abs(r))
-                if moving_toward:
-                    mode = (r, -tau)
+            for t in approachable:
+                u = f - t.r
+                if u / t.A2 < 0.0:
+                    continue  # on the wrong side of this zero
+                tau = t.time_to(f)
+                if not tau <= t.window:
+                    continue  # outside the series window
+                if s * (t.r - f) > 0.0 or abs(u) <= 1e-12 * max(1.0, abs(t.r)):
+                    mode = (t, -tau)
                     events.append(i * h + tau)
                     break
         if mode is not None:
-            r, delta = mode
+            t, delta = mode
             delta += h
-            f, fprime = q.series_eval(r, delta)
+            f, fprime = t.at(delta)
+            k1 = None
             fs[i + 1] = f
             fps[i + 1] = fprime
             i += 1
-            if delta > window[r]:
+            if delta > t.window:
                 s = math.copysign(1.0, fprime) if fprime != 0.0 else s
                 mode = None
             else:
-                mode = (r, delta)
+                mode = (t, delta)
             continue
-        ftrial = rk4(f, h)
+        if k1 is None:
+            k1 = rhs(f)
+        ftrial = rk4(f, h, k1)
         if q.F(ftrial) < 0.0:
             # event inside this step: bisect the step length
             lo, hi = 0.0, h
             for _ in range(_EVENT_BISECTIONS):
                 mid = 0.5 * (lo + hi)
-                if q.F(rk4(f, mid)) < 0.0:
+                if q.F(rk4(f, mid, k1)) < 0.0:
                     hi = mid
                 else:
                     lo = mid
-            fstar = rk4(f, lo)
+            fstar = rk4(f, lo, k1)
             allr = simple + multi
             if not allr:
                 raise InvalidConfiguration("F went negative with no real zeros")
@@ -333,13 +345,14 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
                 fps[i + 1] = 0.0
                 i += 1
                 continue
-            tau = min(q.time_to_turn(best, f), window[best])
-            mode = (best, -tau)
+            t = turns[best]
+            tau = min(t.time_to(f), t.window)
+            mode = (t, -tau)
             events.append(i * h + tau)
             continue
         f = ftrial
+        k1 = fps[i + 1] = rhs(f)
         fs[i + 1] = f
-        fps[i + 1] = rhs(f)
         i += 1
         for r in multi:
             if abs(f - r) < _CLAMP_TOL:

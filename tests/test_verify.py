@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from kbwave import verify
 from kbwave.errors import InvalidConfiguration
-from kbwave.quartic import Params, RootMultiset, eval_F, params_from_roots
+from kbwave.quartic import Params, RootMultiset, eval_F, eval_F_deriv, params_from_roots
 from kbwave.solutions import (
     case2,
     general_sn2,
@@ -166,6 +167,23 @@ class TestOracle:
     def test_positive_step_required(self):
         with pytest.raises(ValueError):
             oracle_integrate(P_CASE1A, -2.5, 1, 1.0, h=0.0)
+
+    def test_series_constants_once_per_call(self, monkeypatch):
+        """F's derivatives are taken for each zero's series once per call:
+        their count does not grow with the number of steps."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eval_F_deriv(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "eval_F_deriv", counted)
+        counts = []
+        for length in (0.5, 1.0):
+            calls.clear()
+            oracle_integrate(P_CASE1A, -2.9, +1, length)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestCompareProfiles:
