@@ -19,6 +19,7 @@ against the bound the constructors enforce,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -516,16 +517,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(sp, with_kind=False)
     sp.add_argument("--tol", type=float, default=DEFAULT_CLUSTER_TOL,
                     help="root clustering tolerance")
-    sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("solve", help="construct and emit a closed form")
     _add_problem_args(sp)
-    sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("verify", help="residual report for a closed form")
     _add_problem_args(sp)
     sp.add_argument("--h-fd", type=float, default=1e-3, help="finite-difference step")
-    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("oracle", help="brute-force RK4 orbit profile")
     _add_problem_args(sp, with_kind=False)
@@ -533,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sign", type=int, choices=(-1, 1), default=1)
     sp.add_argument("--length", type=float, default=20.0)
     sp.add_argument("--h", type=float, default=1e-4)
-    sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("evolve", help="pseudo-spectral time evolution")
     _add_problem_args(sp)
@@ -544,26 +541,33 @@ def build_parser() -> argparse.ArgumentParser:
                     help="grid points (default: the config's n_grid, else 1024)")
     sp.add_argument("--dt", type=float, default=None)
     sp.add_argument("--T", type=float, default=1.0)
-    sp.set_defaults(fn=cmd_evolve)
 
     sp = sub.add_parser("reduce", help="exact hierarchy reduction")
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_reduce)
 
     sp = sub.add_parser("figures", help="emit the reference presets as CSV")
     sp.add_argument("--preset", default="all",
                     choices=sorted(PRESETS) + ["all"])
     sp.add_argument("--n", type=int, default=2001)
     sp.add_argument("--out", help="output directory (default ./figures)")
-    sp.set_defaults(fn=cmd_figures)
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call: building one costs
+    about as much as a ``classify`` run, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the verb's function is looked up per call, so wrappers installed on
+    # this module see it
+    cmd = globals()[f"cmd_{args.verb}"]
     try:
-        return args.fn(args)
+        return cmd(args)
     except (KBWaveError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

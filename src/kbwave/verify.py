@@ -16,9 +16,14 @@ triple zeros are only approached asymptotically; the integration clamps to
 the zero once |f - zero| < 1e-10.
 
 Per call, not per step: the zeros of F, and for each simple zero its series
-constants A2, A4, A6 and its window (``_Turn``), which the window test, the
-series inversion and the series steps read.  Within the loop, a plain step
-reuses the previous step's f' as RK4's first stage.
+constants A2, A4, A6, its window and the window's reach (``_Turn``), which the
+window test, the series inversion and the series steps read.  Within the
+loop, a plain step is one call of an RK4 step with F written out in place
+(``_Quartic.rk4``): four evaluations of F, the last at the new point, where
+it serves both the event test and the next step's first stage, so a plain
+step reuses the previous step's f'.  A plain step inverts the series of a
+zero only while (f - r)/A2 is within twice the window's reach; farther off
+the inversion cannot put f inside the window (see ``_Turn``).
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
 
 _CLAMP_TOL = 1e-10
 _EVENT_BISECTIONS = 60
+_REACH_MARGIN = 2.0  # plain steps invert the series within twice its reach
 
 
 @dataclass(frozen=True)
@@ -177,12 +183,52 @@ class _Quartic:
     def dF(self, f, order=1):
         return eval_F_deriv(self.p, f, order)
 
+    def rk4(self):
+        """One RK4 step of f' = s sqrt(max(F(f), 0)) given its first stage
+        k1, with F written out in the same form and order as ``F``:
+        ``step(f, hh, k1, s) -> (f + hh * slope, F there)``."""
+        sqrt = math.sqrt
+        if self.factors is not None:
+            r1, r2, r3, r4 = self.factors
+
+            def step(f, hh, k1, s):
+                x = f + 0.5 * hh * k1
+                v = -(x - r1) * (x - r2) * (x - r3) * (x - r4)
+                k2 = s * sqrt(0.0 if v < 0.0 else v)
+                x = f + 0.5 * hh * k2
+                v = -(x - r1) * (x - r2) * (x - r3) * (x - r4)
+                k3 = s * sqrt(0.0 if v < 0.0 else v)
+                x = f + hh * k3
+                v = -(x - r1) * (x - r2) * (x - r3) * (x - r4)
+                k4 = s * sqrt(0.0 if v < 0.0 else v)
+                x = f + hh / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                return x, -(x - r1) * (x - r2) * (x - r3) * (x - r4)
+
+            return step
+        c4, c3, c2, c1, c0 = self.c4, self.c3, self.c2, self.c1, self.c0
+
+        def step(f, hh, k1, s):
+            x = f + 0.5 * hh * k1
+            v = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+            k2 = s * sqrt(0.0 if v < 0.0 else v)
+            x = f + 0.5 * hh * k2
+            v = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+            k3 = s * sqrt(0.0 if v < 0.0 else v)
+            x = f + hh * k3
+            v = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+            k4 = s * sqrt(0.0 if v < 0.0 else v)
+            x = f + hh / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return x, (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+
+        return step
+
 
 class _Turn:
     """The turning series at one simple zero r, built once per oracle call:
-    its constants A2, A4, A6 and its window in xi."""
+    its constants A2, A4, A6, its window in xi, and ``far``, the value of
+    (f - r)/A2 past which plain steps do not invert the series."""
 
-    __slots__ = ("r", "A2", "A4", "A6", "window")
+    __slots__ = ("r", "A2", "A4", "A6", "window", "far")
 
     def __init__(self, q: _Quartic, r: float, h: float):
         fp = q.dF(r, 1)
@@ -201,6 +247,23 @@ class _Turn:
         # wide enough that RK4 never sees the square-root singularity,
         # narrow enough that the series stays exact
         self.window = max(3.0 * h, min(math.sqrt(h), 0.075 * ell))
+        # The window's reach in d^2 = (f - r)/A2 is (at(window) - r)/A2.
+        # When the window lies within 0.075 ell, the fixed-point map of
+        # time_to, d^2 -> ((f - r) - d^4 (A4 + A6 d^2))/A2, contracts over it
+        # (|A4| d^2 and |A6| d^4 stay below 0.075^2 and 0.075^4 of |A2|), so
+        # the inverted time grows with (f - r)/A2 and leaves the window with
+        # the reach.  Past twice the reach f lies beyond the contraction
+        # region, where the inversion means nothing: for f in the band of
+        # F >= 0 next to r, all that an orbit reaches, time_to returns inf or
+        # a time beyond the window there, so a plain step skips it
+        # (tests/test_verify.py sweeps random quartics for this).  A window
+        # widened to 3h past 0.075 ell has no contraction region, and every f
+        # on its side is inverted.
+        self.far = math.inf
+        if A2 != 0.0 and 3.0 * h <= 0.075 * ell:
+            reach = (self.at(self.window)[0] - r) / A2
+            if reach > 0.0:
+                self.far = _REACH_MARGIN * reach
 
     def at(self, delta):
         """(f, f') a distance delta in xi past the turning point."""
@@ -255,7 +318,8 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
     multi = [v for v, m in rm.entries if m >= 2]
     turns = {r: _Turn(q, r, h) for r in simple}
     # the zeros whose window the plain steps test (A2 = 0 has no series)
-    approachable = [t for t in turns.values() if t.A2 != 0.0]
+    approachable = [(t.r, t.A2, t.far, t) for t in turns.values() if t.A2 != 0.0]
+    step = q.rk4()
 
     n = int(round(length / h))
     fs = np.empty(n + 1)
@@ -264,20 +328,11 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
     s = 1.0 if sign >= 0 else -1.0
     events: list[float] = []
 
-    def rhs(x):
-        return s * math.sqrt(max(q.F(x), 0.0))
-
-    def rk4(fcur, hh, k1):
-        k2 = rhs(fcur + 0.5 * hh * k1)
-        k3 = rhs(fcur + 0.5 * hh * k2)
-        k4 = rhs(fcur + hh * k3)
-        return fcur + hh / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     f = f0
-    # RK4's k1 = rhs(f), kept from the last plain step; None once a series
-    # step has moved f (s flips only on leaving the series; a clamp ends the
-    # stepping)
-    k1 = fps[0] = rhs(f0)
+    # RK4's k1 = s sqrt(max(F(f), 0)), kept from the last plain step; None
+    # once a series step has moved f (s flips only on leaving the series; a
+    # clamp ends the stepping)
+    k1 = fps[0] = s * math.sqrt(max(q.F(f0), 0.0))
     clamp_to = None
     mode = None  # (turn, delta): inside the series window, delta since xi*
 
@@ -297,14 +352,14 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
             i += 1
             continue
         if mode is None:
-            for t in approachable:
-                u = f - t.r
-                if u / t.A2 < 0.0:
-                    continue  # on the wrong side of this zero
+            for r, A2, far, t in approachable:
+                u = f - r
+                if not 0.0 <= u / A2 <= far:
+                    continue  # on the wrong side of this zero, or beyond reach
                 tau = t.time_to(f)
                 if not tau <= t.window:
                     continue  # outside the series window
-                if s * (t.r - f) > 0.0 or abs(u) <= 1e-12 * max(1.0, abs(t.r)):
+                if s * (r - f) > 0.0 or abs(u) <= 1e-12 * max(1.0, abs(r)):
                     mode = (t, -tau)
                     events.append(i * h + tau)
                     break
@@ -323,18 +378,18 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
                 mode = (t, delta)
             continue
         if k1 is None:
-            k1 = rhs(f)
-        ftrial = rk4(f, h, k1)
-        if q.F(ftrial) < 0.0:
+            k1 = s * math.sqrt(max(q.F(f), 0.0))
+        ftrial, Ftrial = step(f, h, k1, s)
+        if Ftrial < 0.0:
             # event inside this step: bisect the step length
             lo, hi = 0.0, h
             for _ in range(_EVENT_BISECTIONS):
                 mid = 0.5 * (lo + hi)
-                if q.F(rk4(f, mid, k1)) < 0.0:
+                if step(f, mid, k1, s)[1] < 0.0:
                     hi = mid
                 else:
                     lo = mid
-            fstar = rk4(f, lo, k1)
+            fstar = step(f, lo, k1, s)[0]
             allr = simple + multi
             if not allr:
                 raise InvalidConfiguration("F went negative with no real zeros")
@@ -351,7 +406,8 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
             events.append(i * h + tau)
             continue
         f = ftrial
-        k1 = fps[i + 1] = rhs(f)
+        # F(ftrial) is not negative here (or NaN, which max(F, 0.0) keeps)
+        k1 = fps[i + 1] = s * math.sqrt(Ftrial)
         fs[i + 1] = f
         i += 1
         for r in multi:

@@ -381,3 +381,49 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; consecutive calls with
+    different verbs and flags must leave nothing behind in it."""
+
+    P = "2,-7/4,-7/2,-3/2"
+    ARGVS = (
+        ["classify", "--params", P, "--tol", "1e-3"],
+        ["oracle", "--params", P, "--f0", "-2.9", "--sign", "-1", "--length", "0.01", "--h", "1e-3"],
+        ["classify", "--params", P],
+        ["oracle", "--params", P, "--f0", "-2.9", "--length", "0.01"],
+        ["solve", "--preset", "fig-case1a", "--n", "5", "--format", "json"],
+        ["solve", "--kind", "case2-dn", "--roots", "1,2,3", "--n", "5"],
+        ["verify", "--preset", "fig-case1a", "--n", "50", "--h-fd", "1e-2"],
+        ["reduce", "--ell", "3"],
+    )
+
+    def test_parsed_arguments_match_a_fresh_parser(self):
+        from kbwave.cli import _parser, build_parser
+
+        for argv in self.ARGVS + self.ARGVS[::-1]:
+            assert vars(_parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    def test_outputs_do_not_depend_on_earlier_calls(self, capsys):
+        from kbwave.cli import _parser
+
+        def outputs(argvs):
+            got = {}
+            for argv in argvs:
+                code, out = run(argv, capsys)
+                got[tuple(argv)] = (code, out)
+            return got
+
+        _parser.cache_clear()
+        forward = outputs(self.ARGVS)
+        backward = outputs(self.ARGVS[::-1])
+        assert _parser.cache_info().misses == 1
+        assert forward == backward
+        assert all(code == 0 and out for code, out in forward.values())
+
+    def test_rejected_argv_leaves_parser_usable(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["oracle", "--params", self.P])  # --f0 missing
+        code, out = run(["classify", "--params", self.P], capsys)
+        assert code == 0 and "DoubleBetweenSimples" in out

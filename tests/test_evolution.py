@@ -146,3 +146,48 @@ def test_power_of_two_required():
     x = np.arange(100) * (L / 100)
     with pytest.raises(ValueError, match="power of two"):
         EvolutionState(x=x, u=np.zeros(100), v=np.zeros(100), t=0.0, L=L)
+
+
+def _rhs_eleven_ffts(u, v, n, mask, ik, ik3):
+    """The tendencies as eleven separate FFTs, one field at a time: the
+    reference the batched ``_rhs_arrays`` must equal bit for bit."""
+    uh = np.fft.rfft(u)
+    vh = np.fft.rfft(v)
+    ud = np.fft.irfft(uh * mask, n)
+    vd = np.fft.irfft(vh * mask, n)
+    uxd = np.fft.irfft(ik * uh * mask, n)
+    vxd = np.fft.irfft(ik * vh * mask, n)
+    flux_h = np.fft.rfft(0.75 * ud * ud) * mask + vh
+    du = np.fft.irfft(ik * flux_h, n)
+    uxxx = np.fft.irfft(ik3 * uh, n)
+    quad_h = np.fft.rfft(vd * uxd + 0.5 * ud * vxd) * mask
+    dv = -0.25 * uxxx + np.fft.irfft(quad_h, n)
+    return du, dv
+
+
+def _states():
+    rng = np.random.default_rng(7)
+    for n, length in ((8, 1.0), (64, 10.0), (1024, L)):
+        yield n, length, rng.standard_normal(n), rng.standard_normal(n)
+    for name in ("fig-case1a", "fig-case1b-k05"):
+        sol, params = build_preset(name)
+        st = state_from_callable(lambda xi: sol.profile(xi)[0], params, L, 1024)
+        yield st.n, st.L, st.u, st.v
+
+
+@pytest.mark.parametrize("n,length,u,v", list(_states()))
+def test_batched_ffts_equal_the_eleven_fft_formula(n, length, u, v):
+    ops = evolution._operators(n, length)
+    got = evolution._rhs_arrays(u, v, n, *ops)
+    want = _rhs_eleven_ffts(u, v, n, *ops)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_four_ffts_per_stage(monkeypatch):
+    calls = []
+    for name in ("rfft", "irfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k))
+    _, _, state = case1a_state(64)
+    kb_rhs(state)
+    assert len(calls) == 4

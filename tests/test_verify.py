@@ -1,13 +1,24 @@
 """Verification layer: residual operators, RK4 orbit oracle, profile norms."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kbwave import verify
 from kbwave.errors import InvalidConfiguration
-from kbwave.quartic import Params, RootMultiset, eval_F, eval_F_deriv, params_from_roots
+from kbwave.presets import build_preset
+from kbwave.quartic import (
+    Params,
+    RootMultiset,
+    eval_F,
+    eval_F_deriv,
+    params_from_roots,
+    roots_of_F,
+)
 from kbwave.solutions import (
     case2,
     general_sn2,
@@ -184,6 +195,133 @@ class TestOracle:
             oracle_integrate(P_CASE1A, -2.9, +1, length)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+
+def _profile_sha256(prof):
+    h = hashlib.sha256()
+    for a in (prof.xi, prof.f, prof.f_prime, prof.g, np.asarray(prof.events, dtype=float)):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of (xi, f, f', g, events) at h = 1e-4, from the step loop that went
+# through q.F, rhs and rk4 calls and inverted the series on every plain step:
+# (start, sign, length) -> digest; "readme" is the README's oracle input
+ORACLE_GOLDEN = {
+    ("readme", 1, 0.5): "af37aab5d722047613a2e6b24094674fa54544a57ef5ced4850262ddaaa7e761",
+    ("readme", 1, 12.0): "04a97717e421e91df3dc2b45ca0d4027bcaffbfa44432d2fb6ddc8922ca1ed78",
+    ("fig-case1a", 1, 0.5): "503167ba9d9f8f529f166a97b3e0337492ddc7d3184a0f12d5132188f4744ba7",
+    ("fig-case1a", 1, 12.0): "983b73c32459c28b8829035f9351255ad7848903d00a9968837846d1d2f459e2",
+    ("fig-case1a", -1, 0.5): "503167ba9d9f8f529f166a97b3e0337492ddc7d3184a0f12d5132188f4744ba7",
+    ("fig-case1a", -1, 12.0): "983b73c32459c28b8829035f9351255ad7848903d00a9968837846d1d2f459e2",
+    ("fig-case1b-k05", 1, 0.5): "d0e52c07b85fc65998262e52a1c00d16b8426ba7e40eef4da80b31895c6c0aa9",
+    ("fig-case1b-k05", 1, 12.0): "456e1f9187ec672b20216bdbc25dea1777f5cda8cab64ba4d773512adba107db",
+    ("fig-case1b-k05", -1, 0.5): "d0e52c07b85fc65998262e52a1c00d16b8426ba7e40eef4da80b31895c6c0aa9",
+    ("fig-case1b-k05", -1, 12.0): "456e1f9187ec672b20216bdbc25dea1777f5cda8cab64ba4d773512adba107db",
+    ("fig-case2a", 1, 0.5): "91109225d7f9b90b08b78fd46673ee6cf28d49aa1e8f0400d902df70c736e4a0",
+    ("fig-case2a", 1, 12.0): "0817b16c9b08ce4766b97ce720b1d8ab1d04836fd33d8e820b52481e125ad626",
+    ("fig-case2a", -1, 0.5): "a41fd5dc8764b822c5029a6fecf7add2aeee76ea4f9b41dea39335f9283014c3",
+    ("fig-case2a", -1, 12.0): "d69f2e9b576a7325e2ea807fa4f18b5669871c374d6599df659c44b17e896679",
+    ("fig-case2b", 1, 0.5): "81322800341b0345167e984b865d6ddb488527a0a2e8edffa05be693c549a21a",
+    ("fig-case2b", 1, 12.0): "d297fef601235956be2c8ebd206277eaeaedcbccdd308cb8c51532c9992b0a6b",
+    ("fig-case2b", -1, 0.5): "81322800341b0345167e984b865d6ddb488527a0a2e8edffa05be693c549a21a",
+    ("fig-case2b", -1, 12.0): "d297fef601235956be2c8ebd206277eaeaedcbccdd308cb8c51532c9992b0a6b",
+    ("fig-case2bc-k1", 1, 0.5): "4f651a77413eb4ff20f3c23c558c19c0b5983f157ad88f0119bbdf15acef1c95",
+    ("fig-case2bc-k1", 1, 12.0): "e9c9adcccfc9d3a77956a119433f15ff941f5cb100d84bf178c7521fbbf0d9c3",
+    ("fig-case2bc-k1", -1, 0.5): "4f651a77413eb4ff20f3c23c558c19c0b5983f157ad88f0119bbdf15acef1c95",
+    ("fig-case2bc-k1", -1, 12.0): "e9c9adcccfc9d3a77956a119433f15ff941f5cb100d84bf178c7521fbbf0d9c3",
+    ("fig-case2e", 1, 0.5): "730a5128101a26d55b2ce4b387273097f4dd569bbb781b85cfeda7a7ed19af22",
+    ("fig-case2e", 1, 12.0): "14f3c20322d03fa855e0e1fcb382b17373f3b27db6ea94a49714c4627ba5a523",
+    ("fig-case2e", -1, 0.5): "6b922df58bb9d9e3a45941a2a61b792f44b0ce6e261a9ec7deda7df13ec852e7",
+    ("fig-case2e", -1, 12.0): "cee615f1565a6bc4f9a6f66f5d0889aacdb81a15ffbd5c9ad36de6e1d7e31597",
+    ("fig-case2f", 1, 0.5): "4e852396975a0a50fae2b114b5efb713ff8562612ec7e9edb178a39b2f89e797",
+    ("fig-case2f", 1, 12.0): "12a18864b71330a996e829d28f9264a80f02b47e990762c43dbbee91df5eb54c",
+    ("fig-case2f", -1, 0.5): "4e852396975a0a50fae2b114b5efb713ff8562612ec7e9edb178a39b2f89e797",
+    ("fig-case2f", -1, 12.0): "12a18864b71330a996e829d28f9264a80f02b47e990762c43dbbee91df5eb54c",
+    ("fig-case2f-k1", 1, 0.5): "25fe7ea9ef96a4740d43a21f5606f51be16d8ed8f1eb0f8a00874b62a6f30f90",
+    ("fig-case2f-k1", 1, 12.0): "d1f091508520f97e72c1dfd125a0c0bd02ba4590d15b1676da09666e5e6c335e",
+    ("fig-case2f-k1", -1, 0.5): "25fe7ea9ef96a4740d43a21f5606f51be16d8ed8f1eb0f8a00874b62a6f30f90",
+    ("fig-case2f-k1", -1, 12.0): "d1f091508520f97e72c1dfd125a0c0bd02ba4590d15b1676da09666e5e6c335e",
+}
+
+
+class TestOracleGolden:
+    """The step loop's output is pinned bit for bit: the README input, and
+    each preset's f(0) with both signs, at lengths 0.5 and 12."""
+
+    @pytest.mark.parametrize("start,sign,length", sorted(ORACLE_GOLDEN))
+    def test_profile_unchanged(self, start, sign, length):
+        if start == "readme":
+            p, f0 = P_CASE1A, -2.9
+        else:
+            sol, p = build_preset(start)
+            f0 = float(sol.profile(np.array([0.0]))[0][0])
+        prof = oracle_integrate(p, f0, sign, length)
+        assert _profile_sha256(prof) == ORACLE_GOLDEN[(start, sign, length)]
+
+    def test_series_inversion_only_near_a_zero(self, monkeypatch):
+        """The README input drifts toward its double zero, far from both
+        simple zeros: plain steps skip the inversion (one per step for each
+        simple zero before the reach bound), so the count does not grow
+        with the length."""
+        calls = []
+        time_to = verify._Turn.time_to
+
+        def counted(self, f):
+            calls.append(f)
+            return time_to(self, f)
+
+        monkeypatch.setattr(verify._Turn, "time_to", counted)
+        counts = []
+        for length in (0.5, 2.0):
+            calls.clear()
+            oracle_integrate(P_CASE1A, -2.9, +1, length)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 100
+
+
+def _params_of(roots):
+    """Params of the quartic with these four zeros (complex ones in pairs)."""
+    _, m1, e2, m3, e4 = np.poly(roots).real  # 1, -e1, e2, -e3, e4
+    e1, e3 = -m1, -m3
+    return Params(-e1 / 4, e1 * e1 / 16 - e2 / 4, e3 / 8, -e4 / 8)
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(st.lists(_UNIT, min_size=4, max_size=4), st.booleans(),
+       st.floats(-2.0, 3.0), st.floats(-4.0, -2.0), st.floats(-12.0, 0.0))
+def test_reach_bound_skips_only_outside_the_window(unit, pair, log_scale, log_h, log_theta):
+    """Wherever a plain step skips the series inversion, ((f - r)/A2 beyond
+    twice the window's reach), the inversion would have put f outside the
+    window: f sweeps the band of F >= 0 next to each simple zero, for
+    quartics with four real zeros or two and a complex pair."""
+    scale, h = 10.0 ** log_scale, 10.0 ** log_h
+    roots = [scale * v for v in unit]
+    if pair:  # the last two values give the pair's real part and |imag|
+        re, im = roots[2], scale * (1e-3 + abs(unit[3]))
+        roots[2:] = [complex(re, im), complex(re, -im)]
+    p = _params_of(roots)
+    rm = roots_of_F(p)
+    q = verify._Quartic(p, factor_roots=rm.expand() if rm.total() == 4 else None)
+    real = [v for v, _ in rm.entries]
+    thetas = np.concatenate([np.logspace(-12, 0, 400, endpoint=False), [10.0 ** log_theta]])
+    for r, m in rm.entries:
+        t = verify._Turn(q, r, h)
+        if m != 1 or t.A2 == 0.0:
+            continue
+        # the band lies on the side where (f - r)/A2 > 0, up to the next zero
+        side = [v for v in real if (v - r) * t.A2 > 0.0]
+        if not side:
+            continue
+        edge = min(side, key=lambda v: abs(v - r))
+        for theta in thetas:
+            f = r + theta * (edge - r)
+            if (f - r) / t.A2 > t.far:
+                assert t.time_to(f) > t.window, (roots, h, r, f)
 
 
 class TestCompareProfiles:
