@@ -4,8 +4,9 @@ The two constrained elliptic families are u = gamma + alpha y(beta xi)
 (kernels cn, dn; zero relation f4 = f1 + f3 - f2) and u = 1/(a + b y(beta xi))
 (kernels sn, cn, dn and the reciprocals 1/sn, 1/cn; zero relation
 f4 = f1 f2 f3 / (f2 f3 + f1 f2 - f1 f3)).  The tn and dn*tn kernels admit no
-real parameters at all.  The figure presets reproduce the displayed closed
-forms exactly; each preset's profile is verified to machine precision.
+real parameters at all: case2 raises Infeasible with the witness.  The figure
+presets reproduce the displayed closed forms exactly; each preset's profile is
+verified to machine precision.
 """
 
 import numpy as np
@@ -36,14 +37,15 @@ for sign, label in (("+", "upper band"), ("-", "lower band")):
 print()
 print("== second family at a generic modulus (zeros 1, 2, 3) ==")
 for kind in ("sn", "cn", "dn", "inv_sn", "inv_cn", "tn", "dn_tn"):
-    out = kb.case2(kind, 1.0, 2.0, 3.0)
-    if isinstance(out, Infeasible):
-        print(f"  {kind:<7}: infeasible - {out.reason.splitlines()[0][:64]}")
-    else:
-        grid = np.linspace(0, out.period, 20001)
-        f = out.profile(grid)[0]
-        print(f"  {kind:<7}: k = {out.modulus:.4f}, band [{f.min():.4f}, {f.max():.4f}], "
-              f"period {out.period:.4f}")
+    try:
+        out = kb.case2(kind, 1.0, 2.0, 3.0)
+    except Infeasible as err:
+        print(f"  {kind:<7}: infeasible - {err.reason.splitlines()[0][:64]}")
+        continue
+    grid = np.linspace(0, out.period, 20001)
+    f = out.profile(grid)[0]
+    print(f"  {kind:<7}: k = {out.modulus:.4f}, band [{f.min():.4f}, {f.max():.4f}], "
+          f"period {out.period:.4f}")
 
 print()
 print("== modulus-1 collapses to the solitary shapes ==")

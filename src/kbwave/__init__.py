@@ -15,7 +15,8 @@ Library layout:
   domain;
 * :mod:`kbwave.hierarchy`  exact-rational reductions of the ell-component
   hierarchy and the even-ell nonexistence checks;
-* :mod:`kbwave.presets`    the reference figure configurations;
+* :mod:`kbwave.presets`    the family table behind ``--kind`` and the reference
+  figure configurations;
 * :mod:`kbwave.cli`        command-line front end (``kbwave --help``).
 """
 

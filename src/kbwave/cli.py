@@ -12,8 +12,11 @@ Verbs:
 Outputs are deterministic: 17 significant digits, LF line endings, atomic
 writes.  ``solve``, ``verify`` and ``figures`` report the defining residual
 against the bound the constructors enforce,
-``ClosedFormSolution.residual_bound``.  The ``--kind`` choices and what
-``--kind auto`` builds for each case tag come from one table, ``KINDS``.
+``ClosedFormSolution.residual_bound``.  The ``--kind`` choices, what
+``--kind auto`` builds for each case tag, and the constructor each kind calls
+come from the family table ``presets.KINDS``.  A kind with no real wave for
+the given zeros exits with the reason and the kinds of its family that do
+have one.
 """
 
 from __future__ import annotations
@@ -26,13 +29,12 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, evolution
-from .errors import KBWaveError
-from .presets import PRESETS, build_preset
+from .errors import InfeasibleBranch, KBWaveError
+from .presets import KINDS, PRESETS, build_preset
 from .quartic import (
     DEFAULT_CLUSTER_TOL,
     CaseTag,
@@ -44,17 +46,7 @@ from .quartic import (
     quadratic_cofactor,
     roots_of_F,
 )
-from .solutions import (
-    ClosedFormSolution,
-    Infeasible,
-    case1,
-    case2,
-    discrepancy_report,
-    general_sn2,
-    periodic_trig,
-    solitary_double,
-    solitary_triple,
-)
+from .solutions import ClosedFormSolution, discrepancy_report
 from .verify import build_profile, ode_residual, oracle_integrate, pde_residual
 from .hierarchy import conjecture_report, reduce_vanishing
 
@@ -166,43 +158,6 @@ def _resolve_problem(cfg):
 # ---------------------------------------------------------------------------
 
 
-class _Kind(NamedTuple):
-    """One --kind: the zeros it takes, in --roots order ("dbl" and "triple"
-    name multiple zeros), its constructor call, the case tags --kind auto
-    builds with it, and the branch auto fixes there (None: the --branch)."""
-
-    zeros: str
-    build: Callable  # (zeros, branch, xi0, initial_index) -> solution or Infeasible
-    auto: tuple = ()
-    auto_branch: str | None = None
-
-
-# the --kind choices after auto, in --help order; the constructors are looked
-# up at call time, so wrappers installed on this module see the calls
-KINDS = {
-    "solitary_double": _Kind(
-        "lo,dbl,hi", lambda z, branch, xi0, _: solitary_double(*z, branch=branch, xi0=xi0),
-        auto=(CaseTag.DOUBLE_BETWEEN_SIMPLES,)),
-    "periodic_trig": _Kind(
-        "s1,s2,dbl",
-        lambda z, branch, xi0, _: periodic_trig(
-            *z, sign="lower" if branch == "lower" else "upper", xi0=xi0),
-        auto=(CaseTag.DOUBLE_BELOW_SIMPLES, CaseTag.DOUBLE_ABOVE_SIMPLES), auto_branch="lower"),
-    "solitary_triple": _Kind(
-        "triple,simple", lambda z, branch, xi0, _: solitary_triple(*z, xi0=xi0),
-        auto=(CaseTag.TRIPLE_WITH_SIMPLE_ABOVE, CaseTag.TRIPLE_WITH_SIMPLE_BELOW)),
-    **{f"case1-{k}": _Kind(
-        "f1,f2,f3", lambda z, branch, xi0, _, k=k: case1(
-            k, *z, sign="+" if branch == "upper" else "-", xi0=xi0))
-       for k in ("cn", "dn")},
-    **{f"case2-{k.replace('_', '-')}": _Kind(
-        "f1,f2,f3", lambda z, branch, xi0, _, k=k: case2(k, *z, xi0=xi0))
-       for k in ("sn", "cn", "dn", "inv_sn", "inv_cn")},
-    "general-sn2": _Kind(
-        "f1,f2,f3,f4",
-        lambda z, branch, xi0, index: general_sn2(z, initial_index=index, xi0=xi0),
-        auto=(CaseTag.FOUR_SIMPLE,)),
-}
 _MULTIPLICITY = {"dbl": 2, "triple": 3}
 
 
@@ -243,19 +198,21 @@ def _construct(cfg):
     def build(k):
         return KINDS[k].build(zeros, branch, xi0, int(cfg.get("initial_index", 1)))
 
-    sol = build(kind)
-    if isinstance(sol, Infeasible):
+    try:
+        sol = build(kind)
+    except InfeasibleBranch as err:
         family = [k for k in KINDS if k.split("-")[0] == kind.split("-")[0]]
-        raise SystemExit(f"infeasible: {sol.reason}\nfeasible kinds for these roots: "
+        raise SystemExit(f"infeasible: {err}\nfeasible kinds for these roots: "
                          + (", ".join(k for k in family if _feasible(build, k)) or "(none)"))
     return sol, sol.params
 
 
 def _feasible(build, kind) -> bool:
     try:
-        return not isinstance(build(kind), Infeasible)
+        build(kind)
     except KBWaveError:
         return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +231,15 @@ def _profile_csv(profile) -> str:
     return _csv(CSV_HEADER, profile.xi, profile.f, profile.f_prime, profile.g)
 
 
-def _sidecar(sol: ClosedFormSolution, params: Params, residual, extra=None):
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _sidecar(sol: ClosedFormSolution, params: Params, residual, **extra) -> dict:
+    """The solution's JSON report, with the fields of ``extra`` added."""
     pf = params.as_floats()
     gate = sol.residual_bound
-    doc = {
+    return {
         "schema": SCHEMA_VERSION,
         "kind": sol.kind,
         "variant": sol.variant,
@@ -293,10 +255,8 @@ def _sidecar(sol: ClosedFormSolution, params: Params, residual, extra=None):
         "non_global": sol.non_global,
         "provenance": list(sol.notes),
         "residual": {"ode": residual, "gate": gate, "passed": bool(residual < gate)},
+        **extra,
     }
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _solution_domain(sol, cfg):
@@ -368,14 +328,12 @@ def cmd_solve(args) -> int:
             {"xi": x, "f": f, "f_prime": d, "g": g}
             for x, f, d, g in zip(profile.xi, profile.f, profile.f_prime, profile.g)
         ]
-        doc = json.loads(_sidecar(sol, params, res))
-        doc["profile"] = rows
-        _emit(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit(out, _json(_sidecar(sol, params, res, profile=rows)))
     else:
         _emit(out, _profile_csv(profile))
         if out:
             _atomic_write(os.path.splitext(out)[0] + ".json",
-                          _sidecar(sol, params, res))
+                          _json(_sidecar(sol, params, res)))
     if not res < gate:
         print(f"residual gate FAILED: {res:.3e} >= {gate:.3e}", file=sys.stderr)
         return 2
@@ -390,11 +348,10 @@ def cmd_verify(args) -> int:
     res = ode_residual(sol, params, domain=domain, n=n)
     r_u, r_v = pde_residual(sol, params, domain=domain,
                             n=min(n, 500), h_fd=args.h_fd)
-    doc = json.loads(_sidecar(sol, params, res))
     pde_ok = max(r_u, r_v) < PDE_RTOL
-    doc["pde_residual"] = {"r_u": r_u, "r_v": r_v, "h_fd": args.h_fd,
-                           "passed": bool(pde_ok)}
-    _emit(cfg.get("out"), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = _sidecar(sol, params, res, pde_residual={"r_u": r_u, "r_v": r_v,
+                                                   "h_fd": args.h_fd, "passed": bool(pde_ok)})
+    _emit(cfg.get("out"), _json(doc))
     return 0 if doc["residual"]["passed"] and pde_ok else 2
 
 
@@ -438,7 +395,7 @@ def cmd_evolve(args) -> int:
         "mean_drift": mean_drift,
         "passed": bool(err < PERMANENCE_TOL),
     }
-    _atomic_write(f"{root}-summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _atomic_write(f"{root}-summary.json", _json(summary))
     print(f"permanence error {err:.3e}; mean drift {mean_drift:.3e}")
     return 0 if err < PERMANENCE_TOL else 2
 
@@ -453,18 +410,15 @@ def cmd_reduce(args) -> int:
     }
     report = conjecture_report(max(args.ell, 4))
     doc["conjecture"] = [dict(r) for r in report.rows]
-    _emit(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _emit(args.out, _json(doc))
     return 0
 
 
 def cmd_figures(args) -> int:
     names = sorted(PRESETS) if args.preset in (None, "all") else [args.preset]
     outdir = args.out or "figures"
-    _atomic_write(
-        os.path.join(outdir, "DISCREPANCIES.json"),
-        json.dumps({"schema": SCHEMA_VERSION, "corrections": discrepancy_report()},
-                   indent=2, sort_keys=True) + "\n",
-    )
+    _atomic_write(os.path.join(outdir, "DISCREPANCIES.json"),
+                  _json({"schema": SCHEMA_VERSION, "corrections": discrepancy_report()}))
     failures = 0
     for name in names:
         sol, params = build_preset(name)
@@ -472,11 +426,9 @@ def cmd_figures(args) -> int:
         profile = build_profile(sol, params, domain, args.n)
         res = ode_residual(sol, params, domain=domain, n=args.n)
         _atomic_write(os.path.join(outdir, f"{name}.csv"), _profile_csv(profile))
-        _atomic_write(
-            os.path.join(outdir, f"{name}.json"),
-            _sidecar(sol, params, res,
-                     extra={"preset": name, "display": PRESETS[name].display}),
-        )
+        _atomic_write(os.path.join(outdir, f"{name}.json"),
+                      _json(_sidecar(sol, params, res, preset=name,
+                                     display=PRESETS[name].display)))
         passed = res < sol.residual_bound
         print(f"{name}: {'ok' if passed else 'RESIDUAL FAIL'} (residual {res:.3e})")
         failures += not passed

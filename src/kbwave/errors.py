@@ -17,6 +17,19 @@ class InfeasibleBranch(KBWaveError, ValueError):
     """No real solution branch exists for the given roots and kind."""
 
 
+class Infeasible(InfeasibleBranch):
+    """A family member with no real parameters for these zeros: carries the
+    kind, the reason (the message) and the computed witness."""
+
+    def __init__(self, kind, reason, witness=None):
+        witness = {} if witness is None else witness
+        super().__init__(kind, reason, witness)
+        self.kind, self.reason, self.witness = kind, reason, witness
+
+    def __str__(self):
+        return self.reason
+
+
 class UnresolvedBranch(KBWaveError):
     """No candidate branch passed validation; carries the raw candidate."""
 

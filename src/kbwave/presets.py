@@ -1,129 +1,125 @@
-"""Figure presets: the parameter sets behind the reference plots, as builders.
+"""The family table and the figure presets.
 
-Each preset records the constants (c, d1, d2, d3), the zeros of F, the
-solution family and the expected closed form; ``build`` returns the validated
-ClosedFormSolution.  These are the golden configurations used by the CLI
-``figures`` verb and by the regression suite.
+``KINDS`` is the one table of solution families.  For each ``--kind`` it
+names the zeros the family takes, its constructor call, and the case tags
+``--kind auto`` builds with it; the ``case2-*`` kinds come from the kernel
+table ``solutions.CASE2_KERNELS``.  The CLI and ``build_preset`` build
+through it, so each constructor call is written once.
+
+``PRESETS`` are the parameter sets behind the reference plots: each is a row
+of ``KINDS`` with its zeros and branch, the constants (c, d1, d2, d3) those
+zeros give, and the closed form it reproduces.  These are the golden
+configurations used by the CLI ``figures`` verb and by the regression suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .quartic import Params
-from .solutions import ClosedFormSolution, case1, case2, solitary_double
+from .quartic import CaseTag, Params
+from .solutions import (
+    CASE2_KERNELS,
+    ClosedFormSolution,
+    case1,
+    case2,
+    general_sn2,
+    periodic_trig,
+    solitary_double,
+    solitary_triple,
+)
 
-__all__ = ["Preset", "PRESETS", "build_preset"]
+__all__ = ["KINDS", "Preset", "PRESETS", "build_preset"]
+
+
+class _Kind(NamedTuple):
+    """One --kind: the zeros it takes, in --roots order ("dbl" and "triple"
+    name multiple zeros), its constructor call, the case tags --kind auto
+    builds with it, and the branch auto fixes there (None: the --branch)."""
+
+    zeros: str
+    build: Callable  # (zeros, branch, xi0, initial_index) -> solution; raises if none
+    auto: tuple = ()
+    auto_branch: str | None = None
+
+
+# the --kind choices after auto, in --help order; the constructors are looked
+# up at call time, so wrappers installed on this module see the calls
+KINDS = {
+    "solitary_double": _Kind(
+        "lo,dbl,hi", lambda z, branch, xi0, _: solitary_double(*z, branch=branch, xi0=xi0),
+        auto=(CaseTag.DOUBLE_BETWEEN_SIMPLES,)),
+    "periodic_trig": _Kind(
+        "s1,s2,dbl",
+        lambda z, branch, xi0, _: periodic_trig(
+            *z, sign="lower" if branch == "lower" else "upper", xi0=xi0),
+        auto=(CaseTag.DOUBLE_BELOW_SIMPLES, CaseTag.DOUBLE_ABOVE_SIMPLES), auto_branch="lower"),
+    "solitary_triple": _Kind(
+        "triple,simple", lambda z, branch, xi0, _: solitary_triple(*z, xi0=xi0),
+        auto=(CaseTag.TRIPLE_WITH_SIMPLE_ABOVE, CaseTag.TRIPLE_WITH_SIMPLE_BELOW)),
+    **{f"case1-{k}": _Kind(
+        "f1,f2,f3", lambda z, branch, xi0, _, k=k: case1(
+            k, *z, sign="+" if branch == "upper" else "-", xi0=xi0))
+       for k in ("cn", "dn")},
+    **{f"case2-{k.replace('_', '-')}": _Kind(
+        "f1,f2,f3", lambda z, branch, xi0, _, k=k: case2(k, *z, xi0=xi0))
+       for k in CASE2_KERNELS},
+    "general-sn2": _Kind(
+        "f1,f2,f3,f4",
+        lambda z, branch, xi0, index: general_sn2(z, initial_index=index, xi0=xi0),
+        auto=(CaseTag.FOUR_SIMPLE,)),
+}
+
+
+class Preset(NamedTuple):
+    kind: str        # a KINDS key
+    zeros: tuple     # in the kind's --roots order
+    branch: str
+    params: Params   # the constants the zeros give, exactly
+    display: str     # the closed form the preset reproduces
+
 
 _S3 = math.sqrt(3.0)
 _S14 = math.sqrt(14.0)
 
-
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    description: str
-    params: Params
-    build: Callable[[float], ClosedFormSolution]
-    modulus: float
-    display: str  # the closed form the preset reproduces
-
-    def solution(self, xi0: float = 0.0) -> ClosedFormSolution:
-        return self.build(xi0)
-
-
-def _case1a(xi0):
-    return solitary_double(-3.0, -2.0, -1.0, branch="upper", xi0=xi0)
-
-
-def _case1b_k05(xi0):
-    return case1("dn", -3.0, -2.0 - 0.5 * _S3, -1.0, sign="+", xi0=xi0)
-
-
-def _case2a(xi0):
-    return case2("sn", -2.0 - _S3, 0.0, -2.0 + _S3, xi0=xi0)
-
-
-def _case2b(xi0):
-    return case2("cn", 2.0 - _S3, 0.0, 2.0 + _S3, xi0=xi0)
-
-
-def _case2bc_k1(xi0):
-    return case2("dn", 8.0 - 2.0 * _S14, 1.0, 8.0 + 2.0 * _S14, xi0=xi0)
-
-
-def _case2e(xi0):
-    return case2("inv_sn", -1.0, 1.0, 1.0 / 3.0, xi0=xi0)
-
-
-def _case2f(xi0):
-    return case2("inv_cn", -1.0, 1.0, 1.0 / 3.0, xi0=xi0)
-
-
-def _case2f_k1(xi0):
-    return case2("inv_cn", -1.0, 0.0, 1.0 / 3.0, xi0=xi0)
-
-
 PRESETS = {
     "fig-case1a": Preset(
-        "fig-case1a",
-        "solitary pulse, upper branch: u = sech(xi) - 2, xi = x - 2t",
-        Params(2.0, -7.0 / 4.0, -7.0 / 2.0, -3.0 / 2.0),
-        _case1a, 1.0, "sech(xi) - 2",
-    ),
+        "solitary_double", (-3.0, -2.0, -1.0), "upper",
+        Params(2.0, -7.0 / 4.0, -7.0 / 2.0, -3.0 / 2.0), "sech(xi) - 2"),
     "fig-case1b-k05": Preset(
-        "fig-case1b-k05",
-        "periodic band orbit: u = dn(xi; k=0.5) - 2, xi = x - 2t",
-        Params(2.0, -25.0 / 16.0, -25.0 / 8.0, -39.0 / 32.0),
-        _case1b_k05, 0.5, "dn(xi; 0.5) - 2",
-    ),
+        "case1-dn", (-3.0, -2.0 - 0.5 * _S3, -1.0), "upper",
+        Params(2.0, -25.0 / 16.0, -25.0 / 8.0, -39.0 / 32.0), "dn(xi; 0.5) - 2"),
     "fig-case2a": Preset(
-        "fig-case2a",
-        "periodic: u = 1/(-2 - sqrt(3) sin(xi)), xi = x - t",
-        Params(1.0, 3.0 / 4.0, 0.0, 0.0),
-        _case2a, 0.0, "1/(-2 - sqrt(3) sin(xi))",
-    ),
+        "case2-sn", (-2.0 - _S3, 0.0, -2.0 + _S3), "upper",
+        Params(1.0, 3.0 / 4.0, 0.0, 0.0), "1/(-2 - sqrt(3) sin(xi))"),
     "fig-case2b": Preset(
-        "fig-case2b",
-        "periodic: u = 1/(2 - sqrt(3) cos(xi)), xi = x + t",
-        Params(-1.0, 3.0 / 4.0, 0.0, 0.0),
-        _case2b, 0.0, "1/(2 - sqrt(3) cos(xi))",
-    ),
+        "case2-cn", (2.0 - _S3, 0.0, 2.0 + _S3), "upper",
+        Params(-1.0, 3.0 / 4.0, 0.0, 0.0), "1/(2 - sqrt(3) cos(xi))"),
     "fig-case2bc-k1": Preset(
-        "fig-case2bc-k1",
-        "tall solitary pulse: u = 1/(1 - sqrt(7/8) sech(sqrt(7) xi)), xi = x + 9t/2",
-        Params(-4.5, 10.0, 4.0, -1.0),
-        _case2bc_k1, 1.0, "1/(1 - sqrt(7/8) sech(sqrt(7) xi))",
-    ),
+        "case2-dn", (8.0 - 2.0 * _S14, 1.0, 8.0 + 2.0 * _S14), "upper",
+        Params(-4.5, 10.0, 4.0, -1.0), "1/(1 - sqrt(7/8) sech(sqrt(7) xi))"),
     "fig-case2e": Preset(
-        "fig-case2e",
-        "periodic: u = sin(2 sqrt(3) xi/3) / (sin(2 sqrt(3) xi/3) + 2), xi = x + t/3",
+        "case2-inv-sn", (-1.0, 1.0, 1.0 / 3.0), "upper",
         Params(-1.0 / 3.0, 5.0 / 18.0, -1.0 / 6.0, 1.0 / 24.0),
-        _case2e, 0.0, "sin(b xi)/(sin(b xi) + 2), b = 2 sqrt(3)/3",
-    ),
+        "sin(b xi)/(sin(b xi) + 2), b = 2 sqrt(3)/3"),
     "fig-case2f": Preset(
-        "fig-case2f",
-        "periodic: u = cos(2 sqrt(3) xi/3) / (cos(2 sqrt(3) xi/3) + 2), xi = x + t/3",
+        "case2-inv-cn", (-1.0, 1.0, 1.0 / 3.0), "upper",
         Params(-1.0 / 3.0, 5.0 / 18.0, -1.0 / 6.0, 1.0 / 24.0),
-        _case2f, 0.0, "cos(b xi)/(cos(b xi) + 2), b = 2 sqrt(3)/3",
-    ),
+        "cos(b xi)/(cos(b xi) + 2), b = 2 sqrt(3)/3"),
     "fig-case2f-k1": Preset(
-        "fig-case2f-k1",
-        "solitary: u = sech(sqrt(3) xi/3) / (sech(sqrt(3) xi/3) + 2), xi = x - t/6",
+        "case2-inv-cn", (-1.0, 0.0, 1.0 / 3.0), "upper",
         Params(1.0 / 6.0, 1.0 / 9.0, 0.0, 0.0),
-        _case2f_k1, 1.0, "sech(b xi)/(sech(b xi) + 2), b = sqrt(3)/3",
-    ),
+        "sech(b xi)/(sech(b xi) + 2), b = sqrt(3)/3"),
 }
 
 
 def build_preset(name: str, xi0: float = 0.0) -> tuple[ClosedFormSolution, Params]:
-    """Construct a preset's solution and return it with its constants."""
+    """Construct a preset's solution through KINDS and return it with its
+    constants."""
     try:
         preset = PRESETS[name]
     except KeyError:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
-    return preset.solution(xi0), preset.params
+    return KINDS[preset.kind].build(preset.zeros, preset.branch, xi0, 1), preset.params

@@ -42,7 +42,9 @@ DOUBLE_EXPONENTIAL = "DoubleExponentialApproach"
 TRIPLE_ALGEBRAIC = "TripleAlgebraicApproach"
 QUADRUPLE_CONSTANT = "QuadrupleConstantOnly"
 
-ZERO_MEMBERSHIP_TOL = 1e-8  # |F(f1)| <= tol * max(1, |f1|^4), matches root clustering
+# |F(f1)| <= tol * max(1, |f1|)^4: the same form as the residual gate, RESIDUAL_RTOL *
+# scale^4 (root clustering is another test: 1e-7, relative, on root values)
+ZERO_MEMBERSHIP_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,16 @@ Families
 * ``case1``            u = gamma + alpha * (cn | dn)(beta xi), requires the
   zero relation f4 = f1 + f3 - f2 (equivalently d2 = c d1);
 * ``case2``            u = 1/(a + b * y(beta xi)) for y in sn, cn, dn, 1/sn,
-  1/cn, requiring f4 = f1 f2 f3 / (f2 f3 + f1 f2 - f1 f3) (d2 = -4 d3 a);
-  the tn and dn*tn kernels admit no real parameters and return Infeasible;
+  1/cn, requiring f4 = f1 f2 f3 / (f2 f3 + f1 f2 - f1 f3) (d2 = -4 d3 a),
+  one ``CASE2_KERNELS`` row per kernel; the tn and dn*tn kernels admit no
+  real parameters and raise Infeasible with the computed witness;
 * ``general_sn2``      the general four-root family f = (a1 + b1 sn^2) /
   (a2 + b2 sn^2), one branch per initial root.
+
+A constructor returns a validated solution or raises: :class:`Infeasible`
+(an :class:`InfeasibleBranch`) when the requested member has no real
+parameters for the zeros, InvalidConfiguration when the zeros do not fit the
+family, UnresolvedBranch when a candidate fails a validation gate.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .elliptic import complete_K, jacobi, normalize_modulus
-from .errors import InfeasibleBranch, InvalidConfiguration, UnresolvedBranch
+from .errors import Infeasible, InvalidConfiguration, UnresolvedBranch
 from .quartic import Params, RootMultiset, classify, eval_F, params_from_roots
 from .reduction import g_from_f
 
@@ -75,8 +81,6 @@ __all__ = [
 RESIDUAL_RTOL = 1e-8          # defining-residual gate: < RTOL * scale^4
 ORBIT_RTOL = 1e-6             # orbit check: |closed form - orbit| < RTOL * scale
 MODULUS_CLAMP = 1e-9          # k^2 in (1, 1+clamp] snaps to 1; in [-clamp, 0) to 0
-
-CASE2_KINDS = ("sn", "cn", "dn", "inv_sn", "inv_cn", "tn", "dn_tn")
 
 DISCREPANCIES = (
     {
@@ -199,18 +203,6 @@ _KERNELS = {
 # ---------------------------------------------------------------------------
 # the solution type
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    """A requested branch with no real solution; carries the reason and witness."""
-
-    kind: str
-    reason: str
-    witness: dict = field(default_factory=dict)
-
-    def __bool__(self):
-        return False
 
 
 @dataclass(frozen=True)
@@ -609,13 +601,14 @@ def limiting_form(case, roots, branch="upper", xi0=0.0) -> ClosedFormSolution:
 
     if not (f1 < f2 < f3):
         raise InvalidConfiguration("need f1 < f2 < f3 with f2 the double zero")
+    if branch not in ("upper", "lower"):
+        raise ValueError("branch must be 'upper' or 'lower'")
     s = -1.0 if branch == "upper" else 1.0
     if case == "a":
         if abs(f1 + f3 - 2.0 * f2) > tol:
             raise InvalidConfiguration("limiting constraint unmet: f1 + f3 = 2 f2")
         amp = 2.0 * (f2 - f1) * (f3 - f2) / (f3 - f1)
-        mobius, variant, notes = (
-            (f2, _branch_sigma(branch) * amp, 1.0, 0.0), "sech_pulse", ())
+        mobius, variant, notes = ((f2, -s * amp, 1.0, 0.0), "sech_pulse", ())
     elif case == "b":
         if abs(2.0 * f1 * f3 - f2 * (f1 + f3)) > tol * scale:
             raise InvalidConfiguration(
@@ -667,7 +660,7 @@ def case1(kind, f1, f2, f3, sign="+", xi0=0.0) -> ClosedFormSolution:
     For the cn kernel the modulus satisfies k^2 = (f3 - f1)^2 /
     (4 (f2 - f1)(f3 - f2)) >= 1 with equality only when 2 f2 = f1 + f3, so
     the branch is feasible only at k = 1 (the sech pulse); out-of-range
-    moduli raise InfeasibleBranch.  The dn kernel has
+    moduli raise Infeasible.  The dn kernel has
     k = 2 sqrt((f2 - f1)(f3 - f2)) / (f3 - f1) in [0, 1] and is the genuinely
     periodic member of the family.
     """
@@ -681,19 +674,18 @@ def case1(kind, f1, f2, f3, sign="+", xi0=0.0) -> ClosedFormSolution:
     span2 = (f2 - f1) * (f3 - f2)
     if kind == "cn":
         if span2 <= 0.0:
-            raise InfeasibleBranch(
-                "branch infeasible for these roots: cn needs f1 < f2 < f3"
-            )
+            raise Infeasible("case1_cn", "branch infeasible for these roots: "
+                             "cn needs f1 < f2 < f3", {"span2": span2})
         k2 = (f3 - f1) ** 2 / (4.0 * span2)
         if k2 > 1.0 + MODULUS_CLAMP:
-            raise InfeasibleBranch(
-                f"branch infeasible for these roots: cn modulus^2 = {k2:.6g} > 1"
-            )
+            raise Infeasible("case1_cn", "branch infeasible for these roots: "
+                             f"cn modulus^2 = {k2:.6g} > 1", {"k2": k2})
         k = normalize_modulus(math.sqrt(min(k2, 1.0)))
         beta = math.sqrt(span2)
     else:
         if span2 < 0.0:
-            raise InfeasibleBranch("branch infeasible for these roots")
+            raise Infeasible("case1_dn", "branch infeasible for these roots",
+                             {"span2": span2})
         k2 = 4.0 * span2 / (f3 - f1) ** 2
         k = normalize_modulus(math.sqrt(min(max(k2, 0.0), 1.0)))
         beta = 0.5 * (f3 - f1)
@@ -730,7 +722,66 @@ def _case2_shared(f1, f2, f3):
     return f1, f2, f3, a, b, g, RootMultiset.from_values(vals)
 
 
-def case2(kind, f1, f2, f3, xi0=0.0):
+class _Case2Kernel(NamedTuple):
+    """How one case2 kernel matches the reduced quartic's coefficients nu4,
+    nu2 and nu0: its frequency^2, its modulus^2, and the ratio
+    nu0 / (beta^2 b^2) that the constant term must reach."""
+
+    beta2: Callable  # (nu2, nu4) -> beta^2
+    k2: Callable     # (nu2, nu4, beta2) -> k^2
+    ratio: Callable  # k2 -> nu0 / (beta^2 b^2)
+
+
+# the kernels with real parameters, in the order of CASE2_KINDS and of the
+# case2-* kinds; an inv_ kernel is the Moebius form y/(b + a y) of its base
+CASE2_KERNELS = {
+    "sn": _Case2Kernel(lambda nu2, nu4: -nu4 - nu2,
+                       lambda nu2, nu4, beta2: nu4 / beta2, lambda k2: 1.0),
+    "cn": _Case2Kernel(lambda nu2, nu4: -2.0 * nu4 - nu2,
+                       lambda nu2, nu4, beta2: -nu4 / beta2, lambda k2: 1.0 - k2),
+    "dn": _Case2Kernel(lambda nu2, nu4: -nu4,
+                       lambda nu2, nu4, beta2: (2.0 * nu4 + nu2) / nu4,
+                       lambda k2: -(1.0 - k2)),
+    "inv_sn": _Case2Kernel(lambda nu2, nu4: nu4,
+                           lambda nu2, nu4, beta2: -(nu2 + nu4) / nu4, lambda k2: k2),
+    "inv_cn": _Case2Kernel(lambda nu2, nu4: nu2 + 2.0 * nu4,
+                           lambda nu2, nu4, beta2: (nu2 + nu4) / beta2, lambda k2: -k2),
+}
+
+
+def _tn_witness(f1, f2, f3, nu0, nu2, nu4):
+    beta2 = nu2 - nu4
+    return ("b is not real for any modulus: the constant-term match "
+            "forces b^2 = nu0/(nu2 - nu4) < 0",
+            {"b2_required": nu0 / beta2 if beta2 != 0 else math.inf})
+
+
+def _dn_tn_witness(f1, f2, f3, nu0, nu2, nu4):
+    # the kernel's coefficient match admits two sign groups for b; for
+    # whichever group makes b real, the modulus lands outside [0, 1)
+    D = f2 * f3 + f1 * f2 - f1 * f3
+    prod = f2 * (f3 - f1) * (2.0 * f1 * f3 - f2 * (f1 + f3))
+    groups = {}
+    if -prod >= 0.0:  # first group: b^2 proportional to -prod
+        groups["group1"] = {
+            "beta2": prod / (4.0 * D),
+            "k2": -(f3 ** 2) * (f1 - f2) ** 2 / prod if prod != 0 else math.inf,
+        }
+    if prod >= 0.0:
+        groups["group2"] = {
+            "beta2": -prod / (4.0 * D),
+            "k2": f1 ** 2 * (f2 - f3) ** 2 / prod if prod != 0 else math.inf,
+        }
+    return ("modulus^2 >= 1 for every real coefficient choice; the "
+            "limiting moduli collapse to two double zeros", {"groups": groups})
+
+
+# the kernels with no real parameters: the reason and the witness
+_NO_REAL_PARAMETERS = {"tn": _tn_witness, "dn_tn": _dn_tn_witness}
+CASE2_KINDS = (*CASE2_KERNELS, *_NO_REAL_PARAMETERS)
+
+
+def case2(kind, f1, f2, f3, xi0=0.0) -> ClosedFormSolution:
     """Elliptic family u = 1/(a + b y(beta (xi - xi0))) and its inverses.
 
     The implied fourth zero is f4 = f1 f2 f3 / (f2 f3 + f1 f2 - f1 f3), the
@@ -745,11 +796,12 @@ def case2(kind, f1, f2, f3, xi0=0.0):
     Moebius forms y/(b + a y) of the base kernel sn or cn.
 
     Per-kind frequency and modulus come from matching the reduced quartic
-    coefficients (nu4, nu2, nu0); branches whose frequency^2, modulus^2 or
-    constant-term consistency fail are returned as :class:`Infeasible`.  The
-    tn and dn*tn kernels never admit real parameters (b^2 < 0, respectively
-    modulus^2 >= 1 for every real coefficient choice) and always return
-    Infeasible with the computed witness attached.
+    coefficients (nu4, nu2, nu0), as the kind's ``CASE2_KERNELS`` row
+    states; a branch whose frequency^2, modulus^2 or constant-term
+    consistency fails raises :class:`Infeasible` with the failed quantities
+    as witness.  The tn and dn*tn kernels never admit real parameters (b^2 <
+    0, respectively modulus^2 >= 1 for every real coefficient choice) and
+    always raise Infeasible with the computed witness attached.
     """
     if kind not in CASE2_KINDS:
         raise ValueError(f"case2 kind must be one of {CASE2_KINDS}")
@@ -759,91 +811,27 @@ def case2(kind, f1, f2, f3, xi0=0.0):
     nu4 = g[4] / (b * b)
     nu2 = g[2] / (b * b)
     nu0 = g[0]
-    scale = roots.scale()
+    if kind in _NO_REAL_PARAMETERS:
+        reason, witness = _NO_REAL_PARAMETERS[kind](f1, f2, f3, nu0, nu2, nu4)
+        raise Infeasible(f"case2_{kind}", reason,
+                         {"nu0": nu0, "nu2": nu2, "nu4": nu4, **witness})
 
-    if kind == "tn":
-        beta2 = nu2 - nu4
-        b2_required = nu0 / beta2 if beta2 != 0 else math.inf
-        return Infeasible(
-            kind="case2_tn",
-            reason="b is not real for any modulus: the constant-term match "
-                   "forces b^2 = nu0/(nu2 - nu4) < 0",
-            witness={"nu0": nu0, "nu2": nu2, "nu4": nu4,
-                     "b2_required": b2_required},
-        )
-    if kind == "dn_tn":
-        # the kernel's coefficient match admits two sign groups for b; for
-        # whichever group makes b real, the modulus lands outside [0, 1)
-        D = f2 * f3 + f1 * f2 - f1 * f3
-        prod = f2 * (f3 - f1) * (2.0 * f1 * f3 - f2 * (f1 + f3))
-        groups = {}
-        if -prod >= 0.0:  # first group: b^2 proportional to -prod
-            groups["group1"] = {
-                "beta2": prod / (4.0 * D),
-                "k2": -(f3 ** 2) * (f1 - f2) ** 2 / prod if prod != 0 else math.inf,
-            }
-        if prod >= 0.0:
-            groups["group2"] = {
-                "beta2": -prod / (4.0 * D),
-                "k2": f1 ** 2 * (f2 - f3) ** 2 / prod if prod != 0 else math.inf,
-            }
-        return Infeasible(
-            kind="case2_dn_tn",
-            reason="modulus^2 >= 1 for every real coefficient choice; the "
-                   "limiting moduli collapse to two double zeros",
-            witness={"nu0": nu0, "nu2": nu2, "nu4": nu4, "groups": groups},
-        )
-
-    if kind == "sn":
-        beta2 = -nu4 - nu2
-        r_target = 1.0
-    elif kind == "cn":
-        beta2 = -2.0 * nu4 - nu2
-        r_target = None  # 1 - k^2, fixed after k
-    elif kind == "dn":
-        beta2 = -nu4
-        r_target = None  # -(1 - k^2)
-    elif kind == "inv_sn":
-        beta2 = nu4
-        r_target = None  # k^2
-    else:  # inv_cn
-        beta2 = nu2 + 2.0 * nu4
-        r_target = None  # -k^2
-
-    if not beta2 > 1e-14 * scale ** 2:
-        return Infeasible(
-            kind=f"case2_{kind}",
-            reason="branch infeasible: frequency^2 is not positive",
-            witness={"beta2": beta2, "nu0": nu0, "nu2": nu2, "nu4": nu4},
-        )
-    if kind == "sn":
-        k2 = nu4 / beta2
-    elif kind == "cn":
-        k2 = -nu4 / beta2
-    elif kind == "dn":
-        k2 = (2.0 * nu4 + nu2) / nu4
-    elif kind == "inv_sn":
-        k2 = -(nu2 + nu4) / nu4
-    else:
-        k2 = (nu2 + nu4) / beta2
+    row = CASE2_KERNELS[kind]
+    beta2 = row.beta2(nu2, nu4)
+    if not beta2 > 1e-14 * roots.scale() ** 2:
+        raise Infeasible(f"case2_{kind}", "branch infeasible: frequency^2 is not positive",
+                         {"beta2": beta2, "nu0": nu0, "nu2": nu2, "nu4": nu4})
+    k2 = row.k2(nu2, nu4, beta2)
     if not -MODULUS_CLAMP <= k2 <= 1.0 + MODULUS_CLAMP:
-        return Infeasible(
-            kind=f"case2_{kind}",
-            reason=f"branch infeasible: modulus^2 = {k2:.6g} outside [0, 1]",
-            witness={"k2": k2, "beta2": beta2},
-        )
+        raise Infeasible(f"case2_{kind}",
+                         f"branch infeasible: modulus^2 = {k2:.6g} outside [0, 1]",
+                         {"k2": k2, "beta2": beta2})
     k2 = min(max(k2, 0.0), 1.0)
-    if r_target is None:
-        r_target = {"cn": 1.0 - k2, "dn": -(1.0 - k2),
-                    "inv_sn": k2, "inv_cn": -k2}[kind]
-    r_resid = abs(nu0 - beta2 * b * b * r_target)
+    r_resid = abs(nu0 - beta2 * b * b * row.ratio(k2))
     if r_resid > 1e-9 * max(1.0, abs(nu0), abs(beta2 * b * b)):
-        return Infeasible(
-            kind=f"case2_{kind}",
-            reason="branch infeasible: constant term of the reduced quartic "
-                   "is inconsistent with this kernel",
-            witness={"r_resid": r_resid, "k2": k2, "beta2": beta2},
-        )
+        raise Infeasible(f"case2_{kind}", "branch infeasible: constant term of the reduced "
+                         "quartic is inconsistent with this kernel",
+                         {"r_resid": r_resid, "k2": k2, "beta2": beta2})
     if kind.startswith("inv_"):
         mobius, kernel = (0.0, 1.0, b, a), kind[len("inv_"):]
     else:

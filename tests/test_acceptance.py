@@ -196,8 +196,10 @@ def test_criterion_07_infeasibility_results():
             continue
         if abs(f2 * f3 + f1 * f2 - f1 * f3) < 1e-6:
             continue
-        assert isinstance(kb.case2("tn", f1, f2, f3), Infeasible)
-        assert isinstance(kb.case2("dn_tn", f1, f2, f3), Infeasible)
+        with pytest.raises(Infeasible):
+            kb.case2("tn", f1, f2, f3)
+        with pytest.raises(Infeasible):
+            kb.case2("dn_tn", f1, f2, f3)
         count += 1
     # OneDoubleOnly and TwoDoublesOnly: F <= 0 everywhere, every feasible
     # start sits at a zero and the orbit is constant

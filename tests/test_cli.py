@@ -240,6 +240,14 @@ class TestKindChoices:
         assert msg.startswith("infeasible: ")
         assert msg.endswith("feasible kinds for these roots: case2-dn")
 
+    def test_infeasible_case1_lists_feasible_kinds(self):
+        """case1's infeasible exits refuse the same way as case2's."""
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--kind", "case1-cn", "--roots", "0,1,3"])
+        msg = str(err.value)
+        assert msg.startswith("infeasible: ")
+        assert msg.endswith("feasible kinds for these roots: case1-dn")
+
 
 class TestVerifyVerb:
     def test_report(self, tmp_path):

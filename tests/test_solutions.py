@@ -180,6 +180,15 @@ class TestLimitingForms:
         with pytest.raises(InvalidConfiguration, match="limiting constraint"):
             limiting_form("c", (-1.0, 0.2, 1.0))
 
+    @pytest.mark.parametrize("case, roots", [
+        ("a", (-3, -2, -1)),
+        ("b", (8 - 2 * S14, 1.0, 8 + 2 * S14)),
+        ("c", (-1.0, 0.0, 1.0 / 3.0)),
+    ])
+    def test_unknown_branch_rejected(self, case, roots):
+        with pytest.raises(ValueError, match="branch"):
+            limiting_form(case, roots, branch="sideways")
+
 
 class TestCase1:
     def test_cn_modulus_one_pulse(self):
@@ -347,9 +356,9 @@ class TestCase2:
                 continue
             if abs(f2 * f3 + f1 * f2 - f1 * f3) < 1e-6:
                 continue
-            out = case2("tn", f1, f2, f3)
-            assert isinstance(out, Infeasible)
-            assert out.witness["b2_required"] < 0  # the claim: b is never real
+            with pytest.raises(Infeasible) as out:
+                case2("tn", f1, f2, f3)
+            assert out.value.witness["b2_required"] < 0  # the claim: b is never real
             count += 1
 
     def test_dn_tn_always_infeasible(self):
@@ -361,9 +370,9 @@ class TestCase2:
                 continue
             if abs(f2 * f3 + f1 * f2 - f1 * f3) < 1e-6:
                 continue
-            out = case2("dn_tn", f1, f2, f3)
-            assert isinstance(out, Infeasible)
-            groups = out.witness["groups"]
+            with pytest.raises(Infeasible) as out:
+                case2("dn_tn", f1, f2, f3)
+            groups = out.value.witness["groups"]
             assert groups  # at least one sign group has a real coefficient
             for g in groups.values():
                 assert not 0.0 <= g["k2"] < 1.0
@@ -387,8 +396,8 @@ class TestCase2:
         assert sol.details["a"] == pytest.approx(e3 / (4 * e4), rel=1e-12)
 
     def test_sn_infeasible_on_generic_roots(self):
-        out = case2("sn", 1.0, 2.0, 3.0)
-        assert isinstance(out, Infeasible)
+        with pytest.raises(Infeasible):
+            case2("sn", 1.0, 2.0, 3.0)
 
     def test_zero_extreme_rejected(self):
         with pytest.raises(InvalidConfiguration):
