@@ -28,11 +28,11 @@ for name in sorted(kb.PRESETS):
 print()
 print("== first-family band structure (zeros -3, -2-s, -1 with s = sqrt(3)/2) ==")
 s = np.sqrt(3) / 2
-for sign, label in (("+", "upper band"), ("-", "lower band")):
-    sol = kb.case1("dn", -3.0, -2.0 - s, -1.0, sign=sign)
+for branch in ("upper", "lower"):
+    sol = kb.case1("dn", -3.0, -2.0 - s, -1.0, branch=branch)
     grid = np.linspace(0, sol.period, 40001)
     f = sol.profile(grid)[0]
-    print(f"  dn {label}: f in [{f.min():+.6f}, {f.max():+.6f}], k = {sol.modulus:.3f}")
+    print(f"  dn {branch} band: f in [{f.min():+.6f}, {f.max():+.6f}], k = {sol.modulus:.3f}")
 
 print()
 print("== second family at a generic modulus (zeros 1, 2, 3) ==")

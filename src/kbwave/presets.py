@@ -51,15 +51,13 @@ KINDS = {
         auto=(CaseTag.DOUBLE_BETWEEN_SIMPLES,)),
     "periodic_trig": _Kind(
         "s1,s2,dbl",
-        lambda z, branch, xi0, _: periodic_trig(
-            *z, sign="lower" if branch == "lower" else "upper", xi0=xi0),
+        lambda z, branch, xi0, _: periodic_trig(*z, branch=branch, xi0=xi0),
         auto=(CaseTag.DOUBLE_BELOW_SIMPLES, CaseTag.DOUBLE_ABOVE_SIMPLES), auto_branch="lower"),
     "solitary_triple": _Kind(
         "triple,simple", lambda z, branch, xi0, _: solitary_triple(*z, xi0=xi0),
         auto=(CaseTag.TRIPLE_WITH_SIMPLE_ABOVE, CaseTag.TRIPLE_WITH_SIMPLE_BELOW)),
     **{f"case1-{k}": _Kind(
-        "f1,f2,f3", lambda z, branch, xi0, _, k=k: case1(
-            k, *z, sign="+" if branch == "upper" else "-", xi0=xi0))
+        "f1,f2,f3", lambda z, branch, xi0, _, k=k: case1(k, *z, branch=branch, xi0=xi0))
        for k in ("cn", "dn")},
     **{f"case2-{k.replace('_', '-')}": _Kind(
         "f1,f2,f3", lambda z, branch, xi0, _, k=k: case2(k, *z, xi0=xi0))

@@ -12,16 +12,14 @@ Integrals).  A form whose denominator C + D y can vanish over the kernel's
 range is refused at construction with InvalidConfiguration: F(f) = -f^4 + ...
 is negative for large |f|, so no real solution of f'^2 = F(f) reaches a pole.
 
-The defining property is the first-integral residual
-
-    f'(xi)^2 = F(f(xi))
-
-checked on a grid before the object is surfaced.  The elliptic families are
-also checked against the orbit through f(xi0), followed over one period by
-quadrature of xi(f) = int df / sqrt(F) (see ``_orbit_check``).  Where the
-classical printed formulas for a family fail these gates, the constructor
-applies a documented correction and records it in the solution's provenance
-notes; the static :data:`DISCREPANCIES` table aggregates the corrections.
+Every constructor returns through ``_solution``, which runs the gates before
+the object is surfaced: the first-integral residual f'(xi)^2 = F(f(xi)) on a
+grid, for every form, constants included; and for a form with a modulus (the
+Jacobi kernels sn, cn, dn, sn^2) the orbit through f(xi0), followed over one
+period by quadrature of xi(f) = int df / sqrt(F) (see ``_orbit_check``).
+Where the classical printed formulas for a family fail these gates, the
+constructor applies a documented correction and records it in the solution's
+provenance notes; the static :data:`DISCREPANCIES` table aggregates them.
 
 Families
 --------
@@ -44,7 +42,8 @@ Families
 A constructor returns a validated solution or raises: :class:`Infeasible`
 (an :class:`InfeasibleBranch`) when the requested member has no real
 parameters for the zeros, InvalidConfiguration when the zeros do not fit the
-family, UnresolvedBranch when a candidate fails a validation gate.
+family, UnresolvedBranch when a candidate fails a validation gate.  The
+two-branch families take ``branch="upper"`` or ``"lower"``, no other word.
 """
 
 from __future__ import annotations
@@ -81,6 +80,10 @@ __all__ = [
 RESIDUAL_RTOL = 1e-8          # defining-residual gate: < RTOL * scale^4
 ORBIT_RTOL = 1e-6             # orbit check: |closed form - orbit| < RTOL * scale
 MODULUS_CLAMP = 1e-9          # k^2 in (1, 1+clamp] snaps to 1; in [-clamp, 0) to 0
+# k^2 comes from the zeros in a few rounded operations, so a k^2 of 0 comes
+# out within a few ulps of 0 (fig-case2f: 1.7e-16); its square root, ~1e-8,
+# would pass the 1e-12 snap of k in normalize_modulus, so k^2 snaps first
+K2_ROUNDING = 4.0 * np.finfo(float).eps
 
 DISCREPANCIES = (
     {
@@ -214,8 +217,8 @@ class ClosedFormSolution:
     rational, const).  Construction raises InvalidConfiguration when C + D y
     can vanish over the kernel's range, so every instance is pole-free.
     Immutable after construction and safe to share across threads.  The
-    defining property, checked by the family constructors, is (f')^2 = F(f)
-    with F the quartic of ``params``.  ``details`` holds constants that only
+    defining property, checked by ``_solution``, is (f')^2 = F(f) with F the
+    quartic of ``params``.  ``details`` holds constants that only
     describe a family (mu0, mu2 for case1; a, b, nu0, nu2, nu4 for case2);
     ``variant`` labels the reduced forms (sech limits, constants).
     """
@@ -223,7 +226,6 @@ class ClosedFormSolution:
     kind: str
     roots: RootMultiset
     params: Params
-    c: float
     A: float
     B: float
     C: float
@@ -285,6 +287,11 @@ class ClosedFormSolution:
     # -- descriptive properties ----------------------------------------------
 
     @property
+    def c(self) -> float:
+        """The wave speed, the c of ``params``."""
+        return self.params.c
+
+    @property
     def case_tag(self):
         return classify(self.roots)
 
@@ -317,28 +324,21 @@ class ClosedFormSolution:
 # ---------------------------------------------------------------------------
 
 
-def _solution(kind, roots, xi0, mobius, kernel, **kw):
-    params = params_from_roots(roots).as_floats()
-    A, B, C, D = (float(v) for v in mobius)
-    return ClosedFormSolution(kind=kind, roots=roots, params=params, c=params.c,
-                              A=A, B=B, C=C, D=D, kernel=kernel, xi0=float(xi0), **kw)
-
-
-def _constant(kind, roots, xi0, value, **kw):
-    return _solution(kind, roots, xi0, (value, 0.0, 1.0, 0.0), "const",
-                     variant="constant", **kw)
-
-
 def _pulse_frequency(f_lo, f_dbl, f_hi):
     return math.sqrt((f_dbl - f_lo) * (f_hi - f_dbl))
 
 
-def _branch_sigma(branch: str) -> float:
-    if branch in ("upper", "+", "plus"):
-        return 1.0
-    if branch in ("lower", "-", "minus"):
-        return -1.0
-    raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
+def _branch_sign(branch) -> float:
+    """+1 on the upper branch, -1 on the lower; any other word is refused."""
+    if branch not in ("upper", "lower"):
+        raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
+    return 1.0 if branch == "upper" else -1.0
+
+
+def _modulus(k2) -> float:
+    """The modulus of a computed k^2: rounding of 0 is 0, and k^2 is clamped
+    to [0, 1] (each family refuses a k^2 farther outside itself)."""
+    return normalize_modulus(math.sqrt(min(k2, 1.0))) if k2 > K2_ROUNDING else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +346,16 @@ def _branch_sigma(branch: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _residual_gate(sol, n=513):
-    """Max defining residual |f'^2 - F(f)| over a grid; raises if over gate."""
+def _window(sol, n):
+    """n points over half a period either side of xi0, or +-10 for a pulse."""
     T = sol.period
     half = 0.5 * T if T is not None else 10.0
-    res = sol.residual(np.linspace(sol.xi0 - half, sol.xi0 + half, n))
+    return np.linspace(sol.xi0 - half, sol.xi0 + half, n)
+
+
+def _residual_gate(sol, n=513):
+    """Max defining residual |f'^2 - F(f)| over a grid; raises if over gate."""
+    res = sol.residual(_window(sol, n))
     gate = sol.residual_bound
     if not res < gate:
         raise UnresolvedBranch(
@@ -423,9 +428,7 @@ def _orbit_check(sol):
     rest_point = [v for v, m in sol.roots.entries if m > 1 and abs(f0 - v) < gate]
     if rest_point:
         # the orbit through a double zero is that zero: the form must stay there
-        T = sol.period
-        span = 0.5 * T if T is not None else 10.0
-        f, _ = sol.profile(np.linspace(sol.xi0 - span, sol.xi0 + span, 129))
+        f, _ = sol.profile(_window(sol, 129))
         return _orbit_verdict(sol, float(np.max(np.abs(f - rest_point[0]))), gate)
 
     e, o, (r3, r4) = _band(sol, f0, gate)
@@ -484,11 +487,23 @@ def _orbit_verdict(sol, worst, gate):
     return worst
 
 
-def _validated(sol, *, orbit_check=False):
+def _solution(kind, roots, xi0, mobius, kernel, **kw):
+    """The one way a constructor returns a wave: the form (A + B y)/(C + D y)
+    on ``kernel`` with the params of ``roots``, after the residual gate and,
+    when the form has a modulus (the Jacobi kernels), the orbit check."""
+    params = params_from_roots(roots).as_floats()
+    A, B, C, D = (float(v) for v in mobius)
+    sol = ClosedFormSolution(kind=kind, roots=roots, params=params, A=A, B=B, C=C, D=D,
+                             kernel=kernel, xi0=float(xi0), **kw)
     _residual_gate(sol)
-    if orbit_check:
+    if sol.modulus is not None:
         _orbit_check(sol)
     return sol
+
+
+def _constant(kind, roots, xi0, value, **kw):
+    return _solution(kind, roots, xi0, (value, 0.0, 1.0, 0.0), "const",
+                     variant="constant", **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -512,25 +527,23 @@ def solitary_double(f_lo, f_dbl, f_hi, branch="upper", xi0=0.0) -> ClosedFormSol
         raise InvalidConfiguration(
             "not the solitary configuration: need f_lo < f_dbl < f_hi"
         )
-    if branch not in ("upper", "lower"):
-        raise ValueError("branch must be 'upper' or 'lower'")
     c1 = 1.0 / (f_lo - f_dbl) + 1.0 / (f_hi - f_dbl)
     c2 = 1.0 / (f_lo - f_dbl) - 1.0 / (f_hi - f_dbl)
-    s_c2 = (-1.0 if branch == "upper" else 1.0) * c2
-    sol = _solution(
+    s_c2 = -_branch_sign(branch) * c2
+    return _solution(
         "solitary_double", RootMultiset(((f_lo, 1), (f_dbl, 2), (f_hi, 1))), xi0,
         (f_dbl * s_c2, f_dbl * c1 + 2.0, s_c2, c1), "sech",
         beta=_pulse_frequency(f_lo, f_dbl, f_hi), branch=branch,
     )
-    return _validated(sol)
 
 
-def periodic_trig(f_s1, f_s2, f_dbl, sign="lower", xi0=0.0) -> ClosedFormSolution:
+def periodic_trig(f_s1, f_s2, f_dbl, branch="lower", xi0=0.0) -> ClosedFormSolution:
     """Periodic orbit between two simple zeros with the double zero outside.
 
     f = f_dbl + 2 / (c1 +- c2 sin(w (xi - xi0))), w = sqrt(|(f_dbl - f_s1)
-    (f_s2 - f_dbl)|), period 2 pi / w, bounded in [min simple, max simple].
-    The two sign choices are xi-translates of the same orbit.
+    (f_s2 - f_dbl)|), period 2 pi / w, bounded in [min simple, max simple];
+    the branch picks the sign ('upper' -> +).  The two branches are
+    xi-translates of the same orbit.
     """
     f_s1, f_s2, f_dbl = float(f_s1), float(f_s2), float(f_dbl)
     lo, hi = min(f_s1, f_s2), max(f_s1, f_s2)
@@ -540,16 +553,13 @@ def periodic_trig(f_s1, f_s2, f_dbl, sign="lower", xi0=0.0) -> ClosedFormSolutio
         )
     u1, u3 = f_s1 - f_dbl, f_s2 - f_dbl
     c1 = 1.0 / u1 + 1.0 / u3
-    sigma = _branch_sigma(sign)
-    s_c2 = sigma * (1.0 / u1 - 1.0 / u3)
-    sol = _solution(
+    s_c2 = _branch_sign(branch) * (1.0 / u1 - 1.0 / u3)
+    return _solution(
         "periodic_trig", RootMultiset(tuple(sorted([(lo, 1), (hi, 1), (f_dbl, 2)]))),
         xi0, (f_dbl * c1 + 2.0, f_dbl * s_c2, c1, s_c2), "sin",
-        beta=math.sqrt(abs((f_dbl - lo) * (hi - f_dbl))),
-        branch="lower" if sigma < 0 else "upper",
+        beta=math.sqrt(abs((f_dbl - lo) * (hi - f_dbl))), branch=branch,
         notes=("periodic-frequency-absolute-value",),
     )
-    return _validated(sol)
 
 
 def solitary_triple(f_triple, f_simple, xi0=0.0) -> ClosedFormSolution:
@@ -563,12 +573,11 @@ def solitary_triple(f_triple, f_simple, xi0=0.0) -> ClosedFormSolution:
     if f_triple == f_simple:
         raise InvalidConfiguration("triple and simple zeros must differ")
     amp = f_simple - f_triple
-    sol = _solution(
+    return _solution(
         "solitary_triple", RootMultiset(tuple(sorted([(f_triple, 3), (f_simple, 1)]))),
         xi0, (f_triple, amp, 1.0, 0.0), "rational", beta=0.5 * abs(amp),
         branch="upper" if amp > 0 else "lower",
     )
-    return _validated(sol)
 
 
 def limiting_form(case, roots, branch="upper", xi0=0.0) -> ClosedFormSolution:
@@ -590,6 +599,7 @@ def limiting_form(case, roots, branch="upper", xi0=0.0) -> ClosedFormSolution:
     f1, f2, f3 = (float(v) for v in roots)
     scale = max(1.0, abs(f1), abs(f2), abs(f3))
     tol = 1e-10 * scale
+    s = -_branch_sign(branch)  # checked for case d too, which has one form
 
     if case == "d":
         if abs(f2 - f1) <= tol:
@@ -601,9 +611,6 @@ def limiting_form(case, roots, branch="upper", xi0=0.0) -> ClosedFormSolution:
 
     if not (f1 < f2 < f3):
         raise InvalidConfiguration("need f1 < f2 < f3 with f2 the double zero")
-    if branch not in ("upper", "lower"):
-        raise ValueError("branch must be 'upper' or 'lower'")
-    s = -1.0 if branch == "upper" else 1.0
     if case == "a":
         if abs(f1 + f3 - 2.0 * f2) > tol:
             raise InvalidConfiguration("limiting constraint unmet: f1 + f3 = 2 f2")
@@ -627,12 +634,11 @@ def limiting_form(case, roots, branch="upper", xi0=0.0) -> ClosedFormSolution:
             (0.0, 2.0 * f1 * f3, s * (f3 - f1), f1 + f3), "sech_ratio", ())
     else:
         raise ValueError(f"case must be one of 'a', 'b', 'c', 'd', got {case!r}")
-    sol = _solution(
+    return _solution(
         "solitary_double", RootMultiset(((f1, 1), (f2, 2), (f3, 1))), xi0, mobius,
         "sech", beta=_pulse_frequency(f1, f2, f3), branch=branch, variant=variant,
         notes=notes,
     )
-    return _validated(sol)
 
 
 def _case1_shared(f1, f2, f3):
@@ -648,14 +654,14 @@ def _case1_shared(f1, f2, f3):
     return f1, f2, f3, roots, {"mu0": mu0, "mu2": mu2}
 
 
-def case1(kind, f1, f2, f3, sign="+", xi0=0.0) -> ClosedFormSolution:
+def case1(kind, f1, f2, f3, branch="upper", xi0=0.0) -> ClosedFormSolution:
     """Elliptic family u = gamma + alpha * y(beta (xi - xi0)), y = cn or dn.
 
     Inputs are three zeros with f1 <= f2 <= f3; the fourth is implied,
     f4 = f1 + f3 - f2, which is exactly the zero relation forcing the odd
     coefficients of the reduced quartic to vanish (d2 = c d1).  gamma =
-    (f1 + f3)/2 = -c and alpha = +-(f3 - f1)/2 selects the upper or lower
-    oscillation band.
+    (f1 + f3)/2 = -c and alpha = +-(f3 - f1)/2; the branch selects the upper
+    (+) or lower (-) oscillation band.
 
     For the cn kernel the modulus satisfies k^2 = (f3 - f1)^2 /
     (4 (f2 - f1)(f3 - f2)) >= 1 with equality only when 2 f2 = f1 + f3, so
@@ -667,7 +673,7 @@ def case1(kind, f1, f2, f3, sign="+", xi0=0.0) -> ClosedFormSolution:
     if kind not in ("cn", "dn"):
         raise ValueError("case1 kind must be 'cn' or 'dn'")
     f1, f2, f3, roots, details = _case1_shared(f1, f2, f3)
-    sigma = _branch_sigma(sign)
+    sigma = _branch_sign(branch)
     gamma = 0.5 * (f1 + f3)
     if f3 - f1 <= 1e-14 * max(1.0, abs(f1)):
         return _constant(f"case1_{kind}", roots, xi0, f1, details=details)
@@ -680,24 +686,22 @@ def case1(kind, f1, f2, f3, sign="+", xi0=0.0) -> ClosedFormSolution:
         if k2 > 1.0 + MODULUS_CLAMP:
             raise Infeasible("case1_cn", "branch infeasible for these roots: "
                              f"cn modulus^2 = {k2:.6g} > 1", {"k2": k2})
-        k = normalize_modulus(math.sqrt(min(k2, 1.0)))
         beta = math.sqrt(span2)
     else:
         if span2 < 0.0:
             raise Infeasible("case1_dn", "branch infeasible for these roots",
                              {"span2": span2})
         k2 = 4.0 * span2 / (f3 - f1) ** 2
-        k = normalize_modulus(math.sqrt(min(max(k2, 0.0), 1.0)))
         beta = 0.5 * (f3 - f1)
-        if k == 0.0:
-            # f2 meets f1 or f3: dn == 1 and the solution is a constant band edge
-            return _constant("case1_dn", roots, xi0, gamma + sigma * 0.5 * (f3 - f1),
-                             details=details)
-    sol = _solution(
+    k = _modulus(k2)
+    if k == 0.0:
+        # dn only (cn has k^2 >= 1): f2 meets f1 or f3, dn == 1, a band edge
+        return _constant("case1_dn", roots, xi0, gamma + sigma * 0.5 * (f3 - f1),
+                         details=details)
+    return _solution(
         f"case1_{kind}", roots, xi0, (gamma, sigma * 0.5 * (f3 - f1), 1.0, 0.0), kind,
-        beta=beta, modulus=k, branch="upper" if sigma > 0 else "lower", details=details,
+        beta=beta, modulus=k, branch=branch, details=details,
     )
-    return _validated(sol, orbit_check=True)
 
 
 def _case2_shared(f1, f2, f3):
@@ -836,12 +840,10 @@ def case2(kind, f1, f2, f3, xi0=0.0) -> ClosedFormSolution:
         mobius, kernel = (0.0, 1.0, b, a), kind[len("inv_"):]
     else:
         mobius, kernel = (1.0, 0.0, a, b), kind
-    sol = _solution(
+    return _solution(
         f"case2_{kind}", roots, xi0, mobius, kernel, beta=math.sqrt(beta2),
-        modulus=normalize_modulus(math.sqrt(k2)),
-        details={"a": a, "b": b, "nu0": nu0, "nu2": nu2, "nu4": nu4},
+        modulus=_modulus(k2), details={"a": a, "b": b, "nu0": nu0, "nu2": nu2, "nu4": nu4},
     )
-    return _validated(sol, orbit_check=True)
 
 
 def general_sn2(roots, initial_index=1, xi0=0.0) -> ClosedFormSolution:
@@ -875,13 +877,11 @@ def general_sn2(roots, initial_index=1, xi0=0.0) -> ClosedFormSolution:
     a, b, f_adj = fs[i], fs[3 - i], fs[i ^ 1]
     b2 = (f_adj - a) / (b - f_adj)
     k2 = (f2 - f1) * (f4 - f3) / ((f3 - f1) * (f4 - f2))
-    sol = _solution(
+    return _solution(
         "general_sn2", RootMultiset.from_values(fs), xi0, (a, b * b2, 1.0, b2), "sn2",
-        beta=0.5 * math.sqrt((f3 - f1) * (f4 - f2)),
-        modulus=normalize_modulus(math.sqrt(k2)),
+        beta=0.5 * math.sqrt((f3 - f1) * (f4 - f2)), modulus=_modulus(k2),
         branch=f"initial_f{initial_index}", notes=("band-pairing-complementary",),
     )
-    return _validated(sol, orbit_check=True)
 
 
 # ---------------------------------------------------------------------------

@@ -64,15 +64,15 @@ def _all_closed_forms():
     forms = [
         ("solitary_double upper", kb.solitary_double(-3, -2, -1, branch="upper")),
         ("solitary_double lower", kb.solitary_double(-3, -2, -1, branch="lower")),
-        ("periodic_trig 2a", kb.periodic_trig(-2 - S3, -2 + S3, 0.0, sign="lower")),
-        ("periodic_trig 2e", kb.periodic_trig(-1.0, 1 / 3, 1.0, sign="lower")),
+        ("periodic_trig 2a", kb.periodic_trig(-2 - S3, -2 + S3, 0.0, branch="lower")),
+        ("periodic_trig 2e", kb.periodic_trig(-1.0, 1 / 3, 1.0, branch="lower")),
         ("solitary_triple", kb.solitary_triple(0.0, 2.0)),
         ("limiting a", kb.limiting_form("a", (-3, -2, -1), branch="upper")),
         ("limiting b", kb.limiting_form("b", (8 - 2 * S14, 1.0, 8 + 2 * S14),
                                         branch="upper")),
         ("limiting c", kb.limiting_form("c", (-1.0, 0.0, 1 / 3), branch="upper")),
-        ("case1 cn k=1", kb.case1("cn", -3.0, -2.0, -1.0, sign="+")),
-        ("case1 dn k=0.5", kb.case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, sign="+")),
+        ("case1 cn k=1", kb.case1("cn", -3.0, -2.0, -1.0, branch="upper")),
+        ("case1 dn k=0.5", kb.case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, branch="upper")),
         ("case2 sn k=0 (2a)", kb.case2("sn", -2 - S3, 0.0, -2 + S3)),
         ("case2 cn k=0 (2b)", kb.case2("cn", 2 - S3, 0.0, 2 + S3)),
         ("case2 cn k=1 (2b)", kb.case2("cn", 8 - 2 * S14, 1.0, 8 + 2 * S14)),
@@ -228,7 +228,7 @@ def test_criterion_08_limiting_coherence():
          kb.solitary_double(-1.0, 0.0, 1 / 3, branch="upper")),
         (kb.limiting_form("d", (-3.0, -1.0, -1.0)),
          kb.solitary_triple(-1.0, -3.0)),
-        (kb.case1("cn", -3.0, -2.0, -1.0, sign="+"),
+        (kb.case1("cn", -3.0, -2.0, -1.0, branch="upper"),
          kb.solitary_double(-3, -2, -1, branch="upper")),
         (kb.case2("dn", 8 - 2 * S14, 1.0, 8 + 2 * S14),
          kb.limiting_form("b", (8 - 2 * S14, 1.0, 8 + 2 * S14), branch="upper")),
@@ -240,7 +240,7 @@ def test_criterion_08_limiting_coherence():
         fb, _ = b.profile(xi)
         assert np.max(np.abs(fa - fb)) < 1e-10
     # the two consistency identities on accepted inputs
-    c1 = kb.case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, sign="+")
+    c1 = kb.case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, branch="upper")
     assert abs(c1.params.d2 - c1.params.c * c1.params.d1) < 1e-10
     c2 = kb.case2("dn", 1.0, 2.0, 3.0)
     assert abs(c2.params.d2 + 4.0 * c2.params.d3 * c2.details["a"]) < 1e-10

@@ -97,7 +97,7 @@ GOLDEN = {
         "C": "2.0",
         "D": "1.0000000000000002",
         "beta": "1.1547005383792515",
-        "modulus": "1.2904784139758927e-08",
+        "modulus": "0.0",
         "branch": "'upper'",
         "params": "Params(c=-0.3333333333333332, d1=0.2777777777777778, "
                   "d2=-0.1666666666666666, d3=0.04166666666666665)",

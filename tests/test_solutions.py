@@ -80,7 +80,7 @@ class TestSolitaryDouble:
 
 class TestPeriodicTrig:
     def test_case2e_display(self):
-        sol = periodic_trig(-1.0, 1.0 / 3.0, 1.0, sign="lower")
+        sol = periodic_trig(-1.0, 1.0 / 3.0, 1.0, branch="lower")
         b = 2 * S3 / 3
         f, _ = sol.profile(XI)
         assert np.max(np.abs(f - np.sin(b * XI) / (np.sin(b * XI) + 2))) < 1e-12
@@ -88,14 +88,14 @@ class TestPeriodicTrig:
 
     def test_case2a_both_signs(self):
         lo, hi = -2 - S3, -2 + S3
-        for sign, expected_sign in (("lower", -1.0), ("upper", 1.0)):
-            sol = periodic_trig(lo, hi, 0.0, sign=sign)
+        for branch, expected_sign in (("lower", -1.0), ("upper", 1.0)):
+            sol = periodic_trig(lo, hi, 0.0, branch=branch)
             f, _ = sol.profile(XI)
             ref = 1.0 / (-2.0 + expected_sign * S3 * np.sin(XI))
             assert np.max(np.abs(f - ref)) < 1e-12
 
     def test_band_extremes_hit_simple_zeros(self):
-        sol = periodic_trig(0.5, 1.5, 3.0, sign="lower")
+        sol = periodic_trig(0.5, 1.5, 3.0, branch="lower")
         xi = np.linspace(0.0, sol.period, 200_001)
         f, _ = sol.profile(xi)
         assert abs(f.min() - 0.5) < 1e-9
@@ -184,6 +184,7 @@ class TestLimitingForms:
         ("a", (-3, -2, -1)),
         ("b", (8 - 2 * S14, 1.0, 8 + 2 * S14)),
         ("c", (-1.0, 0.0, 1.0 / 3.0)),
+        ("d", (-3.0, -3.0, -1.0)),
     ])
     def test_unknown_branch_rejected(self, case, roots):
         with pytest.raises(ValueError, match="branch"):
@@ -192,17 +193,17 @@ class TestLimitingForms:
 
 class TestCase1:
     def test_cn_modulus_one_pulse(self):
-        sol = case1("cn", -3.0, -2.0, -1.0, sign="+")
+        sol = case1("cn", -3.0, -2.0, -1.0, branch="upper")
         assert sol.modulus == 1.0
         gen = solitary_double(-3, -2, -1, branch="upper")
         fa, _ = sol.profile(XI)
         fg, _ = gen.profile(XI)
         assert np.max(np.abs(fa - fg)) < 1e-10
-        lower = case1("cn", -3.0, -2.0, -1.0, sign="-")
+        lower = case1("cn", -3.0, -2.0, -1.0, branch="lower")
         assert lower.evaluate(0.0)[0] == pytest.approx(-3.0, abs=1e-12)
 
     def test_dn_fixture_modulus_half(self):
-        sol = case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, sign="+")
+        sol = case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, branch="upper")
         assert sol.modulus == pytest.approx(0.5, abs=1e-12)
         assert sol.beta == pytest.approx(1.0, abs=1e-12)
         dn = jacobi(XI, 0.5).dn
@@ -213,8 +214,8 @@ class TestCase1:
             assert getattr(sol.params, name) == pytest.approx(getattr(want, name), abs=1e-12)
 
     def test_dn_band_selection(self):
-        upper = case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, sign="+")
-        lower = case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, sign="-")
+        upper = case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, branch="upper")
+        lower = case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, branch="lower")
         grid = np.linspace(0.0, upper.period, 200_001)
         fu, _ = upper.profile(grid)
         fl, _ = lower.profile(grid)
@@ -235,14 +236,14 @@ class TestCase1:
         assert sol.evaluate(3.0) == (1.0, 0.0)
 
     def test_dn_modulus_zero_constant(self):
-        sol = case1("dn", 1.0, 1.0, 3.0, sign="+")  # f2 = f1
+        sol = case1("dn", 1.0, 1.0, 3.0, branch="upper")  # f2 = f1
         assert sol.variant == "constant"
         assert sol.evaluate(0.0)[0] == 3.0
 
     def test_case1_constraint_d2_equals_c_d1(self):
         for args in ((-3.0, -2.0, -1.0), (-3.0, -2.0 - 0.5 * S3, -1.0), (0.5, 1.0, 4.0)):
             try:
-                sol = case1("dn", *args, sign="+")
+                sol = case1("dn", *args, branch="upper")
             except InfeasibleBranch:
                 continue
             p = sol.params
@@ -255,7 +256,7 @@ class TestCase1:
         assert abs(2 * f2 - (f1 + f3)) < 1e-12
 
     def test_mu_coefficients_reproduce(self):
-        sol = case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, sign="+")
+        sol = case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, branch="upper")
         e = sorted(sol.roots.expand())
         e1 = sum(e)
         e2 = sum(e[i] * e[j] for i in range(4) for j in range(i + 1, 4))
@@ -644,8 +645,8 @@ class TestOrbitCheck:
         for _ in range(500):
             triple, quad = rng.uniform(-5.0, 5.0, 3), rng.uniform(-5.0, 5.0, 4)
             lo, mid, hi = np.sort(triple)
-            builds = [lambda k=k, s=s: case1(k, lo, mid, hi, sign=s)
-                      for k in ("cn", "dn") for s in ("+", "-")]
+            builds = [lambda k=k, b=b: case1(k, lo, mid, hi, branch=b)
+                      for k in ("cn", "dn") for b in ("upper", "lower")]
             builds += [lambda k=k: case2(k, *triple)
                        for k in ("sn", "cn", "dn", "inv_sn", "inv_cn")]
             builds += [lambda i=i: general_sn2(quad, initial_index=i) for i in (1, 2, 3, 4)]
@@ -657,8 +658,7 @@ class TestOrbitCheck:
                     continue
                 except (InfeasibleBranch, InvalidConfiguration):
                     continue
-                if not isinstance(sol, Infeasible):
-                    accepted.append(sol)
+                accepted.append(sol)
         assert len(accepted) > 2500
         for sol in accepted[::100]:
             assert _dop853_deviation(sol) < 1e-6
@@ -673,14 +673,64 @@ class TestOrbitCheck:
             assert best < 5e-3, (name, best)
 
 
+class TestOneConstructionPath:
+    """Every constructor returns through _solution: the residual gate on
+    every form, the orbit check on the forms with a modulus, and one branch
+    word for the two-branch families."""
+
+    def test_constant_off_the_zeros_rejected(self):
+        import kbwave.solutions as S
+        from kbwave.quartic import RootMultiset
+
+        roots = RootMultiset(((-3.0, 3), (-1.0, 1)))
+        S._constant("solitary_double", roots, 0.0, -3.0)  # a zero of F: accepted
+        with pytest.raises(UnresolvedBranch, match="residual"):
+            S._constant("solitary_double", roots, 0.0, -2.0)
+
+    TWO_BRANCH = {
+        "solitary_double": lambda b: solitary_double(-3, -2, -1, branch=b),
+        "periodic_trig": lambda b: periodic_trig(0.5, 1.5, 3.0, branch=b),
+        "limiting_form-a": lambda b: limiting_form("a", (-3, -2, -1), branch=b),
+        "limiting_form-b": lambda b: limiting_form("b", (8 - 2 * S14, 1.0, 8 + 2 * S14),
+                                                   branch=b),
+        "limiting_form-c": lambda b: limiting_form("c", (-1.0, 0.0, 1.0 / 3.0), branch=b),
+        "case1-cn": lambda b: case1("cn", -3.0, -2.0, -1.0, branch=b),
+        "case1-dn": lambda b: case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, branch=b),
+    }
+
+    @pytest.mark.parametrize("name", TWO_BRANCH)
+    def test_branch_words(self, name):
+        build = self.TWO_BRANCH[name]
+        upper, lower = build("upper"), build("lower")
+        assert (upper.branch, lower.branch) == ("upper", "lower")
+        assert not np.array_equal(upper.profile(XI)[0], lower.profile(XI)[0])
+        for word in ("+", "-", "plus", "minus", ""):
+            with pytest.raises(ValueError, match="branch"):
+                build(word)
+
+    def test_orbit_check_runs_for_the_elliptic_forms_only(self, monkeypatch):
+        import kbwave.solutions as S
+        from kbwave.presets import PRESETS
+
+        calls = []
+        check = S._orbit_check
+        monkeypatch.setattr(S, "_orbit_check", lambda sol: calls.append(sol.kind) or check(sol))
+        for name in PRESETS:
+            build_preset(name)
+        periodic_trig(0.5, 1.5, 3.0)
+        solitary_triple(0.0, 2.0)
+        assert case1("dn", 1.0, 1.0, 3.0).variant == "constant"
+        assert len(calls) == len(ELLIPTIC_PRESETS) == 7
+
+
 class TestEvaluateAndPairs:
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         sols = [
             solitary_double(-3, -2, -1, branch="upper"),
-            periodic_trig(-1.0, 1 / 3, 1.0, sign="lower"),
+            periodic_trig(-1.0, 1 / 3, 1.0, branch="lower"),
             solitary_triple(0.0, 2.0),
-            case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, sign="+"),
+            case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, branch="upper"),
             case2("inv_cn", -1.0, 0.0, 1.0 / 3.0),
             general_sn2((0.0, 1.0, 2.0, 3.0), initial_index=1),
         ]
@@ -736,7 +786,7 @@ class TestCoherence:
     """Limiting coherence across the constructor families."""
 
     def test_case1_cn_k1_equals_solitary_double(self):
-        a = case1("cn", -3.0, -2.0, -1.0, sign="+")
+        a = case1("cn", -3.0, -2.0, -1.0, branch="upper")
         b = solitary_double(-3.0, -2.0, -1.0, branch="upper")
         fa, _ = a.profile(XI)
         fb, _ = b.profile(XI)
@@ -811,7 +861,6 @@ def _accepted(build):
         assume(False)
     except InfeasibleBranch:
         assume(False)
-    assume(not isinstance(sol, Infeasible))
     return sol
 
 
@@ -847,10 +896,10 @@ def test_solitary_double_representation(zeros, branch):
 
 @_sweep(30)
 @given(st.lists(ZERO, min_size=3, max_size=3), st.sampled_from(["upper", "lower"]))
-def test_periodic_trig_representation(zeros, sign):
+def test_periodic_trig_representation(zeros, branch):
     s1, s2, dbl = zeros
     _spread(zeros)
-    _check_representation(_accepted(lambda: periodic_trig(s1, s2, dbl, sign=sign)))
+    _check_representation(_accepted(lambda: periodic_trig(s1, s2, dbl, branch=branch)))
 
 
 @_sweep(30)
@@ -861,14 +910,14 @@ def test_solitary_triple_representation(f_triple, f_simple):
 
 
 @_sweep(10)
-@given(st.lists(ZERO, min_size=3, max_size=3), st.sampled_from(["+", "-"]),
+@given(st.lists(ZERO, min_size=3, max_size=3), st.sampled_from(["upper", "lower"]),
        st.booleans())
-def test_case1_representation(zeros, sign, midpoint):
+def test_case1_representation(zeros, branch, midpoint):
     f1, f2, f3 = _spread(zeros)
     kind = "dn"
     if midpoint:  # the cn kernel exists only at 2 f2 = f1 + f3
         kind, f2 = "cn", 0.5 * (f1 + f3)
-    _check_representation(_accepted(lambda: case1(kind, f1, f2, f3, sign=sign)))
+    _check_representation(_accepted(lambda: case1(kind, f1, f2, f3, branch=branch)))
 
 
 @pytest.mark.parametrize("kind", ["sn", "cn", "dn", "inv_sn", "inv_cn"])

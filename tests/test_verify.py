@@ -147,7 +147,7 @@ class TestOracle:
         assert linf < 1e-6
 
     def test_energy_identity_along_profile(self):
-        sol = periodic_trig(-1.0, 1 / 3, 1.0, sign="lower")
+        sol = periodic_trig(-1.0, 1 / 3, 1.0, branch="lower")
         prof = oracle_integrate(sol.params, sol.evaluate(0.0)[0], +1, 5.0, h=1e-3)
         drift = np.abs(prof.f_prime**2 - eval_F(sol.params, prof.f))
         assert np.max(drift) < 1e-8
