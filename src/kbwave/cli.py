@@ -299,7 +299,7 @@ def cmd_classify(args) -> int:
         # the double zero, or the two simple zeros
         _, _, disc = quadratic_cofactor(params, *rm.values())
         lines.append(f"cofactor: complex-pair quadratic, discriminant {_fmt(disc)}")
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit(cfg.get("out"), "\n".join(lines) + "\n")
     return 0
 
 

@@ -8,6 +8,8 @@ and
     P_ell(f)   = -8 int_0^f p_{ell+1}(s) ds,
 
 the fields are h_j = p_j(f) (h_1 = u, h_2 = g, ...) and (f')^2 = P_ell(f).
+The p_j do not depend on ell, so one run of the recurrence gives every
+P_ell, and every ell-indexed result here reads that one run.
 Everything here is bit-exact Fraction arithmetic; the ell = 2, 3, 4 results
 
     P_2 = -f^2 (f + 2c)^2
@@ -73,10 +75,6 @@ class FPoly:
     @classmethod
     def variable_f(cls):
         return cls({(1, 0): 1})
-
-    @classmethod
-    def monomial(cls, i, j, coeff=1):
-        return cls({(i, j): coeff})
 
     def __eq__(self, other):
         return isinstance(other, FPoly) and self.coeffs == other.coeffs
@@ -176,28 +174,23 @@ class FieldStack:
             raise ValueError("P_ell(0) must vanish (constants were all zero)")
 
 
+def _stacks(ell_max: int):
+    """FieldStack for ell = 2..ell_max, from one run of the recurrence."""
+    fields = [FPoly.variable_f()]
+    for ell in range(1, ell_max + 1):
+        p = fields[-1]
+        p_next = -(_HALF_SHIFT * p.deriv_f() + p).integrate_f()
+        if ell >= 2:
+            yield FieldStack(ell=ell, fields=tuple(fields), P=(-8) * p_next.integrate_f())
+        fields.append(p_next)
+
+
 def reduce_vanishing(ell: int) -> FieldStack:
     """Exact reduction with all integration constants zero; ell >= 2."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    p = FPoly.variable_f()
-    fields = [p]
-    for _ in range(ell):
-        p = -( _HALF_SHIFT * p.deriv_f() + p ).integrate_f()
-        fields.append(p)
-    P = (-8) * fields[ell].integrate_f()
-    return FieldStack(ell=ell, fields=tuple(fields[:ell]), P=P)
-
-
-def _candidate(ell: int, sign: int, log2_den: int) -> FPoly:
-    """sign * f^2 (f + 2c)^ell / 2^log2_den as an exact FPoly."""
-    base = FPoly({(1, 0): 1, (0, 1): 2})  # f + 2c
-    poly = FPoly.monomial(0, 0)
-    for _ in range(ell):
-        poly = poly * base
-    poly = poly * FPoly.monomial(2, 0)
-    scale = Fraction(sign) / Fraction(2) ** log2_den
-    return poly * scale
+    *_, stack = _stacks(ell)
+    return stack
 
 
 @dataclass(frozen=True)
@@ -230,18 +223,18 @@ def conjecture_report(ell_max: int) -> ConjectureReport:
     """
     if ell_max < 4:
         raise ValueError("ell_max must be >= 4")
+    shift = 2 * _HALF_SHIFT  # f + 2c
+    power = FPoly({(2, 0): 1}) * shift  # f^2 (f + 2c)^ell, here at ell = 1
     rows = []
-    for ell in range(2, ell_max + 1):
-        P = reduce_vanishing(ell).P
-        printed = _candidate(ell, -1, 2 * ell - 4)
-        pattern = _candidate(ell, (-1) ** (ell - 1), ell - 2)
+    for stack in _stacks(ell_max):
+        ell, P = stack.ell, stack.P
+        power = power * shift
         lead = P.coeff_f(ell + 2)
-        lead_val = lead.coeffs.get((0, 0), Fraction(0))
         rows.append({
             "ell": ell,
-            "printed_match": P == printed,
-            "pattern_match": P == pattern,
-            "leading": str(lead_val),
+            "printed_match": P == power * Fraction(-1, 2 ** (2 * ell - 4)),
+            "pattern_match": P == power * Fraction((-1) ** (ell - 1), 2 ** (ell - 2)),
+            "leading": str(lead.coeffs.get((0, 0), Fraction(0))),
             "P": repr(P),
         })
     return ConjectureReport(rows=tuple(rows))
@@ -250,15 +243,15 @@ def conjecture_report(ell_max: int) -> ConjectureReport:
 def even_ell_nonexistence(ell: int) -> str:
     """Verdict for even ell: P_ell <= 0 with equality only at f in {0, -2c}.
 
-    Verified by exact match against (-1)^(ell-1) f^2 (f+2c)^ell / 2^(ell-2);
-    for even ell the sign is negative and the factor f^2 (f+2c)^ell is a
-    perfect square times a nonnegative even power, so no non-constant real
-    traveling wave with vanishing boundary conditions exists.
+    Verified by exact match against (-1)^(ell-1) f^2 (f+2c)^ell / 2^(ell-2),
+    the report's power-pattern candidate; for even ell the sign is negative
+    and the factor f^2 (f+2c)^ell is a perfect square times a nonnegative
+    even power, so no non-constant real traveling wave with vanishing
+    boundary conditions exists.
     """
-    if ell % 2 != 0:
-        raise ValueError("nonexistence verdict applies to even ell")
-    P = reduce_vanishing(ell).P
-    if P != _candidate(ell, -1, ell - 2):
+    if ell < 2 or ell % 2 != 0:
+        raise ValueError("nonexistence verdict applies to even ell >= 2")
+    if not conjecture_report(max(ell, 4)).rows[ell - 2]["pattern_match"]:
         raise AssertionError(f"P_{ell} does not match -f^2 (f+2c)^{ell}/2^{ell - 2}")
     return (
         f"no non-constant real solution: P_{ell} = -f^2 (f+2c)^{ell}/"

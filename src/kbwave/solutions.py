@@ -676,7 +676,7 @@ def case1(kind, f1, f2, f3, branch="upper", xi0=0.0) -> ClosedFormSolution:
     sigma = _branch_sign(branch)
     gamma = 0.5 * (f1 + f3)
     if f3 - f1 <= 1e-14 * max(1.0, abs(f1)):
-        return _constant(f"case1_{kind}", roots, xi0, f1, details=details)
+        return _constant(f"case1_{kind}", roots, xi0, f1, branch=branch, details=details)
     span2 = (f2 - f1) * (f3 - f2)
     if kind == "cn":
         if span2 <= 0.0:
@@ -697,7 +697,7 @@ def case1(kind, f1, f2, f3, branch="upper", xi0=0.0) -> ClosedFormSolution:
     if k == 0.0:
         # dn only (cn has k^2 >= 1): f2 meets f1 or f3, dn == 1, a band edge
         return _constant("case1_dn", roots, xi0, gamma + sigma * 0.5 * (f3 - f1),
-                         details=details)
+                         branch=branch, details=details)
     return _solution(
         f"case1_{kind}", roots, xi0, (gamma, sigma * 0.5 * (f3 - f1), 1.0, 0.0), kind,
         beta=beta, modulus=k, branch=branch, details=details,

@@ -1,5 +1,6 @@
 """Command-line surface: verbs, golden formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -51,6 +52,18 @@ class TestClassify:
         code, out = run(["classify", "--roots", "0,1,2,3"], capsys)
         assert code == 0
         assert "FourSimple" in out
+
+    @pytest.mark.parametrize("params, case", [
+        ("0,0,0,1/8", "TwoSimpleOnly"),
+        ("0,-1/4,0,0", "OneDoubleOnly"),
+    ])
+    def test_complex_pair_cofactor(self, capsys, params, case):
+        code, out = run(["classify", "--params", params], capsys)
+        assert code == 0
+        assert f"case: {case}" in out
+        line = out.splitlines()[-1]
+        assert line.startswith("cofactor: complex-pair quadratic, discriminant ")
+        assert float(line.rsplit(" ", 1)[1]) == pytest.approx(-4.0, abs=1e-9)
 
     def test_quadruple_zero(self, capsys):
         """F = -(f - 5)^4: numpy.roots splits the zero about 1e-3 apart."""
@@ -134,6 +147,32 @@ class TestSolve:
         assert main(["solve", "--preset", "fig-case1a", "--out", str(tmp_path / "x.csv")]) == 1
         assert "defining residual gate" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_explicit_domain_samples(self, tmp_path):
+        out = tmp_path / "win.csv"
+        assert main(["solve", "--preset", "fig-case1a", "--domain=-1,1", "--n", "3",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == [-1.0, 0.0, 1.0]
+
+    def test_empty_domain_rejected(self):
+        """An uncaught SystemExit with a message exits with status 1."""
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--preset", "fig-case1a", "--domain=1,1"])
+        assert str(err.value) == "config error: --domain needs a,b with a < b"
+
+    def test_infeasible_case1_cn_lists_dn(self):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--kind", "case1-cn", "--roots", "1,1,3"])
+        assert "feasible kinds for these roots: case1-dn" in str(err.value)
+
+    def test_constant_records_requested_branch(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert main(["solve", "--kind", "case1-dn", "--roots", "1,1,3", "--branch", "lower",
+                     "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["branch"] == "lower"
+        assert {row["f"] for row in doc["profile"]} == {1.0}
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "prof.json"
@@ -338,6 +377,16 @@ class TestReduceVerb:
         assert [r["ell"] for r in doc["conjecture"]] == list(range(2, 8))
         assert len(doc["fields"]) == 7
 
+    # the bytes `reduce` writes: the fields, P and every conjecture row
+    @pytest.mark.parametrize("ell, digest", [
+        (7, "643d59c002cdf2080323430b31ea15765ec506eff380efbdc277dacfa9679f2e"),
+        (30, "1d3622ec87a9ffa6c8e75154feb1c007b831de51670349499f1d20c3d18a87c7"),
+    ])
+    def test_output_digest(self, tmp_path, ell, digest):
+        out = tmp_path / f"red{ell}.json"
+        assert main(["reduce", "--ell", str(ell), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestFiguresVerb:
     def test_single_preset(self, tmp_path, capsys):
@@ -364,6 +413,14 @@ class TestConfigFile:
         assert main(["solve", "--config", str(cfg)]) == 0
         header, rows = read_csv(tmp_path / "from_config.csv")
         assert len(rows) == 101
+
+    def test_classify_config_out(self, tmp_path, capsys):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"params": "2,-7/4,-7/2,-3/2",
+                                   "out": str(tmp_path / "cls.txt")}))
+        code, out = run(["classify", "--config", str(cfg)], capsys)
+        assert code == 0 and out == ""
+        assert "case: DoubleBetweenSimples" in (tmp_path / "cls.txt").read_text()
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "job.json"

@@ -70,6 +70,13 @@ class TestReduceVanishing:
             stack = reduce_vanishing(ell)
             assert stack.fields[1] == FPoly({(1, 1): -1, (2, 0): F(-3, 4)})
 
+    def test_fields_do_not_depend_on_ell(self):
+        """One run of the recurrence serves every ell: the fields of ell are
+        the first ell fields of any larger ell."""
+        longest = reduce_vanishing(12).fields
+        for ell in range(2, 12):
+            assert reduce_vanishing(ell).fields == longest[:ell]
+
     def test_degree_growth(self):
         for ell in range(2, 9):
             stack = reduce_vanishing(ell)

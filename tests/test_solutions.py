@@ -240,6 +240,17 @@ class TestCase1:
         assert sol.variant == "constant"
         assert sol.evaluate(0.0)[0] == 3.0
 
+    @pytest.mark.parametrize("branch, edge", [("lower", 1.0), ("upper", 3.0)])
+    def test_dn_modulus_zero_constant_records_branch(self, branch, edge):
+        sol = case1("dn", 1, 1, 3, branch=branch)
+        assert sol.evaluate(0.0)[0] == edge
+        assert sol.branch == branch
+
+    def test_cn_touching_zeros_infeasible(self):
+        with pytest.raises(Infeasible) as err:
+            case1("cn", 1, 1, 3)
+        assert err.value.witness == {"span2": 0.0}
+
     def test_case1_constraint_d2_equals_c_d1(self):
         for args in ((-3.0, -2.0, -1.0), (-3.0, -2.0 - 0.5 * S3, -1.0), (0.5, 1.0, 4.0)):
             try:
