@@ -48,7 +48,7 @@ from .quartic import (
 )
 from .solutions import ClosedFormSolution, discrepancy_report
 from .verify import build_profile, ode_residual, oracle_integrate, pde_residual
-from .hierarchy import conjecture_report, reduce_vanishing
+from .hierarchy import conjecture_report
 
 CSV_HEADER = "xi,f,f_prime,g"
 SCHEMA_VERSION = 1
@@ -109,7 +109,7 @@ def _load_config(args) -> dict:
         if not isinstance(cfg, dict):
             raise SystemExit(f"config {args.config}: expected a JSON object")
     for key in ("params", "roots", "kind", "domain", "n", "xi0", "branch",
-                "format", "out", "preset", "initial_index"):
+                "format", "out", "preset", "initial_index", "L", "n_grid"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             cfg[key] = val
@@ -366,14 +366,13 @@ def cmd_oracle(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = _load_config(args)
     sol, params = _construct(cfg)
-    # explicit flags win over the config file
-    L = args.L if args.L is not None else cfg.get("L")
+    L = cfg.get("L")
     if L is None:
         # a periodic wave needs a whole number of periods on the periodic grid
         T = sol.period
         L = 40.0 * math.pi if T is None else max(1, round(40.0 * math.pi / T)) * T
     L = float(L)
-    n = int(args.n_grid if args.n_grid is not None else cfg.get("n_grid", 1024))
+    n = int(cfg.get("n_grid", 1024))
     state0 = evolution.state_from_callable(lambda xi: sol.profile(xi)[0], params, L, n)
     dt = args.dt if args.dt is not None else 0.5 * evolution.stability_limit(state0)
     steps = max(1, int(round(args.T / dt)))
@@ -401,16 +400,18 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    stack = reduce_vanishing(args.ell)
-    doc = {
+    if args.ell < 2:
+        raise ValueError("ell must be >= 2")
+    # one run of the recurrence gives the fields, P and every conjecture row
+    report = conjecture_report(max(args.ell, 4))
+    stack = report.stacks[args.ell - 2]
+    _emit(args.out, _json({
         "schema": SCHEMA_VERSION,
         "ell": args.ell,
         "fields": [poly.as_strings() for poly in stack.fields],
         "P": stack.P.as_strings(),
-    }
-    report = conjecture_report(max(args.ell, 4))
-    doc["conjecture"] = [dict(r) for r in report.rows]
-    _emit(args.out, _json(doc))
+        "conjecture": [dict(r) for r in report.rows],
+    }))
     return 0
 
 

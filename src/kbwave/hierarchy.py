@@ -5,9 +5,12 @@ constants zero is a polynomial recurrence in exact rationals: with p_1 = f
 and
 
     p_{j+1}(f) = -int_0^f [ (c + s/2) p_j'(s) + p_j(s) ] ds,        j = 1..ell,
+               = -(c + f/2) p_j(f) - (1/2) int_0^f p_j(s) ds,
     P_ell(f)   = -8 int_0^f p_{ell+1}(s) ds,
 
 the fields are h_j = p_j(f) (h_1 = u, h_2 = g, ...) and (f')^2 = P_ell(f).
+The second form, computed here with no derivative, is the first integrated
+by parts: every p_j vanishes at f = 0, so there is no boundary term.
 The p_j do not depend on ell, so one run of the recurrence gives every
 P_ell, and every ell-indexed result here reads that one run.
 Everything here is bit-exact Fraction arithmetic; the ell = 2, 3, 4 results
@@ -40,6 +43,7 @@ from numbers import Rational
 import numpy as np
 
 from .errors import OutOfBranchRange
+from .reduction import g_from_f
 
 __all__ = [
     "FPoly",
@@ -67,9 +71,9 @@ class FPoly:
     def __init__(self, coeffs=None):
         cleaned = {}
         for key, val in (coeffs or {}).items():
-            fv = Fraction(val)
-            if fv != 0:
-                cleaned[(int(key[0]), int(key[1]))] = fv
+            val = val if isinstance(val, Fraction) else Fraction(val)
+            if val:
+                cleaned[(int(key[0]), int(key[1]))] = val
         self.coeffs = cleaned
 
     @classmethod
@@ -102,7 +106,8 @@ class FPoly:
                     key = (i1 + i2, j1 + j2)
                     out[key] = out.get(key, Fraction(0)) + v1 * v2
             return FPoly(out)
-        return FPoly({k: v * Fraction(other) for k, v in self.coeffs.items()})
+        scale = Fraction(other)
+        return FPoly({k: v * scale for k, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -179,7 +184,7 @@ def _stacks(ell_max: int):
     fields = [FPoly.variable_f()]
     for ell in range(1, ell_max + 1):
         p = fields[-1]
-        p_next = -(_HALF_SHIFT * p.deriv_f() + p).integrate_f()
+        p_next = -(_HALF_SHIFT * p + Fraction(1, 2) * p.integrate_f())
         if ell >= 2:
             yield FieldStack(ell=ell, fields=tuple(fields), P=(-8) * p_next.integrate_f())
         fields.append(p_next)
@@ -195,9 +200,10 @@ def reduce_vanishing(ell: int) -> FieldStack:
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Per-ell verdicts comparing P_ell with the two closed-form candidates."""
+    """Per-ell verdicts on P_ell against the two candidates, with the stacks read."""
 
     rows: tuple
+    stacks: tuple
 
     def to_json(self) -> str:
         return json.dumps({"schema": 1, "rows": [dict(r) for r in self.rows]},
@@ -225,8 +231,8 @@ def conjecture_report(ell_max: int) -> ConjectureReport:
         raise ValueError("ell_max must be >= 4")
     shift = 2 * _HALF_SHIFT  # f + 2c
     power = FPoly({(2, 0): 1}) * shift  # f^2 (f + 2c)^ell, here at ell = 1
-    rows = []
-    for stack in _stacks(ell_max):
+    rows, stacks = [], tuple(_stacks(ell_max))
+    for stack in stacks:
         ell, P = stack.ell, stack.P
         power = power * shift
         lead = P.coeff_f(ell + 2)
@@ -237,7 +243,7 @@ def conjecture_report(ell_max: int) -> ConjectureReport:
             "leading": str(lead.coeffs.get((0, 0), Fraction(0))),
             "P": repr(P),
         })
-    return ConjectureReport(rows=tuple(rows))
+    return ConjectureReport(rows=tuple(rows), stacks=stacks)
 
 
 def even_ell_nonexistence(ell: int) -> str:
@@ -269,12 +275,8 @@ def reduce_l3_full(c, d1, d2, d3, d4):
     every d is zero.
     """
     exact = all(isinstance(v, Rational) for v in (c, d1, d2, d3, d4))
-    if exact:
-        c, d1, d2, d3, d4 = (Fraction(v) for v in (c, d1, d2, d3, d4))
-        half = Fraction(1, 2)
-    else:
-        c, d1, d2, d3, d4 = (float(v) for v in (c, d1, d2, d3, d4))
-        half = 0.5
+    c, d1, d2, d3, d4 = (Fraction(v) if exact else float(v) for v in (c, d1, d2, d3, d4))
+    half = Fraction(1, 2) if exact else 0.5
     return (
         half,
         3 * c,
@@ -292,15 +294,10 @@ def l3_fields(f, c, d1, d2):
     h = (3/2) c f^2 + (1/2) f^3 + (c^2 - d1) f + d2.
     """
     exact = all(isinstance(v, Rational) for v in (f, c, d1, d2))
-    if exact:
-        f, c, d1, d2 = (Fraction(v) for v in (f, c, d1, d2))
-        g = -c * f - Fraction(3, 4) * f * f + d1
-        h = Fraction(3, 2) * c * f * f + Fraction(1, 2) * f ** 3 + (c * c - d1) * f + d2
-        return g, h
-    f, c, d1, d2 = (float(v) for v in (f, c, d1, d2))
-    g = -c * f - 0.75 * f * f + d1
-    h = 1.5 * c * f * f + 0.5 * f ** 3 + (c * c - d1) * f + d2
-    return g, h
+    f, c, d1, d2 = (Fraction(v) if exact else float(v) for v in (f, c, d1, d2))
+    half = Fraction(1, 2) if exact else 0.5
+    h = 3 * half * c * f * f + half * f ** 3 + (c * c - d1) * f + d2
+    return g_from_f(f, c, d1), h
 
 
 def _l3_Phi_and_deriv(z: float, c: float):

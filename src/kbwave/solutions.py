@@ -878,7 +878,7 @@ def general_sn2(roots, initial_index=1, xi0=0.0) -> ClosedFormSolution:
     b2 = (f_adj - a) / (b - f_adj)
     k2 = (f2 - f1) * (f4 - f3) / ((f3 - f1) * (f4 - f2))
     return _solution(
-        "general_sn2", RootMultiset.from_values(fs), xi0, (a, b * b2, 1.0, b2), "sn2",
+        "general_sn2", RootMultiset(tuple((v, 1) for v in fs)), xi0, (a, b * b2, 1.0, b2), "sn2",
         beta=0.5 * math.sqrt((f3 - f1) * (f4 - f2)), modulus=_modulus(k2),
         branch=f"initial_f{initial_index}", notes=("band-pairing-complementary",),
     )

@@ -300,6 +300,22 @@ class TestVerifyVerb:
 
 
 class TestOracleVerb:
+    # the bytes `oracle` writes, with no reflection, one, and three on the
+    # Horner path (taken when F's four zeros are not all real)
+    @pytest.mark.parametrize("argv, digest", [
+        (["--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9", "--length", "0.5"],
+         "86e8f84df627e06c27c852b2b9d5222a1352d1585403322cb3ab8dc78ef68e07"),
+        (["--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9", "--sign", "-1",
+          "--length", "2", "--h", "1e-3"],
+         "e82691d95c0a8a0aec29bf8c4e8c86f23fca13cec3bea011e2657b83d5e4fe4e"),
+        (["--params", "0,0,0,1/8", "--f0", "0", "--length", "8", "--h", "1e-3"],
+         "d398818822e60c4f3b00e2ebf4130ba638e2c3bc9339062cad019363308d5228"),
+    ])
+    def test_output_digest(self, tmp_path, argv, digest):
+        out = tmp_path / "orc.csv"
+        assert main(["oracle", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_profile_emitted(self, tmp_path):
         out = tmp_path / "orc.csv"
         code = main(["oracle", "--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9",
@@ -376,6 +392,22 @@ class TestReduceVerb:
         doc = json.loads(out.read_text())
         assert [r["ell"] for r in doc["conjecture"]] == list(range(2, 8))
         assert len(doc["fields"]) == 7
+
+    def test_one_run_of_the_recurrence(self, tmp_path, monkeypatch):
+        """The verb's fields, P and rows come from one run: six FieldStacks
+        (ell = 2..7) for --ell 7."""
+        from kbwave.hierarchy import FieldStack
+
+        built = []
+        check = FieldStack.__post_init__
+        monkeypatch.setattr(FieldStack, "__post_init__",
+                            lambda self: built.append(self.ell) or check(self))
+        assert main(["reduce", "--ell", "7", "--out", str(tmp_path / "r.json")]) == 0
+        assert built == list(range(2, 8))
+
+    def test_ell_below_two_rejected(self, capsys):
+        assert main(["reduce", "--ell", "1"]) == 1
+        assert capsys.readouterr().err == "error: ell must be >= 2\n"
 
     # the bytes `reduce` writes: the fields, P and every conjecture row
     @pytest.mark.parametrize("ell, digest", [

@@ -38,6 +38,12 @@ class TestFPoly:
         assert p.integrate_f() == FPoly({(3, 1): 1})
         assert p.integrate_f().deriv_f() == p
 
+    def test_coefficients_normalised(self):
+        p = FPoly({(2.0, 1): 3, (1, 0): 0.5, (0, 2): F(0), (3, 0): F(2, 6)})
+        assert p.coeffs == {(2, 1): F(3), (1, 0): F(1, 2), (3, 0): F(1, 3)}
+        assert all(type(v) is F for v in p.coeffs.values())
+        assert all(type(i) is int and type(j) is int for i, j in p.coeffs)
+
     def test_evaluation_paths(self):
         p = FPoly({(2, 0): F(1, 2), (0, 1): 1})
         assert p(F(2), F(3)) == F(5)
@@ -69,6 +75,14 @@ class TestReduceVanishing:
         for ell in range(2, 7):
             stack = reduce_vanishing(ell)
             assert stack.fields[1] == FPoly({(1, 1): -1, (2, 0): F(-3, 4)})
+
+    def test_step_matches_integral_form(self):
+        """p_{j+1} = -(c + f/2) p_j - (1/2) int p_j, the recurrence's step,
+        equals the integral form -int [(c + s/2) p_j' + p_j] exactly."""
+        half_shift = FPoly({(0, 1): 1, (1, 0): F(1, 2)})
+        fields = reduce_vanishing(12).fields
+        for p, p_next in zip(fields, fields[1:]):
+            assert p_next == -(half_shift * p.deriv_f() + p).integrate_f()
 
     def test_fields_do_not_depend_on_ell(self):
         """One run of the recurrence serves every ell: the fields of ell are
@@ -119,6 +133,13 @@ class TestConjectureReport:
         row = next(r for r in rep.rows if r["ell"] == 4)
         assert row["printed_match"] is False  # denominator 16 vs actual 4
         assert row["pattern_match"] is True
+
+    def test_stacks_are_the_reductions(self):
+        """The report keeps the FieldStack of every ell it walked."""
+        rep = conjecture_report(10)
+        assert [s.ell for s in rep.stacks] == list(range(2, 11))
+        for ell in range(2, 11):
+            assert rep.stacks[ell - 2] == reduce_vanishing(ell)
 
     def test_pattern_holds_to_ten(self):
         rep = conjecture_report(10)

@@ -462,6 +462,18 @@ class TestGeneralSn2:
         with pytest.raises(InvalidConfiguration):
             general_sn2((0.0, 1.0, 1.0, 3.0))
 
+    @pytest.mark.parametrize("idx", [1, 2, 4])
+    def test_close_zeros_stay_distinct(self, idx):
+        """Zeros 3.7e-10 apart (relative) are distinct to the constructor, so
+        its roots and params keep them apart: the form solves the quartic of
+        the four zeros, not of a merged double.  (Start 3 is still refused
+        here, by the residual gate.)"""
+        roots = (0.23357542427147937, 1.3412419366290624, 1.3412419361372696,
+                 4.751250423414138)
+        sol = general_sn2(roots, initial_index=idx)
+        assert sol.roots.entries == tuple((v, 1) for v in sorted(roots))
+        assert sol.case_tag.value == "FourSimple"
+
     def test_omega_coefficients_reproduce(self):
         roots = (0.0, 1.0, 2.0, 3.0)
         sol = general_sn2(roots, initial_index=1)
