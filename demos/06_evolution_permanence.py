@@ -2,9 +2,10 @@
 
 The pulse decays to the constant at the double zero (here u -> -2), never to
 zero, so the periodic background keeps that offset.  A pseudo-spectral
-discretization with 2/3-rule dealiasing and fixed-step RK4 transports the
-closed form without deformation: after T = 1 the field matches the exact
-translate to ~1e-11 on a 1024-point grid.
+discretization with 2/3-rule dealiasing and integrating-factor RK4 (the
+linear dispersion advanced exactly, RK4 on the quadratic terms) transports
+the closed form without deformation: after T = 1 the field matches the exact
+translate to ~3e-12 on a 1024-point grid (dt = 1e-3).
 """
 
 import time
@@ -20,7 +21,7 @@ L, n, T = 40.0 * np.pi, 1024, 1.0
 state0 = evolution.state_from_callable(lambda xi: sol.profile(xi)[0], params, L, n)
 dt_max = evolution.stability_limit(state0)
 dt = 1e-3
-print(f"grid: L = 40 pi, n = {n}; RK4 stability limit dt <= {dt_max:.5f}; using dt = {dt}")
+print(f"grid: L = 40 pi, n = {n}; stability limit dt <= {dt_max:.5f}; using dt = {dt}")
 
 t0 = time.time()
 final = evolution.evolve(state0, dt, T)

@@ -364,6 +364,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    for name in ("T", "dt"):
+        if getattr(args, name) == 0:
+            raise ValueError(f"{name} must be nonzero")
     cfg = _load_config(args)
     sol, params = _construct(cfg)
     L = cfg.get("L")
@@ -374,8 +377,10 @@ def cmd_evolve(args) -> int:
     L = float(L)
     n = int(cfg.get("n_grid", 1024))
     state0 = evolution.state_from_callable(lambda xi: sol.profile(xi)[0], params, L, n)
-    dt = args.dt if args.dt is not None else 0.5 * evolution.stability_limit(state0)
-    steps = max(1, int(round(args.T / dt)))
+    dt = args.dt if args.dt is not None else evolution.stability_limit(state0)
+    # round up, so the step T/steps is never longer than dt (by default the
+    # limit evolve enforces)
+    steps = max(1, math.ceil(abs(args.T / dt)))
     dt = args.T / steps
     final = evolution.evolve(state0, dt, args.T)
     pf = params.as_floats()
@@ -492,7 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "nearest 40 pi, or 40 pi for a pulse)")
     sp.add_argument("--n-grid", type=int, default=None,
                     help="grid points (default: the config's n_grid, else 1024)")
-    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--dt", type=float, default=None,
+                    help="largest time step; the run takes ceil(|T|/|dt|) equal "
+                         "steps (default: the grid's stability limit)")
     sp.add_argument("--T", type=float, default=1.0)
 
     sp = sub.add_parser("reduce", help="exact hierarchy reduction")

@@ -373,6 +373,24 @@ class TestEvolveVerb:
         summary = json.loads((tmp_path / "evo-summary.json").read_text())
         assert (summary["L"], summary["n"]) == (50.0, 128)
 
+    @pytest.mark.parametrize("flags,dt", [
+        (["--T=-0.05"], -0.05),  # one step: the n = 256 limit is about 0.059
+        (["--T", "0.05", "--dt=-0.01"], 0.01),
+    ])
+    def test_step_takes_the_sign_of_T(self, tmp_path, flags, dt):
+        """The run takes ceil(|T|/|dt|) steps of T/steps, whatever the signs."""
+        base = tmp_path / "evo.csv"
+        code = main(["evolve", "--preset", "fig-case1a", "--n-grid", "256",
+                     *flags, "--out", str(base)])
+        assert code == 0
+        summary = json.loads((tmp_path / "evo-summary.json").read_text())
+        assert summary["dt"] == pytest.approx(dt, rel=1e-12)
+
+    @pytest.mark.parametrize("flag", ["T", "dt"])
+    def test_zero_T_or_dt_rejected(self, capsys, flag):
+        assert main(["evolve", "--preset", "fig-case1a", f"--{flag}", "0"]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be nonzero\n"
+
 
 class TestReduceVerb:
     def test_ell4_exact_coefficients(self, tmp_path):

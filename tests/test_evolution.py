@@ -1,5 +1,7 @@
 """Pseudo-spectral evolution: tendencies, permanence, conservation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,15 @@ L = 40.0 * np.pi
 def case1a_state(n=1024):
     sol, params = build_preset("fig-case1a")
     return sol, params, state_from_callable(lambda xi: sol.profile(xi)[0], params, L, n)
+
+
+def bumped_case1a_state(n):
+    """fig-case1a with 0.1 exp(-((x - 0.3 L)/2)^2) added to u and half of it
+    to v: no longer a traveling wave, so conserved densities mean something."""
+    _, _, state = case1a_state(n)
+    bump = 0.1 * np.exp(-((state.x - 0.3 * L) / 2.0) ** 2)
+    return EvolutionState(x=state.x, u=state.u + bump, v=state.v + 0.5 * bump,
+                          t=0.0, L=L)
 
 
 def test_spectral_derivative_of_single_mode():
@@ -191,3 +202,52 @@ def test_four_ffts_per_stage(monkeypatch):
     _, _, state = case1a_state(64)
     kb_rhs(state)
     assert len(calls) == 4
+
+
+def _classic_rk4(state, dt, steps):
+    """Classic RK4 on ``kb_rhs`` in physical space: the reference the
+    integrating-factor ``evolve`` must agree with to its time error."""
+
+    def rhs(u, v):
+        return kb_rhs(EvolutionState(x=state.x, u=u, v=v, t=0.0, L=state.L))
+
+    u, v = state.u, state.v
+    for _ in range(steps):
+        du1, dv1 = rhs(u, v)
+        du2, dv2 = rhs(u + 0.5 * dt * du1, v + 0.5 * dt * dv1)
+        du3, dv3 = rhs(u + 0.5 * dt * du2, v + 0.5 * dt * dv2)
+        du4, dv4 = rhs(u + dt * du3, v + dt * dv3)
+        u = u + (dt / 6.0) * (du1 + 2 * du2 + 2 * du3 + du4)
+        v = v + (dt / 6.0) * (dv1 + 2 * dv2 + 2 * dv3 + dv4)
+    return u, v
+
+
+def test_agrees_with_classic_rk4_on_non_traveling_data():
+    state = bumped_case1a_state(256)
+    final = evolve(state, 1e-3, 0.1)
+    u, v = _classic_rk4(state, 1e-3, 100)
+    assert np.max(np.abs(final.u - u)) < 1e-9
+    assert np.max(np.abs(final.v - v)) < 1e-9
+
+
+def test_eight_ffts_per_step_and_two_per_run(monkeypatch):
+    calls = []
+    for name in ("rfft", "irfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k))
+    _, _, state = case1a_state(64)
+    evolve(state, 1e-3, 5e-3)
+    assert len(calls) == 8 * 5 + 2
+
+
+def test_conserved_density_on_perturbed_wave():
+    """u^2 + 4v is a conserved density, d/dt (u^2 + 4v) = d/dx (u^3 + 4uv
+    - u_xx), so its mean holds on data no closed form describes."""
+    state = bumped_case1a_state(1024)
+    steps = math.ceil(1.0 / stability_limit(state))  # the CLI's default step
+    final = evolve(state, 1.0 / steps, 1.0)
+    density = lambda s: np.mean(s.u ** 2 + 4.0 * s.v)
+    assert abs(density(final) - density(state)) < 1e-11
+    assert abs(np.mean(final.u) - np.mean(state.u)) < 1e-10
+    # mean(v) is no invariant: it drifts by about 1.8e-6 over the same run
+    assert abs(np.mean(final.v) - np.mean(state.v)) > 1e-7
