@@ -284,7 +284,6 @@ def cmd_classify(args) -> int:
     else:
         rm = roots_of_F(params, tol=args.tol)
     tag = classify(rm)
-    verdict = existence(tag)
     lines = [
         "params: c={} d1={} d2={} d3={}".format(
             _fmt(params.c), _fmt(params.d1), _fmt(params.d2), _fmt(params.d3)
@@ -293,9 +292,9 @@ def cmd_classify(args) -> int:
             " ".join(f"{_fmt(v)} (x{m})" for v, m in rm.entries) or "(none real)"
         ),
         f"case: {tag.value}",
-        f"existence: {_verdict_text(tag, verdict)}",
+        f"existence: {_verdict_text(tag, existence(tag))}",
     ]
-    if tag in (CaseTag.ONE_DOUBLE_ONLY, CaseTag.TWO_SIMPLE_ONLY):
+    if rm.total() == 2:
         # the double zero, or the two simple zeros
         _, _, disc = quadratic_cofactor(params, *rm.values())
         lines.append(f"cofactor: complex-pair quadratic, discriminant {_fmt(disc)}")
@@ -311,12 +310,17 @@ def _verdict_text(tag: CaseTag, verdict: str) -> str:
             "periodic": "periodic: bounded orbit between adjacent simple zeros"}[verdict]
 
 
+def _sample_count(n) -> int:
+    n = int(n)
+    if n < 2:
+        raise SystemExit("config error: sample count n must be >= 2")
+    return n
+
+
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     sol, params = _construct(cfg)
-    n = int(cfg.get("n", 2001))
-    if n < 2:
-        raise SystemExit("config error: sample count n must be >= 2")
+    n = _sample_count(cfg.get("n", 2001))
     domain = _solution_domain(sol, cfg)
     profile = build_profile(sol, params, domain, n)
     res = ode_residual(sol, params, domain=domain, n=n)
@@ -421,6 +425,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    n = _sample_count(args.n)
     names = sorted(PRESETS) if args.preset in (None, "all") else [args.preset]
     outdir = args.out or "figures"
     _atomic_write(os.path.join(outdir, "DISCREPANCIES.json"),
@@ -429,8 +434,8 @@ def cmd_figures(args) -> int:
     for name in names:
         sol, params = build_preset(name)
         domain = _solution_domain(sol, {})
-        profile = build_profile(sol, params, domain, args.n)
-        res = ode_residual(sol, params, domain=domain, n=args.n)
+        profile = build_profile(sol, params, domain, n)
+        res = ode_residual(sol, params, domain=domain, n=n)
         _atomic_write(os.path.join(outdir, f"{name}.csv"), _profile_csv(profile))
         _atomic_write(os.path.join(outdir, f"{name}.json"),
                       _json(_sidecar(sol, params, res, preset=name,

@@ -66,6 +66,8 @@ class EvolutionState:
     L: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L = {self.L} must be finite and positive")
         n = len(self.x)
         if n & (n - 1) != 0 or n < 8:
             raise ValueError(f"n = {n} must be a power of two >= 8")

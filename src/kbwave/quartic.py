@@ -5,11 +5,16 @@ Reducing the two-component system along xi = x - c t gives
     (f')^2 = F(f) = -f^4 - 4 c f^3 + 4 (d1 - c^2) f^2 + 8 d2 f + 8 d3,
 
 so everything about a wave -- existence, type, amplitude, speed -- is decided
-by the real zeros of F and their multiplicities.  This module evaluates F,
-extracts and clusters its real roots, maps root multisets back to the
-constants (exactly, in rational arithmetic when the roots are rational), and
-classifies the configuration into the case taxonomy that drives the solution
-constructors.
+by the real zeros of F and their multiplicities.  This module evaluates F and
+its derivatives, extracts and clusters its real roots, maps root multisets
+back to the constants (exactly, in rational arithmetic when the roots are
+rational), and classifies the configuration into the case taxonomy that
+drives the solution constructors.
+
+A wave lives in a band of F > 0 between adjacent real zeros.  The bands follow
+from the multiplicities alone (``band_edges``): F < 0 above the top zero and
+changes sign at each zero of odd multiplicity.  Each case tag's existence
+verdict is read off its bands.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "CaseTag",
     "eval_F",
     "eval_F_deriv",
+    "band_edges",
     "roots_of_F",
     "params_from_roots",
     "classify",
@@ -97,10 +103,7 @@ class RootMultiset:
 
     def expand(self):
         """Roots repeated by multiplicity."""
-        out = []
-        for v, m in self.entries:
-            out.extend([v] * m)
-        return tuple(out)
+        return tuple(v for v, m in self.entries for _ in range(m))
 
     def scale(self) -> float:
         return max([1.0] + [abs(float(v)) for v, _ in self.entries])
@@ -143,20 +146,40 @@ class CaseTag(enum.Enum):
     FOUR_SIMPLE = "FourSimple"
 
 
-# Existence verdicts: which non-constant traveling waves each case admits.
-_EXISTENCE = {
-    CaseTag.NO_REAL_ZEROS: "none",
-    CaseTag.ONE_DOUBLE_ONLY: "none",
-    CaseTag.TWO_DOUBLES_ONLY: "none",
-    CaseTag.QUADRUPLE: "none",
-    CaseTag.DOUBLE_BETWEEN_SIMPLES: "solitary",
-    CaseTag.TRIPLE_WITH_SIMPLE_ABOVE: "solitary",
-    CaseTag.TRIPLE_WITH_SIMPLE_BELOW: "solitary",
-    CaseTag.TWO_SIMPLE_ONLY: "periodic",
-    CaseTag.DOUBLE_BELOW_SIMPLES: "periodic",
-    CaseTag.DOUBLE_ABOVE_SIMPLES: "periodic",
-    CaseTag.FOUR_SIMPLE: "periodic",
+# The case tag of each multiplicity signature, every composition of 0, 2 or 4;
+# a triple is named by where its simple zero sits.
+_TAGS = {
+    (): CaseTag.NO_REAL_ZEROS,
+    (1, 1): CaseTag.TWO_SIMPLE_ONLY,
+    (2,): CaseTag.ONE_DOUBLE_ONLY,
+    (2, 2): CaseTag.TWO_DOUBLES_ONLY,
+    (4,): CaseTag.QUADRUPLE,
+    (2, 1, 1): CaseTag.DOUBLE_BELOW_SIMPLES,
+    (1, 2, 1): CaseTag.DOUBLE_BETWEEN_SIMPLES,
+    (1, 1, 2): CaseTag.DOUBLE_ABOVE_SIMPLES,
+    (3, 1): CaseTag.TRIPLE_WITH_SIMPLE_ABOVE,
+    (1, 3): CaseTag.TRIPLE_WITH_SIMPLE_BELOW,
+    (1, 1, 1, 1): CaseTag.FOUR_SIMPLE,
 }
+
+
+def band_edges(multiplicities):
+    """Index pairs (i - 1, i), ascending, of the adjacent real zeros that bound
+    a band of F > 0: F < 0 above the top zero, and it changes sign at every
+    zero of odd multiplicity."""
+    return [(i - 1, i) for i in range(1, len(multiplicities))
+            if sum(multiplicities[i:]) % 2]
+
+
+def _verdict(sig):
+    """'none' with no band, 'solitary' when a band ends at a multiple zero
+    (a pulse), else 'periodic' (two simple edges)."""
+    edges = [sig[k] for pair in band_edges(sig) for k in pair]
+    return "none" if not edges else "solitary" if max(edges) > 1 else "periodic"
+
+
+# Existence verdicts: which non-constant traveling waves each case admits.
+_EXISTENCE = {tag: _verdict(sig) for sig, tag in _TAGS.items()}
 
 
 def eval_F(p: Params, f):
@@ -165,20 +188,22 @@ def eval_F(p: Params, f):
     return (((c4 * f + c3) * f + c2) * f + c1) * f + c0
 
 
+def _derivative(coeffs):
+    """The derivative's coefficients, highest degree first like ``coeffs``."""
+    return [a * (len(coeffs) - 1 - i) for i, a in enumerate(coeffs[:-1])]
+
+
 def eval_F_deriv(p: Params, f, order: int = 1):
-    """Derivative of F of the given order (0..4), evaluated at f."""
-    c, d1, d2 = p.c, p.d1, p.d2
-    if order == 0:
-        return eval_F(p, f)
-    if order == 1:
-        return ((-4 * f - 12 * c) * f + 8 * (d1 - c * c)) * f + 8 * d2
-    if order == 2:
-        return (-12 * f - 24 * c) * f + 8 * (d1 - c * c)
-    if order == 3:
-        return -24 * f - 24 * c
-    if order == 4:
-        return -24 * (f * 0 + 1) if hasattr(f, "__len__") else -24.0
-    raise ValueError(f"order must be 0..4, got {order}")
+    """Derivative of F of the given order (0..4) at f, by Horner's scheme."""
+    if order not in range(5):
+        raise ValueError(f"order must be 0..4, got {order}")
+    coeffs = p.coefficients()
+    for _ in range(order):
+        coeffs = _derivative(coeffs)
+    v = 0 * f  # f's type and shape: exact for rationals, elementwise for arrays
+    for a in coeffs:
+        v = v * f + a
+    return v
 
 
 def _taylor(coeffs, x, n):
@@ -191,7 +216,7 @@ def _taylor(coeffs, x, n):
         for a in coeffs:
             v, m = v * x + a, m * abs(x) + abs(a)
         out.append((v, m))
-        coeffs = [a * (len(coeffs) - 1 - i) for i, a in enumerate(coeffs[:-1])]
+        coeffs = _derivative(coeffs)
     return out
 
 
@@ -305,34 +330,7 @@ def params_from_roots(r: RootMultiset) -> Params:
 
 def classify(r: RootMultiset) -> CaseTag:
     """Map a root multiset to its case tag; total and deterministic."""
-    sig = r.multiplicities()
-    if sig == ():
-        return CaseTag.NO_REAL_ZEROS
-    if sig == (1, 1):
-        return CaseTag.TWO_SIMPLE_ONLY
-    if sig == (2,):
-        return CaseTag.ONE_DOUBLE_ONLY
-    if sig == (2, 2):
-        return CaseTag.TWO_DOUBLES_ONLY
-    if sig == (4,):
-        return CaseTag.QUADRUPLE
-    if sorted(sig) == [1, 1, 2]:
-        pos = sig.index(2)
-        return (
-            CaseTag.DOUBLE_BELOW_SIMPLES,
-            CaseTag.DOUBLE_BETWEEN_SIMPLES,
-            CaseTag.DOUBLE_ABOVE_SIMPLES,
-        )[pos]
-    if sorted(sig) == [1, 3]:
-        # named by where the simple zero sits relative to the triple
-        return (
-            CaseTag.TRIPLE_WITH_SIMPLE_ABOVE
-            if sig == (3, 1)
-            else CaseTag.TRIPLE_WITH_SIMPLE_BELOW
-        )
-    if sig == (1, 1, 1, 1):
-        return CaseTag.FOUR_SIMPLE
-    raise ValueError(f"unrecognized multiplicity signature {sig}")
+    return _TAGS[r.multiplicities()]
 
 
 def existence(tag: CaseTag) -> str:
@@ -350,9 +348,7 @@ def quadratic_cofactor(p: Params, f1: float, f2: float | None = None):
     solution exists); for TwoSimpleOnly the cofactor records the
     complex-conjugate pair implicitly, again with disc < 0.
     """
-    # -F = f^4 + 4c f^3 - 4(d1-c^2) f^2 - 8 d2 f - 8 d3; synthetic division
-    c, d1, d2, d3 = (float(v) for v in (p.c, p.d1, p.d2, p.d3))
-    coeffs = [1.0, 4.0 * c, -4.0 * (d1 - c * c), -8.0 * d2, -8.0 * d3]
+    coeffs = [-float(a) for a in p.coefficients()]  # monic -F, divided by each root
     for root in (f1, f1 if f2 is None else f2):
         out = [coeffs[0]]
         for a in coeffs[1:]:

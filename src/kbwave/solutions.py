@@ -58,7 +58,7 @@ from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .elliptic import complete_K, jacobi, normalize_modulus
 from .errors import Infeasible, InvalidConfiguration, UnresolvedBranch
-from .quartic import Params, RootMultiset, classify, eval_F, params_from_roots
+from .quartic import Params, RootMultiset, band_edges, classify, eval_F, params_from_roots
 from .reduction import g_from_f
 
 __all__ = [
@@ -400,8 +400,7 @@ def _band(sol, f0, gate):
     and the two other zeros; raises when f0 lies outside every band."""
     zeros = sol.roots.expand()
     vals = sol.roots.values()
-    bands = [(lo, hi) for lo, hi in zip(vals, vals[1:])
-             if -math.prod(0.5 * (lo + hi) - r for r in zeros) > 0.0]
+    bands = [(vals[i], vals[j]) for i, j in band_edges(sol.roots.multiplicities())]
     dist = [max(lo - f0, f0 - hi, 0.0) for lo, hi in bands]
     if not dist or not min(dist) < gate:
         raise UnresolvedBranch(

@@ -180,9 +180,6 @@ class _Quartic:
             return -(f - r1) * (f - r2) * (f - r3) * (f - r4)
         return (((self.c4 * f + self.c3) * f + self.c2) * f + self.c1) * f + self.c0
 
-    def dF(self, f, order=1):
-        return eval_F_deriv(self.p, f, order)
-
     def rk4(self):
         """One RK4 step of f' = s sqrt(max(F(f), 0)) given its first stage
         k1, with F written out in the same form and order as ``F``:
@@ -231,9 +228,7 @@ class _Turn:
     __slots__ = ("r", "A2", "A4", "A6", "window", "far")
 
     def __init__(self, q: _Quartic, r: float, h: float):
-        fp = q.dF(r, 1)
-        fpp = q.dF(r, 2)
-        fppp = q.dF(r, 3)
+        fp, fpp, fppp = (eval_F_deriv(q.p, r, k) for k in (1, 2, 3))
         self.r = r
         self.A2 = A2 = fp / 4.0
         self.A4 = A4 = fpp * fp / 96.0
@@ -305,6 +300,8 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
     """
     if h <= 0:
         raise ValueError("h must be positive")
+    if not length >= 0:
+        raise ValueError(f"length must be >= 0, got {length}")
     rm = roots_of_F(p)
     q = _Quartic(p, factor_roots=rm.expand() if rm.total() == 4 else None)
     f0 = float(f0)

@@ -326,6 +326,19 @@ class TestOracleVerb:
         assert header == "xi,f,f_prime,g"
         assert len(rows) == 2001
 
+    def test_zero_length_is_the_start_row(self, tmp_path):
+        out = tmp_path / "orc.csv"
+        assert main(["oracle", "--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9",
+                     "--length", "0", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[:2] for r in rows] == [(0.0, -2.9)]
+
+    def test_negative_length_rejected(self, tmp_path, capsys):
+        assert main(["oracle", "--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9",
+                     "--length=-1", "--out", str(tmp_path / "orc.csv")]) == 1
+        assert capsys.readouterr().err == "error: length must be >= 0, got -1.0\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEvolveVerb:
     def test_quick_run(self, tmp_path):
@@ -391,6 +404,14 @@ class TestEvolveVerb:
         assert main(["evolve", "--preset", "fig-case1a", f"--{flag}", "0"]) == 1
         assert capsys.readouterr().err == f"error: {flag} must be nonzero\n"
 
+    @pytest.mark.parametrize("L", ["-5", "0"])
+    def test_nonpositive_length_rejected(self, tmp_path, capsys, L):
+        """A grid of length L <= 0 is refused before anything is written."""
+        assert main(["evolve", "--preset", "fig-case1a", f"--L={L}",
+                     "--out", str(tmp_path / "evo.csv")]) == 1
+        assert capsys.readouterr().err == f"error: L = {float(L)} must be finite and positive\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReduceVerb:
     def test_ell4_exact_coefficients(self, tmp_path):
@@ -451,6 +472,13 @@ class TestFiguresVerb:
         assert rows[0][1] == pytest.approx(-0.5, abs=1e-12)
         doc = json.loads((outdir / "fig-case2a.json").read_text())
         assert doc["preset"] == "fig-case2a"
+
+    def test_too_few_samples_writes_nothing(self, tmp_path):
+        outdir = tmp_path / "figs"
+        with pytest.raises(SystemExit) as err:
+            main(["figures", "--n", "1", "--out", str(outdir)])
+        assert str(err.value) == "config error: sample count n must be >= 2"
+        assert not outdir.exists()
 
 
 class TestConfigFile:

@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kbwave import quartic
 from kbwave.quartic import (
     CaseTag,
     Params,
     RootMultiset,
+    band_edges,
     classify,
     eval_F,
     eval_F_deriv,
@@ -58,6 +62,42 @@ class TestEvalF:
         for f in rng.uniform(-3, 3, size=10):
             fd = (eval_F(p, f + h) - eval_F(p, f - h)) / (2 * h)
             assert abs(eval_F_deriv(p, f, 1) - fd) < 1e-6 * max(1, abs(fd))
+
+    @staticmethod
+    def hand_deriv(p, f, order):
+        """F's derivatives written out by hand, the reference eval_F_deriv
+        must match bit for bit."""
+        c, d1, d2 = p.c, p.d1, p.d2
+        if order == 0:
+            return eval_F(p, f)
+        if order == 1:
+            return ((-4 * f - 12 * c) * f + 8 * (d1 - c * c)) * f + 8 * d2
+        if order == 2:
+            return (-12 * f - 24 * c) * f + 8 * (d1 - c * c)
+        if order == 3:
+            return -24 * f - 24 * c
+        return -24 * (f * 0 + 1) if hasattr(f, "__len__") else -24.0
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_derivatives_match_hand_formulas(self, order):
+        rng = np.random.default_rng(order)
+        for _ in range(2000):
+            p = Params(*(rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3, size=4)))
+            f = rng.normal() * 10.0 ** rng.uniform(-3, 3)
+            got, want = eval_F_deriv(p, f, order), self.hand_deriv(p, f, order)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+            fs = rng.normal(size=9)
+            got, want = eval_F_deriv(p, fs, order), self.hand_deriv(p, fs, order)
+            assert got.shape == fs.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        p = Params(Fraction(2), Fraction(-7, 4), Fraction(-7, 2), Fraction(-3, 2))
+        for f in (Fraction(-5, 2), Fraction(0), Fraction(13, 7)):
+            assert eval_F_deriv(p, f, order) == self.hand_deriv(p, f, order)
+
+    def test_derivative_order_checked(self):
+        with pytest.raises(ValueError, match="order must be 0..4"):
+            eval_F_deriv(P_CASE1A, 0.0, 5)
 
 
 class TestRoots:
@@ -261,6 +301,61 @@ class TestClassify:
         assert existence(CaseTag.DOUBLE_BELOW_SIMPLES) == "periodic"
         assert existence(CaseTag.DOUBLE_ABOVE_SIMPLES) == "periodic"
         assert existence(CaseTag.FOUR_SIMPLE) == "periodic"
+
+
+def _compositions(n):
+    """Every tuple of positive integers summing to n."""
+    if n == 0:
+        return [()]
+    return [(k, *rest) for k in range(1, n + 1) for rest in _compositions(n - k)]
+
+
+_FRACTION = st.builds(Fraction, st.integers(-96, 96), st.sampled_from([1, 2, 3, 7, 12]))
+
+
+class TestBandRule:
+    def test_signature_table_is_total(self):
+        """Every multiplicity signature a RootMultiset can carry has a tag,
+        and every tag one signature."""
+        sigs = [c for n in (0, 2, 4) for c in _compositions(n)]
+        assert len(sigs) == 11
+        assert set(quartic._TAGS) == set(sigs)
+        assert sorted(quartic._TAGS.values(), key=lambda t: t.value) == sorted(
+            CaseTag, key=lambda t: t.value)
+
+    @pytest.mark.parametrize("sig, edges", [
+        ((), []), ((2,), []), ((4,), []), ((2, 2), []), ((1, 1), [(0, 1)]),
+        ((2, 1, 1), [(1, 2)]), ((1, 2, 1), [(0, 1), (1, 2)]), ((1, 1, 2), [(0, 1)]),
+        ((3, 1), [(0, 1)]), ((1, 3), [(0, 1)]), ((1, 1, 1, 1), [(0, 1), (2, 3)]),
+    ])
+    def test_band_edges(self, sig, edges):
+        assert band_edges(sig) == edges
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.sampled_from(sorted(quartic._TAGS)),
+           st.lists(_FRACTION, min_size=4, max_size=4, unique=True),
+           _FRACTION, st.builds(Fraction, st.integers(1, 48), st.just(12)))
+    def test_bands_are_where_F_is_positive(self, sig, values, u, w):
+        """Exactly, in rationals: a gap between adjacent zeros is a band of
+        band_edges iff F > 0 at its midpoint.  Zeros of total multiplicity
+        below 4 are completed by the complex pair u +- i w."""
+        rm = RootMultiset(tuple(zip(sorted(values[:len(sig)]), sig)))
+        minus_F = [Fraction(1)]  # coefficients, highest degree first
+        factors = [[1, -v] for v in rm.expand()]
+        factors += [[1, -2 * u, u * u + w * w]] * ((4 - rm.total()) // 2)
+        for factor in factors:
+            minus_F = [sum(minus_F[i] * factor[k - i] for i in range(len(minus_F))
+                           if 0 <= k - i < len(factor))
+                       for k in range(len(minus_F) + len(factor) - 1)]
+        _, a3, a2, a1, a0 = minus_F
+        p = Params(a3 / 4, a3 * a3 / 16 - a2 / 4, -a1 / 8, -a0 / 8)
+        if rm.total() == 4:
+            assert p == params_from_roots(rm)
+        zeros, bands = rm.values(), band_edges(sig)
+        for i in range(len(zeros) - 1):
+            mid = (zeros[i] + zeros[i + 1]) / 2
+            assert ((i, i + 1) in bands) == (eval_F(p, mid) > 0)
+        assert classify(rm) is quartic._TAGS[sig]
 
 
 class TestCofactor:

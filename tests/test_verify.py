@@ -179,6 +179,10 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_integrate(P_CASE1A, -2.5, 1, 1.0, h=0.0)
 
+    def test_negative_length_refused(self):
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            oracle_integrate(P_CASE1A, -2.5, 1, -1.0)
+
     def test_series_constants_once_per_call(self, monkeypatch):
         """F's derivatives are taken for each zero's series once per call:
         their count does not grow with the number of steps."""
