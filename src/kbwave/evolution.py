@@ -55,6 +55,11 @@ __all__ = [
 RK4_IMAGINARY_LIMIT = 2.8
 
 
+def _check_length(L: float) -> None:
+    if not (np.isfinite(L) and L > 0):
+        raise ValueError(f"L = {L} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class EvolutionState:
     """Periodic grid state: x of length L with n points, fields u, v, time t."""
@@ -66,8 +71,7 @@ class EvolutionState:
     L: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"L = {self.L} must be finite and positive")
+        _check_length(self.L)
         n = len(self.x)
         if n & (n - 1) != 0 or n < 8:
             raise ValueError(f"n = {n} must be a power of two >= 8")
@@ -87,13 +91,15 @@ class EvolutionState:
 def state_from_callable(f_of_xi, params, L: float, n: int, center=None,
                         t: float = 0.0) -> EvolutionState:
     """Sample u = f(x - center), v = g(u) on a periodic grid of length L."""
+    L = float(L)
+    _check_length(L)  # before sampling, which an infinite or nan L spoils
     x = np.arange(n) * (L / n)
     if center is None:
         center = 0.5 * L
     pf = params.as_floats()
     u = np.asarray(f_of_xi(x - center - pf.c * t), dtype=float)
     v = g_from_f(u, pf.c, pf.d1)
-    return EvolutionState(x=x, u=u, v=v, t=t, L=float(L))
+    return EvolutionState(x=x, u=u, v=v, t=t, L=L)
 
 
 def _wavenumbers(n: int, L: float):

@@ -298,6 +298,13 @@ class TestVerifyVerb:
         assert doc["pde_residual"]["passed"] is True
         assert doc["pde_residual"]["r_u"] < 1e-6
 
+    def test_too_few_samples_writes_nothing(self, tmp_path):
+        out = tmp_path / "rep.json"
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--preset", "fig-case1a", "--n", "1", "--out", str(out)])
+        assert str(err.value) == "config error: sample count n must be >= 2"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOracleVerb:
     # the bytes `oracle` writes, with no reflection, one, and three on the
@@ -404,9 +411,11 @@ class TestEvolveVerb:
         assert main(["evolve", "--preset", "fig-case1a", f"--{flag}", "0"]) == 1
         assert capsys.readouterr().err == f"error: {flag} must be nonzero\n"
 
-    @pytest.mark.parametrize("L", ["-5", "0"])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("L", ["-5", "0", "inf", "nan"])
     def test_nonpositive_length_rejected(self, tmp_path, capsys, L):
-        """A grid of length L <= 0 is refused before anything is written."""
+        """A grid of length L <= 0, inf or nan is refused before it is
+        sampled, so without a warning, and before anything is written."""
         assert main(["evolve", "--preset", "fig-case1a", f"--L={L}",
                      "--out", str(tmp_path / "evo.csv")]) == 1
         assert capsys.readouterr().err == f"error: L = {float(L)} must be finite and positive\n"
