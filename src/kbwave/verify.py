@@ -17,13 +17,20 @@ the zero once |f - zero| < 1e-10.
 
 Per call, not per step: the zeros of F, and for each simple zero its series
 constants A2, A4, A6, its window and the window's reach (``_Turn``), which the
-window test, the series inversion and the series steps read.  Within the
-loop, a plain step is one call of an RK4 step with F written out in place
-(``_Quartic.rk4``): four evaluations of F, the last at the new point, where
-it serves both the event test and the next step's first stage, so a plain
-step reuses the previous step's f'.  A plain step inverts the series of a
-zero only while (f - r)/A2 is within twice the window's reach; farther off
-the inversion cannot put f inside the window (see ``_Turn``).
+window test, the series inversion and the series steps read.  A plain step
+inverts the series of a zero only while (f - r)/A2 is within twice the
+window's reach; farther off the inversion cannot put f inside the window (see
+``_Turn``).  So a plain step's tests can fire only while f lies in a watched
+interval: [r, r + far A2] for each simple zero (a half-line when ``far`` is
+inf) and r +- 1e-10 for each multiple zero.  Every RK4 stage slope has the
+sign s, so f moves one way between events, and from a plain step outside
+every watched interval the loop commits steps in one guarded run
+(``_Quartic.rk4``): F written out in place, four evaluations of F per step,
+the last at the new point, where it serves both the event test and the next
+step's first stage, and no test but F >= 0 and the nearest watched edge
+ahead.  The trial step that stops the run (an event, or the edge crossed) is
+handed to the per-step tests unchanged, so every float operation, and the
+profile, is the one a step-by-step loop gives.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ __all__ = [
 _CLAMP_TOL = 1e-10
 _EVENT_BISECTIONS = 60
 _REACH_MARGIN = 2.0  # plain steps invert the series within twice its reach
+_GUARD_PAD = 1e-12  # relative widening of the watched intervals
 
 
 @dataclass(frozen=True)
@@ -181,43 +189,72 @@ class _Quartic:
         return (((self.c4 * f + self.c3) * f + self.c2) * f + self.c1) * f + self.c0
 
     def rk4(self):
-        """One RK4 step of f' = s sqrt(max(F(f), 0)) given its first stage
-        k1, with F written out in the same form and order as ``F``:
-        ``step(f, hh, k1, s) -> (f + hh * slope, F there)``."""
+        """A run of RK4 steps of f' = s sqrt(max(F(f), 0)), with F written
+        out in the same form and order as ``F``:
+        ``run(f, hh, k1, s, sg, i, n, fs, fps) -> (i, f, k1, x, v)``.
+
+        From f and its first stage k1, each step of length hh takes the trial
+        point x and v = F(x), and commits it (f = x, k1 = s sqrt(v), stored
+        at fs[i + 1] and fps[i + 1], i += 1) while v >= 0 and s x < sg.  The
+        run returns the last committed state with the trial that stopped it,
+        or with x = v = None once i reaches n.  sg = -inf takes one trial step
+        and commits nothing."""
         sqrt = math.sqrt
         if self.factors is not None:
             r1, r2, r3, r4 = self.factors
 
-            def step(f, hh, k1, s):
-                x = f + 0.5 * hh * k1
-                v = -(x - r1) * (x - r2) * (x - r3) * (x - r4)
-                k2 = s * sqrt(0.0 if v < 0.0 else v)
-                x = f + 0.5 * hh * k2
-                v = -(x - r1) * (x - r2) * (x - r3) * (x - r4)
-                k3 = s * sqrt(0.0 if v < 0.0 else v)
-                x = f + hh * k3
-                v = -(x - r1) * (x - r2) * (x - r3) * (x - r4)
-                k4 = s * sqrt(0.0 if v < 0.0 else v)
-                x = f + hh / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                return x, -(x - r1) * (x - r2) * (x - r3) * (x - r4)
+            def run(f, hh, k1, s, sg, i, n, fs, fps):
+                h2 = 0.5 * hh
+                h6 = hh / 6.0
+                while i < n:
+                    x = f + h2 * k1
+                    v = -(x - r1) * (x - r2) * (x - r3) * (x - r4)
+                    k2 = s * sqrt(0.0 if v < 0.0 else v)
+                    x = f + h2 * k2
+                    v = -(x - r1) * (x - r2) * (x - r3) * (x - r4)
+                    k3 = s * sqrt(0.0 if v < 0.0 else v)
+                    x = f + hh * k3
+                    v = -(x - r1) * (x - r2) * (x - r3) * (x - r4)
+                    k4 = s * sqrt(0.0 if v < 0.0 else v)
+                    x = f + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    v = -(x - r1) * (x - r2) * (x - r3) * (x - r4)
+                    if v < 0.0 or not s * x < sg:
+                        return i, f, k1, x, v
+                    f = x
+                    k1 = s * sqrt(v)
+                    i += 1
+                    fs[i] = f
+                    fps[i] = k1
+                return i, f, k1, None, None
 
-            return step
+            return run
         c4, c3, c2, c1, c0 = self.c4, self.c3, self.c2, self.c1, self.c0
 
-        def step(f, hh, k1, s):
-            x = f + 0.5 * hh * k1
-            v = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
-            k2 = s * sqrt(0.0 if v < 0.0 else v)
-            x = f + 0.5 * hh * k2
-            v = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
-            k3 = s * sqrt(0.0 if v < 0.0 else v)
-            x = f + hh * k3
-            v = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
-            k4 = s * sqrt(0.0 if v < 0.0 else v)
-            x = f + hh / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            return x, (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+        def run(f, hh, k1, s, sg, i, n, fs, fps):
+            h2 = 0.5 * hh
+            h6 = hh / 6.0
+            while i < n:
+                x = f + h2 * k1
+                v = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+                k2 = s * sqrt(0.0 if v < 0.0 else v)
+                x = f + h2 * k2
+                v = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+                k3 = s * sqrt(0.0 if v < 0.0 else v)
+                x = f + hh * k3
+                v = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+                k4 = s * sqrt(0.0 if v < 0.0 else v)
+                x = f + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                v = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+                if v < 0.0 or not s * x < sg:
+                    return i, f, k1, x, v
+                f = x
+                k1 = s * sqrt(v)
+                i += 1
+                fs[i] = f
+                fps[i] = k1
+            return i, f, k1, None, None
 
-        return step
+        return run
 
 
 class _Turn:
@@ -251,9 +288,11 @@ class _Turn:
         # region, where the inversion means nothing: for f in the band of
         # F >= 0 next to r, all that an orbit reaches, time_to returns inf or
         # a time beyond the window there, so a plain step skips it
-        # (tests/test_verify.py sweeps random quartics for this).  A window
-        # widened to 3h past 0.075 ell has no contraction region, and every f
-        # on its side is inverted.
+        # (tests/test_verify.py sweeps random quartics for this), and the
+        # guarded runs of plain steps pass it by.  A window widened to 3h
+        # past 0.075 ell has no contraction region: every f on its side is
+        # inverted, and that whole side is watched, so plain steps there
+        # take the per-step tests one at a time.
         self.far = math.inf
         if A2 != 0.0 and 3.0 * h <= 0.075 * ell:
             reach = (self.at(self.window)[0] - r) / A2
@@ -284,6 +323,38 @@ class _Turn:
         return math.sqrt(d2)
 
 
+def _watched(approachable, multi):
+    """The intervals of f, (lo, hi), where a plain step's tests can fire:
+    [r, r + far A2] (a half-line when far is inf) for each approachable
+    simple zero, and r +- _CLAMP_TOL for each multiple zero.  Each is widened
+    on both sides by _GUARD_PAD times |r| plus its width, far more than the
+    rounding of the tests' own arithmetic, so that no f outside passes a
+    test."""
+    out = []
+    for r, A2, far, _ in approachable:
+        w = far * A2
+        pad = _GUARD_PAD * (abs(r) + (abs(w) if far < math.inf else 0.0))
+        lo, hi = (r, r + w) if A2 > 0.0 else (r + w, r)
+        out.append((lo - pad, hi + pad))
+    for r in multi:
+        pad = _CLAMP_TOL + _GUARD_PAD * (abs(r) + _CLAMP_TOL)
+        out.append((r - pad, r + pad))
+    return out
+
+
+def _guard(watched, f, s):
+    """s times the nearest watched edge ahead of f in direction s (inf when
+    none is ahead), or -inf when f lies in a watched interval."""
+    sg = math.inf
+    for lo, hi in watched:
+        if lo <= f <= hi:
+            return -math.inf
+        near = s * (lo if s > 0.0 else hi)
+        if s * f < near < sg:
+            sg = near
+    return sg
+
+
 def oracle_integrate(p: Params, f0: float, sign: int, length: float,
                      h: float = 1e-4) -> Profile:
     """Brute-force RK4 integration of f' = sign*sqrt(max(F(f), 0)).
@@ -297,14 +368,21 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
     Returns a Profile on the grid xi = 0, h, ..., length with f' = the signed
     square root (so f'^2 - F(f) vanishes identically along the profile) and
     the turning-point locations in ``events``.
+
+    Raises ValueError unless h is finite and positive, length finite and
+    >= 0 and f0 finite, and InvalidConfiguration when F(f0) < 0.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h}")
+    if not math.isfinite(length):
+        raise ValueError(f"length must be finite, got {length}")
     if not length >= 0:
         raise ValueError(f"length must be >= 0, got {length}")
+    f0 = float(f0)
+    if not math.isfinite(f0):
+        raise ValueError(f"f0 must be finite, got {f0}")
     rm = roots_of_F(p)
     q = _Quartic(p, factor_roots=rm.expand() if rm.total() == 4 else None)
-    f0 = float(f0)
     # relative to the zeros' scale, like the residual gate: F near a zero
     # carries rounding of order eps * scale^4
     if q.F(f0) < -1e-12 * rm.scale() ** 4:
@@ -316,11 +394,13 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
     turns = {r: _Turn(q, r, h) for r in simple}
     # the zeros whose window the plain steps test (A2 = 0 has no series)
     approachable = [(t.r, t.A2, t.far, t) for t in turns.values() if t.A2 != 0.0]
-    step = q.rk4()
+    watched = _watched(approachable, multi)
+    run = q.rk4()
 
     n = int(round(length / h))
-    fs = np.empty(n + 1)
-    fps = np.empty(n + 1)
+    # Python lists take item stores faster than numpy arrays
+    fs = [0.0] * (n + 1)
+    fps = [0.0] * (n + 1)
     fs[0] = f0
     s = 1.0 if sign >= 0 else -1.0
     events: list[float] = []
@@ -376,17 +456,25 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
             continue
         if k1 is None:
             k1 = s * math.sqrt(max(q.F(f), 0.0))
-        ftrial, Ftrial = step(f, h, k1, s)
+        # f moves one way between events, so no test fires on a plain step
+        # that stays short of the nearest watched edge ahead: commit those
+        # steps in one run, and take the trial that stopped it (an event, a
+        # crossed edge; the only trial when f is watched) through the tests
+        i, f, k1, ftrial, Ftrial = run(f, h, k1, s, _guard(watched, f, s),
+                                       i, n, fs, fps)
+        if ftrial is None:
+            break
         if Ftrial < 0.0:
-            # event inside this step: bisect the step length
+            # event inside this step: bisect the step length (a run with
+            # sg = -inf is one trial step)
             lo, hi = 0.0, h
             for _ in range(_EVENT_BISECTIONS):
                 mid = 0.5 * (lo + hi)
-                if step(f, mid, k1, s)[1] < 0.0:
+                if run(f, mid, k1, s, -math.inf, 0, 1, None, None)[4] < 0.0:
                     hi = mid
                 else:
                     lo = mid
-            fstar = step(f, lo, k1, s)[0]
+            fstar = run(f, lo, k1, s, -math.inf, 0, 1, None, None)[3]
             allr = simple + multi
             if not allr:
                 raise InvalidConfiguration("F went negative with no real zeros")
@@ -411,9 +499,10 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
             if abs(f - r) < _CLAMP_TOL:
                 clamp_to = r
     xi = np.arange(n + 1) * h
+    fs = np.array(fs)
     pf = p.as_floats()
     return Profile(
-        xi=xi, f=fs, f_prime=fps, g=g_from_f(fs, pf.c, pf.d1),
+        xi=xi, f=fs, f_prime=np.array(fps), g=g_from_f(fs, pf.c, pf.d1),
         events=tuple(events),
     )
 

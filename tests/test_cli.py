@@ -346,6 +346,19 @@ class TestOracleVerb:
         assert capsys.readouterr().err == "error: length must be >= 0, got -1.0\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--h", "inf", "h must be finite and positive, got inf"),
+        ("--h", "nan", "h must be finite and positive, got nan"),
+        ("--f0", "nan", "f0 must be finite, got nan"),
+        ("--length", "inf", "length must be finite, got inf"),
+    ])
+    def test_non_finite_input_rejected(self, tmp_path, capsys, flag, value, message):
+        argv = {"--params": "2,-7/4,-7/2,-3/2", "--f0": "-2.9", "--length": "0.5",
+                flag: value, "--out": str(tmp_path / "orc.csv")}
+        assert main(["oracle", *(t for kv in argv.items() for t in kv)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEvolveVerb:
     def test_quick_run(self, tmp_path):

@@ -16,7 +16,7 @@ K_HALF = 1.6857503548125960
 
 def quadrature_K(k: float) -> float:
     val, _ = quad(lambda t: 1.0 / math.sqrt(1.0 - (k * math.sin(t)) ** 2),
-                  0.0, math.pi / 2, epsabs=1e-14, epsrel=1e-14)
+                  0.0, math.pi / 2, epsabs=1e-13, epsrel=1e-13)
     return val
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,6 +184,18 @@ class TestOracle:
         with pytest.raises(ValueError, match="length must be >= 0"):
             oracle_integrate(P_CASE1A, -2.5, 1, -1.0)
 
+    @pytest.mark.parametrize("f0, length, h, message", [
+        (-2.5, 1.0, math.inf, "h must be finite and positive, got inf"),
+        (-2.5, 1.0, math.nan, "h must be finite and positive, got nan"),
+        (-2.5, math.inf, 1e-3, "length must be finite, got inf"),
+        (-2.5, math.nan, 1e-3, "length must be finite, got nan"),
+        (math.nan, 1.0, 1e-3, "f0 must be finite, got nan"),
+        (-math.inf, 1.0, 1e-3, "f0 must be finite, got -inf"),
+    ])
+    def test_non_finite_input_refused(self, f0, length, h, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            oracle_integrate(P_CASE1A, f0, 1, length, h=h)
+
     def test_series_constants_once_per_call(self, monkeypatch):
         """F's derivatives are taken for each zero's series once per call:
         their count does not grow with the number of steps."""
@@ -326,6 +339,180 @@ def test_reach_bound_skips_only_outside_the_window(unit, pair, log_scale, log_h,
             f = r + theta * (edge - r)
             if (f - r) / t.A2 > t.far:
                 assert t.time_to(f) > t.window, (roots, h, r, f)
+
+
+def _reference_step(q):
+    """One RK4 step of f' = s sqrt(max(F(f), 0)) given its first stage k1,
+    F written out as _Quartic.F writes it: step(f, hh, k1, s) -> (f + hh *
+    slope, F there)."""
+    sqrt = math.sqrt
+    if q.factors is not None:
+        r1, r2, r3, r4 = q.factors
+
+        def F(x):
+            return -(x - r1) * (x - r2) * (x - r3) * (x - r4)
+    else:
+        c4, c3, c2, c1, c0 = q.c4, q.c3, q.c2, q.c1, q.c0
+
+        def F(x):
+            return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+
+    def step(f, hh, k1, s):
+        v = F(f + 0.5 * hh * k1)
+        k2 = s * sqrt(0.0 if v < 0.0 else v)
+        v = F(f + 0.5 * hh * k2)
+        k3 = s * sqrt(0.0 if v < 0.0 else v)
+        v = F(f + hh * k3)
+        k4 = s * sqrt(0.0 if v < 0.0 else v)
+        x = f + hh / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return x, F(x)
+
+    return step
+
+
+def _reference_oracle(p, f0, sign, length, h):
+    """oracle_integrate's step loop as it was before plain steps ran in
+    guarded runs: every plain step is one step() call followed by the window
+    and clamp tests, stored item by item into numpy arrays.  The oracle must
+    reproduce it bit for bit."""
+    rm = roots_of_F(p)
+    q = verify._Quartic(p, factor_roots=rm.expand() if rm.total() == 4 else None)
+    f0 = float(f0)
+    if q.F(f0) < -1e-12 * rm.scale() ** 4:
+        raise InvalidConfiguration("start point infeasible")
+    simple = [v for v, m in rm.entries if m == 1]
+    multi = [v for v, m in rm.entries if m >= 2]
+    turns = {r: verify._Turn(q, r, h) for r in simple}
+    approachable = [(t.r, t.A2, t.far, t) for t in turns.values() if t.A2 != 0.0]
+    step = _reference_step(q)
+    n = int(round(length / h))
+    fs = np.empty(n + 1)
+    fps = np.empty(n + 1)
+    fs[0] = f0
+    s = 1.0 if sign >= 0 else -1.0
+    events = []
+    f = f0
+    k1 = fps[0] = s * math.sqrt(max(q.F(f0), 0.0))
+    clamp_to = None
+    mode = None
+    for r in simple:
+        if abs(f0 - r) <= 1e-12 * max(1.0, abs(r)):
+            mode = (turns[r], 0.0)
+            events.append(0.0)
+            fps[0] = 0.0
+            break
+    i = 0
+    while i < n:
+        if clamp_to is not None:
+            fs[i + 1] = clamp_to
+            fps[i + 1] = 0.0
+            i += 1
+            continue
+        if mode is None:
+            for r, A2, far, t in approachable:
+                u = f - r
+                if not 0.0 <= u / A2 <= far:
+                    continue
+                tau = t.time_to(f)
+                if not tau <= t.window:
+                    continue
+                if s * (r - f) > 0.0 or abs(u) <= 1e-12 * max(1.0, abs(r)):
+                    mode = (t, -tau)
+                    events.append(i * h + tau)
+                    break
+        if mode is not None:
+            t, delta = mode
+            delta += h
+            f, fprime = t.at(delta)
+            k1 = None
+            fs[i + 1] = f
+            fps[i + 1] = fprime
+            i += 1
+            if delta > t.window:
+                s = math.copysign(1.0, fprime) if fprime != 0.0 else s
+                mode = None
+            else:
+                mode = (t, delta)
+            continue
+        if k1 is None:
+            k1 = s * math.sqrt(max(q.F(f), 0.0))
+        ftrial, Ftrial = step(f, h, k1, s)
+        if Ftrial < 0.0:
+            lo, hi = 0.0, h
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if step(f, mid, k1, s)[1] < 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            fstar = step(f, lo, k1, s)[0]
+            allr = simple + multi
+            if not allr:
+                raise InvalidConfiguration("F went negative with no real zeros")
+            best = min(allr, key=lambda r_: abs(r_ - fstar))
+            if best in multi:
+                clamp_to = best
+                fs[i + 1] = best
+                fps[i + 1] = 0.0
+                i += 1
+                continue
+            t = turns[best]
+            tau = min(t.time_to(f), t.window)
+            mode = (t, -tau)
+            events.append(i * h + tau)
+            continue
+        f = ftrial
+        k1 = fps[i + 1] = s * math.sqrt(Ftrial)
+        fs[i + 1] = f
+        i += 1
+        for r in multi:
+            if abs(f - r) < 1e-10:
+                clamp_to = r
+    xi = np.arange(n + 1) * h
+    pf = p.as_floats()
+    return Profile(xi=xi, f=fs, f_prime=fps, g=verify.g_from_f(fs, pf.c, pf.d1),
+                   events=tuple(events))
+
+
+def _profile_bytes(integrate, *args):
+    """The bytes of (xi, f, f', g, events), or the error raised."""
+    try:
+        prof = integrate(*args)
+    except InvalidConfiguration as err:
+        return repr(err)
+    return [np.asarray(a, dtype=float).tobytes() for a in
+            (prof.xi, prof.f, prof.f_prime, prof.g, prof.events)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(st.sampled_from(["real", "double", "pair"]),
+       st.lists(st.integers(-24, 24), min_size=4, max_size=4), st.integers(0, 5),
+       st.integers(0, 3), st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0),
+       st.sampled_from([1, -1]), st.floats(-4.0, -2.0), st.integers(1, 2000))
+def test_guarded_runs_match_the_reference_loop(kind, ints, log2_scale, band, theta, sign, log_h, steps):
+    """oracle_integrate gives the reference loop's profile bit for bit: four
+    real zeros (factored F), a double zero (the clamp), two real zeros and a
+    complex pair (Horner), starts anywhere in a band of F >= 0 or at either
+    of its edges, both signs, h from 1e-4 to 1e-2.  Zeros scaled up to 2^5
+    at the larger steps widen their windows to 3h, where ``far`` is inf."""
+    zeros = [Fraction(k, 8) * 2 ** log2_scale for k in ints]
+    if kind == "double":
+        zeros[1] = zeros[0]
+    if kind == "pair":  # the last two values give the pair's real part and |imag|
+        re, im = float(zeros[2]), 1 / 8 + abs(float(zeros[3]))
+        p = _params_of([float(zeros[0]), float(zeros[1]), complex(re, im), complex(re, -im)])
+    else:
+        p = params_from_roots(RootMultiset.from_values(zeros))
+    q = verify._Quartic(p)
+    real = sorted(v for v, _ in roots_of_F(p).entries)
+    bands = [(a, b) for a, b in zip(real, real[1:]) if q.F(0.5 * (a + b)) > 0.0]
+    if not bands:
+        return
+    lo, hi = bands[band % len(bands)]
+    h = 10.0 ** log_h
+    args = (p, lo + theta * (hi - lo), sign, steps * h, h)
+    assert _profile_bytes(oracle_integrate, *args) == _profile_bytes(_reference_oracle, *args)
 
 
 class TestCompareProfiles:
