@@ -11,6 +11,11 @@ back to the constants (exactly, in rational arithmetic when the roots are
 rational), and classifies the configuration into the case taxonomy that
 drives the solution constructors.
 
+The roots are the eigenvalues of F's companion matrix, the matrix and the
+eigensolve of ``numpy.roots``.  Its float coefficients are, for rational
+constants, the exact coefficients each rounded once, from one integer
+numerator over one integer denominator.
+
 A wave lives in a band of F > 0 between adjacent real zeros.  The bands follow
 from the multiplicities alone (``band_edges``): F < 0 above the top zero and
 changes sign at each zero of odd multiplicity.  Each case tag's existence
@@ -20,9 +25,9 @@ verdict is read off its bands.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from numbers import Rational
 
 import numpy as np
@@ -43,7 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-7  # double roots of a double-precision quartic keep ~8 digits
-_NEAR = 1e-2  # roots this close (relative) may be one multiple zero split by np.roots
+_NEAR = 1e-2  # roots this close (relative) may be one multiple zero split by the eigensolve
 _ROUNDING = 8 * float(np.finfo(float).eps)  # twice Horner's bound 2n u = 4 eps (n = 4)
 
 
@@ -59,7 +64,7 @@ class Params:
     def __post_init__(self):
         for name in ("c", "d1", "d2", "d3"):
             v = getattr(self, name)
-            if isinstance(v, float) and not np.isfinite(v):
+            if not isinstance(v, (int, Fraction)) and not math.isfinite(v):
                 raise ValueError(f"parameter {name} must be finite, got {v!r}")
 
     def as_floats(self) -> "Params":
@@ -211,12 +216,14 @@ def _taylor(coeffs, x, n):
     degree first) and M_j the same derivative of the polynomial with absolute
     coefficients at |x|: a few eps times M_j bounds the rounding of F^(j)(x)."""
     out = []
-    for _ in range(n):
+    ax = abs(x)
+    for j in range(n):
+        if j:
+            coeffs = _derivative(coeffs)
         v = m = 0.0
         for a in coeffs:
-            v, m = v * x + a, m * abs(x) + abs(a)
+            v, m = v * x + a, m * ax + abs(a)
         out.append((v, m))
-        coeffs = _derivative(coeffs)
     return out
 
 
@@ -243,12 +250,22 @@ def _multiple_zeros(coeffs, roots, tol, radius, floor):
     that is no multiple zero is split again at a tenth of the radius, down
     to ``floor``.
     """
-    if not any(abs(a - b) <= radius for a, b in combinations(roots, 2)):
-        return [], roots
     groups = []
     for z in roots:
-        hit = [g for g in groups if any(abs(z - w) <= radius for w in g)]
-        groups = [g for g in groups if g not in hit] + [[z, *(w for g in hit for w in g)]]
+        # z and the groups it reaches become one group, placed last, members
+        # in this order: the mean sums them in it
+        merged, kept = [z], []
+        for g in groups:
+            for w in g:
+                if abs(z - w) <= radius:
+                    merged += g
+                    break
+            else:
+                kept.append(g)
+        kept.append(merged)
+        groups = kept
+    if len(groups) == len(roots):
+        return [], roots
     found, rest = [], []
     for g in groups:
         x = _multiple_zero(coeffs, g, tol) if len(g) > 1 else None
@@ -263,10 +280,74 @@ def _multiple_zeros(coeffs, roots, tol, radius, floor):
     return found, rest
 
 
+# F's coefficients, highest degree first, as the error for one too large names them
+_COEFFICIENT_NAMES = ("-1", "-4 c", "4 (d1 - c^2)", "8 d2", "8 d3")
+
+
+def _too_large(name, p):
+    return ValueError(f"coefficient {name} of F does not fit a float: {p}")
+
+
+def _rounded_coefficients(p, values):
+    """F's coefficients for rational ``values`` (c, d1, d2, d3), each exact one
+    as one integer numerator over one integer denominator: int / int rounds
+    correctly, so each float is the exact coefficient rounded once."""
+    (a, b), (e, g), (h, k), (m, n) = [(v.numerator, v.denominator) for v in values]
+    ratios = ((-1, 1), (-4 * a, b), (4 * (e * b * b - a * a * g), g * b * b),
+              (8 * h, k), (8 * m, n))
+    coeffs = []
+    for name, (x, y) in zip(_COEFFICIENT_NAMES, ratios):
+        try:
+            coeffs.append(x / y)
+        except OverflowError:
+            raise _too_large(name, p) from None
+    return coeffs
+
+
+def _float_coefficients(p: Params):
+    """F's coefficients as floats, highest degree first.
+
+    Rational params give each exact coefficient rounded once; float params
+    go through ``Params.coefficients`` in float arithmetic.  Raises
+    ValueError, naming the coefficient, when one does not fit a float.
+    """
+    values = (p.c, p.d1, p.d2, p.d3)
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        return _rounded_coefficients(p, values)
+    try:
+        coeffs = [float(v) for v in p.coefficients()]
+    except OverflowError:  # a Fraction too large for float arithmetic among floats
+        return _rounded_coefficients(
+            p, [v if isinstance(v, (int, Fraction)) else Fraction(float(v)) for v in values])
+    for name, v in zip(_COEFFICIENT_NAMES, coeffs):
+        if not math.isfinite(v):
+            raise _too_large(name, p)
+    return coeffs
+
+
+def _companion_roots(coeffs):
+    """The complex roots of the polynomial with ``coeffs`` (highest degree
+    first, the first nonzero) exactly as ``numpy.roots`` gives them: the
+    eigenvalues of the companion matrix of the polynomial without its
+    trailing zero coefficients, then one zero of the eigenvalues' type per
+    trailing zero."""
+    n = len(coeffs)
+    while n > 1 and coeffs[n - 1] == 0:
+        n -= 1
+    if n == 1:  # a monomial: every root is zero
+        return [0.0] * (len(coeffs) - 1)
+    companion = np.eye(n - 1, k=-1)
+    companion[0] = [-a / coeffs[0] for a in coeffs[1:n]]
+    roots = np.linalg.eigvals(companion).tolist()
+    return roots + [type(roots[0])(0)] * (len(coeffs) - n)
+
+
 def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
     """Real roots of F, clustered into a multiset.
 
-    Companion-matrix eigenvalues (numpy.roots) give the raw roots.  These
+    The raw roots are the eigenvalues of the companion matrix of F's float
+    coefficients (each exact coefficient rounded once for rational params;
+    see ``_float_coefficients``), as ``numpy.roots`` computes them.  These
     split an m-fold zero into m roots about eps^(1/m) apart (up to 1e-3
     relative for a quadruple zero), so roots within 1e-2 relative of each
     other are grouped, and a group of m becomes one m-fold zero when its mean
@@ -279,8 +360,8 @@ def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    coeffs = [float(v) for v in p.coefficients()]
-    raw = np.roots(coeffs).tolist()
+    coeffs = _float_coefficients(p)
+    raw = _companion_roots(coeffs)
     scale = max(1.0, *map(abs, raw))
     entries, rest = _multiple_zeros(coeffs, raw, tol, _NEAR * scale, tol * scale)
     real = [z.real for z in rest if abs(z.imag) <= tol * max(1.0, abs(z))]

@@ -73,6 +73,19 @@ class TestClassify:
         assert "case: Quadruple" in out
 
 
+    @pytest.mark.parametrize("verb", [["classify"], ["solve", "--n", "3"]])
+    def test_coefficient_beyond_float_refused(self, capsys, verb):
+        """c = 1e200 puts 4 (d1 - c^2) beyond the largest float: the error
+        names it and the params (numpy's "Array must not contain infs or
+        NaNs" before)."""
+        code = main([*verb, "--params", "1e200,0,0,0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: coefficient 4 (d1 - c^2) of F does not fit a float: "
+                                "Params(c=1e+200, d1=0.0, d2=0.0, d3=0.0)\n")
+
+
 class TestSolve:
     def test_preset_profile_and_sidecar(self, tmp_path):
         out = tmp_path / "c1a.csv"

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -153,6 +154,51 @@ def _exact_params(zeros, pairs=()):
     return Params(c, c * c - a2 / 4, -a1 / 8, -a0 / 8)
 
 
+
+class TestParams:
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, np.float32("nan"), np.float16("inf"), np.longdouble("inf"),
+        np.float64("-inf"),
+    ], ids=["nan", "inf", "float32-nan", "float16-inf", "longdouble-inf", "float64-minus-inf"])
+    @pytest.mark.parametrize("name", ["c", "d1", "d2", "d3"])
+    def test_non_finite_refused(self, name, value):
+        """Every real that is not rational is checked, numpy scalars too: a
+        NaN or an infinity used to reach LAPACK from roots_of_F."""
+        values = {"c": 0.0, "d1": 0.0, "d2": 0.0, "d3": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"parameter {name} must be finite, got "):
+            Params(**values)
+
+    def test_rationals_of_any_size_accepted(self):
+        p = Params(10**400, Fraction(1, 10**400), Fraction(-3, 7), 0)
+        assert p.c == 10**400
+
+
+class TestCoefficientsTooLarge:
+    @pytest.mark.parametrize("params, name", [
+        (Params(1e200, 0.0, 0.0, 0.0), "4 (d1 - c^2)"),
+        (Params(0.0, 0.0, 1e308, 0.0), "8 d2"),
+        (Params(0.0, 0.0, 0.0, -1e308), "8 d3"),
+        (Params(Fraction(10**400), Fraction(0), Fraction(0), Fraction(0)), "-4 c"),
+        (Params(Fraction(1, 3), Fraction(10**310, 7), Fraction(0), Fraction(0)),
+         "4 (d1 - c^2)"),
+        (Params(0, 0, 0, Fraction(-10**400, 3)), "8 d3"),
+        (Params(Fraction(10**400), 0.0, 0.0, 0.0), "-4 c"),
+    ], ids=["float-c", "float-d2", "float-d3", "fraction-c", "fraction-d1", "int-d3", "mixed"])
+    def test_refused_before_the_eigensolve(self, params, name):
+        """A coefficient of F beyond the largest float is named with the
+        params, instead of a LAPACK or OverflowError message."""
+        msg = f"coefficient {name} of F does not fit a float: {params}"
+        with pytest.raises(ValueError) as err:
+            roots_of_F(params)
+        assert str(err.value) == msg
+
+    def test_largest_fitting_coefficient_accepted(self):
+        """An exact coefficient that rounds to the largest float still fits."""
+        top = Fraction(int(np.finfo(float).max), 8)
+        p = Params(Fraction(0), Fraction(0), Fraction(0), top)
+        assert quartic._float_coefficients(p)[-1] == np.finfo(float).max
+
+
 class TestMultipleZeros:
     """np.roots splits an m-fold zero into m roots about eps^(1/m) apart;
     roots_of_F must still report one m-fold zero."""
@@ -221,6 +267,163 @@ class TestMultipleZeros:
         p = _exact_params(((Fraction(-2), 1), (Fraction(3), 1)),
                           ((Fraction(1, 2), Fraction(1, 100000)),))
         assert classify(roots_of_F(p)) is CaseTag.TWO_SIMPLE_ONLY
+
+
+# The parent's roots_of_F, kept to check that the companion eigensolve and the
+# integer coefficients give the same zeros to the bit: np.roots on the floats
+# of the exact coefficients, and the grouping and Taylor helpers as they were.
+def _reference_taylor(coeffs, x, n):
+    out = []
+    for _ in range(n):
+        v = m = 0.0
+        for a in coeffs:
+            v, m = v * x + a, m * abs(x) + abs(a)
+        out.append((v, m))
+        coeffs = quartic._derivative(coeffs)
+    return out
+
+
+def _reference_multiple_zero(coeffs, group, tol):
+    m = len(group)
+    mean = sum(group) / m
+    if abs(mean.imag) > tol * max(1.0, abs(mean)):
+        return None
+    bounds = _reference_taylor(coeffs, mean.real, m - 1)
+    if all(abs(v) <= quartic._ROUNDING * bound for v, bound in bounds):
+        return mean.real
+    return None
+
+
+def _reference_multiple_zeros(coeffs, roots, tol, radius, floor):
+    if not any(abs(a - b) <= radius for a, b in combinations(roots, 2)):
+        return [], roots
+    groups = []
+    for z in roots:
+        hit = [g for g in groups if any(abs(z - w) <= radius for w in g)]
+        groups = [g for g in groups if g not in hit] + [[z, *(w for g in hit for w in g)]]
+    found, rest = [], []
+    for g in groups:
+        x = _reference_multiple_zero(coeffs, g, tol) if len(g) > 1 else None
+        if x is not None:
+            found.append((x, len(g)))
+        elif len(g) > 1 and radius > floor:
+            more, left = _reference_multiple_zeros(coeffs, g, tol, 0.1 * radius, floor)
+            found += more
+            rest += left
+        else:
+            rest += g
+    return found, rest
+
+
+def _reference_roots_of_F(p, tol=quartic.DEFAULT_CLUSTER_TOL):
+    coeffs = [float(v) for v in p.coefficients()]
+    raw = np.roots(coeffs).tolist()
+    scale = max(1.0, *map(abs, raw))
+    entries, rest = _reference_multiple_zeros(
+        coeffs, raw, tol, quartic._NEAR * scale, tol * scale)
+    real = [z.real for z in rest if abs(z.imag) <= tol * max(1.0, abs(z))]
+    for members in quartic._clustered(real, tol):
+        m = len(members)
+        center = sum(members) / m
+        scale = max(1.0, abs(center))
+        for j, (v, _) in enumerate(_reference_taylor(coeffs, center, m)):
+            if abs(v) > 1e-3 * scale ** (4 - j):
+                raise ValueError(
+                    f"cluster at {center} fails multiplicity-{m} check "
+                    f"(|F^({j})| = {abs(v):.3e})"
+                )
+        entries.append((center, m))
+    return RootMultiset(tuple(sorted(entries)))
+
+
+def _outcome(roots, p):
+    """The entries of roots(p) by repr and by type, or the error it raised."""
+    try:
+        return [(repr(v), type(v), m) for v, m in roots(p).entries]
+    except ValueError as err:
+        return str(err)
+
+
+def _assert_reference_roots(p):
+    """roots_of_F(p) gives the reference's entries, by repr and by type, or
+    its error, and rational params the floats of their exact coefficients."""
+    assert _outcome(roots_of_F, p) == _outcome(_reference_roots_of_F, p)
+    if all(isinstance(v, (int, Fraction)) for v in (p.c, p.d1, p.d2, p.d3)):
+        want = [float(v) for v in p.coefficients()]
+        assert list(map(repr, quartic._float_coefficients(p))) == list(map(repr, want))
+
+
+@st.composite
+def _classify_params(draw):
+    """Exact params from zeros with multiplicities and complex pairs, built as
+    the classify benchmark builds them, on grids of 1/den."""
+    sig = draw(st.sampled_from(sorted(quartic._TAGS)))
+    den = draw(st.sampled_from([1, 4, 64, 3, 7, 1000, 2**20]))
+    ticks = st.integers(-40 * den, 40 * den)
+    zeros = sorted(draw(st.lists(ticks, min_size=len(sig), max_size=len(sig), unique=True)))
+    pairs = draw(st.lists(st.tuples(ticks, st.integers(1, 40 * den)),
+                          min_size=(4 - sum(sig)) // 2, max_size=(4 - sum(sig)) // 2))
+    return _exact_params(tuple((Fraction(z, den), m) for z, m in zip(zeros, sig)),
+                         tuple((Fraction(x, den), Fraction(y, den)) for x, y in pairs))
+
+
+_BIG = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**60))
+_FLOAT = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def _trailing_zero_params(draw):
+    """Params whose last k coefficients of F vanish, k = 1..4: d3 = 0;
+    d2 = d3 = 0; d1 = c^2 too; c = 0 too.  Rational or float."""
+    k = draw(st.integers(1, 4))
+    value = draw(st.sampled_from([_FRACTION, _BIG, _FLOAT]))
+    c, d1, d2 = draw(value), draw(value), draw(value)
+    zero = 0 * c
+    if k >= 4:
+        c = zero
+    if k >= 3:
+        d1 = c * c
+    if k >= 2:
+        d2 = zero
+    return Params(c, d1, d2, zero)
+
+
+class TestReferenceRoots:
+    """roots_of_F against the parent's np.roots path, entry by entry."""
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(_classify_params())
+    def test_exact_params_from_zeros(self, p):
+        _assert_reference_roots(p)
+        _assert_reference_roots(p.as_floats())
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.tuples(_FLOAT, _FLOAT, _FLOAT, _FLOAT))
+    def test_float_params(self, values):
+        _assert_reference_roots(Params(*values))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_trailing_zero_params())
+    def test_trailing_zero_coefficients(self, p):
+        _assert_reference_roots(p)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.tuples(_BIG, _BIG, _BIG, _BIG))
+    def test_large_numerators_and_denominators(self, values):
+        _assert_reference_roots(Params(*values))
+
+    @pytest.mark.parametrize("values", [
+        (0, 0, 0, 0), (0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, -0.0, -0.0),
+        (Fraction(1, 3), Fraction(1, 9), Fraction(0), Fraction(0)), (1 / 3, 1 / 9, 0.0, 0.0),
+        (0.0, 1.0, 0.0, 0.0), (Fraction(-5), Fraction(-25, 2), Fraction(125, 2), Fraction(-625, 8)),
+    ])
+    def test_edge_cases(self, values):
+        _assert_reference_roots(Params(*values))
+
+    def test_monomial_takes_no_eigensolve(self):
+        """F = -f^4: four zero roots, the quadruple zero at 0."""
+        assert quartic._companion_roots([-1.0, 0.0, 0.0, 0.0, 0.0]) == [0.0] * 4
+        assert roots_of_F(Params(0, 0, 0, 0)).entries == ((0.0, 4),)
 
 
 class TestParamsFromRoots:
