@@ -448,7 +448,7 @@ def cmd_solve(args) -> int:
     n = _sample_count(cfg.get("n", 2001))
     domain = _solution_domain(sol, cfg)
     profile = build_profile(sol, params, domain, n)
-    res = ode_residual(sol, params, domain=domain, n=n)
+    res = profile.residual(params)
     gate = sol.residual_bound
     out = cfg.get("out")
     fmt = cfg.get("format", "csv")
@@ -493,9 +493,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    # T and dt are refused before anything is sampled, and, given dt, so is
+    # a run of more than evolution.MAX_STEPS steps
     for name in ("T", "dt"):
-        if getattr(args, name) == 0:
+        v = getattr(args, name)
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+        if v == 0:
             raise ValueError(f"{name} must be nonzero")
+    steps = None if args.dt is None else evolution.step_count(args.T, args.dt)
     cfg = _load_config(args)
     sol, params = _construct(cfg)
     L = cfg.get("L")
@@ -506,10 +512,10 @@ def cmd_evolve(args) -> int:
     L = float(L)
     n = int(cfg.get("n_grid", 1024))
     state0 = evolution.state_from_callable(lambda xi: sol.profile(xi)[0], params, L, n)
-    dt = args.dt if args.dt is not None else evolution.stability_limit(state0)
-    # round up, so the step T/steps is never longer than dt (by default the
-    # limit evolve enforces)
-    steps = max(1, math.ceil(abs(args.T / dt)))
+    if steps is None:
+        # by default the step is the limit evolve enforces, and step_count
+        # rounds up, so T/steps is never longer
+        steps = evolution.step_count(args.T, evolution.stability_limit(state0))
     dt = args.T / steps
     final = evolution.evolve(state0, dt, args.T)
     pf = params.as_floats()
@@ -560,7 +566,7 @@ def cmd_figures(args) -> int:
         sol, params = build_preset(name)
         domain = _solution_domain(sol, {})
         profile = build_profile(sol, params, domain, n)
-        res = ode_residual(sol, params, domain=domain, n=n)
+        res = profile.residual(params)
         _atomic_write(os.path.join(outdir, f"{name}.csv"), _profile_csv(profile))
         _atomic_write(os.path.join(outdir, f"{name}.json"),
                       _json(_sidecar(sol, params, res, preset=name,

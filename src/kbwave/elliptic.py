@@ -144,12 +144,11 @@ def jacobi(u, k: float) -> JacobiTriple:
     if k == 0.0:
         s, c, d = np.sin(uu), np.cos(uu), np.ones_like(uu)
     elif k == 1.0:
-        with np.errstate(over="ignore"):
-            s = np.tanh(uu)
-            # sech via exp(-|u|) to avoid cosh overflow for large arguments
-            e = np.exp(-np.abs(uu))
-            c = 2.0 * e / (1.0 + e * e)
-            d = c
+        s = np.tanh(uu)
+        # sech via exp(-|u|) <= 1 to avoid cosh overflow for large arguments
+        e = np.exp(-np.abs(uu))
+        c = 2.0 * e / (1.0 + e * e)
+        d = c
     else:
         s, c, d = _jacobi_landen(uu, k)
     if scalar:

@@ -35,6 +35,7 @@ part exactly, so its step meets that limit with margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,16 @@ __all__ = [
     "kb_rhs",
     "evolve",
     "stability_limit",
+    "step_count",
     "linearized_symbol",
     "RK4_IMAGINARY_LIMIT",
+    "MAX_STEPS",
 ]
 
 RK4_IMAGINARY_LIMIT = 2.8
+# the longest run evolve takes: a step at n = 1024 costs about 0.4 ms, so
+# this many take minutes, and a run that asks for more would not finish
+MAX_STEPS = 10 ** 6
 
 
 def _check_length(L: float) -> None:
@@ -186,6 +192,30 @@ def stability_limit(state: EvolutionState) -> float:
     return RK4_IMAGINARY_LIMIT / wmax
 
 
+def _steps_in(T: float, dt: float) -> float:
+    """|T/dt|, after refusing a non-finite T or dt, a zero dt, and a run of
+    more than MAX_STEPS steps."""
+    for name, v in (("T", T), ("dt", dt)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    if dt == 0.0:
+        raise ValueError("dt must be nonzero")
+    ratio = abs(T / dt)
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"T = {T} in steps of dt = {dt} takes {ratio:.3g} steps, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
+    return ratio
+
+
+def step_count(T: float, dt: float) -> int:
+    """ceil(|T/dt|), at least 1: the fewest equal steps no longer than |dt|
+    that cover a nonzero T.  Raises ValueError for a zero T and as ``evolve``
+    does for a non-finite T or dt, a zero dt or more than MAX_STEPS steps."""
+    if T == 0.0:
+        raise ValueError("T must be nonzero")
+    return max(1, math.ceil(_steps_in(T, dt)))
+
+
 def _half_step_propagator(ik, ik3, h: float):
     """exp((h/2) M) per mode as a (2, 2, modes) array, M = [[0, ik],
     [-(ik)^3/4, 0]] the Fourier matrix of u_t = v_x, v_t = -(1/4) u_xxx.
@@ -215,11 +245,11 @@ def evolve(state0: EvolutionState, dt: float, T: float,
     RK4 in Lawson's form takes the quadratic terms.
 
     Deterministic given inputs.  Negative dt with negative T runs time in
-    reverse.  Raises BlowUp with the time stamp if non-finite values appear
-    mid-run.
+    reverse.  Raises ValueError, before any step, for a non-finite T or dt, a
+    zero dt or more than MAX_STEPS steps, and BlowUp with the time stamp if
+    non-finite values appear mid-run.
     """
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
+    _steps_in(T, dt)
     steps = int(round(T / dt))
     if steps < 0 or abs(steps * dt - T) > 1e-9 * max(abs(T), abs(dt)):
         raise ValueError(f"T = {T} is not a whole number of steps of dt = {dt}")

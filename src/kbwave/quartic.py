@@ -38,12 +38,14 @@ __all__ = [
     "CaseTag",
     "eval_F",
     "eval_F_deriv",
+    "first_integral_residual",
     "band_edges",
     "roots_of_F",
     "params_from_roots",
     "classify",
     "existence",
     "quadratic_cofactor",
+    "scaled_bound",
     "DEFAULT_CLUSTER_TOL",
 ]
 
@@ -64,10 +66,14 @@ class Params:
     def __post_init__(self):
         for name in ("c", "d1", "d2", "d3"):
             v = getattr(self, name)
-            if not isinstance(v, (int, Fraction)) and not math.isfinite(v):
+            # a float skips the (slow, abstract) Fraction probe
+            if (type(v) is float or not isinstance(v, (int, Fraction))) and not math.isfinite(v):
                 raise ValueError(f"parameter {name} must be finite, got {v!r}")
 
     def as_floats(self) -> "Params":
+        """These constants as floats: ``self`` when they already are."""
+        if type(self.c) is type(self.d1) is type(self.d2) is type(self.d3) is float:
+            return self
         return Params(float(self.c), float(self.d1), float(self.d2), float(self.d3))
 
     def coefficients(self):
@@ -87,15 +93,18 @@ class RootMultiset:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple((v, int(m)) for v, m in self.entries)
+        entries = tuple([(v, int(m)) for v, m in self.entries])
         object.__setattr__(self, "entries", entries)
-        vals = [v for v, _ in entries]
-        if any(m <= 0 for _, m in entries):
-            raise ValueError("multiplicities must be positive")
-        if any(float(a) >= float(b) for a, b in zip(vals, vals[1:])):
-            raise ValueError("root values must be strictly increasing")
-        if self.total() not in (0, 2, 4):
-            raise ValueError(f"total multiplicity {self.total()} not in {{0, 2, 4}}")
+        total = 0
+        for _, m in entries:
+            if m <= 0:
+                raise ValueError("multiplicities must be positive")
+            total += m
+        for (a, _), (b, _) in zip(entries, entries[1:]):
+            if float(a) >= float(b):
+                raise ValueError("root values must be strictly increasing")
+        if total not in (0, 2, 4):
+            raise ValueError(f"total multiplicity {total} not in {{0, 2, 4}}")
 
     def total(self) -> int:
         return sum(m for _, m in self.entries)
@@ -191,6 +200,12 @@ def eval_F(p: Params, f):
     """Evaluate F(f) by Horner's scheme; exact for rational inputs."""
     c4, c3, c2, c1, c0 = p.coefficients()
     return (((c4 * f + c3) * f + c2) * f + c1) * f + c0
+
+
+def first_integral_residual(p: Params, f, fp) -> float:
+    """max |f'^2 - F(f)| over samples f, f' (arrays) of a wave, F the quartic
+    of the float params ``p``."""
+    return float(np.abs(fp ** 2 - eval_F(p, f)).max())
 
 
 def _derivative(coeffs):
@@ -342,6 +357,18 @@ def _companion_roots(coeffs):
     return roots + [type(roots[0])(0)] * (len(coeffs) - n)
 
 
+def scaled_bound(rtol: float, scale: float, power: int) -> float:
+    """The bound rtol * scale**power of a check on F near zeros of size
+    ``scale``; raises ValueError when scale**power does not fit a float,
+    where F's own values overflow and no such check can be made."""
+    try:
+        return rtol * scale ** power
+    except OverflowError:
+        raise ValueError(
+            f"zeros of size {scale:.6g} are too large: the bound {rtol:g} * "
+            f"{scale:.6g}^{power} does not fit a float") from None
+
+
 def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
     """Real roots of F, clustered into a multiset.
 
@@ -356,7 +383,8 @@ def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
     The other roots are real when their imaginary part is within
     tol*max(1, |root|), and real roots closer than that merge into one entry
     with summed multiplicity, sanity-checked by the smallness of the lower
-    derivatives of F at the cluster center.
+    derivatives of F at the cluster center.  Raises ValueError when a
+    coefficient, or the bound of that check, does not fit a float.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -372,7 +400,7 @@ def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
         # only guards against a grossly mis-set clustering tolerance
         scale = max(1.0, abs(center))
         for j, (v, _) in enumerate(_taylor(coeffs, center, m)):
-            if abs(v) > 1e-3 * scale ** (4 - j):
+            if abs(v) > scaled_bound(1e-3, scale, 4 - j):
                 raise ValueError(
                     f"cluster at {center} fails multiplicity-{m} check "
                     f"(|F^({j})| = {abs(v):.3e})"
@@ -391,22 +419,19 @@ def params_from_roots(r: RootMultiset) -> Params:
     Exact in rational arithmetic when every root value is rational; raises
     ValueError("underdetermined") unless the total multiplicity is 4.
     """
-    if r.total() != 4:
-        raise ValueError("underdetermined: need total multiplicity 4")
     roots = r.expand()
-    exact = all(isinstance(v, Rational) for v in roots)
-    if exact:
-        roots = tuple(Fraction(v) for v in roots)
-        one = Fraction(1)
+    if len(roots) != 4:
+        raise ValueError("underdetermined: need total multiplicity 4")
+    # a float root is not rational: it skips the (slow, abstract) Rational probe
+    if type(roots[0]) is not float and all(isinstance(v, Rational) for v in roots):
+        f1, f2, f3, f4 = map(Fraction, roots)
     else:
-        roots = tuple(float(v) for v in roots)
-        one = 1.0
-    f1, f2, f3, f4 = roots
+        f1, f2, f3, f4 = map(float, roots)
     e1 = f1 + f2 + f3 + f4
     e2 = f1 * f2 + f1 * f3 + f1 * f4 + f2 * f3 + f2 * f4 + f3 * f4
     e3 = f1 * f2 * f3 + f1 * f2 * f4 + f1 * f3 * f4 + f2 * f3 * f4
     e4 = f1 * f2 * f3 * f4
-    return Params(-e1 / 4, e1 * e1 / 16 - e2 / 4, e3 / 8, -e4 * one / 8)
+    return Params(-e1 / 4, e1 * e1 / 16 - e2 / 4, e3 / 8, -e4 / 8)
 
 
 def classify(r: RootMultiset) -> CaseTag:

@@ -58,7 +58,8 @@ from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .elliptic import complete_K, jacobi, normalize_modulus
 from .errors import Infeasible, InvalidConfiguration, UnresolvedBranch
-from .quartic import Params, RootMultiset, band_edges, classify, eval_F, params_from_roots
+from .quartic import (Params, RootMultiset, band_edges, classify, eval_F,
+                      first_integral_residual, params_from_roots, scaled_bound)
 from .reduction import g_from_f
 
 __all__ = [
@@ -153,9 +154,8 @@ def _sin(x, k):
 
 
 def _sech(x, k):
-    # exp(-|x|) form: no cosh overflow in the far tails
-    with np.errstate(over="ignore"):
-        e = np.exp(-np.abs(x))
+    # exp(-|x|) <= 1 form: no cosh overflow in the far tails
+    e = np.exp(-np.abs(x))
     y = 2.0 * e / (1.0 + e * e)
     return y, -y * np.tanh(x)
 
@@ -276,13 +276,14 @@ class ClosedFormSolution:
         """max |f'^2 - F(f)| over the points xi, with F the quartic of
         ``params`` (default: the solution's own)."""
         f, fp = self.profile(xi)
-        p = self.params if params is None else params.as_floats()
-        return float(np.max(np.abs(fp ** 2 - eval_F(p, f))))
+        return first_integral_residual(self.params if params is None else params.as_floats(),
+                                       f, fp)
 
     @property
     def residual_bound(self) -> float:
-        """The defining-residual gate the constructors enforce: RESIDUAL_RTOL * scale^4."""
-        return RESIDUAL_RTOL * self.roots.scale() ** 4
+        """The defining-residual gate the constructors enforce: RESIDUAL_RTOL * scale^4.
+        Raises ValueError when scale^4 does not fit a float."""
+        return scaled_bound(RESIDUAL_RTOL, self.roots.scale(), 4)
 
     # -- descriptive properties ----------------------------------------------
 
@@ -347,16 +348,30 @@ def _modulus(k2) -> float:
 
 
 def _window(sol, n):
-    """n points over half a period either side of xi0, or +-10 for a pulse."""
+    """n points over half a period either side of xi0, or +-10 for a pulse:
+    bit for bit ``np.linspace(xi0 - half, xi0 + half, n)``, whose arithmetic
+    this repeats without its wrapper."""
     T = sol.period
     half = 0.5 * T if T is not None else 10.0
-    return np.linspace(sol.xi0 - half, sol.xi0 + half, n)
+    start, stop = sol.xi0 - half, sol.xi0 + half
+    delta = stop - start
+    x = np.arange(n, dtype=float)
+    step = delta / (n - 1)
+    if step == 0.0:  # a subnormal step underflows: scale the ramp, then delta
+        x /= n - 1
+        x *= delta
+    else:
+        x *= step
+    x += start
+    x[-1] = stop
+    return x
 
 
 def _residual_gate(sol, n=513):
-    """Max defining residual |f'^2 - F(f)| over a grid; raises if over gate."""
-    res = sol.residual(_window(sol, n))
+    """Max defining residual |f'^2 - F(f)| over a grid; raises if over gate.
+    The gate comes first: zeros too large for it are refused unsampled."""
     gate = sol.residual_bound
+    res = sol.residual(_window(sol, n))
     if not res < gate:
         raise UnresolvedBranch(
             f"{sol.kind} failed the defining residual gate: {res:.3e} >= {gate:.3e}",
@@ -491,7 +506,7 @@ def _solution(kind, roots, xi0, mobius, kernel, **kw):
     on ``kernel`` with the params of ``roots``, after the residual gate and,
     when the form has a modulus (the Jacobi kernels), the orbit check."""
     params = params_from_roots(roots).as_floats()
-    A, B, C, D = (float(v) for v in mobius)
+    A, B, C, D = map(float, mobius)
     sol = ClosedFormSolution(kind=kind, roots=roots, params=params, A=A, B=B, C=C, D=D,
                              kernel=kernel, xi0=float(xi0), **kw)
     _residual_gate(sol)
@@ -821,7 +836,7 @@ def case2(kind, f1, f2, f3, xi0=0.0) -> ClosedFormSolution:
 
     row = CASE2_KERNELS[kind]
     beta2 = row.beta2(nu2, nu4)
-    if not beta2 > 1e-14 * roots.scale() ** 2:
+    if not beta2 > scaled_bound(1e-14, roots.scale(), 2):
         raise Infeasible(f"case2_{kind}", "branch infeasible: frequency^2 is not positive",
                          {"beta2": beta2, "nu0": nu0, "nu2": nu2, "nu4": nu4})
     k2 = row.k2(nu2, nu4, beta2)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfiguration
-from .quartic import Params, eval_F_deriv, roots_of_F
+from .quartic import Params, eval_F_deriv, first_integral_residual, roots_of_F, scaled_bound
 from .reduction import g_from_f
 from .solutions import ClosedFormSolution
 
@@ -54,6 +54,9 @@ __all__ = [
     "build_profile",
 ]
 
+# the most grid points oracle_integrate samples: its lists, arrays and a
+# CSV of them take some 200 bytes a point, so this many take about 200 MB
+MAX_ORACLE_POINTS = 10 ** 6
 _CLAMP_TOL = 1e-10
 _EVENT_BISECTIONS = 60
 _REACH_MARGIN = 2.0  # plain steps invert the series within twice its reach
@@ -92,6 +95,11 @@ class Profile:
     @property
     def h(self) -> float:
         return float(self.xi[1] - self.xi[0])
+
+    def residual(self, p: Params) -> float:
+        """max |f'^2 - F(f)| over the samples, F the quartic of p: for a
+        ``build_profile`` profile, what ``ode_residual`` gives on its grid."""
+        return first_integral_residual(p.as_floats(), self.f, self.f_prime)
 
 
 def build_profile(sol: ClosedFormSolution, p: Params, domain, n: int) -> Profile:
@@ -370,7 +378,8 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
     the turning-point locations in ``events``.
 
     Raises ValueError unless h is finite and positive, length finite and
-    >= 0 and f0 finite, and InvalidConfiguration when F(f0) < 0.
+    >= 0, the grid at most MAX_ORACLE_POINTS points and f0 finite, and
+    InvalidConfiguration when F(f0) < 0.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h}")
@@ -378,6 +387,9 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
         raise ValueError(f"length must be finite, got {length}")
     if not length >= 0:
         raise ValueError(f"length must be >= 0, got {length}")
+    if not length / h + 1 <= MAX_ORACLE_POINTS:
+        raise ValueError(f"length {length} in steps of h = {h} takes {length / h + 1:.7g} "
+                         f"grid points, more than MAX_ORACLE_POINTS = {MAX_ORACLE_POINTS}")
     f0 = float(f0)
     if not math.isfinite(f0):
         raise ValueError(f"f0 must be finite, got {f0}")
@@ -385,7 +397,7 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
     q = _Quartic(p, factor_roots=rm.expand() if rm.total() == 4 else None)
     # relative to the zeros' scale, like the residual gate: F near a zero
     # carries rounding of order eps * scale^4
-    if q.F(f0) < -1e-12 * rm.scale() ** 4:
+    if q.F(f0) < -scaled_bound(1e-12, rm.scale(), 4):
         raise InvalidConfiguration(
             f"start point infeasible: F({f0}) = {q.F(f0):.3e} < 0"
         )

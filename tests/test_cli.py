@@ -605,3 +605,67 @@ class TestParserReuse:
             main(["oracle", "--params", self.P])  # --f0 missing
         code, out = run(["classify", "--params", self.P], capsys)
         assert code == 0 and "DoubleBetweenSimples" in out
+
+
+class TestRefusals:
+    """Inputs a verb cannot serve exit 1 with one ``error:`` line, in process
+    and with warnings as errors: no traceback, no warning, no file written.
+    Each class is refused where it arises: zeros too large for the bounds
+    of F's checks, an evolve run that cannot finish, an oracle grid too
+    large to allocate."""
+
+    P = "2,-7/4,-7/2,-3/2"
+    HUGE = "1e100,1e199,0,0"  # zeros near -2.6e100, -1.4e100 and 0 (double)
+    CASES = {
+        "classify-huge-zeros": (["classify", "--params", HUGE], "zeros of size 2.63246e+100"),
+        "solve-huge-zeros": (["solve", "--params", HUGE], "zeros of size 2.63246e+100"),
+        "oracle-huge-zeros": (["oracle", "--params", HUGE, "--f0", "0"],
+                              "zeros of size 2.63246e+100"),
+        "solve-huge-roots": (["solve", "--kind", "solitary_double", "--roots=-1e100,0,1e100"],
+                             "the bound 1e-08 * 1e+100^4 does not fit a float"),
+        # refused before the gate samples a profile that would overflow
+        "solve-huge-band": (["solve", "--kind", "periodic_trig", "--roots=1e90,2e90,0"],
+                            "the bound 1e-08 * 2e+90^4 does not fit a float"),
+        "evolve-T-inf": (["evolve", "--preset", "fig-case1a", "--T=inf"],
+                         "T must be finite, got inf"),
+        "evolve-dt-nan": (["evolve", "--preset", "fig-case1a", "--dt", "nan"],
+                          "dt must be finite, got nan"),
+        "evolve-tiny-dt": (["evolve", "--preset", "fig-case1a", "--T", "0.01", "--dt", "1e-300"],
+                           "takes 1e+298 steps, more than MAX_STEPS = 1000000"),
+        "evolve-long-T": (["evolve", "--preset", "fig-case1a", "--T", "1e9"],
+                          "steps, more than MAX_STEPS = 1000000"),
+        "oracle-huge-grid": (["oracle", "--params", P, "--f0", "-2.9", "--length", "12",
+                              "--h", "1e-8"],
+                             "takes 1.2e+09 grid points, more than MAX_ORACLE_POINTS = 1000000"),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused_with_one_error_line(self, tmp_path, capsys, case):
+        argv, message = self.CASES[case]
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_oracle_point_limit_is_inclusive(self, tmp_path, monkeypatch):
+        from kbwave import verify
+
+        monkeypatch.setattr(verify, "MAX_ORACLE_POINTS", 101)
+        argv = ["oracle", "--params", self.P, "--f0", "-2.9", "--h", "1e-3", "--out"]
+        assert main([*argv, str(tmp_path / "a.csv"), "--length", "0.1"]) == 0
+        assert len(read_csv(tmp_path / "a.csv")[1]) == 101
+        assert main([*argv, str(tmp_path / "b.csv"), "--length", "0.101"]) == 1
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_evolve_step_limit_is_inclusive(self, tmp_path, monkeypatch):
+        from kbwave import evolution
+
+        monkeypatch.setattr(evolution, "MAX_STEPS", 4)
+        argv = ["evolve", "--preset", "fig-case1a", "--n-grid", "256", "--T", "0.02"]
+        assert main([*argv, "--dt", "0.005", "--out", str(tmp_path / "a.csv")]) == 0
+        assert main([*argv, "--dt", "0.0049", "--out", str(tmp_path / "b.csv")]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a-final.csv", "a-initial.csv", "a-summary.json"]

@@ -145,6 +145,33 @@ def test_stability_limit_enforced():
         evolve(state, 2.0 * dt_max, 10.0 * dt_max)
 
 
+@pytest.mark.parametrize("dt, T, message", [
+    (1e-300, 0.01, "takes 1e\\+298 steps, more than MAX_STEPS"),
+    (1e-3, math.inf, "T must be finite, got inf"),
+    (math.nan, 1.0, "dt must be finite, got nan"),
+    (0.0, 1.0, "dt must be nonzero"),
+])
+def test_run_refused_before_stepping(dt, T, message):
+    """A run that cannot finish, or has no step count, is refused before
+    its first step: 1e298 steps used to hang and T = inf to overflow."""
+    _, _, state = case1a_state(n=64)
+    with pytest.raises(ValueError, match=message):
+        evolve(state, dt, T, enforce_stability=False)
+
+
+def test_step_count():
+    assert evolution.step_count(1.0, 0.3) == 4
+    assert evolution.step_count(-0.05, 0.1) == 1
+    assert evolution.step_count(0.05, -0.01) == 5
+    assert evolution.step_count(float(evolution.MAX_STEPS), 1.0) == evolution.MAX_STEPS
+    with pytest.raises(ValueError, match="more than MAX_STEPS"):
+        evolution.step_count(float(evolution.MAX_STEPS) + 1.0, 1.0)
+    with pytest.raises(ValueError, match="T must be nonzero"):
+        evolution.step_count(0.0, 1.0)
+    with pytest.raises(ValueError, match="T must be finite, got -inf"):
+        evolution.step_count(-math.inf, 1.0)
+
+
 def test_blow_up_detected_when_unchecked():
     _, _, state = case1a_state(n=512)
     dt = 4.0 * stability_limit(state)

@@ -173,6 +173,43 @@ class TestParams:
         assert p.c == 10**400
 
 
+class TestAsFloats:
+    def test_float_params_are_their_own_floats(self):
+        assert P_CASE1A.as_floats() is P_CASE1A
+
+    @pytest.mark.parametrize("params", [
+        Params(Fraction(2), Fraction(-7, 4), Fraction(-7, 2), Fraction(-3, 2)),
+        Params(2, -1.75, -3.5, -1.5),
+        Params(np.float64(2.0), -1.75, -3.5, -1.5),
+    ], ids=["fractions", "int", "numpy-scalar"])
+    def test_other_params_become_floats(self, params):
+        got = params.as_floats()
+        assert got == P_CASE1A
+        assert all(type(v) is float for v in (got.c, got.d1, got.d2, got.d3))
+
+
+class TestZerosTooLarge:
+    """Zeros so large that the bound of a check on F, scale^k, does not fit
+    a float are refused with a ValueError (an OverflowError before)."""
+
+    def test_scaled_bound(self):
+        assert quartic.scaled_bound(1e-8, 10.0, 4) == 1e-8 * 10.0 ** 4
+        with pytest.raises(ValueError, match=r"the bound 1e-08 \* 1e\+100\^4 does not fit"):
+            quartic.scaled_bound(1e-8, 1e100, 4)
+
+    @pytest.mark.parametrize("params", [
+        Params(1e100, 1e199, 0.0, 0.0),
+        Params(0, 0, 0, Fraction(int(np.finfo(float).max), 8)),
+    ], ids=["simple-zeros-near-1e100", "largest-d3"])
+    def test_roots_of_F_refuses(self, params):
+        with pytest.raises(ValueError, match="are too large: the bound 0.001 \\* "):
+            roots_of_F(params)
+
+    def test_zeros_just_below_the_limit_accepted(self):
+        rm = roots_of_F(params_from_roots(RootMultiset(((-1e76, 1), (0.0, 2), (1e76, 1)))))
+        assert classify(rm) is CaseTag.DOUBLE_BETWEEN_SIMPLES
+
+
 class TestCoefficientsTooLarge:
     @pytest.mark.parametrize("params, name", [
         (Params(1e200, 0.0, 0.0, 0.0), "4 (d1 - c^2)"),

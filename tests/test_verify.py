@@ -67,6 +67,17 @@ class TestOdeResidual:
         with pytest.raises(ValueError):
             ode_residual(sol, P_CASE1A, (-1, 1), 1)
 
+    @pytest.mark.parametrize("name", ["fig-case1a", "fig-case1b-k05", "fig-case2bc-k1",
+                                      "fig-case2f"])
+    @pytest.mark.parametrize("n", [2, 201, 2001])
+    def test_profile_residual_is_ode_residual(self, name, n):
+        """The residual read off a written profile is the one ode_residual
+        samples again on the same grid, to the bit."""
+        sol, params = build_preset(name)
+        domain = (sol.xi0 - 3.0, sol.xi0 + 4.0)
+        got = build_profile(sol, params, domain, n).residual(params)
+        assert repr(got) == repr(ode_residual(sol, params, domain, n))
+
 
 class TestPdeResidual:
     def test_case1a(self):
@@ -195,6 +206,16 @@ class TestOracle:
     def test_non_finite_input_refused(self, f0, length, h, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             oracle_integrate(P_CASE1A, f0, 1, length, h=h)
+
+    def test_grid_past_the_point_limit_refused(self, monkeypatch):
+        """A grid of more than MAX_ORACLE_POINTS points is refused before it
+        is allocated (a MemoryError from the lists before)."""
+        with pytest.raises(ValueError, match="1.2e\\+09 grid points, more than MAX_ORACLE_POINTS"):
+            oracle_integrate(P_CASE1A, -2.5, 1, 12.0, h=1e-8)
+        monkeypatch.setattr(verify, "MAX_ORACLE_POINTS", 11)
+        assert len(oracle_integrate(P_CASE1A, -2.5, 1, 0.01, h=1e-3).f) == 11
+        with pytest.raises(ValueError, match="MAX_ORACLE_POINTS = 11"):
+            oracle_integrate(P_CASE1A, -2.5, 1, 0.011, h=1e-3)
 
     def test_series_constants_once_per_call(self, monkeypatch):
         """F's derivatives are taken for each zero's series once per call:
