@@ -18,7 +18,7 @@ CONFIGS = [
     ("no real zeros", kb.Params(0.0, 0.0, 0.0, -1 / 8)),
     ("one double zero only", kb.Params(-0.5, -0.25, 0.25, -0.125)),
     ("two simple zeros + complex pair", kb.Params(0.0, 0.0, 0.0, 1 / 8)),
-    ("vanishing boundary, c = 2", kb.vanishing_reduction_l2(2.0)[0]),
+    ("vanishing boundary, c = 2", kb.Params(2.0, 0.0, 0.0, 0.0)),
 ]
 
 print(f"{'configuration':<40} {'case':<24} existence")
@@ -33,11 +33,14 @@ for label, params in CONFIGS:
         print(f"{'':<40}   zeros: {pretty}")
 
 print()
-print("Local behavior at each zero of the solitary fixture:")
+print("Bands of F > 0 of the solitary fixture, and the orbit at each edge:")
 params = CONFIGS[0][1]
-for value, mult in kb.roots_of_F(params).entries:
-    form = kb.local_behavior(value, mult, params)
-    print(f"  f = {value:+.4f} (x{mult}): {form.kind}, rate {form.rate:.4f}")
+ORBIT_AT = {1: "turning point, f'' =", 2: "exponential approach, rate",
+            3: "algebraic approach, rate"}
+for lower, upper in kb.bands(params, kb.roots_of_F(params)):
+    print(f"  band [{lower.value:+.4f}, {upper.value:+.4f}]")
+    for edge in (lower, upper):
+        print(f"    f = {edge.value:+.4f} (x{edge.mult}): {ORBIT_AT[edge.mult]} {edge.rate:.4f}")
 
 print()
 print("Round trip: parameters -> zeros -> parameters")
@@ -52,6 +55,6 @@ print("Vanishing boundary conditions force F = -f^2 (f + 2c)^2 <= 0:")
 rng = np.random.default_rng(0)
 worst = -np.inf
 for c in rng.uniform(-5, 5, size=100):
-    p, _ = kb.vanishing_reduction_l2(float(c))
+    p = kb.Params(float(c), 0.0, 0.0, 0.0)
     worst = max(worst, float(np.max(kb.eval_F(p, rng.uniform(-10, 10, 100)))))
 print(f"  max F over 100 random speeds x 100 random f: {worst:.3e}  (never positive)")

@@ -4,9 +4,9 @@ Library layout:
 
 * :mod:`kbwave.elliptic`   Jacobi elliptic functions and K(k) from the AGM;
 * :mod:`kbwave.quartic`    the quartic first integral (f')^2 = F(f): roots,
-  parameters, case taxonomy;
-* :mod:`kbwave.reduction`  second-field reconstruction and local orbit
-  behavior near zeros of F;
+  parameters, case taxonomy, and its bands with the orbit's rate at each
+  edge;
+* :mod:`kbwave.reduction`  second-field reconstruction g(f);
 * :mod:`kbwave.solutions`  every closed-form family (solitary, trigonometric,
   elliptic) as validated evaluable descriptors;
 * :mod:`kbwave.verify`     residual checks and the brute-force RK4 orbit
@@ -45,8 +45,10 @@ from .hierarchy import (
 from .presets import PRESETS, build_preset
 from .quartic import (
     CaseTag,
+    Edge,
     Params,
     RootMultiset,
+    bands,
     classify,
     eval_F,
     eval_F_deriv,
@@ -55,7 +57,7 @@ from .quartic import (
     quadratic_cofactor,
     roots_of_F,
 )
-from .reduction import LocalForm, g_from_f, local_behavior, vanishing_reduction_l2
+from .reduction import g_from_f
 from .solutions import (
     ClosedFormSolution,
     Infeasible,
@@ -78,10 +80,11 @@ __all__ = [
     # elliptic
     "JacobiTriple", "complete_K", "jacobi", "normalize_modulus",
     # quartic
-    "CaseTag", "Params", "RootMultiset", "classify", "eval_F", "eval_F_deriv",
-    "existence", "params_from_roots", "quadratic_cofactor", "roots_of_F",
+    "CaseTag", "Edge", "Params", "RootMultiset", "bands", "classify", "eval_F",
+    "eval_F_deriv", "existence", "params_from_roots", "quadratic_cofactor",
+    "roots_of_F",
     # reduction
-    "LocalForm", "g_from_f", "local_behavior", "vanishing_reduction_l2",
+    "g_from_f",
     # solutions
     "ClosedFormSolution", "Infeasible", "case1", "case2",
     "discrepancy_report", "general_sn2", "limiting_form",

@@ -39,7 +39,8 @@ class UnresolvedBranch(KBWaveError):
 
 
 class BlowUp(KBWaveError):
-    """Non-finite values appeared during time evolution."""
+    """Non-finite values appeared in an integration: ``evolve``'s in time, or
+    the orbit oracle's in xi; t is where."""
 
     def __init__(self, message, t=None):
         super().__init__(message)

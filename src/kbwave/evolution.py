@@ -53,6 +53,7 @@ __all__ = [
     "linearized_symbol",
     "RK4_IMAGINARY_LIMIT",
     "MAX_STEPS",
+    "MAX_WAVENUMBER",
 ]
 
 RK4_IMAGINARY_LIMIT = 2.8
@@ -61,9 +62,24 @@ RK4_IMAGINARY_LIMIT = 2.8
 MAX_STEPS = 10 ** 6
 
 
-def _check_length(L: float) -> None:
+# the largest wavenumber a grid may have: its cube, the factor of u_xxx at
+# the top mode, and the k^2 of the stability limit then fit a float
+MAX_WAVENUMBER = float(np.finfo(float).max) ** (1.0 / 3.0)
+
+
+def _check_grid(L: float, n: int) -> None:
+    """Refuse a grid that is not n >= 8 points, a power of two, on a finite
+    positive L, or whose top wavenumber pi n / L is above MAX_WAVENUMBER."""
     if not (np.isfinite(L) and L > 0):
         raise ValueError(f"L = {L} must be finite and positive")
+    if n & (n - 1) != 0 or n < 8:
+        raise ValueError(f"n = {n} must be a power of two >= 8")
+    top = math.pi * n / L
+    if not top <= MAX_WAVENUMBER:
+        raise ValueError(
+            f"a grid of n = {n} points on L = {L} is too fine: its top wavenumber "
+            f"pi n / L = {top:.3g} is above MAX_WAVENUMBER = {MAX_WAVENUMBER:.3g}, "
+            f"where its cube overflows")
 
 
 @dataclass(frozen=True)
@@ -77,14 +93,11 @@ class EvolutionState:
     L: float
 
     def __post_init__(self):
-        _check_length(self.L)
-        n = len(self.x)
-        if n & (n - 1) != 0 or n < 8:
-            raise ValueError(f"n = {n} must be a power of two >= 8")
+        _check_grid(self.L, self.n)
         for name in ("u", "v"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            if len(arr) != n:
+            if len(arr) != self.n:
                 raise ValueError("field length mismatch")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
@@ -98,7 +111,7 @@ def state_from_callable(f_of_xi, params, L: float, n: int, center=None,
                         t: float = 0.0) -> EvolutionState:
     """Sample u = f(x - center), v = g(u) on a periodic grid of length L."""
     L = float(L)
-    _check_length(L)  # before sampling, which an infinite or nan L spoils
+    _check_grid(L, n)  # before sampling, which an infinite or nan L spoils
     x = np.arange(n) * (L / n)
     if center is None:
         center = 0.5 * L

@@ -19,7 +19,9 @@ numerator over one integer denominator.
 A wave lives in a band of F > 0 between adjacent real zeros.  The bands follow
 from the multiplicities alone (``band_edges``): F < 0 above the top zero and
 changes sign at each zero of odd multiplicity.  Each case tag's existence
-verdict is read off its bands.
+verdict is read off its bands.  ``bands`` gives each band's two edges with
+the orbit's local rate there: a turning point at a simple zero, an
+exponential approach to a double, an algebraic one to a triple.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +43,8 @@ __all__ = [
     "eval_F_deriv",
     "first_integral_residual",
     "band_edges",
+    "bands",
+    "Edge",
     "roots_of_F",
     "params_from_roots",
     "classify",
@@ -183,6 +188,49 @@ def band_edges(multiplicities):
     zero of odd multiplicity."""
     return [(i - 1, i) for i in range(1, len(multiplicities))
             if sum(multiplicities[i:]) % 2]
+
+
+class Edge(NamedTuple):
+    """A band's edge: a zero of F, its multiplicity, and the orbit's rate there.
+
+    The rate, by multiplicity:
+
+    1. f'' = F'(value)/2 where the orbit turns: positive at a band's lower
+       edge, negative at its upper one;
+    2. sqrt(F''(value)/2): a pulse meets the double zero like
+       exp(-rate |xi|) (F'' rounded to zero or below gives 0);
+    3. sqrt(|F'''(value)|/6): a pulse meets the triple zero like
+       1/(rate xi / 2)^2, from above when it is the band's lower edge.
+
+    A double zero with F'' < 0 and a quadruple zero bound no band, so no
+    edge has them.
+    """
+
+    value: float | Fraction
+    mult: int
+    rate: float
+
+
+def _rate(pf: Params, f: float, mult: int) -> float:
+    d = eval_F_deriv(pf, f, mult)
+    if mult == 1:
+        return d / 2.0
+    if mult == 2:
+        return math.sqrt(max(d, 0.0) / 2.0)
+    return math.sqrt(abs(d) / 6.0)
+
+
+def bands(p: Params, roots: RootMultiset):
+    """The bands of F > 0 that ``band_edges`` finds, ascending: one
+    (lower, upper) pair of Edges each, the rates from the float F of ``p``
+    at the float zeros of ``roots``."""
+    pf = p.as_floats()
+
+    def edge(i):
+        v, m = roots.entries[i]
+        return Edge(v, m, _rate(pf, float(v), m))
+
+    return [(edge(i), edge(j)) for i, j in band_edges(roots.multiplicities())]
 
 
 def _verdict(sig):

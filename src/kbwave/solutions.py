@@ -58,7 +58,7 @@ from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .elliptic import complete_K, jacobi, normalize_modulus
 from .errors import Infeasible, InvalidConfiguration, UnresolvedBranch
-from .quartic import (Params, RootMultiset, band_edges, classify, eval_F,
+from .quartic import (Params, RootMultiset, bands, classify, eval_F,
                       first_integral_residual, params_from_roots, scaled_bound)
 from .reduction import g_from_f
 
@@ -414,14 +414,13 @@ def _band(sol, f0, gate):
     """The band (e, o) of F > 0 that holds f0, anchored at a simple zero e,
     and the two other zeros; raises when f0 lies outside every band."""
     zeros = sol.roots.expand()
-    vals = sol.roots.values()
-    bands = [(vals[i], vals[j]) for i, j in band_edges(sol.roots.multiplicities())]
-    dist = [max(lo - f0, f0 - hi, 0.0) for lo, hi in bands]
+    spans = [(lo.value, hi.value) for lo, hi in bands(sol.params, sol.roots)]
+    dist = [max(lo - f0, f0 - hi, 0.0) for lo, hi in spans]
     if not dist or not min(dist) < gate:
         raise UnresolvedBranch(
             f"{sol.kind} failed the orbit check: f(xi0) = {f0!r} lies in no band "
             f"of F > 0 for the zeros {zeros}", candidate=sol)
-    lo, hi = bands[dist.index(min(dist))]
+    lo, hi = spans[dist.index(min(dist))]
     rest = list(zeros)
     rest.remove(lo)
     rest.remove(hi)

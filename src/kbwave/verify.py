@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfiguration
+from .errors import BlowUp, InvalidConfiguration
 from .quartic import Params, eval_F_deriv, first_integral_residual, roots_of_F, scaled_bound
 from .reduction import g_from_f
 from .solutions import ClosedFormSolution
@@ -378,8 +378,9 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
     the turning-point locations in ``events``.
 
     Raises ValueError unless h is finite and positive, length finite and
-    >= 0, the grid at most MAX_ORACLE_POINTS points and f0 finite, and
-    InvalidConfiguration when F(f0) < 0.
+    >= 0, the grid at most MAX_ORACLE_POINTS points and f0 finite,
+    InvalidConfiguration when F(f0) < 0, and BlowUp when a step too coarse
+    for the orbit takes f, f' or g past the floats.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h}")
@@ -511,12 +512,16 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
             if abs(f - r) < _CLAMP_TOL:
                 clamp_to = r
     xi = np.arange(n + 1) * h
-    fs = np.array(fs)
+    fs, fps = np.array(fs), np.array(fps)
     pf = p.as_floats()
-    return Profile(
-        xi=xi, f=fs, f_prime=np.array(fps), g=g_from_f(fs, pf.c, pf.d1),
-        events=tuple(events),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = g_from_f(fs, pf.c, pf.d1)
+    lost = ~(np.isfinite(g) & np.isfinite(fps))  # g is not finite where f is not
+    if lost.any():
+        at = float(xi[lost.argmax()])
+        raise BlowUp(f"the orbit overflowed at xi = {at:.6g}: a step h = {h} is too "
+                     f"coarse for it", t=at)
+    return Profile(xi=xi, f=fs, f_prime=fps, g=g, events=tuple(events))
 
 
 def compare_profiles(a: Profile, b: Profile):

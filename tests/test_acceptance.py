@@ -45,7 +45,8 @@ def test_criterion_02_vanishing_nonexistence():
     rng = np.random.default_rng(101)
     for c in rng.uniform(-5, 5, size=100):
         c = float(c)
-        p, roots = kb.vanishing_reduction_l2(c)
+        p = kb.Params(c, 0.0, 0.0, 0.0)
+        roots = kb.roots_of_F(p)
         expect = (-1.0, -4.0 * c, -4.0 * c * c, 0.0, 0.0)
         assert tuple(float(v) for v in p.coefficients()) == expect
         tag = kb.classify(roots)
@@ -205,7 +206,7 @@ def test_criterion_07_infeasibility_results():
     # start sits at a zero and the orbit is constant
     for p, zeros in (
         (kb.Params(-0.5, -0.25, 0.25, -0.125), (1.0,)),          # -(f-1)^2(f^2+1)
-        (kb.vanishing_reduction_l2(2.0)[0], (0.0, -4.0)),        # -f^2(f+4)^2
+        (kb.Params(2.0, 0.0, 0.0, 0.0), (0.0, -4.0)),            # -f^2(f+4)^2
     ):
         grid = np.linspace(-12, 12, 4001)
         Fv = kb.eval_F(p, grid)

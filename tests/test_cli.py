@@ -611,8 +611,9 @@ class TestRefusals:
     """Inputs a verb cannot serve exit 1 with one ``error:`` line, in process
     and with warnings as errors: no traceback, no warning, no file written.
     Each class is refused where it arises: zeros too large for the bounds
-    of F's checks, an evolve run that cannot finish, an oracle grid too
-    large to allocate."""
+    of F's checks, an evolve run that cannot finish or a grid too fine for
+    float wavenumbers, an oracle grid too large to allocate or a step so
+    coarse that the orbit overflows."""
 
     P = "2,-7/4,-7/2,-3/2"
     HUGE = "1e100,1e199,0,0"  # zeros near -2.6e100, -1.4e100 and 0 (double)
@@ -634,9 +635,18 @@ class TestRefusals:
                            "takes 1e+298 steps, more than MAX_STEPS = 1000000"),
         "evolve-long-T": (["evolve", "--preset", "fig-case1a", "--T", "1e9"],
                           "steps, more than MAX_STEPS = 1000000"),
+        # refused before k^2 of the stability limit overflows
+        "evolve-tiny-L": (["evolve", "--preset", "fig-case1a", "--L", "1e-300"],
+                          "a grid of n = 1024 points on L = 1e-300 is too fine"),
+        "evolve-n-grid-0": (["evolve", "--preset", "fig-case1a", "--n-grid", "0"],
+                            "n = 0 must be a power of two >= 8"),
         "oracle-huge-grid": (["oracle", "--params", P, "--f0", "-2.9", "--length", "12",
                               "--h", "1e-8"],
                              "takes 1.2e+09 grid points, more than MAX_ORACLE_POINTS = 1000000"),
+        # one step from the zero -1 leaves the floats: an overflow warning in g before
+        "oracle-coarse-step": (["oracle", "--params", P, "--f0=-1", "--length", "1e100",
+                                "--h", "1e100"],
+                               "the orbit overflowed at xi = 1e+100: a step h = 1e+100"),
     }
 
     @pytest.mark.filterwarnings("error")

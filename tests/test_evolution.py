@@ -186,6 +186,32 @@ def test_power_of_two_required():
         EvolutionState(x=x, u=np.zeros(100), v=np.zeros(100), t=0.0, L=L)
 
 
+@pytest.mark.filterwarnings("error")
+def test_grid_too_fine_refused_before_sampling():
+    """A top wavenumber pi n / L above MAX_WAVENUMBER is refused before the
+    profile is sampled: L = 1e-300 used to overflow k^2 in stability_limit.
+    At the limit itself the operators, the limit and a step are finite."""
+    n = 64
+    edge = math.pi * n / evolution.MAX_WAVENUMBER * (1.0 + 1e-15)
+    sampled = []
+
+    def constant(xi):
+        sampled.append(xi)
+        return np.full_like(xi, -2.0)
+
+    _, params = build_preset("fig-case1a")
+    for length in (1e-300, edge * (1.0 - 1e-14)):
+        with pytest.raises(ValueError, match=f"a grid of n = 64 points on L = {length} "
+                                             "is too fine"):
+            state_from_callable(constant, params, length, n)
+    with pytest.raises(ValueError, match="n = 0 must be a power of two"):
+        state_from_callable(constant, params, L, 0)
+    assert sampled == []
+    state = state_from_callable(constant, params, edge, n)
+    dt = stability_limit(state)
+    assert 0.0 < dt and np.all(evolve(state, dt, dt).u == -2.0)
+
+
 def _rhs_eleven_ffts(u, v, n, mask, ik, ik3):
     """The tendencies as eleven separate FFTs, one field at a time: the
     reference the batched ``_rhs_arrays`` must equal bit for bit."""

@@ -15,6 +15,7 @@ from kbwave.quartic import (
     Params,
     RootMultiset,
     band_edges,
+    bands,
     classify,
     eval_F,
     eval_F_deriv,
@@ -580,22 +581,40 @@ class TestBandRule:
         band_edges iff F > 0 at its midpoint.  Zeros of total multiplicity
         below 4 are completed by the complex pair u +- i w."""
         rm = RootMultiset(tuple(zip(sorted(values[:len(sig)]), sig)))
-        minus_F = [Fraction(1)]  # coefficients, highest degree first
-        factors = [[1, -v] for v in rm.expand()]
-        factors += [[1, -2 * u, u * u + w * w]] * ((4 - rm.total()) // 2)
-        for factor in factors:
-            minus_F = [sum(minus_F[i] * factor[k - i] for i in range(len(minus_F))
-                           if 0 <= k - i < len(factor))
-                       for k in range(len(minus_F) + len(factor) - 1)]
-        _, a3, a2, a1, a0 = minus_F
-        p = Params(a3 / 4, a3 * a3 / 16 - a2 / 4, -a1 / 8, -a0 / 8)
+        p = _exact_params(rm.entries, [(u, w)] * ((4 - rm.total()) // 2))
         if rm.total() == 4:
             assert p == params_from_roots(rm)
-        zeros, bands = rm.values(), band_edges(sig)
+        zeros, edges = rm.values(), band_edges(sig)
         for i in range(len(zeros) - 1):
             mid = (zeros[i] + zeros[i + 1]) / 2
-            assert ((i, i + 1) in bands) == (eval_F(p, mid) > 0)
+            assert ((i, i + 1) in edges) == (eval_F(p, mid) > 0)
         assert classify(rm) is quartic._TAGS[sig]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.sampled_from(sorted(quartic._TAGS)),
+           st.lists(_FRACTION, min_size=4, max_size=4, unique=True),
+           _FRACTION, st.builds(Fraction, st.integers(1, 48), st.just(12)))
+    def test_bands_carry_each_edge(self, sig, values, u, w):
+        """bands pairs the entries of band_edges, each with its local rate:
+        F'/2 at a simple edge, > 0 at a lower edge and < 0 at an upper one;
+        sqrt(F''/2) > 0 at a double edge; sqrt(|F'''|/6) at a triple edge,
+        where F''' > 0 at a lower edge (the orbit comes from above)."""
+        rm = RootMultiset(tuple(zip(sorted(values[:len(sig)]), sig)))
+        p = _exact_params(rm.entries, [(u, w)] * ((4 - rm.total()) // 2))
+        table = bands(p, rm)
+        assert [(lo[:2], hi[:2]) for lo, hi in table] == [
+            (rm.entries[i], rm.entries[j]) for i, j in band_edges(sig)]
+        pf = p.as_floats()
+        for lo, hi in table:
+            for (v, m, rate), side in ((lo, 1), (hi, -1)):
+                d = eval_F_deriv(pf, float(v), m)
+                if m == 1:
+                    assert rate == d / 2.0 and side * rate > 0
+                elif m == 2:
+                    assert rate == math.sqrt(d / 2.0) > 0
+                else:
+                    assert m == 3 and rate == math.sqrt(abs(d) / 6.0)
+                    assert side * d > 0
 
 
 class TestCofactor:
