@@ -11,10 +11,15 @@ back to the constants (exactly, in rational arithmetic when the roots are
 rational), and classifies the configuration into the case taxonomy that
 drives the solution constructors.
 
-The roots are the eigenvalues of F's companion matrix, the matrix and the
-eigensolve of ``numpy.roots``.  Its float coefficients are, for rational
-constants, the exact coefficients each rounded once, from one integer
-numerator over one integer denominator.
+For rational constants (int or Fraction) the multiplicities of the real
+zeros are exact: the signs of integer invariants of F (its discriminant and
+three more) give them with no tolerance, and a multiple zero, and every
+zero when F has one, or no real zero, comes in closed form with no
+eigensolve.  Otherwise, and for a square-free F with real zeros, the roots
+are the eigenvalues of F's companion matrix, the matrix and the eigensolve
+of ``numpy.roots``, grouped into multiple zeros within a tolerance.  Its
+float coefficients are, for rational constants, the exact coefficients each
+rounded once, from one integer numerator over one integer denominator.
 
 A wave lives in a band of F > 0 between adjacent real zeros.  The bands follow
 from the multiplicities alone (``band_edges``): F < 0 above the top zero and
@@ -351,11 +356,20 @@ def _too_large(name, p):
     return ValueError(f"coefficient {name} of F does not fit a float: {p}")
 
 
+def _rational(p: Params) -> bool:
+    return all(isinstance(v, (int, Fraction)) for v in (p.c, p.d1, p.d2, p.d3))
+
+
+def _ratios(values):
+    """(numerator, denominator) of each of the rational ``values``."""
+    return [(v.numerator, v.denominator) for v in values]
+
+
 def _rounded_coefficients(p, values):
     """F's coefficients for rational ``values`` (c, d1, d2, d3), each exact one
     as one integer numerator over one integer denominator: int / int rounds
     correctly, so each float is the exact coefficient rounded once."""
-    (a, b), (e, g), (h, k), (m, n) = [(v.numerator, v.denominator) for v in values]
+    (a, b), (e, g), (h, k), (m, n) = _ratios(values)
     ratios = ((-1, 1), (-4 * a, b), (4 * (e * b * b - a * a * g), g * b * b),
               (8 * h, k), (8 * m, n))
     coeffs = []
@@ -375,7 +389,7 @@ def _float_coefficients(p: Params):
     ValueError, naming the coefficient, when one does not fit a float.
     """
     values = (p.c, p.d1, p.d2, p.d3)
-    if all(isinstance(v, (int, Fraction)) for v in values):
+    if _rational(p):
         return _rounded_coefficients(p, values)
     try:
         coeffs = [float(v) for v in p.coefficients()]
@@ -386,6 +400,86 @@ def _float_coefficients(p: Params):
         if not math.isfinite(v):
             raise _too_large(name, p)
     return coeffs
+
+
+def _pair(B, S, M):
+    """The zeros (-B - sqrt(S))/M < (-B + sqrt(S))/M as floats, for integers
+    S > 0 and M > 0: each rounded once when S is a perfect square, else the
+    one away from -B/M from |B| + sqrt(S) (no cancellation) and the other
+    from the product of the two, (B^2 - S)/M^2, with sqrt(S) to at least 63
+    bits, so each is within about half an ulp."""
+    root = math.isqrt(S)
+    if root * root == S:
+        return (-B - root) / M, (-B + root) / M
+    k = max(0, 64 - S.bit_length() // 2)
+    W = (abs(B) << k) + math.isqrt(S << 2 * k)  # (|B| + sqrt(S)) 2^k, error < 1
+    far = W / (M << k)
+    near = ((B * B - S) << k) / (M * W)
+    return (-far, -near) if B >= 0 else (near, far)
+
+
+def _exact_zeros(values):
+    """The multiplicity signature of F's real zeros for rational ``values``
+    (c, d1, d2, d3), and its entries [(float zero, multiplicity)], or None
+    for the entries when F is square-free with real zeros.
+
+    With f = phi - c, -F = phi^4 + p phi^2 + q phi + r, where p = -2c^2 - 4d1,
+    q = 8 (c d1 - d2) and r = c^4 - 4c^2 d1 + 8c d2 - 8d3; scaled by L, the
+    lcm of the denominators, psi = L phi has the integer coefficients
+    P = p L^2, Q = q L^3, R = r L^4, and f = (psi - A)/L with A = c L.  The
+    signs of the discriminant and of P, 64R - 16P^2 and P^2 + 12R (the
+    standard nature-of-roots table) give the signature, and every multiple
+    zero is rational or a pair +-sqrt(-P/2) in psi:
+    quadruple psi = 0; triple t = -3Q/(4P) with its simple zero at -3t; two
+    doubles psi^2 = -P/2; one double t = -Q (12R + P^2)/(2P^3 - 8PR + 9Q^2),
+    whose cofactor psi^2 + 2t psi + (P + 3t^2) has the other two zeros.
+    """
+    (a, b), (e, g), (h, k), (m, n) = _ratios(values)
+    L = math.lcm(b, g, k, n)
+    A = a * (L // b)
+    D1 = e * (L // g) * L
+    D2 = h * (L // k) * L * L
+    D3 = m * (L // n) * L * L * L
+    P = -2 * A * A - 4 * D1
+    Q = 8 * (A * D1 - D2)
+    R = A ** 4 - 4 * A * A * D1 + 8 * A * D2 - 8 * D3
+    PP, QQ = P * P, Q * Q
+    disc = (256 * R ** 3 - 128 * PP * R * R + 144 * P * QQ * R - 27 * QQ * QQ
+            + 16 * PP * PP * R - 4 * PP * P * QQ)
+    if disc < 0:
+        return (1, 1), None
+    if disc > 0:
+        if P < 0 and 4 * R < PP:  # 8p < 0 and 64r - 16p^2 < 0
+            return (1, 1, 1, 1), None
+        return (), ()
+    if P == 0 and Q == 0:  # and so R = 0
+        return (4,), [(-a / b, 4)]
+    if PP + 12 * R == 0:  # a triple zero t = -3Q/(4P), its simple zero at -3t
+        triple = (3 * Q + 4 * P * A) / (-4 * P * L)  # a positive divisor: no -0.0
+        simple = (4 * P * A - 9 * Q) / (-4 * P * L)
+        # P < 0, so t < 0 exactly when Q < 0
+        return ((3, 1), [(triple, 3), (simple, 1)]) if Q < 0 else \
+            ((1, 3), [(simple, 1), (triple, 3)])
+    if Q == 0 and 4 * R == PP:  # (psi^2 + P/2)^2
+        if P > 0:
+            return (), ()
+        lo, hi = _pair(A, -P // 2, L)
+        return (2, 2), [(lo, 2), (hi, 2)]
+    # one double zero t = N/M in psi
+    N = -Q * (12 * R + PP)
+    M = 2 * PP * P - 8 * P * R + 9 * QQ
+    if M < 0:
+        N, M = -N, -M
+    double = (N - A * M) / (M * L)
+    S = -P * M * M - 2 * N * N  # the cofactor's discriminant / 4, times M^2
+    if S < 0:
+        return (2,), [(double, 2)]
+    lo, hi = _pair(N + A * M, S, M * L)
+    if 6 * N * N + P * M * M < 0:  # |2t| < sqrt(S)/M: the double between
+        return (1, 2, 1), [(lo, 1), (double, 2), (hi, 1)]
+    if N > 0:  # t above the cofactor's centre -t
+        return (1, 1, 2), [(lo, 1), (hi, 1), (double, 2)]
+    return (2, 1, 1), [(double, 2), (lo, 1), (hi, 1)]
 
 
 def _companion_roots(coeffs):
@@ -420,23 +514,37 @@ def scaled_bound(rtol: float, scale: float, power: int) -> float:
 def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
     """Real roots of F, clustered into a multiset.
 
-    The raw roots are the eigenvalues of the companion matrix of F's float
-    coefficients (each exact coefficient rounded once for rational params;
-    see ``_float_coefficients``), as ``numpy.roots`` computes them.  These
-    split an m-fold zero into m roots about eps^(1/m) apart (up to 1e-3
-    relative for a quadruple zero), so roots within 1e-2 relative of each
-    other are grouped, and a group of m becomes one m-fold zero when its mean
-    is real and F and its lower derivatives vanish there to within rounding
-    (see ``_multiple_zero``).
+    Rational params (int or Fraction) get their multiplicities exactly,
+    from integer invariants of F (see ``_exact_zeros``): a multiple zero,
+    and every zero when F has one, or no real zero, is found in closed form
+    with no eigensolve, each rational zero the exact one rounded once.
+    When F is square-free with real zeros they take the float path below,
+    and a result whose multiplicities differ from the exact ones raises
+    ValueError, naming the params, in place of a wrong case tag.
+
+    The float path: the raw roots are the eigenvalues of the companion
+    matrix of F's float coefficients (each exact coefficient rounded once for
+    rational params; see ``_float_coefficients``), as ``numpy.roots``
+    computes them.  These split an m-fold zero into m roots about eps^(1/m)
+    apart (up to 1e-3 relative for a quadruple zero), so roots within 1e-2
+    relative of each other are grouped, and a group of m becomes one m-fold
+    zero when its mean is real and F and its lower derivatives vanish there
+    to within rounding (see ``_multiple_zero``).
     The other roots are real when their imaginary part is within
     tol*max(1, |root|), and real roots closer than that merge into one entry
     with summed multiplicity, sanity-checked by the smallness of the lower
-    derivatives of F at the cluster center.  Raises ValueError when a
-    coefficient, or the bound of that check, does not fit a float.
+    derivatives of F at the cluster center; ``tol`` applies to this path
+    only.  Raises ValueError when a coefficient, or the bound of that check,
+    does not fit a float.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     coeffs = _float_coefficients(p)
+    exact = _rational(p)
+    if exact:
+        signature, known = _exact_zeros((p.c, p.d1, p.d2, p.d3))
+        if known is not None:
+            return RootMultiset(tuple(known))
     raw = _companion_roots(coeffs)
     scale = max(1.0, *map(abs, raw))
     entries, rest = _multiple_zeros(coeffs, raw, tol, _NEAR * scale, tol * scale)
@@ -454,7 +562,12 @@ def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
                     f"(|F^({j})| = {abs(v):.3e})"
                 )
         entries.append((center, m))
-    return RootMultiset(tuple(sorted(entries)))
+    rm = RootMultiset(tuple(sorted(entries)))
+    if exact and rm.multiplicities() != signature:
+        raise ValueError(
+            f"the eigensolve resolves zeros of multiplicities {rm.multiplicities()} "
+            f"where F has {signature}: {p}")
+    return rm
 
 
 def params_from_roots(r: RootMultiset) -> Params:

@@ -85,6 +85,11 @@ MODULUS_CLAMP = 1e-9          # k^2 in (1, 1+clamp] snaps to 1; in [-clamp, 0) t
 # out within a few ulps of 0 (fig-case2f: 1.7e-16); its square root, ~1e-8,
 # would pass the 1e-12 snap of k in normalize_modulus, so k^2 snaps first
 K2_ROUNDING = 4.0 * np.finfo(float).eps
+# case1's and case2's fourth zero comes from the other three in a few rounded
+# operations, so one equal to another lands a few ulps off it (fig-case2e: 1
+# ulp, fig-case2bc-k1: 2): their zeros merge, at the mean, only this close
+# (relative); zeros farther apart are distinct
+_SAME_ZERO = 8.0 * np.finfo(float).eps
 
 DISCREPANCIES = (
     {
@@ -658,7 +663,7 @@ def _case1_shared(f1, f2, f3):
     fs = sorted((float(f1), float(f2), float(f3)))
     f1, f2, f3 = fs
     f4 = f1 + f3 - f2  # the implied fourth zero; makes d2 = c d1 hold
-    roots = RootMultiset.from_values([f1, f2, f3, f4])
+    roots = RootMultiset.from_values([f1, f2, f3, f4], tol=_SAME_ZERO)
     e1 = f1 + f2 + f3 + f4
     e2 = (f1 * f2 + f1 * f3 + f1 * f4 + f2 * f3 + f2 * f4 + f3 * f4)
     e4 = f1 * f2 * f3 * f4
@@ -736,7 +741,7 @@ def _case2_shared(f1, f2, f3):
     gscale = max(1.0, float(np.max(np.abs(g))))
     if abs(g[1]) > 1e-9 * gscale or abs(g[3]) > 1e-9 * gscale:
         raise InvalidConfiguration("odd coefficients failed to vanish")  # unreachable
-    return f1, f2, f3, a, b, g, RootMultiset.from_values(vals)
+    return f1, f2, f3, a, b, g, RootMultiset.from_values(vals, tol=_SAME_ZERO)
 
 
 class _Case2Kernel(NamedTuple):

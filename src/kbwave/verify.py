@@ -61,6 +61,7 @@ _CLAMP_TOL = 1e-10
 _EVENT_BISECTIONS = 60
 _REACH_MARGIN = 2.0  # plain steps invert the series within twice its reach
 _GUARD_PAD = 1e-12  # relative widening of the watched intervals
+_BAND_SLACK = 1e-6  # how far (relative to the zeros' scale) f may leave its band
 
 
 @dataclass(frozen=True)
@@ -380,7 +381,8 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
     Raises ValueError unless h is finite and positive, length finite and
     >= 0, the grid at most MAX_ORACLE_POINTS points and f0 finite,
     InvalidConfiguration when F(f0) < 0, and BlowUp when a step too coarse
-    for the orbit takes f, f' or g past the floats.
+    for the orbit takes f, f' or g past the floats, or f out of the band of
+    F >= 0 it starts in by more than 1e-6 times the zeros' scale.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h}")
@@ -521,6 +523,16 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
         at = float(xi[lost.argmax()])
         raise BlowUp(f"the orbit overflowed at xi = {at:.6g}: a step h = {h} is too "
                      f"coarse for it", t=at)
+    # no orbit passes a zero of F (it turns at a simple one and only nears a
+    # multiple one), so f stays between the nearest zeros below and above
+    # f0; a zero within the slack of f0 (a start at that zero) bounds neither
+    slack = _BAND_SLACK * rm.scale()
+    lo = max([v for v in rm.values() if v < f0 - slack], default=-math.inf)
+    hi = min([v for v in rm.values() if v > f0 + slack], default=math.inf)
+    if fs.min() < lo - slack or fs.max() > hi + slack:
+        at = float(xi[((fs < lo - slack) | (fs > hi + slack)).argmax()])
+        raise BlowUp(f"the orbit left its band [{lo:.6g}, {hi:.6g}] at xi = {at:.6g}: "
+                     f"a step h = {h} is too coarse for it", t=at)
     return Profile(xi=xi, f=fs, f_prime=fps, g=g, events=tuple(events))
 
 

@@ -613,7 +613,7 @@ class TestRefusals:
     Each class is refused where it arises: zeros too large for the bounds
     of F's checks, an evolve run that cannot finish or a grid too fine for
     float wavenumbers, an oracle grid too large to allocate or a step so
-    coarse that the orbit overflows."""
+    coarse that the orbit overflows or leaves its band."""
 
     P = "2,-7/4,-7/2,-3/2"
     HUGE = "1e100,1e199,0,0"  # zeros near -2.6e100, -1.4e100 and 0 (double)
@@ -647,6 +647,10 @@ class TestRefusals:
         "oracle-coarse-step": (["oracle", "--params", P, "--f0=-1", "--length", "1e100",
                                 "--h", "1e100"],
                                "the orbit overflowed at xi = 1e+100: a step h = 1e+100"),
+        # one step jumps from the band [-3, -2] to f = -85157, where F < 0
+        "oracle-step-leaves-band": (["oracle", "--params", P, "--f0", "-2.9", "--length", "12",
+                                     "--h", "12"],
+                                    "the orbit left its band [-3, -2] at xi = 12: a step h = 12.0"),
     }
 
     @pytest.mark.filterwarnings("error")

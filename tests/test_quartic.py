@@ -1,12 +1,14 @@
 """Quartic first integral: evaluation, roots, parameter maps, taxonomy."""
 
 import math
+import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kbwave import quartic
@@ -307,6 +309,110 @@ class TestMultipleZeros:
         assert classify(roots_of_F(p)) is CaseTag.TWO_SIMPLE_ONLY
 
 
+@st.composite
+def _taxonomy_params(draw):
+    """(params, tag): exact params of every signature in _TAGS, zeros on grids
+    of 1/den shifted by up to 1e8, and, beside a multiple zero, one
+    neighbour (a zero or a complex pair) 10^-U(2, 12) of its size away."""
+    sig = draw(st.sampled_from(sorted(quartic._TAGS)))
+    den = draw(st.sampled_from([1, 4, 64, 3, 7, 1000, 2**20]))
+    shift = Fraction(draw(st.integers(-10**8 * den, 10**8 * den)), den)
+    ticks = st.integers(-40 * den, 40 * den)
+    values = sorted(draw(st.lists(ticks, min_size=len(sig), max_size=len(sig), unique=True)))
+    zeros = [[Fraction(v, den) + shift, m] for v, m in zip(values, sig)]
+    pairs = [[Fraction(x, den) + shift, Fraction(y, den)]
+             for x, y in draw(st.lists(st.tuples(ticks, st.integers(1, 40 * den)),
+                                       min_size=(4 - sum(sig)) // 2,
+                                       max_size=(4 - sum(sig)) // 2))]
+    if len(pairs) == 2 and draw(st.booleans()):
+        pairs[1] = pairs[0]  # a complex double pair
+    multiple = [z for z in zeros if z[1] > 1]
+    # what may move next to the first multiple zero: a simple zero, the
+    # second double, or a complex pair
+    others = [z for z in zeros if z[1] == 1 or len(multiple) > 1 and z is multiple[-1]]
+    if multiple and (others or pairs):
+        anchor = multiple[0][0]
+        gap = Fraction(10 ** -draw(st.floats(2, 12))) * max(1, abs(anchor))
+        neighbour = draw(st.sampled_from(others + pairs))
+        if neighbour in pairs:
+            neighbour[:] = [anchor, gap]
+        else:
+            neighbour[0] = anchor + draw(st.sampled_from([-gap, gap]))
+    zeros.sort()
+    assume(all(a[0] < b[0] for a, b in zip(zeros, zeros[1:])))
+    tag = quartic._TAGS[tuple(m for _, m in zeros)]
+    return _exact_params(tuple(map(tuple, zeros)), tuple(map(tuple, pairs))), tag
+
+
+class TestExactTaxonomy:
+    """Rational params get their multiplicities exactly: no tolerance, and
+    no eigensolve when F has a multiple zero or no real zero."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(_taxonomy_params())
+    def test_exact_tags_next_to_close_neighbours(self, case):
+        """A multiple zero or no real zero gets its exact tag and every zero
+        rounded once; a square-free F with real zeros gets its tag or a
+        refusal that names the params."""
+        p, tag = case
+        signature, zeros = _exact_truth(p)
+        assert quartic._TAGS[signature] is tag
+        if zeros is not None:
+            _assert_exact_truth(p, zeros)
+            return
+        try:
+            rm = roots_of_F(p)
+        except ValueError as err:
+            assert str(err).endswith(f"where F has {signature}: {p}")
+        else:
+            assert classify(rm) is tag
+
+    @pytest.mark.parametrize("zeros, tag", [
+        # a triple zero 1/640 above its simple zero, which the eigensolve
+        # splits into what the float path takes for two simple zeros
+        (((Fraction(3, 2), 1), (Fraction(961, 640), 3)), CaseTag.TRIPLE_WITH_SIMPLE_BELOW),
+        # a triple at 1000 with its simple zero at 1001: the float path
+        # (and the CLI) still tags it TwoSimpleOnly
+        (((Fraction(1000), 3), (Fraction(1001), 1)), CaseTag.TRIPLE_WITH_SIMPLE_ABOVE),
+    ], ids=["found-triple", "triple-at-1000"])
+    def test_pinned_triples(self, zeros, tag):
+        p = _exact_params(zeros)
+        if tag is CaseTag.TRIPLE_WITH_SIMPLE_ABOVE:
+            assert p == Params(Fraction(-4001, 4), Fraction(-8003999, 16),
+                               Fraction(500375000), Fraction(-125125000000))
+        rm = roots_of_F(p)
+        assert classify(rm) is tag
+        assert rm.entries == tuple((float(z), m) for z, m in zeros)
+
+    @pytest.mark.parametrize("poly, zeros", [
+        ([1, 0, -4, 0, 4], ((-math.sqrt(2), 2), (math.sqrt(2), 2))),     # (f^2 - 2)^2
+        ([1, -2, -2, 6, -3], ((-math.sqrt(3), 1), (1.0, 2), (math.sqrt(3), 1))),
+        ([1, 0, 2, 0, 1], ()),                                          # (f^2 + 1)^2
+    ], ids=["two-irrational-doubles", "irrational-simple-pair", "complex-double-pair"])
+    def test_irrational_and_complex_pairs(self, poly, zeros):
+        """-F = poly: irrational zeros within an ulp of the true ones."""
+        _, a3, a2, a1, a0 = map(Fraction, poly)
+        c = a3 / 4
+        rm = roots_of_F(Params(c, c * c - a2 / 4, -a1 / 8, -a0 / 8))
+        assert rm.multiplicities() == tuple(m for _, m in zeros)
+        for (got, _), (want, _) in zip(rm.entries, zeros):
+            assert abs(got - want) <= math.ulp(want)
+
+    def test_no_eigensolve(self, monkeypatch):
+        """A multiple zero or no real zero takes no eigensolve; a square-free
+        F with real zeros still does."""
+        def refuse(coeffs):
+            raise AssertionError("eigensolve")
+        monkeypatch.setattr(quartic, "_companion_roots", refuse)
+        for zeros, pairs in TestMultipleZeros.SIGNATURES.values():
+            sig = tuple(m for _, m in zeros)
+            if max(sig, default=2) > 1:
+                roots_of_F(_exact_params(zeros, pairs))
+            else:
+                with pytest.raises(AssertionError, match="eigensolve"):
+                    roots_of_F(_exact_params(zeros, pairs))
+
+
 # The parent's roots_of_F, kept to check that the companion eigensolve and the
 # integer coefficients give the same zeros to the bit: np.roots on the floats
 # of the exact coefficients, and the grouping and Taylor helpers as they were.
@@ -382,13 +488,136 @@ def _outcome(roots, p):
         return str(err)
 
 
+def _rational(p):
+    return all(isinstance(v, (int, Fraction)) for v in (p.c, p.d1, p.d2, p.d3))
+
+
+# An exact account of F's real zeros, independent of quartic's invariants:
+# a square-free factorisation (repeated gcds) and a Sturm count, in Fraction
+# arithmetic on the monic -F, highest degree first.
+def _strip(a):
+    while a and a[0] == 0:
+        a = a[1:]
+    return a
+
+
+def _monic(a):
+    a = _strip(a)
+    return [Fraction(v) / a[0] for v in a]
+
+
+def _divmod(a, b):
+    a, quot = list(a), []
+    while len(a) >= len(b):
+        k = a[0] / b[0]
+        quot.append(k)
+        a = [u - k * w for u, w in zip(a, b + [0] * (len(a) - len(b)))][1:]
+    return quot, a
+
+
+def _gcd(a, b):
+    a, b = _monic(a), _monic(b)
+    while b:
+        a, b = b, _monic(_divmod(a, b)[1])
+    return a
+
+
+def _yun(a):
+    """[(square-free factor, multiplicity)] of the monic a."""
+    out, k = [], 1
+    c = _gcd(a, quartic._derivative(a))
+    w = _divmod(a, c)[0]
+    while len(c) > 1:
+        y = _gcd(w, c)
+        if len(w) > len(y):
+            out.append((_divmod(w, y)[0], k))
+        w, c, k = y, _divmod(c, y)[0], k + 1
+    if len(w) > 1:
+        out.append((w, k))
+    return out
+
+
+def _real_zero_count(a):
+    """Distinct real zeros of a, by the signs of its Sturm sequence at -inf
+    and +inf."""
+    seq = [a, quartic._derivative(a)]
+    while True:
+        rem = _strip(_divmod(seq[-2], seq[-1])[1])
+        if not rem:
+            break
+        seq.append([-v for v in rem])
+    changes = lambda signs: sum(u * w < 0 for u, w in zip(signs, signs[1:]))
+    return (changes([v[0] * (-1) ** (len(v) - 1) for v in seq])
+            - changes([v[0] for v in seq]))
+
+
+def _exact_truth(p):
+    """The multiplicities of F's real zeros, ascending, for rational params,
+    and the zeros [(value, multiplicity)] when F has a multiple zero or no
+    real zero: a rational zero as a Fraction, an irrational one as a float
+    within an ulp.  The zeros are None when F is square-free with real
+    zeros."""
+    neg_F = _monic([-Fraction(v) for v in p.coefficients()])
+    factors = _yun(neg_F)
+    if factors == [(neg_F, 1)]:
+        count = _real_zero_count(neg_F)
+        return (1,) * count, None if count else []
+    zeros = []
+    for fac, m in factors:
+        if len(fac) == 2:
+            zeros.append((-fac[1], m))
+            continue
+        _, b, c = fac  # every factor of a quartic with a multiple zero has degree <= 2
+        disc = b * b - 4 * c
+        if disc < 0:
+            continue
+        num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+        if num * num == disc.numerator and den * den == disc.denominator:
+            zeros += [((-b - Fraction(num, den)) / 2, m), ((-b + Fraction(num, den)) / 2, m)]
+        else:
+            with localcontext() as ctx:
+                ctx.prec = 100
+                root = Decimal(disc.numerator).sqrt() / Decimal(disc.denominator).sqrt()
+                mid = Decimal(-b.numerator) / Decimal(b.denominator)
+                zeros += [(float((mid - root) / 2), m), (float((mid + root) / 2), m)]
+    zeros.sort(key=lambda e: e[0])
+    return tuple(m for _, m in zeros), zeros
+
+
+def _assert_exact_truth(p, truth):
+    """roots_of_F(p) has the multiplicities of ``truth`` and its zeros: a
+    rational zero rounded once, bit for bit, an irrational one within an ulp."""
+    rm = roots_of_F(p)
+    assert rm.multiplicities() == tuple(m for _, m in truth), (p, rm, truth)
+    for (got, _), (want, _) in zip(rm.entries, truth):
+        assert type(got) is float
+        if isinstance(want, Fraction):
+            assert repr(got) == repr(float(want)), (p, got, want)
+        else:
+            assert abs(got - want) <= math.ulp(want), (p, got, want)
+
+
 def _assert_reference_roots(p):
-    """roots_of_F(p) gives the reference's entries, by repr and by type, or
-    its error, and rational params the floats of their exact coefficients."""
-    assert _outcome(roots_of_F, p) == _outcome(_reference_roots_of_F, p)
-    if all(isinstance(v, (int, Fraction)) for v in (p.c, p.d1, p.d2, p.d3)):
-        want = [float(v) for v in p.coefficients()]
-        assert list(map(repr, quartic._float_coefficients(p))) == list(map(repr, want))
+    """Rational params with a multiple zero or no real zero give the exact
+    zeros; every other input gives the reference's entries, by repr and by
+    type, or its error, except that rational params whose reference
+    entries have the wrong multiplicities are refused, naming the params.
+    Rational params also give the floats of their exact coefficients."""
+    if not _rational(p):
+        assert _outcome(roots_of_F, p) == _outcome(_reference_roots_of_F, p)
+        return
+    signature, zeros = _exact_truth(p)
+    if zeros is not None:
+        _assert_exact_truth(p, zeros)
+    else:
+        want = _outcome(_reference_roots_of_F, p)
+        if isinstance(want, list) and tuple(m for *_, m in want) != signature:
+            with pytest.raises(ValueError, match=re.escape(f"where F has {signature}: {p}")):
+                roots_of_F(p)
+        else:
+            assert _outcome(roots_of_F, p) == want
+    want = [float(v) for v in p.coefficients()]
+    assert list(map(repr, quartic._float_coefficients(p))) == list(map(repr, want))
 
 
 @st.composite
@@ -427,7 +656,11 @@ def _trailing_zero_params(draw):
 
 
 class TestReferenceRoots:
-    """roots_of_F against the parent's np.roots path, entry by entry."""
+    """roots_of_F against the np.roots path it replaced, entry by entry, where
+    it still takes that path: float params, and rational ones square-free
+    with real zeros.  Other rational params get the exact zeros, which move
+    a multiple zero off the np.roots path's value by up to about 1e-11
+    relative."""
 
     @settings(max_examples=600, derandomize=True, deadline=None)
     @given(_classify_params())

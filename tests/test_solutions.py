@@ -16,7 +16,7 @@ from kbwave.errors import (
     UnresolvedBranch,
 )
 from kbwave.presets import build_preset
-from kbwave.quartic import Params, eval_F, eval_F_deriv
+from kbwave.quartic import Params, eval_F, eval_F_deriv, params_from_roots
 from kbwave.solutions import (
     Infeasible,
     _orbit_check,
@@ -282,6 +282,26 @@ class TestCase1:
         assert sol.beta**2 == pytest.approx(2 * mu0 / (-mu2 + disc), rel=1e-10)
         assert k2 == pytest.approx(2 + mu2**2 / (2 * mu0) - mu2 / (2 * mu0) * disc,
                                    rel=1e-9)
+
+
+# two zeros 3.7e-10 apart (relative), once merged into a double by case1 and
+# case2 as by general_sn2 (its test_close_zeros_stay_distinct)
+CLOSE = (0.23357542427147937, 1.3412419361372696, 1.3412419366290624)
+
+
+@pytest.mark.parametrize("build", [
+    lambda z: case1("dn", *z, branch="upper"),
+    lambda z: case1("dn", *z, branch="lower"),
+    lambda z: case2("dn", *z),
+], ids=["case1-dn-upper", "case1-dn-lower", "case2-dn"])
+def test_close_zeros_stay_distinct(build):
+    """Only zeros equal to rounding merge: the roots are the three given and
+    the implied fourth, all simple, and the params are those of their
+    quartic, not of a merged double's."""
+    sol = build(CLOSE)
+    assert sol.roots.multiplicities() == (1, 1, 1, 1)
+    assert set(CLOSE) <= set(sol.roots.values())
+    assert sol.params == params_from_roots(sol.roots)
 
 
 class TestCase2:
@@ -609,10 +629,10 @@ class TestOrbitCheck:
             _orbit_check(sol)
 
     def test_merged_zeros_tiny_band_accepted(self):
-        # f2 - f1 below the clustering tolerance: the zeros merge into two
-        # doubles and the wave, 1e-9 wide, stays on the double zero
+        # f2 - f1 = 9e-10, once merged into two doubles by case1: the four
+        # zeros stay simple, and the wave, 1e-9 wide, follows its tiny band
         sol = case1("dn", -3.5693995947304504, -3.5693995938207603, -0.6228534466259203)
-        assert sol.roots.multiplicities() == (2, 2)
+        assert sol.roots.multiplicities() == (1, 1, 1, 1)
         assert _orbit_check(sol) < 1e-9
 
     @pytest.mark.parametrize("name", MUTATION_BASES)

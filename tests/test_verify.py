@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kbwave import verify
-from kbwave.errors import InvalidConfiguration
+from kbwave.errors import BlowUp, InvalidConfiguration
 from kbwave.presets import build_preset
 from kbwave.quartic import (
     Params,
@@ -216,6 +216,25 @@ class TestOracle:
         assert len(oracle_integrate(P_CASE1A, -2.5, 1, 0.01, h=1e-3).f) == 11
         with pytest.raises(ValueError, match="MAX_ORACLE_POINTS = 11"):
             oracle_integrate(P_CASE1A, -2.5, 1, 0.011, h=1e-3)
+
+    @pytest.mark.parametrize("f0, sign, h, at", [
+        (-2.9, 1, 12.0, 12.0),  # one step to f = -85157, where F < 0
+        (-2.9, 1, 0.5, 3.5),    # across the double zero -2 into [-2, -1]
+    ])
+    def test_step_leaving_the_band_refused(self, f0, sign, h, at):
+        """A step too coarse for the orbit that takes f out of its start
+        band [-3, -2] is a BlowUp at the first such xi, not a profile."""
+        with pytest.raises(BlowUp, match=r"left its band \[-3, -2\]") as err:
+            oracle_integrate(P_CASE1A, f0, sign, 12.0, h=h)
+        assert err.value.t == at
+
+    @pytest.mark.parametrize("f0", [-1.0, -1.0 + 1e-13])
+    def test_start_at_a_zero_takes_the_band_below(self, f0):
+        """A start at the zero -1, or just past it (F(f0) ~ -2e-13, within
+        rounding), is in no band's interior: the band check skips that zero
+        and the orbit runs down through [-2, -1]."""
+        prof = oracle_integrate(P_CASE1A, f0, -1, 1.0, h=1e-3)
+        assert prof.f.min() < -1.1
 
     def test_series_constants_once_per_call(self, monkeypatch):
         """F's derivatives are taken for each zero's series once per call:
