@@ -14,11 +14,15 @@ writes.  Every CSV comes from one writer, ``_csv``, which converts whole
 arrays at once; its text is byte for byte ``format(v, ".17g")`` of each
 value, joined by commas and newlines.  ``solve``, ``verify`` and ``figures``
 report the defining residual against the bound the constructors enforce,
-``ClosedFormSolution.residual_bound``.  The ``--kind`` choices, what
-``--kind auto`` builds for each case tag, and the constructor each kind calls
-come from the family table ``presets.KINDS``.  A kind with no real wave for
-the given zeros exits with the reason and the kinds of its family that do
-have one.
+``ClosedFormSolution.residual_bound``.  The ``--kind`` choices and the
+constructor each kind calls come from the family table ``presets.KINDS``;
+what ``--kind auto`` builds for each case tag comes from ``presets.AUTO``.
+A run exits 0 when its gates pass and 2, with the failed gate's line, when
+one fails.  A refused run raises, and ``main`` prints one ``error: <reason>``
+line and exits 1 with no file written; an infeasible kind's line names the
+kinds of its family that have a wave.  argparse's usage errors exit 2.
+A verb runs with numpy's float errors raised, so no run prints a numpy
+warning: a constructor refuses a form that overflows.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from . import __version__, evolution
 from .errors import InfeasibleBranch, KBWaveError
-from .presets import KINDS, PRESETS, build_preset
+from .presets import AUTO, KINDS, PRESETS, build_preset
 from .quartic import (
     DEFAULT_CLUSTER_TOL,
     CaseTag,
@@ -91,7 +95,7 @@ def _parse_number(token: str) -> float:
             return float(Fraction(token))
         return float(token)
     except (ValueError, ZeroDivisionError):
-        raise SystemExit(f"config error: {token!r} is not a number") from None
+        raise ValueError(f"{token!r} is not a number") from None
 
 
 def _parse_list(text: str):
@@ -109,7 +113,7 @@ def _load_config(args) -> dict:
         with open(args.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
-            raise SystemExit(f"config {args.config}: expected a JSON object")
+            raise ValueError(f"config {args.config}: expected a JSON object")
     for key in ("params", "roots", "kind", "domain", "n", "xi0", "branch",
                 "format", "out", "preset", "initial_index", "L", "n_grid"):
         val = getattr(args, key.replace("-", "_"), None)
@@ -119,9 +123,19 @@ def _load_config(args) -> dict:
 
 
 def _numbers(cfg, key):
-    """The list of numbers under ``key`` (a JSON list or a comma string), or None."""
+    """The numbers under ``key`` (a JSON list or a comma string), or None;
+    a list's entries are read as the flags' tokens are."""
     val = cfg.get(key)
-    return val if val is None or isinstance(val, list) else _parse_list(val)
+    if isinstance(val, list):
+        return [_parse_number(str(v)) for v in val]
+    return val if val is None else _parse_list(val)
+
+
+def _whole(value, name) -> int:
+    """A flag's or a config's whole number; a non-finite float is refused."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
 
 
 def _resolve_problem(cfg):
@@ -133,25 +147,25 @@ def _resolve_problem(cfg):
     """
     vals, root_list = _numbers(cfg, "params"), _numbers(cfg, "roots")
     if vals is None and root_list is None:
-        raise SystemExit("config error: provide --params c,d1,d2,d3 or --roots r1,...")
+        raise ValueError("provide --params c,d1,d2,d3 or --roots r1,...")
     if vals is not None and len(vals) != 4:
-        raise SystemExit(f"config error: --params needs 4 values c,d1,d2,d3; got {len(vals)}")
+        raise ValueError(f"--params needs 4 values c,d1,d2,d3; got {len(vals)}")
     if root_list is not None and not 2 <= len(root_list) <= 4:
-        raise SystemExit("config error: --roots needs 2 to 4 values")
-    p = None if vals is None else Params(*[float(v) for v in vals])
+        raise ValueError("--roots needs 2 to 4 values")
+    p = None if vals is None else Params(*vals)
     if root_list is not None and len(root_list) == 4:
         derived = params_from_roots(RootMultiset.from_values(root_list)).as_floats()
         for name in ("c", "d1", "d2", "d3"):
             got, want = getattr(derived, name), getattr(p or derived, name)
             if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-                raise SystemExit(
-                    "config error: params and roots disagree "
+                raise ValueError(
+                    "params and roots disagree "
                     f"({name}: roots give {got!r}, params say {want!r}); "
                     "drop one of them or fix the values"
                 )
         p = p or derived
     if p is None:
-        raise SystemExit("config error: params can only be derived from exactly 4 roots")
+        raise ValueError("params can only be derived from exactly 4 roots")
     return p, root_list
 
 
@@ -160,13 +174,13 @@ def _resolve_problem(cfg):
 # ---------------------------------------------------------------------------
 
 
-_MULTIPLICITY = {"dbl": 2, "triple": 3}
-
-
 def _construct(cfg):
     """Build the requested solution; returns (solution, params) or raises."""
-    if cfg.get("preset"):
-        return build_preset(cfg["preset"], xi0=float(cfg.get("xi0", 0.0)))
+    preset = cfg.get("preset")
+    if preset:
+        if str(preset) not in PRESETS:
+            raise ValueError(f"unknown preset {preset!r}")
+        return build_preset(preset, xi0=float(cfg.get("xi0", 0.0)))
     kind = cfg.get("kind") or "auto"
     branch, xi0 = cfg.get("branch") or "upper", float(cfg.get("xi0", 0.0))
     if kind == "auto":
@@ -175,36 +189,33 @@ def _construct(cfg):
         tag = classify(rm)
         verdict = existence(tag)
         if verdict == "none":
-            raise SystemExit(
+            raise ValueError(
                 f"case {tag.value} admits no non-constant solution; nothing to solve"
             )
-        entry = next((e for e in KINDS.values() if tag in e.auto), None)
-        if entry is None:
+        if tag not in AUTO:
             # TwoSimpleOnly: no implemented family covers its bounded orbit
-            raise SystemExit(
+            raise ValueError(
                 f"case {tag.value}: {verdict} orbit exists but has no closed form here; "
                 "use the 'oracle' verb to integrate it numerically"
             )
-        # each zero the kind takes is the lowest unused zero of its multiplicity
-        left, zeros = list(rm.entries), []
-        for name in entry.zeros.split(","):
-            m = _MULTIPLICITY.get(name, 1)
-            zeros.append(left.pop(next(i for i, e in enumerate(left) if e[1] == m))[0])
-        return entry.build(zeros, entry.auto_branch or branch, xi0, 1), params
+        kind, at, fixed = AUTO[tag]
+        values = rm.values()
+        return KINDS[kind].build([values[i] for i in at], fixed or branch, xi0, 1), params
     if kind not in KINDS:
-        raise SystemExit(f"config error: unknown kind {kind!r}")
+        raise ValueError(f"unknown kind {kind!r}")
     zeros = _numbers(cfg, "roots")
     if zeros is None or len(zeros) != len(KINDS[kind].zeros.split(",")):
-        raise SystemExit(f"config error: kind {kind} needs --roots {KINDS[kind].zeros}")
+        raise ValueError(f"kind {kind} needs --roots {KINDS[kind].zeros}")
 
     def build(k):
-        return KINDS[k].build(zeros, branch, xi0, int(cfg.get("initial_index", 1)))
+        return KINDS[k].build(zeros, branch, xi0, _whole(cfg.get("initial_index", 1),
+                                                         "initial_index"))
 
     try:
         sol = build(kind)
     except InfeasibleBranch as err:
         family = [k for k in KINDS if k.split("-")[0] == kind.split("-")[0]]
-        raise SystemExit(f"infeasible: {err}\nfeasible kinds for these roots: "
+        raise ValueError(f"infeasible: {err}; feasible kinds for these roots: "
                          + (", ".join(k for k in family if _feasible(build, k)) or "(none)"))
     return sol, sol.params
 
@@ -388,7 +399,10 @@ def _solution_domain(sol, cfg):
     if cfg.get("domain"):
         vals = _numbers(cfg, "domain")
         if len(vals) != 2 or not vals[0] < vals[1]:
-            raise SystemExit("config error: --domain needs a,b with a < b")
+            raise ValueError("--domain needs a,b with a < b")
+        if not math.isfinite(sol.beta * max(abs(v - sol.xi0) for v in vals)):
+            raise ValueError(f"--domain {vals[0]:g},{vals[1]:g} is too wide for a wave of "
+                             f"frequency {sol.beta:g}: its phase does not fit a float")
         return tuple(vals)
     T = sol.period
     if T is not None:
@@ -436,9 +450,9 @@ def _verdict_text(tag: CaseTag, verdict: str) -> str:
 
 
 def _sample_count(n) -> int:
-    n = int(n)
+    n = _whole(n, "sample count n")
     if n < 2:
-        raise SystemExit("config error: sample count n must be >= 2")
+        raise ValueError("sample count n must be >= 2")
     return n
 
 
@@ -481,6 +495,11 @@ def cmd_verify(args) -> int:
     doc = _sidecar(sol, params, res, pde_residual={"r_u": r_u, "r_v": r_v,
                                                    "h_fd": args.h_fd, "passed": bool(pde_ok)})
     _emit(cfg.get("out"), _json(doc))
+    if not doc["residual"]["passed"]:
+        print(f"residual gate FAILED: {res:.3e} >= {sol.residual_bound:.3e}", file=sys.stderr)
+    elif not pde_ok:
+        print(f"PDE residual gate FAILED: {max(r_u, r_v):.3e} >= {PDE_RTOL:.3e}",
+              file=sys.stderr)
     return 0 if doc["residual"]["passed"] and pde_ok else 2
 
 
@@ -510,7 +529,7 @@ def cmd_evolve(args) -> int:
         T = sol.period
         L = 40.0 * math.pi if T is None else max(1, round(40.0 * math.pi / T)) * T
     L = float(L)
-    n = int(cfg.get("n_grid", 1024))
+    n = _whole(cfg.get("n_grid", 1024), "n_grid")
     state0 = evolution.state_from_callable(lambda xi: sol.profile(xi)[0], params, L, n)
     if steps is None:
         # by default the step is the limit evolve enforces, and step_count
@@ -663,7 +682,10 @@ def main(argv=None) -> int:
     # this module see it
     cmd = globals()[f"cmd_{args.verb}"]
     try:
-        return cmd(args)
+        # numpy's float errors raise, so a constructor refuses a form that
+        # leaves the floats, and no run writes values behind a warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return cmd(args)
     except (KBWaveError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -1,10 +1,10 @@
-"""The family table and the figure presets.
+"""The family table, the ``--kind auto`` table and the figure presets.
 
 ``KINDS`` is the one table of solution families.  For each ``--kind`` it
-names the zeros the family takes, its constructor call, and the case tags
-``--kind auto`` builds with it; the ``case2-*`` kinds come from the kernel
-table ``solutions.CASE2_KERNELS``.  The CLI and ``build_preset`` build
-through it, so each constructor call is written once.
+names the zeros the family takes and its constructor call; the ``case2-*``
+kinds come from the kernel table ``solutions.CASE2_KERNELS``.  The CLI and
+``build_preset`` build through it, so each constructor call is written once.
+``AUTO`` is the one statement of what ``--kind auto`` builds for each case tag.
 
 ``PRESETS`` are the parameter sets behind the reference plots: each is a row
 of ``KINDS`` with its zeros and branch, the constants (c, d1, d2, d3) those
@@ -29,33 +29,26 @@ from .solutions import (
     solitary_triple,
 )
 
-__all__ = ["KINDS", "Preset", "PRESETS", "build_preset"]
+__all__ = ["AUTO", "KINDS", "Preset", "PRESETS", "build_preset"]
 
 
 class _Kind(NamedTuple):
     """One --kind: the zeros it takes, in --roots order ("dbl" and "triple"
-    name multiple zeros), its constructor call, the case tags --kind auto
-    builds with it, and the branch auto fixes there (None: the --branch)."""
+    name multiple zeros), and its constructor call."""
 
     zeros: str
     build: Callable  # (zeros, branch, xi0, initial_index) -> solution; raises if none
-    auto: tuple = ()
-    auto_branch: str | None = None
 
 
 # the --kind choices after auto, in --help order; the constructors are looked
 # up at call time, so wrappers installed on this module see the calls
 KINDS = {
     "solitary_double": _Kind(
-        "lo,dbl,hi", lambda z, branch, xi0, _: solitary_double(*z, branch=branch, xi0=xi0),
-        auto=(CaseTag.DOUBLE_BETWEEN_SIMPLES,)),
+        "lo,dbl,hi", lambda z, branch, xi0, _: solitary_double(*z, branch=branch, xi0=xi0)),
     "periodic_trig": _Kind(
-        "s1,s2,dbl",
-        lambda z, branch, xi0, _: periodic_trig(*z, branch=branch, xi0=xi0),
-        auto=(CaseTag.DOUBLE_BELOW_SIMPLES, CaseTag.DOUBLE_ABOVE_SIMPLES), auto_branch="lower"),
+        "s1,s2,dbl", lambda z, branch, xi0, _: periodic_trig(*z, branch=branch, xi0=xi0)),
     "solitary_triple": _Kind(
-        "triple,simple", lambda z, branch, xi0, _: solitary_triple(*z, xi0=xi0),
-        auto=(CaseTag.TRIPLE_WITH_SIMPLE_ABOVE, CaseTag.TRIPLE_WITH_SIMPLE_BELOW)),
+        "triple,simple", lambda z, branch, xi0, _: solitary_triple(*z, xi0=xi0)),
     **{f"case1-{k}": _Kind(
         "f1,f2,f3", lambda z, branch, xi0, _, k=k: case1(k, *z, branch=branch, xi0=xi0))
        for k in ("cn", "dn")},
@@ -64,8 +57,18 @@ KINDS = {
        for k in CASE2_KERNELS},
     "general-sn2": _Kind(
         "f1,f2,f3,f4",
-        lambda z, branch, xi0, index: general_sn2(z, initial_index=index, xi0=xi0),
-        auto=(CaseTag.FOUR_SIMPLE,)),
+        lambda z, branch, xi0, index: general_sn2(z, initial_index=index, xi0=xi0)),
+}
+
+# --kind auto for each case tag with a closed form: the kind, the indices into
+# roots_of_F(params).values() in its --roots order, the branch (None: --branch)
+AUTO = {
+    CaseTag.DOUBLE_BETWEEN_SIMPLES: ("solitary_double", (0, 1, 2), None),
+    CaseTag.DOUBLE_BELOW_SIMPLES: ("periodic_trig", (1, 2, 0), "lower"),
+    CaseTag.DOUBLE_ABOVE_SIMPLES: ("periodic_trig", (0, 1, 2), "lower"),
+    CaseTag.TRIPLE_WITH_SIMPLE_ABOVE: ("solitary_triple", (0, 1), None),
+    CaseTag.TRIPLE_WITH_SIMPLE_BELOW: ("solitary_triple", (1, 0), None),
+    CaseTag.FOUR_SIMPLE: ("general-sn2", (0, 1, 2, 3), None),
 }
 
 

@@ -42,12 +42,16 @@ Families
 A constructor returns a validated solution or raises: :class:`Infeasible`
 (an :class:`InfeasibleBranch`) when the requested member has no real
 parameters for the zeros, InvalidConfiguration when the zeros do not fit the
-family, UnresolvedBranch when a candidate fails a validation gate.  The
-two-branch families take ``branch="upper"`` or ``"lower"``, no other word.
+family, are not finite, or give a form whose arithmetic leaves the floats
+(each public constructor runs inside ``_in_floats``, the one place its
+float errors are caught), UnresolvedBranch when a candidate fails a
+validation gate.  The two-branch families take ``branch="upper"`` or
+``"lower"``, no other word.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -166,7 +170,8 @@ def _sech(x, k):
 
 
 def _rational(x, k):
-    y = 1.0 / (1.0 + x * x)
+    with np.errstate(over="ignore"):  # x * x = inf far out, where y is 0
+        y = 1.0 / (1.0 + x * x)
     return y, -2.0 * x * y * y
 
 
@@ -245,6 +250,8 @@ class ClosedFormSolution:
     details: Mapping = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.xi0):
+            raise ValueError(f"xi0 must be finite, got {self.xi0}")
         if self.kernel not in _KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {tuple(_KERNELS)}")
         object.__setattr__(self, "details", MappingProxyType(dict(self.details)))
@@ -328,6 +335,33 @@ class ClosedFormSolution:
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
+
+
+def _in_floats(ctor):
+    """The numeric boundary of a public constructor: a float error inside it
+    leaves as InvalidConfiguration, since a form whose arithmetic leaves the
+    floats has no wave to return.  Python's float errors always raise;
+    numpy's raise where the caller's ``np.errstate`` says so, as the CLI's
+    does, and otherwise warn, leaving inf or NaN to the gates."""
+
+    @functools.wraps(ctor)
+    def checked(*args, **kwargs):
+        try:
+            return ctor(*args, **kwargs)
+        except ArithmeticError as err:  # FloatingPoint-, Overflow-, ZeroDivisionError
+            raise InvalidConfiguration(
+                f"{ctor.__name__}: the form does not fit a float for these zeros ({err.args[-1]})"
+            ) from None
+
+    return checked
+
+
+def _zeros(*vals) -> tuple:
+    """The zeros a constructor is given, as floats; each must be finite."""
+    fs = tuple(map(float, vals))
+    if not all(map(math.isfinite, fs)):
+        raise InvalidConfiguration(f"zeros must be finite, got {fs}")
+    return fs
 
 
 def _pulse_frequency(f_lo, f_dbl, f_hi):
@@ -529,6 +563,7 @@ def _constant(kind, roots, xi0, value, **kw):
 # ---------------------------------------------------------------------------
 
 
+@_in_floats
 def solitary_double(f_lo, f_dbl, f_hi, branch="upper", xi0=0.0) -> ClosedFormSolution:
     """Solitary pulse for a double zero between two simple zeros.
 
@@ -540,7 +575,7 @@ def solitary_double(f_lo, f_dbl, f_hi, branch="upper", xi0=0.0) -> ClosedFormSol
     sech kernel: f = (f_dbl s c2 + (f_dbl c1 + 2) sech) / (s c2 + c1 sech),
     s = -1 on the upper branch.
     """
-    f_lo, f_dbl, f_hi = float(f_lo), float(f_dbl), float(f_hi)
+    f_lo, f_dbl, f_hi = _zeros(f_lo, f_dbl, f_hi)
     if not (f_lo < f_dbl < f_hi):
         raise InvalidConfiguration(
             "not the solitary configuration: need f_lo < f_dbl < f_hi"
@@ -555,6 +590,7 @@ def solitary_double(f_lo, f_dbl, f_hi, branch="upper", xi0=0.0) -> ClosedFormSol
     )
 
 
+@_in_floats
 def periodic_trig(f_s1, f_s2, f_dbl, branch="lower", xi0=0.0) -> ClosedFormSolution:
     """Periodic orbit between two simple zeros with the double zero outside.
 
@@ -563,7 +599,7 @@ def periodic_trig(f_s1, f_s2, f_dbl, branch="lower", xi0=0.0) -> ClosedFormSolut
     the branch picks the sign ('upper' -> +).  The two branches are
     xi-translates of the same orbit.
     """
-    f_s1, f_s2, f_dbl = float(f_s1), float(f_s2), float(f_dbl)
+    f_s1, f_s2, f_dbl = _zeros(f_s1, f_s2, f_dbl)
     lo, hi = min(f_s1, f_s2), max(f_s1, f_s2)
     if lo <= f_dbl <= hi:
         raise InvalidConfiguration(
@@ -580,6 +616,7 @@ def periodic_trig(f_s1, f_s2, f_dbl, branch="lower", xi0=0.0) -> ClosedFormSolut
     )
 
 
+@_in_floats
 def solitary_triple(f_triple, f_simple, xi0=0.0) -> ClosedFormSolution:
     """Algebraically decaying pulse at a triple zero.
 
@@ -587,7 +624,7 @@ def solitary_triple(f_triple, f_simple, xi0=0.0) -> ClosedFormSolution:
     (xi - xi0)^2); touches the simple zero at xi0 and decays to the triple
     zero like an inverse square.
     """
-    f_triple, f_simple = float(f_triple), float(f_simple)
+    f_triple, f_simple = _zeros(f_triple, f_simple)
     if f_triple == f_simple:
         raise InvalidConfiguration("triple and simple zeros must differ")
     amp = f_simple - f_triple
@@ -598,6 +635,7 @@ def solitary_triple(f_triple, f_simple, xi0=0.0) -> ClosedFormSolution:
     )
 
 
+@_in_floats
 def limiting_form(case, roots, branch="upper", xi0=0.0) -> ClosedFormSolution:
     """Reduced forms of the solitary pulse under special root constraints.
 
@@ -614,7 +652,7 @@ def limiting_form(case, roots, branch="upper", xi0=0.0) -> ClosedFormSolution:
     Constraints are checked to 1e-10 (relative); each form agrees pointwise
     with the generic constructor under its constraint.
     """
-    f1, f2, f3 = (float(v) for v in roots)
+    f1, f2, f3 = _zeros(*roots)
     scale = max(1.0, abs(f1), abs(f2), abs(f3))
     tol = 1e-10 * scale
     s = -_branch_sign(branch)  # checked for case d too, which has one form
@@ -660,8 +698,7 @@ def limiting_form(case, roots, branch="upper", xi0=0.0) -> ClosedFormSolution:
 
 
 def _case1_shared(f1, f2, f3):
-    fs = sorted((float(f1), float(f2), float(f3)))
-    f1, f2, f3 = fs
+    f1, f2, f3 = sorted(_zeros(f1, f2, f3))
     f4 = f1 + f3 - f2  # the implied fourth zero; makes d2 = c d1 hold
     roots = RootMultiset.from_values([f1, f2, f3, f4], tol=_SAME_ZERO)
     e1 = f1 + f2 + f3 + f4
@@ -672,6 +709,7 @@ def _case1_shared(f1, f2, f3):
     return f1, f2, f3, roots, {"mu0": mu0, "mu2": mu2}
 
 
+@_in_floats
 def case1(kind, f1, f2, f3, branch="upper", xi0=0.0) -> ClosedFormSolution:
     """Elliptic family u = gamma + alpha * y(beta (xi - xi0)), y = cn or dn.
 
@@ -706,9 +744,6 @@ def case1(kind, f1, f2, f3, branch="upper", xi0=0.0) -> ClosedFormSolution:
                              f"cn modulus^2 = {k2:.6g} > 1", {"k2": k2})
         beta = math.sqrt(span2)
     else:
-        if span2 < 0.0:
-            raise Infeasible("case1_dn", "branch infeasible for these roots",
-                             {"span2": span2})
         k2 = 4.0 * span2 / (f3 - f1) ** 2
         beta = 0.5 * (f3 - f1)
     k = _modulus(k2)
@@ -723,7 +758,7 @@ def case1(kind, f1, f2, f3, branch="upper", xi0=0.0) -> ClosedFormSolution:
 
 
 def _case2_shared(f1, f2, f3):
-    f1, f2, f3 = float(f1), float(f2), float(f3)
+    f1, f2, f3 = _zeros(f1, f2, f3)
     if f1 == 0.0 or f3 == 0.0:
         raise InvalidConfiguration("case2 needs f1, f3 != 0 (b would be undefined)")
     D = f2 * f3 + f1 * f2 - f1 * f3
@@ -803,6 +838,7 @@ _NO_REAL_PARAMETERS = {"tn": _tn_witness, "dn_tn": _dn_tn_witness}
 CASE2_KINDS = (*CASE2_KERNELS, *_NO_REAL_PARAMETERS)
 
 
+@_in_floats
 def case2(kind, f1, f2, f3, xi0=0.0) -> ClosedFormSolution:
     """Elliptic family u = 1/(a + b y(beta (xi - xi0))) and its inverses.
 
@@ -864,6 +900,7 @@ def case2(kind, f1, f2, f3, xi0=0.0) -> ClosedFormSolution:
     )
 
 
+@_in_floats
 def general_sn2(roots, initial_index=1, xi0=0.0) -> ClosedFormSolution:
     """General four-root family f = (a1 + b1 sn^2(beta xi)) / (a2 + b2 sn^2).
 
@@ -882,7 +919,7 @@ def general_sn2(roots, initial_index=1, xi0=0.0) -> ClosedFormSolution:
     notes.  A branch that fails validation raises UnresolvedBranch with the
     candidate attached.
     """
-    fs = tuple(sorted(float(v) for v in roots))
+    fs = tuple(sorted(_zeros(*roots)))
     if len(fs) != 4 or any(
         b_ - a_ <= 1e-12 * max(1.0, abs(b_)) for a_, b_ in zip(fs, fs[1:])
     ):

@@ -22,6 +22,15 @@ def run(argv, capsys=None):
     return code, out
 
 
+def refusal(argv, capsys):
+    """The message of the one ``error:`` line of a refused run, which exits 1."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err[len("error: "):-1]
+
+
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip()
@@ -126,19 +135,15 @@ class TestSolve:
         assert code == 0
 
     def test_infeasible_kind_lists_alternatives(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--kind", "case2-sn", "--roots", "1,2,3"])
-        assert "feasible kinds" in str(err.value)
+        assert "feasible kinds" in refusal(["solve", "--kind", "case2-sn", "--roots", "1,2,3"],
+                                           capsys)
 
-    def test_no_solution_case_message(self):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--params", "0,0,0,-1/8"])
-        assert "no non-constant solution" in str(err.value)
+    def test_no_solution_case_message(self, capsys):
+        assert "no non-constant solution" in refusal(["solve", "--params", "0,0,0,-1/8"], capsys)
 
-    def test_mismatched_params_and_roots_rejected(self):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--params", "1,0,0,0", "--roots", "0,1,2,3"])
-        assert "disagree" in str(err.value)
+    def test_mismatched_params_and_roots_rejected(self, capsys):
+        assert "disagree" in refusal(["solve", "--params", "1,0,0,0", "--roots", "0,1,2,3"],
+                                     capsys)
 
     def test_residual_gate_is_the_constructors(self, tmp_path):
         """The sidecar reports against the bound the constructors enforce."""
@@ -168,16 +173,13 @@ class TestSolve:
         _, rows = read_csv(out)
         assert [r[0] for r in rows] == [-1.0, 0.0, 1.0]
 
-    def test_empty_domain_rejected(self):
-        """An uncaught SystemExit with a message exits with status 1."""
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--preset", "fig-case1a", "--domain=1,1"])
-        assert str(err.value) == "config error: --domain needs a,b with a < b"
+    def test_empty_domain_rejected(self, capsys):
+        assert (refusal(["solve", "--preset", "fig-case1a", "--domain=1,1"], capsys)
+                == "--domain needs a,b with a < b")
 
-    def test_infeasible_case1_cn_lists_dn(self):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--kind", "case1-cn", "--roots", "1,1,3"])
-        assert "feasible kinds for these roots: case1-dn" in str(err.value)
+    def test_infeasible_case1_cn_lists_dn(self, capsys):
+        assert "feasible kinds for these roots: case1-dn" in refusal(
+            ["solve", "--kind", "case1-cn", "--roots", "1,1,3"], capsys)
 
     def test_constant_records_requested_branch(self, tmp_path):
         out = tmp_path / "c.json"
@@ -246,11 +248,9 @@ class TestKindChoices:
         assert sidecar["residual"]["passed"] is True
 
     @pytest.mark.parametrize("kind", list(KIND_ROOTS))
-    def test_wrong_root_count(self, kind):
+    def test_wrong_root_count(self, kind, capsys):
         roots = "0,1,2" if kind in ("solitary_triple", "general-sn2") else "0,1"
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--kind", kind, "--roots", roots])
-        assert "--roots" in str(err.value)
+        assert "--roots" in refusal(["solve", "--kind", kind, "--roots", roots], capsys)
 
     @pytest.mark.parametrize("tag", list(AUTO_PARAMS))
     def test_auto_per_tag(self, tag, tmp_path):
@@ -273,32 +273,25 @@ class TestKindChoices:
         assert (sidecar["kind"], sidecar["case_tag"]) == ("solitary_triple",
                                                           "TripleWithSimpleAbove")
 
-    def test_auto_two_simple_only(self):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--params=-1/4,-3/16,1/8,0"])
-        assert "TwoSimpleOnly" in str(err.value)
-        assert "oracle" in str(err.value)
+    def test_auto_two_simple_only(self, capsys):
+        msg = refusal(["solve", "--params=-1/4,-3/16,1/8,0"], capsys)
+        assert "TwoSimpleOnly" in msg
+        assert "oracle" in msg
 
     @pytest.mark.parametrize("params", ["0,0,0,-1/8", "0,0,0,0"])
-    def test_auto_no_solution(self, params):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--params", params])
-        assert "no non-constant solution" in str(err.value)
+    def test_auto_no_solution(self, params, capsys):
+        assert "no non-constant solution" in refusal(["solve", "--params", params], capsys)
 
-    def test_infeasible_hint_lists_feasible_kinds(self):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--kind", "case2-sn", "--roots", "1,2,3"])
-        msg = str(err.value)
+    def test_infeasible_hint_lists_feasible_kinds(self, capsys):
+        msg = refusal(["solve", "--kind", "case2-sn", "--roots", "1,2,3"], capsys)
         assert msg.startswith("infeasible: ")
-        assert msg.endswith("feasible kinds for these roots: case2-dn")
+        assert msg.endswith("; feasible kinds for these roots: case2-dn")
 
-    def test_infeasible_case1_lists_feasible_kinds(self):
+    def test_infeasible_case1_lists_feasible_kinds(self, capsys):
         """case1's infeasible exits refuse the same way as case2's."""
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--kind", "case1-cn", "--roots", "0,1,3"])
-        msg = str(err.value)
+        msg = refusal(["solve", "--kind", "case1-cn", "--roots", "0,1,3"], capsys)
         assert msg.startswith("infeasible: ")
-        assert msg.endswith("feasible kinds for these roots: case1-dn")
+        assert msg.endswith("; feasible kinds for these roots: case1-dn")
 
 
 class TestVerifyVerb:
@@ -311,11 +304,18 @@ class TestVerifyVerb:
         assert doc["pde_residual"]["passed"] is True
         assert doc["pde_residual"]["r_u"] < 1e-6
 
-    def test_too_few_samples_writes_nothing(self, tmp_path):
+    def test_failed_gate_prints_its_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("kbwave.cli.PDE_RTOL", 1e-30)
         out = tmp_path / "rep.json"
-        with pytest.raises(SystemExit) as err:
-            main(["verify", "--preset", "fig-case1a", "--n", "1", "--out", str(out)])
-        assert str(err.value) == "config error: sample count n must be >= 2"
+        assert main(["verify", "--preset", "fig-case1a", "--n", "50", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("PDE residual gate FAILED: ") and err.count("\n") == 1
+        assert json.loads(out.read_text())["pde_residual"]["passed"] is False
+
+    def test_too_few_samples_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert refusal(["verify", "--preset", "fig-case1a", "--n", "1", "--out", str(out)],
+                       capsys) == "sample count n must be >= 2"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -508,11 +508,10 @@ class TestFiguresVerb:
         doc = json.loads((outdir / "fig-case2a.json").read_text())
         assert doc["preset"] == "fig-case2a"
 
-    def test_too_few_samples_writes_nothing(self, tmp_path):
+    def test_too_few_samples_writes_nothing(self, tmp_path, capsys):
         outdir = tmp_path / "figs"
-        with pytest.raises(SystemExit) as err:
-            main(["figures", "--n", "1", "--out", str(outdir)])
-        assert str(err.value) == "config error: sample count n must be >= 2"
+        assert refusal(["figures", "--n", "1", "--out", str(outdir)],
+                       capsys) == "sample count n must be >= 2"
         assert not outdir.exists()
 
 
@@ -544,9 +543,17 @@ class TestConfigFile:
         _, rows = read_csv(out)
         assert len(rows) == 51
 
-    def test_missing_problem_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["classify"])
+    def test_missing_problem_rejected(self, capsys):
+        assert refusal(["classify"], capsys) == "provide --params c,d1,d2,d3 or --roots r1,..."
+
+    def test_list_entries_read_as_the_flags_tokens(self, tmp_path, capsys):
+        """A JSON list may hold numbers or strings, fractions included; each
+        gives what the same token gives on the command line."""
+        _, want = run(["classify", "--params", "2,-7/4,-7/2,-3/2"], capsys)
+        for params in (["2", "-1.75", "-3.5", "-1.5"], [2, "-7/4", -3.5, "-3/2"]):
+            cfg = tmp_path / "job.json"
+            cfg.write_text(json.dumps({"params": params}))
+            assert run(["classify", "--config", str(cfg)], capsys) == (0, want)
 
 
 def test_import_leaves_scipy_unloaded():
@@ -613,7 +620,10 @@ class TestRefusals:
     Each class is refused where it arises: zeros too large for the bounds
     of F's checks, an evolve run that cannot finish or a grid too fine for
     float wavenumbers, an oracle grid too large to allocate or a step so
-    coarse that the orbit overflows or leaves its band."""
+    coarse that the orbit overflows or leaves its band, zeros so close that
+    a wave's form or frequency does not fit a float, non-finite --roots,
+    --xi0 or --domain, a --domain too wide for the wave's phase, and
+    --config values the flags' parsers never let through."""
 
     P = "2,-7/4,-7/2,-3/2"
     HUGE = "1e100,1e199,0,0"  # zeros near -2.6e100, -1.4e100 and 0 (double)
@@ -651,6 +661,50 @@ class TestRefusals:
         "oracle-step-leaves-band": (["oracle", "--params", P, "--f0", "-2.9", "--length", "12",
                                      "--h", "12"],
                                     "the orbit left its band [-3, -2] at xi = 12: a step h = 12.0"),
+        # the constructors' float errors, each refused at their one boundary:
+        # (f3 - f1)**2 in case1 raised OverflowError
+        "solve-case1-huge-roots": (["solve", "--kind", "case1-dn", "--roots", "1e200,2e200,3e200"],
+                                   "case1: the form does not fit a float for these zeros (Numerical result out of range)"),
+        # products of the zeros overflow, or a and b ~ 1/f overflow case2's quartic in y
+        "solve-case2-huge-roots": (["solve", "--kind", "case2-cn", "--roots=1e-8,1e300,-2"],
+                                   "case2: the form does not fit a float for these zeros (invalid value"),
+        "solve-case2-tiny-root": (["solve", "--kind", "case2-inv-sn", "--roots=1e-152,-1,1e8"],
+                                  "case2: the form does not fit a float for these zeros (invalid value"),
+        # 2 f1 f3 underflows to 0
+        "solve-case2-product-underflows": (["solve", "--kind", "case2-dn",
+                                            "--roots=1e-300,1e-152,1e-152"],
+                                           "case2: the form does not fit a float for these zeros (float division by zero)"),
+        # zeros 1e-300 apart: the gate's arithmetic overflows, or beta is 0
+        "solve-thin-pulse": (["solve", "--kind", "solitary_double", "--roots=-1,0,1e-300"],
+                             "solitary_double: the form does not fit a float for these zeros (overflow encountered in multiply)"),
+        "solve-zero-frequency": (["solve", "--kind", "periodic_trig", "--roots=0,1e-300,-1e-300"],
+                                 "periodic_trig: the form does not fit a float for these zeros (float division by zero)"),
+        "solve-nan-root": (["solve", "--kind", "periodic_trig", "--roots=nan,1,1"],
+                           "zeros must be finite, got (nan, 1.0, 1.0)"),
+        "solve-xi0-inf": (["solve", "--kind", "solitary_double", "--roots=-3,-2,-1", "--xi0", "inf"],
+                          "xi0 must be finite, got inf"),
+        "solve-infinite-domain": (["solve", "--preset", "fig-case1a", "--domain=-inf,inf",
+                                   "--n", "3"], "--domain -inf,inf is too wide for a wave of "
+                                                "frequency 1: its phase does not fit a float"),
+        # beta (xi - xi0) overflows
+        "solve-domain-too-wide": (["solve", "--kind", "solitary_double", "--roots=-1e16,0,1e16",
+                                   "--domain=-1e300,1e300"],
+                                  "is too wide for a wave of frequency 1e+16"),
+    }
+    # --config values the flags' parsers never let through
+    CONFIG_CASES = {
+        "json-list": ([{"preset": "fig-case1a"}], "expected a JSON object"),
+        "unknown-preset": ({"preset": "no-such-preset"}, "unknown preset 'no-such-preset'"),
+        "params-not-a-number": ({"params": ["2", "x", "-3.5", "-1.5"]}, "'x' is not a number"),
+        "params-null": ({"params": [2, None, -3.5, -1.5]}, "'None' is not a number"),
+        # json writes 10**400 as an integer, which float() cannot take
+        "params-huge-integer": ({"params": [2, -1.75, -3.5, 10 ** 400]},
+                                "parameter d3 must be finite, got inf"),
+        "n-inf": ({"preset": "fig-case1a", "n": math.inf},
+                  "sample count n must be a whole number, got inf"),
+        "initial-index-inf": ({"kind": "general-sn2", "roots": "0,1,2,3",
+                               "initial_index": math.inf},
+                              "initial_index must be a whole number, got inf"),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -663,6 +717,27 @@ class TestRefusals:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", CONFIG_CASES)
+    def test_config_refused_with_one_error_line(self, tmp_path, capsys, case):
+        doc, message = self.CONFIG_CASES[case]
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert message in refusal(["solve", "--config", str(config), "--out", str(out / "o.csv")],
+                                  capsys)
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_tail_of_an_algebraic_pulse(self, tmp_path):
+        """x * x overflows in the rational kernel far out, where the pulse is
+        its triple zero: no warning, and the profile is that zero."""
+        out = tmp_path / "far.csv"
+        assert main(["solve", "--kind", "solitary_triple", "--roots=1,-1e-8",
+                     "--domain=1e16,1e199", "--n", "3", "--out", str(out)]) == 0
+        rows = read_csv(out)[1]
+        assert [row[1] for row in rows] == [1.0] * 3 and rows[-1][2] == 0.0
 
     def test_oracle_point_limit_is_inclusive(self, tmp_path, monkeypatch):
         from kbwave import verify

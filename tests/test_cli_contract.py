@@ -1,12 +1,11 @@
-"""The command-line contract, fuzzed over each verb's numeric flags.
+"""The command-line contract, fuzzed over each verb's flags and ``--config``.
 
 A run in process, with warnings as errors and a fresh output directory, ends
-in one of four ways:
+in one of three ways:
 
 * exit 0, every file it wrote finite;
 * exit 2, with the one line of the gate it failed, its files finite;
-* exit 1, with one ``error:`` line on stderr and no file written;
-* a ``SystemExit`` whose message is one line, with no file written.
+* exit 1, with one ``error:`` line on stderr and no file written.
 
 Anything else -- a traceback, a numpy warning, a second line, a NaN in an
 output, a file left by a refused run -- fails the test.  Each number is drawn
@@ -29,6 +28,8 @@ from hypothesis import strategies as st
 
 from kbwave import evolution, verify
 from kbwave.cli import main
+from kbwave.presets import KINDS, PRESETS
+from test_cli import KIND_ROOTS
 
 EDGES = ("0", "1", "-1", "1000", "-1000", "1e-8", "-1e-8", "1e8", "1e16", "1e100",
          "-1e100", "1e199", "1e200", "1e300", "1e-150", "1e-152", "1e-300",
@@ -43,8 +44,15 @@ FIXTURE = "2,-7/4,-7/2,-3/2"  # zeros -3, -2 (double), -1
 NEAR_FIXTURE = st.tuples(*(st.just(v) | PARAM for v in FIXTURE.split(",")))
 IN_BAND = st.sampled_from(EDGES) | st.sampled_from(("-3", "-2.9", "-2.5", "-2", "-1.5", "-1"))
 
+# --roots: edge values, or zeros where most kinds have a wave
+ROOT = st.sampled_from(EDGES) | st.sampled_from(("-3", "-2", "-1.5", "-1", "0.5", "1", "2", "3"))
+KIND = st.sampled_from(("auto", *KINDS))
+BRANCH = st.sampled_from(("upper", "lower"))
+INDEX = st.sampled_from((-1, 0, 1, 2, 3, 4, 5))
+SAMPLES = st.sampled_from(("1", "2", "3", "5"))
+
 CONTRACT = settings(max_examples=150, derandomize=True, deadline=None)
-GATE_LINES = ("residual gate FAILED: ", "permanence error ")
+GATE_LINES = ("residual gate FAILED: ", "PDE residual gate FAILED: ", "permanence error ")
 
 
 def _finite_csv(text):
@@ -78,17 +86,9 @@ def run_contract(argv, out_name):
         warnings.simplefilter("error")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main([*argv, "--out", os.path.join(tmp, out_name)])
-            except SystemExit as refusal:
-                code = refusal
+            code = main([*argv, "--out", os.path.join(tmp, out_name)])
         out, err = out.getvalue(), err.getvalue()
         files = sorted(os.listdir(tmp))
-        if isinstance(code, SystemExit):
-            message = code.code
-            assert isinstance(message, str) and "\n" not in message, (argv, message)
-            assert out == err == "" and files == [], (argv, out, err, files)
-            return "refused"
         if code == 1:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (
                 argv, out, err)
@@ -108,6 +108,62 @@ def _params(values):
     return "--params=" + ",".join(values)
 
 
+def _problem_flags(draw):
+    """--kind and the flags solve and verify share, each drawn or left out.
+    --roots are, three times in four, the kind's own zeros, each kept (two
+    times in three) or replaced by a drawn one, else 2 to 4 drawn zeros."""
+    kind = draw(KIND)
+    if kind == "auto":
+        argv = ["--kind=auto", _params(draw(st.lists(PARAM, min_size=4, max_size=4)
+                                            | NEAR_FIXTURE))]
+    else:
+        near = st.tuples(*(st.just(v) | st.just(v) | ROOT
+                           for v in KIND_ROOTS[kind][0].split(",")))
+        drawn = draw(st.sampled_from((False, False, False, True)))
+        zeros = draw(st.lists(ROOT, min_size=2, max_size=4) if drawn else near)
+        argv = [f"--kind={kind}", "--roots=" + ",".join(zeros)]
+    for flag, values in (("--branch", BRANCH), ("--initial-index", INDEX), ("--xi0", NUMBER),
+                         ("--domain", st.lists(NUMBER, min_size=2, max_size=2).map(",".join))):
+        value = draw(st.none() | values)
+        argv += [] if value is None else [f"{flag}={value}"]
+    return argv
+
+
+PROBLEM = st.composite(_problem_flags)()
+
+
+def _json_number(token):
+    """An edge value as a JSON number: a whole one as an integer, however
+    large (json writes inf and nan as Infinity and NaN, which it reads back)."""
+    value = float(token)
+    return int(value) if value.is_integer() else value
+
+
+def _json_entries(tokens, **size):
+    """A JSON list of numbers, of the tokens as strings, or of both, with now
+    and then an entry no float can hold or no number at all."""
+    entry = tokens.map(_json_number) | tokens | st.sampled_from((10 ** 400, None, "x"))
+    return st.lists(entry, **size)
+
+
+# a --config object: each key one of its values, a list as a comma string or
+# a JSON list
+CONFIG = st.fixed_dictionaries({}, optional={
+    "kind": KIND | st.just("no-such-kind"),
+    "preset": st.sampled_from((*PRESETS, "no-such-preset")),
+    "params": st.lists(PARAM, min_size=4, max_size=4).map(",".join)
+    | _json_entries(st.sampled_from(EDGES), min_size=4, max_size=4),
+    "roots": st.lists(ROOT, min_size=2, max_size=4).map(",".join)
+    | _json_entries(ROOT, min_size=1, max_size=5),
+    "domain": st.lists(NUMBER, min_size=2, max_size=2).map(",".join)
+    | _json_entries(NUMBER, min_size=1, max_size=3),
+    "xi0": NUMBER.map(_json_number),
+    "n": st.sampled_from((-1, 0, 1, 2, 3, "3", 2.5, "x", math.inf, math.nan)),
+    "initial_index": INDEX | st.sampled_from((math.inf, math.nan, "2")),
+    "branch": BRANCH | st.just("sideways"),
+})
+
+
 class TestContract:
     @CONTRACT
     @given(st.lists(PARAM, min_size=4, max_size=4) | NEAR_FIXTURE)
@@ -118,6 +174,31 @@ class TestContract:
     @given(st.lists(PARAM, min_size=4, max_size=4) | NEAR_FIXTURE)
     def test_solve(self, values):
         run_contract(["solve", _params(values), "--n", "3"], "out.csv")
+
+    @CONTRACT
+    @given(PROBLEM, SAMPLES)
+    def test_solve_kinds(self, flags, n):
+        run_contract(["solve", *flags, f"--n={n}"], "out.csv")
+
+    @CONTRACT
+    @given(PROBLEM, SAMPLES)
+    def test_verify_kinds(self, flags, n):
+        run_contract(["verify", *flags, f"--n={n}"], "out.json")
+
+    @CONTRACT
+    @given(st.sampled_from(("classify", "solve", "verify", "oracle")),
+           CONFIG | st.lists(CONFIG, max_size=2))
+    def test_config(self, verb, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "job.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            argv = [verb, "--config", path]
+            argv += ["--f0=-2.9", "--length=0.01"] if verb == "oracle" else []
+            # a short profile, unless the config draws its own n
+            short = verb in ("solve", "verify") and not (isinstance(doc, dict) and "n" in doc)
+            argv += ["--n=3"] if short else []
+            run_contract(argv, "out.txt")
 
     @CONTRACT
     @given(f0=IN_BAND, length=NUMBER, h=NUMBER)
@@ -139,12 +220,12 @@ class TestContract:
             run_contract(argv, "out.csv")
 
     def test_each_outcome_is_reached(self):
-        """The contract's four outcomes all occur, so none of its branches
+        """The contract's three outcomes all occur, so none of its branches
         is vacuous."""
         P = _params(FIXTURE.split(","))
         assert run_contract(["classify", P], "out.txt") == "ok"
         assert run_contract(["solve", P, "--n", "3"], "out.csv") == "ok"
         assert run_contract(["classify", "--params=1e200,0,0,0"], "out.txt") == "error"
-        assert run_contract(["solve", "--params=0,0,0,-1/8"], "out.csv") == "refused"
+        assert run_contract(["solve", "--params=0,0,0,-1/8"], "out.csv") == "error"
         assert run_contract(["evolve", "--preset", "fig-case1a", "--n-grid=16",
                              "--T=0.5", "--L=20"], "out.csv") == "gate"

@@ -159,6 +159,12 @@ def test_run_refused_before_stepping(dt, T, message):
         evolve(state, dt, T, enforce_stability=False)
 
 
+def test_fractional_step_count_refused():
+    _, _, state = case1a_state(n=64)
+    with pytest.raises(ValueError, match="is not a whole number of steps of dt"):
+        evolve(state, 3e-4, 1e-3)
+
+
 def test_step_count():
     assert evolution.step_count(1.0, 0.3) == 4
     assert evolution.step_count(-0.05, 0.1) == 1

@@ -1,5 +1,6 @@
 """Closed-form families: fixtures, residuals, coherence and corrections."""
 
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -191,7 +192,27 @@ class TestLimitingForms:
             limiting_form(case, roots, branch="sideways")
 
 
+def _outcome(build):
+    """The wave ``build()`` returns, or the type and message of its refusal."""
+    try:
+        return build()
+    except (InvalidConfiguration, UnresolvedBranch, ValueError) as err:
+        return type(err), str(err)
+
+
 class TestCase1:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(-40, 40).map(lambda k: k / 8)
+                    | st.floats(-1e6, 1e6, allow_subnormal=False), min_size=3, max_size=3),
+           st.sampled_from(["upper", "lower"]))
+    def test_dn_is_the_same_wave_for_every_order(self, zeros, branch):
+        """case1 sorts its zeros, so dn's span (f2 - f1)(f3 - f2) is never
+        negative: every order gives the same wave, and none is infeasible."""
+        outcomes = [_outcome(lambda: case1("dn", *order, branch=branch))
+                    for order in itertools.permutations(zeros)]
+        assert all(o == outcomes[0] for o in outcomes), outcomes
+        assert not (isinstance(outcomes[0], tuple) and issubclass(outcomes[0][0], Infeasible))
+
     def test_cn_modulus_one_pulse(self):
         sol = case1("cn", -3.0, -2.0, -1.0, branch="upper")
         assert sol.modulus == 1.0
@@ -284,6 +305,37 @@ class TestCase1:
                                    rel=1e-9)
 
 
+NAN = math.nan
+FIT = "the form does not fit a float for these zeros"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build, message", [
+    # zeros that are not finite, refused before any arithmetic on them
+    (lambda: periodic_trig(NAN, 1.0, 1.0), "zeros must be finite, got (nan, 1.0, 1.0)"),
+    (lambda: general_sn2((NAN, 1.0, 2.0, 3.0)), "zeros must be finite"),
+    (lambda: solitary_double(-math.inf, 0.0, 1.0), "zeros must be finite"),
+    (lambda: case2("dn", 1.0, 2.0, math.inf), "zeros must be finite"),
+    (lambda: limiting_form("a", (-1.0, 0.0, NAN)), "zeros must be finite"),
+    # float errors, each caught at the one boundary of the constructor
+    (lambda: case1("dn", 1e200, 2e200, 3e200), f"case1: {FIT} (Numerical result out of range)"),
+    (lambda: case2("dn", 1e-300, 1e-152, 1e-152), f"case2: {FIT} (float division by zero)"),
+    (lambda: case2("cn", 1e-8, 1e300, -2.0), f"case2: {FIT} (invalid value"),
+    (lambda: solitary_double(-1.0, 0.0, 1e-300),
+     f"solitary_double: {FIT} (overflow encountered in multiply)"),
+    (lambda: periodic_trig(0.0, 1e-300, -1e-300), f"periodic_trig: {FIT} (float division by zero)"),
+], ids=["nan-periodic_trig", "nan-general_sn2", "inf-solitary_double", "inf-case2",
+        "nan-limiting_form", "case1-overflow", "case2-underflow", "case2-invalid",
+        "thin-pulse", "zero-frequency"])
+def test_float_errors_refused_at_the_boundary(build, message):
+    """With numpy's float errors raised, as the CLI runs, each is refused
+    at the constructor's boundary, and so is each of Python's."""
+    with pytest.raises(InvalidConfiguration) as err, np.errstate(
+            over="raise", invalid="raise", divide="raise"):
+        build()
+    assert str(err.value).startswith(message)
+
+
 # two zeros 3.7e-10 apart (relative), once merged into a double by case1 and
 # case2 as by general_sn2 (its test_close_zeros_stay_distinct)
 CLOSE = (0.23357542427147937, 1.3412419361372696, 1.3412419366290624)
@@ -305,6 +357,12 @@ def test_close_zeros_stay_distinct(build):
 
 
 class TestCase2:
+    def test_equal_outer_zeros_give_the_constant(self):
+        """f1 = f3 makes b = 0: the wave is the constant f1."""
+        sol = case2("sn", 1.0, 2.0, 1.0)
+        assert (sol.kernel, sol.variant, sol.details["b"]) == ("const", "constant", 0.0)
+        assert sol.evaluate(0.3) == (1.0, 0.0)
+
     def test_2a_display(self):
         sol = case2("sn", -2 - S3, 0.0, -2 + S3)
         assert sol.modulus == 0.0
@@ -442,6 +500,11 @@ class TestCase2:
 
 
 class TestGeneralSn2:
+    @pytest.mark.parametrize("idx", [0, 5])
+    def test_initial_index_out_of_range_refused(self, idx):
+        with pytest.raises(ValueError, match="initial_index must be 1..4"):
+            general_sn2((0.0, 1.0, 2.0, 3.0), initial_index=idx)
+
     @pytest.mark.parametrize("idx", [1, 2, 3, 4])
     def test_initial_condition(self, idx):
         roots = (0.0, 1.0, 2.0, 3.0)

@@ -555,6 +555,17 @@ def test_guarded_runs_match_the_reference_loop(kind, ints, log2_scale, band, the
     assert _profile_bytes(oracle_integrate, *args) == _profile_bytes(_reference_oracle, *args)
 
 
+def test_clamp_to_a_multiple_zero_matches_the_reference_loop():
+    """Zeros -1, 0 and a double at 1: the orbit from just below 1 reaches the
+    double zero in its first step, the event clamps it there, and the profile
+    is the reference loop's bit for bit."""
+    args = (Params(-0.25, 0.3125, -0.125, 0.0), 0.999999999999, 1, 3.0, 0.01)
+    roots = roots_of_F(args[0])
+    assert roots.multiplicities() == (1, 1, 2)
+    assert oracle_integrate(*args).f[-1] == roots.values()[-1]
+    assert _profile_bytes(oracle_integrate, *args) == _profile_bytes(_reference_oracle, *args)
+
+
 class TestCompareProfiles:
     def test_identical(self):
         xi = np.linspace(0, 1, 11)
