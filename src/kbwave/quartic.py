@@ -14,12 +14,15 @@ drives the solution constructors.
 For rational constants (int or Fraction) the multiplicities of the real
 zeros are exact: the signs of integer invariants of F (its discriminant and
 three more) give them with no tolerance, and a multiple zero, and every
-zero when F has one, or no real zero, comes in closed form with no
-eigensolve.  Otherwise, and for a square-free F with real zeros, the roots
-are the eigenvalues of F's companion matrix, the matrix and the eigensolve
-of ``numpy.roots``, grouped into multiple zeros within a tolerance.  Its
-float coefficients are, for rational constants, the exact coefficients each
-rounded once, from one integer numerator over one integer denominator.
+zero when F has one, or no real zero, comes in closed form with no float
+work at all.  When F is square-free with real zeros, they are the
+eigenvalues of F's companion matrix (the matrix and the eigensolve of
+``numpy.roots``) within a tolerance of the real axis, taken as they are:
+the signature says how many there are, so no grouping is needed.  The
+matrix holds the exact coefficients each rounded once, from one integer
+numerator over one integer denominator.  Float constants take the same
+eigensolve, and their eigenvalues are grouped into multiple zeros within a
+tolerance.
 
 A wave lives in a band of F > 0 between adjacent real zeros.  The bands follow
 from the multiplicities alone (``band_edges``): F < 0 above the top zero and
@@ -32,6 +35,8 @@ exponential approach to a double, an algebraic one to a triple.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +44,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "Params",
@@ -252,13 +258,23 @@ _EXISTENCE = {tag: _verdict(sig) for sig, tag in _TAGS.items()}
 def eval_F(p: Params, f):
     """Evaluate F(f) by Horner's scheme; exact for rational inputs."""
     c4, c3, c2, c1, c0 = p.coefficients()
-    return (((c4 * f + c3) * f + c2) * f + c1) * f + c0
+    # (((c4 f + c3) f + c2) f + c1) f + c0, in place after its first step
+    v = c4 * f + c3
+    v *= f
+    v += c2
+    v *= f
+    v += c1
+    v *= f
+    v += c0
+    return v
 
 
 def first_integral_residual(p: Params, f, fp) -> float:
     """max |f'^2 - F(f)| over samples f, f' (arrays) of a wave, F the quartic
     of the float params ``p``."""
-    return float(np.abs(fp ** 2 - eval_F(p, f)).max())
+    r = fp ** 2
+    r -= eval_F(p, f)
+    return float(np.abs(r, out=r).max())
 
 
 def _derivative(coeffs):
@@ -365,11 +381,13 @@ def _ratios(values):
     return [(v.numerator, v.denominator) for v in values]
 
 
-def _rounded_coefficients(p, values):
-    """F's coefficients for rational ``values`` (c, d1, d2, d3), each exact one
-    as one integer numerator over one integer denominator: int / int rounds
-    correctly, so each float is the exact coefficient rounded once."""
-    (a, b), (e, g), (h, k), (m, n) = _ratios(values)
+def _rounded_coefficients(p, ratios):
+    """F's coefficients for the ``_ratios`` of rational (c, d1, d2, d3), each
+    exact one as one integer numerator over one integer denominator: int /
+    int rounds correctly, so each float is the exact coefficient rounded
+    once.  Raises ValueError, naming the coefficient, when one does not fit
+    a float."""
+    (a, b), (e, g), (h, k), (m, n) = ratios
     ratios = ((-1, 1), (-4 * a, b), (4 * (e * b * b - a * a * g), g * b * b),
               (8 * h, k), (8 * m, n))
     coeffs = []
@@ -381,6 +399,19 @@ def _rounded_coefficients(p, values):
     return coeffs
 
 
+# With |c|, |d1|, |d2|, |d3| below 2^(_SMALL + 1), every coefficient of F is
+# below 2^(2 _SMALL + 5) < 2^1023 and so fits a float
+_SMALL = 500
+
+
+def _check_fits(p, ratios):
+    """Raise ``_rounded_coefficients``' ValueError when a coefficient of F
+    does not fit a float; the exact division is done only when a param's
+    size, read off its bit lengths, comes near the limit."""
+    if max(x.bit_length() - y.bit_length() for x, y in ratios) > _SMALL:
+        _rounded_coefficients(p, ratios)
+
+
 def _float_coefficients(p: Params):
     """F's coefficients as floats, highest degree first.
 
@@ -390,12 +421,12 @@ def _float_coefficients(p: Params):
     """
     values = (p.c, p.d1, p.d2, p.d3)
     if _rational(p):
-        return _rounded_coefficients(p, values)
+        return _rounded_coefficients(p, _ratios(values))
     try:
         coeffs = [float(v) for v in p.coefficients()]
     except OverflowError:  # a Fraction too large for float arithmetic among floats
-        return _rounded_coefficients(
-            p, [v if isinstance(v, (int, Fraction)) else Fraction(float(v)) for v in values])
+        return _rounded_coefficients(p, _ratios(
+            [v if isinstance(v, (int, Fraction)) else Fraction(float(v)) for v in values]))
     for name, v in zip(_COEFFICIENT_NAMES, coeffs):
         if not math.isfinite(v):
             raise _too_large(name, p)
@@ -418,10 +449,10 @@ def _pair(B, S, M):
     return (-far, -near) if B >= 0 else (near, far)
 
 
-def _exact_zeros(values):
-    """The multiplicity signature of F's real zeros for rational ``values``
-    (c, d1, d2, d3), and its entries [(float zero, multiplicity)], or None
-    for the entries when F is square-free with real zeros.
+def _exact_zeros(ratios):
+    """The multiplicity signature of F's real zeros for the ``_ratios`` of
+    rational (c, d1, d2, d3), and its entries [(float zero, multiplicity)],
+    or None for the entries when F is square-free with real zeros.
 
     With f = phi - c, -F = phi^4 + p phi^2 + q phi + r, where p = -2c^2 - 4d1,
     q = 8 (c d1 - d2) and r = c^4 - 4c^2 d1 + 8c d2 - 8d3; scaled by L, the
@@ -434,7 +465,7 @@ def _exact_zeros(values):
     doubles psi^2 = -P/2; one double t = -Q (12R + P^2)/(2P^3 - 8PR + 9Q^2),
     whose cofactor psi^2 + 2t psi + (P + 3t^2) has the other two zeros.
     """
-    (a, b), (e, g), (h, k), (m, n) = _ratios(values)
+    (a, b), (e, g), (h, k), (m, n) = ratios
     L = math.lcm(b, g, k, n)
     A = a * (L // b)
     D1 = e * (L // g) * L
@@ -482,20 +513,43 @@ def _exact_zeros(values):
     return (2, 1, 1), [(double, 2), (lo, 1), (hi, 1)]
 
 
+def _nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+@functools.lru_cache(maxsize=4)
+def _subdiagonal(n):
+    """``np.eye(n, k=-1)``, read-only: the companion matrix copies it."""
+    shift = np.eye(n, k=-1)
+    shift.flags.writeable = False
+    return shift
+
+
 def _companion_roots(coeffs):
     """The complex roots of the polynomial with ``coeffs`` (highest degree
     first, the first nonzero) exactly as ``numpy.roots`` gives them: the
     eigenvalues of the companion matrix of the polynomial without its
-    trailing zero coefficients, then one zero of the eigenvalues' type per
-    trailing zero."""
+    trailing zero coefficients, floats when every one is real, then one
+    zero of the eigenvalues' type per trailing zero.
+
+    The eigenvalues come from the gufunc that ``np.linalg.eigvals`` wraps,
+    under the wrapper's error state, so they are the wrapper's to the bit
+    and a failed eigensolve raises its LinAlgError; the wrapper's checks
+    are left out, since the matrix is real and square, and finite when the
+    coefficients and their ratios to the first are (F's first is -1).
+    """
     n = len(coeffs)
     while n > 1 and coeffs[n - 1] == 0:
         n -= 1
     if n == 1:  # a monomial: every root is zero
         return [0.0] * (len(coeffs) - 1)
-    companion = np.eye(n - 1, k=-1)
+    companion = _subdiagonal(n - 1).copy()
     companion[0] = [-a / coeffs[0] for a in coeffs[1:n]]
-    roots = np.linalg.eigvals(companion).tolist()
+    with np.errstate(call=_nonconvergence, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        roots = _umath_linalg.eigvals(companion, signature="d->D").tolist()
+    if not any(z.imag for z in roots):
+        roots = [z.real for z in roots]
     return roots + [type(roots[0])(0)] * (len(coeffs) - n)
 
 
@@ -511,40 +565,74 @@ def scaled_bound(rtol: float, scale: float, power: int) -> float:
             f"{scale:.6g}^{power} does not fit a float") from None
 
 
+def _check_cluster(coeffs, center, m):
+    """Raise unless F and its derivatives below m nearly vanish at the
+    cluster ``center`` of m roots.  A loose gate: it guards against a
+    grossly mis-set clustering tolerance, or an eigenvalue taken as a zero
+    that is none."""
+    scale = max(1.0, abs(center))
+    for j, (v, _) in enumerate(_taylor(coeffs, center, m)):
+        if abs(v) > scaled_bound(1e-3, scale, 4 - j):
+            raise ValueError(
+                f"cluster at {center} fails multiplicity-{m} check "
+                f"(|F^({j})| = {abs(v):.3e})"
+            )
+
+
+def _square_free_zeros(p, coeffs, signature, tol):
+    """The real zeros of a square-free F with real zeros: the eigenvalues
+    within tol*max(1, |root|) of the real axis, each checked on F, which must
+    be as many as ``signature`` has and strictly increase."""
+    real = sorted([z.real + 0.0  # a zero real part as +0.0, as a mean gives it
+                   for z in _companion_roots(coeffs) if abs(z.imag) <= tol * max(1.0, abs(z))])
+    for z in real:
+        _check_cluster(coeffs, z, 1)
+    if len(real) != len(signature) or any(a >= b for a, b in zip(real, real[1:])):
+        got = tuple(len(list(run)) for _, run in itertools.groupby(real))
+        raise ValueError(
+            f"the eigensolve resolves zeros of multiplicities {got} "
+            f"where F has {signature}: {p}")
+    return RootMultiset(tuple((z, 1) for z in real))
+
+
 def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
     """Real roots of F, clustered into a multiset.
 
     Rational params (int or Fraction) get their multiplicities exactly,
-    from integer invariants of F (see ``_exact_zeros``): a multiple zero,
-    and every zero when F has one, or no real zero, is found in closed form
-    with no eigensolve, each rational zero the exact one rounded once.
-    When F is square-free with real zeros they take the float path below,
-    and a result whose multiplicities differ from the exact ones raises
-    ValueError, naming the params, in place of a wrong case tag.
+    from integer invariants of F (see ``_exact_zeros``), before any float
+    work: a multiple zero, and every zero when F has one, or no real zero,
+    is found in closed form with no eigensolve, each rational zero the
+    exact one rounded once.  When F is square-free with real zeros, its
+    zeros are the eigenvalues of the companion matrix of F's coefficients,
+    each exact one rounded once, within tol*max(1, |root|) of the real
+    axis, with no grouping, so a pair of zeros however close stays two
+    simple zeros.  Each must pass the F check below, and when they are not
+    as many as the exact signature says, or two coincide, a ValueError
+    naming the params is raised in place of a wrong case tag.
 
-    The float path: the raw roots are the eigenvalues of the companion
-    matrix of F's float coefficients (each exact coefficient rounded once for
-    rational params; see ``_float_coefficients``), as ``numpy.roots``
-    computes them.  These split an m-fold zero into m roots about eps^(1/m)
-    apart (up to 1e-3 relative for a quadruple zero), so roots within 1e-2
-    relative of each other are grouped, and a group of m becomes one m-fold
-    zero when its mean is real and F and its lower derivatives vanish there
-    to within rounding (see ``_multiple_zero``).
+    Float params: the raw roots are the eigenvalues of the companion
+    matrix of F's float coefficients, as ``numpy.roots`` computes them (see
+    ``_companion_roots``).  These split an m-fold zero into m roots about
+    eps^(1/m) apart (up to 1e-3 relative for a quadruple zero), so roots
+    within 1e-2 relative of each other are grouped, and a group of m
+    becomes one m-fold zero when its mean is real and F and its lower
+    derivatives vanish there to within rounding (see ``_multiple_zero``).
     The other roots are real when their imaginary part is within
     tol*max(1, |root|), and real roots closer than that merge into one entry
     with summed multiplicity, sanity-checked by the smallness of the lower
-    derivatives of F at the cluster center; ``tol`` applies to this path
-    only.  Raises ValueError when a coefficient, or the bound of that check,
-    does not fit a float.
+    derivatives of F at the cluster center.  Raises ValueError when a
+    coefficient, or the bound of that check, does not fit a float.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    coeffs = _float_coefficients(p)
-    exact = _rational(p)
-    if exact:
-        signature, known = _exact_zeros((p.c, p.d1, p.d2, p.d3))
+    if _rational(p):
+        ratios = _ratios((p.c, p.d1, p.d2, p.d3))
+        _check_fits(p, ratios)
+        signature, known = _exact_zeros(ratios)
         if known is not None:
             return RootMultiset(tuple(known))
+        return _square_free_zeros(p, _rounded_coefficients(p, ratios), signature, tol)
+    coeffs = _float_coefficients(p)
     raw = _companion_roots(coeffs)
     scale = max(1.0, *map(abs, raw))
     entries, rest = _multiple_zeros(coeffs, raw, tol, _NEAR * scale, tol * scale)
@@ -552,22 +640,9 @@ def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
     for members in _clustered(real, tol):
         m = len(members)
         center = sum(members) / m
-        # lower derivatives must vanish at an m-fold root; loose gate, this
-        # only guards against a grossly mis-set clustering tolerance
-        scale = max(1.0, abs(center))
-        for j, (v, _) in enumerate(_taylor(coeffs, center, m)):
-            if abs(v) > scaled_bound(1e-3, scale, 4 - j):
-                raise ValueError(
-                    f"cluster at {center} fails multiplicity-{m} check "
-                    f"(|F^({j})| = {abs(v):.3e})"
-                )
+        _check_cluster(coeffs, center, m)
         entries.append((center, m))
-    rm = RootMultiset(tuple(sorted(entries)))
-    if exact and rm.multiplicities() != signature:
-        raise ValueError(
-            f"the eigensolve resolves zeros of multiplicities {rm.multiplicities()} "
-            f"where F has {signature}: {p}")
-    return rm
+    return RootMultiset(tuple(sorted(entries)))
 
 
 def params_from_roots(r: RootMultiset) -> Params:

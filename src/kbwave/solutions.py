@@ -135,7 +135,11 @@ def discrepancy_report():
 # ---------------------------------------------------------------------------
 # kernels: y(x, k) and dy/dx, with the period in x and the range of y
 # ---------------------------------------------------------------------------
+
 # The elliptic kernels call ``jacobi`` through this module's global name.
+# Every kernel may overwrite x, a fresh array (0-d for one point); the sin,
+# sech and rational kernels do, and compute in place what the expression in
+# their comment gives, bit for bit: its IEEE operations, in its order.
 
 
 def _sn(x, k):
@@ -158,21 +162,34 @@ def _sn2(x, k):
     return s * s, 2.0 * s * c * d
 
 
-def _sin(x, k):
-    return np.sin(x), np.cos(x)
+def _sin(x, k):  # sin(x), cos(x)
+    return np.sin(x), np.cos(x, out=x)
 
 
-def _sech(x, k):
+def _sech(x, k):  # y = 2 e / (1 + e e) with e = exp(-|x|), and -y tanh(x)
     # exp(-|x|) <= 1 form: no cosh overflow in the far tails
-    e = np.exp(-np.abs(x))
-    y = 2.0 * e / (1.0 + e * e)
-    return y, -y * np.tanh(x)
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = e * 2.0
+    e *= e
+    e += 1.0
+    y /= e
+    np.negative(y, out=e)
+    np.tanh(x, out=x)
+    x *= e
+    return y, x
 
 
-def _rational(x, k):
+def _rational(x, k):  # y = 1 / (1 + x x), and -2 x y y
     with np.errstate(over="ignore"):  # x * x = inf far out, where y is 0
-        y = 1.0 / (1.0 + x * x)
-    return y, -2.0 * x * y * y
+        y = np.multiply(x, x, out=np.empty_like(x))
+        y += 1.0
+        np.divide(1.0, y, out=y)
+    x *= -2.0
+    x *= y
+    x *= y
+    return y, x
 
 
 def _const(x, k):
@@ -217,6 +234,8 @@ _KERNELS = {
 # the solution type
 # ---------------------------------------------------------------------------
 
+_NO_DETAILS = MappingProxyType({})  # the details of every form with none
+
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
@@ -254,7 +273,8 @@ class ClosedFormSolution:
             raise ValueError(f"xi0 must be finite, got {self.xi0}")
         if self.kernel not in _KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {tuple(_KERNELS)}")
-        object.__setattr__(self, "details", MappingProxyType(dict(self.details)))
+        object.__setattr__(self, "details", MappingProxyType(dict(self.details))
+                           if self.details else _NO_DETAILS)
         lo, hi = _KERNELS[self.kernel].span(self.modulus)
         ends = (self.C + self.D * lo, self.C + self.D * hi)
         if not (min(ends) > 0.0 or max(ends) < 0.0):
@@ -273,13 +293,25 @@ class ClosedFormSolution:
         return f, fp
 
     def profile(self, xi):
-        """Vector evaluation returning (f, f_prime)."""
-        x = self.beta * (np.asarray(xi, dtype=float) - self.xi0)
+        """Vector evaluation returning (f, f_prime); numpy scalars for a
+        scalar xi."""
+        # in place, bit for bit x = beta (xi - xi0), f = (A + B y) / den
+        # with den = C + D y, and f' = (B C - A D) beta y' / (den den)
+        x = np.array(xi, dtype=float)
+        x -= self.xi0
+        x *= self.beta
         y, yp = _KERNELS[self.kernel].fn(x, self.modulus)
-        den = self.C + self.D * y
-        f = (self.A + self.B * y) / den
-        fp = (self.B * self.C - self.A * self.D) * self.beta * yp / (den * den)
-        return f, fp
+        den = y * self.D
+        den += self.C
+        f = y * self.B
+        f += self.A
+        f /= den
+        yp *= (self.B * self.C - self.A * self.D) * self.beta
+        den *= den
+        yp /= den
+        if x.ndim == 0:
+            return np.float64(f), np.float64(yp)
+        return f, yp
 
     def __call__(self, xi):
         return self.evaluate(xi)[0]
@@ -386,6 +418,14 @@ def _modulus(k2) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)  # _residual_gate's 513 points and the orbit check's 129
+def _ramp(n):
+    """``np.arange(n, dtype=float)``, read-only: ``_window`` copies it."""
+    x = np.arange(n, dtype=float)
+    x.flags.writeable = False
+    return x
+
+
 def _window(sol, n):
     """n points over half a period either side of xi0, or +-10 for a pulse:
     bit for bit ``np.linspace(xi0 - half, xi0 + half, n)``, whose arithmetic
@@ -394,7 +434,7 @@ def _window(sol, n):
     half = 0.5 * T if T is not None else 10.0
     start, stop = sol.xi0 - half, sol.xi0 + half
     delta = stop - start
-    x = np.arange(n, dtype=float)
+    x = _ramp(n).copy()
     step = delta / (n - 1)
     if step == 0.0:  # a subnormal step underflows: scale the ramp, then delta
         x /= n - 1
@@ -503,7 +543,7 @@ def _orbit_check(sol):
     theta0 = math.atan2(sc, c2) if s2 <= c2 else 0.5 * math.pi - math.atan2(sc, s2)
     theta0 = min(theta0, max(breaks))
 
-    breaks = np.unique(np.array([*breaks, theta0]))
+    breaks = np.array(sorted({*breaks, theta0}))  # np.unique's array, without its cost
     half = 0.5 * np.diff(breaks)
     theta = (0.5 * (breaks[:-1] + breaks[1:]))[:, None] + half[:, None] * _LOBATTO
     sin2, cos2 = np.sin(theta) ** 2, np.cos(theta) ** 2

@@ -556,16 +556,29 @@ class TestConfigFile:
             assert run(["classify", "--config", str(cfg)], capsys) == (0, want)
 
 
-def test_import_leaves_scipy_unloaded():
-    """scipy loads only where it is used (the resampling in compare_profiles),
-    so importing the package and its CLI stays fast."""
+def _fresh_process(probe):
+    """The last line ``probe`` prints, run by a fresh interpreter on this kbwave."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kbwave.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, kbwave, kbwave.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy loads only where it is used (the resampling in compare_profiles),
+    so importing the package and its CLI stays fast."""
+    probe = "import sys, kbwave, kbwave.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _fresh_process(probe) == "[]"
+
+
+def test_verify_leaves_numpy_ma_unloaded():
+    """The orbit check sorts its panel breaks without np.unique, whose first
+    call imports numpy.ma (over 10 ms in a fresh process)."""
+    probe = ("import sys; from kbwave.cli import main; "
+             "main(['verify', '--preset', 'fig-case2bc-k1']); print('numpy.ma' in sys.modules)")
+    assert _fresh_process(probe) == "False"
 
 
 class TestParserReuse:

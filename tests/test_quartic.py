@@ -399,18 +399,43 @@ class TestExactTaxonomy:
             assert abs(got - want) <= math.ulp(want)
 
     def test_no_eigensolve(self, monkeypatch):
-        """A multiple zero or no real zero takes no eigensolve; a square-free
-        F with real zeros still does."""
-        def refuse(coeffs):
-            raise AssertionError("eigensolve")
-        monkeypatch.setattr(quartic, "_companion_roots", refuse)
+        """A multiple zero or no real zero takes no float work: no float
+        coefficients, no eigensolve, no grouping.  A square-free F with real
+        zeros takes the eigensolve, and never the grouping."""
+        def refuse(name):
+            def call(*args):
+                raise AssertionError(name)
+            return call
+        for name in ("_multiple_zeros", "_clustered"):
+            monkeypatch.setattr(quartic, name, refuse(name))
         for zeros, pairs in TestMultipleZeros.SIGNATURES.values():
+            p = _exact_params(zeros, pairs)
             sig = tuple(m for _, m in zeros)
-            if max(sig, default=2) > 1:
-                roots_of_F(_exact_params(zeros, pairs))
-            else:
-                with pytest.raises(AssertionError, match="eigensolve"):
-                    roots_of_F(_exact_params(zeros, pairs))
+            with monkeypatch.context() as m:
+                for name in ("_float_coefficients", "_companion_roots"):
+                    m.setattr(quartic, name, refuse(name))
+                if max(sig, default=2) > 1:
+                    assert roots_of_F(p).multiplicities() == sig
+                    continue
+                with pytest.raises(AssertionError, match="_companion_roots"):
+                    roots_of_F(p)
+            assert roots_of_F(p).multiplicities() == sig
+
+    @pytest.mark.parametrize("d2, zero", [
+        (Fraction(1, 10000001), -1e-7),
+        (Fraction(1, 1000000001), -1e-9),
+    ], ids=["1e-7", "1e-9"])
+    def test_close_simple_pair(self, d2, zero):
+        """-F = f (f^3 - 8f - 8 d2): simple zeros at 0 and about -d2, a pair
+        far closer than the float path's clustering tol, tagged FourSimple
+        (they were refused)."""
+        rm = roots_of_F(Params(0, 2, d2, 0))
+        assert classify(rm) is CaseTag.FOUR_SIMPLE
+        lo, near, origin, hi = rm.values()
+        assert origin == 0.0
+        assert near == pytest.approx(zero, rel=1e-6)
+        assert -lo == pytest.approx(math.sqrt(8.0), rel=1e-7)
+        assert hi == pytest.approx(math.sqrt(8.0), rel=1e-7)
 
 
 # The parent's roots_of_F, kept to check that the companion eigensolve and the
@@ -600,8 +625,12 @@ def _assert_exact_truth(p, truth):
 def _assert_reference_roots(p):
     """Rational params with a multiple zero or no real zero give the exact
     zeros; every other input gives the reference's entries, by repr and by
-    type, or its error, except that rational params whose reference
-    entries have the wrong multiplicities are refused, naming the params.
+    type, or its error, except where the reference gets the multiplicities
+    of rational params wrong (other multiplicities than the exact ones, or
+    roots merged into a cluster that fails its check): there roots_of_F
+    gives the exact signature, every zero passing the check on F, or
+    refuses, naming the params, or with the check on F of a simple zero
+    (its bound included).
     Rational params also give the floats of their exact coefficients."""
     if not _rational(p):
         assert _outcome(roots_of_F, p) == _outcome(_reference_roots_of_F, p)
@@ -611,9 +640,19 @@ def _assert_reference_roots(p):
         _assert_exact_truth(p, zeros)
     else:
         want = _outcome(_reference_roots_of_F, p)
-        if isinstance(want, list) and tuple(m for *_, m in want) != signature:
-            with pytest.raises(ValueError, match=re.escape(f"where F has {signature}: {p}")):
-                roots_of_F(p)
+        if (re.search("fails multiplicity-[234] check", want) if isinstance(want, str)
+                else tuple(m for *_, m in want) != signature):
+            try:
+                rm = roots_of_F(p)
+            except ValueError as err:
+                assert (str(err).endswith(f"where F has {signature}: {p}")
+                        or re.search("fails multiplicity-1 check|are too large", str(err))), err
+            else:
+                assert rm.multiplicities() == signature
+                coeffs = [float(v) for v in p.coefficients()]
+                for z in rm.values():
+                    (v, _), = _reference_taylor(coeffs, z, 1)
+                    assert abs(v) <= 1e-3 * max(1.0, abs(z)) ** 4, (p, z, v)
         else:
             assert _outcome(roots_of_F, p) == want
     want = [float(v) for v in p.coefficients()]
@@ -690,6 +729,26 @@ class TestReferenceRoots:
     ])
     def test_edge_cases(self, values):
         _assert_reference_roots(Params(*values))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(_classify_params(), st.tuples(_FLOAT, _FLOAT, _FLOAT, _FLOAT).map(
+        lambda values: Params(*values))))
+    def test_eigensolve_matches_eigvals(self, p):
+        """The eigensolve, under the CLI's error state, raises nothing and
+        gives np.roots' roots (np.linalg.eigvals of the same companion
+        matrix), bit for bit and of the same type."""
+        coeffs = quartic._float_coefficients(p)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = quartic._companion_roots(coeffs)
+        assert list(map(repr, got)) == list(map(repr, np.roots(coeffs).tolist()))
+
+    def test_eigensolve_failure_raises_linalg_error(self):
+        """A failed eigensolve raises np.linalg.eigvals' LinAlgError, not a
+        warning or an error of the caller's error state.  LAPACK refuses a
+        NaN entry, which the gufunc reports as it reports non-convergence."""
+        with np.errstate(invalid="raise"):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                quartic._companion_roots([-1.0, math.nan, 0.0, 1.0])
 
     def test_monomial_takes_no_eigensolve(self):
         """F = -f^4: four zero roots, the quadruple zero at 0."""
