@@ -107,18 +107,15 @@ class EvolutionState:
         return len(self.x)
 
 
-def state_from_callable(f_of_xi, params, L: float, n: int, center=None,
-                        t: float = 0.0) -> EvolutionState:
-    """Sample u = f(x - center), v = g(u) on a periodic grid of length L."""
+def state_from_callable(f_of_xi, params, L: float, n: int) -> EvolutionState:
+    """Sample u = f(x - L/2), v = g(u) at t = 0 on a periodic grid of length L."""
     L = float(L)
     _check_grid(L, n)  # before sampling, which an infinite or nan L spoils
     x = np.arange(n) * (L / n)
-    if center is None:
-        center = 0.5 * L
     pf = params.as_floats()
-    u = np.asarray(f_of_xi(x - center - pf.c * t), dtype=float)
+    u = np.asarray(f_of_xi(x - 0.5 * L), dtype=float)
     v = g_from_f(u, pf.c, pf.d1)
-    return EvolutionState(x=x, u=u, v=v, t=t, L=L)
+    return EvolutionState(x=x, u=u, v=v, t=0.0, L=L)
 
 
 def _wavenumbers(n: int, L: float):

@@ -1,19 +1,23 @@
-"""Exact vanishing-boundary reductions of the multi-component hierarchy.
+"""Exact traveling reductions of the multi-component hierarchy.
 
-For the ell-component system the traveling reduction with all integration
-constants zero is a polynomial recurrence in exact rationals: with p_1 = f
-and
+The ell-component traveling reduction is a polynomial recurrence in exact
+rationals.  With integration constants e_1, e_2, ... (missing ones zero),
+p_1 = f and
 
-    p_{j+1}(f) = -int_0^f [ (c + s/2) p_j'(s) + p_j(s) ] ds,        j = 1..ell,
-               = -(c + f/2) p_j(f) - (1/2) int_0^f p_j(s) ds,
-    P_ell(f)   = -8 int_0^f p_{ell+1}(s) ds,
+    p_{j+1}(f) = e_j - int_0^f [ (c + s/2) p_j'(s) + p_j(s) ] ds,      j = 1..ell,
+               = e_j + c p_j(0) - (c + f/2) p_j(f) - (1/2) int_0^f p_j(s) ds,
+    P_ell(f)   = -8 int_0^f p_{ell+1}(s) ds + 8 e_{ell+1},
 
 the fields are h_j = p_j(f) (h_1 = u, h_2 = g, ...) and (f')^2 = P_ell(f).
 The second form, computed here with no derivative, is the first integrated
-by parts: every p_j vanishes at f = 0, so there is no boundary term.
-The p_j do not depend on ell, so one run of the recurrence gives every
-P_ell, and every ell-indexed result here reads that one run.
-Everything here is bit-exact Fraction arithmetic; the ell = 2, 3, 4 results
+by parts, with the boundary term c p_j(0).  The p_j do not depend on ell, so
+one run of the recurrence gives every P_ell, and every ell-indexed result
+here reads that one run.  The traveling wave's own constants d_1, d_2, ...
+are e_ell = -d_ell and every other e_j = d_j (see ``_reduction``): P_2 is
+``quartic.Params.coefficients``' F, P_3 is :func:`reduce_l3_full`'s quintic.
+
+With every constant zero (:func:`reduce_vanishing`), the ell = 2, 3, 4
+results
 
     P_2 = -f^2 (f + 2c)^2
     P_3 =  f^2 (f + 2c)^3 / 2
@@ -28,8 +32,8 @@ P_ell against the two closed-form candidates
 without asserting either; at ell = 4 candidate (a) has denominator 16 where
 the recurrence gives 4, so (a) and (b) genuinely differ from ell = 3 on.
 
-The ell = 3 reduction with general constants and its implicit solitary
-profile (real branch -2c < f < 0 for c > 0) live here too.
+The ell = 3 implicit solitary profile (real branch -2c < f < 0 for c > 0)
+lives here too.
 """
 
 from __future__ import annotations
@@ -43,11 +47,11 @@ from numbers import Rational
 import numpy as np
 
 from .errors import OutOfBranchRange
-from .reduction import g_from_f
 
 __all__ = [
     "FPoly",
     "FieldStack",
+    "MAX_ELL",
     "reduce_vanishing",
     "conjecture_report",
     "ConjectureReport",
@@ -87,6 +91,10 @@ class FPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         out = dict(self.coeffs)
         for key, val in other.coeffs.items():
             out[key] = out.get(key, Fraction(0)) + val
@@ -163,37 +171,59 @@ class FPoly:
 # (c + f/2) as an FPoly, used by the recurrence
 _HALF_SHIFT = FPoly({(0, 1): 1, (1, 0): Fraction(1, 2)})
 
+# the longest reduction reduce_vanishing and conjecture_report run: a
+# report takes 0.03, 0.12 and 0.43 s at ell = 30, 60 and 120 on one Xeon
+# core, about as ell^2, and its JSON 13, 58 and 320 kB (the ``reduce``
+# verb's 29, 131 and 716 kB), faster still, so far larger ells would not finish
+MAX_ELL = 120
+
 
 @dataclass(frozen=True)
 class FieldStack:
-    """The reduced fields h_1..h_ell (as polynomials in f) plus P_ell."""
+    """The reduced fields h_1..h_ell (as polynomials in f) plus P_ell, at the
+    integration constants e_1, e_2, ... of ``constants`` (missing ones zero)."""
 
     ell: int
     fields: tuple
     P: FPoly
+    constants: tuple = ()
 
     def __post_init__(self):
         if self.fields[0] != FPoly.variable_f():
             raise ValueError("h_1 must equal f exactly")
-        if not self.P.coeff_f(0).is_zero():
-            raise ValueError("P_ell(0) must vanish (constants were all zero)")
+        e = self.constants[self.ell] if len(self.constants) > self.ell else 0
+        if self.P.coeff_f(0) != FPoly({(0, 0): 8 * e}):
+            raise ValueError(f"P_ell(0) must equal 8 e_(ell+1) = {8 * e}")
 
 
-def _stacks(ell_max: int):
-    """FieldStack for ell = 2..ell_max, from one run of the recurrence."""
+def _stacks(ell_max: int, constants=()):
+    """FieldStack for ell = 2..ell_max, from one run of the recurrence at the
+    integration constants e_1, e_2, ... (Fractions; missing ones are zero)."""
+    constants = tuple(constants)
+    e = [Fraction(0), *constants, *[Fraction(0)] * (ell_max + 1 - len(constants))]  # e[j] = e_j
     fields = [FPoly.variable_f()]
     for ell in range(1, ell_max + 1):
         p = fields[-1]
-        p_next = -(_HALF_SHIFT * p + Fraction(1, 2) * p.integrate_f())
+        # e_j + c p_j(0), with p_j(0) = e_(j-1): p_1(0) = 0, and the step gives p_(j+1)(0) = e_j
+        boundary = FPoly({(0, 0): e[ell], (0, 1): e[ell - 1]})
+        p_next = -(_HALF_SHIFT * p + Fraction(1, 2) * p.integrate_f()) + boundary
         if ell >= 2:
-            yield FieldStack(ell=ell, fields=tuple(fields), P=(-8) * p_next.integrate_f())
+            P = (-8) * p_next.integrate_f() + FPoly({(0, 0): 8 * e[ell + 1]})
+            yield FieldStack(ell=ell, fields=tuple(fields), P=P, constants=constants)
         fields.append(p_next)
 
 
+def _check_ell(name: str, ell: int, least: int):
+    """Refuse an ell below ``least`` or above MAX_ELL, before any work."""
+    if ell < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if ell > MAX_ELL:
+        raise ValueError(f"ell = {ell} is more than MAX_ELL = {MAX_ELL}")
+
+
 def reduce_vanishing(ell: int) -> FieldStack:
-    """Exact reduction with all integration constants zero; ell >= 2."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    """Exact reduction with all integration constants zero; 2 <= ell <= MAX_ELL."""
+    _check_ell("ell", ell, 2)
     *_, stack = _stacks(ell)
     return stack
 
@@ -226,9 +256,9 @@ def conjecture_report(ell_max: int) -> ConjectureReport:
     Candidate 'printed' is -f^2 (f+2c)^ell / 2^(2 ell - 4); candidate
     'pattern' is (-1)^(ell-1) f^2 (f+2c)^ell / 2^(ell-2).  The report states
     exact match/mismatch per ell; it is data, not a test verdict.
+    Requires 4 <= ell_max <= MAX_ELL.
     """
-    if ell_max < 4:
-        raise ValueError("ell_max must be >= 4")
+    _check_ell("ell_max", ell_max, 4)
     shift = 2 * _HALF_SHIFT  # f + 2c
     power = FPoly({(2, 0): 1}) * shift  # f^2 (f + 2c)^ell, here at ell = 1
     rows, stacks = [], tuple(_stacks(ell_max))
@@ -265,39 +295,55 @@ def even_ell_nonexistence(ell: int) -> str:
     )
 
 
+def _reduction(ell: int, ds) -> FieldStack:
+    """The stack of ell at the traveling wave's constants d_1, d_2, ...:
+    e_ell = -d_ell and every other e_j = d_j."""
+    *_, stack = _stacks(ell, tuple(-d if j == ell else d for j, d in enumerate(ds, 1)))
+    return stack
+
+
+def _exact_read(read, *values):
+    """read(*values) in Fractions when every value is rational; else read of
+    the values' floats, taken exactly, with each result rounded once."""
+    if all(isinstance(v, Rational) for v in values):
+        return read(*map(Fraction, values))
+    return tuple(map(float, read(*(Fraction(float(v)) for v in values))))
+
+
 def reduce_l3_full(c, d1, d2, d3, d4):
     """Quintic coefficients of the three-component reduction, degree 5 down to 0:
 
     (f')^2 = f^5/2 + 3c f^4 + (6c^2 - 2d1) f^3 + 4(c^3 - c d1 + d2) f^2
-             + 8 d3 f + 8 d4.
+             + 8 d3 f + 8 d4,
 
-    Exact when the inputs are rational; reduces to the vanishing case when
-    every d is zero.
+    P_3 of the recurrence.  Exact when the inputs are rational; for float
+    inputs each exact coefficient rounded once (a non-finite input, which
+    has none, raises ValueError or OverflowError, as does a coefficient too
+    large for a float).  Equals reduce_vanishing(3) when every d is zero.
     """
-    exact = all(isinstance(v, Rational) for v in (c, d1, d2, d3, d4))
-    c, d1, d2, d3, d4 = (Fraction(v) if exact else float(v) for v in (c, d1, d2, d3, d4))
-    half = Fraction(1, 2) if exact else 0.5
-    return (
-        half,
-        3 * c,
-        6 * c * c - 2 * d1,
-        4 * (c * c * c - c * d1 + d2),
-        8 * d3,
-        8 * d4,
-    )
+    def read(c, *ds):
+        P = _reduction(3, ds).P
+        return tuple(P.coeff_f(i)(0, c) for i in range(5, -1, -1))  # each a polynomial in c
+
+    return _exact_read(read, c, d1, d2, d3, d4)
 
 
 def l3_fields(f, c, d1, d2):
     """Second and third fields of the three-component reduction:
 
     g = -c f - (3/4) f^2 + d1,
-    h = (3/2) c f^2 + (1/2) f^3 + (c^2 - d1) f + d2.
+    h = (3/2) c f^2 + (1/2) f^3 + (c^2 - d1) f + d2,
+
+    p_2 and p_3 of the recurrence.  Exact when the inputs are rational; for
+    float inputs each exact field rounded once (a non-finite input, which
+    has none, raises ValueError or OverflowError, as does a field too large
+    for a float).
     """
-    exact = all(isinstance(v, Rational) for v in (f, c, d1, d2))
-    f, c, d1, d2 = (Fraction(v) if exact else float(v) for v in (f, c, d1, d2))
-    half = Fraction(1, 2) if exact else 0.5
-    h = 3 * half * c * f * f + half * f ** 3 + (c * c - d1) * f + d2
-    return g_from_f(f, c, d1), h
+    def read(f, c, *ds):
+        g, h = _reduction(3, ds).fields[1:]
+        return g(f, c), h(f, c)
+
+    return _exact_read(read, f, c, d1, d2)
 
 
 def _l3_Phi_and_deriv(z: float, c: float):
@@ -313,7 +359,11 @@ def _l3_Phi_and_deriv(z: float, c: float):
     return phi, dphi
 
 
-def _l3_solve_f(target: float, c: float, max_iter: int = 200, tol: float = 1e-13):
+_L3_MAX_ITER = 200
+_L3_TOL = 1e-13  # relative to max(1, |target|)
+
+
+def _l3_solve_f(target: float, c: float):
     """Solve Phi(z) = target by bisection-bracketed Newton; returns f."""
     z_lo, z_hi = 1e-300, 1.0 - 1e-9
     phi_lo, _ = _l3_Phi_and_deriv(z_lo, c)
@@ -324,10 +374,10 @@ def _l3_solve_f(target: float, c: float, max_iter: int = 200, tol: float = 1e-13
             f"[{phi_lo:.3e}, {phi_hi:.3e}]"
         )
     z = 0.5 * (z_lo + z_hi)
-    for _ in range(max_iter):
+    for _ in range(_L3_MAX_ITER):
         phi, dphi = _l3_Phi_and_deriv(z, c)
         err = phi - target
-        if abs(err) <= tol * max(1.0, abs(target)):
+        if abs(err) <= _L3_TOL * max(1.0, abs(target)):
             break
         step = err / dphi
         z_new = z - step

@@ -93,7 +93,9 @@ class Params:
         return Params(float(self.c), float(self.d1), float(self.d2), float(self.d3))
 
     def coefficients(self):
-        """Quartic coefficients of F, highest degree first."""
+        """Quartic coefficients of F, highest degree first: P_2 of
+        :mod:`kbwave.hierarchy`'s recurrence at e = (d1, -d2, d3), written
+        out."""
         c, d1, d2, d3 = self.c, self.d1, self.d2, self.d3
         return (-1, -4 * c, 4 * (d1 - c * c), 8 * d2, 8 * d3)
 
@@ -567,12 +569,13 @@ def scaled_bound(rtol: float, scale: float, power: int) -> float:
 
 def _check_cluster(coeffs, center, m):
     """Raise unless F and its derivatives below m nearly vanish at the
-    cluster ``center`` of m roots.  A loose gate: it guards against a
-    grossly mis-set clustering tolerance, or an eigenvalue taken as a zero
-    that is none."""
+    cluster ``center`` of m roots: within 1e-3 * max(1, |center|)^(4 - j),
+    or within the rounding of their own evaluation, as ``_multiple_zero``
+    bounds it.  A loose gate: it guards against a grossly mis-set clustering
+    tolerance, or an eigenvalue taken as a zero that is none."""
     scale = max(1.0, abs(center))
-    for j, (v, _) in enumerate(_taylor(coeffs, center, m)):
-        if abs(v) > scaled_bound(1e-3, scale, 4 - j):
+    for j, (v, bound) in enumerate(_taylor(coeffs, center, m)):
+        if abs(v) > scaled_bound(1e-3, scale, 4 - j) and abs(v) > _ROUNDING * bound:
             raise ValueError(
                 f"cluster at {center} fails multiplicity-{m} check "
                 f"(|F^({j})| = {abs(v):.3e})"

@@ -483,6 +483,13 @@ class TestReduceVerb:
         assert main(["reduce", "--ell", "1"]) == 1
         assert capsys.readouterr().err == "error: ell must be >= 2\n"
 
+    def test_ell_above_the_limit_rejected(self, tmp_path, capsys):
+        """--ell past hierarchy.MAX_ELL is refused before the recurrence
+        runs, which at 1e5 would not finish."""
+        assert main(["reduce", "--ell", "100000", "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == "error: ell = 100000 is more than MAX_ELL = 120\n"
+        assert list(tmp_path.iterdir()) == []
+
     # the bytes `reduce` writes: the fields, P and every conjecture row
     @pytest.mark.parametrize("ell, digest", [
         (7, "643d59c002cdf2080323430b31ea15765ec506eff380efbdc277dacfa9679f2e"),

@@ -5,9 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kbwave import hierarchy
 from kbwave.errors import OutOfBranchRange
 from kbwave.hierarchy import (
+    MAX_ELL,
+    FieldStack,
     FPoly,
     conjecture_report,
     even_ell_nonexistence,
@@ -17,8 +22,11 @@ from kbwave.hierarchy import (
     reduce_l3_full,
     reduce_vanishing,
 )
+from kbwave.quartic import Params
 
 F = Fraction
+_RATIONAL = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+_FLOAT = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
 def poly_from(coeffs):
@@ -32,6 +40,7 @@ class TestFPoly:
         prod = p * q
         assert prod == FPoly({(2, 0): 1, (1, 1): 2})
         assert (prod - prod).is_zero()
+        assert p + FPoly() is p and FPoly() + p is p  # no copy for a zero term
 
     def test_integrate_and_derive(self):
         p = FPoly({(2, 1): F(3)})  # 3 c f^2
@@ -113,6 +122,90 @@ class TestReduceVanishing:
     def test_ell_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             reduce_vanishing(1)
+
+    def test_ell_above_the_limit_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(hierarchy, "_stacks", None)  # any run would raise TypeError
+        with pytest.raises(ValueError, match=f"more than MAX_ELL = {MAX_ELL}"):
+            reduce_vanishing(MAX_ELL + 1)
+        with pytest.raises(ValueError, match=f"more than MAX_ELL = {MAX_ELL}"):
+            conjecture_report(10 ** 5)
+
+
+class TestConstants:
+    """The recurrence with integration constants e_1, e_2, ...: P_ell(0) =
+    8 e_(ell+1), fields free of ell, and the ell = 2 and 3 reductions."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.tuples(_RATIONAL, _RATIONAL, _RATIONAL, _RATIONAL))
+    def test_P2_is_the_quartic(self, values):
+        """P_2 at e = (d1, -d2, d3) is F of Params(c, d1, d2, d3) exactly."""
+        c, d1, d2, d3 = values
+        *_, stack = hierarchy._stacks(2, (d1, -d2, d3))
+        got = tuple(stack.P.coeff_f(i)(0, c) for i in range(4, -1, -1))
+        assert got == Params(c, d1, d2, d3).coefficients()
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.lists(_RATIONAL, max_size=8))
+    def test_fields_free_of_ell_and_constant_terms(self, constants):
+        """A run to ell gives the fields and P_ell of a longer run, p_(j+1)(0)
+        = e_j, P_ell(0) = 8 e_(ell+1), and P_4 is a sextic led by -1/4."""
+        e = [*constants, *[F(0)] * 8]
+        stacks = list(hierarchy._stacks(6, constants))
+        longest = stacks[-1].fields
+        for stack in stacks:
+            ell = stack.ell
+            *_, alone = hierarchy._stacks(ell, constants)
+            assert (alone.fields, alone.P) == (longest[:ell], stack.P)
+            assert stack.P.coeff_f(0) == FPoly({(0, 0): 8 * e[ell]})
+        for j, p in enumerate(longest[1:], start=1):
+            assert p.coeff_f(0) == FPoly({(0, 0): e[j - 1]})
+        P4 = stacks[2].P
+        assert P4.degree_f() == 6 and P4.coeff_f(6) == FPoly({(0, 0): F(-1, 4)})
+
+    def test_zero_constants_are_the_vanishing_reduction(self):
+        stacks = hierarchy._stacks(30, (F(0),) * 31)
+        for ell, stack in enumerate(stacks, start=2):
+            want = reduce_vanishing(ell)
+            assert (stack.fields, stack.P) == (want.fields, want.P)
+
+    def test_field_stack_refuses_a_wrong_constant_term(self):
+        constants = (F(1, 3), F(-2), F(5, 7))
+        *_, stack = hierarchy._stacks(2, constants)
+        assert stack.P.coeff_f(0) == FPoly({(0, 0): F(40, 7)})
+        FieldStack(2, stack.fields, stack.P, constants)
+        for P, e in ((stack.P + FPoly({(0, 0): 1}), constants), (stack.P, constants[:2]),
+                     (reduce_vanishing(2).P + FPoly({(0, 0): 1}), ())):
+            with pytest.raises(ValueError, match="P_ell"):
+                FieldStack(2, stack.fields, P, e)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.tuples(*[_RATIONAL] * 4))
+    def test_l3_fields_are_the_chain(self, values):
+        """l3_fields at rationals is g and h as written out, exactly."""
+        f, c, d1, d2 = values
+        g = -c * f - F(3, 4) * f * f + d1
+        h = F(3, 2) * c * f * f + f ** 3 / 2 + (c * c - d1) * f + d2
+        got = l3_fields(f, c, d1, d2)
+        assert got == (g, h) and all(type(v) is F for v in got)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.tuples(*[_FLOAT] * 6))
+    def test_float_inputs_round_the_exact_values_once(self, values):
+        f, c, d1, d2, d3, d4 = values
+        got = reduce_l3_full(c, d1, d2, d3, d4) + l3_fields(f, c, d1, d2)
+        want = reduce_l3_full(*map(F, values[1:])) + l3_fields(*map(F, values[:4]))
+        assert all(type(v) is float for v in got)
+        assert list(map(repr, got)) == [repr(float(v)) for v in want]
+
+    def test_no_exact_value_refused(self):
+        """A non-finite input has no exact value, and a result too large for
+        a float cannot be rounded to one."""
+        with pytest.raises(ValueError):
+            reduce_l3_full(1.0, float("nan"), 0.0, 0.0, 0.0)
+        with pytest.raises(OverflowError):
+            l3_fields(0.0, float("inf"), 0.0, 0.0)
+        with pytest.raises(OverflowError):
+            l3_fields(1e300, 1.0, 0.0, 0.0)
 
 
 class TestConjectureReport:

@@ -437,10 +437,29 @@ class TestExactTaxonomy:
         assert -lo == pytest.approx(math.sqrt(8.0), rel=1e-7)
         assert hi == pytest.approx(math.sqrt(8.0), rel=1e-7)
 
+    def test_check_on_F_allows_its_rounding(self, monkeypatch):
+        """-F = f^2 (f + 2c)^2 - 8 d3 with c about 7.8e14: F's float value at
+        the zeros about +-7.6e-9 is within the rounding of its evaluation
+        there, not within 1e-3, and passes (it was refused); an eigenvalue
+        moved 1e-6 off one (|F| = 2.4e18 against a rounding bound of 4.3e3)
+        is still refused."""
+        p = Params(Fraction(18014398509481982, 23), 0, 0, 17592186044416)
+        rm = roots_of_F(p)
+        assert classify(rm) is CaseTag.FOUR_SIMPLE
+        assert rm.values()[2:] == pytest.approx((-7.573261841801273e-09, 7.573261841801273e-09),
+                                                rel=1e-12)
+        eigenvalues = quartic._companion_roots
+        monkeypatch.setattr(quartic, "_companion_roots", lambda coeffs: [
+            z + 1e-6 if abs(z) < 1.0 else z for z in eigenvalues(coeffs)])
+        with pytest.raises(ValueError, match="fails multiplicity-1 check"):
+            roots_of_F(p)
+
 
 # The parent's roots_of_F, kept to check that the companion eigensolve and the
 # integer coefficients give the same zeros to the bit: np.roots on the floats
-# of the exact coefficients, and the grouping and Taylor helpers as they were.
+# of the exact coefficients, and the grouping and Taylor helpers as they were;
+# its check on F at a cluster allows the rounding of F's evaluation, as
+# quartic._check_cluster does.
 def _reference_taylor(coeffs, x, n):
     out = []
     for _ in range(n):
@@ -495,8 +514,8 @@ def _reference_roots_of_F(p, tol=quartic.DEFAULT_CLUSTER_TOL):
         m = len(members)
         center = sum(members) / m
         scale = max(1.0, abs(center))
-        for j, (v, _) in enumerate(_reference_taylor(coeffs, center, m)):
-            if abs(v) > 1e-3 * scale ** (4 - j):
+        for j, (v, bound) in enumerate(_reference_taylor(coeffs, center, m)):
+            if abs(v) > 1e-3 * scale ** (4 - j) and abs(v) > quartic._ROUNDING * bound:
                 raise ValueError(
                     f"cluster at {center} fails multiplicity-{m} check "
                     f"(|F^({j})| = {abs(v):.3e})"
@@ -651,8 +670,9 @@ def _assert_reference_roots(p):
                 assert rm.multiplicities() == signature
                 coeffs = [float(v) for v in p.coefficients()]
                 for z in rm.values():
-                    (v, _), = _reference_taylor(coeffs, z, 1)
-                    assert abs(v) <= 1e-3 * max(1.0, abs(z)) ** 4, (p, z, v)
+                    (v, bound), = _reference_taylor(coeffs, z, 1)
+                    assert (abs(v) <= 1e-3 * max(1.0, abs(z)) ** 4
+                            or abs(v) <= quartic._ROUNDING * bound), (p, z, v)
         else:
             assert _outcome(roots_of_F, p) == want
     want = [float(v) for v in p.coefficients()]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kbwave import hierarchy
 from kbwave.hierarchy import reduce_vanishing
 from kbwave.quartic import (CaseTag, Params, RootMultiset, bands, classify, eval_F,
                             eval_F_deriv, params_from_roots, roots_of_F)
@@ -28,6 +29,15 @@ class TestGFromF:
 
     def test_exact_rational(self):
         assert g_from_f(Fraction(-2), Fraction(2), Fraction(-7, 4)) == Fraction(-3, 4)
+
+    def test_is_the_recurrence_field(self):
+        """g is p_2 of the hierarchy recurrence at e_1 = d1, exactly."""
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            f, c, d1 = (Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 30)))
+                        for _ in range(3))
+            *_, stack = hierarchy._stacks(2, (d1,))
+            assert g_from_f(f, c, d1) == stack.fields[1](f, c)
 
 
 class TestLocalBehavior:
