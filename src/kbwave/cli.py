@@ -73,6 +73,11 @@ def _atomic_write(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".kbwave-")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
+            # mkstemp's 0600 becomes the mode open(path, "w") would give:
+            # 0666 less the umask, which is read by setting it back
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -629,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="case taxonomy of the quartic")
     _add_problem_args(sp, with_kind=False)
     sp.add_argument("--tol", type=float, default=DEFAULT_CLUSTER_TOL,
-                    help="root clustering tolerance")
+                    help="root clustering tolerance, in (0, 1e-2]")
 
     sp = sub.add_parser("solve", help="construct and emit a closed form")
     _add_problem_args(sp)

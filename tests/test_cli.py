@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -96,6 +97,20 @@ class TestClassify:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_outputs_take_the_umask_mode(self, tmp_path, umask, mode):
+        """Each output has the mode open(path, "w") gives, 0666 less the
+        umask (mkstemp's 0600 before), and the umask is left as it was."""
+        old = os.umask(umask)
+        try:
+            assert main(["solve", "--preset", "fig-case1a", "--n", "5",
+                         "--out", str(tmp_path / "a.csv")]) == 0
+            assert os.umask(umask) == umask
+        finally:
+            os.umask(old)
+        for name in ("a.csv", "a.json"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
+
     def test_preset_profile_and_sidecar(self, tmp_path):
         out = tmp_path / "c1a.csv"
         code = main(["solve", "--preset", "fig-case1a", "--out", str(out)])
@@ -657,6 +672,11 @@ class TestRefusals:
         # refused before the gate samples a profile that would overflow
         "solve-huge-band": (["solve", "--kind", "periodic_trig", "--roots=1e90,2e90,0"],
                             "the bound 1e-08 * 2e+90^4 does not fit a float"),
+        # a tol past the grouping radius merged -3 and -1 into a double at -2
+        "classify-tol-inf": (["classify", "--params", P, "--tol", "inf"],
+                             "tol must be in (0, 0.01], got inf"),
+        "classify-tol-huge": (["classify", "--params", P, "--tol", "1e300"],
+                              "tol must be in (0, 0.01], got 1e+300"),
         "evolve-T-inf": (["evolve", "--preset", "fig-case1a", "--T=inf"],
                          "T must be finite, got inf"),
         "evolve-dt-nan": (["evolve", "--preset", "fig-case1a", "--dt", "nan"],
