@@ -33,7 +33,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -67,22 +66,39 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_EXCLUSIVE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
+_TMP_TRIES = 100
+
+
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` (UTF-8, newlines as given) to ``path`` atomically: into
+    a new temporary file ``.kbwave-<random hex>`` in the target directory,
+    created exclusively with mode 0666 so the kernel takes the umask off as
+    ``open(path, "w")`` does, then renamed over ``path``.  A name already
+    taken is drawn again.  When the write or the rename fails the temporary
+    file is removed and the error raised.  The process umask is neither
+    read nor set, so a file another thread creates meanwhile keeps its
+    mode."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".kbwave-")
+    data = memoryview(text.encode("utf-8"))
+    for attempt in range(_TMP_TRIES):
+        tmp = os.path.join(d, ".kbwave-" + os.urandom(8).hex())
+        try:
+            fd = os.open(tmp, _EXCLUSIVE, 0o666)
+            break
+        except FileExistsError:
+            if attempt == _TMP_TRIES - 1:
+                raise
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            # mkstemp's 0600 becomes the mode open(path, "w") would give:
-            # 0666 less the umask, which is read by setting it back
-            umask = os.umask(0o022)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

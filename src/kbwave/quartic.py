@@ -76,11 +76,16 @@ __all__ = [
 DEFAULT_CLUSTER_TOL = 1e-7  # double roots of a double-precision quartic keep ~8 digits
 _NEAR = 1e-2  # roots this close (relative) may be one multiple zero split by the eigensolve
 _ROUNDING = 8 * float(np.finfo(float).eps)  # twice Horner's bound 2n u = 4 eps (n = 4)
+_INF = math.inf
 
 
 @dataclass(frozen=True)
 class Params:
-    """Constants of the first integral: wave speed c and integration constants."""
+    """Constants of the first integral: wave speed c and integration constants.
+
+    Each is an int, a Fraction or a finite real; a NaN or an infinity raises
+    ValueError naming the first such parameter.  Four floats, the common
+    case, are checked in one chain."""
 
     c: float | Fraction
     d1: float | Fraction
@@ -88,6 +93,12 @@ class Params:
     d3: float | Fraction
 
     def __post_init__(self):
+        c, d1, d2, d3 = self.c, self.d1, self.d2, self.d3
+        # four finite floats, the common case, pass in one chain; anything
+        # else takes the loop, whose refusal names the parameter
+        if (type(c) is type(d1) is type(d2) is type(d3) is float and math.isfinite(c)
+                and math.isfinite(d1) and math.isfinite(d2) and math.isfinite(d3)):
+            return
         for name in ("c", "d1", "d2", "d3"):
             v = getattr(self, name)
             # a float skips the (slow, abstract) Fraction probe
@@ -112,25 +123,36 @@ class Params:
 class RootMultiset:
     """Sorted real zeros of F with multiplicities.
 
-    Values strictly increase and multiplicities sum to 0, 2 or 4: complex
-    roots come in conjugate pairs and F has real coefficients and degree 4.
+    Values are finite and strictly increase (as floats), and multiplicities
+    are positive and sum to 0, 2 or 4: complex roots come in conjugate pairs
+    and F has real coefficients and degree 4.  A tuple of ``(float, int)``
+    entries, as ``roots_of_F`` and the constructors build, is checked in one
+    pass and kept as it is; other entries (a list, numpy or bool
+    multiplicities, non-float values) are made ``(value, int(m))`` tuples
+    and checked in the order multiplicities, order, total, finiteness.  A
+    refusal is a ValueError.
     """
 
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple([(v, int(m)) for v, m in self.entries])
-        object.__setattr__(self, "entries", entries)
-        total = 0
-        for _, m in entries:
-            if m <= 0:
-                raise ValueError("multiplicities must be positive")
-            total += m
-        for (a, _), (b, _) in zip(entries, entries[1:]):
-            if float(a) >= float(b):
-                raise ValueError("root values must be strictly increasing")
-        if total not in (0, 2, 4):
-            raise ValueError(f"total multiplicity {total} not in {{0, 2, 4}}")
+        # one pass accepts what roots_of_F and the constructors build; any
+        # other input, and every refusal, is left to _checked_entries, which
+        # normalises and refuses in the order stated above
+        entries, total, last = self.entries, 0, -_INF
+        if type(entries) is tuple:
+            for e in entries:
+                if type(e) is not tuple:
+                    break
+                v, m = e
+                if not (type(v) is float and type(m) is int and m > 0 and last < v < _INF):
+                    break
+                total += m
+                last = v
+            else:
+                if total in (0, 2, 4):
+                    return
+        object.__setattr__(self, "entries", _checked_entries(entries))
 
     def total(self) -> int:
         return sum(m for _, m in self.entries)
@@ -143,10 +165,19 @@ class RootMultiset:
 
     def expand(self):
         """Roots repeated by multiplicity."""
-        return tuple(v for v, m in self.entries for _ in range(m))
+        out = []
+        for v, m in self.entries:
+            out += (v,) * m
+        return tuple(out)
 
     def scale(self) -> float:
-        return max([1.0] + [abs(float(v)) for v, _ in self.entries])
+        """max(1, |value|) over the entries, as a float."""
+        s = 1.0
+        for v, _ in self.entries:
+            a = abs(float(v))
+            if a > s:
+                s = a
+        return s
 
     @classmethod
     def from_values(cls, values, tol: float = 1e-9) -> "RootMultiset":
@@ -157,6 +188,31 @@ class RootMultiset:
         """
         clusters = _clustered([float(v) for v in values], tol)
         return cls(tuple((float(np.mean(c)), len(c)) for c in clusters))
+
+
+def _checked_entries(entries):
+    """``RootMultiset``'s entries when they are not a tuple of ``(float,
+    int)`` tuples: each made ``(value, int(m))`` (the tuple rebuilt only when
+    one is not a ``(value, int)`` tuple already), then checked in turn for
+    positive multiplicities, strictly increasing float values, a total of
+    0, 2 or 4 and finite values."""
+    if type(entries) is not tuple or not all(
+            type(e) is tuple and len(e) == 2 and type(e[1]) is int for e in entries):
+        entries = tuple([(v, int(m)) for v, m in entries])
+    total = 0
+    for _, m in entries:
+        if m <= 0:
+            raise ValueError("multiplicities must be positive")
+        total += m
+    for (a, _), (b, _) in zip(entries, entries[1:]):
+        if float(a) >= float(b):
+            raise ValueError("root values must be strictly increasing")
+    if total not in (0, 2, 4):
+        raise ValueError(f"total multiplicity {total} not in {{0, 2, 4}}")
+    values = tuple(v for v, _ in entries)
+    if any(v != v or v in (_INF, -_INF) for v in values):
+        raise ValueError(f"root values must be finite, got {values}")
+    return entries
 
 
 def _clustered(values, tol):
@@ -282,9 +338,9 @@ def eval_F(p: Params, f):
 def first_integral_residual(p: Params, f, fp) -> float:
     """max |f'^2 - F(f)| over samples f, f' (arrays) of a wave, F the quartic
     of the float params ``p``."""
-    r = fp ** 2
+    r = fp * fp
     r -= eval_F(p, f)
-    return float(np.abs(r, out=r).max())
+    return float(np.maximum.reduce(np.abs(r, out=r), axis=None))  # r.max(), without its wrapper
 
 
 def _derivative(coeffs):

@@ -294,21 +294,32 @@ class ClosedFormSolution:
 
     def profile(self, xi):
         """Vector evaluation returning (f, f_prime); numpy scalars for a
-        scalar xi."""
+        scalar xi.
+
+        With D == 0 the denominator C + D y is the constant C for every
+        finite kernel value (y D is a zero, and C is not), so f is divided
+        by C and f' by C C, and by nothing when C == 1: the same IEEE
+        operations on the same numbers as the general form, so the same
+        bits."""
         # in place, bit for bit x = beta (xi - xi0), f = (A + B y) / den
         # with den = C + D y, and f' = (B C - A D) beta y' / (den den)
         x = np.array(xi, dtype=float)
         x -= self.xi0
         x *= self.beta
         y, yp = _KERNELS[self.kernel].fn(x, self.modulus)
-        den = y * self.D
-        den += self.C
+        C, D = self.C, self.D
         f = y * self.B
         f += self.A
-        f /= den
-        yp *= (self.B * self.C - self.A * self.D) * self.beta
-        den *= den
-        yp /= den
+        yp *= (self.B * C - self.A * D) * self.beta
+        if D != 0.0:
+            den = y * D
+            den += C
+            f /= den
+            den *= den
+            yp /= den
+        elif C != 1.0:
+            f /= C
+            yp /= C * C
         if x.ndim == 0:
             return np.float64(f), np.float64(yp)
         return f, yp

@@ -12,9 +12,14 @@ import numpy as np
 import pytest
 
 import kbwave
+from kbwave import cli
 from kbwave.cli import main
 
 S3 = math.sqrt(3.0)
+
+
+def _no_umask(mask):
+    raise AssertionError("os.umask called")
 
 
 def run(argv, capsys=None):
@@ -98,18 +103,45 @@ class TestClassify:
 
 class TestSolve:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
-    def test_outputs_take_the_umask_mode(self, tmp_path, umask, mode):
+    def test_outputs_take_the_umask_mode(self, tmp_path, monkeypatch, umask, mode):
         """Each output has the mode open(path, "w") gives, 0666 less the
-        umask (mkstemp's 0600 before), and the umask is left as it was."""
+        umask, which the kernel takes off: the run never calls os.umask."""
         old = os.umask(umask)
         try:
+            monkeypatch.setattr(os, "umask", _no_umask)
             assert main(["solve", "--preset", "fig-case1a", "--n", "5",
                          "--out", str(tmp_path / "a.csv")]) == 0
-            assert os.umask(umask) == umask
         finally:
+            monkeypatch.undo()
             os.umask(old)
         for name in ("a.csv", "a.json"):
             assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "a.json"]
+
+    @pytest.mark.parametrize("fails", ["write", "replace"])
+    def test_atomic_write_failure_leaves_no_temporary(self, tmp_path, monkeypatch, fails):
+        target = tmp_path / "a.csv"
+        target.write_text("before\n")
+
+        def broken(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, fails, broken)
+        with pytest.raises(OSError, match="No space left"):
+            cli._atomic_write(str(target), "after\n")
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["a.csv"]
+        assert target.read_text() == "before\n"
+
+    def test_atomic_write_draws_a_taken_name_again(self, tmp_path, monkeypatch):
+        taken = tmp_path / ".kbwave-0000000000000000"
+        taken.write_text("someone else's\n")
+        draws = iter([bytes(8), bytes([1] * 8)])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        cli._atomic_write(str(tmp_path / "a.csv"), "x\n")
+        assert taken.read_text() == "someone else's\n"
+        assert sorted(os.listdir(tmp_path)) == [taken.name, "a.csv"]
+        assert (tmp_path / "a.csv").read_text() == "x\n"
 
     def test_preset_profile_and_sidecar(self, tmp_path):
         out = tmp_path / "c1a.csv"
@@ -721,6 +753,11 @@ class TestRefusals:
                                  "periodic_trig: the form does not fit a float for these zeros (float division by zero)"),
         "solve-nan-root": (["solve", "--kind", "periodic_trig", "--roots=nan,1,1"],
                            "zeros must be finite, got (nan, 1.0, 1.0)"),
+        # four roots make the params: a NaN root named a parameter before
+        "classify-nan-root": (["classify", "--roots", "0,1,2,nan"],
+                              "root values must be finite, got (0.0, 1.0, 2.0, nan)"),
+        "solve-nan-root-4": (["solve", "--roots", "0,1,2,nan"],
+                             "root values must be finite, got (0.0, 1.0, 2.0, nan)"),
         "solve-xi0-inf": (["solve", "--kind", "solitary_double", "--roots=-3,-2,-1", "--xi0", "inf"],
                           "xi0 must be finite, got inf"),
         "solve-infinite-domain": (["solve", "--preset", "fig-case1a", "--domain=-inf,inf",

@@ -5,6 +5,7 @@ import math
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from dataclasses import astuple
 from itertools import combinations
 
 import numpy as np
@@ -1186,3 +1187,179 @@ class TestRootMultiset:
     def test_expand(self):
         rm = RootMultiset(((0.0, 1), (1.0, 3)))
         assert rm.expand() == (0.0, 1.0, 1.0, 1.0)
+
+    def test_scale(self):
+        assert RootMultiset(((-3.0, 1), (0.5, 2), (2.0, 1))).scale() == 3.0
+        assert RootMultiset(((-0.5, 2), (0.25, 2))).scale() == 1.0
+        assert RootMultiset(()).scale() == 1.0
+        assert RootMultiset(((Fraction(-7, 2), 4),)).scale() == 3.5
+
+
+def _reference_entries(entries):
+    """RootMultiset's checks as one loop each, in their order: the entries
+    made (value, int(m)), then multiplicities, order and total."""
+    entries = tuple([(v, int(m)) for v, m in entries])
+    total = 0
+    for _, m in entries:
+        if m <= 0:
+            raise ValueError("multiplicities must be positive")
+        total += m
+    for (a, _), (b, _) in zip(entries, entries[1:]):
+        if float(a) >= float(b):
+            raise ValueError("root values must be strictly increasing")
+    if total not in (0, 2, 4):
+        raise ValueError(f"total multiplicity {total} not in {{0, 2, 4}}")
+    return entries
+
+
+def _outcome_of(fn, *args):
+    """("accepted", fn's result) or ("refused", the type and message of
+    what it raised)."""
+    try:
+        return "accepted", fn(*args)
+    except Exception as err:  # the refusal is the result
+        return "refused", type(err), str(err)
+
+
+_HUGE = Fraction(10 ** 400)
+_NEXT = Fraction(1) + Fraction(1, 10 ** 30)  # 1 as a float
+_ENTRIES = {
+    "floats": ((-1.0, 1), (0.5, 2), (2.0, 1)),
+    "empty": (),
+    "quadruple": ((3.0, 4),),
+    "list": [(-1.0, 2), (1.0, 2)],
+    "list-entries": ([-1.0, 2], [1.0, 2]),
+    "numpy-int": ((-1.0, np.int64(2)), (1.0, np.int32(2))),
+    "bool": ((-1.0, True), (1.0, True)),
+    "float-mult": ((-1.0, 1.0), (0.0, 2.0), (1.0, 1.0)),
+    "fractions": ((Fraction(-3), 1), (Fraction(-2), 2), (Fraction(-1), 1)),
+    "ints": ((-3, 1), (-2, 2), (-1, 1)),
+    "numpy-floats": ((np.float64(-1.0), 2), (np.float64(1.0), 2)),
+    "huge-fraction-alone": ((_HUGE, 4),),
+    "zero-mult": ((0.0, 0), (1.0, 2)),
+    "negative-mult": ((0.0, -2), (1.0, 2), (2.0, 2)),
+    "decreasing": ((1.0, 1), (0.0, 1)),
+    "equal": ((1.0, 2), (1.0, 2)),
+    "equal-as-floats": ((Fraction(1), 2), (_NEXT, 2)),
+    "total-3": ((0.0, 1), (1.0, 1), (2.0, 1)),
+    "total-6": ((0.0, 2), (1.0, 4)),
+    "zero-mult-and-decreasing": ((1.0, 0), (0.0, 2)),
+    "decreasing-and-total-3": ((1.0, 1), (0.0, 2)),
+    "three-tuple": ((0.0, 1, 2), (1.0, 1)),
+    "later-three-tuple": ((0.0, 1), (1.0, 1, 2)),
+    "scalar-entry": ((0.0,),),
+    "not-iterable": 5,
+    "entry-not-iterable": (1.0,),
+    "mult-none": ((0.0, None), (1.0, 2)),
+    "mult-word": ((0.0, 2), (1.0, "x")),
+    "huge-fraction-pair": ((0.0, 2), (_HUGE, 2)),
+    "nan-and-zero-mult": ((0.0, 0), (math.nan, 2)),
+    "inf-above-then-total-3": ((0.0, 1), (math.inf, 2)),
+}
+# entries with a NaN or an infinity: the one refusal the reference lacks
+_NON_FINITE = {
+    "nan": ((0.0, 1), (math.nan, 1), (1.0, 2)),
+    "inf": ((0.0, 2), (math.inf, 2)),
+    "minus-inf": ((-math.inf, 2), (0.0, 2)),
+    "numpy-nan": ((np.float64("nan"), 4),),
+    "list-nan": [(math.nan, 2), (1.0, 2)],
+}
+
+
+class TestRootMultisetChecks:
+    """The checks run once per construction and keep every outcome of
+    ``_reference_entries``: each refusal with its type and message, each
+    accepted input normalised to the same entries."""
+
+    @pytest.mark.parametrize("case", _ENTRIES)
+    def test_same_outcome_as_the_reference(self, case):
+        entries = _ENTRIES[case]
+        want = _outcome_of(_reference_entries, entries)
+        got = _outcome_of(lambda e: RootMultiset(e).entries, entries)
+        assert got == want
+        if got[0] == "accepted":
+            assert type(got[1]) is tuple
+            assert [(type(e), type(e[0]), type(e[1])) for e in got[1]] == \
+                [(tuple, type(v), int) for v, _ in want[1]]
+
+    @pytest.mark.parametrize("case", _NON_FINITE)
+    def test_non_finite_values_refused(self, case):
+        entries = _NON_FINITE[case]
+        assert isinstance(_reference_entries(entries), tuple)  # accepted before
+        values = tuple(v for v, _ in entries)
+        with pytest.raises(ValueError) as err:
+            RootMultiset(entries)
+        assert str(err.value) == f"root values must be finite, got {values}"
+
+    @pytest.mark.parametrize("case", ["floats", "empty", "quadruple", "fractions", "ints"])
+    def test_value_int_tuples_kept(self, case):
+        entries = _ENTRIES[case]
+        assert RootMultiset(entries).entries is entries
+
+
+class TestOnePass:
+    """What roots_of_F and the constructors build passes the one-pass check
+    and is kept as built: ``_checked_entries``, the path that normalises, is
+    not taken."""
+
+    @pytest.fixture
+    def general_path(self, monkeypatch):
+        calls = []
+        checked = quartic._checked_entries
+
+        def spy(entries):
+            calls.append(entries)
+            return checked(entries)
+
+        monkeypatch.setattr(quartic, "_checked_entries", spy)
+        return calls
+
+    @pytest.mark.parametrize("sig", list(quartic._TAGS), ids=str)
+    def test_roots_of_F(self, general_path, sig):
+        zeros = zip([Fraction(-5, 2), Fraction(-1, 3), Fraction(3, 4), Fraction(7, 2)], sig)
+        rm = roots_of_F(_exact_params(list(zeros), [(0, 1)] * ((4 - sum(sig)) // 2)))
+        assert rm.multiplicities() == sig
+        assert general_path == []
+
+    def test_constructors(self, general_path):
+        from kbwave import solutions as S
+        sols = [
+            S.solitary_double(-3.0, -2.0, -1.0), S.periodic_trig(0.5, 1.5, 3.0),
+            S.solitary_triple(1.0, 0.0), S.limiting_form("a", (-3.0, -2.0, -1.0)),
+            S.limiting_form("d", (-1.0, -1.0, 1.0)), S.case1("dn", -3.0, -2.5, -1.0),
+            S.case2("dn", 1.0, 2.0, 3.0), S.general_sn2((0.0, 1.0, 2.5, 4.0)),
+        ]
+        assert all(type(v) is float for s in sols for v in s.roots.values())
+        assert general_path == []
+
+
+_PARAMS = {
+    "floats": (1.0, -2.0, 0.5, 0.0),
+    "fractions": (Fraction(1, 3), Fraction(-2), 0, 5),
+    "huge-int": (10 ** 400, 0.0, 0.0, 0.0),
+    "numpy-floats": (np.float64(1.0), 2.0, 3.0, 4.0),
+    "float32": (np.float32(1.5), 0.0, 0.0, 0.0),
+    **{f"{name}-{label}": tuple(v if i == k else 0.0 for i in range(4))
+       for k, name in enumerate(("c", "d1", "d2", "d3"))
+       for label, v in (("nan", math.nan), ("inf", math.inf), ("numpy-inf", np.float64("-inf")))},
+    "nan-after-fraction": (Fraction(1, 3), 0.0, math.nan, 0.0),
+    "two-non-finite": (0.0, math.inf, math.nan, 0.0),
+    "word": ("x", 0.0, 0.0, 0.0),
+}
+
+
+def _reference_params(*values):
+    """Params' check as one loop over the names, the first refusal naming
+    its parameter."""
+    for name, v in zip(("c", "d1", "d2", "d3"), values):
+        if (type(v) is float or not isinstance(v, (int, Fraction))) and not math.isfinite(v):
+            raise ValueError(f"parameter {name} must be finite, got {v!r}")
+    return values
+
+
+@pytest.mark.parametrize("case", _PARAMS)
+def test_params_same_outcome_as_the_reference(case):
+    values = _PARAMS[case]
+    want = _outcome_of(_reference_params, *values)
+    got = _outcome_of(lambda *v: astuple(Params(*v)), *values)
+    assert got == want

@@ -914,6 +914,44 @@ class TestCoherence:
         assert np.max(np.abs(fa - fb)) < 1e-10
 
 
+def _general_form(sol, xi):
+    """(f, f') of sol at xi by the general Moebius arithmetic, written out:
+    x = beta (xi - xi0), f = (A + B y) / den, den = C + D y and
+    f' = (B C - A D) beta y' / (den den)."""
+    import kbwave.solutions as S
+
+    x = np.array(xi, dtype=float)
+    x -= sol.xi0
+    x *= sol.beta
+    y, yp = S._KERNELS[sol.kernel].fn(x, sol.modulus)
+    den = y * sol.D + sol.C
+    f = (y * sol.B + sol.A) / den
+    fp = yp * ((sol.B * sol.C - sol.A * sol.D) * sol.beta) / (den * den)
+    return f, fp
+
+
+_COEFF = st.floats(-1e3, 1e3, allow_nan=False)
+_NONZERO = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kernel=st.sampled_from(["sn", "cn", "dn", "sn2", "sin", "sech", "rational", "const"]),
+       A=_COEFF, B=_COEFF, C=st.just(1.0) | _NONZERO, D=st.sampled_from([0.0, -0.0]),
+       beta=st.floats(1e-3, 1e3), k=st.floats(0.0, 1.0), xi0=st.floats(-10.0, 10.0),
+       xi=st.floats(-1e3, 1e3) | st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
+def test_constant_denominator_profile_keeps_its_bits(kernel, A, B, C, D, beta, k, xi0, xi):
+    """With D == 0 profile divides by C alone (and not at all when C == 1):
+    the same bits as the general form, for every kernel, array or scalar xi."""
+    from dataclasses import replace
+
+    modulus = k if kernel in ("sn", "cn", "dn", "sn2") else None
+    sol = replace(solitary_triple(1.0, 0.0), A=A, B=B, C=C, D=D, kernel=kernel,
+                  beta=beta, modulus=modulus, xi0=xi0)
+    for got, want in zip(sol.profile(xi), _general_form(sol, xi)):
+        assert np.ndim(got) == np.ndim(xi)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_pole_crossing_form_rejected_at_construction():
     """A hand-built Moebius form whose denominator crosses zero is refused.
 
