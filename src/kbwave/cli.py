@@ -23,6 +23,12 @@ line and exits 1 with no file written; an infeasible kind's line names the
 kinds of its family that have a wave.  argparse's usage errors exit 2.
 A verb runs with numpy's float errors raised, so no run prints a numpy
 warning: a constructor refuses a form that overflows.
+
+Each option is one row of ``OPTIONS``: its flag, its parse, its choices,
+its default, its help and the verbs that read it.  ``build_parser`` gives
+each verb the flags of its rows, and ``_options`` gives each verb one
+mapping of them: the flag when given, else the ``--config`` file's value,
+else the row's default.  A config key that is no verb's option is refused.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -109,6 +116,8 @@ def _emit(path: str | None, text: str) -> None:
         _atomic_write(path, text)
 
 
+# the parsers of flag tokens and config values raise ArgumentTypeError, whose
+# reason argparse prints for a flag and _config_value for a config value
 def _parse_number(token: str) -> float:
     token = token.strip()
     try:
@@ -116,65 +125,181 @@ def _parse_number(token: str) -> float:
             return float(Fraction(token))
         return float(token)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{token!r} is not a number") from None
+        raise argparse.ArgumentTypeError(f"{token!r} is not a number") from None
 
 
 def _parse_list(text: str):
     return [_parse_number(t) for t in text.split(",") if t.strip()]
 
 
+def _numbers(value) -> list:
+    """The numbers of a comma string, or of a JSON list whose entries are read
+    as the flags' tokens are."""
+    if isinstance(value, list):
+        return [_parse_number(str(v)) for v in value]
+    return _parse_list(str(value))
+
+
+def _whole(value) -> int:
+    """A whole number: a token ``int`` takes, or a number with no fraction."""
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a whole number") from None
+
+
+def _path(value) -> str | None:
+    """A path; an empty one is no path, so the verb's default applies."""
+    return str(value) or None
+
+
 # ---------------------------------------------------------------------------
-# configuration
+# options
 # ---------------------------------------------------------------------------
 
 
-def _load_config(args) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError(f"config {args.config}: expected a JSON object")
-    for key in ("params", "roots", "kind", "domain", "n", "xi0", "branch",
-                "format", "out", "preset", "initial_index", "L", "n_grid"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+class Option(NamedTuple):
+    """One option of the verbs in ``verbs``: the flag ``--key`` (underscores
+    as dashes), and the key ``key`` of a ``--config`` file.  ``parse`` reads
+    a flag's token and a config's value alike; ``default`` is the value when
+    neither gives one, and None when there is none."""
+
+    key: str
+    parse: Callable
+    default: object
+    help: str
+    verbs: tuple
+    choices: tuple | None = None
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
 
 
-def _numbers(cfg, key):
-    """The numbers under ``key`` (a JSON list or a comma string), or None;
-    a list's entries are read as the flags' tokens are."""
-    val = cfg.get(key)
-    if isinstance(val, list):
-        return [_parse_number(str(v)) for v in val]
-    return val if val is None else _parse_list(val)
+VERBS = {
+    "classify": "case taxonomy of the quartic",
+    "solve": "construct and emit a closed form",
+    "verify": "residual report for a closed form",
+    "oracle": "brute-force RK4 orbit profile",
+    "evolve": "pseudo-spectral time evolution",
+    "reduce": "exact hierarchy reduction",
+    "figures": "emit the reference presets as CSV",
+}
+_PROBLEM = ("classify", "solve", "verify", "oracle", "evolve")
+_WAVE = ("solve", "verify", "evolve")
+
+OPTIONS = (
+    Option("params", _numbers, None, "c,d1,d2,d3 (fractions like -7/4 accepted)", _PROBLEM),
+    Option("roots", _numbers, None,
+           "comma-separated zeros: the ones --kind takes, or four that give the params",
+           _PROBLEM),
+    Option("preset", str, None, "figure preset name", _WAVE, choices=tuple(sorted(PRESETS))),
+    Option("config", str, None,
+           "JSON object setting any other option of this verb; flags win", _PROBLEM),
+    Option("kind", str, "auto", "family to build; auto takes it from the params' case", _WAVE,
+           choices=("auto", *KINDS)),
+    Option("initial_index", _whole, 1, "starting root (1..4) for general-sn2", _WAVE),
+    Option("branch", str, "upper", "band of a two-branch family", _WAVE,
+           choices=("upper", "lower")),
+    Option("xi0", float, 0.0, "reference point of the wave", _WAVE),
+    Option("domain", _numbers, None,
+           "a,b evaluation window (default: one period from xi0, or xi0 -+ 10 for a pulse)",
+           ("solve", "verify")),
+    Option("n", _whole, 2001, "sample count", ("solve", "verify", "figures")),
+    Option("format", str, "csv", "profile format", ("solve",), choices=("csv", "json")),
+    Option("out", _path, None, "output path (stdout when omitted)",
+           ("classify", "solve", "verify", "oracle", "reduce")),
+    Option("out", _path, "evolve.csv",
+           "output path, whose stem takes -initial, -final and -summary", ("evolve",)),
+    Option("out", _path, "figures", "output directory", ("figures",)),
+    Option("preset", str, "all", "preset to emit", ("figures",),
+           choices=(*sorted(PRESETS), "all")),
+    Option("tol", float, DEFAULT_CLUSTER_TOL, "root clustering tolerance, in (0, 1e-2]",
+           ("classify",)),
+    Option("h_fd", float, 1e-3, "finite-difference step", ("verify",)),
+    Option("f0", float, None, "starting value", ("oracle",), required=True),
+    Option("sign", _whole, 1, "sign of the starting slope", ("oracle",), choices=(-1, 1)),
+    Option("length", float, 20.0, "span of xi integrated", ("oracle",)),
+    Option("h", float, 1e-4, "integration step", ("oracle",)),
+    Option("L", float, None,
+           "domain length (default: the whole number of periods nearest 40 pi, "
+           "or 40 pi for a pulse)", ("evolve",)),
+    Option("n_grid", _whole, 1024, "grid points", ("evolve",)),
+    Option("dt", float, None,
+           "largest time step; the run takes ceil(|T|/|dt|) equal steps "
+           "(default: the grid's stability limit)", ("evolve",)),
+    Option("T", float, 1.0, "time span", ("evolve",)),
+    Option("ell", _whole, None, "hierarchy level, from 2", ("reduce",), required=True),
+)
+VERB_OPTIONS = {verb: tuple(o for o in OPTIONS if verb in o.verbs) for verb in VERBS}
+# the keys a config may hold: a key only other verbs read is ignored
+_CONFIG_KEYS = frozenset(o.key for o in OPTIONS) - {"config"}
+# the options a preset fixes, refused next to it
+_PRESET_FIXES = ("kind", "roots", "params", "branch", "initial_index")
 
 
-def _whole(value, name) -> int:
-    """A flag's or a config's whole number; a non-finite float is refused."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{name} must be a whole number, got {value}")
-    return int(value)
+def _read_config(path) -> dict:
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {path}: expected a JSON object")
+    for key in doc:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"config {path}: no verb takes {key!r} from a config")
+    return doc
 
 
-def _resolve_problem(cfg):
-    """Return (params, explicit_roots_list) from a config.
+def _config_value(option, value):
+    try:
+        value = option.parse(value)
+    except (argparse.ArgumentTypeError, TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"config {option.key}: {err}") from None
+    if option.choices is not None and value not in option.choices:
+        raise ValueError(f"unknown {option.key} {value!r}")
+    return value
 
-    Params come from --params or else from exactly four --roots; when both
-    are given they must agree, and a mismatched pair is rejected with a
-    reconciliation hint.
-    """
-    vals, root_list = _numbers(cfg, "params"), _numbers(cfg, "roots")
+
+def _options(verb, args) -> dict:
+    """The options the verb reads, one value a key: the flag's when given,
+    else the config's (a JSON null is none), else the table's default."""
+    path = getattr(args, "config", None)
+    config = _read_config(path) if path else {}
+    opts, fixed = {}, []
+    for o in VERB_OPTIONS[verb]:
+        if o.key == "config":
+            continue
+        value = getattr(args, o.key)
+        if value is None and config.get(o.key) is not None:
+            value = _config_value(o, config[o.key])
+        if value is None:
+            if o.required:
+                raise ValueError(f"{verb} needs {o.flag}")
+            value = o.default
+        elif o.key in _PRESET_FIXES:
+            fixed.append(o.flag)
+        opts[o.key] = value
+    if fixed and opts.get("preset") is not None:
+        raise ValueError(f"{', '.join(fixed)} cannot go with --preset, which fixes the wave")
+    return opts
+
+
+def _resolve_problem(opts):
+    """Return (params, roots) of --params or of four --roots; when both are
+    given they must agree, and a mismatched pair is rejected with a
+    reconciliation hint."""
+    vals, root_list = opts["params"], opts["roots"]
     if vals is None and root_list is None:
         raise ValueError("provide --params c,d1,d2,d3 or --roots r1,...")
     if vals is not None and len(vals) != 4:
         raise ValueError(f"--params needs 4 values c,d1,d2,d3; got {len(vals)}")
-    if root_list is not None and not 2 <= len(root_list) <= 4:
-        raise ValueError("--roots needs 2 to 4 values")
+    if root_list is not None and len(root_list) != 4:
+        raise ValueError("four zeros give the params: --roots needs 4 values here, "
+                         f"got {len(root_list)}")
     p = None if vals is None else Params(*vals)
-    if root_list is not None and len(root_list) == 4:
+    if root_list is not None:
         derived = params_from_roots(RootMultiset.from_values(root_list)).as_floats()
         for name in ("c", "d1", "d2", "d3"):
             got, want = getattr(derived, name), getattr(p or derived, name)
@@ -185,8 +310,6 @@ def _resolve_problem(cfg):
                     "drop one of them or fix the values"
                 )
         p = p or derived
-    if p is None:
-        raise ValueError("params can only be derived from exactly 4 roots")
     return p, root_list
 
 
@@ -195,17 +318,13 @@ def _resolve_problem(cfg):
 # ---------------------------------------------------------------------------
 
 
-def _construct(cfg):
+def _construct(opts):
     """Build the requested solution; returns (solution, params) or raises."""
-    preset = cfg.get("preset")
-    if preset:
-        if str(preset) not in PRESETS:
-            raise ValueError(f"unknown preset {preset!r}")
-        return build_preset(preset, xi0=float(cfg.get("xi0", 0.0)))
-    kind = cfg.get("kind") or "auto"
-    branch, xi0 = cfg.get("branch") or "upper", float(cfg.get("xi0", 0.0))
+    if opts["preset"] is not None:
+        return build_preset(opts["preset"], xi0=opts["xi0"])
+    kind, branch, xi0 = opts["kind"], opts["branch"], opts["xi0"]
     if kind == "auto":
-        params, _ = _resolve_problem(cfg)
+        params, _ = _resolve_problem(opts)
         rm = roots_of_F(params)
         tag = classify(rm)
         verdict = existence(tag)
@@ -222,15 +341,16 @@ def _construct(cfg):
         kind, at, fixed = AUTO[tag]
         values = rm.values()
         return KINDS[kind].build([values[i] for i in at], fixed or branch, xi0, 1), params
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    zeros = _numbers(cfg, "roots")
+    if opts["params"] is not None:
+        raise ValueError(f"--params cannot go with --kind {kind}, which takes its zeros "
+                         "from --roots")
+    zeros = opts["roots"]
     if zeros is None or len(zeros) != len(KINDS[kind].zeros.split(",")):
         raise ValueError(f"kind {kind} needs --roots {KINDS[kind].zeros}")
+    index = opts["initial_index"]
 
     def build(k):
-        return KINDS[k].build(zeros, branch, xi0, _whole(cfg.get("initial_index", 1),
-                                                         "initial_index"))
+        return KINDS[k].build(zeros, branch, xi0, index)
 
     try:
         sol = build(kind)
@@ -416,15 +536,16 @@ def _sidecar(sol: ClosedFormSolution, params: Params, residual, **extra) -> dict
     }
 
 
-def _solution_domain(sol, cfg):
-    if cfg.get("domain"):
-        vals = _numbers(cfg, "domain")
-        if len(vals) != 2 or not vals[0] < vals[1]:
+def _solution_domain(sol, domain):
+    """The window ``domain`` (a,b), checked, or by default one period from
+    xi0, or xi0 -+ 10 for a pulse."""
+    if domain:
+        if len(domain) != 2 or not domain[0] < domain[1]:
             raise ValueError("--domain needs a,b with a < b")
-        if not math.isfinite(sol.beta * max(abs(v - sol.xi0) for v in vals)):
-            raise ValueError(f"--domain {vals[0]:g},{vals[1]:g} is too wide for a wave of "
+        if not math.isfinite(sol.beta * max(abs(v - sol.xi0) for v in domain)):
+            raise ValueError(f"--domain {domain[0]:g},{domain[1]:g} is too wide for a wave of "
                              f"frequency {sol.beta:g}: its phase does not fit a float")
-        return tuple(vals)
+        return tuple(domain)
     T = sol.period
     if T is not None:
         return (sol.xi0, sol.xi0 + T)
@@ -432,17 +553,16 @@ def _solution_domain(sol, cfg):
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each takes the mapping _options gives
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(args) -> int:
-    cfg = _load_config(args)
-    params, root_list = _resolve_problem(cfg)
-    if root_list is not None and len(root_list) == 4:
+def cmd_classify(opts) -> int:
+    params, root_list = _resolve_problem(opts)
+    if root_list is not None:
         rm = RootMultiset.from_values(root_list)
     else:
-        rm = roots_of_F(params, tol=args.tol)
+        rm = roots_of_F(params, tol=opts["tol"])
     tag = classify(rm)
     lines = [
         "params: c={} d1={} d2={} d3={}".format(
@@ -458,7 +578,7 @@ def cmd_classify(args) -> int:
         # the double zero, or the two simple zeros
         _, _, disc = quadratic_cofactor(params, *rm.values())
         lines.append(f"cofactor: complex-pair quadratic, discriminant {_fmt(disc)}")
-    _emit(cfg.get("out"), "\n".join(lines) + "\n")
+    _emit(opts["out"], "\n".join(lines) + "\n")
     return 0
 
 
@@ -470,24 +590,21 @@ def _verdict_text(tag: CaseTag, verdict: str) -> str:
             "periodic": "periodic: bounded orbit between adjacent simple zeros"}[verdict]
 
 
-def _sample_count(n) -> int:
-    n = _whole(n, "sample count n")
+def _sample_count(n: int) -> int:
     if n < 2:
         raise ValueError("sample count n must be >= 2")
     return n
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_config(args)
-    sol, params = _construct(cfg)
-    n = _sample_count(cfg.get("n", 2001))
-    domain = _solution_domain(sol, cfg)
+def cmd_solve(opts) -> int:
+    sol, params = _construct(opts)
+    n = _sample_count(opts["n"])
+    domain = _solution_domain(sol, opts["domain"])
     profile = build_profile(sol, params, domain, n)
     res = profile.residual(params)
     gate = sol.residual_bound
-    out = cfg.get("out")
-    fmt = cfg.get("format", "csv")
-    if fmt == "json":
+    out = opts["out"]
+    if opts["format"] == "json":
         rows = [
             {"xi": x, "f": f, "f_prime": d, "g": g}
             for x, f, d, g in zip(profile.xi, profile.f, profile.f_prime, profile.g)
@@ -504,18 +621,17 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    sol, params = _construct(cfg)
-    domain = _solution_domain(sol, cfg)
-    n = _sample_count(cfg.get("n", 2001))
+def cmd_verify(opts) -> int:
+    sol, params = _construct(opts)
+    domain = _solution_domain(sol, opts["domain"])
+    n = _sample_count(opts["n"])
+    h_fd = opts["h_fd"]
     res = ode_residual(sol, params, domain=domain, n=n)
-    r_u, r_v = pde_residual(sol, params, domain=domain,
-                            n=min(n, 500), h_fd=args.h_fd)
+    r_u, r_v = pde_residual(sol, params, domain=domain, n=min(n, 500), h_fd=h_fd)
     pde_ok = max(r_u, r_v) < PDE_RTOL
     doc = _sidecar(sol, params, res, pde_residual={"r_u": r_u, "r_v": r_v,
-                                                   "h_fd": args.h_fd, "passed": bool(pde_ok)})
-    _emit(cfg.get("out"), _json(doc))
+                                                   "h_fd": h_fd, "passed": bool(pde_ok)})
+    _emit(opts["out"], _json(doc))
     if not doc["residual"]["passed"]:
         print(f"residual gate FAILED: {res:.3e} >= {sol.residual_bound:.3e}", file=sys.stderr)
     elif not pde_ok:
@@ -524,52 +640,48 @@ def cmd_verify(args) -> int:
     return 0 if doc["residual"]["passed"] and pde_ok else 2
 
 
-def cmd_oracle(args) -> int:
-    cfg = _load_config(args)
-    params, _ = _resolve_problem(cfg)
-    profile = oracle_integrate(params, args.f0, args.sign, args.length, h=args.h)
-    _emit(cfg.get("out"), _profile_csv(profile))
+def cmd_oracle(opts) -> int:
+    params, _ = _resolve_problem(opts)
+    profile = oracle_integrate(params, opts["f0"], opts["sign"], opts["length"], h=opts["h"])
+    _emit(opts["out"], _profile_csv(profile))
     return 0
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(opts) -> int:
     # T and dt are refused before anything is sampled, and, given dt, so is
     # a run of more than evolution.MAX_STEPS steps
-    for name in ("T", "dt"):
-        v = getattr(args, name)
+    T, dt = opts["T"], opts["dt"]
+    for name, v in (("T", T), ("dt", dt)):
         if v is not None and not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
         if v == 0:
             raise ValueError(f"{name} must be nonzero")
-    steps = None if args.dt is None else evolution.step_count(args.T, args.dt)
-    cfg = _load_config(args)
-    sol, params = _construct(cfg)
-    L = cfg.get("L")
+    steps = None if dt is None else evolution.step_count(T, dt)
+    sol, params = _construct(opts)
+    L = opts["L"]
     if L is None:
         # a periodic wave needs a whole number of periods on the periodic grid
-        T = sol.period
-        L = 40.0 * math.pi if T is None else max(1, round(40.0 * math.pi / T)) * T
-    L = float(L)
-    n = _whole(cfg.get("n_grid", 1024), "n_grid")
+        period = sol.period
+        L = 40.0 * math.pi if period is None else max(1, round(40.0 * math.pi / period)) * period
+    n = opts["n_grid"]
     state0 = evolution.state_from_callable(lambda xi: sol.profile(xi)[0], params, L, n)
     if steps is None:
         # by default the step is the limit evolve enforces, and step_count
         # rounds up, so T/steps is never longer
-        steps = evolution.step_count(args.T, evolution.stability_limit(state0))
-    dt = args.T / steps
-    final = evolution.evolve(state0, dt, args.T)
+        steps = evolution.step_count(T, evolution.stability_limit(state0))
+    dt = T / steps
+    final = evolution.evolve(state0, dt, T)
     pf = params.as_floats()
-    exact = sol.profile(final.x - 0.5 * L - pf.c * args.T)[0]
+    exact = sol.profile(final.x - 0.5 * L - pf.c * T)[0]
     err = float(np.max(np.abs(final.u - exact)))
     mean_drift = abs(float(np.mean(final.u) - np.mean(state0.u)))
-    base = cfg.get("out") or "evolve"
-    root, ext = os.path.splitext(base)
+    root, ext = os.path.splitext(opts["out"])
     ext = ext or ".csv"
     for name, state in (("initial", state0), ("final", final)):
         _atomic_write(f"{root}-{name}{ext}", _csv("x,u,v", state.x, state.u, state.v))
     summary = {
         "schema": SCHEMA_VERSION,
-        "L": L, "n": n, "dt": dt, "T": args.T,
+        "L": L, "n": n, "dt": dt, "T": T,
         "permanence_error": err,
         "mean_drift": mean_drift,
         "passed": bool(err < PERMANENCE_TOL),
@@ -579,15 +691,16 @@ def cmd_evolve(args) -> int:
     return 0 if err < PERMANENCE_TOL else 2
 
 
-def cmd_reduce(args) -> int:
-    if args.ell < 2:
+def cmd_reduce(opts) -> int:
+    ell = opts["ell"]
+    if ell < 2:
         raise ValueError("ell must be >= 2")
     # one run of the recurrence gives the fields, P and every conjecture row
-    report = conjecture_report(max(args.ell, 4))
-    stack = report.stacks[args.ell - 2]
-    _emit(args.out, _json({
+    report = conjecture_report(max(ell, 4))
+    stack = report.stacks[ell - 2]
+    _emit(opts["out"], _json({
         "schema": SCHEMA_VERSION,
-        "ell": args.ell,
+        "ell": ell,
         "fields": [poly.as_strings() for poly in stack.fields],
         "P": stack.P.as_strings(),
         "conjecture": [dict(r) for r in report.rows],
@@ -595,16 +708,16 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def cmd_figures(args) -> int:
-    n = _sample_count(args.n)
-    names = sorted(PRESETS) if args.preset in (None, "all") else [args.preset]
-    outdir = args.out or "figures"
+def cmd_figures(opts) -> int:
+    n = _sample_count(opts["n"])
+    names = sorted(PRESETS) if opts["preset"] == "all" else [opts["preset"]]
+    outdir = opts["out"]
     _atomic_write(os.path.join(outdir, "DISCREPANCIES.json"),
                   _json({"schema": SCHEMA_VERSION, "corrections": discrepancy_report()}))
     failures = 0
     for name in names:
         sol, params = build_preset(name)
-        domain = _solution_domain(sol, {})
+        domain = _solution_domain(sol, None)
         profile = build_profile(sol, params, domain, n)
         res = profile.residual(params)
         _atomic_write(os.path.join(outdir, f"{name}.csv"), _profile_csv(profile))
@@ -622,71 +735,27 @@ def cmd_figures(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_problem_args(sp, with_kind=True):
-    sp.add_argument("--params", help="c,d1,d2,d3 (fractions like -7/4 accepted)")
-    sp.add_argument("--roots", help="comma-separated roots (2 to 4 values)")
-    sp.add_argument("--preset", choices=sorted(PRESETS), help="figure preset name")
-    sp.add_argument("--config", help="JSON file mirroring the job configuration")
-    if with_kind:
-        sp.add_argument("--kind", choices=("auto", *KINDS), default=None)
-        sp.add_argument("--initial-index", type=int, default=None,
-                        help="starting root (1..4) for general-sn2")
-        sp.add_argument("--branch", choices=("upper", "lower"), default=None)
-        sp.add_argument("--xi0", type=float, default=None)
-        sp.add_argument("--domain", help="a,b evaluation window")
-        sp.add_argument("--n", type=int, default=None, help="sample count")
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--out", help="output path (stdout when omitted)")
+def _help(option: Option) -> str:
+    if option.required:
+        return f"{option.help} (required)"
+    return option.help if option.default is None else f"{option.help} (default {option.default})"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``OPTIONS``: each verb offers the options it reads.  A
+    flag keeps argparse's default None, so ``_options`` can tell it was not
+    given, and is spelled in full: an abbreviation would take the meaning
+    of whichever flag it is a prefix of."""
     ap = argparse.ArgumentParser(
         prog="kbwave",
         description="Traveling waves of the two-component coupled KdV system",
     )
     ap.add_argument("--version", action="version", version=f"kbwave {__version__}")
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    sp = sub.add_parser("classify", help="case taxonomy of the quartic")
-    _add_problem_args(sp, with_kind=False)
-    sp.add_argument("--tol", type=float, default=DEFAULT_CLUSTER_TOL,
-                    help="root clustering tolerance, in (0, 1e-2]")
-
-    sp = sub.add_parser("solve", help="construct and emit a closed form")
-    _add_problem_args(sp)
-
-    sp = sub.add_parser("verify", help="residual report for a closed form")
-    _add_problem_args(sp)
-    sp.add_argument("--h-fd", type=float, default=1e-3, help="finite-difference step")
-
-    sp = sub.add_parser("oracle", help="brute-force RK4 orbit profile")
-    _add_problem_args(sp, with_kind=False)
-    sp.add_argument("--f0", type=float, required=True, help="starting value")
-    sp.add_argument("--sign", type=int, choices=(-1, 1), default=1)
-    sp.add_argument("--length", type=float, default=20.0)
-    sp.add_argument("--h", type=float, default=1e-4)
-
-    sp = sub.add_parser("evolve", help="pseudo-spectral time evolution")
-    _add_problem_args(sp)
-    sp.add_argument("--L", type=float, default=None,
-                    help="domain length (default: the whole number of periods "
-                         "nearest 40 pi, or 40 pi for a pulse)")
-    sp.add_argument("--n-grid", type=int, default=None,
-                    help="grid points (default: the config's n_grid, else 1024)")
-    sp.add_argument("--dt", type=float, default=None,
-                    help="largest time step; the run takes ceil(|T|/|dt|) equal "
-                         "steps (default: the grid's stability limit)")
-    sp.add_argument("--T", type=float, default=1.0)
-
-    sp = sub.add_parser("reduce", help="exact hierarchy reduction")
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("figures", help="emit the reference presets as CSV")
-    sp.add_argument("--preset", default="all",
-                    choices=sorted(PRESETS) + ["all"])
-    sp.add_argument("--n", type=int, default=2001)
-    sp.add_argument("--out", help="output directory (default ./figures)")
+    for verb, text in VERBS.items():
+        sp = sub.add_parser(verb, help=text, allow_abbrev=False)
+        for o in VERB_OPTIONS[verb]:
+            sp.add_argument(o.flag, type=o.parse, choices=o.choices, help=_help(o))
     return ap
 
 
@@ -703,10 +772,11 @@ def main(argv=None) -> int:
     # this module see it
     cmd = globals()[f"cmd_{args.verb}"]
     try:
+        opts = _options(args.verb, args)
         # numpy's float errors raise, so a constructor refuses a form that
         # leaves the floats, and no run writes values behind a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return cmd(args)
+            return cmd(opts)
     except (KBWaveError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

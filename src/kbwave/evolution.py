@@ -245,8 +245,7 @@ def _propagate(E, w):
     return E[:, 0] * w[0] + E[:, 1] * w[1]
 
 
-def evolve(state0: EvolutionState, dt: float, T: float,
-           enforce_stability: bool = True) -> EvolutionState:
+def evolve(state0: EvolutionState, dt: float, T: float) -> EvolutionState:
     """Integrating-factor RK4 from t0 to t0 + T in round(T/dt) fixed steps.
 
     The state is carried in Fourier space: one ``rfft`` at the start, four
@@ -256,20 +255,19 @@ def evolve(state0: EvolutionState, dt: float, T: float,
 
     Deterministic given inputs.  Negative dt with negative T runs time in
     reverse.  Raises ValueError, before any step, for a non-finite T or dt, a
-    zero dt or more than MAX_STEPS steps, and BlowUp with the time stamp if
-    non-finite values appear mid-run.
+    zero dt, more than MAX_STEPS steps or a |dt| above ``stability_limit``,
+    and BlowUp with the time stamp if non-finite values appear mid-run.
     """
     _steps_in(T, dt)
     steps = int(round(T / dt))
     if steps < 0 or abs(steps * dt - T) > 1e-9 * max(abs(T), abs(dt)):
         raise ValueError(f"T = {T} is not a whole number of steps of dt = {dt}")
-    if enforce_stability:
-        dt_max = stability_limit(state0)
-        if abs(dt) > dt_max:
-            raise ValueError(
-                f"dt = {abs(dt):.3e} exceeds the stability limit "
-                f"{dt_max:.3e} for this grid"
-            )
+    dt_max = stability_limit(state0)
+    if abs(dt) > dt_max:
+        raise ValueError(
+            f"dt = {abs(dt):.3e} exceeds the stability limit "
+            f"{dt_max:.3e} for this grid"
+        )
     n = state0.n
     mask, ik, ik3 = _operators(n, state0.L)
     E = _half_step_propagator(ik, ik3, dt)

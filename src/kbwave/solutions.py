@@ -53,9 +53,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
-from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
@@ -234,9 +233,6 @@ _KERNELS = {
 # the solution type
 # ---------------------------------------------------------------------------
 
-_NO_DETAILS = MappingProxyType({})  # the details of every form with none
-
-
 @dataclass(frozen=True)
 class ClosedFormSolution:
     """Evaluable closed-form traveling wave f(xi), xi = x - c t.
@@ -247,9 +243,8 @@ class ClosedFormSolution:
     can vanish over the kernel's range, so every instance is pole-free.
     Immutable after construction and safe to share across threads.  The
     defining property, checked by ``_solution``, is (f')^2 = F(f) with F the
-    quartic of ``params``.  ``details`` holds constants that only
-    describe a family (mu0, mu2 for case1; a, b, nu0, nu2, nu4 for case2);
-    ``variant`` labels the reduced forms (sech limits, constants).
+    quartic of ``params``.  ``variant`` labels the reduced forms (sech
+    limits, constants).
     """
 
     kind: str
@@ -266,15 +261,12 @@ class ClosedFormSolution:
     branch: str = "upper"
     notes: tuple = ()
     variant: str | None = None
-    details: Mapping = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         if not math.isfinite(self.xi0):
             raise ValueError(f"xi0 must be finite, got {self.xi0}")
         if self.kernel not in _KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {tuple(_KERNELS)}")
-        object.__setattr__(self, "details", MappingProxyType(dict(self.details))
-                           if self.details else _NO_DETAILS)
         lo, hi = _KERNELS[self.kernel].span(self.modulus)
         ends = (self.C + self.D * lo, self.C + self.D * hi)
         if not (min(ends) > 0.0 or max(ends) < 0.0):
@@ -748,18 +740,6 @@ def limiting_form(case, roots, branch="upper", xi0=0.0) -> ClosedFormSolution:
     )
 
 
-def _case1_shared(f1, f2, f3):
-    f1, f2, f3 = sorted(_zeros(f1, f2, f3))
-    f4 = f1 + f3 - f2  # the implied fourth zero; makes d2 = c d1 hold
-    roots = RootMultiset.from_values([f1, f2, f3, f4], tol=_SAME_ZERO)
-    e1 = f1 + f2 + f3 + f4
-    e2 = (f1 * f2 + f1 * f3 + f1 * f4 + f2 * f3 + f2 * f4 + f3 * f4)
-    e4 = f1 * f2 * f3 * f4
-    mu2 = 0.375 * e1 * e1 - e2
-    mu0 = (e1 * e1 / 16.0) * e2 - (5.0 / 256.0) * e1 ** 4 - e4
-    return f1, f2, f3, roots, {"mu0": mu0, "mu2": mu2}
-
-
 @_in_floats
 def case1(kind, f1, f2, f3, branch="upper", xi0=0.0) -> ClosedFormSolution:
     """Elliptic family u = gamma + alpha * y(beta (xi - xi0)), y = cn or dn.
@@ -779,11 +759,13 @@ def case1(kind, f1, f2, f3, branch="upper", xi0=0.0) -> ClosedFormSolution:
     """
     if kind not in ("cn", "dn"):
         raise ValueError("case1 kind must be 'cn' or 'dn'")
-    f1, f2, f3, roots, details = _case1_shared(f1, f2, f3)
+    f1, f2, f3 = sorted(_zeros(f1, f2, f3))
+    f4 = f1 + f3 - f2  # the implied fourth zero; makes d2 = c d1 hold
+    roots = RootMultiset.from_values([f1, f2, f3, f4], tol=_SAME_ZERO)
     sigma = _branch_sign(branch)
     gamma = 0.5 * (f1 + f3)
     if f3 - f1 <= 1e-14 * max(1.0, abs(f1)):
-        return _constant(f"case1_{kind}", roots, xi0, f1, branch=branch, details=details)
+        return _constant(f"case1_{kind}", roots, xi0, f1, branch=branch)
     span2 = (f2 - f1) * (f3 - f2)
     if kind == "cn":
         if span2 <= 0.0:
@@ -801,10 +783,10 @@ def case1(kind, f1, f2, f3, branch="upper", xi0=0.0) -> ClosedFormSolution:
     if k == 0.0:
         # dn only (cn has k^2 >= 1): f2 meets f1 or f3, dn == 1, a band edge
         return _constant("case1_dn", roots, xi0, gamma + sigma * 0.5 * (f3 - f1),
-                         branch=branch, details=details)
+                         branch=branch)
     return _solution(
         f"case1_{kind}", roots, xi0, (gamma, sigma * 0.5 * (f3 - f1), 1.0, 0.0), kind,
-        beta=beta, modulus=k, branch=branch, details=details,
+        beta=beta, modulus=k, branch=branch,
     )
 
 
@@ -916,7 +898,7 @@ def case2(kind, f1, f2, f3, xi0=0.0) -> ClosedFormSolution:
         raise ValueError(f"case2 kind must be one of {CASE2_KINDS}")
     f1, f2, f3, a, b, g, roots = _case2_shared(f1, f2, f3)
     if b == 0.0:
-        return _constant(f"case2_{kind}", roots, xi0, f1, details={"a": a, "b": b})
+        return _constant(f"case2_{kind}", roots, xi0, f1)
     nu4 = g[4] / (b * b)
     nu2 = g[2] / (b * b)
     nu0 = g[0]
@@ -947,7 +929,7 @@ def case2(kind, f1, f2, f3, xi0=0.0) -> ClosedFormSolution:
         mobius, kernel = (1.0, 0.0, a, b), kind
     return _solution(
         f"case2_{kind}", roots, xi0, mobius, kernel, beta=math.sqrt(beta2),
-        modulus=_modulus(k2), details={"a": a, "b": b, "nu0": nu0, "nu2": nu2, "nu4": nu4},
+        modulus=_modulus(k2),
     )
 
 

@@ -244,7 +244,8 @@ def test_criterion_08_limiting_coherence():
     c1 = kb.case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, branch="upper")
     assert abs(c1.params.d2 - c1.params.c * c1.params.d1) < 1e-10
     c2 = kb.case2("dn", 1.0, 2.0, 3.0)
-    assert abs(c2.params.d2 + 4.0 * c2.params.d3 * c2.details["a"]) < 1e-10
+    a = (1.0 + 3.0) / (2.0 * 1.0 * 3.0)  # (f1 + f3) / (2 f1 f3)
+    assert abs(c2.params.d2 + 4.0 * c2.params.d3 * a) < 1e-10
     _report(8, "limit formulas agree to 1e-10; constraint identities hold")
 
 

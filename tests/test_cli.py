@@ -610,6 +610,129 @@ class TestConfigFile:
             assert run(["classify", "--config", str(cfg)], capsys) == (0, want)
 
 
+class _Recording(dict):
+    """An options mapping that records the keys read from it."""
+
+    def __init__(self, opts):
+        super().__init__(opts)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestOptionTable:
+    """``cli.OPTIONS`` is the command line: each verb's parser offers its
+    rows, each row is read on some path of its verb, and a config sets any
+    of them, an explicit flag winning."""
+
+    P = "2,-7/4,-7/2,-3/2"
+    WAVE_PATHS = (["--preset", "fig-case1a"], ["--kind", "general-sn2", "--roots", "0,1,2,3"],
+                  ["--params", P])
+    PATHS = {
+        "classify": (["--params", P], ["--roots", "0,1,2,3"]),
+        "solve": tuple([*flags, "--n", "3"] for flags in WAVE_PATHS),
+        "verify": tuple([*flags, "--n", "3"] for flags in WAVE_PATHS),
+        "oracle": (["--params", P, "--f0", "-2.9", "--length", "0.01"],),
+        "evolve": tuple([*flags, "--n-grid", "16", "--T", "0.01"] for flags in WAVE_PATHS),
+        "reduce": (["--ell", "2"],),
+        "figures": (["--preset", "fig-case1a", "--n", "3"],),
+    }
+    # per key, a config value and a flag token, neither the default
+    VALUES = {
+        "params": ([2, "-7/4", -3.5, -1.5], "0,0,0,1/8"),
+        "roots": ("0,1,2,3", "1,2,3"),
+        "preset": ("fig-case1a", "fig-case2a"),
+        "kind": ("case2-dn", "case1-dn"),
+        "initial_index": (2, "3"),
+        "branch": ("lower", "upper"),
+        "xi0": (0.5, "1.5"),
+        "domain": ([0, 1], "2,3"),
+        "n": (11, "12"),
+        "format": ("json", "csv"),
+        "out": ("a.txt", "b.txt"),
+        "tol": (1e-9, "1e-8"),
+        "h_fd": (1e-2, "1e-4"),
+        "f0": (0.5, "-2"),
+        "sign": (-1, "1"),
+        "length": (3, "4"),
+        "h": (1e-3, "1e-2"),
+        "L": (50, "60"),
+        "n_grid": (128, "256"),
+        "dt": (0.01, "0.02"),
+        "T": (0.05, "0.5"),
+    }
+    SETTABLE = [(verb, o.key) for verb, rows in cli.VERB_OPTIONS.items()
+                if any(o.key == "config" for o in rows) for o in rows if o.key != "config"]
+
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_parser_offers_the_verbs_rows(self, verb):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "verb")
+        actions = [a for a in sub.choices[verb]._actions if a.dest != "help"]
+        assert [(a.option_strings, a.dest, a.type, a.choices, a.default) for a in actions] == [
+            ([o.flag], o.key, o.parse, o.choices, None) for o in cli.VERB_OPTIONS[verb]]
+
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_every_option_is_read(self, verb, tmp_path, capsys):
+        read = set()
+        for i, flags in enumerate(self.PATHS[verb]):
+            argv = [verb, *flags, "--out", str(tmp_path / str(i) / "out.txt")]
+            opts = _Recording(cli._options(verb, cli._parser().parse_args(argv)))
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                assert getattr(cli, f"cmd_{verb}")(opts) in (0, 2)
+            read |= opts.read
+        assert read == {o.key for o in cli.VERB_OPTIONS[verb]} - {"config"}
+
+    @pytest.mark.parametrize("verb, key", SETTABLE)
+    def test_config_sets_each_option_and_the_flag_wins(self, verb, key, tmp_path):
+        option = next(o for o in cli.VERB_OPTIONS[verb] if o.key == key)
+        value, token = self.VALUES[key]
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"f0": 0, key: value} if verb == "oracle" else {key: value}))
+
+        def opts(*flags):
+            return cli._options(verb, cli._parser().parse_args(
+                [verb, "--config", str(path), *flags]))
+
+        assert opts()[key] == option.parse(value) != option.default
+        assert opts(option.flag, token)[key] == option.parse(token) != option.parse(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--params", P, "--preset", "fig-case1a"],
+        ["oracle", "--params", P, "--f0", "0", "--preset", "fig-case1a"],
+        ["verify", "--preset", "fig-case1a", "--format", "csv"],
+        ["evolve", "--preset", "fig-case1a", "--domain", "0,1"],
+        # not an abbreviation of --n-grid: flags are spelled in full
+        ["evolve", "--preset", "fig-case1a", "--n", "64"],
+        ["evolve", "--preset", "fig-case1a", "--format", "json"],
+    ])
+    def test_flags_no_verb_reads_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, token, reason", [
+        ("--params", "2,x,1,1", "'x' is not a number"),
+        ("--n", "2.5", "'2.5' is not a whole number"),
+    ])
+    def test_flag_token_that_does_not_parse_is_a_usage_error(self, capsys, flag, token, reason):
+        """The row's parse reads the token, and argparse names its reason."""
+        with pytest.raises(SystemExit) as exit:
+            main(["solve", "--preset", "fig-case1a", flag, token])
+        assert exit.value.code == 2
+        assert f"argument {flag}: {reason}" in capsys.readouterr().err
+
+    def test_config_key_of_another_verb_is_ignored(self, tmp_path, capsys):
+        """One job file serves solve, verify and evolve: evolve's T is no
+        option of solve, which ignores it."""
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"preset": "fig-case1a", "n": 5, "T": 0.05, "h_fd": 1e-2}))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+        assert len(read_csv(tmp_path / "a.csv")[1]) == 5
+
+
 def _fresh_process(probe):
     """The last line ``probe`` prints, run by a fresh interpreter on this kbwave."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kbwave.__file__)))
@@ -676,7 +799,7 @@ class TestParserReuse:
 
     def test_rejected_argv_leaves_parser_usable(self, capsys):
         with pytest.raises(SystemExit):
-            main(["oracle", "--params", self.P])  # --f0 missing
+            main(["oracle", "--params", self.P, "--f0", "-2.9", "--no-such-flag"])
         code, out = run(["classify", "--params", self.P], capsys)
         assert code == 0 and "DoubleBetweenSimples" in out
 
@@ -767,6 +890,29 @@ class TestRefusals:
         "solve-domain-too-wide": (["solve", "--kind", "solitary_double", "--roots=-1e16,0,1e16",
                                    "--domain=-1e300,1e300"],
                                   "is too wide for a wave of frequency 1e+16"),
+        # problem options the chosen source would ignore: a preset fixes the
+        # wave, an explicit kind takes its zeros, and only four zeros give
+        # the params (a wave of fig-case1a, dn or the fixture before)
+        "solve-preset-kind": (["solve", "--preset", "fig-case1a", "--kind", "case2-dn",
+                               "--roots", "1,2,3"], "--roots, --kind cannot go with --preset"),
+        "verify-preset-roots": (["verify", "--preset", "fig-case1a", "--roots", "1,2,3"],
+                                "--roots cannot go with --preset"),
+        "evolve-preset-params": (["evolve", "--preset", "fig-case1a", "--params", P],
+                                 "--params cannot go with --preset"),
+        "solve-preset-branch": (["solve", "--preset", "fig-case1a", "--branch", "lower"],
+                                "--branch cannot go with --preset"),
+        "solve-preset-initial-index": (["solve", "--preset", "fig-case1a", "--initial-index", "2"],
+                                       "--initial-index cannot go with --preset"),
+        "solve-kind-params": (["solve", "--kind", "case2-dn", "--roots", "1,2,3", "--params", P],
+                              "--params cannot go with --kind case2-dn"),
+        "classify-two-roots": (["classify", "--params", P, "--roots", "5,6"],
+                               "four zeros give the params: --roots needs 4 values here, got 2"),
+        "oracle-three-roots": (["oracle", "--roots=-3,-2,-1", "--f0", "-2.9"],
+                               "four zeros give the params: --roots needs 4 values here, got 3"),
+        "solve-auto-three-roots": (["solve", "--kind", "auto", "--roots=-3,-2,-1"],
+                                   "four zeros give the params: --roots needs 4 values here, got 3"),
+        # required after the merge, so a config may give it
+        "oracle-no-f0": (["oracle", "--params", P], "oracle needs --f0"),
     }
     # --config values the flags' parsers never let through
     CONFIG_CASES = {
@@ -778,10 +924,20 @@ class TestRefusals:
         "params-huge-integer": ({"params": [2, -1.75, -3.5, 10 ** 400]},
                                 "parameter d3 must be finite, got inf"),
         "n-inf": ({"preset": "fig-case1a", "n": math.inf},
-                  "sample count n must be a whole number, got inf"),
+                  "config n: inf is not a whole number"),
         "initial-index-inf": ({"kind": "general-sn2", "roots": "0,1,2,3",
                                "initial_index": math.inf},
-                              "initial_index must be a whole number, got inf"),
+                              "config initial_index: inf is not a whole number"),
+        "n-fraction": ({"preset": "fig-case1a", "n": 2.5},
+                       "config n: 2.5 is not a whole number"),
+        "branch-unknown": ({"kind": "solitary_double", "roots": "-3,-2,-1", "branch": "sideways"},
+                           "unknown branch 'sideways'"),
+        "preset-with-kind": ({"preset": "fig-case1a", "kind": "case2-dn"},
+                             "--kind cannot go with --preset"),
+        # a key that is no verb's option, and the one option a config cannot set
+        "misspelt-key": ({"preset": "fig-case1a", "n_gird": 64},
+                         "no verb takes 'n_gird' from a config"),
+        "config-key": ({"config": "other.json"}, "no verb takes 'config' from a config"),
     }
 
     @pytest.mark.filterwarnings("error")

@@ -146,9 +146,8 @@ def _json_entries(tokens, **size):
     return st.lists(entry, **size)
 
 
-# a --config object: each key one of its values, a list as a comma string or
-# a JSON list
-CONFIG = st.fixed_dictionaries({}, optional={
+# the values of each --config key: a list as a comma string or a JSON list
+FIELDS = {
     "kind": KIND | st.just("no-such-kind"),
     "preset": st.sampled_from((*PRESETS, "no-such-preset")),
     "params": st.lists(PARAM, min_size=4, max_size=4).map(",".join)
@@ -161,7 +160,29 @@ CONFIG = st.fixed_dictionaries({}, optional={
     "n": st.sampled_from((-1, 0, 1, 2, 3, "3", 2.5, "x", math.inf, math.nan)),
     "initial_index": INDEX | st.sampled_from((math.inf, math.nan, "2")),
     "branch": BRANCH | st.just("sideways"),
-})
+    "T": NUMBER.map(_json_number),
+    "dt": NUMBER.map(_json_number),
+    "L": NUMBER.map(_json_number),
+    "n_grid": st.sampled_from((0, 1, 7, 8, 12, 16, 64, -8)) | NUMBER.map(_json_number),
+    "f0": IN_BAND.map(_json_number) | NUMBER.map(_json_number),
+    "sign": st.sampled_from((-1, 1, 0, 2, "1")) | NUMBER.map(_json_number),
+    "length": NUMBER.map(_json_number),
+    "h": NUMBER.map(_json_number),
+    "tol": NUMBER.map(_json_number),
+    "h_fd": NUMBER.map(_json_number),
+}
+# a --config object: each key one of its values
+CONFIG = st.fixed_dictionaries({}, optional=FIELDS)
+# a wave the verbs can build, with one to three drawn keys over it, now and
+# then a key that no verb reads
+FIELD = st.sampled_from([*FIELDS, "n_gird"]).flatmap(
+    lambda k: FIELDS.get(k, st.just(64)).map(lambda v: (k, v)))
+JOB = st.builds(lambda wave, fields: {**wave, **dict(fields)},
+                st.sampled_from(({"preset": "fig-case1a"}, {"params": FIXTURE})),
+                st.lists(FIELD, min_size=1, max_size=3))
+# flags that keep a run short, each left out when the config draws its key
+SHORT = {"solve": {"n": "3"}, "verify": {"n": "3"},
+         "oracle": {"f0": "-2.9", "length": "0.01"}, "evolve": {"T": "0.01", "n_grid": "16"}}
 
 
 class TestContract:
@@ -186,19 +207,20 @@ class TestContract:
         run_contract(["verify", *flags, f"--n={n}"], "out.json")
 
     @CONTRACT
-    @given(st.sampled_from(("classify", "solve", "verify", "oracle")),
-           CONFIG | st.lists(CONFIG, max_size=2))
+    @given(st.sampled_from(("classify", "solve", "verify", "oracle", "evolve")),
+           JOB | CONFIG | st.lists(CONFIG, max_size=2))
     def test_config(self, verb, doc):
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolution, "MAX_STEPS", 50)
+            mp.setattr(verify, "MAX_ORACLE_POINTS", 2000)
             path = os.path.join(tmp, "job.json")
             with open(path, "w") as fh:
                 json.dump(doc, fh)
             argv = [verb, "--config", path]
-            argv += ["--f0=-2.9", "--length=0.01"] if verb == "oracle" else []
-            # a short profile, unless the config draws its own n
-            short = verb in ("solve", "verify") and not (isinstance(doc, dict) and "n" in doc)
-            argv += ["--n=3"] if short else []
-            run_contract(argv, "out.txt")
+            for key, token in SHORT.get(verb, {}).items():
+                if not (isinstance(doc, dict) and key in doc):
+                    argv.append(f"--{key.replace('_', '-')}={token}")
+            run_contract(argv, "out.csv" if verb == "evolve" else "out.txt")
 
     @CONTRACT
     @given(f0=IN_BAND, length=NUMBER, h=NUMBER)

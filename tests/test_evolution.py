@@ -156,7 +156,7 @@ def test_run_refused_before_stepping(dt, T, message):
     its first step: 1e298 steps used to hang and T = inf to overflow."""
     _, _, state = case1a_state(n=64)
     with pytest.raises(ValueError, match=message):
-        evolve(state, dt, T, enforce_stability=False)
+        evolve(state, dt, T)
 
 
 def test_fractional_step_count_refused():
@@ -178,11 +178,14 @@ def test_step_count():
         evolution.step_count(-math.inf, 1.0)
 
 
-def test_blow_up_detected_when_unchecked():
+def test_blow_up_detected_when_unchecked(monkeypatch):
+    """With the stability check lifted, steps at 4x the limit blow up, and
+    the run says when."""
     _, _, state = case1a_state(n=512)
     dt = 4.0 * stability_limit(state)
+    monkeypatch.setattr(evolution, "stability_limit", lambda state: math.inf)
     with pytest.raises(BlowUp) as err:
-        evolve(state, dt, 400 * dt, enforce_stability=False)
+        evolve(state, dt, 400 * dt)
     assert err.value.t is not None
 
 

@@ -295,8 +295,6 @@ class TestCase1:
         e4 = e[0] * e[1] * e[2] * e[3]
         mu2 = 0.375 * e1**2 - e2
         mu0 = e1**2 / 16 * e2 - 5 / 256 * e1**4 - e4
-        assert sol.details["mu2"] == pytest.approx(mu2, abs=1e-10)
-        assert sol.details["mu0"] == pytest.approx(mu0, abs=1e-10)
         # the mu-form parameter displays agree with the root-expressed ones
         k2 = sol.modulus**2
         disc = math.sqrt(4 * mu0 + mu2**2)
@@ -360,7 +358,7 @@ class TestCase2:
     def test_equal_outer_zeros_give_the_constant(self):
         """f1 = f3 makes b = 0: the wave is the constant f1."""
         sol = case2("sn", 1.0, 2.0, 1.0)
-        assert (sol.kernel, sol.variant, sol.details["b"]) == ("const", "constant", 0.0)
+        assert (sol.kernel, sol.variant) == ("const", "constant")
         assert sol.evaluate(0.3) == (1.0, 0.0)
 
     def test_2a_display(self):
@@ -412,15 +410,14 @@ class TestCase2:
         assert sol.evaluate(0.0)[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_constraint_d2_equals_minus_4_d3_a(self):
-        for build in (
-            lambda: case2("sn", -2 - S3, 0.0, -2 + S3),
-            lambda: case2("dn", 8 - 2 * S14, 1.0, 8 + 2 * S14),
-            lambda: case2("dn", 1.0, 2.0, 3.0),
-            lambda: case2("inv_sn", -1.0, 1.0, 1.0 / 3.0),
+        for kind, f1, f2, f3 in (
+            ("sn", -2 - S3, 0.0, -2 + S3),
+            ("dn", 8 - 2 * S14, 1.0, 8 + 2 * S14),
+            ("dn", 1.0, 2.0, 3.0),
+            ("inv_sn", -1.0, 1.0, 1.0 / 3.0),
         ):
-            sol = build()
-            p = sol.params
-            a = sol.details["a"]
+            p = case2(kind, f1, f2, f3).params
+            a = (f1 + f3) / (2 * f1 * f3)
             assert abs(p.d2 + 4.0 * p.d3 * a) < 1e-10 * max(1.0, abs(p.d2))
 
     def test_k1_forces_harmonic_relation(self):
@@ -475,15 +472,18 @@ class TestCase2:
         e3 = sum(e[i] * e[j] * e[k]
                  for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4))
         e4 = e[0] * e[1] * e[2] * e[3]
-        b = sol.details["b"]
-        assert sol.details["nu4"] == pytest.approx(-b * b * e4, rel=1e-10)
+        a, b = (1.0 + 3.0) / (2 * 1.0 * 3.0), (1.0 - 3.0) / (2 * 1.0 * 3.0)
         # root-expressed displays, valid whenever e3, e4 are nonzero
-        assert sol.details["nu2"] == pytest.approx(
-            e3 * e3 / (8 * e4) - 2 * e4 * e1 / e3, rel=1e-10)
-        assert sol.details["nu0"] == pytest.approx(
-            e1 * e3 / (8 * e4) - e3**4 / (256 * e4**3) - 1.0, rel=1e-10)
+        nu4 = -b * b * e4
+        nu2 = e3 * e3 / (8 * e4) - 2 * e4 * e1 / e3
+        nu0 = e1 * e3 / (8 * e4) - e3**4 / (256 * e4**3) - 1.0
+        # the dn kernel's row: beta^2 = -nu4, k^2 = (2 nu4 + nu2)/nu4, and
+        # nu0 = -beta^2 b^2 (1 - k^2)
+        assert sol.beta**2 == pytest.approx(-nu4, rel=1e-10)
+        assert sol.modulus**2 == pytest.approx((2 * nu4 + nu2) / nu4, rel=1e-9)
+        assert nu0 == pytest.approx(-(sol.beta * b) ** 2 * (1 - sol.modulus**2), rel=1e-9)
         # a is the triple-product ratio of the zeros
-        assert sol.details["a"] == pytest.approx(e3 / (4 * e4), rel=1e-12)
+        assert a == pytest.approx(e3 / (4 * e4), rel=1e-12)
 
     def test_sn_infeasible_on_generic_roots(self):
         with pytest.raises(Infeasible):
