@@ -29,12 +29,22 @@ its default, its help and the verbs that read it.  ``build_parser`` gives
 each verb the flags of its rows, and ``_options`` gives each verb one
 mapping of them: the flag when given, else the ``--config`` file's value,
 else the row's default.  A config key that is no verb's option is refused.
+A ``--branch`` or ``--initial-index`` that the kind built does not read is
+refused too; the kind's row in ``presets.KINDS`` gives the default of each
+it reads.
+
+Each ``--params`` and ``--roots`` token is the rational it spells (``0.1``
+is 1/10), so the params, and four zeros with their params, stay exact up to
+``roots_of_F``, which finds the zeros of rational params with no tolerance;
+an explicit ``--kind`` hands its constructor the double of each token.
+``--domain`` and the other numbers are doubles.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -48,7 +58,6 @@ from . import __version__, evolution
 from .errors import InfeasibleBranch, KBWaveError
 from .presets import AUTO, KINDS, PRESETS, build_preset
 from .quartic import (
-    DEFAULT_CLUSTER_TOL,
     CaseTag,
     Params,
     RootMultiset,
@@ -118,26 +127,49 @@ def _emit(path: str | None, text: str) -> None:
 
 # the parsers of flag tokens and config values raise ArgumentTypeError, whose
 # reason argparse prints for a flag and _config_value for a config value
-def _parse_number(token: str) -> float:
+def _parse_float(token: str) -> float:
+    """The double a token spells, as ``float`` reads it; for a fraction n/d,
+    the double nearest n/d, or an infinity past the largest."""
     token = token.strip()
     try:
-        if "/" in token:
-            return float(Fraction(token))
-        return float(token)
+        if "/" not in token:
+            return float(token)
+        exact = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{token!r} is not a number") from None
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
-def _parse_list(text: str):
-    return [_parse_number(t) for t in text.split(",") if t.strip()]
+def _parse_number(token: str):
+    """The rational a token spells, exactly: ``0.1`` is 1/10 and ``-7/4`` is
+    -7/4.  Where its double is infinite or NaN (``inf``, ``nan``, ``1e400``)
+    the token is that double, which the verbs refuse as not finite, and
+    where its double is 0 (``-0``, ``1e-400``) it is 0, so no exponent is
+    expanded that the doubles do not reach."""
+    x = _parse_float(token)
+    if x == 0:
+        return Fraction(0)
+    return Fraction(token.strip()) if math.isfinite(x) else x
+
+
+def _tokens(value) -> list:
+    """The tokens of a comma string, or the entries of a JSON list as tokens."""
+    if isinstance(value, list):
+        return [str(v) for v in value]
+    return [t for t in str(value).split(",") if t.strip()]
 
 
 def _numbers(value) -> list:
-    """The numbers of a comma string, or of a JSON list whose entries are read
-    as the flags' tokens are."""
-    if isinstance(value, list):
-        return [_parse_number(str(v)) for v in value]
-    return _parse_list(str(value))
+    """The exact numbers of a comma string or a JSON list."""
+    return [_parse_number(t) for t in _tokens(value)]
+
+
+def _floats(value) -> list:
+    """The doubles of a comma string or a JSON list."""
+    return [_parse_float(t) for t in _tokens(value)]
 
 
 def _whole(value) -> int:
@@ -192,20 +224,23 @@ _PROBLEM = ("classify", "solve", "verify", "oracle", "evolve")
 _WAVE = ("solve", "verify", "evolve")
 
 OPTIONS = (
-    Option("params", _numbers, None, "c,d1,d2,d3 (fractions like -7/4 accepted)", _PROBLEM),
-    Option("roots", _numbers, None,
-           "comma-separated zeros: the ones --kind takes, or four that give the params",
+    Option("params", _numbers, None,
+           "c,d1,d2,d3, each read exactly (0.1 is 1/10; fractions like -7/4 accepted)",
            _PROBLEM),
+    Option("roots", _numbers, None,
+           "comma-separated zeros: the ones --kind takes, as floats, or four that give "
+           "the params, read exactly", _PROBLEM),
     Option("preset", str, None, "figure preset name", _WAVE, choices=tuple(sorted(PRESETS))),
     Option("config", str, None,
            "JSON object setting any other option of this verb; flags win", _PROBLEM),
     Option("kind", str, "auto", "family to build; auto takes it from the params' case", _WAVE,
            choices=("auto", *KINDS)),
-    Option("initial_index", _whole, 1, "starting root (1..4) for general-sn2", _WAVE),
-    Option("branch", str, "upper", "band of a two-branch family", _WAVE,
+    Option("initial_index", _whole, None, "starting root (1..4) for general-sn2 (default 1)",
+           _WAVE),
+    Option("branch", str, None, "band of a two-branch family (default upper)", _WAVE,
            choices=("upper", "lower")),
     Option("xi0", float, 0.0, "reference point of the wave", _WAVE),
-    Option("domain", _numbers, None,
+    Option("domain", _floats, None,
            "a,b evaluation window (default: one period from xi0, or xi0 -+ 10 for a pulse)",
            ("solve", "verify")),
     Option("n", _whole, 2001, "sample count", ("solve", "verify", "figures")),
@@ -217,8 +252,6 @@ OPTIONS = (
     Option("out", _path, "figures", "output directory", ("figures",)),
     Option("preset", str, "all", "preset to emit", ("figures",),
            choices=(*sorted(PRESETS), "all")),
-    Option("tol", float, DEFAULT_CLUSTER_TOL, "root clustering tolerance, in (0, 1e-2]",
-           ("classify",)),
     Option("h_fd", float, 1e-3, "finite-difference step", ("verify",)),
     Option("f0", float, None, "starting value", ("oracle",), required=True),
     Option("sign", _whole, 1, "sign of the starting slope", ("oracle",), choices=(-1, 1)),
@@ -287,8 +320,10 @@ def _options(verb, args) -> dict:
 
 
 def _resolve_problem(opts):
-    """Return (params, roots) of --params or of four --roots; when both are
-    given they must agree, and a mismatched pair is rejected with a
+    """Return (params, zeros), exact: the params of --params, or of four
+    --roots, whose multiset, equal values merged, is then the zeros; with
+    no --roots the zeros are None.  When both are given the params must be
+    those of the roots, and a mismatched pair is rejected with a
     reconciliation hint."""
     vals, root_list = opts["params"], opts["roots"]
     if vals is None and root_list is None:
@@ -299,18 +334,33 @@ def _resolve_problem(opts):
         raise ValueError("four zeros give the params: --roots needs 4 values here, "
                          f"got {len(root_list)}")
     p = None if vals is None else Params(*vals)
-    if root_list is not None:
-        derived = params_from_roots(RootMultiset.from_values(root_list)).as_floats()
-        for name in ("c", "d1", "d2", "d3"):
-            got, want = getattr(derived, name), getattr(p or derived, name)
-            if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-                raise ValueError(
-                    "params and roots disagree "
-                    f"({name}: roots give {got!r}, params say {want!r}); "
-                    "drop one of them or fix the values"
-                )
-        p = p or derived
-    return p, root_list
+    if root_list is None:
+        return p, None
+    # a token reads as a float only where it is not finite
+    if any(type(v) is float for v in root_list):
+        raise ValueError(f"root values must be finite, got {tuple(map(float, root_list))}")
+    zeros = RootMultiset(tuple((v, len(list(run)))
+                               for v, run in itertools.groupby(sorted(root_list))))
+    derived = params_from_roots(zeros)
+    try:
+        derived.as_floats()
+    except OverflowError:
+        raise ValueError("the params of these --roots do not fit a float") from None
+    for name in ("c", "d1", "d2", "d3"):
+        got, want = getattr(derived, name), getattr(p or derived, name)
+        if got != want:
+            raise ValueError(
+                "params and roots disagree "
+                f"({name}: roots give {got}, params say {want}); "
+                "drop one of them or fix the values"
+            )
+    return derived, zeros
+
+
+def _zeros(opts):
+    """(params, zeros) of the problem: the zeros of --roots, else roots_of_F's."""
+    params, zeros = _resolve_problem(opts)
+    return params, roots_of_F(params) if zeros is None else zeros
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +368,20 @@ def _resolve_problem(opts):
 # ---------------------------------------------------------------------------
 
 
+_KIND_OPTIONS = ("branch", "initial_index")  # the options a KINDS row may read
+
+
 def _construct(opts):
-    """Build the requested solution; returns (solution, params) or raises."""
+    """Build the requested solution; returns (solution, params) or raises.
+
+    A --branch or --initial-index, by flag or config, that the kind built
+    does not read is refused.  For --kind auto that kind is the one AUTO
+    gives the case, and a branch AUTO fixes is not read."""
     if opts["preset"] is not None:
         return build_preset(opts["preset"], xi0=opts["xi0"])
-    kind, branch, xi0 = opts["kind"], opts["branch"], opts["xi0"]
+    kind, xi0, fixed = opts["kind"], opts["xi0"], None
     if kind == "auto":
-        params, _ = _resolve_problem(opts)
-        rm = roots_of_F(params)
+        params, rm = _zeros(opts)
         tag = classify(rm)
         verdict = existence(tag)
         if verdict == "none":
@@ -340,18 +396,35 @@ def _construct(opts):
             )
         kind, at, fixed = AUTO[tag]
         values = rm.values()
-        return KINDS[kind].build([values[i] for i in at], fixed or branch, xi0, 1), params
-    if opts["params"] is not None:
-        raise ValueError(f"--params cannot go with --kind {kind}, which takes its zeros "
-                         "from --roots")
-    zeros = opts["roots"]
-    if zeros is None or len(zeros) != len(KINDS[kind].zeros.split(",")):
-        raise ValueError(f"kind {kind} needs --roots {KINDS[kind].zeros}")
-    index = opts["initial_index"]
+        zeros = [float(values[i]) for i in at]
+        source = f"--kind auto here: case {tag.value} builds {kind}"
+        if fixed:
+            source += f" on its {fixed} branch"
+    else:
+        if opts["params"] is not None:
+            raise ValueError(f"--params cannot go with --kind {kind}, which takes its "
+                             "zeros from --roots")
+        zeros = opts["roots"]
+        if zeros is None or len(zeros) != len(KINDS[kind].zeros.split(",")):
+            raise ValueError(f"kind {kind} needs --roots {KINDS[kind].zeros}")
+        zeros = [float(v) for v in zeros]
+        params, source = None, None
+    row = KINDS[kind]
+    unread = [o for o in _KIND_OPTIONS
+              if opts[o] is not None and (o not in row.options or o == "branch" and fixed)]
+    if unread:
+        if source is None:
+            source = f"--kind {kind}, which does not read {'them' if unread[1:] else 'it'}"
+        flags = " and ".join("--" + o.replace("_", "-") for o in unread)
+        raise ValueError(f"{flags} cannot go with {source}")
+    branch, index = (row.options.get(o) if opts[o] is None else opts[o] for o in _KIND_OPTIONS)
+    branch = fixed or branch
 
     def build(k):
         return KINDS[k].build(zeros, branch, xi0, index)
 
+    if params is not None:
+        return build(kind), params
     try:
         sol = build(kind)
     except InfeasibleBranch as err:
@@ -558,11 +631,7 @@ def _solution_domain(sol, domain):
 
 
 def cmd_classify(opts) -> int:
-    params, root_list = _resolve_problem(opts)
-    if root_list is not None:
-        rm = RootMultiset.from_values(root_list)
-    else:
-        rm = roots_of_F(params, tol=opts["tol"])
+    params, rm = _zeros(opts)
     tag = classify(rm)
     lines = [
         "params: c={} d1={} d2={} d3={}".format(

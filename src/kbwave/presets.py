@@ -34,30 +34,38 @@ __all__ = ["AUTO", "KINDS", "Preset", "PRESETS", "build_preset"]
 
 class _Kind(NamedTuple):
     """One --kind: the zeros it takes, in --roots order ("dbl" and "triple"
-    name multiple zeros), and its constructor call."""
+    name multiple zeros), its constructor call, and the options of that
+    call ("branch", "initial_index") with their defaults; the call ignores
+    the others."""
 
     zeros: str
     build: Callable  # (zeros, branch, xi0, initial_index) -> solution; raises if none
+    options: dict
 
 
 # the --kind choices after auto, in --help order; the constructors are looked
 # up at call time, so wrappers installed on this module see the calls
+_BRANCH = {"branch": "upper"}
 KINDS = {
     "solitary_double": _Kind(
-        "lo,dbl,hi", lambda z, branch, xi0, _: solitary_double(*z, branch=branch, xi0=xi0)),
+        "lo,dbl,hi", lambda z, branch, xi0, _: solitary_double(*z, branch=branch, xi0=xi0),
+        _BRANCH),
     "periodic_trig": _Kind(
-        "s1,s2,dbl", lambda z, branch, xi0, _: periodic_trig(*z, branch=branch, xi0=xi0)),
+        "s1,s2,dbl", lambda z, branch, xi0, _: periodic_trig(*z, branch=branch, xi0=xi0),
+        _BRANCH),
     "solitary_triple": _Kind(
-        "triple,simple", lambda z, branch, xi0, _: solitary_triple(*z, xi0=xi0)),
+        "triple,simple", lambda z, branch, xi0, _: solitary_triple(*z, xi0=xi0), {}),
     **{f"case1-{k}": _Kind(
-        "f1,f2,f3", lambda z, branch, xi0, _, k=k: case1(k, *z, branch=branch, xi0=xi0))
+        "f1,f2,f3", lambda z, branch, xi0, _, k=k: case1(k, *z, branch=branch, xi0=xi0),
+        _BRANCH)
        for k in ("cn", "dn")},
     **{f"case2-{k.replace('_', '-')}": _Kind(
-        "f1,f2,f3", lambda z, branch, xi0, _, k=k: case2(k, *z, xi0=xi0))
+        "f1,f2,f3", lambda z, branch, xi0, _, k=k: case2(k, *z, xi0=xi0), {})
        for k in CASE2_KERNELS},
     "general-sn2": _Kind(
         "f1,f2,f3,f4",
-        lambda z, branch, xi0, index: general_sn2(z, initial_index=index, xi0=xi0)),
+        lambda z, branch, xi0, index: general_sn2(z, initial_index=index, xi0=xi0),
+        {"initial_index": 1}),
 }
 
 # --kind auto for each case tag with a closed form: the kind, the indices into

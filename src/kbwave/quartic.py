@@ -30,7 +30,9 @@ as they are: the signature says how many there are, so no grouping is
 needed.  The matrix holds the exact coefficients each rounded once, from
 one integer numerator over one integer denominator.  Float constants take
 the same eigensolve, and their eigenvalues are grouped into multiple zeros
-within a tolerance.
+within a fixed tolerance, so two zeros closer than their rounding can tell
+apart merge.  The command line reads ``--params`` and ``--roots`` exactly,
+so no verb takes that path.
 
 A wave lives in a band of F > 0 between adjacent real zeros.  The bands follow
 from the multiplicities alone (``band_edges``): F < 0 above the top zero and
@@ -70,10 +72,9 @@ __all__ = [
     "existence",
     "quadratic_cofactor",
     "scaled_bound",
-    "DEFAULT_CLUSTER_TOL",
 ]
 
-DEFAULT_CLUSTER_TOL = 1e-7  # double roots of a double-precision quartic keep ~8 digits
+_CLUSTER_TOL = 1e-7  # double roots of a double-precision quartic keep ~8 digits
 _NEAR = 1e-2  # roots this close (relative) may be one multiple zero split by the eigensolve
 _ROUNDING = 8 * float(np.finfo(float).eps)  # twice Horner's bound 2n u = 4 eps (n = 4)
 _INF = math.inf
@@ -180,7 +181,7 @@ class RootMultiset:
         return s
 
     @classmethod
-    def from_values(cls, values, tol: float = 1e-9) -> "RootMultiset":
+    def from_values(cls, values, tol: float) -> "RootMultiset":
         """Cluster listed zeros (repeats allowed) into a multiset.
 
         Sorted values within tol*max(1, |value|) of their neighbor merge into
@@ -782,8 +783,8 @@ def _check_cluster(coeffs, center, m):
     """Raise unless F and its derivatives below m nearly vanish at the
     cluster ``center`` of m roots: within 1e-3 * max(1, |center|)^(4 - j),
     or within the rounding of their own evaluation, as ``_multiple_zero``
-    bounds it.  A loose gate: it guards against a grossly mis-set clustering
-    tolerance, or an eigenvalue taken as a zero that is none."""
+    bounds it.  A loose gate: it guards against an eigenvalue taken as a
+    zero that is none."""
     scale = max(1.0, abs(center))
     for j, (v, bound) in enumerate(_taylor(coeffs, center, m)):
         if abs(v) > scaled_bound(1e-3, scale, 4 - j) and abs(v) > _ROUNDING * bound:
@@ -793,10 +794,11 @@ def _check_cluster(coeffs, center, m):
             )
 
 
-def _square_free_zeros(p, coeffs, signature, tol):
+def _square_free_zeros(p, coeffs, signature):
     """The real zeros of a square-free F with real zeros: the eigenvalues
-    within tol*max(1, |root|) of the real axis, each checked on F, which must
-    be as many as ``signature`` has and strictly increase."""
+    within _CLUSTER_TOL*max(1, |root|) of the real axis, each checked on F,
+    which must be as many as ``signature`` has and strictly increase."""
+    tol = _CLUSTER_TOL
     real = sorted([z.real + 0.0  # a zero real part as +0.0, as a mean gives it
                    for z in _companion_roots(coeffs) if abs(z.imag) <= tol * max(1.0, abs(z))])
     for z in real:
@@ -809,26 +811,27 @@ def _square_free_zeros(p, coeffs, signature, tol):
     return RootMultiset(tuple((z, 1) for z in real))
 
 
-def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
+def roots_of_F(p: Params) -> RootMultiset:
     """Real roots of F, clustered into a multiset.
 
-    Rational params (int or Fraction) get their multiplicities exactly,
-    from integer invariants of F (see ``_exact_zeros``), before any float
-    work: a multiple zero, and every zero when F has one, or no real zero,
-    is found in closed form with no eigensolve, each rational zero the
-    exact one rounded once.  When F is square-free with real zeros, they
-    come in closed form too (Ferrari's, polished by Newton, see
+    Rational params (int or Fraction, as the command line reads
+    ``--params`` and ``--roots``) get their multiplicities exactly, from integer
+    invariants of F (see ``_exact_zeros``), before any float work: a
+    multiple zero, and every zero when F has one, or no real zero, is found
+    in closed form with no eigensolve, each rational zero the exact one
+    rounded once.  When F is square-free with real zeros, they come in
+    closed form too (Ferrari's, polished by Newton, see
     ``_certified_zeros``), each certified within an ulp of an exact zero by
     a sign change of F, in integers, between the floats next to it.  Where
     that certificate fails (a pair closer than about 1e-8 of the zeros'
     spread, or zeros of very different sizes; none of the classify
-    benchmark's inputs), the zeros are the eigenvalues of the
-    companion matrix of F's coefficients, each exact one rounded once,
-    within tol*max(1, |root|) of the real axis, with no grouping, so a pair
-    of zeros however close stays two simple zeros.  Each must pass the F
-    check below, and when they are not as many as the exact signature says,
-    or two coincide, a ValueError naming the params is raised in place of a
-    wrong case tag.  ``tol`` plays no other part for rational params.
+    benchmark's inputs), the zeros are the eigenvalues of the companion
+    matrix of F's coefficients, each exact one rounded once, within
+    1e-7*max(1, |root|) of the real axis, with no grouping, so a pair of
+    zeros however close stays two simple zeros.  Each must pass the F check
+    below, and when they are not as many as the exact signature says, or
+    two coincide, a ValueError naming the params is raised in place of a
+    wrong case tag.
 
     Float params: the raw roots are the eigenvalues of the companion
     matrix of F's float coefficients, as ``numpy.roots`` computes them (see
@@ -838,23 +841,19 @@ def roots_of_F(p: Params, tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
     becomes one m-fold zero when its mean is real and F and its lower
     derivatives vanish there to within rounding (see ``_multiple_zero``).
     The other roots are real when their imaginary part is within
-    tol*max(1, |root|), and real roots closer than that merge into one entry
-    with summed multiplicity, sanity-checked by the smallness of the lower
-    derivatives of F at the cluster center.  Raises ValueError when a
-    coefficient, or the bound of that check, does not fit a float.
-
-    ``tol`` must be in (0, 1e-2]: a larger one would merge roots farther
-    apart than the grouping's 1e-2 reaches, which no multiple zero splits
-    into, and a cluster of distinct zeros can pass the check on F at its
-    centre (zeros -3, -2 (x2), -1 merge into two doubles at -2).
+    1e-7*max(1, |root|), and real roots closer than that merge into one
+    entry with summed multiplicity, sanity-checked by the smallness of the
+    lower derivatives of F at the cluster center.  The tolerances are
+    measured from 0, so zeros far from it that the floats split or merge
+    can get a wrong case tag; exact params cannot.  Raises ValueError when
+    a coefficient, or the bound of that check, does not fit a float.
     """
-    if not 0.0 < tol <= _NEAR:  # nan and inf too
-        raise ValueError(f"tol must be in (0, {_NEAR:g}], got {tol!r}")
     if _rational(p):
         signature, known = _exact_zeros(p)
         if known is not None:
             return RootMultiset(tuple(known))
-        return _square_free_zeros(p, _float_coefficients(p), signature, tol)
+        return _square_free_zeros(p, _float_coefficients(p), signature)
+    tol = _CLUSTER_TOL
     coeffs = _float_coefficients(p)
     raw = _companion_roots(coeffs)
     scale = max(1.0, *map(abs, raw))

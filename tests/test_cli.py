@@ -1,19 +1,25 @@
 """Command-line surface: verbs, golden formats, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kbwave
 from kbwave import cli
 from kbwave.cli import main
+from kbwave.quartic import Params
 
 S3 = math.sqrt(3.0)
 
@@ -81,12 +87,63 @@ class TestClassify:
         assert float(line.rsplit(" ", 1)[1]) == pytest.approx(-4.0, abs=1e-9)
 
     def test_quadruple_zero(self, capsys):
-        """F = -(f - 5)^4: numpy.roots splits the zero about 1e-3 apart."""
+        """F = -(f - 5)^4, which numpy.roots splits about 1e-3 apart: the
+        exact params give one zero of multiplicity 4."""
         code, out = run(["classify", "--params=-5,-25/2,125/2,-625/8"], capsys)
         assert code == 0
         assert "roots: 5 (x4)" in out
         assert "case: Quadruple" in out
 
+    def test_readme_output(self, capsys):
+        """The params of -(f + 3)(f + 2)^2(f + 1) give exactly -3, -2 (x2)
+        and -1 (-3.0000000000000071, -1.9999999999999978 (x2) and
+        -1.0000000000000016 as floats)."""
+        assert run(["classify", "--params", "2,-7/4,-7/2,-3/2"], capsys) == (0, (
+            "params: c=2 d1=-1.75 d2=-3.5 d3=-1.5\n"
+            "roots: -3 (x1) -2 (x2) -1 (x1)\n"
+            "case: DoubleBetweenSimples\n"
+            "existence: solitary: two solitary branches (upper and lower)\n"))
+
+    def test_triple_far_from_the_origin(self, capsys):
+        """-(f - 1000)^3 (f - 1001), whose params are exact doubles: as
+        floats it read as TwoSimpleOnly with zeros 999.916 and 1001.0006."""
+        code, out = run(["classify", "--params=-4001/4,-8003999/16,500375000,-125125000000"],
+                        capsys)
+        assert code == 0
+        assert "roots: 1000 (x3) 1001 (x1)\ncase: TripleWithSimpleAbove\n" in out
+
+    def test_huge_zeros(self, capsys):
+        """Zeros near -2.6e100 and -1.4e100 and a double at 0: the exact
+        invariants need no check on F, whose bound does not fit a float."""
+        code, out = run(["classify", "--params", "1e100,1e199,0,0"], capsys)
+        assert code == 0
+        assert ("roots: -2.6324555320336758e+100 (x1) -1.3675444679663242e+100 (x1) 0 (x2)\n"
+                "case: DoubleAboveSimples\n") in out
+
+    def test_tokens_read_exactly(self):
+        """A token is the rational it spells; one whose double is 0 is 0, and
+        one whose double is not finite is that double."""
+        got = cli._numbers("0.1, -7/4,1e-3,-0,1e-400,1e400,-inf,2")
+        assert got[:5] == [Fraction(1, 10), Fraction(-7, 4), Fraction(1, 1000), 0, 0]
+        assert all(type(v) is Fraction for v in got[:5]) and got[7] == 2
+        assert got[5:7] == [math.inf, -math.inf]
+        assert math.isnan(cli._numbers([1, "nan"])[1])
+        assert cli._numbers(["0.1", 0.1, "1/10"]) == [Fraction(1, 10)] * 3
+        # a fraction past the largest double is an infinity (a traceback before)
+        assert cli._numbers("-1" + "0" * 400 + "/3") == [-math.inf]
+        # --domain is read as doubles, the sign of a zero kept
+        assert [math.copysign(1, v) for v in cli._floats("-0,1/3")] == [-1, 1]
+        assert cli._floats("1e-400,1" + "0" * 400 + "/3") == [0.0, math.inf]
+
+    def test_roots_merge_only_when_equal(self, capsys):
+        """Four --roots 1e-10 apart stay four simple zeros (they merged into
+        a double within 1e-9), and equal ones merge."""
+        code, out = run(["classify", "--roots", "1,1.0000000001,2,3"], capsys)
+        assert code == 0
+        assert "roots: 1 (x1) 1.0000000001 (x1) 2 (x1) 3 (x1)\ncase: FourSimple\n" in out
+        code, out = run(["classify", "--roots", "2,1,2,1"], capsys)
+        assert "params: c=-1.5 d1=-1 d2=1.5 d3=-0.5\n" in out
+        assert "roots: 1 (x2) 2 (x2)\ncase: TwoDoublesOnly\n" in out
 
     @pytest.mark.parametrize("verb", [["classify"], ["solve", "--n", "3"]])
     def test_coefficient_beyond_float_refused(self, capsys, verb):
@@ -97,8 +154,67 @@ class TestClassify:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
+        params = Params(Fraction(10 ** 200), Fraction(0), Fraction(0), Fraction(0))
         assert captured.err == ("error: coefficient 4 (d1 - c^2) of F does not fit a float: "
-                                "Params(c=1e+200, d1=0.0, d2=0.0, d3=0.0)\n")
+                                f"{params}\n")
+
+
+def _minus_F(zeros, pairs):
+    """Coefficients of -F = prod (f - z)^m * prod ((f - x)^2 + y^2), highest
+    degree first."""
+    poly = [Fraction(1)]
+    factors = [[1, -z] for z, m in zeros for _ in range(m)]
+    factors += [[1, -2 * x, x * x + y * y] for x, y in pairs]
+    for factor in factors:
+        out = [Fraction(0)] * (len(poly) + len(factor) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        poly = out
+    return poly
+
+
+# each multiplicity signature, with the complex pairs that make degree 4
+SIGNATURES = [((), 2), ((1, 1), 1), ((2,), 1), ((2, 2), 0), ((4,), 0), ((2, 1, 1), 0),
+              ((1, 2, 1), 0), ((1, 1, 2), 0), ((3, 1), 0), ((1, 3), 0), ((1, 1, 1, 1), 0)]
+CASES = ["NoRealZeros", "TwoSimpleOnly", "OneDoubleOnly", "TwoDoublesOnly", "Quadruple",
+         "DoubleBelowSimples", "DoubleBetweenSimples", "DoubleAboveSimples",
+         "TripleWithSimpleAbove", "TripleWithSimpleBelow", "FourSimple"]
+HUNDREDTHS = st.integers(-500, 500).map(lambda k: Fraction(k, 100))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(range(len(SIGNATURES))), st.sampled_from([0, 100, 1000, 10000]),
+       st.lists(HUNDREDTHS, min_size=4, max_size=4, unique=True),
+       st.lists(st.tuples(HUNDREDTHS, HUNDREDTHS.filter(bool)), min_size=2, max_size=2))
+def test_classify_reads_the_zeros_of_exact_params(i, shift, values, pairs):
+    """Params of two-decimal zeros of each signature, shifted by up to 1e4
+    and passed as exact tokens: classify prints their tag and their zeros.
+    A multiple zero, and every zero of an F that has one, is rounded once;
+    a zero of a square-free F is certified within an ulp.  (The doubles
+    of such params got 27 tags in 400 wrong at a shift of 1e3, and 264 at
+    1e4.)"""
+    sig, n_pairs = SIGNATURES[i]
+    zeros = list(zip(sorted(v + shift for v in values), sig))
+    pairs = [(x + shift, abs(y)) for x, y in pairs[:n_pairs]]
+    _, a3, a2, a1, a0 = _minus_F(zeros, pairs)
+    c = a3 / 4
+    tokens = ",".join(str(v) for v in (c, c * c - a2 / 4, -a1 / 8, -a0 / 8))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["classify", f"--params={tokens}"]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[2] == f"case: {CASES[i]}"
+    printed = lines[1].split()[1:]
+    if not zeros:
+        assert printed == ["(none", "real)"]
+        return
+    assert printed[1::2] == [f"(x{m})" for m in sig]
+    for (z, _), text in zip(zeros, printed[::2]):
+        if max(sig) > 1:
+            assert text == format(float(z), ".17g")
+        else:
+            assert abs(float(text) - z) <= math.ulp(float(z))
 
 
 class TestSolve:
@@ -308,9 +424,8 @@ class TestKindChoices:
         sidecar = json.loads((tmp_path / "a.json").read_text())
         assert (sidecar["kind"], sidecar["case_tag"], sidecar["branch"]) == (kind, tag, branch)
         # auto reports the caller's params, not the constructor's rounding of them
-        from kbwave.cli import _parse_list
-
-        assert [sidecar["params"][k] for k in ("c", "d1", "d2", "d3")] == _parse_list(params)
+        assert [sidecar["params"][k] for k in ("c", "d1", "d2", "d3")] == [
+            float(v) for v in cli._numbers(params)]
 
     def test_auto_shifted_triple(self, tmp_path):
         """F = -(f - 1)^3 (f - 2): a triple zero away from 0 builds the pulse."""
@@ -319,6 +434,36 @@ class TestKindChoices:
         sidecar = json.loads((tmp_path / "t.json").read_text())
         assert (sidecar["kind"], sidecar["case_tag"]) == ("solitary_triple",
                                                           "TripleWithSimpleAbove")
+
+    def test_auto_four_simple_far_from_the_origin(self, tmp_path):
+        """Zeros 1000, 1000.25, 1001 and 1001.75, whose params are exact
+        doubles: as floats the zeros came out up to 2.1e-3 off, with modulus
+        0.35069 and period 5.2976."""
+        out = tmp_path / "w.csv"
+        assert main(["solve", "--params=-4003/4,-32048003/64,64144078007/128,"
+                     "-2006004875875/16", "--n", "3", "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "w.json").read_text())
+        assert sidecar["roots"] == [[1000.0, 1], [1000.25, 1], [1001.0, 1], [1001.75, 1]]
+        assert sidecar["modulus"] == 0.3535533905932738 == math.sqrt(1 / 8)
+        assert sidecar["period"] == 5.302873212365192
+
+    def test_auto_passes_the_initial_index_on(self, tmp_path):
+        """FourSimple builds general-sn2 from the start --initial-index names."""
+        from kbwave.solutions import general_sn2
+
+        args = ["solve", "--params", "2,-25/16,-25/8,-39/32", "--n", "3", "--format", "json"]
+        rows = {}
+        for index in (1, 3):
+            out = tmp_path / f"{index}.json"
+            assert main([*args, "--initial-index", str(index), "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            zeros = [v for v, _ in doc["roots"]]
+            assert zeros == [-3.0, -2.866025403784439, -1.1339745962155612, -1.0]
+            want = general_sn2(zeros, initial_index=index)
+            rows[index] = [r["f"] for r in doc["profile"]]
+            assert rows[index] == want.profile(np.array([r["xi"] for r in doc["profile"]]))[
+                0].tolist()
+        assert rows[1] != rows[3]
 
     def test_auto_two_simple_only(self, capsys):
         msg = refusal(["solve", "--params=-1/4,-3/16,1/8,0"], capsys)
@@ -371,17 +516,30 @@ class TestOracleVerb:
     # Horner path (taken when F's four zeros are not all real)
     @pytest.mark.parametrize("argv, digest", [
         (["--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9", "--length", "0.5"],
-         "86e8f84df627e06c27c852b2b9d5222a1352d1585403322cb3ab8dc78ef68e07"),
+         "19bc941886afd788479bd7626fc27b50a2384f5a01a9c30539a60606c637c05f"),
         (["--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9", "--sign", "-1",
           "--length", "2", "--h", "1e-3"],
-         "e82691d95c0a8a0aec29bf8c4e8c86f23fca13cec3bea011e2657b83d5e4fe4e"),
+         "d38b460feb570a5b904d8a418ee5187fe24e031186bbe40b1c232e353b5d9df9"),
         (["--params", "0,0,0,1/8", "--f0", "0", "--length", "8", "--h", "1e-3"],
-         "d398818822e60c4f3b00e2ebf4130ba638e2c3bc9339062cad019363308d5228"),
+         "aab02daecd5b4f76c23ac71bee0338c9adb218b82e6e312a687be524d37b6b58"),
     ])
     def test_output_digest(self, tmp_path, argv, digest):
         out = tmp_path / "orc.csv"
         assert main(["oracle", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_readme_orbit_is_the_lower_pulse(self, tmp_path):
+        """The README's orbit from -2.9 over 12 is solitary_double(-3, -2, -1,
+        "lower") placed where it equals -2.9."""
+        from kbwave.solutions import solitary_double
+
+        out = tmp_path / "orbit.csv"
+        assert main(["oracle", "--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9", "--length", "12",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        xi, f = np.array(rows)[:, :2].T
+        sol = solitary_double(-3, -2, -1, "lower", xi0=-math.acosh(1 / 0.9))
+        assert np.max(np.abs(sol.profile(xi)[0] - f)) < 3.5e-14
 
     def test_profile_emitted(self, tmp_path):
         out = tmp_path / "orc.csv"
@@ -652,7 +810,6 @@ class TestOptionTable:
         "n": (11, "12"),
         "format": ("json", "csv"),
         "out": ("a.txt", "b.txt"),
-        "tol": (1e-9, "1e-8"),
         "h_fd": (1e-2, "1e-4"),
         "f0": (0.5, "-2"),
         "sign": (-1, "1"),
@@ -699,6 +856,8 @@ class TestOptionTable:
         assert opts(option.flag, token)[key] == option.parse(token) != option.parse(value)
 
     @pytest.mark.parametrize("argv", [
+        # the zeros are exact: there is no clustering tolerance to set
+        ["classify", "--params", P, "--tol", "1e-3"],
         ["classify", "--params", P, "--preset", "fig-case1a"],
         ["oracle", "--params", P, "--f0", "0", "--preset", "fig-case1a"],
         ["verify", "--preset", "fig-case1a", "--format", "csv"],
@@ -764,7 +923,7 @@ class TestParserReuse:
 
     P = "2,-7/4,-7/2,-3/2"
     ARGVS = (
-        ["classify", "--params", P, "--tol", "1e-3"],
+        ["classify", "--roots", "0,1,2,3"],
         ["oracle", "--params", P, "--f0", "-2.9", "--sign", "-1", "--length", "0.01", "--h", "1e-3"],
         ["classify", "--params", P],
         ["oracle", "--params", P, "--f0", "-2.9", "--length", "0.01"],
@@ -818,7 +977,6 @@ class TestRefusals:
     P = "2,-7/4,-7/2,-3/2"
     HUGE = "1e100,1e199,0,0"  # zeros near -2.6e100, -1.4e100 and 0 (double)
     CASES = {
-        "classify-huge-zeros": (["classify", "--params", HUGE], "zeros of size 2.63246e+100"),
         "solve-huge-zeros": (["solve", "--params", HUGE], "zeros of size 2.63246e+100"),
         "oracle-huge-zeros": (["oracle", "--params", HUGE, "--f0", "0"],
                               "zeros of size 2.63246e+100"),
@@ -827,11 +985,6 @@ class TestRefusals:
         # refused before the gate samples a profile that would overflow
         "solve-huge-band": (["solve", "--kind", "periodic_trig", "--roots=1e90,2e90,0"],
                             "the bound 1e-08 * 2e+90^4 does not fit a float"),
-        # a tol past the grouping radius merged -3 and -1 into a double at -2
-        "classify-tol-inf": (["classify", "--params", P, "--tol", "inf"],
-                             "tol must be in (0, 0.01], got inf"),
-        "classify-tol-huge": (["classify", "--params", P, "--tol", "1e300"],
-                              "tol must be in (0, 0.01], got 1e+300"),
         "evolve-T-inf": (["evolve", "--preset", "fig-case1a", "--T=inf"],
                          "T must be finite, got inf"),
         "evolve-dt-nan": (["evolve", "--preset", "fig-case1a", "--dt", "nan"],
@@ -905,6 +1058,28 @@ class TestRefusals:
                                        "--initial-index cannot go with --preset"),
         "solve-kind-params": (["solve", "--kind", "case2-dn", "--roots", "1,2,3", "--params", P],
                               "--params cannot go with --kind case2-dn"),
+        # an option the kind built does not read (the same wave with or
+        # without it before); auto fixes the branch of periodic_trig
+        "solve-auto-fixed-branch": (["solve", "--params=-1/4,13/16,-1/8,-1/4", "--n", "3",
+                                     "--branch", "upper"],
+                                    "--branch cannot go with --kind auto here: case "
+                                    "DoubleBelowSimples builds periodic_trig on its lower branch"),
+        "solve-auto-triple-index": (["solve", "--params=-1/4,1/16,0,0", "--initial-index", "2"],
+                                    "--initial-index cannot go with --kind auto here: case "
+                                    "TripleWithSimpleAbove builds solitary_triple"),
+        "solve-triple-branch": (["solve", "--kind", "solitary_triple", "--roots", "1,0",
+                                 "--branch", "lower"],
+                                "--branch cannot go with --kind solitary_triple, which does "
+                                "not read it"),
+        "verify-case2-both": (["verify", "--kind", "case2-dn", "--roots", "1,2,3", "--branch",
+                               "lower", "--initial-index", "2"],
+                              "--branch and --initial-index cannot go with --kind case2-dn, "
+                              "which does not read them"),
+        # four zeros the floats hold whose params they do not: e4 = 2.4e401
+        "classify-roots-huge-params": (["classify", "--roots", "1e100,2e100,3e100,4e100"],
+                                       "the params of these --roots do not fit a float"),
+        "classify-disagree": (["classify", "--params", P, "--roots=-3,-2,-2,-0.9"],
+                              "params and roots disagree (c: roots give 79/40, params say 2)"),
         "classify-two-roots": (["classify", "--params", P, "--roots", "5,6"],
                                "four zeros give the params: --roots needs 4 values here, got 2"),
         "oracle-three-roots": (["oracle", "--roots=-3,-2,-1", "--f0", "-2.9"],
@@ -934,6 +1109,8 @@ class TestRefusals:
                            "unknown branch 'sideways'"),
         "preset-with-kind": ({"preset": "fig-case1a", "kind": "case2-dn"},
                              "--kind cannot go with --preset"),
+        "index-not-read": ({"kind": "solitary_double", "roots": "-3,-2,-1", "initial_index": 2},
+                           "--initial-index cannot go with --kind solitary_double"),
         # a key that is no verb's option, and the one option a config cannot set
         "misspelt-key": ({"preset": "fig-case1a", "n_gird": 64},
                          "no verb takes 'n_gird' from a config"),

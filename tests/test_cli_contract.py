@@ -168,7 +168,6 @@ FIELDS = {
     "sign": st.sampled_from((-1, 1, 0, 2, "1")) | NUMBER.map(_json_number),
     "length": NUMBER.map(_json_number),
     "h": NUMBER.map(_json_number),
-    "tol": NUMBER.map(_json_number),
     "h_fd": NUMBER.map(_json_number),
 }
 # a --config object: each key one of its values

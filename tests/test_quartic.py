@@ -1,6 +1,7 @@
 """Quartic first integral: evaluation, roots, parameter maps, taxonomy."""
 
 import contextlib
+import inspect
 import math
 import re
 from decimal import Decimal, localcontext
@@ -138,21 +139,11 @@ class TestRoots:
             for v, _ in rm.entries:
                 assert abs(eval_F(p, v)) <= 1e-9 * scale
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            roots_of_F(P_CASE1A, tol=0.0)
-
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 1e300, 0.0101, -1e-7])
-    def test_tol_beyond_the_grouping_radius_refused(self, tol):
-        """A tol past the grouping radius 1e-2 merges zeros that no multiple
-        zero splits into: -3, -2 (x2), -1 passed the check on F as two
-        doubles at -2."""
-        with pytest.raises(ValueError, match=r"tol must be in \(0, 0.01\], got "):
-            roots_of_F(P_CASE1A, tol=tol)
-
-    def test_largest_tol_accepted(self):
-        rm = roots_of_F(P_CASE1A, tol=1e-2)
-        assert classify(rm) is CaseTag.DOUBLE_BETWEEN_SIMPLES
+    def test_no_tolerance_to_set(self):
+        """The float path's clustering tolerance is its own: roots_of_F takes
+        the params alone."""
+        assert list(inspect.signature(roots_of_F).parameters) == ["p"]
+        assert not any("TOL" in name for name in quartic.__all__)
 
 
 def _exact_params(zeros, pairs=()):
@@ -703,7 +694,7 @@ def _reference_multiple_zeros(coeffs, roots, tol, radius, floor):
     return found, rest
 
 
-def _reference_roots_of_F(p, tol=quartic.DEFAULT_CLUSTER_TOL):
+def _reference_roots_of_F(p, tol=quartic._CLUSTER_TOL):
     coeffs = [float(v) for v in p.coefficients()]
     raw = np.roots(coeffs).tolist()
     scale = max(1.0, *map(abs, raw))

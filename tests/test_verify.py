@@ -149,7 +149,7 @@ class TestOracle:
         """A start 1e-13 past a turning point near 0, with the other zeros
         near +-5, has F(f0) ~ -1e-11: rounding at the zeros' scale, accepted."""
         roots = (-4.75, -0.25, 4.5, 4.875)
-        p = params_from_roots(RootMultiset.from_values(roots)).as_floats()
+        p = params_from_roots(RootMultiset.from_values(roots, tol=1e-9)).as_floats()
         f0 = -0.25 + 1e-13
         assert eval_F(p, f0) < -1e-12
         prof = oracle_integrate(p, f0, +1, 1.0, h=1e-3)
@@ -543,7 +543,7 @@ def test_guarded_runs_match_the_reference_loop(kind, ints, log2_scale, band, the
         re, im = float(zeros[2]), 1 / 8 + abs(float(zeros[3]))
         p = _params_of([float(zeros[0]), float(zeros[1]), complex(re, im), complex(re, -im)])
     else:
-        p = params_from_roots(RootMultiset.from_values(zeros))
+        p = params_from_roots(RootMultiset.from_values(zeros, tol=1e-9))
     q = verify._Quartic(p)
     real = sorted(v for v, _ in roots_of_F(p).entries)
     bands = [(a, b) for a, b in zip(real, real[1:]) if q.F(0.5 * (a + b)) > 0.0]
@@ -552,7 +552,16 @@ def test_guarded_runs_match_the_reference_loop(kind, ints, log2_scale, band, the
     lo, hi = bands[band % len(bands)]
     h = 10.0 ** log_h
     args = (p, lo + theta * (hi - lo), sign, steps * h, h)
-    assert _profile_bytes(oracle_integrate, *args) == _profile_bytes(_reference_oracle, *args)
+    try:
+        got = _profile_bytes(oracle_integrate, *args)
+    except BlowUp:
+        # a step too coarse for the orbit: the reference loop's profile does
+        # not stay in the band
+        f = _reference_oracle(*args).f
+        slack = verify._BAND_SLACK * roots_of_F(p).scale()
+        assert not lo - slack <= f.min() <= f.max() <= hi + slack
+        return
+    assert got == _profile_bytes(_reference_oracle, *args)
 
 
 def test_clamp_to_a_multiple_zero_matches_the_reference_loop():
