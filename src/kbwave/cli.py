@@ -49,6 +49,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -244,7 +245,6 @@ OPTIONS = (
            "a,b evaluation window (default: one period from xi0, or xi0 -+ 10 for a pulse)",
            ("solve", "verify")),
     Option("n", _whole, 2001, "sample count", ("solve", "verify", "figures")),
-    Option("format", str, "csv", "profile format", ("solve",), choices=("csv", "json")),
     Option("out", _path, None, "output path (stdout when omitted)",
            ("classify", "solve", "verify", "oracle", "reduce")),
     Option("out", _path, "evolve.csv",
@@ -252,7 +252,6 @@ OPTIONS = (
     Option("out", _path, "figures", "output directory", ("figures",)),
     Option("preset", str, "all", "preset to emit", ("figures",),
            choices=(*sorted(PRESETS), "all")),
-    Option("h_fd", float, 1e-3, "finite-difference step", ("verify",)),
     Option("f0", float, None, "starting value", ("oracle",), required=True),
     Option("sign", _whole, 1, "sign of the starting slope", ("oracle",), choices=(-1, 1)),
     Option("length", float, 20.0, "span of xi integrated", ("oracle",)),
@@ -339,6 +338,13 @@ def _resolve_problem(opts):
     # a token reads as a float only where it is not finite
     if any(type(v) is float for v in root_list):
         raise ValueError(f"root values must be finite, got {tuple(map(float, root_list))}")
+    # the multiset orders its zeros as doubles, so distinct zeros need distinct ones
+    seen = {}
+    for v in root_list:
+        other = seen.setdefault(float(v), v)
+        if other != v:
+            raise ValueError(f"--roots {_exact_text(other)} and {_exact_text(v)} are distinct "
+                             f"but round to the same double, {_fmt(v)}")
     zeros = RootMultiset(tuple((v, len(list(run)))
                                for v, run in itertools.groupby(sorted(root_list))))
     derived = params_from_roots(zeros)
@@ -355,6 +361,13 @@ def _resolve_problem(opts):
                 "drop one of them or fix the values"
             )
     return derived, zeros
+
+
+def _exact_text(v: Fraction) -> str:
+    """An exact number as the decimal that spells it, or as n/d when none
+    of at most 28 digits does."""
+    d = Decimal(v.numerator) / v.denominator
+    return format(d, "f") if Fraction(d) == v else str(v)
 
 
 def _zeros(opts):
@@ -673,17 +686,9 @@ def cmd_solve(opts) -> int:
     res = profile.residual(params)
     gate = sol.residual_bound
     out = opts["out"]
-    if opts["format"] == "json":
-        rows = [
-            {"xi": x, "f": f, "f_prime": d, "g": g}
-            for x, f, d, g in zip(profile.xi, profile.f, profile.f_prime, profile.g)
-        ]
-        _emit(out, _json(_sidecar(sol, params, res, profile=rows)))
-    else:
-        _emit(out, _profile_csv(profile))
-        if out:
-            _atomic_write(os.path.splitext(out)[0] + ".json",
-                          _json(_sidecar(sol, params, res)))
+    _emit(out, _profile_csv(profile))
+    if out:
+        _atomic_write(os.path.splitext(out)[0] + ".json", _json(_sidecar(sol, params, res)))
     if not res < gate:
         print(f"residual gate FAILED: {res:.3e} >= {gate:.3e}", file=sys.stderr)
         return 2
@@ -694,9 +699,8 @@ def cmd_verify(opts) -> int:
     sol, params = _construct(opts)
     domain = _solution_domain(sol, opts["domain"])
     n = _sample_count(opts["n"])
-    h_fd = opts["h_fd"]
     res = ode_residual(sol, params, domain=domain, n=n)
-    r_u, r_v = pde_residual(sol, params, domain=domain, n=min(n, 500), h_fd=h_fd)
+    r_u, r_v, h_fd = pde_residual(sol, params, domain=domain, n=min(n, 500))
     pde_ok = max(r_u, r_v) < PDE_RTOL
     doc = _sidecar(sol, params, res, pde_residual={"r_u": r_u, "r_v": r_v,
                                                    "h_fd": h_fd, "passed": bool(pde_ok)})

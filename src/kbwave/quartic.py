@@ -435,8 +435,21 @@ def _multiple_zeros(coeffs, roots, tol, radius, floor):
 _COEFFICIENT_NAMES = ("-1", "-4 c", "4 (d1 - c^2)", "8 d2", "8 d3")
 
 
+def _params_text(p: Params) -> str:
+    """The params for an error line, each as its shortest double:
+    "c=1e+200, d1=0, d2=0, d3=0", however many digits an exact one has."""
+    def text(v):
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf if v > 0 else -math.inf
+        return repr(x).removesuffix(".0")
+
+    return ", ".join(f"{name}={text(getattr(p, name))}" for name in ("c", "d1", "d2", "d3"))
+
+
 def _too_large(name, p):
-    return ValueError(f"coefficient {name} of F does not fit a float: {p}")
+    return ValueError(f"coefficient {name} of F does not fit a float: {_params_text(p)}")
 
 
 _EXACT = (int, Fraction)
@@ -807,7 +820,7 @@ def _square_free_zeros(p, coeffs, signature):
         got = tuple(len(list(run)) for _, run in itertools.groupby(real))
         raise ValueError(
             f"the eigensolve resolves zeros of multiplicities {got} "
-            f"where F has {signature}: {p}")
+            f"where F has {signature}: {_params_text(p)}")
     return RootMultiset(tuple((z, 1) for z in real))
 
 

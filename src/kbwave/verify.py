@@ -36,6 +36,7 @@ profile, is the one a step-by-step loop gives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,9 @@ _EVENT_BISECTIONS = 60
 _REACH_MARGIN = 2.0  # plain steps invert the series within twice its reach
 _GUARD_PAD = 1e-12  # relative widening of the watched intervals
 _BAND_SLACK = 1e-6  # how far (relative to the zeros' scale) f may leave its band
+# pde_residual's step in the wave's length scale: near where the 7-point
+# u_xxx stencil's rounding, about eps |u| / h^3, meets its truncation, h^4
+PDE_STEP = 3e-3
 
 
 @dataclass(frozen=True)
@@ -120,39 +124,59 @@ def ode_residual(sol: ClosedFormSolution, p: Params, domain=(-10.0, 10.0),
 
 
 def pde_residual(sol: ClosedFormSolution, p: Params, domain=(-10.0, 10.0),
-                 n: int = 500, h_fd: float = 1e-3):
+                 n: int = 500):
     """Finite-difference residuals of the coupled system on the traveling pair.
 
     Builds u(x, t) = f(x - ct), v = g(u), replaces d/dt by -c d/xi, and
-    evaluates both equations with 4th-order central differences of step h_fd
-    (first derivatives on 5 points, u_xxx on 7).  Returns (r_u, r_v): the max
-    absolute residual of each equation divided by the largest magnitude its
-    individual terms reach on the grid (floored at 1).  The scaling keeps the
+    evaluates both equations at n grid points with 4th-order central
+    differences (first derivatives on 5 points, u_xxx on 7), sampling the
+    profile 7n times.  The step comes from the wave: h = PDE_STEP * s, with
+    s = (max f - min f) / max |f'| over the grid (the analytic f'), the
+    wave's length scale, so h scales with the wave under f -> lambda f + a.
+    Where the samples measure no length (a rise within their rounding, as
+    for constant samples, or slopes all 0) s is the domain's length, and
+    it is never longer.  Returns (r_u, r_v, h): the max absolute residual
+    of each equation divided by the largest magnitude its individual terms
+    reach on the grid (floored at 1), and the step.  The scaling keeps the
     defect meaningful for tall, narrow pulses whose raw third-derivative
-    terms are orders of magnitude above 1.
+    terms are orders of magnitude above 1.  Raises ValueError when n < 2 or
+    when 8 h^3, the u_xxx stencil's divisor, is not a normal double.
     """
-    if h_fd <= 0:
-        raise ValueError("h_fd must be positive")
-    if n < 2 or (domain[1] - domain[0]) <= 6 * h_fd:
-        raise ValueError("domain too small for the stencils")
+    if n < 2:
+        raise ValueError("need n >= 2")
+    xi = np.linspace(domain[0], domain[1], n)
+    f, fp = sol.profile(xi)
+    span = float(domain[1] - domain[0])
+    rise, slope = float(np.max(f) - np.min(f)), float(np.max(np.abs(fp)))
+    # the rounding of the samples: of f, and of f' times that of xi
+    noise = 1e-12 * (float(np.max(np.abs(f))) + slope * max(abs(domain[0]), abs(domain[1])))
+    h = PDE_STEP * (min(span, rise / slope) if rise > noise and slope > 0.0 else span)
+    return (*_pde_defects(sol, p, xi, f, h), h)
+
+
+def _pde_defects(sol: ClosedFormSolution, p: Params, xi, u0, h: float):
+    """pde_residual's (r_u, r_v) at the points xi, where f is u0, with the
+    step h."""
+    h3 = 8.0 * h * h * h
+    if not sys.float_info.min <= h3 < math.inf:
+        raise ValueError(f"domain too {'small' if h3 < 1.0 else 'wide'} for the stencils")
     pf = p.as_floats()
     c, d1 = pf.c, pf.d1
-    xi = np.linspace(domain[0], domain[1], n)
-    offs = np.arange(-3, 4) * h_fd
-    grid = xi[:, None] + offs[None, :]
-    u = sol.profile(grid.ravel())[0].reshape(grid.shape)
+    offs = np.array([-3, -2, -1, 1, 2, 3]) * h
+    sides = sol.profile((xi[:, None] + offs).ravel())[0].reshape(len(xi), 6)
+    u = np.insert(sides, 3, u0, axis=1)  # columns xi - 3h, ..., xi + 3h
     v = g_from_f(u, c, d1)
 
     def d1_4th(a):  # 4th-order first derivative, 5-point
-        return (a[:, 1] - 8 * a[:, 2] + 8 * a[:, 4] - a[:, 5]) / (12 * h_fd)
+        return (a[:, 1] - 8 * a[:, 2] + 8 * a[:, 4] - a[:, 5]) / (12 * h)
 
     def d3_4th(a):  # 4th-order third derivative, 7-point
         return (
             a[:, 0] - 8 * a[:, 1] + 13 * a[:, 2]
             - 13 * a[:, 4] + 8 * a[:, 5] - a[:, 6]
-        ) / (8 * h_fd ** 3)
+        ) / h3
 
-    u0, v0 = u[:, 3], v[:, 3]
+    v0 = v[:, 3]
     ux, vx, uxxx = d1_4th(u), d1_4th(v), d3_4th(u)
     # u_t = (3/2) u u_x + v_x   and   v_t = -(1/4) u_xxx + v u_x + (1/2) u v_x
     terms_u = (-c * ux, 1.5 * u0 * ux, vx)

@@ -104,9 +104,9 @@ def test_criterion_04_pde_residuals_all_presets():
         sol, params = kb.build_preset(name)
         T = sol.period
         domain = (sol.xi0, sol.xi0 + T) if T is not None else (-10.0, 10.0)
-        r_u, r_v = kb.pde_residual(sol, params, domain=domain, n=400, h_fd=1e-3)
+        r_u, r_v, _ = kb.pde_residual(sol, params, domain=domain, n=400)
         assert max(r_u, r_v) < 1e-6, f"{name}: ({r_u:.3e}, {r_v:.3e})"
-    _report(4, "coupled-system residuals < 1e-6 at h_fd=1e-3 for all presets")
+    _report(4, "coupled-system residuals < 1e-6 for all presets, step from the wave")
 
 
 def test_criterion_05_oracle_equivalence():

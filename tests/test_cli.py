@@ -148,15 +148,27 @@ class TestClassify:
     @pytest.mark.parametrize("verb", [["classify"], ["solve", "--n", "3"]])
     def test_coefficient_beyond_float_refused(self, capsys, verb):
         """c = 1e200 puts 4 (d1 - c^2) beyond the largest float: the error
-        names it and the params (numpy's "Array must not contain infs or
-        NaNs" before)."""
+        names it and the params, each as its double (numpy's "Array must not
+        contain infs or NaNs" before, then the repr of the exact params)."""
         code = main([*verb, "--params", "1e200,0,0,0"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        params = Params(Fraction(10 ** 200), Fraction(0), Fraction(0), Fraction(0))
         assert captured.err == ("error: coefficient 4 (d1 - c^2) of F does not fit a float: "
-                                f"{params}\n")
+                                "c=1e+200, d1=0, d2=0, d3=0\n")
+
+    def test_params_in_an_error_line_take_a_double_each(self, capsys):
+        """However many digits an exact param has, the line that names the
+        params writes each as its shortest double (a 341-character line
+        spelled out all 201 digits of c before)."""
+        from kbwave.quartic import roots_of_F
+
+        assert len(f"error: {refusal(['classify', '--params', '1e200,0,0,0'], capsys)}\n") < 120
+        for c, text in ((Fraction(-10 ** 200, 3), "-3.3333333333333334e+199"),
+                        (Fraction(10 ** 400), "inf")):
+            with pytest.raises(ValueError) as err:
+                roots_of_F(Params(c, Fraction(1, 3), Fraction(0), Fraction(-7, 4)))
+            assert str(err.value).endswith(f": c={text}, d1=0.3333333333333333, d2=0, d3=-1.75")
 
 
 def _minus_F(zeros, pairs):
@@ -345,22 +357,11 @@ class TestSolve:
             ["solve", "--kind", "case1-cn", "--roots", "1,1,3"], capsys)
 
     def test_constant_records_requested_branch(self, tmp_path):
-        out = tmp_path / "c.json"
+        out = tmp_path / "c.csv"
         assert main(["solve", "--kind", "case1-dn", "--roots", "1,1,3", "--branch", "lower",
-                     "--format", "json", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["branch"] == "lower"
-        assert {row["f"] for row in doc["profile"]} == {1.0}
-
-    def test_json_format(self, tmp_path):
-        out = tmp_path / "prof.json"
-        code = main(["solve", "--preset", "fig-case2f-k1", "--format", "json",
-                     "--out", str(out)])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == 1
-        row0 = min(doc["profile"], key=lambda r: abs(r["xi"]))
-        assert row0["f"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+                     "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "c.json").read_text())["branch"] == "lower"
+        assert {row[1] for row in read_csv(out)[1]} == {1.0}
 
 
 # every --kind with valid --roots, and the kind its sidecar reports
@@ -451,18 +452,17 @@ class TestKindChoices:
         """FourSimple builds general-sn2 from the start --initial-index names."""
         from kbwave.solutions import general_sn2
 
-        args = ["solve", "--params", "2,-25/16,-25/8,-39/32", "--n", "3", "--format", "json"]
+        args = ["solve", "--params", "2,-25/16,-25/8,-39/32", "--n", "3"]
         rows = {}
         for index in (1, 3):
-            out = tmp_path / f"{index}.json"
+            out = tmp_path / f"{index}.csv"
             assert main([*args, "--initial-index", str(index), "--out", str(out)]) == 0
-            doc = json.loads(out.read_text())
+            doc = json.loads((tmp_path / f"{index}.json").read_text())
             zeros = [v for v, _ in doc["roots"]]
             assert zeros == [-3.0, -2.866025403784439, -1.1339745962155612, -1.0]
             want = general_sn2(zeros, initial_index=index)
-            rows[index] = [r["f"] for r in doc["profile"]]
-            assert rows[index] == want.profile(np.array([r["xi"] for r in doc["profile"]]))[
-                0].tolist()
+            xi, rows[index] = np.array(read_csv(out)[1])[:, :2].T.tolist()
+            assert rows[index] == want.profile(np.array(xi))[0].tolist()
         assert rows[1] != rows[3]
 
     def test_auto_two_simple_only(self, capsys):
@@ -503,6 +503,51 @@ class TestVerifyVerb:
         err = capsys.readouterr().err
         assert err.startswith("PDE residual gate FAILED: ") and err.count("\n") == 1
         assert json.loads(out.read_text())["pde_residual"]["passed"] is False
+
+    # waves far from unit size: the PDE gate read 4.1e-5, 8.4e-6, 1.0e-5 and
+    # 1.0e-4 with a fixed step of 1e-3
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "solitary_triple", "--roots=100,0"],
+        ["--kind", "solitary_triple", "--roots=1000,0"],
+        ["--kind", "case1-cn", "--roots", "100,200,300"],
+        ["--kind", "general-sn2", "--roots", "0,30,100,170"],
+    ])
+    def test_large_waves_pass(self, flags, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["verify", *flags, "--n", "501", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pde_residual"]["passed"] is True
+
+    @pytest.mark.parametrize("flags", [
+        ["--preset", "fig-case2bc-k1"],
+        ["--kind", "case1-cn", "--roots", "100,200,300", "--n", "120", "--domain=0,0.5"],
+    ])
+    def test_report_gives_the_step_used(self, flags, tmp_path):
+        from kbwave.verify import pde_residual
+
+        opts = cli._options("verify", cli._parser().parse_args(["verify", *flags]))
+        sol, params = cli._construct(opts)
+        domain = cli._solution_domain(sol, opts["domain"])
+        r_u, r_v, h = pde_residual(sol, params, domain=domain, n=min(opts["n"], 500))
+        out = tmp_path / "rep.json"
+        assert main(["verify", *flags, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pde_residual"] == {
+            "r_u": r_u, "r_v": r_v, "h_fd": h, "passed": True}
+        assert h > 0 and h != 1e-3
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_few_samples_pass(self, preset, n, capsys):
+        """Samples too few to show the wave's length (equal values up to
+        rounding, or a pulse seen only at its peak and tails) take the
+        domain's length as the wave's: the step 1e-3 passed these too."""
+        assert main(["verify", "--preset", preset, "--n", n]) == 0
+        assert json.loads(capsys.readouterr().out)["pde_residual"]["passed"] is True
+
+    def test_step_is_no_option(self, tmp_path, capsys):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"preset": "fig-case1a", "h_fd": 1e-3}))
+        assert refusal(["verify", "--config", str(cfg)], capsys) == (
+            f"config {cfg}: no verb takes 'h_fd' from a config")
 
     def test_too_few_samples_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -808,9 +853,7 @@ class TestOptionTable:
         "xi0": (0.5, "1.5"),
         "domain": ([0, 1], "2,3"),
         "n": (11, "12"),
-        "format": ("json", "csv"),
         "out": ("a.txt", "b.txt"),
-        "h_fd": (1e-2, "1e-4"),
         "f0": (0.5, "-2"),
         "sign": (-1, "1"),
         "length": (3, "4"),
@@ -865,6 +908,10 @@ class TestOptionTable:
         # not an abbreviation of --n-grid: flags are spelled in full
         ["evolve", "--preset", "fig-case1a", "--n", "64"],
         ["evolve", "--preset", "fig-case1a", "--format", "json"],
+        # verify takes its finite-difference step from the wave, and solve
+        # writes CSV only
+        ["verify", "--preset", "fig-case1a", "--h-fd", "1e-3"],
+        ["solve", "--preset", "fig-case1a", "--format", "json"],
     ])
     def test_flags_no_verb_reads_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exit:
@@ -887,7 +934,7 @@ class TestOptionTable:
         """One job file serves solve, verify and evolve: evolve's T is no
         option of solve, which ignores it."""
         cfg = tmp_path / "job.json"
-        cfg.write_text(json.dumps({"preset": "fig-case1a", "n": 5, "T": 0.05, "h_fd": 1e-2}))
+        cfg.write_text(json.dumps({"preset": "fig-case1a", "n": 5, "T": 0.05}))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
         assert len(read_csv(tmp_path / "a.csv")[1]) == 5
 
@@ -927,9 +974,9 @@ class TestParserReuse:
         ["oracle", "--params", P, "--f0", "-2.9", "--sign", "-1", "--length", "0.01", "--h", "1e-3"],
         ["classify", "--params", P],
         ["oracle", "--params", P, "--f0", "-2.9", "--length", "0.01"],
-        ["solve", "--preset", "fig-case1a", "--n", "5", "--format", "json"],
+        ["solve", "--preset", "fig-case1a", "--n", "5", "--xi0", "0.5"],
         ["solve", "--kind", "case2-dn", "--roots", "1,2,3", "--n", "5"],
-        ["verify", "--preset", "fig-case1a", "--n", "50", "--h-fd", "1e-2"],
+        ["verify", "--preset", "fig-case1a", "--n", "50", "--domain=-5,5"],
         ["reduce", "--ell", "3"],
     )
 
@@ -1080,6 +1127,14 @@ class TestRefusals:
                                        "the params of these --roots do not fit a float"),
         "classify-disagree": (["classify", "--params", P, "--roots=-3,-2,-2,-0.9"],
                               "params and roots disagree (c: roots give 79/40, params say 2)"),
+        # distinct zeros the floats cannot tell apart ("root values must be
+        # strictly increasing" before)
+        "classify-roots-one-double": (["classify", "--roots", "0.1,0.10000000000000000001,1,2"],
+                                      "--roots 0.1 and 0.10000000000000000001 are distinct but "
+                                      "round to the same double, 0.10000000000000001"),
+        "solve-roots-one-double": (["solve", "--roots", "1,2,1/3,0.3333333333333333333"],
+                                   "--roots 1/3 and 0.3333333333333333333 are distinct but "
+                                   "round to the same double, 0.33333333333333331"),
         "classify-two-roots": (["classify", "--params", P, "--roots", "5,6"],
                                "four zeros give the params: --roots needs 4 values here, got 2"),
         "oracle-three-roots": (["oracle", "--roots=-3,-2,-1", "--f0", "-2.9"],

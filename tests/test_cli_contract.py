@@ -168,13 +168,12 @@ FIELDS = {
     "sign": st.sampled_from((-1, 1, 0, 2, "1")) | NUMBER.map(_json_number),
     "length": NUMBER.map(_json_number),
     "h": NUMBER.map(_json_number),
-    "h_fd": NUMBER.map(_json_number),
 }
 # a --config object: each key one of its values
 CONFIG = st.fixed_dictionaries({}, optional=FIELDS)
 # a wave the verbs can build, with one to three drawn keys over it, now and
-# then a key that no verb reads
-FIELD = st.sampled_from([*FIELDS, "n_gird"]).flatmap(
+# then a key that no verb reads (verify's step comes from the wave)
+FIELD = st.sampled_from([*FIELDS, "n_gird", "h_fd"]).flatmap(
     lambda k: FIELDS.get(k, st.just(64)).map(lambda v: (k, v)))
 JOB = st.builds(lambda wave, fields: {**wave, **dict(fields)},
                 st.sampled_from(({"preset": "fig-case1a"}, {"params": FIXTURE})),

@@ -23,6 +23,7 @@ from kbwave.hierarchy import (
     reduce_vanishing,
 )
 from kbwave.quartic import Params
+from kbwave.reduction import g_from_f
 
 F = Fraction
 _RATIONAL = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4))
@@ -143,6 +144,25 @@ class TestConstants:
         *_, stack = hierarchy._stacks(2, (d1, -d2, d3))
         got = tuple(stack.P.coeff_f(i)(0, c) for i in range(4, -1, -1))
         assert got == Params(c, d1, d2, d3).coefficients()
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.tuples(_RATIONAL, _RATIONAL, _RATIONAL, _RATIONAL))
+    def test_first_integral_implies_the_system(self, values):
+        """u = f(x - ct), v = g(f) solve u_t = (3/2) u u_x + v_x and v_t =
+        -(1/4) u_xxx + v u_x + (1/2) u v_x whenever f'^2 = F(f): with
+        f'' = F'(f)/2 and f''' = F''(f) f'/2, the two equations over f' are
+        the identities g' = -c - 3f/2 and -c g' = -F''/8 + g + f g'/2,
+        checked here exactly on the ell = 2 stack (g = p_2, F = P_2) with c
+        a variable.  So ``verify.pde_residual``'s sampled gate referees the
+        code, not the algebra; and p_2 is ``reduction.g_from_f``."""
+        c0, d1, d2, d3 = values
+        stack = hierarchy._reduction(2, (d1, d2, d3))
+        f, g = stack.fields
+        c = FPoly({(0, 1): 1})
+        g1 = g.deriv_f()
+        assert g1 == FPoly({(0, 1): -1, (1, 0): F(-3, 2)})
+        assert -(c * g1) == F(-1, 8) * stack.P.deriv_f().deriv_f() + g + F(1, 2) * (f * g1)
+        assert g(F(-7, 3), c0) == g_from_f(F(-7, 3), c0, d1)
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(st.lists(_RATIONAL, max_size=8))

@@ -232,20 +232,22 @@ class TestZerosTooLarge:
 
 
 class TestCoefficientsTooLarge:
-    @pytest.mark.parametrize("params, name", [
-        (Params(1e200, 0.0, 0.0, 0.0), "4 (d1 - c^2)"),
-        (Params(0.0, 0.0, 1e308, 0.0), "8 d2"),
-        (Params(0.0, 0.0, 0.0, -1e308), "8 d3"),
-        (Params(Fraction(10**400), Fraction(0), Fraction(0), Fraction(0)), "-4 c"),
+    @pytest.mark.parametrize("params, name, text", [
+        (Params(1e200, 0.0, 0.0, 0.0), "4 (d1 - c^2)", "c=1e+200, d1=0, d2=0, d3=0"),
+        (Params(0.0, 0.0, 1e308, 0.0), "8 d2", "c=0, d1=0, d2=1e+308, d3=0"),
+        (Params(0.0, 0.0, 0.0, -1e308), "8 d3", "c=0, d1=0, d2=0, d3=-1e+308"),
+        (Params(Fraction(10**400), Fraction(0), Fraction(0), Fraction(0)), "-4 c",
+         "c=inf, d1=0, d2=0, d3=0"),
         (Params(Fraction(1, 3), Fraction(10**310, 7), Fraction(0), Fraction(0)),
-         "4 (d1 - c^2)"),
-        (Params(0, 0, 0, Fraction(-10**400, 3)), "8 d3"),
-        (Params(Fraction(10**400), 0.0, 0.0, 0.0), "-4 c"),
+         "4 (d1 - c^2)", "c=0.3333333333333333, d1=inf, d2=0, d3=0"),
+        (Params(0, 0, 0, Fraction(-10**400, 3)), "8 d3", "c=0, d1=0, d2=0, d3=-inf"),
+        (Params(Fraction(10**400), 0.0, 0.0, 0.0), "-4 c", "c=inf, d1=0, d2=0, d3=0"),
     ], ids=["float-c", "float-d2", "float-d3", "fraction-c", "fraction-d1", "int-d3", "mixed"])
-    def test_refused_before_the_eigensolve(self, params, name):
+    def test_refused_before_the_eigensolve(self, params, name, text):
         """A coefficient of F beyond the largest float is named with the
-        params, instead of a LAPACK or OverflowError message."""
-        msg = f"coefficient {name} of F does not fit a float: {params}"
+        params, each as its shortest double (an infinity past the largest),
+        instead of a LAPACK or OverflowError message."""
+        msg = f"coefficient {name} of F does not fit a float: {text}"
         with pytest.raises(ValueError) as err:
             roots_of_F(params)
         assert str(err.value) == msg
@@ -381,7 +383,7 @@ class TestExactTaxonomy:
         try:
             rm = roots_of_F(p)
         except ValueError as err:
-            assert str(err).endswith(f"where F has {signature}: {p}")
+            assert str(err).endswith(f"where F has {signature}: {quartic._params_text(p)}")
         else:
             assert classify(rm) is tag
 
@@ -873,7 +875,7 @@ def _assert_eigensolve_reference(p, signature):
         try:
             rm = roots_of_F(p)
         except ValueError as err:
-            assert (str(err).endswith(f"where F has {signature}: {p}")
+            assert (str(err).endswith(f"where F has {signature}: {quartic._params_text(p)}")
                     or re.search("fails multiplicity-1 check|are too large", str(err))), err
         else:
             assert rm.multiplicities() == signature

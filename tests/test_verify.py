@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kbwave import verify
-from kbwave.errors import BlowUp, InvalidConfiguration
-from kbwave.presets import build_preset
+from kbwave.cli import PDE_RTOL, _solution_domain
+from kbwave.errors import BlowUp, InvalidConfiguration, KBWaveError
+from kbwave.presets import KINDS, build_preset
 from kbwave.quartic import (
     Params,
     RootMultiset,
@@ -82,23 +83,85 @@ class TestOdeResidual:
 class TestPdeResidual:
     def test_case1a(self):
         sol = solitary_double(-3, -2, -1, branch="upper")
-        r_u, r_v = pde_residual(sol, P_CASE1A, (-10, 10), 400, 1e-3)
+        r_u, r_v, _ = pde_residual(sol, P_CASE1A, (-10, 10), 400)
         assert r_u < 1e-6 and r_v < 1e-6
 
     def test_constant_pair(self):
+        """Constant samples give no length scale: the step is the domain's."""
         sol = limiting_form("d", (-3.0, -3.0, -1.0))
-        r_u, r_v = pde_residual(sol, sol.params, (-5, 5), 100, 1e-3)
+        r_u, r_v, h = pde_residual(sol, sol.params, (-5, 5), 100)
         assert r_u < 1e-14 and r_v < 1e-14
+        assert h == verify.PDE_STEP * 10
 
     def test_case2bc_pair(self):
         sol = case2("dn", 8 - 2 * S14, 1.0, 8 + 2 * S14)
-        r_u, r_v = pde_residual(sol, sol.params, (-10, 10), 400, 1e-3)
+        r_u, r_v, _ = pde_residual(sol, sol.params, (-10, 10), 400)
         assert r_u < 1e-6 and r_v < 1e-6
 
     def test_domain_large_enough_for_stencils(self):
+        """The u_xxx stencil divides by 8 h^3, which must be a normal double:
+        a domain too narrow, or one so wide that its constant samples take
+        a step whose cube overflows, is refused."""
         sol = solitary_double(-3, -2, -1)
-        with pytest.raises(ValueError, match="domain too small"):
-            pde_residual(sol, P_CASE1A, (-1e-3, 1e-3), 10, 1e-3)
+        with pytest.raises(ValueError, match="domain too small for the stencils"):
+            pde_residual(sol, P_CASE1A, (0.0, 1e-110), 10)
+        with pytest.raises(ValueError, match="domain too wide for the stencils"):
+            pde_residual(sol, P_CASE1A, (1e200, 1e300), 10)
+
+    def test_step_is_at_most_the_domains_share(self):
+        """Samples that see a pulse only at its peak and far tails take the
+        domain's length, not the ratio of their rise to the tails' slope,
+        whose step here would be refused as too wide."""
+        sol = solitary_double(-3, -2, -1)
+        r_u, r_v, h = pde_residual(sol, P_CASE1A, (-700.0, 700.0), 3)
+        assert h == verify.PDE_STEP * 1400.0
+        assert max(r_u, r_v) < 1e-6
+
+    def test_step_scales_with_the_wave(self):
+        """The image f -> lambda f(lambda xi) + a of a wave on the image of
+        its window takes the step h / lambda and the same verdict."""
+        sol = solitary_double(-3, -2, -1)
+        r_u, r_v, h = pde_residual(sol, P_CASE1A, (-10, 10), 500)
+        image = solitary_double(-250, -150, -50)  # lambda = 100, a = 50
+        r_u2, r_v2, h2 = pde_residual(image, image.params, (-0.1, 0.1), 500)
+        assert h == pytest.approx(0.006, rel=1e-3)
+        assert h2 == pytest.approx(h / 100, rel=1e-12)
+        assert max(r_u, r_v, r_u2, r_v2) < 1e-8
+
+
+def _fixed_step_passes(sol, domain, n=500):
+    """The PDE gate's verdict with the fixed step 1e-3, which it took until
+    the step came from the wave: refused on a domain of 6e-3 or less."""
+    if domain[1] - domain[0] <= 6e-3:
+        return False
+    xi = np.linspace(domain[0], domain[1], n)
+    return max(verify._pde_defects(sol, sol.params, xi, sol.profile(xi)[0], 1e-3)) < PDE_RTOL
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(sorted(KINDS)),
+       base=st.lists(st.floats(-3, 3), min_size=4, max_size=4, unique=True),
+       sign=st.sampled_from((-1.0, 1.0)), exponent=st.floats(-2, 3),
+       shift=st.just(0.0) | st.floats(-10, 10))
+def test_derived_step_keeps_every_pass_of_the_fixed_step(kind, base, sign, exponent, shift):
+    """Over the affine images lambda z + a of each family's zeros, with
+    |lambda| from 1e-2 to 1e3 and |a| <= 10 |lambda|, no correct wave that
+    passes the PDE gate with the fixed step 1e-3 fails it with the step
+    measured from the wave (a seeded sweep of 771 waves: 285 failed with the
+    fixed step, 5 with the derived one)."""
+    lam = sign * 10.0 ** exponent
+    row = KINDS[kind]
+    zeros = [lam * z + shift * abs(lam) for z in base[:len(row.zeros.split(","))]]
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = row.build(zeros, row.options.get("branch"), 0.0,
+                            row.options.get("initial_index"))
+    except (KBWaveError, ValueError, FloatingPointError):
+        return
+    domain = _solution_domain(sol, None)
+    r_u, r_v, _ = pde_residual(sol, sol.params, domain, 500)
+    if _fixed_step_passes(sol, domain):
+        assert max(r_u, r_v) < PDE_RTOL, (kind, zeros, r_u, r_v)
 
 
 class TestOracle:
