@@ -24,11 +24,11 @@ classify benchmark's inputs every zero is certified and correctly rounded
 (the eigensolve gave 76 of 800 correctly rounded, the worst 281 ulps off).
 Where the certificate fails (a pair closer than about 1e-8 of the zeros'
 spread, or zeros of very different sizes: about a quarter of a harsh random
-sweep), they are the eigenvalues of F's companion matrix (the matrix and the
-eigensolve of ``numpy.roots``) within a tolerance of the real axis, taken
-as they are: the signature says how many there are, so no grouping is
-needed.  The matrix holds the exact coefficients each rounded once, from
-one integer numerator over one integer denominator.  Float constants take
+sweep), they are the roots ``numpy.roots`` gives, the eigenvalues of F's
+companion matrix, within a tolerance of the real axis, taken as they are:
+the signature says how many there are, so no grouping is needed.  The
+eigensolve takes the exact coefficients each rounded once, from one
+integer numerator over one integer denominator.  Float constants take
 the same eigensolve, and their eigenvalues are grouped into multiple zeros
 within a fixed tolerance, so two zeros closer than their rounding can tell
 apart merge.  The command line reads ``--params`` and ``--roots`` exactly,
@@ -45,7 +45,6 @@ exponential approach to a double, an algebraic one to a triple.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,7 +53,6 @@ from numbers import Rational
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "Params",
@@ -740,44 +738,13 @@ def _exact_zeros(p):
     return (2, 1, 1), [(double, 2), (lo, 1), (hi, 1)]
 
 
-def _nonconvergence(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
-
-
-@functools.lru_cache(maxsize=4)
-def _subdiagonal(n):
-    """``np.eye(n, k=-1)``, read-only: the companion matrix copies it."""
-    shift = np.eye(n, k=-1)
-    shift.flags.writeable = False
-    return shift
-
-
 def _companion_roots(coeffs):
     """The complex roots of the polynomial with ``coeffs`` (highest degree
-    first, the first nonzero) exactly as ``numpy.roots`` gives them: the
+    first, the first nonzero), as ``numpy.roots`` gives them: the
     eigenvalues of the companion matrix of the polynomial without its
     trailing zero coefficients, floats when every one is real, then one
-    zero of the eigenvalues' type per trailing zero.
-
-    The eigenvalues come from the gufunc that ``np.linalg.eigvals`` wraps,
-    under the wrapper's error state, so they are the wrapper's to the bit
-    and a failed eigensolve raises its LinAlgError; the wrapper's checks
-    are left out, since the matrix is real and square, and finite when the
-    coefficients and their ratios to the first are (F's first is -1).
-    """
-    n = len(coeffs)
-    while n > 1 and coeffs[n - 1] == 0:
-        n -= 1
-    if n == 1:  # a monomial: every root is zero
-        return [0.0] * (len(coeffs) - 1)
-    companion = _subdiagonal(n - 1).copy()
-    companion[0] = [-a / coeffs[0] for a in coeffs[1:n]]
-    with np.errstate(call=_nonconvergence, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        roots = _umath_linalg.eigvals(companion, signature="d->D").tolist()
-    if not any(z.imag for z in roots):
-        roots = [z.real for z in roots]
-    return roots + [type(roots[0])(0)] * (len(coeffs) - n)
+    zero per trailing zero."""
+    return np.roots(coeffs).tolist()
 
 
 def scaled_bound(rtol: float, scale: float, power: int) -> float:
@@ -838,16 +805,17 @@ def roots_of_F(p: Params) -> RootMultiset:
     a sign change of F, in integers, between the floats next to it.  Where
     that certificate fails (a pair closer than about 1e-8 of the zeros'
     spread, or zeros of very different sizes; none of the classify
-    benchmark's inputs), the zeros are the eigenvalues of the companion
-    matrix of F's coefficients, each exact one rounded once, within
+    benchmark's inputs), the zeros are ``numpy.roots`` of F's
+    coefficients, each exact one rounded once, within
     1e-7*max(1, |root|) of the real axis, with no grouping, so a pair of
     zeros however close stays two simple zeros.  Each must pass the F check
     below, and when they are not as many as the exact signature says, or
     two coincide, a ValueError naming the params is raised in place of a
-    wrong case tag.
+    wrong case tag.  So is one when two distinct exact zeros round to the
+    same double.
 
-    Float params: the raw roots are the eigenvalues of the companion
-    matrix of F's float coefficients, as ``numpy.roots`` computes them (see
+    Float params: the raw roots are ``numpy.roots`` of F's float
+    coefficients, the eigenvalues of their companion matrix (see
     ``_companion_roots``).  These split an m-fold zero into m roots about
     eps^(1/m) apart (up to 1e-3 relative for a quadruple zero), so roots
     within 1e-2 relative of each other are grouped, and a group of m
@@ -864,6 +832,10 @@ def roots_of_F(p: Params) -> RootMultiset:
     if _rational(p):
         signature, known = _exact_zeros(p)
         if known is not None:
+            for (a, _), (b, _) in zip(known, known[1:]):
+                if a == b:
+                    raise ValueError(f"two distinct zeros of F round to the same double, "
+                                     f"{a!r}: {_params_text(p)}")
             return RootMultiset(tuple(known))
         return _square_free_zeros(p, _float_coefficients(p), signature)
     tol = _CLUSTER_TOL

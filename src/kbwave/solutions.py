@@ -937,7 +937,8 @@ def case2(kind, f1, f2, f3, xi0=0.0) -> ClosedFormSolution:
 def general_sn2(roots, initial_index=1, xi0=0.0) -> ClosedFormSolution:
     """General four-root family f = (a1 + b1 sn^2(beta xi)) / (a2 + b2 sn^2).
 
-    ``roots`` are four distinct finite reals (sorted internally); the branch
+    ``roots`` are four finite reals (sorted internally), each more than
+    1e-12 * max(1, |r|) below the next, r the larger; the branch
     starts at f(xi0) = roots[initial_index - 1] and oscillates across the
     adjacent band, with beta = (1/2) sqrt((f3 - f1)(f4 - f2)) and period
     2 K(k)/beta.
@@ -953,10 +954,13 @@ def general_sn2(roots, initial_index=1, xi0=0.0) -> ClosedFormSolution:
     candidate attached.
     """
     fs = tuple(sorted(_zeros(*roots)))
-    if len(fs) != 4 or any(
-        b_ - a_ <= 1e-12 * max(1.0, abs(b_)) for a_, b_ in zip(fs, fs[1:])
-    ):
-        raise InvalidConfiguration("need four distinct finite roots")
+    if len(fs) != 4:
+        raise InvalidConfiguration(f"need four roots, got {len(fs)}")
+    for a_, b_ in zip(fs, fs[1:]):
+        if b_ - a_ <= 1e-12 * max(1.0, abs(b_)):
+            raise InvalidConfiguration(
+                f"general_sn2 needs zeros more than 1e-12 * max(1, |r|) apart: "
+                f"{a_!r} and {b_!r} are not")
     if initial_index not in (1, 2, 3, 4):
         raise ValueError("initial_index must be 1..4")
     f1, f2, f3, f4 = fs

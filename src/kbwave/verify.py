@@ -131,27 +131,48 @@ def pde_residual(sol: ClosedFormSolution, p: Params, domain=(-10.0, 10.0),
     evaluates both equations at n grid points with 4th-order central
     differences (first derivatives on 5 points, u_xxx on 7), sampling the
     profile 7n times.  The step comes from the wave: h = PDE_STEP * s, with
-    s = (max f - min f) / max |f'| over the grid (the analytic f'), the
-    wave's length scale, so h scales with the wave under f -> lambda f + a.
-    Where the samples measure no length (a rise within their rounding, as
-    for constant samples, or slopes all 0) s is the domain's length, and
-    it is never longer.  Returns (r_u, r_v, h): the max absolute residual
-    of each equation divided by the largest magnitude its individual terms
-    reach on the grid (floored at 1), and the step.  The scaling keeps the
-    defect meaningful for tall, narrow pulses whose raw third-derivative
-    terms are orders of magnitude above 1.  Raises ValueError when n < 2 or
-    when 8 h^3, the u_xxx stencil's divisor, is not a normal double.
+    s the wave's length scale measured on the grid (``_length``), so h
+    scales with the wave under f -> lambda f + a.  The samples of a domain
+    shorter than the wave's own window (one period, or 20 / beta for a
+    pulse of frequency beta, at most 20, about xi0: never longer than the
+    default domain) measure little more than its width, so such a domain
+    measures s on n samples of that window instead.  Where the samples
+    measure no length s is the domain's length.  Returns (r_u, r_v, h): the
+    max absolute residual of each equation divided by the largest
+    magnitude its individual terms reach on the grid (floored at 1), and
+    the step.  The scaling keeps the defect meaningful for tall, narrow
+    pulses whose raw third-derivative terms are orders of magnitude above
+    1.  Raises ValueError when n < 2 or when 8 h^3, the u_xxx stencil's
+    divisor, is not a normal double.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     xi = np.linspace(domain[0], domain[1], n)
     f, fp = sol.profile(xi)
-    span = float(domain[1] - domain[0])
+    lo, hi = float(domain[0]), float(domain[1])
+    T = sol.period
+    half = 0.5 * T if T is not None else 10.0 / max(1.0, abs(sol.beta))
+    # with a margin for rounding: (xi0 + T) - xi0, the default domain's
+    # length, can fall below T
+    if hi - lo + 1e-12 * max(abs(lo), abs(hi), half) < 2.0 * half:
+        own = np.linspace(sol.xi0 - half, sol.xi0 + half, n)
+        s = _length(own, *sol.profile(own))
+    else:
+        s = _length(xi, f, fp)
+    h = PDE_STEP * (hi - lo if s is None else s)
+    return (*_pde_defects(sol, p, xi, f, h), h)
+
+
+def _length(xi, f, fp):
+    """A wave's length scale from its samples f, with slopes fp, at the
+    points xi: (max f - min f) / max |f'|, at most the span of xi; None
+    where the samples measure no length (a rise within their rounding, as
+    for constant samples, or slopes all 0)."""
+    lo, hi = float(xi[0]), float(xi[-1])
     rise, slope = float(np.max(f) - np.min(f)), float(np.max(np.abs(fp)))
     # the rounding of the samples: of f, and of f' times that of xi
-    noise = 1e-12 * (float(np.max(np.abs(f))) + slope * max(abs(domain[0]), abs(domain[1])))
-    h = PDE_STEP * (min(span, rise / slope) if rise > noise and slope > 0.0 else span)
-    return (*_pde_defects(sol, p, xi, f, h), h)
+    noise = 1e-12 * (float(np.max(np.abs(f))) + slope * max(abs(lo), abs(hi)))
+    return min(hi - lo, rise / slope) if rise > noise and slope > 0.0 else None
 
 
 def _pde_defects(sol: ClosedFormSolution, p: Params, xi, u0, h: float):
@@ -561,29 +582,15 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
 
 
 def compare_profiles(a: Profile, b: Profile):
-    """Discrepancy norms (L_inf, rms) between two profiles.
-
-    Grids must match to 1e-12 relative; otherwise b is resampled onto a's
-    grid by cubic interpolation over the overlap.  Disjoint domains raise
-    InvalidConfiguration.
-    """
+    """Discrepancy norms (L_inf, rms) between two profiles on one grid:
+    their grids must match to 1e-12 relative, or InvalidConfiguration is
+    raised, as it is when no sample is finite in both."""
     xa, fa = a.xi, a.f
-    if len(xa) == len(b.xi) and np.allclose(xa, b.xi, rtol=0.0, atol=1e-12 * max(1.0, abs(float(xa[-1])))):
-        fb = b.f
-        mask = np.isfinite(fa) & np.isfinite(fb)
-    else:
-        lo = max(xa[0], b.xi[0])
-        hi = min(xa[-1], b.xi[-1])
-        if not lo < hi:
-            raise InvalidConfiguration("profiles cover disjoint domains")
-        from scipy.interpolate import CubicSpline  # deferred: slow to import
-
-        good = np.isfinite(b.f)
-        spline = CubicSpline(b.xi[good], b.f[good])
-        mask = (xa >= lo) & (xa <= hi) & np.isfinite(fa)
-        fb = np.empty_like(fa)
-        fb[mask] = spline(xa[mask])
-    diff = fa[mask] - fb[mask]
+    if not (len(xa) == len(b.xi) and np.allclose(
+            xa, b.xi, rtol=0.0, atol=1e-12 * max(1.0, abs(float(xa[-1]))))):
+        raise InvalidConfiguration("profiles on different grids")
+    mask = np.isfinite(fa) & np.isfinite(b.f)
+    diff = fa[mask] - b.f[mask]
     if diff.size == 0:
         raise InvalidConfiguration("no comparable samples")
     return float(np.max(np.abs(diff))), float(np.sqrt(np.mean(diff * diff)))

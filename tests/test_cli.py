@@ -543,6 +543,15 @@ class TestVerifyVerb:
         assert main(["verify", "--preset", preset, "--n", n]) == 0
         assert json.loads(capsys.readouterr().out)["pde_residual"]["passed"] is True
 
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_narrow_window_passes(self, preset, capsys):
+        """A window 2e-3 wide about xi0 measures the wave's length on the
+        wave's own window: it read r_v up to 1.0 with the window's length."""
+        sol, _ = cli.build_preset(preset)
+        domain = f"--domain={sol.xi0 - 1e-3!r},{sol.xi0 + 1e-3!r}"
+        assert main(["verify", "--preset", preset, domain]) == 0
+        assert json.loads(capsys.readouterr().out)["pde_residual"]["passed"] is True
+
     def test_step_is_no_option(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"preset": "fig-case1a", "h_fd": 1e-3}))
@@ -949,11 +958,26 @@ def _fresh_process(probe):
     return out.strip().splitlines()[-1]
 
 
-def test_import_leaves_scipy_unloaded():
-    """scipy loads only where it is used (the resampling in compare_profiles),
-    so importing the package and its CLI stays fast."""
-    probe = "import sys, kbwave, kbwave.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    assert _fresh_process(probe) == "[]"
+# the README's command-line script, one argv per line
+README_SCRIPT = (
+    ["classify", "--params", "2,-7/4,-7/2,-3/2"],
+    ["solve", "--preset", "fig-case1a", "--out", "case1a.csv"],
+    ["solve", "--kind", "case2-dn", "--roots", "1,2,3", "--out", "dn.csv"],
+    ["verify", "--preset", "fig-case2bc-k1", "--out", "report.json"],
+    ["oracle", "--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9", "--length", "12",
+     "--out", "orbit.csv"],
+    ["evolve", "--preset", "fig-case1a", "--T", "1", "--out", "evolve.csv"],
+    ["reduce", "--ell", "7", "--out", "reduction.json"],
+    ["figures", "--out", "figures/"],
+)
+
+
+def test_readme_script_runs_without_scipy(tmp_path):
+    """The runtime is numpy and the standard library: with scipy made
+    unimportable, every verb of the README script exits 0."""
+    probe = ("import os, sys; sys.modules['scipy'] = None; from kbwave.cli import main; "
+             f"os.chdir({str(tmp_path)!r}); print([main(argv) for argv in {README_SCRIPT!r}])")
+    assert _fresh_process(probe) == str([0] * len(README_SCRIPT))
 
 
 def test_verify_leaves_numpy_ma_unloaded():
@@ -1135,6 +1159,21 @@ class TestRefusals:
         "solve-roots-one-double": (["solve", "--roots", "1,2,1/3,0.3333333333333333333"],
                                    "--roots 1/3 and 0.3333333333333333333 are distinct but "
                                    "round to the same double, 0.33333333333333331"),
+        # exact zeros 0 (x2) and -2^55 +- 2, the last two one double
+        # ("root values must be strictly increasing" before)
+        "classify-zeros-one-double": (["classify", "--params", "18014398509481984,1,0,0"],
+                                      "two distinct zeros of F round to the same double, "
+                                      "-3.602879701896397e+16: c=1.8014398509481984e+16, d1=1, "
+                                      "d2=0, d3=0"),
+        # four simple zeros to classify, too close for general_sn2 ("need
+        # four distinct finite roots" before)
+        "solve-general-sn2-close-zeros": (["solve", "--kind", "general-sn2", "--roots",
+                                           "1e-20,2e-20,1,2"],
+                                          "general_sn2 needs zeros more than 1e-12 * max(1, |r|) "
+                                          "apart: 1e-20 and 2e-20 are not"),
+        "solve-auto-close-zeros": (["solve", "--kind", "auto", "--roots", "1e-20,2e-20,1,2"],
+                                   "general_sn2 needs zeros more than 1e-12 * max(1, |r|) "
+                                   "apart: 1e-20 and 2e-20 are not"),
         "classify-two-roots": (["classify", "--params", P, "--roots", "5,6"],
                                "four zeros give the params: --roots needs 4 values here, got 2"),
         "oracle-three-roots": (["oracle", "--roots=-3,-2,-1", "--f0", "-2.9"],

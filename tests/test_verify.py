@@ -100,13 +100,43 @@ class TestPdeResidual:
 
     def test_domain_large_enough_for_stencils(self):
         """The u_xxx stencil divides by 8 h^3, which must be a normal double:
-        a domain too narrow, or one so wide that its constant samples take
-        a step whose cube overflows, is refused."""
-        sol = solitary_double(-3, -2, -1)
+        constant samples take the domain's length, so a domain too narrow,
+        or one so wide that a step from its constant samples has a cube
+        that overflows, is refused.  A wave on the narrow domain measures
+        its step on its own window, and passes."""
+        constant = limiting_form("d", (-3.0, -3.0, -1.0))
         with pytest.raises(ValueError, match="domain too small for the stencils"):
-            pde_residual(sol, P_CASE1A, (0.0, 1e-110), 10)
+            pde_residual(constant, constant.params, (0.0, 1e-110), 10)
+        sol = solitary_double(-3, -2, -1)
         with pytest.raises(ValueError, match="domain too wide for the stencils"):
             pde_residual(sol, P_CASE1A, (1e200, 1e300), 10)
+        r_u, r_v, h = pde_residual(sol, P_CASE1A, (0.0, 1e-110), 10)
+        assert max(r_u, r_v) < PDE_RTOL and h > 1e-3
+
+    def test_narrow_domain_takes_the_step_of_the_wave_s_window(self):
+        """A domain much narrower than the wave measures its own width, and
+        took a step in the rounding (r_v = 1 on [-1e-3, 1e-3]); it takes the
+        step that samples of the wave's window give: one period, or 20 for
+        this pulse."""
+        sol = solitary_double(-3, -2, -1)
+        r_u, r_v, h = pde_residual(sol, P_CASE1A, (-1e-3, 1e-3), 500)
+        assert h == pde_residual(sol, P_CASE1A, (-10.0, 10.0), 500)[2]
+        assert max(r_u, r_v) < PDE_RTOL
+        periodic, params = build_preset("fig-case2a")
+        own = (-0.5 * periodic.period, 0.5 * periodic.period)
+        r_u, r_v, h = pde_residual(periodic, params, (1.0, 1.002), 500)
+        assert h == pde_residual(periodic, params, own, 500)[2]
+        assert max(r_u, r_v) < PDE_RTOL
+
+    def test_one_period_keeps_the_domain_s_step(self):
+        """The default domain (xi0, xi0 + T) keeps the step its own samples
+        give, also where its length rounds below T."""
+        sol, params = build_preset("fig-case2a", 1000.0)
+        domain = _solution_domain(sol, None)
+        assert domain[1] - domain[0] < sol.period
+        xi = np.linspace(*domain, 500)
+        _, _, h = pde_residual(sol, params, domain, 500)
+        assert h == verify.PDE_STEP * verify._length(xi, *sol.profile(xi))
 
     def test_step_is_at_most_the_domains_share(self):
         """Samples that see a pulse only at its peak and far tails take the
@@ -654,17 +684,20 @@ class TestCompareProfiles:
         assert linf <= 1.05 * h * np.max(np.abs(fp))
 
     def test_resampling_path(self):
+        """Profiles are compared on one grid and never resampled: a finer
+        grid, a shifted one or a wider one is refused, however much the
+        domains overlap."""
         xi_a = np.linspace(0, 2 * np.pi, 201)
-        xi_b = np.linspace(-1, 2 * np.pi + 1, 517)
         a = Profile(xi=xi_a, f=np.sin(xi_a))
-        b = Profile(xi=xi_b, f=np.sin(xi_b))
-        linf, rms = compare_profiles(a, b)
-        assert linf < 1e-7 and rms <= linf
+        for xi in (np.linspace(0, 2 * np.pi, 401), xi_a + 0.01,
+                   np.linspace(-1, 2 * np.pi + 1, 517)):
+            with pytest.raises(InvalidConfiguration, match="different grids"):
+                compare_profiles(a, Profile(xi=xi, f=np.sin(xi)))
 
     def test_disjoint_domains(self):
         a = Profile(xi=np.linspace(0, 1, 11), f=np.zeros(11))
         b = Profile(xi=np.linspace(5, 6, 11), f=np.zeros(11))
-        with pytest.raises(InvalidConfiguration):
+        with pytest.raises(InvalidConfiguration, match="different grids"):
             compare_profiles(a, b)
 
 
