@@ -63,13 +63,13 @@ from .quartic import (
     Params,
     RootMultiset,
     classify,
+    cofactor_discriminant,
     existence,
     params_from_roots,
-    quadratic_cofactor,
     roots_of_F,
 )
 from .solutions import ClosedFormSolution, discrepancy_report
-from .verify import build_profile, ode_residual, oracle_integrate, pde_residual
+from .verify import build_profile, default_domain, ode_residual, oracle_integrate, pde_residual
 from .hierarchy import conjecture_report
 
 CSV_HEADER = "xi,f,f_prime,g"
@@ -242,8 +242,8 @@ OPTIONS = (
            choices=("upper", "lower")),
     Option("xi0", float, 0.0, "reference point of the wave", _WAVE),
     Option("domain", _floats, None,
-           "a,b evaluation window (default: one period from xi0, or xi0 -+ 10 for a pulse)",
-           ("solve", "verify")),
+           "a,b evaluation window (default: the wave's window from xi0: one period, or "
+           "-+ 10/max(1, |beta|) for a pulse of frequency beta)", ("solve", "verify")),
     Option("n", _whole, 2001, "sample count", ("solve", "verify", "figures")),
     Option("out", _path, None, "output path (stdout when omitted)",
            ("classify", "solve", "verify", "oracle", "reduce")),
@@ -623,8 +623,8 @@ def _sidecar(sol: ClosedFormSolution, params: Params, residual, **extra) -> dict
 
 
 def _solution_domain(sol, domain):
-    """The window ``domain`` (a,b), checked, or by default one period from
-    xi0, or xi0 -+ 10 for a pulse."""
+    """The window ``domain`` (a,b), checked, or by default the wave's window
+    about xi0 (``verify.default_domain``)."""
     if domain:
         if len(domain) != 2 or not domain[0] < domain[1]:
             raise ValueError("--domain needs a,b with a < b")
@@ -632,10 +632,7 @@ def _solution_domain(sol, domain):
             raise ValueError(f"--domain {domain[0]:g},{domain[1]:g} is too wide for a wave of "
                              f"frequency {sol.beta:g}: its phase does not fit a float")
         return tuple(domain)
-    T = sol.period
-    if T is not None:
-        return (sol.xi0, sol.xi0 + T)
-    return (sol.xi0 - 10.0, sol.xi0 + 10.0)
+    return default_domain(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +655,7 @@ def cmd_classify(opts) -> int:
     ]
     if rm.total() == 2:
         # the double zero, or the two simple zeros
-        _, _, disc = quadratic_cofactor(params, *rm.values())
+        disc = cofactor_discriminant(params, rm)
         lines.append(f"cofactor: complex-pair quadratic, discriminant {_fmt(disc)}")
     _emit(opts["out"], "\n".join(lines) + "\n")
     return 0
@@ -682,7 +679,14 @@ def cmd_solve(opts) -> int:
     sol, params = _construct(opts)
     n = _sample_count(opts["n"])
     domain = _solution_domain(sol, opts["domain"])
-    profile = build_profile(sol, params, domain, n)
+    try:
+        profile = build_profile(sol, params, domain, n)
+    except ValueError:  # Profile's check: the grid is not uniform
+        if opts["domain"]:
+            raise
+        raise ValueError(f"--xi0 {sol.xi0:g} is too far out for a uniform grid of {n} points over "
+                         f"the wave's window: the doubles there are "
+                         f"{np.spacing(max(map(abs, domain))):.3g} apart") from None
     res = profile.residual(params)
     gate = sol.residual_bound
     out = opts["out"]

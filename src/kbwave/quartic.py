@@ -12,27 +12,11 @@ rational), and classifies the configuration into the case taxonomy that
 drives the solution constructors.
 
 For rational constants (int or Fraction) the multiplicities of the real
-zeros are exact: the signs of integer invariants of F (its discriminant and
-three more) give them with no tolerance, and a multiple zero, and every
-zero when F has one, or no real zero, comes in closed form with no float
-work at all.  When F is square-free with real zeros, they come in closed
-form too: Ferrari's factoring of the depressed quartic in floats, polished
-by Newton, each zero then certified within an ulp of the exact one by a
-sign change of F, in integers, between the floats next to it (a float
-that misses takes secant steps through those exact values).  On the
-classify benchmark's inputs every zero is certified and correctly rounded
-(the eigensolve gave 76 of 800 correctly rounded, the worst 281 ulps off).
-Where the certificate fails (a pair closer than about 1e-8 of the zeros'
-spread, or zeros of very different sizes: about a quarter of a harsh random
-sweep), they are the roots ``numpy.roots`` gives, the eigenvalues of F's
-companion matrix, within a tolerance of the real axis, taken as they are:
-the signature says how many there are, so no grouping is needed.  The
-eigensolve takes the exact coefficients each rounded once, from one
-integer numerator over one integer denominator.  Float constants take
-the same eigensolve, and their eigenvalues are grouped into multiple zeros
-within a fixed tolerance, so two zeros closer than their rounding can tell
-apart merge.  The command line reads ``--params`` and ``--roots`` exactly,
-so no verb takes that path.
+zeros are exact, read off integer invariants of F with no tolerance, and
+each zero comes in closed form, rounded once or certified within an ulp;
+float constants take an eigensolve whose roots are grouped within a fixed
+tolerance.  ``roots_of_F`` tells how.  The command line reads ``--params``
+and ``--roots`` exactly, so no verb takes the float path.
 
 A wave lives in a band of F > 0 between adjacent real zeros.  The bands follow
 from the multiplicities alone (``band_edges``): F < 0 above the top zero and
@@ -69,6 +53,7 @@ __all__ = [
     "classify",
     "existence",
     "quadratic_cofactor",
+    "cofactor_discriminant",
     "scaled_bound",
 ]
 
@@ -632,21 +617,27 @@ def _bracket(P, Q, R, A, L, z):
     return None
 
 
+def _scaled(P, Q, R):
+    """(s, p, q, r): psi = 2^s x makes psi^4 + P psi^2 + Q psi + R the monic
+    x^4 + p x^2 + q x + r times 2^(4s), with s the least that makes each of
+    p, q and r less than 1 in size, so its zeros are below 2."""
+    s = max((P.bit_length() + 1) // 2, (Q.bit_length() + 2) // 3, (R.bit_length() + 3) // 4)
+    return s, P / (1 << 2 * s), Q / (1 << 3 * s), R / (1 << 4 * s)
+
+
 def _certified_zeros(P, Q, R, A, L, n):
     """The n real zeros [(float zero, 1)] of a square-free F, from the
     integers of ``_exact_zeros`` (-F at f = (psi - A)/L is G(psi) / L^4,
     G = psi^4 + P psi^2 + Q psi + R), or None when they cannot be certified.
 
-    With psi = 2^s x and s the least that makes every coefficient of the
-    monic quartic in x less than 1 in size (so its zeros are below 2), the
-    zeros x come from ``_ferrari`` and ``_polish`` in floats, and each one's
+    With psi = 2^s x as ``_scaled`` gives it, the zeros x come from
+    ``_ferrari`` and ``_polish`` in floats, and each one's
     f = (2^s x - A)/L is rounded once from the exact rational.  Each is then
     certified in integers by ``_bracket``, and the brackets must not
     overlap.  So each bracket holds a zero, and since F has exactly n real
     zeros, each holds one, within an ulp of its float.
     """
-    s = max((P.bit_length() + 1) // 2, (Q.bit_length() + 2) // 3, (R.bit_length() + 3) // 4)
-    p, q, r = P / (1 << 2 * s), Q / (1 << 3 * s), R / (1 << 4 * s)
+    s, p, q, r = _scaled(P, Q, R)
     xs = _ferrari(p, q, r, n)
     if len(xs) != n:
         return None
@@ -664,11 +655,8 @@ def _certified_zeros(P, Q, R, A, L, n):
     return zeros
 
 
-def _exact_zeros(p):
-    """For rational params p: the multiplicity signature of F's real zeros
-    and its entries [(float zero, multiplicity)], or None for the entries
-    when F is square-free with real zeros that ``_certified_zeros`` cannot
-    certify from the integers P, Q, R, A and L below.  Raises
+def _depressed(p):
+    """The integers (A, L, P, Q, R) of rational params p.  Raises
     ``_rounded_coefficients``' ValueError when a coefficient of F does not
     fit a float; the exact division is done only when a param's size, read
     off its bit lengths, comes near the limit.
@@ -676,13 +664,8 @@ def _exact_zeros(p):
     With f = phi - c, -F = phi^4 + p phi^2 + q phi + r, where p = -2c^2 - 4d1,
     q = 8 (c d1 - d2) and r = c^4 - 4c^2 d1 + 8c d2 - 8d3; scaled by L, the
     lcm of the denominators, psi = L phi has the integer coefficients
-    P = p L^2, Q = q L^3, R = r L^4, and f = (psi - A)/L with A = c L.  The
-    signs of the discriminant and of P, 64R - 16P^2 and P^2 + 12R (the
-    standard nature-of-roots table) give the signature, and every multiple
-    zero is rational or a pair +-sqrt(-P/2) in psi:
-    quadruple psi = 0; triple t = -3Q/(4P) with its simple zero at -3t; two
-    doubles psi^2 = -P/2; one double t = -Q (12R + P^2)/(2P^3 - 8PR + 9Q^2),
-    whose cofactor psi^2 + 2t psi + (P + 3t^2) has the other two zeros.
+    P = p L^2, Q = q L^3, R = r L^4, and f = (psi - A)/L with A = c L.  A
+    shift of the zeros by a number with no new denominator moves A alone.
     """
     (a, b), (e, g), (h, k), (m, n) = ratios = _ratios((p.c, p.d1, p.d2, p.d3))
     # a param past 2^_SMALL has a numerator past it too
@@ -698,6 +681,35 @@ def _exact_zeros(p):
     P = -2 * AA - 4 * D1
     Q = 8 * (A * D1 - D2)
     R = (AA - 4 * D1) * AA + 8 * (A * D2 - D3)
+    return A, L, P, Q, R
+
+
+def _one_double(P, Q, R):
+    """(N, M, S): the double zero N/M, M > 0, of psi^4 + P psi^2 + Q psi + R
+    with one, and 4 S / M^2, the discriminant of its cofactor."""
+    PP, QQ = P * P, Q * Q
+    N = -Q * (12 * R + PP)
+    M = 2 * PP * P - 8 * P * R + 9 * QQ
+    if M < 0:
+        N, M = -N, -M
+    return N, M, -P * M * M - 2 * N * N
+
+
+def _exact_zeros(p):
+    """For rational params p: the multiplicity signature of F's real zeros
+    and its entries [(float zero, multiplicity)], or None for the entries
+    when F is square-free with real zeros that ``_certified_zeros`` cannot
+    certify from the integers P, Q, R, A and L of ``_depressed``, whose
+    ValueError it raises.
+
+    The signs of the discriminant and of P, 64R - 16P^2 and P^2 + 12R (the
+    standard nature-of-roots table) give the signature, and every multiple
+    zero is rational or a pair +-sqrt(-P/2) in psi:
+    quadruple psi = 0; triple t = -3Q/(4P) with its simple zero at -3t; two
+    doubles psi^2 = -P/2; one double t = N/M (``_one_double``), whose
+    cofactor has the other two zeros.
+    """
+    A, L, P, Q, R = _depressed(p)
     PP, QQ = P * P, Q * Q
     # 256R^3 - 128P^2R^2 + 144PQ^2R - 27Q^4 + 16P^4R - 4P^3Q^2, by Horner in R
     disc = (((256 * R - 128 * PP) * R + (144 * QQ + 16 * PP * P) * P) * R
@@ -709,7 +721,7 @@ def _exact_zeros(p):
             return (1, 1, 1, 1), _certified_zeros(P, Q, R, A, L, 4)
         return (), ()
     if P == 0 and Q == 0:  # and so R = 0
-        return (4,), [(-a / b, 4)]
+        return (4,), [(-A / L, 4)]
     if PP + 12 * R == 0:  # a triple zero t = -3Q/(4P), its simple zero at -3t
         triple = (3 * Q + 4 * P * A) / (-4 * P * L)  # a positive divisor: no -0.0
         simple = (4 * P * A - 9 * Q) / (-4 * P * L)
@@ -721,13 +733,8 @@ def _exact_zeros(p):
             return (), ()
         lo, hi = _pair(A, -P // 2, L)
         return (2, 2), [(lo, 2), (hi, 2)]
-    # one double zero t = N/M in psi
-    N = -Q * (12 * R + PP)
-    M = 2 * PP * P - 8 * P * R + 9 * QQ
-    if M < 0:
-        N, M = -N, -M
+    N, M, S = _one_double(P, Q, R)
     double = (N - A * M) / (M * L)
-    S = -P * M * M - 2 * N * N  # the cofactor's discriminant / 4, times M^2
     if S < 0:
         return (2,), [(double, 2)]
     lo, hi = _pair(N + A * M, S, M * L)
@@ -885,6 +892,26 @@ def classify(r: RootMultiset) -> CaseTag:
 def existence(tag: CaseTag) -> str:
     """Existence verdict for a case tag: 'none', 'solitary' or 'periodic'."""
     return _EXISTENCE[tag]
+
+
+def cofactor_discriminant(p: Params, roots: RootMultiset) -> float:
+    """The discriminant of the monic q in F = -(f - f1)(f - f2) q(f), where
+    ``roots`` are F's two real zeros.  Rational params read it off the
+    integers of ``_depressed``, which a shift of the zeros leaves alone: a
+    double zero's is 4 S / (M L)^2 (``_one_double``); for the simple zeros
+    x1, x2 of ``_ferrari``'s x^4 + p x^2 + q x + r, the other two sum to
+    -(x1 + x2) with the product p - x1 x2 + (x1 + x2)^2.  Float params take
+    ``quadratic_cofactor``'s."""
+    if _rational(p):
+        _, L, P, Q, R = _depressed(p)
+        if roots.multiplicities() == (2,):
+            _, M, S = _one_double(P, Q, R)
+            return 4 * S / (M * L) ** 2
+        s, *pqr = _scaled(P, Q, R)  # x = psi / 2^s
+        if len(xs := _ferrari(*pqr, 2)) == 2:
+            disc = 4.0 * xs[0] * xs[1] - 3.0 * (xs[0] + xs[1]) ** 2 - 4.0 * pqr[0]
+            return float(Fraction(disc) * 4 ** s / (L * L))
+    return quadratic_cofactor(p, *roots.values())[2]
 
 
 def quadratic_cofactor(p: Params, f1: float, f2: float | None = None):

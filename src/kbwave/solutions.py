@@ -13,10 +13,12 @@ range is refused at construction with InvalidConfiguration: F(f) = -f^4 + ...
 is negative for large |f|, so no real solution of f'^2 = F(f) reaches a pole.
 
 Every constructor returns through ``_solution``, which runs the gates before
-the object is surfaced: the first-integral residual f'(xi)^2 = F(f(xi)) on a
-grid, for every form, constants included; and for a form with a modulus (the
-Jacobi kernels sn, cn, dn, sn^2) the orbit through f(xi0), followed over one
-period by quadrature of xi(f) = int df / sqrt(F) (see ``_orbit_check``).
+the object is surfaced, on the wave at phase 0 (xi0 = 0), so no verdict
+depends on xi0: the first-integral residual f'(xi)^2 = F(f(xi)) on a grid
+over the wave's window (``ClosedFormSolution.window``), for every form,
+constants included; and for a form with a modulus (the Jacobi kernels sn,
+cn, dn, sn^2) the orbit through f(0), followed over one period by
+quadrature of xi(f) = int df / sqrt(F) (see ``_orbit_check``).
 Where the classical printed formulas for a family fail these gates, the
 constructor applies a documented correction and records it in the solution's
 provenance notes; the static :data:`DISCREPANCIES` table aggregates them.
@@ -61,7 +63,7 @@ from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .elliptic import complete_K, jacobi, normalize_modulus
 from .errors import Infeasible, InvalidConfiguration, UnresolvedBranch
-from .quartic import (Params, RootMultiset, bands, classify, eval_F,
+from .quartic import (Params, RootMultiset, band_edges, classify, eval_F,
                       first_integral_residual, params_from_roots, scaled_bound)
 from .reduction import g_from_f
 
@@ -355,6 +357,17 @@ class ClosedFormSolution:
         return None if P is None else P / abs(self.beta)
 
     @property
+    def window(self) -> tuple:
+        """The window every check samples, in the phase t = xi - xi0: one
+        period (0, T), or (-w, w), w = 10 / max(1, |beta|), for a pulse or a
+        constant."""
+        T = self.period
+        if T is not None:
+            return 0.0, T
+        w = 10.0 / max(1.0, abs(self.beta))
+        return -w, w
+
+    @property
     def decay_rate(self) -> float | None:
         """Exponential decay rate toward the double zero, or the algebraic
         coefficient sqrt|f_simple - f_triple| for the triple-zero pulse;
@@ -364,7 +377,8 @@ class ClosedFormSolution:
         return _KERNELS[self.kernel].decay(self.beta)
 
     def with_phase(self, xi0: float) -> "ClosedFormSolution":
-        return replace(self, xi0=float(xi0))
+        xi0 = float(xi0)
+        return self if xi0 == self.xi0 else replace(self, xi0=xi0)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +444,10 @@ def _ramp(n):
 
 
 def _window(sol, n):
-    """n points over half a period either side of xi0, or +-10 for a pulse:
-    bit for bit ``np.linspace(xi0 - half, xi0 + half, n)``, whose arithmetic
-    this repeats without its wrapper."""
-    T = sol.period
-    half = 0.5 * T if T is not None else 10.0
-    start, stop = sol.xi0 - half, sol.xi0 + half
+    """n points over the wave's window, in its phase t: bit for bit
+    ``np.linspace(*sol.window, n)``, whose arithmetic this repeats without
+    its wrapper."""
+    start, stop = sol.window
     delta = stop - start
     x = _ramp(n).copy()
     step = delta / (n - 1)
@@ -450,8 +462,9 @@ def _window(sol, n):
 
 
 def _residual_gate(sol, n=513):
-    """Max defining residual |f'^2 - F(f)| over a grid; raises if over gate.
-    The gate comes first: zeros too large for it are refused unsampled."""
+    """Max defining residual |f'^2 - F(f)| over the window of ``sol``, a wave
+    at phase 0; raises if over gate.  The gate comes first: zeros too large
+    for it are refused unsampled."""
     gate = sol.residual_bound
     res = sol.residual(_window(sol, n))
     if not res < gate:
@@ -462,7 +475,7 @@ def _residual_gate(sol, n=513):
     return res
 
 
-# The orbit check follows the wave through f0 = f(xi0) by quadrature of
+# The orbit check follows a wave at phase 0 through f0 = f(0) by quadrature of
 # xi(f) = int df / sqrt(F), with F = -prod(f - r) factored from sol.roots.
 # In a band [e, o] of F > 0 the substitution f = e + (o - e) sin^2(theta)
 # (Byrd & Friedman) removes both turning-point singularities:
@@ -495,8 +508,8 @@ def _halvings(depth):
 def _band(sol, f0, gate):
     """The band (e, o) of F > 0 that holds f0, anchored at a simple zero e,
     and the two other zeros; raises when f0 lies outside every band."""
-    zeros = sol.roots.expand()
-    spans = [(lo.value, hi.value) for lo, hi in bands(sol.params, sol.roots)]
+    zeros, values = sol.roots.expand(), sol.roots.values()
+    spans = [(values[i], values[j]) for i, j in band_edges(sol.roots.multiplicities())]
     dist = [max(lo - f0, f0 - hi, 0.0) for lo, hi in spans]
     if not dist or not min(dist) < gate:
         raise UnresolvedBranch(
@@ -514,12 +527,13 @@ def _band(sol, f0, gate):
 
 
 def _orbit_check(sol):
-    """Compare the closed form with the orbit of f'^2 = F(f) through f(xi0)
-    over one period (or, for a pulse, until it meets its double zero), at
-    the bound ORBIT_RTOL * scale; raises UnresolvedBranch with the solution
-    as candidate.  Returns the largest deviation."""
+    """Compare the closed form of ``sol``, a wave at phase 0, with the orbit
+    of f'^2 = F(f) through f(0) over one period (or, for a pulse, until it
+    meets its double zero), at the bound ORBIT_RTOL * scale; raises
+    UnresolvedBranch with the solution as candidate.  Returns the largest
+    deviation."""
     gate = ORBIT_RTOL * sol.roots.scale()
-    f0, fp0 = sol.evaluate(sol.xi0)
+    f0, fp0 = sol.evaluate(0.0)
     rest_point = [v for v, m in sol.roots.entries if m > 1 and abs(f0 - v) < gate]
     if rest_point:
         # the orbit through a double zero is that zero: the form must stay there
@@ -567,7 +581,7 @@ def _orbit_check(sol):
 
     # the orbit turns at e, at xi_e; f(xi_e +- xi(theta)) = f(theta)
     s = 1.0 if fp0 * w >= 0.0 else -1.0
-    xi_e = sol.xi0 - s * before[int(np.searchsorted(breaks, theta0))]
+    xi_e = -s * before[int(np.searchsorted(breaks, theta0))]
     worst = max(float(np.max(np.abs(sol.profile(xi_e + sign * xi)[0] - f)))
                 for sign in (1.0, -1.0))
     return _orbit_verdict(sol, worst, gate)
@@ -584,15 +598,17 @@ def _orbit_verdict(sol, worst, gate):
 
 def _solution(kind, roots, xi0, mobius, kernel, **kw):
     """The one way a constructor returns a wave: the form (A + B y)/(C + D y)
-    on ``kernel`` with the params of ``roots``, after the residual gate and,
-    when the form has a modulus (the Jacobi kernels), the orbit check."""
+    on ``kernel`` with the params of ``roots``, once the residual gate and,
+    when it has a modulus (the Jacobi kernels), the orbit check pass it at
+    phase 0."""
     params = params_from_roots(roots).as_floats()
     A, B, C, D = map(float, mobius)
     sol = ClosedFormSolution(kind=kind, roots=roots, params=params, A=A, B=B, C=C, D=D,
                              kernel=kernel, xi0=float(xi0), **kw)
-    _residual_gate(sol)
+    wave = sol.with_phase(0.0)
+    _residual_gate(wave)
     if sol.modulus is not None:
-        _orbit_check(sol)
+        _orbit_check(wave)
     return sol
 
 

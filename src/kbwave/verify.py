@@ -48,6 +48,7 @@ from .solutions import ClosedFormSolution
 
 __all__ = [
     "Profile",
+    "default_domain",
     "ode_residual",
     "pde_residual",
     "oracle_integrate",
@@ -115,77 +116,75 @@ def build_profile(sol: ClosedFormSolution, p: Params, domain, n: int) -> Profile
     return Profile(xi=xi, f=f, f_prime=fp, g=g_from_f(f, pf.c, pf.d1))
 
 
-def ode_residual(sol: ClosedFormSolution, p: Params, domain=(-10.0, 10.0),
+def default_domain(sol: ClosedFormSolution) -> tuple:
+    """The wave's window about its reference point, in xi: xi0 + ``sol.window``."""
+    lo, hi = sol.window
+    return sol.xi0 + lo, sol.xi0 + hi
+
+
+def ode_residual(sol: ClosedFormSolution, p: Params, domain=None,
                  n: int = 2000) -> float:
-    """Max over the grid of |f'^2 - F(f)| using the analytic derivative."""
+    """Max over the grid of |f'^2 - F(f)| using the analytic derivative; the
+    domain defaults to the wave's window about xi0."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return sol.residual(np.linspace(domain[0], domain[1], n), p)
+    lo, hi = default_domain(sol) if domain is None else domain
+    return sol.residual(np.linspace(lo, hi, n), p)
 
 
-def pde_residual(sol: ClosedFormSolution, p: Params, domain=(-10.0, 10.0),
+def pde_residual(sol: ClosedFormSolution, p: Params, domain=None,
                  n: int = 500):
     """Finite-difference residuals of the coupled system on the traveling pair.
 
     Builds u(x, t) = f(x - ct), v = g(u), replaces d/dt by -c d/xi, and
-    evaluates both equations at n grid points with 4th-order central
-    differences (first derivatives on 5 points, u_xxx on 7), sampling the
-    profile 7n times.  The step comes from the wave: h = PDE_STEP * s, with
-    s the wave's length scale measured on the grid (``_length``), so h
-    scales with the wave under f -> lambda f + a.  The samples of a domain
-    shorter than the wave's own window (one period, or 20 / beta for a
-    pulse of frequency beta, at most 20, about xi0: never longer than the
-    default domain) measure little more than its width, so such a domain
-    measures s on n samples of that window instead.  Where the samples
-    measure no length s is the domain's length.  Returns (r_u, r_v, h): the
-    max absolute residual of each equation divided by the largest
-    magnitude its individual terms reach on the grid (floored at 1), and
-    the step.  The scaling keeps the defect meaningful for tall, narrow
-    pulses whose raw third-derivative terms are orders of magnitude above
-    1.  Raises ValueError when n < 2 or when 8 h^3, the u_xxx stencil's
-    divisor, is not a normal double.
+    evaluates both equations at n points of the domain (by default the
+    wave's window about xi0), at their phases t = xi - xi0 on the wave at
+    phase 0, with 4th-order central differences (first derivatives on 5
+    points, u_xxx on 7).  The step comes from the wave alone, the same for
+    every domain and n, and scales with the wave under f -> lambda f + a:
+    h = PDE_STEP * s, s its length scale on 500 points of its window
+    (``_length``).  Returns (r_u, r_v, h): the max absolute residual of each
+    equation divided by the largest magnitude its terms reach on the grid
+    (floored at 1, so tall narrow pulses keep a meaningful defect), and the
+    step.  Raises ValueError when n < 2, when 8 h^3 is not a normal double,
+    or when t + h rounds to t at the domain's farthest point.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    xi = np.linspace(domain[0], domain[1], n)
-    f, fp = sol.profile(xi)
-    lo, hi = float(domain[0]), float(domain[1])
-    T = sol.period
-    half = 0.5 * T if T is not None else 10.0 / max(1.0, abs(sol.beta))
-    # with a margin for rounding: (xi0 + T) - xi0, the default domain's
-    # length, can fall below T
-    if hi - lo + 1e-12 * max(abs(lo), abs(hi), half) < 2.0 * half:
-        own = np.linspace(sol.xi0 - half, sol.xi0 + half, n)
-        s = _length(own, *sol.profile(own))
-    else:
-        s = _length(xi, f, fp)
-    h = PDE_STEP * (hi - lo if s is None else s)
-    return (*_pde_defects(sol, p, xi, f, h), h)
+    lo, hi = default_domain(sol) if domain is None else domain
+    t = np.linspace(lo, hi, n) - sol.xi0
+    wave = sol.with_phase(0.0)
+    own = np.linspace(*sol.window, 500)
+    h = PDE_STEP * _length(own, *wave.profile(own))
+    far = float(max(abs(t[0]), abs(t[-1])))
+    if far + h == far:
+        raise ValueError(f"domain too far from xi0 = {sol.xi0:g} for the stencils: at "
+                         f"|xi - xi0| = {far:.6g} the step h = {h:.3g} rounds away")
+    return (*_pde_defects(wave, p, t, h), h)
 
 
 def _length(xi, f, fp):
     """A wave's length scale from its samples f, with slopes fp, at the
-    points xi: (max f - min f) / max |f'|, at most the span of xi; None
-    where the samples measure no length (a rise within their rounding, as
-    for constant samples, or slopes all 0)."""
+    points xi: (max f - min f) / max |f'|, at most the span of xi, which it
+    is where the samples measure no length (a rise within their rounding,
+    as for constant samples, or slopes all 0)."""
     lo, hi = float(xi[0]), float(xi[-1])
     rise, slope = float(np.max(f) - np.min(f)), float(np.max(np.abs(fp)))
     # the rounding of the samples: of f, and of f' times that of xi
     noise = 1e-12 * (float(np.max(np.abs(f))) + slope * max(abs(lo), abs(hi)))
-    return min(hi - lo, rise / slope) if rise > noise and slope > 0.0 else None
+    return min(hi - lo, rise / slope) if rise > noise and slope > 0.0 else hi - lo
 
 
-def _pde_defects(sol: ClosedFormSolution, p: Params, xi, u0, h: float):
-    """pde_residual's (r_u, r_v) at the points xi, where f is u0, with the
-    step h."""
+def _pde_defects(sol: ClosedFormSolution, p: Params, xi, h: float):
+    """pde_residual's (r_u, r_v) at the points xi with the step h."""
     h3 = 8.0 * h * h * h
     if not sys.float_info.min <= h3 < math.inf:
-        raise ValueError(f"domain too {'small' if h3 < 1.0 else 'wide'} for the stencils")
+        raise ValueError(f"the step h = {h:.3g} is too {'small' if h3 < 1.0 else 'large'} "
+                         f"for the stencils: 8 h^3 is not a normal double")
     pf = p.as_floats()
     c, d1 = pf.c, pf.d1
-    offs = np.array([-3, -2, -1, 1, 2, 3]) * h
-    sides = sol.profile((xi[:, None] + offs).ravel())[0].reshape(len(xi), 6)
-    u = np.insert(sides, 3, u0, axis=1)  # columns xi - 3h, ..., xi + 3h
+    offs = np.arange(-3, 4) * h
+    u = sol.profile((xi[:, None] + offs).ravel())[0].reshape(len(xi), 7)  # xi - 3h .. xi + 3h
     v = g_from_f(u, c, d1)
 
     def d1_4th(a):  # 4th-order first derivative, 5-point
@@ -197,7 +196,7 @@ def _pde_defects(sol: ClosedFormSolution, p: Params, xi, u0, h: float):
             - 13 * a[:, 4] + 8 * a[:, 5] - a[:, 6]
         ) / h3
 
-    v0 = v[:, 3]
+    u0, v0 = u[:, 3], v[:, 3]
     ux, vx, uxxx = d1_4th(u), d1_4th(v), d3_4th(u)
     # u_t = (3/2) u u_x + v_x   and   v_t = -(1/4) u_xxx + v u_x + (1/2) u v_x
     terms_u = (-c * ux, 1.5 * u0 * ux, vx)

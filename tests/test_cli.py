@@ -86,6 +86,28 @@ class TestClassify:
         assert line.startswith("cofactor: complex-pair quadratic, discriminant ")
         assert float(line.rsplit(" ", 1)[1]) == pytest.approx(-4.0, abs=1e-9)
 
+    @pytest.mark.parametrize("shift", [0, 10 ** 6, 10 ** 9, 10 ** 12, 10 ** 15,
+                                       Fraction(-7, 3) * 10 ** 12])
+    @pytest.mark.parametrize("zeros, pairs, disc", [
+        ([(0, 1), (1, 1)], [(Fraction(1, 2), 1)], -4),  # --params=-1/2,-5/16,5/32,0
+        ([(0, 1), (1, 1)], [(3, Fraction(3, 2))], -9),
+        ([(0, 2)], [(1, 1)], -4),
+        ([(0, 2)], [(Fraction(1, 3), Fraction(2, 7))], -16 / 49),
+    ])
+    def test_cofactor_discriminant_ignores_a_shift(self, capsys, shift, zeros, pairs, disc):
+        """F = -(real factors) ((f - x)^2 + y^2) with every zero shifted: the
+        cofactor's discriminant -4 y^2 comes from F's shift-free integers, so
+        a shift leaves it as it is (it read 0 at 1e9 and -536870912 at 1e12)."""
+        zeros = [(z + shift, m) for z, m in zeros]
+        pairs = [(x + shift, y) for x, y in pairs]
+        _, a3, a2, a1, a0 = _minus_F(zeros, pairs)
+        c = a3 / 4
+        tokens = ",".join(str(v) for v in (c, c * c - a2 / 4, -a1 / 8, -a0 / 8))
+        code, out = run(["classify", f"--params={tokens}"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == (f"cofactor: complex-pair quadratic, discriminant "
+                                        f"{format(disc, '.17g')}")
+
     def test_quadruple_zero(self, capsys):
         """F = -(f - 5)^4, which numpy.roots splits about 1e-3 apart: the
         exact params give one zero of multiplicity 4."""
@@ -538,19 +560,35 @@ class TestVerifyVerb:
     @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
     def test_few_samples_pass(self, preset, n, capsys):
         """Samples too few to show the wave's length (equal values up to
-        rounding, or a pulse seen only at its peak and tails) take the
-        domain's length as the wave's: the step 1e-3 passed these too."""
+        rounding, or a pulse seen only at its peak and tails) still take the
+        step of the wave's window: the step 1e-3 passed these too."""
         assert main(["verify", "--preset", preset, "--n", n]) == 0
         assert json.loads(capsys.readouterr().out)["pde_residual"]["passed"] is True
 
     @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
     def test_narrow_window_passes(self, preset, capsys):
-        """A window 2e-3 wide about xi0 measures the wave's length on the
-        wave's own window: it read r_v up to 1.0 with the window's length."""
+        """A window 2e-3 wide about xi0 takes the step of the wave's window,
+        with 500 samples or 2: it read r_v up to 1.0 with the window's length."""
         sol, _ = cli.build_preset(preset)
         domain = f"--domain={sol.xi0 - 1e-3!r},{sol.xi0 + 1e-3!r}"
-        assert main(["verify", "--preset", preset, domain]) == 0
-        assert json.loads(capsys.readouterr().out)["pde_residual"]["passed"] is True
+        for n in ("2001", "2"):
+            assert main(["verify", "--preset", preset, domain, "--n", n]) == 0
+            assert json.loads(capsys.readouterr().out)["pde_residual"]["passed"] is True
+
+    @pytest.mark.parametrize("xi0", ["1e3", "1e6", "1e10", "1e14"])
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_far_reference_point_passes(self, preset, xi0, capsys):
+        """Every preset builds with its reference point far out, and verify
+        passes there with the step of its xi0 = 0 run, to the bit: the checks
+        run on the wave's own phase.  (The PDE gate failed from xi0 = 1e3 for
+        fig-case2bc-k1, and the orbit check refused fig-case2a at 1e10.)"""
+        assert cli.build_preset(preset, float(xi0))[0].xi0 == float(xi0)
+        reports = []
+        for x in ("0", xi0):
+            assert main(["verify", "--preset", preset, "--xi0", x]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["pde_residual"])
+        assert reports[1]["passed"] is True
+        assert repr(reports[1]["h_fd"]) == repr(reports[0]["h_fd"])
 
     def test_step_is_no_option(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"
@@ -1107,6 +1145,19 @@ class TestRefusals:
                              "root values must be finite, got (0.0, 1.0, 2.0, nan)"),
         "solve-xi0-inf": (["solve", "--kind", "solitary_double", "--roots=-3,-2,-1", "--xi0", "inf"],
                           "xi0 must be finite, got inf"),
+        # the doubles at xi0 are too far apart for a uniform grid over the
+        # wave's window
+        "solve-far-xi0": (["solve", "--preset", "fig-case1a", "--xi0", "1e17", "--n", "5"],
+                          "--xi0 1e+17 is too far out for a uniform grid of 5 points over the "
+                          "wave's window: the doubles there are 16 apart"),
+        "solve-far-xi0-period": (["solve", "--preset", "fig-case2a", "--xi0", "1e10", "--n", "3"],
+                                 "--xi0 1e+10 is too far out for a uniform grid of 3 points "
+                                 "over the wave's window: the doubles there are 1.91e-06 apart"),
+        # t + h rounds to t at the far end of the domain
+        "verify-far-domain": (["verify", "--preset", "fig-case1a",
+                               "--domain=1000000000000000,1000000000000001"],
+                              "domain too far from xi0 = 0 for the stencils: at |xi - xi0| = "
+                              "1e+15 the step h = 0.006 rounds away"),
         "solve-infinite-domain": (["solve", "--preset", "fig-case1a", "--domain=-inf,inf",
                                    "--n", "3"], "--domain -inf,inf is too wide for a wave of "
                                                 "frequency 1: its phase does not fit a float"),

@@ -4,10 +4,14 @@
 bookkeeping around its checks was taken out: a second float ``Params`` from
 ``as_floats``, the abstract ``Rational`` probe on every root, ``np.linspace``
 for the residual gate's window and ``np.max(np.abs(.))`` for the residual.
+Its window is the one rule, restated here: the gates run on the wave at
+phase 0, over one period (0, T), or (-w, w) with w = 10 / max(1, |beta|)
+for a pulse or a constant.
 The sweep builds every ``presets.KINDS`` row, with its branches and starts,
 through both, and asks for the same numbers and the same verdict.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from numbers import Rational
 from types import SimpleNamespace
@@ -41,10 +45,12 @@ def _reference_params_from_roots(r):
 
 
 def _reference_gate(sol):
-    """The residual over the gate's window and the gate, as computed before."""
+    """The residual over the gate's window of the wave at phase 0, and the
+    gate."""
     T = sol.period
-    half = 0.5 * T if T is not None else 10.0
-    f, fp = sol.profile(np.linspace(sol.xi0 - half, sol.xi0 + half, 513))
+    w = 10.0 / max(1.0, abs(sol.beta))
+    t = np.linspace(0.0, T, 513) if T is not None else np.linspace(-w, w, 513)
+    f, fp = replace(sol, xi0=0.0).profile(t)
     res = float(np.max(np.abs(fp ** 2 - eval_F(sol.params, f))))
     return res, S.RESIDUAL_RTOL * sol.roots.scale() ** 4
 
@@ -62,7 +68,7 @@ def _reference_solution(kind, roots, xi0, mobius, kernel, **kw):
             candidate=sol,
         )
     if sol.modulus is not None:
-        S._orbit_check(sol)
+        S._orbit_check(replace(sol, xi0=0.0))
     return sol
 
 
@@ -75,7 +81,8 @@ def _outcome(build):
         return "refused", type(err).__name__, str(err)
     assert all(type(v) is float for v in (sol.params.c, sol.params.d1, sol.params.d2,
                                           sol.params.d3))
-    assert repr((S._residual_gate(sol), sol.residual_bound)) == repr(_reference_gate(sol))
+    assert repr((S._residual_gate(sol.with_phase(0.0)), sol.residual_bound)) == repr(
+        _reference_gate(sol))
     # repr tells -0.0 from 0.0 and shows every bit of each float
     return "accepted", repr((sol.A, sol.B, sol.C, sol.D, sol.params, sol.modulus, sol.beta,
                              sol.roots, sol.kernel, sol.variant))
@@ -135,7 +142,8 @@ class TestReferenceConstruction:
 
 
 class TestWindow:
-    """The gate's window is bit for bit np.linspace over the same span."""
+    """The gate's window is the wave's window in its own phase, whatever xi0,
+    sampled bit for bit as np.linspace samples it."""
 
     @pytest.mark.parametrize("xi0, period, n", [
         (0.0, None, 513),
@@ -151,12 +159,15 @@ class TestWindow:
     @pytest.mark.parametrize("xi0, period", [
         (0.0, 1e-321),      # a subnormal span: its step underflows to 0
         (3e-322, 2e-322),
-        (1e300, 1e-10),     # a span lost in xi0's rounding: delta is 0
+        (1e300, 1e-10),     # a span that xi0's rounding would lose
     ])
     def test_step_underflow_matches_linspace(self, xi0, period):
-        half = 0.5 * period
-        assert (xi0 + half - (xi0 - half)) / 512 == 0.0
-        self._check(xi0, period, 513)
+        """A subnormal span, whose step underflows to 0, matches linspace;
+        and a span far narrower than the spacing of the doubles at xi0 is
+        kept whole, since the window never meets xi0."""
+        got = self._check(xi0, period, 513)
+        assert got[0] == 0.0 and got[-1] == period
+        assert (period / 512 == 0.0) == (period < 1e-300)
 
     def test_random_spans_match_linspace(self):
         rng = np.random.default_rng(7)
@@ -165,10 +176,27 @@ class TestWindow:
             period = float(10.0 ** rng.uniform(-8.0, 6.0))
             self._check(xi0, period, int(rng.choice([2, 3, 129, 513])))
 
+    @pytest.mark.parametrize("build, window", [
+        (lambda: build_preset("fig-case1a")[0], (-10.0, 10.0)),  # beta = 1
+        (lambda: build_preset("fig-case2bc-k1")[0], (-10.0 / 7 ** 0.5, 10.0 / 7 ** 0.5)),
+        (lambda: build_preset("fig-case2f-k1")[0], (-10.0, 10.0)),  # beta < 1
+        (lambda: S.solitary_triple(0.0, 400.0), (-0.05, 0.05)),
+        (lambda: S.limiting_form("d", (-3.0, -3.0, -1.0)), (-10.0, 10.0)),  # a constant
+        (lambda: build_preset("fig-case2a")[0], (0.0, 2.0 * np.pi)),
+    ])
+    @pytest.mark.parametrize("xi0", [0.0, -2.5, 1e14])
+    def test_one_window_rule(self, build, window, xi0):
+        """One period (0, T), or (-w, w) with w = 10 / max(1, |beta|) for a
+        pulse or a constant, the same at every xi0."""
+        sol = build().with_phase(xi0)
+        assert sol.window == pytest.approx(window, rel=1e-15)
+        assert sol.window == build().window
+
     @staticmethod
     def _check(xi0, period, n):
-        half = 0.5 * period if period is not None else 10.0
-        want = np.linspace(xi0 - half, xi0 + half, n)
-        got = S._window(SimpleNamespace(xi0=xi0, period=period), n)
+        window = (0.0, period) if period is not None else (-10.0, 10.0)
+        want = np.linspace(*window, n)
+        got = S._window(SimpleNamespace(xi0=xi0, window=window), n)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        return got

@@ -1082,3 +1082,26 @@ def test_case2_representation(kind):
 def test_general_sn2_representation(zeros, idx):
     roots = _spread(zeros)
     _check_representation(_accepted(lambda: general_sn2(roots, initial_index=idx)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(halves=st.lists(st.integers(-10, 10), min_size=3, max_size=3, unique=True),
+       exponent=st.floats(0.0, 3.0), triple=st.booleans(), flip=st.booleans(),
+       branch=st.sampled_from(["upper", "lower"]))
+def test_narrow_pulse_with_a_wrong_frequency_is_refused(halves, exponent, triple, flip,
+                                                        branch):
+    """The residual gate samples a pulse over +-10/beta, where its shape is:
+    for zeros in [-5, 5] at least 0.5 apart, times 1 to 1e3, every pulse with
+    beta >= 10 is refused with beta off by 1e-3.  (Sampled over +-10, the
+    gate passed about half of these; where a pulse's zeros are much closer
+    than their size, 1e-8 scale^4 is above the defect such a beta makes.)"""
+    import kbwave.solutions as S
+
+    zeros = sorted(h * 0.5 * 10.0 ** exponent for h in halves)
+    if triple:
+        sol = solitary_triple(*(zeros[:2][::-1] if flip else zeros[:2]))
+    else:
+        sol = solitary_double(*zeros, branch=branch)
+    assume(sol.beta >= 10.0)
+    with pytest.raises(UnresolvedBranch, match="defining residual gate"):
+        S._residual_gate(replace(sol, beta=sol.beta * (1.0 + 1e-3)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kbwave import verify
 from kbwave.cli import PDE_RTOL, _solution_domain
 from kbwave.errors import BlowUp, InvalidConfiguration, KBWaveError
-from kbwave.presets import KINDS, build_preset
+from kbwave.presets import KINDS, PRESETS, build_preset
 from kbwave.quartic import (
     Params,
     RootMultiset,
@@ -87,11 +87,12 @@ class TestPdeResidual:
         assert r_u < 1e-6 and r_v < 1e-6
 
     def test_constant_pair(self):
-        """Constant samples give no length scale: the step is the domain's."""
+        """Constant samples give no length scale: the step is the length of
+        the wave's window, (-10, 10) for a constant."""
         sol = limiting_form("d", (-3.0, -3.0, -1.0))
         r_u, r_v, h = pde_residual(sol, sol.params, (-5, 5), 100)
         assert r_u < 1e-14 and r_v < 1e-14
-        assert h == verify.PDE_STEP * 10
+        assert h == verify.PDE_STEP * 20
 
     def test_case2bc_pair(self):
         sol = case2("dn", 8 - 2 * S14, 1.0, 8 + 2 * S14)
@@ -100,24 +101,38 @@ class TestPdeResidual:
 
     def test_domain_large_enough_for_stencils(self):
         """The u_xxx stencil divides by 8 h^3, which must be a normal double:
-        constant samples take the domain's length, so a domain too narrow,
-        or one so wide that a step from its constant samples has a cube
-        that overflows, is refused.  A wave on the narrow domain measures
-        its step on its own window, and passes."""
-        constant = limiting_form("d", (-3.0, -3.0, -1.0))
-        with pytest.raises(ValueError, match="domain too small for the stencils"):
-            pde_residual(constant, constant.params, (0.0, 1e-110), 10)
+        a wave so long that the cube of its step overflows is refused, on
+        any domain.  A domain as narrow as (0, 1e-110) takes the wave's step,
+        and passes."""
+        long = periodic_trig(1e-106, 2e-106, 4e-106)  # T = 2.6e106
+        with pytest.raises(ValueError, match="too large for the stencils"):
+            pde_residual(long, long.params, (0.0, 1.0), 10)
         sol = solitary_double(-3, -2, -1)
-        with pytest.raises(ValueError, match="domain too wide for the stencils"):
-            pde_residual(sol, P_CASE1A, (1e200, 1e300), 10)
         r_u, r_v, h = pde_residual(sol, P_CASE1A, (0.0, 1e-110), 10)
         assert max(r_u, r_v) < PDE_RTOL and h > 1e-3
 
+    @pytest.mark.parametrize("domain", [(1e200, 1e300), (1e15, 1e15 + 1.0),
+                                        (-1e300, 0.0)])
+    def test_far_domain_is_refused(self, domain):
+        """Where t + h rounds to t at the domain's farthest phase t = xi - xi0,
+        the stencils would sample one point seven times: refused, with the
+        phase and the step named."""
+        sol = solitary_double(-3, -2, -1)
+        with pytest.raises(ValueError, match=r"domain too far from xi0 = 0 for the stencils: "
+                                             r"at \|xi - xi0\| = .* rounds away"):
+            pde_residual(sol, P_CASE1A, domain, 10)
+
+    def test_far_domain_is_in_the_wave_s_phase(self):
+        """The same absolute domain far out is no refusal for the wave whose
+        xi0 sits there: the stencils sit at its phases."""
+        sol = solitary_double(-3, -2, -1, xi0=1e15)
+        r_u, r_v, h = pde_residual(sol, P_CASE1A, (1e15 - 8.0, 1e15 + 8.0), 500)
+        assert max(r_u, r_v) < PDE_RTOL
+        assert h == pde_residual(solitary_double(-3, -2, -1), P_CASE1A)[2]
+
     def test_narrow_domain_takes_the_step_of_the_wave_s_window(self):
-        """A domain much narrower than the wave measures its own width, and
-        took a step in the rounding (r_v = 1 on [-1e-3, 1e-3]); it takes the
-        step that samples of the wave's window give: one period, or 20 for
-        this pulse."""
+        """A domain much narrower than the wave takes the step that samples
+        of the wave's window give: one period, or 20 for this pulse."""
         sol = solitary_double(-3, -2, -1)
         r_u, r_v, h = pde_residual(sol, P_CASE1A, (-1e-3, 1e-3), 500)
         assert h == pde_residual(sol, P_CASE1A, (-10.0, 10.0), 500)[2]
@@ -128,24 +143,22 @@ class TestPdeResidual:
         assert h == pde_residual(periodic, params, own, 500)[2]
         assert max(r_u, r_v) < PDE_RTOL
 
-    def test_one_period_keeps_the_domain_s_step(self):
-        """The default domain (xi0, xi0 + T) keeps the step its own samples
-        give, also where its length rounds below T."""
-        sol, params = build_preset("fig-case2a", 1000.0)
-        domain = _solution_domain(sol, None)
-        assert domain[1] - domain[0] < sol.period
-        xi = np.linspace(*domain, 500)
-        _, _, h = pde_residual(sol, params, domain, 500)
-        assert h == verify.PDE_STEP * verify._length(xi, *sol.profile(xi))
-
-    def test_step_is_at_most_the_domains_share(self):
-        """Samples that see a pulse only at its peak and far tails take the
-        domain's length, not the ratio of their rise to the tails' slope,
-        whose step here would be refused as too wide."""
-        sol = solitary_double(-3, -2, -1)
-        r_u, r_v, h = pde_residual(sol, P_CASE1A, (-700.0, 700.0), 3)
-        assert h == verify.PDE_STEP * 1400.0
-        assert max(r_u, r_v) < 1e-6
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(name=st.sampled_from(sorted(PRESETS)), n=st.integers(2, 600),
+           a=st.floats(-1e3, 1e3), width=st.floats(1e-9, 1e3),
+           xi0=st.just(0.0) | st.sampled_from([1e3, 1e6, 1e10, 1e14]))
+    def test_step_depends_on_the_wave_alone(self, name, n, a, width, xi0):
+        """The step is PDE_STEP times the length that 500 points of the
+        wave's window measure: the same bits for every domain, every n >= 2
+        and every xi0 (a pulse seen at its peak and tails on (-700, 700)
+        with n = 3, and fig-case1a on (-1e-3, 1e-3) with n = 2, included)."""
+        sol, params = build_preset(name, xi0)
+        own = np.linspace(*sol.window, 500)
+        want = verify.PDE_STEP * verify._length(own, *build_preset(name)[0].profile(own))
+        for domain, k in (((a, a + width), n), ((-700.0, 700.0), 3), ((-1e-3, 1e-3), 2)):
+            domain = (xi0 + domain[0], xi0 + domain[1])
+            assert pde_residual(sol, params, domain, k)[2] == want
+        assert pde_residual(sol, params, None, n)[2] == want
 
     def test_step_scales_with_the_wave(self):
         """The image f -> lambda f(lambda xi) + a of a wave on the image of
@@ -165,7 +178,7 @@ def _fixed_step_passes(sol, domain, n=500):
     if domain[1] - domain[0] <= 6e-3:
         return False
     xi = np.linspace(domain[0], domain[1], n)
-    return max(verify._pde_defects(sol, sol.params, xi, sol.profile(xi)[0], 1e-3)) < PDE_RTOL
+    return max(verify._pde_defects(sol, sol.params, xi, 1e-3)) < PDE_RTOL
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
