@@ -143,6 +143,26 @@ class TestPdeResidual:
         assert h == pde_residual(periodic, params, own, 500)[2]
         assert max(r_u, r_v) < PDE_RTOL
 
+    def test_one_period_keeps_the_domain_s_step(self):
+        """The default domain (xi0, xi0 + T) keeps the step that its samples
+        give at phase 0, also where its length rounds below T."""
+        sol, params = build_preset("fig-case2a", 1000.0)
+        domain = _solution_domain(sol, None)
+        assert domain[1] - domain[0] < sol.period
+        t = np.linspace(0.0, sol.period, 500)
+        r_u, r_v, h = pde_residual(sol, params, domain, 500)
+        assert h == verify.PDE_STEP * verify._length(t, *sol.with_phase(0.0).profile(t))
+        assert max(r_u, r_v) < PDE_RTOL
+
+    def test_step_is_at_most_the_domains_share(self):
+        """Samples that see a pulse only at its peak and far tails take the
+        step of the pulse's window, within the domain's share, and pass."""
+        sol = solitary_double(-3, -2, -1)
+        r_u, r_v, h = pde_residual(sol, P_CASE1A, (-700.0, 700.0), 3)
+        assert h == pde_residual(sol, P_CASE1A)[2]
+        assert h <= verify.PDE_STEP * 1400.0
+        assert max(r_u, r_v) < 1e-6
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(name=st.sampled_from(sorted(PRESETS)), n=st.integers(2, 600),
            a=st.floats(-1e3, 1e3), width=st.floats(1e-9, 1e3),
