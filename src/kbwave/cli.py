@@ -741,7 +741,9 @@ def cmd_evolve(opts) -> int:
         period = sol.period
         L = 40.0 * math.pi if period is None else max(1, round(40.0 * math.pi / period)) * period
     n = opts["n_grid"]
-    state0 = evolution.state_from_callable(lambda xi: sol.profile(xi)[0], params, L, n)
+    # the wave at phase 0, as every check samples it: --xi0 moves no sample
+    wave = sol.with_phase(0.0)
+    state0 = evolution.state_from_callable(lambda xi: wave.profile(xi)[0], params, L, n)
     if steps is None:
         # by default the step is the limit evolve enforces, and step_count
         # rounds up, so T/steps is never longer
@@ -749,7 +751,7 @@ def cmd_evolve(opts) -> int:
     dt = T / steps
     final = evolution.evolve(state0, dt, T)
     pf = params.as_floats()
-    exact = sol.profile(final.x - 0.5 * L - pf.c * T)[0]
+    exact = wave.profile(final.x - 0.5 * L - pf.c * T)[0]
     err = float(np.max(np.abs(final.u - exact)))
     mean_drift = abs(float(np.mean(final.u) - np.mean(state0.u)))
     root, ext = os.path.splitext(opts["out"])

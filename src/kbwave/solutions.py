@@ -12,13 +12,20 @@ Integrals).  A form whose denominator C + D y can vanish over the kernel's
 range is refused at construction with InvalidConfiguration: F(f) = -f^4 + ...
 is negative for large |f|, so no real solution of f'^2 = F(f) reaches a pole.
 
-Every constructor returns through ``_solution``, which runs the gates before
-the object is surfaced, on the wave at phase 0 (xi0 = 0), so no verdict
-depends on xi0: the first-integral residual f'(xi)^2 = F(f(xi)) on a grid
-over the wave's window (``ClosedFormSolution.window``), for every form,
-constants included; and for a form with a modulus (the Jacobi kernels sn,
-cn, dn, sn^2) the orbit through f(0), followed over one period by
-quadrature of xi(f) = int df / sqrt(F) (see ``_orbit_check``).
+Every constructor returns through ``_solution``, which runs the gates
+(``_gates``) before the object is surfaced, on the wave at phase 0 (xi0 = 0),
+so no verdict depends on xi0.  On every form, constants included, the
+certificate (``_certificate``) compares the five coefficients of
+(B C - A D)^2 beta^2 Q(y) = -prod((A - r C) + (B - r D) y), with y'^2 = Q(y)
+the kernel's equation, which holds exactly when f'^2 = F(f) on the whole
+line; a defect beyond its rounding bound refuses the form.  An a-priori
+bound (``_apriori_bound``) then shows that the first-integral residual
+f'(xi)^2 - F(f(xi)) sampled over the wave's window
+(``ClosedFormSolution.window``) would pass ``residual_bound``; only where it
+cannot is that residual sampled (``_residual_gate``).  A form with a modulus
+(the Jacobi kernels sn, cn, dn, sn^2) also passes the orbit check: the orbit
+through f(0), followed over one period by quadrature of
+xi(f) = int df / sqrt(F) (see ``_orbit_check``).
 Where the classical printed formulas for a family fail these gates, the
 constructor applies a documented correction and records it in the solution's
 provenance notes; the static :data:`DISCREPANCIES` table aggregates them.
@@ -211,24 +218,44 @@ def _algebraic_decay(beta):
     return math.sqrt(2.0 * abs(beta))
 
 
+def _fixed(*q):
+    """The equation of a kernel without a modulus."""
+    return lambda k2: q
+
+
 class _Kernel(NamedTuple):
     fn: Callable      # (x, k) -> (y, dy/dx)
+    q: Callable       # k^2 -> (q0, ..., q4): the kernel's equation y'^2 = sum_j q_j y^j
     period: Callable  # k -> period in x, or None for a pulse
     span: Callable    # k -> (min y, max y) over the orbit
     decay: Callable   # beta -> decay rate of the pulse, or None
 
 
 _KERNELS = {
-    "sn": _Kernel(_sn, _periods_K(4.0), lambda k: (-1.0, 1.0), abs),
-    "cn": _Kernel(_cn, _periods_K(4.0), lambda k: (0.0 if k == 1.0 else -1.0, 1.0), abs),
-    "dn": _Kernel(_dn, _periods_K(2.0),
+    # (1 - y^2)(1 - k^2 y^2)
+    "sn": _Kernel(_sn, lambda k2: (1.0, 0.0, -1.0 - k2, 0.0, k2), _periods_K(4.0),
+                  lambda k: (-1.0, 1.0), abs),
+    # (1 - y^2)(1 - k^2 + k^2 y^2)
+    "cn": _Kernel(_cn, lambda k2: (1.0 - k2, 0.0, 2.0 * k2 - 1.0, 0.0, -k2), _periods_K(4.0),
+                  lambda k: (0.0 if k == 1.0 else -1.0, 1.0), abs),
+    # (1 - y^2)(y^2 - 1 + k^2)
+    "dn": _Kernel(_dn, lambda k2: (k2 - 1.0, 0.0, 2.0 - k2, 0.0, -1.0), _periods_K(2.0),
                   lambda k: (math.sqrt(max(0.0, (1.0 - k) * (1.0 + k))), 1.0), abs),
-    "sn2": _Kernel(_sn2, _periods_K(2.0), lambda k: (0.0, 1.0), abs),
-    "sin": _Kernel(_sin, lambda k: 2.0 * math.pi, lambda k: (-1.0, 1.0), abs),
-    "sech": _Kernel(_sech, _none, lambda k: (0.0, 1.0), abs),
-    "rational": _Kernel(_rational, _none, lambda k: (0.0, 1.0), _algebraic_decay),
-    "const": _Kernel(_const, _none, lambda k: (1.0, 1.0), _none),
+    # 4 y (1 - y)(1 - k^2 y)
+    "sn2": _Kernel(_sn2, lambda k2: (0.0, 4.0, -4.0 - 4.0 * k2, 4.0 * k2, 0.0),
+                   _periods_K(2.0), lambda k: (0.0, 1.0), abs),
+    "sin": _Kernel(_sin, _fixed(1.0, 0.0, -1.0, 0.0, 0.0), lambda k: 2.0 * math.pi,
+                   lambda k: (-1.0, 1.0), abs),  # 1 - y^2
+    "sech": _Kernel(_sech, _fixed(0.0, 0.0, 1.0, 0.0, -1.0), _none,
+                    lambda k: (0.0, 1.0), abs),  # y^2 (1 - y^2)
+    "rational": _Kernel(_rational, _fixed(0.0, 0.0, 0.0, 4.0, -4.0), _none,
+                        lambda k: (0.0, 1.0), _algebraic_decay),  # 4 y^3 (1 - y)
+    "const": _Kernel(_const, _fixed(0.0, 0.0, 0.0, 0.0, 0.0), _none, lambda k: (1.0, 1.0), _none),
 }
+# On every kernel's span |y| <= 1 and |y'| <= 1, and the computed pair (y, y')
+# meets its equation to |y'^2 - Q(y)| <= KERNEL_ROUNDING (tests/test_solutions.py
+# checks each kernel against it); the a-priori bound rests on both.
+KERNEL_ROUNDING = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +271,10 @@ class ClosedFormSolution:
     rational, const).  Construction raises InvalidConfiguration when C + D y
     can vanish over the kernel's range, so every instance is pole-free.
     Immutable after construction and safe to share across threads.  The
-    defining property, checked by ``_solution``, is (f')^2 = F(f) with F the
-    quartic of ``params``.  ``variant`` labels the reduced forms (sech
+    defining property is (f')^2 = F(f) with F the quartic of ``params``;
+    a constructor's wave has passed ``_gates``, whose certificate proves it
+    from the coefficients of the Moebius form and the kernel's equation
+    y'^2 = Q(y), to rounding.  ``variant`` labels the reduced forms (sech
     limits, constants).
     """
 
@@ -596,19 +625,169 @@ def _orbit_verdict(sol, worst, gate):
     return worst
 
 
+# The certificate.  Every wave is f = (A + B y)/(C + D y) of a kernel with
+# y'^2 = Q(y), so f'^2 = F(f) = -prod(f - r) holds on the whole line exactly
+# when, as polynomials in y,
+#
+#     (B C - A D)^2 beta^2 Q(y) = -prod_r ((A - r C) + (B - r D) y):
+#
+# five coefficients, compared without sampling.  They are compared in the
+# wave's own frame f -> (f - z0)/w, z0 = -c the centre of the zeros and w
+# their spread about it, with C and D scaled to at most 1 (the identity holds
+# in any such frame), so that no product leaves the floats where the wave's
+# numbers do not, and a wave far from 0 keeps the precision of its width.
+# Each side carries a running error bound (Wilkinson), in units of the unit
+# roundoff: one rounding for every input (A, B, C, D, the zeros, beta and k,
+# each computed from the zeros; a multiple zero may also have been merged)
+# and for every operation.  A defect above CERTIFICATE_ULPS times that bound,
+# plus what the snap of the modulus (``_modulus``) moved k^2, is not
+# rounding: the form is wrong.
+
+_U = 2.0 ** -53  # unit roundoff
+CERTIFICATE_ULPS = 16.0
+# the mean of a merged cluster (at most 4 zeros, each within _SAME_ZERO max(1, |r|)
+# of the next) lies within 3 _SAME_ZERO max(1, |r|) of each
+_MERGE_ULPS = float(3.0 * _SAME_ZERO / _U)
+
+
+class _Certificate(NamedTuple):
+    defect: float     # sum_j |LHS_j - RHS_j|, in the frame
+    allowance: float  # the rounding and the snaps that the defect is held to
+    excess: float     # >= the defect in exact arithmetic, so >= |LHS(y) - RHS(y)| for |y| <= 1
+    scale: float      # w max(|C|, |D|): LHS - RHS in the frame is that of the wave / scale^4
+
+
+def _certificate(wave):
+    """The certificate of ``wave``; None where its zeros have no spread (a
+    quadruple zero) or are not finite."""
+    z0 = -wave.params.c
+    r1, r2, r3, r4 = wave.roots.expand()
+    w = max(abs(r1 - z0), abs(r2 - z0), abs(r3 - z0), abs(r4 - z0))
+    if not 0.0 < w < math.inf:
+        return None
+    s = max(abs(wave.C), abs(wave.D))
+    A, B, C, D = wave.A / s, wave.B / s, wave.C / s, wave.D / s
+    aC, aD, az = abs(C), abs(D), abs(z0)
+    a, b = (A - z0 * C) / w, (B - z0 * D) / w  # the numerator's coefficients in the frame
+    ea = (2.0 * abs(A) + 3.0 * az * aC) / w + 2.0 * abs(a)
+    eb = (2.0 * abs(B) + 3.0 * az * aD) / w + 2.0 * abs(b)
+
+    # -RHS = prod_r ((a - t C) + (b - t D) y), t = (r - z0)/w, in two quadratics;
+    # its error, summed over the coefficients, is sum_i g_i prod_{k != i} m_k
+    # with m = |c0| + |c1| and g the error of c0 plus that of c1.  A simple
+    # zero carries one rounding; a multiple one may be the mean of zeros that
+    # ``RootMultiset.from_values`` merged, each within _SAME_ZERO max(1, |r|)
+    m, g = [], []
+    for r, mult in wave.roots.entries:
+        t = (r - z0) / w
+        at = abs(t)
+        et = (abs(r) if mult == 1 else _MERGE_ULPS * max(1.0, abs(r))) / w + 2.0 * at
+        c0, c1 = a - t * C, b - t * D
+        m += [(c0, c1)] * mult
+        g += [ea + eb + (aC + aD) * (3.0 * at + et) + abs(c0) + abs(c1)] * mult
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = m
+    u0, u1, u2 = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
+    v0, v1, v2 = c0 * d0, c0 * d1 + c1 * d0, c1 * d1
+    p = (u0 * v0, u0 * v1 + u1 * v0, u0 * v2 + u1 * v1 + u2 * v0, u1 * v2 + u2 * v1, u2 * v2)
+    ma, mb, mc, md = abs(a0) + abs(a1), abs(b0) + abs(b1), abs(c0) + abs(c1), abs(d0) + abs(d1)
+    mab, mcd = ma * mb, mc * md
+    error = ((g[0] * mb + g[1] * ma) * mcd + (g[2] * md + g[3] * mc) * mab
+             + 8.0 * mab * mcd)
+
+    # LHS = G Q(y), G = (W beta)^2 with W = b C - a D in the frame
+    W = b * C - a * D
+    eW = abs(b) * 2.0 * aC + aC * eb + abs(a) * 2.0 * aD + aD * ea + 2.0 * (abs(b * C) + abs(a * D))
+    bt = wave.beta / w
+    h = W * bt
+    eh = abs(bt) * eW + 2.0 * abs(h)
+    G = h * h
+    k = wave.modulus
+    equation = _KERNELS[wave.kernel].q
+    q = equation(0.0 if k is None else k * k)
+    defect = sum(abs(G * qj + pj) for qj, pj in zip(q, p))
+    error += (2.0 * abs(h) * eh + abs(G)) * sum(map(abs, q))
+    snap = 0.0
+    if k is not None:
+        # k^2 = k k carries 3 roundings, each q_j that reads it (at most 3)
+        # moves by at most 4 k^2 per rounding and adds its own; and a modulus
+        # of 0 or 1 stands for any k^2 within MODULUS_CLAMP of it, since
+        # ``_modulus`` snaps such a k^2 there
+        error += 48.0 * abs(G)
+        if k == 0.0 or k == 1.0:
+            snap = MODULUS_CLAMP * abs(G) * sum(abs(x - y) for x, y in zip(equation(1.0),
+                                                                           equation(0.0)))
+    return _Certificate(defect, CERTIFICATE_ULPS * _U * error + snap,
+                        defect + 2.0 * _U * (error + defect), w * s)
+
+
+def _apriori_bound(wave, cert):
+    """A bound, in plain floats, on what ``_residual_gate`` would measure on
+    ``wave``.  At every y of the kernel's span the computed f'^2 - F(f) is
+    at most the certificate's exact defect over den^4; the kernel's own
+    rounding (KERNEL_ROUNDING) times (f' / y')^2; F' df + F'' df^2 / 2 and
+    (2 |f'| + df') df' for the rounding df, df' of the Moebius map; and the
+    rounding of F in monomial form and of the difference.  The denominator,
+    linear in y, is smallest at an end of the span, and f, monotone there,
+    is largest at one.  inf or NaN where any of it leaves the floats, as the
+    sampled arithmetic then would."""
+    A, B, C, D, beta = wave.A, wave.B, wave.C, wave.D, wave.beta
+    lo, hi = _KERNELS[wave.kernel].span(wave.modulus)
+    d_lo, d_hi = C + D * lo, C + D * hi
+    den = min(abs(d_lo), abs(d_hi))
+    den2 = den * den
+    aC_D = abs(C) + abs(D)
+    if not (den2 > 0.0 and aC_D * aC_D < math.inf):  # the samples square den
+        return math.inf
+    f = max(abs(A + B * lo) / abs(d_lo), abs(A + B * hi) / abs(d_hi))
+    df = 4.0 * _U * (abs(A) + abs(B) + f * aC_D) / den
+    wb = abs((B * C - A * D) * beta)
+    fp = wb / den2
+    dfp = 16.0 * _U * ((abs(B * C) + abs(A * D)) * abs(beta) + wb * aC_D / den) / den2
+    Z = wave.roots.scale()
+    R = f + Z + df
+    R2 = R * R
+    t = cert.scale / den
+    t *= t
+    e = f + 4.0 * Z
+    e *= e
+    return (cert.excess * t * t + fp * fp * KERNEL_ROUNDING
+            + (4.0 * R + 6.0 * df) * R2 * df + (2.0 * fp + dfp) * dfp
+            + 32.0 * _U * e * e + 4.0 * _U * (fp * fp + R2 * R2))
+
+
+def _gates(wave):
+    """The constructor's gates on ``wave``, a wave at phase 0; each raises
+    UnresolvedBranch with the wave as candidate, and float errors are left
+    to the caller.  The certificate runs on every form, and a form it
+    refutes is refused.  The sampled residual gate, ``_residual_gate``, runs
+    only where the certificate and its a-priori bound cannot show that it
+    would pass: zeros with no spread, a certificate not met, a window not
+    finite, or a bound not below ``residual_bound``.  It runs before a
+    refutation is reported, so every form it fails keeps its message.  The
+    orbit check runs on every form with a modulus."""
+    gate = wave.residual_bound  # zeros too large for the gate are refused here, unsampled
+    start, stop = wave.window   # a zero frequency is refused here, as by the sampled gate
+    cert = _certificate(wave)
+    if cert is None or not (cert.defect <= cert.allowance and stop - start < math.inf
+                            and _apriori_bound(wave, cert) < gate):
+        _residual_gate(wave)
+    if cert is not None and cert.allowance < cert.defect < math.inf:
+        raise UnresolvedBranch(
+            f"{wave.kind} failed the certificate: {cert.defect:.3e} > {cert.allowance:.3e}",
+            candidate=wave)
+    if wave.modulus is not None:
+        _orbit_check(wave)
+
+
 def _solution(kind, roots, xi0, mobius, kernel, **kw):
     """The one way a constructor returns a wave: the form (A + B y)/(C + D y)
-    on ``kernel`` with the params of ``roots``, once the residual gate and,
-    when it has a modulus (the Jacobi kernels), the orbit check pass it at
+    on ``kernel`` with the params of ``roots``, once ``_gates`` pass it at
     phase 0."""
     params = params_from_roots(roots).as_floats()
     A, B, C, D = map(float, mobius)
     sol = ClosedFormSolution(kind=kind, roots=roots, params=params, A=A, B=B, C=C, D=D,
                              kernel=kernel, xi0=float(xi0), **kw)
-    wave = sol.with_phase(0.0)
-    _residual_gate(wave)
-    if sol.modulus is not None:
-        _orbit_check(wave)
+    _gates(sol.with_phase(0.0))
     return sol
 
 
@@ -709,7 +888,9 @@ def limiting_form(case, roots, branch="upper", xi0=0.0) -> ClosedFormSolution:
     (d) f2 -> f1 gives the constant f1; f2 -> f3 gives the triple-zero pulse.
 
     Constraints are checked to 1e-10 (relative); each form agrees pointwise
-    with the generic constructor under its constraint.
+    with the generic constructor under its constraint.  A form whose
+    constraint fails by more than rounding is not the wave of its zeros,
+    and the certificate refuses it; ``solitary_double`` builds that wave.
     """
     f1, f2, f3 = _zeros(*roots)
     scale = max(1.0, abs(f1), abs(f2), abs(f3))

@@ -682,6 +682,21 @@ class TestEvolveVerb:
         assert header == "x,u,v"
         assert len(rows) == 256
 
+    def test_xi0_moves_no_sample(self, tmp_path):
+        """evolve samples the wave at phase 0, as every check does: at --xi0
+        1000 it checks the pulse, not its flat tail, and writes the same
+        states and the same nonzero permanence error as at --xi0 0."""
+        out = {}
+        for xi0 in ("0", "1000"):
+            assert main(["evolve", "--preset", "fig-case1a", "--T", "1", "--xi0", xi0,
+                         "--out", str(tmp_path / f"evo{xi0}.csv")]) == 0
+            summary = json.loads((tmp_path / f"evo{xi0}-summary.json").read_text())
+            out[xi0] = (summary["permanence_error"],
+                        (tmp_path / f"evo{xi0}-initial.csv").read_bytes(),
+                        (tmp_path / f"evo{xi0}-final.csv").read_bytes())
+        assert out["1000"] == out["0"]
+        assert 1e-10 < out["0"][0] < 1e-8
+
     def test_periodic_preset_default_length(self, tmp_path):
         """Without --L a periodic wave gets the whole number of periods
         nearest 40 pi, so the periodic grid carries it without a seam."""

@@ -200,3 +200,89 @@ class TestWindow:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         return got
+
+
+def _mutants(sol, rel):
+    """(field, build) for A, B, C, D, beta and the modulus moved by ``rel``
+    either way; a number the move leaves as it is (0) is skipped, and so is
+    a modulus moved above 1."""
+    out = []
+    for field in ("A", "B", "C", "D", "beta", "modulus"):
+        v = getattr(sol, field)
+        for moved in (() if v is None else (v * (1.0 + rel), v * (1.0 - rel))):
+            if moved != v and not (field == "modulus" and moved > 1.0):
+                out.append((field, lambda field=field, moved=moved: replace(sol, **{field: moved})))
+    return out
+
+
+class TestCertificateVerdicts:
+    """The certificate and its a-priori bound on the presets and the
+    sweep's waves."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_mutants_refused(self, name):
+        """A, B, C, D, beta and k, each moved by 1e-6 either way (a modulus
+        of 1 only inward), are refused on every preset; the a-priori bound,
+        which holds for any form, covers what the sampled gate measures on
+        each, where the certificate's defect is what it measures."""
+        wave = build_preset(name)[0].with_phase(0.0)
+        mutants = _mutants(wave, 1e-6)
+        assert len(mutants) >= 8
+        for field, mutant in mutants:
+            with pytest.raises(KBWaveError):
+                S._gates(mutant())
+            wrong = mutant()
+            bound = S._apriori_bound(wrong, S._certificate(wrong))
+            assert not bound < wrong.residual(S._window(wrong, 513)), field
+
+    def test_bound_covers_the_sampled_residual(self):
+        """On every accepted wave of 300 draws the certificate passes, and
+        wherever its a-priori bound is finite the bound is at least what the
+        sampled gate measures; the gate samples about one wave in thirty."""
+        rng = np.random.default_rng(31)
+        certified = sampled = 0
+        for _ in range(300):
+            for label, build in _builds(rng):
+                try:
+                    wave = build().with_phase(0.0)
+                except KBWaveError:
+                    continue
+                cert = S._certificate(wave)
+                assert cert.defect <= cert.allowance, label
+                bound = S._apriori_bound(wave, cert)
+                assert not bound < S._residual_gate(wave), label
+                if bound < wave.residual_bound:
+                    certified += 1
+                else:
+                    sampled += 1
+        assert certified + sampled > 4000
+        assert sampled < 0.1 * certified
+
+    def test_mutants_refused(self):
+        """A, B, C, D, beta and k moved by 1e-6 either way are refused on
+        every accepted wave of a seeded sweep.  The certificate resolves a
+        change above its rounding bound, which grows with the centre of the
+        zeros over their spread and with the spread over the narrowest gap
+        between them, squared; the sweep keeps to zeros at least 1e-2 of
+        their spread apart and centred within 1e2 spreads of 0, where that
+        bound lies far below 1e-6."""
+        rng = np.random.default_rng(32)
+        waves = mutants = 0
+        for _ in range(40):
+            for label, build in _builds(rng):
+                try:
+                    wave = build().with_phase(0.0)
+                except KBWaveError:
+                    continue
+                zeros = wave.roots.expand()
+                values = wave.roots.values()
+                spread = max(zeros) - min(zeros)
+                gaps = [b - a for a, b in zip(values, values[1:])]
+                if not gaps or min(gaps) < 1e-2 * spread or abs(sum(zeros)) > 400.0 * spread:
+                    continue
+                waves += 1
+                for field, mutant in _mutants(wave, 1e-6):
+                    mutants += 1
+                    with pytest.raises(KBWaveError):
+                        S._gates(mutant())
+        assert waves > 300 and mutants > 10 * waves

@@ -20,6 +20,7 @@ from kbwave.presets import build_preset
 from kbwave.quartic import Params, eval_F, eval_F_deriv, params_from_roots
 from kbwave.solutions import (
     Infeasible,
+    _KERNELS,
     _orbit_check,
     case1,
     case2,
@@ -322,9 +323,14 @@ FIT = "the form does not fit a float for these zeros"
     (lambda: solitary_double(-1.0, 0.0, 1e-300),
      f"solitary_double: {FIT} (overflow encountered in multiply)"),
     (lambda: periodic_trig(0.0, 1e-300, -1e-300), f"periodic_trig: {FIT} (float division by zero)"),
+    # beta underflows to 0 and C, D ~ 1e278: the certificate holds, but the
+    # samples square the denominator
+    (lambda: solitary_double(8.84858260880352e-265, 1.7057872100159986e-264,
+                             1.705787210016006e-264),
+     f"solitary_double: {FIT} (overflow encountered in multiply)"),
 ], ids=["nan-periodic_trig", "nan-general_sn2", "inf-solitary_double", "inf-case2",
         "nan-limiting_form", "case1-overflow", "case2-underflow", "case2-invalid",
-        "thin-pulse", "zero-frequency"])
+        "thin-pulse", "zero-frequency", "squared-denominator"])
 def test_float_errors_refused_at_the_boundary(build, message):
     """With numpy's float errors raised, as the CLI runs, each is refused
     at the constructor's boundary, and so is each of Python's."""
@@ -1105,3 +1111,145 @@ def test_narrow_pulse_with_a_wrong_frequency_is_refused(halves, exponent, triple
     assume(sol.beta >= 10.0)
     with pytest.raises(UnresolvedBranch, match="defining residual gate"):
         S._residual_gate(replace(sol, beta=sol.beta * (1.0 + 1e-3)))
+
+
+# ---------------------------------------------------------------------------
+# the kernel table's equations and the certificate they carry
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_kernel_meets_its_equation(name):
+    """Each kernel's computed pair (y, y') meets its row's equation
+    y'^2 = Q(y) to KERNEL_ROUNDING, with |y|, |y'| <= 1 inside its span, and
+    y' is dy/dx; at k in {0, 0.5, 0.99, 1} and at random moduli, as
+    ``_modulus`` stores them.  The certificate proves f'^2 = F(f) from Q and
+    the a-priori bound rests on these facts, so this ties both to ``jacobi``."""
+    import kbwave.solutions as S
+    from kbwave.elliptic import normalize_modulus
+
+    row = _KERNELS[name]
+    has_modulus = row.q(0.0) != row.q(1.0)
+    eps = np.finfo(float).eps
+
+    @_sweep(60)
+    @given(x=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40),
+           k=st.one_of(st.sampled_from([0.0, 0.5, 0.99, 1.0]), st.floats(0.0, 1.0)))
+    def check(x, k):
+        k = normalize_modulus(k) if has_modulus else None
+        x = np.array(x)
+        y, yp = row.fn(x.copy(), k)
+        q = row.q(0.0 if k is None else k * k)
+        Q = sum(c * y ** j for j, c in enumerate(q))
+        assert np.max(np.abs(yp * yp - Q)) <= S.KERNEL_ROUNDING
+        lo, hi = row.span(k)
+        assert np.all((lo - 4 * eps <= y) & (y <= hi + 4 * eps))
+        assert np.max(np.abs(y)) <= 1.0 + 4 * eps and np.max(np.abs(yp)) <= 1.0 + 4 * eps
+        h = 1e-5
+        up, _ = row.fn(x + h, k)
+        down, _ = row.fn(x - h, k)
+        assert np.max(np.abs((up - down) / (2 * h) - yp)) < 1e-8
+
+    check()
+
+
+CLOSE_PULSE = (713.44839524, 3266.21568993, 3278.86574791)
+
+
+def _gates(sol):
+    import kbwave.solutions as S
+
+    return S._gates(sol.with_phase(0.0))
+
+
+class TestCertificate:
+    """The constructor's gate proves f'^2 = F(f) from the five coefficients
+    of (BC - AD)^2 beta^2 Q(y) = -prod((A - rC) + (B - rD) y), and samples
+    only where its a-priori bound cannot show that the sampled gate passes."""
+
+    def test_wrong_pulse_with_close_zeros_refused(self):
+        """A 1e-3 error in beta on a pulse whose zeros are close next to their
+        size: the sampled gate's 1e-8 scale^4 lies above the defect it makes,
+        the certificate does not."""
+        import kbwave.solutions as S
+
+        sol = solitary_double(*CLOSE_PULSE)
+        wrong = replace(sol, beta=1.001 * sol.beta)
+        S._residual_gate(wrong)  # the sampled gate's blind spot
+        with pytest.raises(UnresolvedBranch, match="failed the certificate"):
+            _gates(wrong)
+
+    @pytest.mark.parametrize("shift", [0.0, 10.0, 100.0, 1e3, 1e4])
+    @pytest.mark.parametrize("start", [1, 2, 3, 4])
+    def test_shifted_general_sn2_with_a_wrong_beta_refused(self, shift, start):
+        """The certificate works in the frame of the zeros, so a wave keeps
+        the precision of its width wherever it sits."""
+        sol = general_sn2([v + shift for v in (0.0, 0.3, 1.0, 1.7)], initial_index=start)
+        with pytest.raises(UnresolvedBranch):
+            _gates(replace(sol, beta=1.001 * sol.beta))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [
+        lambda: periodic_trig(1e-106, 2e-106, 4e-106),
+        lambda: periodic_trig(0.0, 1.714429317016854e-297, -1.8966986416388227),
+        lambda: solitary_double(*CLOSE_PULSE),
+        lambda: case1("cn", 0.0, 0.5 - 1e-6, 1.0),  # k^2 = 1 + 4e-12, snapped to 1
+        # zeros within 1e-14 of each other: the constant f1, next to zeros that
+        # RootMultiset.from_values merged within _SAME_ZERO max(1, |r|)
+        lambda: case1("dn", -4.189753565604374e-15, -1.6451493327722633e-16,
+                      -1.6451493256063085e-16),
+    ], ids=["tiny-zeros", "tiny-band", "close-zeros", "snapped-modulus", "merged-zeros"])
+    def test_float_edges_accepted(self, build):
+        """Zeros near the bottom of the floats, a band of width 1.7e-297, a
+        modulus snapped to 1 and merged zeros are certified in the wave's own
+        frame, with numpy's float errors raised as the CLI raises them, and
+        the a-priori bound covers what the sampled gate measures."""
+        import kbwave.solutions as S
+
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            wave = build().with_phase(0.0)
+            cert = S._certificate(wave)
+            assert cert.defect <= cert.allowance
+            assert not S._apriori_bound(wave, cert) < S._residual_gate(wave)
+
+    @pytest.mark.parametrize("build", [
+        lambda: solitary_double(-0.1487727709132648, -0.1487727707697996, 0.5355392810644393),
+        lambda: general_sn2((-1.6584469536437858, 0.49033558189470516, 0.4903355950545854,
+                             0.9146110489426641), initial_index=2),
+    ])
+    def test_ill_conditioned_forms_keep_the_sampled_verdict(self, build):
+        """Forms whose algebra is right but whose floats are not: the
+        certificate passes them, the a-priori bound cannot, and the sampled
+        gate refuses them as it did before the certificate."""
+        import kbwave.solutions as S
+
+        with pytest.raises(UnresolvedBranch, match="defining residual gate") as err:
+            build()
+        wave = err.value.candidate
+        cert = S._certificate(wave)
+        assert cert.defect <= cert.allowance
+        assert not S._apriori_bound(wave, cert) < wave.residual_bound
+
+    def test_limiting_form_off_its_constraint_refused(self):
+        """limiting_form checks its constraint to 1e-10; a form off it by
+        more than rounding is not the wave of its zeros, and the certificate
+        refuses it, while solitary_double builds that wave."""
+        limiting_form("a", (-3.0, -2.0, -1.0 - 1e-15))
+        with pytest.raises(UnresolvedBranch, match="failed the certificate"):
+            limiting_form("a", (-3.0, -2.0, -1.0 - 1e-11))
+        solitary_double(-3.0, -2.0, -1.0 - 1e-11)
+
+    def test_certified_build_samples_nothing(self, monkeypatch):
+        """A certified build of a kernel without a modulus never evaluates
+        its profile."""
+        import kbwave.solutions as S
+
+        calls = []
+        profile = S.ClosedFormSolution.profile
+        monkeypatch.setattr(S.ClosedFormSolution, "profile",
+                            lambda self, xi: calls.append(self.kind) or profile(self, xi))
+        solitary_double(-3.0, -2.0, -1.0)
+        periodic_trig(0.5, 1.5, 3.0)
+        solitary_triple(1.0, 0.0)
+        assert calls == []
+
