@@ -1,9 +1,10 @@
-"""Independent verification: residual operators and the brute-force oracle.
+"""Independent verification: residual operators and the orbit oracle.
 
 Nothing here trusts the closed forms: the first-integral residual uses only
 the analytic derivative and the quartic; the coupled-system residual
-rebuilds both equations with finite differences; the oracle integrates
-f' = s sqrt(F(f)) from scratch, reflecting at simple turning points.
+rebuilds both equations with finite differences; the oracle follows the
+orbit of f'^2 = F(f) from the zeros of F alone, by quadrature in the band's
+angle, turning at simple zeros.
 """
 
 import numpy as np
@@ -37,7 +38,7 @@ for name in sorted(kb.PRESETS):
     print(f"  {name:<18} r_u = {r_u:.3e}   r_v = {r_v:.3e}   h = {h:.3e}")
 
 print()
-print("== brute-force oracle vs closed form ==")
+print("== orbit oracle vs closed form ==")
 sol, params = kb.build_preset("fig-case1a")
 f0 = sol.evaluate(-10.0)[0]
 prof = kb.oracle_integrate(params, f0, +1, 20.0, h=1e-4)
@@ -47,16 +48,12 @@ print(f"  solitary pulse, xi in [-10, 10], h = 1e-4: "
 print(f"  turning events at xi = {[round(-10 + e, 6) for e in prof.events]}")
 
 print()
-print("== fourth-order convergence away from turning points ==")
-errs = {}
+print("== the samples do not depend on h: each is the orbit's own value ==")
+f0 = sol.evaluate(-3.0)[0]
 for h in (0.04, 0.02, 0.01, 0.005):
     prof = kb.oracle_integrate(params, f0, +1, 9.0, h=h)
-    exact = sol.profile(-10.0 + prof.xi)[0]
-    errs[h] = np.max(np.abs(prof.f - exact))
-hs = sorted(errs, reverse=True)
-for a, b in zip(hs, hs[1:]):
-    print(f"  h = {a:<6} -> {b:<6}: error {errs[a]:.3e} -> {errs[b]:.3e} "
-          f"(ratio {errs[a] / errs[b]:.1f})")
+    exact = sol.profile(-3.0 + prof.xi)[0]
+    print(f"  h = {h:<6}: {len(prof.xi):5d} samples, error {np.max(np.abs(prof.f - exact)):.3e}")
 
 print()
 print("== energy along the oracle profile ==")

@@ -9,8 +9,9 @@ Library layout:
 * :mod:`kbwave.reduction`  second-field reconstruction g(f);
 * :mod:`kbwave.solutions`  every closed-form family (solitary, trigonometric,
   elliptic) as validated evaluable descriptors;
-* :mod:`kbwave.verify`     residual checks and the brute-force RK4 orbit
-  oracle;
+* :mod:`kbwave.orbit`      the orbit of one band by quadrature in the band's
+  angle, which the orbit check and the oracle both follow;
+* :mod:`kbwave.verify`     residual checks and the orbit oracle;
 * :mod:`kbwave.evolution`  pseudo-spectral time evolution on a periodic
   domain;
 * :mod:`kbwave.hierarchy`  exact-rational reductions of the ell-component

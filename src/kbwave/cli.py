@@ -4,7 +4,7 @@ Verbs:
     classify   roots, multiplicities, case tag and existence verdict
     solve      construct a closed form, verify it, emit profile + sidecar
     verify     residual report (first-integral and coupled-system defects)
-    oracle     brute-force RK4 orbit profile
+    oracle     the orbit through f0, sampled
     evolve     pseudo-spectral time evolution, permanence summary
     reduce     exact hierarchy reduction and conjecture verdicts
     figures    emit the reference figure presets as golden CSV files
@@ -131,7 +131,7 @@ def _emit(path: str | None, text: str) -> None:
 def _parse_float(token: str) -> float:
     """The double a token spells, as ``float`` reads it; for a fraction n/d,
     the double nearest n/d, or an infinity past the largest."""
-    token = token.strip()
+    token = str(token).strip()  # a config's value may be a JSON number
     try:
         if "/" not in token:
             return float(token)
@@ -153,7 +153,7 @@ def _parse_number(token: str):
     x = _parse_float(token)
     if x == 0:
         return Fraction(0)
-    return Fraction(token.strip()) if math.isfinite(x) else x
+    return Fraction(str(token).strip()) if math.isfinite(x) else x
 
 
 def _tokens(value) -> list:
@@ -216,7 +216,7 @@ VERBS = {
     "classify": "case taxonomy of the quartic",
     "solve": "construct and emit a closed form",
     "verify": "residual report for a closed form",
-    "oracle": "brute-force RK4 orbit profile",
+    "oracle": "the orbit through f0, sampled",
     "evolve": "pseudo-spectral time evolution",
     "reduce": "exact hierarchy reduction",
     "figures": "emit the reference presets as CSV",
@@ -252,10 +252,11 @@ OPTIONS = (
     Option("out", _path, "figures", "output directory", ("figures",)),
     Option("preset", str, "all", "preset to emit", ("figures",),
            choices=(*sorted(PRESETS), "all")),
-    Option("f0", float, None, "starting value", ("oracle",), required=True),
+    Option("f0", _parse_number, None, "starting value (fractions like 1/2 accepted)",
+           ("oracle",), required=True),
     Option("sign", _whole, 1, "sign of the starting slope", ("oracle",), choices=(-1, 1)),
-    Option("length", float, 20.0, "span of xi integrated", ("oracle",)),
-    Option("h", float, 1e-4, "integration step", ("oracle",)),
+    Option("length", float, 20.0, "span of xi sampled", ("oracle",)),
+    Option("h", float, 1e-4, "spacing of the samples", ("oracle",)),
     Option("L", float, None,
            "domain length (default: the whole number of periods nearest 40 pi, "
            "or 40 pi for a pulse)", ("evolve",)),
@@ -719,7 +720,8 @@ def cmd_verify(opts) -> int:
 
 def cmd_oracle(opts) -> int:
     params, _ = _resolve_problem(opts)
-    profile = oracle_integrate(params, opts["f0"], opts["sign"], opts["length"], h=opts["h"])
+    f0 = float(opts["f0"])
+    profile = oracle_integrate(params, f0, opts["sign"], opts["length"], h=opts["h"])
     _emit(opts["out"], _profile_csv(profile))
     return 0
 

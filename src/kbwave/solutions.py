@@ -25,7 +25,8 @@ f'(xi)^2 - F(f(xi)) sampled over the wave's window
 cannot is that residual sampled (``_residual_gate``).  A form with a modulus
 (the Jacobi kernels sn, cn, dn, sn^2) also passes the orbit check: the orbit
 through f(0), followed over one period by quadrature of
-xi(f) = int df / sqrt(F) (see ``_orbit_check``).
+xi(f) = int df / sqrt(F) in the band's angle (``orbit.Orbit``, see
+``_orbit_check``).
 Where the classical printed formulas for a family fail these gates, the
 constructor applies a documented correction and records it in the solution's
 provenance notes; the static :data:`DISCREPANCIES` table aggregates them.
@@ -62,15 +63,16 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebvander
 
+from . import orbit
 from .elliptic import complete_K, jacobi, normalize_modulus
 from .errors import Infeasible, InvalidConfiguration, UnresolvedBranch
-from .quartic import (Params, RootMultiset, band_edges, classify, eval_F,
+from .quartic import (Params, RootMultiset, classify,
                       first_integral_residual, params_from_roots, scaled_bound)
 from .reduction import g_from_f
 
@@ -504,114 +506,35 @@ def _residual_gate(sol, n=513):
     return res
 
 
-# The orbit check follows a wave at phase 0 through f0 = f(0) by quadrature of
-# xi(f) = int df / sqrt(F), with F = -prod(f - r) factored from sol.roots.
-# In a band [e, o] of F > 0 the substitution f = e + (o - e) sin^2(theta)
-# (Byrd & Friedman) removes both turning-point singularities:
-#
-#     d xi / d theta = 2 / sqrt(Q(f)),   Q = (f - r3)(f - r4),
-#
-# r3, r4 the zeros other than e and o.  Q is small only where r3 or r4 nearly
-# meets a band edge, and vanishes there when that edge is a double zero (a
-# pulse, whose xi diverges logarithmically).  Chebyshev-Lobatto panels, halved
-# toward each such edge down to the width of its feature, integrate d xi /
-# d theta to near machine precision; a pulse is followed until |f - o| is
-# about 1e-14 |o - e|.
-
-_PANEL = 16
-_LOBATTO = -np.cos(np.pi * np.arange(_PANEL) / (_PANEL - 1))  # ascending on [-1, 1]
-_TO_COEFFS = np.linalg.inv(chebvander(_LOBATTO, _PANEL - 1))
-# values at the nodes -> integral from -1 to each node
-_CUMULATIVE = (chebvander(_LOBATTO, _PANEL) @ chebint(np.eye(_PANEL), lbnd=-1.0)
-               @ _TO_COEFFS)
-_PULSE_CUTOFF = 1e-7  # pi/2 - theta where a pulse's quadrature stops
-_QUADRANT = 0.25 * math.pi
-
-
-def _halvings(depth):
-    """Panel breaks pi/4 * 2**-j, ascending, the smallest no wider than depth."""
-    m = max(0, math.ceil(math.log2(_QUADRANT / depth)))
-    return [_QUADRANT * 0.5 ** j for j in range(m, 0, -1)]
-
-
-def _band(sol, f0, gate):
-    """The band (e, o) of F > 0 that holds f0, anchored at a simple zero e,
-    and the two other zeros; raises when f0 lies outside every band."""
-    zeros, values = sol.roots.expand(), sol.roots.values()
-    spans = [(values[i], values[j]) for i, j in band_edges(sol.roots.multiplicities())]
-    dist = [max(lo - f0, f0 - hi, 0.0) for lo, hi in spans]
-    if not dist or not min(dist) < gate:
-        raise UnresolvedBranch(
-            f"{sol.kind} failed the orbit check: f(xi0) = {f0!r} lies in no band "
-            f"of F > 0 for the zeros {zeros}", candidate=sol)
-    lo, hi = spans[dist.index(min(dist))]
-    rest = list(zeros)
-    rest.remove(lo)
-    rest.remove(hi)
-    # a double zero cannot bound the band on both sides (F <= 0 there), so
-    # at least one edge is simple; anchor there, where the orbit turns
-    if min(abs(r - lo) for r in rest) >= min(abs(r - hi) for r in rest):
-        return lo, hi, rest
-    return hi, lo, rest
-
-
 def _orbit_check(sol):
     """Compare the closed form of ``sol``, a wave at phase 0, with the orbit
-    of f'^2 = F(f) through f(0) over one period (or, for a pulse, until it
-    meets its double zero), at the bound ORBIT_RTOL * scale; raises
-    UnresolvedBranch with the solution as candidate.  Returns the largest
-    deviation."""
+    of f'^2 = F(f) through f(0) (``orbit.Orbit``) over one period (or, for
+    a pulse, until it meets its multiple zero), at the bound
+    ORBIT_RTOL * scale; raises UnresolvedBranch with the solution as
+    candidate.  Returns the largest deviation."""
     gate = ORBIT_RTOL * sol.roots.scale()
     f0, fp0 = sol.evaluate(0.0)
     rest_point = [v for v, m in sol.roots.entries if m > 1 and abs(f0 - v) < gate]
     if rest_point:
-        # the orbit through a double zero is that zero: the form must stay there
+        # the orbit through a multiple zero is that zero: the form must stay there
         f, _ = sol.profile(_window(sol, 129))
         return _orbit_verdict(sol, float(np.max(np.abs(f - rest_point[0]))), gate)
 
-    e, o, (r3, r4) = _band(sol, f0, gate)
-    w = o - e
-    depth = {z: math.sqrt(min(abs(r3 - z), abs(r4 - z)) / abs(w)) for z in (e, o)}
-    breaks = [0.0, *_halvings(depth[e]), _QUADRANT]
-    if depth[o] > 0.0:
-        breaks += [0.5 * math.pi - b for b in (*_halvings(depth[o]), 0.0)]
-    else:  # a pulse: stop short of the double zero
-        breaks += [0.5 * math.pi - b for b in _halvings(_PULSE_CUTOFF)]
-
-    # theta0 from f0 in the middle of the band and from |f'(xi0)| near its
-    # edges, where f0 alone fixes theta0 only to the square root of its error
-    def minus(z, sin2, cos2):  # f - z without cancellation near either edge
-        return (e - z) + w * sin2 if abs(e - z) <= abs(o - z) else (o - z) - w * cos2
-
-    s2, c2 = (min(max(v / w, 0.0), 1.0) for v in (f0 - e, o - f0))  # sin^2, cos^2
-    q0 = abs(minus(r3, s2, c2) * minus(r4, s2, c2))
-    sc = abs(fp0) / (abs(w) * math.sqrt(q0)) if q0 > 0.0 else 0.0  # sin * cos
-    theta0 = math.atan2(sc, c2) if s2 <= c2 else 0.5 * math.pi - math.atan2(sc, s2)
-    theta0 = min(theta0, max(breaks))
-
-    breaks = np.array(sorted({*breaks, theta0}))  # np.unique's array, without its cost
-    half = 0.5 * np.diff(breaks)
-    theta = (0.5 * (breaks[:-1] + breaks[1:]))[:, None] + half[:, None] * _LOBATTO
-    sin2, cos2 = np.sin(theta) ** 2, np.cos(theta) ** 2
-    dxi = 2.0 / np.sqrt(minus(r3, sin2, cos2) * minus(r4, sin2, cos2))
-    within = half[:, None] * (dxi @ _CUMULATIVE.T)
-    before = np.concatenate(([0.0], np.cumsum(within[:, -1])))
-    xi = before[:-1, None] + within
-
-    f = e + w * sin2
-    speed = float(np.sqrt(np.max(np.abs(eval_F(sol.params, f)))))
-    # the two highest Chebyshev coefficients per panel bound the error in xi
-    tail = np.abs(dxi @ _TO_COEFFS[-2:].T).sum(axis=1)
-    bound = speed * float(np.sum(half * tail))
-    if not bound < 0.1 * gate:
+    picked = orbit.band(sol.params, sol.roots, f0, gate)
+    if picked is None:
+        raise UnresolvedBranch(
+            f"{sol.kind} failed the orbit check: f(xi0) = {f0!r} lies in no band "
+            f"of F > 0 for the zeros {sol.roots.expand()}", candidate=sol)
+    orb = orbit.Orbit(*picked, f0, fp0)
+    if not orb.bound < 0.1 * gate:
         raise UnresolvedBranch(
             f"{sol.kind}: the orbit quadrature did not converge: its error moves "
-            f"f by up to {bound:.3e}, against the bound {gate:.3e}", candidate=sol)
+            f"f by up to {orb.bound:.3e}, against the bound {gate:.3e}", candidate=sol)
 
     # the orbit turns at e, at xi_e; f(xi_e +- xi(theta)) = f(theta)
-    s = 1.0 if fp0 * w >= 0.0 else -1.0
-    xi_e = -s * before[int(np.searchsorted(breaks, theta0))]
-    worst = max(float(np.max(np.abs(sol.profile(xi_e + sign * xi)[0] - f)))
+    xi_e = -orb.xi0 if fp0 * orb.w >= 0.0 else orb.xi0
+    f = orb.f
+    worst = max(float(np.max(np.abs(sol.profile(xi_e + sign * orb.xi)[0] - f)))
                 for sign in (1.0, -1.0))
     return _orbit_verdict(sol, worst, gate)
 
@@ -764,9 +687,13 @@ def _gates(wave):
     would pass: zeros with no spread, a certificate not met, a window not
     finite, or a bound not below ``residual_bound``.  It runs before a
     refutation is reported, so every form it fails keeps its message.  The
-    orbit check runs on every form with a modulus."""
+    orbit check runs on every form with a modulus.  A form that varies
+    needs a frequency that is a positive normal double: a smaller one is
+    the float error of a form that does not fit the floats."""
     gate = wave.residual_bound  # zeros too large for the gate are refused here, unsampled
-    start, stop = wave.window   # a zero frequency is refused here, as by the sampled gate
+    start, stop = wave.window   # a periodic form's zero frequency is refused here
+    if wave.kernel != "const" and not sys.float_info.min <= wave.beta < math.inf:
+        raise FloatingPointError(f"its frequency {wave.beta!r} is not a positive normal double")
     cert = _certificate(wave)
     if cert is None or not (cert.defect <= cert.allowance and stop - start < math.inf
                             and _apriori_bound(wave, cert) < gate):

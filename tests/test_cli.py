@@ -20,6 +20,7 @@ import kbwave
 from kbwave import cli
 from kbwave.cli import main
 from kbwave.quartic import Params
+from kbwave.solutions import solitary_double
 
 S3 = math.sqrt(3.0)
 
@@ -604,16 +605,16 @@ class TestVerifyVerb:
 
 
 class TestOracleVerb:
-    # the bytes `oracle` writes, with no reflection, one, and three on the
-    # Horner path (taken when F's four zeros are not all real)
+    # the bytes `oracle` writes: toward a double zero, through the turn at a
+    # simple one, and three turns of a band whose other two zeros are complex
     @pytest.mark.parametrize("argv, digest", [
         (["--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9", "--length", "0.5"],
-         "19bc941886afd788479bd7626fc27b50a2384f5a01a9c30539a60606c637c05f"),
+         "3c97c2cb6e57d600d0da32e60ea1439e38dac25ffa9d3d673c1e744800df715c"),
         (["--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9", "--sign", "-1",
           "--length", "2", "--h", "1e-3"],
-         "d38b460feb570a5b904d8a418ee5187fe24e031186bbe40b1c232e353b5d9df9"),
+         "f9ff4b787a7e59e0b0eb55f17a71f5655e02b9cba61803b420edce927e78da59"),
         (["--params", "0,0,0,1/8", "--f0", "0", "--length", "8", "--h", "1e-3"],
-         "aab02daecd5b4f76c23ac71bee0338c9adb218b82e6e312a687be524d37b6b58"),
+         "c07838359c23bc06e56f9c1ceb252e8e91f74e2ce9d9bcdca8cf2e778bf76897"),
     ])
     def test_output_digest(self, tmp_path, argv, digest):
         out = tmp_path / "orc.csv"
@@ -623,15 +624,39 @@ class TestOracleVerb:
     def test_readme_orbit_is_the_lower_pulse(self, tmp_path):
         """The README's orbit from -2.9 over 12 is solitary_double(-3, -2, -1,
         "lower") placed where it equals -2.9."""
-        from kbwave.solutions import solitary_double
-
         out = tmp_path / "orbit.csv"
         assert main(["oracle", "--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9", "--length", "12",
                      "--out", str(out)]) == 0
         _, rows = read_csv(out)
         xi, f = np.array(rows)[:, :2].T
         sol = solitary_double(-3, -2, -1, "lower", xi0=-math.acosh(1 / 0.9))
-        assert np.max(np.abs(sol.profile(xi)[0] - f)) < 3.5e-14
+        assert np.max(np.abs(sol.profile(xi)[0] - f)) < 1e-14
+
+    @pytest.mark.parametrize("argv, at, sol", [
+        # one sample past the start, on the lower pulse
+        (["--f0", "-2.9", "--length", "12", "--h", "12"], 12.0,
+         lambda: solitary_double(-3, -2, -1, "lower", xi0=-math.acosh(1 / 0.9))),
+        # from the simple zero -1 into the band [-2, -1], far past its cut-off
+        (["--f0=-1", "--length", "1e100", "--h", "1e100"], 1e100,
+         lambda: solitary_double(-3, -2, -1, "upper")),
+    ], ids=["h-12", "h-1e100"])
+    def test_coarse_h_samples_the_orbit(self, tmp_path, argv, at, sol):
+        """--h is the grid's spacing: two rows, the start and the orbit's own
+        value at xi = --length."""
+        out = tmp_path / "orbit.csv"
+        assert main(["oracle", "--params", "2,-7/4,-7/2,-3/2", *argv, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        (xi0, f0, *_), (xi1, f1, *_) = rows
+        assert (xi0, xi1) == (0.0, at)
+        assert abs(f1 - sol().profile(np.array([at]))[0][0]) < 1e-14
+
+    def test_f0_is_read_like_params(self, tmp_path):
+        """--f0 takes what --params takes: 1/2 is the double nearest 1/2."""
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for f0, out in zip(("1/2", "0.5"), outs):
+            assert main(["oracle", "--params=-1/2,-5/16,5/32,0", "--f0", f0, "--length", "1",
+                         "--h", "0.1", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_profile_emitted(self, tmp_path):
         out = tmp_path / "orc.csv"
@@ -1092,8 +1117,7 @@ class TestRefusals:
     and with warnings as errors: no traceback, no warning, no file written.
     Each class is refused where it arises: zeros too large for the bounds
     of F's checks, an evolve run that cannot finish or a grid too fine for
-    float wavenumbers, an oracle grid too large to allocate or a step so
-    coarse that the orbit overflows or leaves its band, zeros so close that
+    float wavenumbers, an oracle grid too large to allocate, zeros so close that
     a wave's form or frequency does not fit a float, non-finite --roots,
     --xi0 or --domain, a --domain too wide for the wave's phase, and
     --config values the flags' parsers never let through."""
@@ -1125,14 +1149,6 @@ class TestRefusals:
         "oracle-huge-grid": (["oracle", "--params", P, "--f0", "-2.9", "--length", "12",
                               "--h", "1e-8"],
                              "takes 1.2e+09 grid points, more than MAX_ORACLE_POINTS = 1000000"),
-        # one step from the zero -1 leaves the floats: an overflow warning in g before
-        "oracle-coarse-step": (["oracle", "--params", P, "--f0=-1", "--length", "1e100",
-                                "--h", "1e100"],
-                               "the orbit overflowed at xi = 1e+100: a step h = 1e+100"),
-        # one step jumps from the band [-3, -2] to f = -85157, where F < 0
-        "oracle-step-leaves-band": (["oracle", "--params", P, "--f0", "-2.9", "--length", "12",
-                                     "--h", "12"],
-                                    "the orbit left its band [-3, -2] at xi = 12: a step h = 12.0"),
         # the constructors' float errors, each refused at their one boundary:
         # (f3 - f1)**2 in case1 raised OverflowError
         "solve-case1-huge-roots": (["solve", "--kind", "case1-dn", "--roots", "1e200,2e200,3e200"],

@@ -306,6 +306,7 @@ class TestCase1:
 
 NAN = math.nan
 FIT = "the form does not fit a float for these zeros"
+ZERO_FREQUENCY = (8.84858260880352e-265, 1.7057872100159986e-264, 1.705787210016006e-264)
 
 
 @pytest.mark.filterwarnings("error")
@@ -323,11 +324,10 @@ FIT = "the form does not fit a float for these zeros"
     (lambda: solitary_double(-1.0, 0.0, 1e-300),
      f"solitary_double: {FIT} (overflow encountered in multiply)"),
     (lambda: periodic_trig(0.0, 1e-300, -1e-300), f"periodic_trig: {FIT} (float division by zero)"),
-    # beta underflows to 0 and C, D ~ 1e278: the certificate holds, but the
-    # samples square the denominator
-    (lambda: solitary_double(8.84858260880352e-265, 1.7057872100159986e-264,
-                             1.705787210016006e-264),
-     f"solitary_double: {FIT} (overflow encountered in multiply)"),
+    # beta underflows to 0 and C, D ~ 1e278: refused before the samples
+    # square the denominator, since a pulse of frequency 0 is no wave
+    (lambda: solitary_double(*ZERO_FREQUENCY),
+     f"solitary_double: {FIT} (its frequency 0.0 is not a positive normal double)"),
 ], ids=["nan-periodic_trig", "nan-general_sn2", "inf-solitary_double", "inf-case2",
         "nan-limiting_form", "case1-overflow", "case2-underflow", "case2-invalid",
         "thin-pulse", "zero-frequency", "squared-denominator"])
@@ -338,6 +338,15 @@ def test_float_errors_refused_at_the_boundary(build, message):
             over="raise", invalid="raise", divide="raise"):
         build()
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("state", ["raise", "warn", "ignore"])
+def test_zero_frequency_refused_in_any_error_state(state):
+    """A pulse whose frequency underflows to 0 is refused whatever numpy's
+    error state: before, only raised float errors refused it."""
+    with pytest.raises(InvalidConfiguration, match="its frequency 0.0 is not a positive normal"), \
+            np.errstate(all=state):
+        solitary_double(*ZERO_FREQUENCY)
 
 
 # two zeros 3.7e-10 apart (relative), once merged into a double by case1 and
@@ -689,13 +698,24 @@ class TestOrbitCheck:
     def test_unresolved_quadrature_is_loud(self, monkeypatch):
         """Without the graded panels the near-homoclinic band is not resolved,
         and the check says so rather than passing or failing on noise."""
-        import kbwave.solutions as S
+        from kbwave import orbit
 
         sol = case2("inv_sn", -3.1933706513223035, 3.1560461282975467,
                     0.0006870581931064379)
-        monkeypatch.setattr(S, "_halvings", lambda depth: [])
+        monkeypatch.setattr(orbit, "_halvings", lambda depth: [])
         with pytest.raises(UnresolvedBranch, match="did not converge"):
             _orbit_check(sol)
+
+    def test_triple_edge_pulses_follow_their_orbit(self):
+        """A pulse that meets a triple zero: its panels run in tan(theta), on
+        which the orbit's xi is linear, so every seeded draw matches its
+        orbit to rounding and a 1e-3 error in beta is refused."""
+        rng = np.random.default_rng(29)
+        for f_triple, f_simple in rng.uniform(-5.0, 5.0, (200, 2)):
+            sol = solitary_triple(f_triple, f_simple)
+            assert _orbit_check(sol) < 1e-12 * sol.roots.scale()
+            with pytest.raises(UnresolvedBranch, match="orbit check"):
+                _orbit_check(replace(sol, beta=sol.beta * 1.001))
 
     def test_merged_zeros_tiny_band_accepted(self):
         # f2 - f1 = 9e-10, once merged into two doubles by case1: the four
