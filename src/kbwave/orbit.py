@@ -208,7 +208,7 @@ class Orbit:
             sin2, cos2 = self._squares_at(np.abs(tau), coeffs, integrals)
             f[lo:lo + _CHUNK] = self.e + self.w * sin2
             speed = np.sqrt(sin2 * cos2 * np.abs(self.q(sin2, cos2)))
-            fp[lo:lo + _CHUNK] = self.w * np.copysign(speed, tau)
+            fp[lo:lo + _CHUNK] = self.w * np.copysign(speed, tau) + 0.0  # no -0 at rest
         return f, fp, events
 
     def _squares_at(self, a, coeffs, integrals):

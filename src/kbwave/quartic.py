@@ -6,17 +6,18 @@ Reducing the two-component system along xi = x - c t gives
 
 so everything about a wave -- existence, type, amplitude, speed -- is decided
 by the real zeros of F and their multiplicities.  This module evaluates F and
-its derivatives, extracts and clusters its real roots, maps root multisets
-back to the constants (exactly, in rational arithmetic when the roots are
-rational), and classifies the configuration into the case taxonomy that
-drives the solution constructors.
+its derivatives, finds its real zeros with their multiplicities, maps root
+multisets back to the constants (exactly, in rational arithmetic when the
+roots are rational), and classifies the configuration into the case taxonomy
+that drives the solution constructors.
 
-For rational constants (int or Fraction) the multiplicities of the real
-zeros are exact, read off integer invariants of F with no tolerance, and
-each zero comes in closed form, rounded once or certified within an ulp;
-float constants take an eigensolve whose roots are grouped within a fixed
-tolerance.  ``roots_of_F`` tells how.  The command line reads ``--params``
-and ``--roots`` exactly, so no verb takes the float path.
+Every constant is the exact rational it is (an int, a Fraction, or a float,
+whose value is a dyadic rational), so the multiplicities of the real zeros
+are exact, read off integer invariants of F with no tolerance, and each zero
+comes in closed form, rounded once or certified within an ulp, or from a
+Sturm chain, rounded once.  ``roots_of_F`` tells how.  A caller that holds
+a wave passes its zeros: float constants mean the F they spell, not the
+rounded F of some other zeros.
 
 A wave lives in a band of F > 0 between adjacent real zeros.  The bands follow
 from the multiplicities alone (``band_edges``): F < 0 above the top zero and
@@ -29,11 +30,10 @@ exponential approach to a double, an algebraic one to a triple.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import NamedTuple
 
 import numpy as np
@@ -57,9 +57,6 @@ __all__ = [
     "scaled_bound",
 ]
 
-_CLUSTER_TOL = 1e-7  # double roots of a double-precision quartic keep ~8 digits
-_NEAR = 1e-2  # roots this close (relative) may be one multiple zero split by the eigensolve
-_ROUNDING = 8 * float(np.finfo(float).eps)  # twice Horner's bound 2n u = 4 eps (n = 4)
 _INF = math.inf
 
 
@@ -345,79 +342,6 @@ def eval_F_deriv(p: Params, f, order: int = 1):
     return v
 
 
-def _taylor(coeffs, x, n):
-    """[(F^(j)(x), M_j)] for j < n, F the polynomial with ``coeffs`` (highest
-    degree first) and M_j the same derivative of the polynomial with absolute
-    coefficients at |x|: a few eps times M_j bounds the rounding of F^(j)(x)."""
-    out = []
-    ax = abs(x)
-    for j in range(n):
-        if j:
-            coeffs = _derivative(coeffs)
-        v = m = 0.0
-        for a in coeffs:
-            v, m = v * x + a, m * ax + abs(a)
-        out.append((v, m))
-    return out
-
-
-def _multiple_zero(coeffs, group, tol):
-    """The real m-fold zero of F that the m roots of ``group`` split from, or None.
-
-    Their mean stays accurate, and there F and its derivatives below m - 1
-    must vanish to within their rounding (F^(m-1) is not asked to: the
-    mean's own error moves it by that error times F^(m)).
-    """
-    m = len(group)
-    mean = sum(group) / m
-    if abs(mean.imag) > tol * max(1.0, abs(mean)):
-        return None
-    if all(abs(v) <= _ROUNDING * bound for v, bound in _taylor(coeffs, mean.real, m - 1)):
-        return mean.real
-    return None
-
-
-def _multiple_zeros(coeffs, roots, tol, radius, floor):
-    """Split roots into multiple zeros [(value, m)] and the roots left over.
-
-    Roots chained by distances of at most ``radius`` form a group; a group
-    that is no multiple zero is split again at a tenth of the radius, down
-    to ``floor``.
-    """
-    groups = []
-    for z in roots:
-        # z and the groups it reaches become one group, placed last, members
-        # in this order: the mean sums them in it
-        merged, kept = [z], []
-        for g in groups:
-            for w in g:
-                if abs(z - w) <= radius:
-                    merged += g
-                    break
-            else:
-                kept.append(g)
-        kept.append(merged)
-        groups = kept
-    if len(groups) == len(roots):
-        return [], roots
-    found, rest = [], []
-    for g in groups:
-        x = _multiple_zero(coeffs, g, tol) if len(g) > 1 else None
-        if x is not None:
-            found.append((x, len(g)))
-        elif len(g) > 1 and radius > floor:
-            more, left = _multiple_zeros(coeffs, g, tol, 0.1 * radius, floor)
-            found += more
-            rest += left
-        else:
-            rest += g
-    return found, rest
-
-
-# F's coefficients, highest degree first, as the error for one too large names them
-_COEFFICIENT_NAMES = ("-1", "-4 c", "4 (d1 - c^2)", "8 d2", "8 d3")
-
-
 def _params_text(p: Params) -> str:
     """The params for an error line, each as its shortest double:
     "c=1e+200, d1=0, d2=0, d3=0", however many digits an exact one has."""
@@ -431,65 +355,19 @@ def _params_text(p: Params) -> str:
     return ", ".join(f"{name}={text(getattr(p, name))}" for name in ("c", "d1", "d2", "d3"))
 
 
-def _too_large(name, p):
-    return ValueError(f"coefficient {name} of F does not fit a float: {_params_text(p)}")
-
-
-_EXACT = (int, Fraction)
-
-
-def _rational(p: Params) -> bool:
-    return (isinstance(p.c, _EXACT) and isinstance(p.d1, _EXACT)
-            and isinstance(p.d2, _EXACT) and isinstance(p.d3, _EXACT))
-
-
 def _ratios(values):
-    """(numerator, denominator) of each of the rational ``values``."""
-    return [v.as_integer_ratio() for v in values]
-
-
-def _rounded_coefficients(p, ratios):
-    """F's coefficients for the ``_ratios`` of rational (c, d1, d2, d3), each
-    exact one as one integer numerator over one integer denominator: int /
-    int rounds correctly, so each float is the exact coefficient rounded
-    once.  Raises ValueError, naming the coefficient, when one does not fit
-    a float."""
-    (a, b), (e, g), (h, k), (m, n) = ratios
-    ratios = ((-1, 1), (-4 * a, b), (4 * (e * b * b - a * a * g), g * b * b),
-              (8 * h, k), (8 * m, n))
-    coeffs = []
-    for name, (x, y) in zip(_COEFFICIENT_NAMES, ratios):
-        try:
-            coeffs.append(x / y)
-        except OverflowError:
-            raise _too_large(name, p) from None
-    return coeffs
+    """(numerator, denominator) of each of the real ``values``: the exact
+    rational that an int, a Fraction or a float is."""
+    try:
+        return [v.as_integer_ratio() for v in values]
+    except AttributeError:  # a numpy integer has no as_integer_ratio
+        return [(int(v), 1) if isinstance(v, Integral) else v.as_integer_ratio()
+                for v in values]
 
 
 # With |c|, |d1|, |d2|, |d3| below 2^(_SMALL + 1), every coefficient of F is
 # below 2^(2 _SMALL + 5) < 2^1023 and so fits a float
 _SMALL = 500
-
-
-def _float_coefficients(p: Params):
-    """F's coefficients as floats, highest degree first.
-
-    Rational params give each exact coefficient rounded once; float params
-    go through ``Params.coefficients`` in float arithmetic.  Raises
-    ValueError, naming the coefficient, when one does not fit a float.
-    """
-    values = (p.c, p.d1, p.d2, p.d3)
-    if _rational(p):
-        return _rounded_coefficients(p, _ratios(values))
-    try:
-        coeffs = [float(v) for v in p.coefficients()]
-    except OverflowError:  # a Fraction too large for float arithmetic among floats
-        return _rounded_coefficients(p, _ratios(
-            [v if isinstance(v, (int, Fraction)) else Fraction(float(v)) for v in values]))
-    for name, v in zip(_COEFFICIENT_NAMES, coeffs):
-        if not math.isfinite(v):
-            raise _too_large(name, p)
-    return coeffs
 
 
 def _pair(B, S, M):
@@ -588,6 +466,22 @@ def _polish(p, q, r, x):
     return x
 
 
+def _G(P, Q, R, N, k):
+    """``_horner`` of G = psi^4 + P psi^2 + Q psi + R, written out for the
+    certified path, which the classify benchmark runs."""
+    return ((N * N + (P << 2 * k)) * N + (Q << 3 * k)) * N + (R << 4 * k)
+
+
+def _horner(coeffs, N, k):
+    """The integer polynomial with ``coeffs`` (highest degree first) at
+    N / 2^k, times 2^(k deg): an integer with its sign."""
+    out, shift = 0, 0
+    for a in coeffs:
+        out = out * N + (a << shift)
+        shift += k
+    return out
+
+
 def _bracket(P, Q, R, A, L, z):
     """(zero, lo, hi) for the float z near a simple zero of G = psi^4 +
     P psi^2 + Q psi + R at psi = L f + A: lo and hi are the floats next to
@@ -600,12 +494,9 @@ def _bracket(P, Q, R, A, L, z):
         lo, hi = math.nextafter(z, -math.inf), math.nextafter(z, math.inf)
         (u, v), (w, j) = lo.as_integer_ratio(), hi.as_integer_ratio()
         k = max(v, j).bit_length() - 1  # lo and hi over one power of two, 2^k
-        # G(psi) 2^(4k) at psi = L lo + A and at L hi + A, integers
-        Ak, Pk, Qk, Rk = A << k, P << 2 * k, Q << 3 * k, R << 4 * k
-        N = L * (u << (k + 1 - v.bit_length())) + Ak
-        below = ((N * N + Pk) * N + Qk) * N + Rk
-        N = L * (w << (k + 1 - j.bit_length())) + Ak
-        over = ((N * N + Pk) * N + Qk) * N + Rk
+        # G 2^(4k) at psi = L lo + A and at L hi + A, integers
+        below = _G(P, Q, R, L * (u << (k + 1 - v.bit_length())) + (A << k), k)
+        over = _G(P, Q, R, L * (w << (k + 1 - j.bit_length())) + (A << k), k)
         if not below or not over:
             z = lo if not below else hi
             return z, z, z
@@ -655,11 +546,88 @@ def _certified_zeros(P, Q, R, A, L, n):
     return zeros
 
 
+# Half-ordinals h number the doubles in order (+-0.0 is 0) and the midpoints
+# between them: the double of ordinal n is h = 2n, the midpoint above it
+# 2n + 1.  _TOP, the ordinal past the largest double, stands for 2^1024.
+_TOP = 2047 << 52
+
+
+def _point(h):
+    """(u, k): the point u / 2^k of the half-ordinal h."""
+    n, odd = divmod(abs(h), 2)
+    e, m = divmod(n, 1 << 52)  # exponent and mantissa fields
+    u, s = (m | 1 << 52, e - 1076) if e else (m, -1075)  # s: the exponent of half an ulp
+    u = -(2 * u + odd) if h < 0 else 2 * u + odd
+    return (u << s, 0) if s >= 0 else (u, -s)
+
+
+def _sturm(G):
+    """The Sturm chain of the square-free integer polynomial G (highest
+    degree first): G, G', then each remainder's negation, each member made
+    an integer polynomial by a positive factor."""
+    chain = [list(G), _derivative(G)]
+    while len(chain[-1]) > 1:
+        rem, div = [Fraction(a) for a in chain[-2]], chain[-1]
+        while len(rem) >= len(div):
+            q = rem[0] / div[0]
+            rem = [a - q * b for a, b in zip(rem[1:], div[1:])] + rem[len(div):]
+        while rem and not rem[0]:
+            rem.pop(0)
+        den = math.lcm(*(a.denominator for a in rem))
+        chain.append([-a.numerator * (den // a.denominator) for a in rem])
+    return chain
+
+
+def _isolated_zeros(P, Q, R, A, L):
+    """The real zeros [(float zero, 1)] of a square-free F, each the exact
+    zero rounded once, from the integers of ``_certified_zeros``.
+
+    Bisection on the half-ordinals of f, at most 66 halvings from +-2^1024,
+    past which F's coefficients leave no zero (Cauchy's bound): G's Sturm
+    chain counts the zeros in each interval (lo, hi] until it holds one,
+    and G's sign narrows that one to hi - lo = 1.  It rounds to the double
+    of the even end, or, at an odd hi (a midpoint), to the even double
+    beside it; two in one such interval come back as one double twice.  A
+    zero that rounds past the largest double raises OverflowError.
+    """
+    chain, top = _sturm((1, 0, P, Q, R)), 2 * _TOP
+
+    def at(h):  # (N, k): psi = N / 2^k at f the point of h
+        u, k = _point(h)
+        return L * u + (A << k), k
+
+    def changes(h):  # sign changes along the chain at h
+        signs = [s for s in (_horner(S, *at(h)) for S in chain) if s]
+        return sum((a < 0) != (b < 0) for a, b in zip(signs, signs[1:]))
+
+    zeros, todo = [], [(-top, top, changes(-top), changes(top))]
+    while todo:
+        lo, hi, below, above = todo.pop()
+        count = below - above
+        if count > 1 and hi - lo > 1:
+            mid = (lo + hi) // 2
+            at_mid = changes(mid)
+            todo += [(lo, mid, below, at_mid), (mid, hi, at_mid, above)]
+            continue
+        if count == 1:  # narrowed by G's sign against g, its sign above the zero
+            g = _G(P, Q, R, *at(hi))
+            lo = lo if g else hi - 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                gm = _G(P, Q, R, *at(mid))
+                lo, hi = (mid, hi) if gm and (gm < 0) != (g < 0) else (lo, mid)
+        tie = count and hi % 2 and not _G(P, Q, R, *at(hi))
+        for h in [hi - hi % 2] * (count - tie) + [hi] * tie:
+            u, k = _point(h)  # past the largest double, u / 2^k overflows
+            zeros.append((u / (1 << k) + 0.0, 1))  # a zero at the origin as +0.0
+    return sorted(zeros)
+
+
 def _depressed(p):
-    """The integers (A, L, P, Q, R) of rational params p.  Raises
-    ``_rounded_coefficients``' ValueError when a coefficient of F does not
-    fit a float; the exact division is done only when a param's size, read
-    off its bit lengths, comes near the limit.
+    """The integers (A, L, P, Q, R) of the params p, each the exact rational
+    it is.  Raises ValueError, naming it, when a coefficient of F rounds past
+    the largest float (int / int rounds correctly); that division is done
+    only when a param's size, read off its bit lengths, comes near the limit.
 
     With f = phi - c, -F = phi^4 + p phi^2 + q phi + r, where p = -2c^2 - 4d1,
     q = 8 (c d1 - d2) and r = c^4 - 4c^2 d1 + 8c d2 - 8d3; scaled by L, the
@@ -671,7 +639,14 @@ def _depressed(p):
     # a param past 2^_SMALL has a numerator past it too
     if (max(abs(a), abs(e), abs(h), abs(m)).bit_length() > _SMALL
             and max(x.bit_length() - y.bit_length() for x, y in ratios) > _SMALL):
-        _rounded_coefficients(p, ratios)
+        for name, x, y in (("-4 c", -4 * a, b),
+                           ("4 (d1 - c^2)", 4 * (e * b * b - a * a * g), g * b * b),
+                           ("8 d2", 8 * h, k), ("8 d3", 8 * m, n)):
+            try:
+                x / y
+            except OverflowError:
+                raise ValueError(f"coefficient {name} of F does not fit a float: "
+                                 f"{_params_text(p)}") from None
     L = math.lcm(b, g, k, n)
     A = a * (L // b)
     D1 = e * (L // g) * L
@@ -695,12 +670,20 @@ def _one_double(P, Q, R):
     return N, M, -P * M * M - 2 * N * N
 
 
+def _discriminant(P, Q, R):
+    """The discriminant of psi^4 + P psi^2 + Q psi + R: 256R^3 - 128P^2R^2 +
+    144PQ^2R - 27Q^4 + 16P^4R - 4P^3Q^2, by Horner in R."""
+    PP, QQ = P * P, Q * Q
+    return (((256 * R - 128 * PP) * R + (144 * QQ + 16 * PP * P) * P) * R
+            - (27 * QQ + 4 * PP * P) * QQ)
+
+
 def _exact_zeros(p):
-    """For rational params p: the multiplicity signature of F's real zeros
-    and its entries [(float zero, multiplicity)], or None for the entries
-    when F is square-free with real zeros that ``_certified_zeros`` cannot
-    certify from the integers P, Q, R, A and L of ``_depressed``, whose
-    ValueError it raises.
+    """The multiplicity signature of F's real zeros and its entries
+    [(float zero, multiplicity)], from the integers P, Q, R, A and L of
+    ``_depressed``, whose ValueError it raises.  A square-free F with real
+    zeros gets ``_certified_zeros``, or ``_isolated_zeros`` where those
+    cannot be certified.
 
     The signs of the discriminant and of P, 64R - 16P^2 and P^2 + 12R (the
     standard nature-of-roots table) give the signature, and every multiple
@@ -710,15 +693,14 @@ def _exact_zeros(p):
     cofactor has the other two zeros.
     """
     A, L, P, Q, R = _depressed(p)
-    PP, QQ = P * P, Q * Q
-    # 256R^3 - 128P^2R^2 + 144PQ^2R - 27Q^4 + 16P^4R - 4P^3Q^2, by Horner in R
-    disc = (((256 * R - 128 * PP) * R + (144 * QQ + 16 * PP * P) * P) * R
-            - (27 * QQ + 4 * PP * P) * QQ)
+    PP = P * P
+    disc = _discriminant(P, Q, R)
     if disc < 0:
-        return (1, 1), _certified_zeros(P, Q, R, A, L, 2)
+        return (1, 1), _certified_zeros(P, Q, R, A, L, 2) or _isolated_zeros(P, Q, R, A, L)
     if disc > 0:
         if P < 0 and 4 * R < PP:  # 8p < 0 and 64r - 16p^2 < 0
-            return (1, 1, 1, 1), _certified_zeros(P, Q, R, A, L, 4)
+            return (1, 1, 1, 1), (_certified_zeros(P, Q, R, A, L, 4)
+                                  or _isolated_zeros(P, Q, R, A, L))
         return (), ()
     if P == 0 and Q == 0:  # and so R = 0
         return (4,), [(-A / L, 4)]
@@ -745,15 +727,6 @@ def _exact_zeros(p):
     return (2, 1, 1), [(double, 2), (lo, 1), (hi, 1)]
 
 
-def _companion_roots(coeffs):
-    """The complex roots of the polynomial with ``coeffs`` (highest degree
-    first, the first nonzero), as ``numpy.roots`` gives them: the
-    eigenvalues of the companion matrix of the polynomial without its
-    trailing zero coefficients, floats when every one is real, then one
-    zero per trailing zero."""
-    return np.roots(coeffs).tolist()
-
-
 def scaled_bound(rtol: float, scale: float, power: int) -> float:
     """The bound rtol * scale**power of a check on F near zeros of size
     ``scale``; raises ValueError when scale**power does not fit a float,
@@ -766,97 +739,30 @@ def scaled_bound(rtol: float, scale: float, power: int) -> float:
             f"{scale:.6g}^{power} does not fit a float") from None
 
 
-def _check_cluster(coeffs, center, m):
-    """Raise unless F and its derivatives below m nearly vanish at the
-    cluster ``center`` of m roots: within 1e-3 * max(1, |center|)^(4 - j),
-    or within the rounding of their own evaluation, as ``_multiple_zero``
-    bounds it.  A loose gate: it guards against an eigenvalue taken as a
-    zero that is none."""
-    scale = max(1.0, abs(center))
-    for j, (v, bound) in enumerate(_taylor(coeffs, center, m)):
-        if abs(v) > scaled_bound(1e-3, scale, 4 - j) and abs(v) > _ROUNDING * bound:
-            raise ValueError(
-                f"cluster at {center} fails multiplicity-{m} check "
-                f"(|F^({j})| = {abs(v):.3e})"
-            )
-
-
-def _square_free_zeros(p, coeffs, signature):
-    """The real zeros of a square-free F with real zeros: the eigenvalues
-    within _CLUSTER_TOL*max(1, |root|) of the real axis, each checked on F,
-    which must be as many as ``signature`` has and strictly increase."""
-    tol = _CLUSTER_TOL
-    real = sorted([z.real + 0.0  # a zero real part as +0.0, as a mean gives it
-                   for z in _companion_roots(coeffs) if abs(z.imag) <= tol * max(1.0, abs(z))])
-    for z in real:
-        _check_cluster(coeffs, z, 1)
-    if len(real) != len(signature) or any(a >= b for a, b in zip(real, real[1:])):
-        got = tuple(len(list(run)) for _, run in itertools.groupby(real))
-        raise ValueError(
-            f"the eigensolve resolves zeros of multiplicities {got} "
-            f"where F has {signature}: {_params_text(p)}")
-    return RootMultiset(tuple((z, 1) for z in real))
-
-
 def roots_of_F(p: Params) -> RootMultiset:
-    """Real roots of F, clustered into a multiset.
+    """Real roots of F, with their exact multiplicities.
 
-    Rational params (int or Fraction, as the command line reads
-    ``--params`` and ``--roots``) get their multiplicities exactly, from integer
-    invariants of F (see ``_exact_zeros``), before any float work: a
-    multiple zero, and every zero when F has one, or no real zero, is found
-    in closed form with no eigensolve, each rational zero the exact one
-    rounded once.  When F is square-free with real zeros, they come in
-    closed form too (Ferrari's, polished by Newton, see
-    ``_certified_zeros``), each certified within an ulp of an exact zero by
-    a sign change of F, in integers, between the floats next to it.  Where
-    that certificate fails (a pair closer than about 1e-8 of the zeros'
-    spread, or zeros of very different sizes; none of the classify
-    benchmark's inputs), the zeros are ``numpy.roots`` of F's
-    coefficients, each exact one rounded once, within
-    1e-7*max(1, |root|) of the real axis, with no grouping, so a pair of
-    zeros however close stays two simple zeros.  Each must pass the F check
-    below, and when they are not as many as the exact signature says, or
-    two coincide, a ValueError naming the params is raised in place of a
-    wrong case tag.  So is one when two distinct exact zeros round to the
-    same double.
-
-    Float params: the raw roots are ``numpy.roots`` of F's float
-    coefficients, the eigenvalues of their companion matrix (see
-    ``_companion_roots``).  These split an m-fold zero into m roots about
-    eps^(1/m) apart (up to 1e-3 relative for a quadruple zero), so roots
-    within 1e-2 relative of each other are grouped, and a group of m
-    becomes one m-fold zero when its mean is real and F and its lower
-    derivatives vanish there to within rounding (see ``_multiple_zero``).
-    The other roots are real when their imaginary part is within
-    1e-7*max(1, |root|), and real roots closer than that merge into one
-    entry with summed multiplicity, sanity-checked by the smallness of the
-    lower derivatives of F at the cluster center.  The tolerances are
-    measured from 0, so zeros far from it that the floats split or merge
-    can get a wrong case tag; exact params cannot.  Raises ValueError when
-    a coefficient, or the bound of that check, does not fit a float.
+    Every param is the exact rational it is, a float included, so the
+    multiplicities come from integer invariants of F (``_exact_zeros``)
+    with no tolerance.  A multiple zero, and every zero when F has one, is
+    found in closed form, a rational one rounded once.  The zeros of a
+    square-free F are Ferrari's, each certified within an ulp of an exact
+    zero by F's integer signs (``_certified_zeros``), or where that fails
+    (a pair closer than about 1e-8 of the zeros' spread, or zeros of very
+    different sizes; none of the classify benchmark's inputs), a Sturm
+    chain's, each rounded once (``_isolated_zeros``).  A ValueError naming
+    the params is raised when two distinct zeros round to the same double,
+    or one past the largest, or when a coefficient of F does not fit a float.
     """
-    if _rational(p):
-        signature, known = _exact_zeros(p)
-        if known is not None:
-            for (a, _), (b, _) in zip(known, known[1:]):
-                if a == b:
-                    raise ValueError(f"two distinct zeros of F round to the same double, "
-                                     f"{a!r}: {_params_text(p)}")
-            return RootMultiset(tuple(known))
-        return _square_free_zeros(p, _float_coefficients(p), signature)
-    tol = _CLUSTER_TOL
-    coeffs = _float_coefficients(p)
-    raw = _companion_roots(coeffs)
-    scale = max(1.0, *map(abs, raw))
-    entries, rest = _multiple_zeros(coeffs, raw, tol, _NEAR * scale, tol * scale)
-    real = [z.real for z in rest if abs(z.imag) <= tol * max(1.0, abs(z))]
-    for members in _clustered(real, tol):
-        m = len(members)
-        center = sum(members) / m
-        _check_cluster(coeffs, center, m)
-        entries.append((center, m))
-    return RootMultiset(tuple(sorted(entries)))
+    try:
+        known = _exact_zeros(p)[1]
+    except OverflowError:  # a closed-form or isolated zero, rounded
+        raise ValueError(f"a zero of F rounds past the largest double: {_params_text(p)}") from None
+    for (a, _), (b, _) in zip(known, known[1:]):
+        if a == b:
+            raise ValueError(f"two distinct zeros of F round to the same double, "
+                             f"{a!r}: {_params_text(p)}")
+    return RootMultiset(tuple(known))
 
 
 def params_from_roots(r: RootMultiset) -> Params:
@@ -896,22 +802,25 @@ def existence(tag: CaseTag) -> str:
 
 def cofactor_discriminant(p: Params, roots: RootMultiset) -> float:
     """The discriminant of the monic q in F = -(f - f1)(f - f2) q(f), where
-    ``roots`` are F's two real zeros.  Rational params read it off the
-    integers of ``_depressed``, which a shift of the zeros leaves alone: a
-    double zero's is 4 S / (M L)^2 (``_one_double``); for the simple zeros
-    x1, x2 of ``_ferrari``'s x^4 + p x^2 + q x + r, the other two sum to
-    -(x1 + x2) with the product p - x1 x2 + (x1 + x2)^2.  Float params take
-    ``quadratic_cofactor``'s."""
-    if _rational(p):
-        _, L, P, Q, R = _depressed(p)
-        if roots.multiplicities() == (2,):
-            _, M, S = _one_double(P, Q, R)
-            return 4 * S / (M * L) ** 2
-        s, *pqr = _scaled(P, Q, R)  # x = psi / 2^s
-        if len(xs := _ferrari(*pqr, 2)) == 2:
-            disc = 4.0 * xs[0] * xs[1] - 3.0 * (xs[0] + xs[1]) ** 2 - 4.0 * pqr[0]
-            return float(Fraction(disc) * 4 ** s / (L * L))
-    return quadratic_cofactor(p, *roots.values())[2]
+    ``roots`` are F's two real zeros, from the integers of ``_depressed``,
+    which a shift of the zeros leaves alone: a double zero's is
+    4 S / (M L)^2 (``_one_double``).  With simple zeros psi1, psi2 of G
+    (``roots``' zeros after three Newton steps in rationals),
+    G'(psi1) = (psi1 - psi2) q(psi1) L^2, so q's is G's discriminant times
+    ((psi1 - psi2) / (G'(psi1) G'(psi2) L))^2: no cancellation, however
+    close the pair."""
+    A, L, P, Q, R = _depressed(p)
+    if roots.multiplicities() == (2,):
+        _, M, S = _one_double(P, Q, R)
+        return 4 * S / (M * L) ** 2
+    f1, f2 = map(Fraction, roots.values())
+    gap = L * (f2 - f1)  # psi = N / 2^e, 2^-e some 2^-128 of the gap
+    e = max(0, 128 + gap.denominator.bit_length() - gap.numerator.bit_length())
+    N, slope = [round((L * f + A) * (1 << e)) for f in (f1, f2)], (4, 0, 2 * P, Q)
+    for _ in range(3):  # Newton steps on G, rounded to 2^-e
+        N = [n - round(Fraction(_G(P, Q, R, n, e), _horner(slope, n, e))) for n in N]
+    d1, d2 = (_horner(slope, n, e) for n in N)  # G' 2^(3e)
+    return float(_discriminant(P, Q, R) * Fraction((N[0] - N[1]) << 5 * e, d1 * d2 * L) ** 2)
 
 
 def quadratic_cofactor(p: Params, f1: float, f2: float | None = None):

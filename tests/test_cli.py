@@ -21,6 +21,7 @@ from kbwave import cli
 from kbwave.cli import main
 from kbwave.quartic import Params
 from kbwave.solutions import solitary_double
+from kbwave.verify import oracle_integrate
 
 S3 = math.sqrt(3.0)
 
@@ -116,6 +117,30 @@ class TestClassify:
         assert code == 0
         assert "roots: 5 (x4)" in out
         assert "case: Quadruple" in out
+
+    @pytest.mark.parametrize("params, lines", [
+        # two real zeros near 5.06e11 beside a complex pair at the origin
+        ("-9227754210085524680000000000/36501570957980567,96526990886447538/219439558145317523,"
+         "57350387266417023000000000/13609593879717259,-683653757267252660000/6277799351634859",
+         ["roots: 505608606308.12598 (x1) 505608606310.82874 (x1)", "case: TwoSimpleOnly",
+          "cofactor: complex-pair quadratic, discriminant -1.3631694242808741e-17"]),
+        # the zeros -3, 0, 1 and 1 + 1e-12
+        ("999999999999/4000000000000,21000000000006000000000001/16000000000000000000000000,"
+         "-3000000000003/8000000000000,0",
+         ["roots: -3 (x1) 0 (x1) 1 (x1) 1.0000000000010001 (x1)", "case: FourSimple"]),
+        # fig-case2e's params as decimals: the double zero at 1 is two simple
+        # zeros, each within an ulp of mpmath's
+        ("-0.3333333333333333,0.2777777777777778,-0.16666666666666666,0.041666666666666664",
+         ["roots: -1 (x1) 0.33333333333333337 (x1) 0.9999999924281221 (x1) "
+          "1.0000000075718778 (x1)", "case: FourSimple"]),
+    ], ids=["found-65", "close-pair", "fig-case2e-decimals"])
+    def test_zeros_the_eigensolve_got_wrong(self, capsys, params, lines):
+        """Inputs the eigensolve refused (FOUND 65) or printed 1e-8 off
+        (the close pair) get their zeros from the Sturm chain, each the
+        exact zero rounded once."""
+        code, out = run(["classify", f"--params={params}"], capsys)
+        assert code == 0
+        assert set(lines) <= set(out.splitlines())
 
     def test_readme_output(self, capsys):
         """The params of -(f + 3)(f + 2)^2(f + 1) give exactly -3, -2 (x2)
@@ -649,6 +674,18 @@ class TestOracleVerb:
         (xi0, f0, *_), (xi1, f1, *_) = rows
         assert (xi0, xi1) == (0.0, at)
         assert abs(f1 - sol().profile(np.array([at]))[0][0]) < 1e-14
+
+    def test_no_negative_zero_at_rest(self, capsys):
+        """Where the orbit has reached its double zero in floats, f' is 0,
+        not -0 (the row read 1e+100,-2,-0,-0.75)."""
+        code, out = run(["oracle", "--params", "2,-7/4,-7/2,-3/2", "--f0=-1", "--length",
+                         "1e100", "--h", "1e100"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "1e+100,-2,0,-0.75"
+        for sign in (1, -1):
+            prof = oracle_integrate(Params(2, Fraction(-7, 4), Fraction(-7, 2), Fraction(-3, 2)),
+                                    -1.0, sign, 1e100, h=1e99)
+            assert (prof.f_prime[1:] == 0.0).all() and not np.signbit(prof.f_prime).any()
 
     def test_f0_is_read_like_params(self, tmp_path):
         """--f0 takes what --params takes: 1/2 is the double nearest 1/2."""

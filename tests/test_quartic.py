@@ -1,14 +1,14 @@
 """Quartic first integral: evaluation, roots, parameter maps, taxonomy."""
 
-import contextlib
+import functools
 import inspect
 import math
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from dataclasses import astuple
-from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -139,9 +139,14 @@ class TestRoots:
             for v, _ in rm.entries:
                 assert abs(eval_F(p, v)) <= 1e-9 * scale
 
+    def test_numpy_scalars_are_the_rationals_they_are(self):
+        """numpy integers and floats of any width are read exactly, like
+        ints and floats."""
+        p = Params(np.int64(2), np.float32(-1.75), np.float64(-3.5), np.float16(-1.5))
+        assert roots_of_F(p).entries == ((-3.0, 1), (-2.0, 2), (-1.0, 1))
+
     def test_no_tolerance_to_set(self):
-        """The float path's clustering tolerance is its own: roots_of_F takes
-        the params alone."""
+        """roots_of_F takes the params alone: there is no tolerance to set."""
         assert list(inspect.signature(roots_of_F).parameters) == ["p"]
         assert not any("TOL" in name for name in quartic.__all__)
 
@@ -205,26 +210,46 @@ class TestZerosTooLarge:
         with pytest.raises(ValueError, match=r"the bound 1e-08 \* 1e\+100\^4 does not fit"):
             quartic.scaled_bound(1e-8, 1e100, 4)
 
-    @pytest.mark.parametrize("params", [
-        Params(1e100, 1e199, 0.0, 0.0),
-        Params(0, 0, 0, Fraction(int(np.finfo(float).max), 8)),
-    ], ids=["simple-zeros-near-1e100", "largest-d3"])
-    def test_roots_of_F_refuses(self, params):
-        """The eigensolve's check on F refuses them; rational params reach
-        it only where the closed form fails, forced here."""
-        with _eigensolve_only():
-            with pytest.raises(ValueError, match="are too large: the bound 0.001 \\* "):
-                roots_of_F(params)
-
     def test_certified_zeros_need_no_bound(self):
         """-F = f^4 - 8 d3 with 8 d3 the largest float: the closed form's
         zeros +-(8 d3)^(1/4), about 1.16e77, are certified in integers, with
-        no float check on F to overflow."""
+        no float check on F to overflow.  The float params (1e100, 1e199,
+        0, 0), whose zeros near -1e100 the eigensolve's check on F refused,
+        get their closed-form zeros too, and only a check's bound refuses
+        them."""
         p = Params(0, 0, 0, Fraction(int(np.finfo(float).max), 8))
         rm = roots_of_F(p)
         assert classify(rm) is CaseTag.TWO_SIMPLE_ONLY
         _assert_brackets(p, rm)
         assert rm.values()[1] == pytest.approx(float(np.finfo(float).max) ** 0.25, rel=1e-15)
+        p = Params(1e100, 1e199, 0.0, 0.0)
+        signature, zeros = _exact_truth(_exact(p))
+        assert signature == (1, 1, 2)
+        _assert_exact_truth(p, zeros)
+        rm = roots_of_F(p)
+        with pytest.raises(ValueError, match=r"are too large: the bound 1e-08 \* 2\.\d+e\+100\^4"):
+            quartic.scaled_bound(1e-8, rm.scale(), 4)
+
+    def test_zero_beyond_the_largest_double_refused(self):
+        """-F = (f - z)(f + 1/2)(f^2 + 1) with z a quarter past the point,
+        half an ulp above the largest double, where floats overflow: every
+        coefficient of F still fits a float, and the zero z, which the
+        Sturm chain isolates, is refused with the params, as no double
+        holds it."""
+        top = Fraction(int(np.finfo(float).max)) + 2 ** 970
+        p = _exact_params(((Fraction(-1, 2), 1), (top + Fraction(1, 4), 1)), ((0, 1),))
+        A, L, P, Q, R = quartic._depressed(p)
+        assert quartic._certified_zeros(P, Q, R, A, L, 2) is None
+        with pytest.raises(ValueError, match=re.escape(
+                "a zero of F rounds past the largest double: c=-4.4942328371557893e+307, "
+                "d1=inf, d2=")):
+            roots_of_F(p)
+        below = _exact_params(((Fraction(-1, 2), 1), (top - Fraction(1, 4), 1)), ((0, 1),))
+        assert roots_of_F(below).values() == (-0.5, float(np.finfo(float).max))
+        # a closed-form zero there, beside a double zero, was an OverflowError
+        p = _exact_params(((Fraction(-1, 2), 1), (Fraction(0), 2), (top + Fraction(1, 4), 1)))
+        with pytest.raises(ValueError, match="a zero of F rounds past the largest double: "):
+            roots_of_F(p)
 
     def test_zeros_just_below_the_limit_accepted(self):
         rm = roots_of_F(params_from_roots(RootMultiset(((-1e76, 1), (0.0, 2), (1e76, 1)))))
@@ -246,22 +271,27 @@ class TestCoefficientsTooLarge:
     def test_refused_before_the_eigensolve(self, params, name, text):
         """A coefficient of F beyond the largest float is named with the
         params, each as its shortest double (an infinity past the largest),
-        instead of a LAPACK or OverflowError message."""
+        instead of an OverflowError message, before any zero is sought."""
         msg = f"coefficient {name} of F does not fit a float: {text}"
         with pytest.raises(ValueError) as err:
             roots_of_F(params)
         assert str(err.value) == msg
 
     def test_largest_fitting_coefficient_accepted(self):
-        """An exact coefficient that rounds to the largest float still fits."""
+        """An exact coefficient that rounds to the largest float still fits,
+        and one that rounds past it does not."""
         top = Fraction(int(np.finfo(float).max), 8)
         p = Params(Fraction(0), Fraction(0), Fraction(0), top)
-        assert quartic._float_coefficients(p)[-1] == np.finfo(float).max
+        assert float(8 * p.d3) == np.finfo(float).max
+        assert classify(roots_of_F(p)) is CaseTag.TWO_SIMPLE_ONLY
+        over = Params(0, 0, 0, top + Fraction(2 ** 970, 8))  # 8 d3 a half ulp past the largest
+        with pytest.raises(ValueError, match=r"coefficient 8 d3 of F does not fit a float"):
+            roots_of_F(over)
 
 
 class TestMultipleZeros:
-    """np.roots splits an m-fold zero into m roots about eps^(1/m) apart;
-    roots_of_F must still report one m-fold zero."""
+    """An m-fold zero is one entry of multiplicity m, wherever it sits, and
+    close zeros and complex pairs stay what they are."""
 
     F = Fraction
     # (real zeros with multiplicities, complex pairs (x, y)) per case tag
@@ -365,34 +395,32 @@ def _taxonomy_params(draw):
 
 
 class TestExactTaxonomy:
-    """Rational params get their multiplicities exactly: no tolerance, and
-    no eigensolve when F has a multiple zero or no real zero."""
+    """Params get their multiplicities exactly: no tolerance, no grouping
+    and no eigensolve, whatever the zeros."""
 
     @settings(max_examples=500, derandomize=True, deadline=None)
     @given(_taxonomy_params())
     def test_exact_tags_next_to_close_neighbours(self, case):
         """A multiple zero or no real zero gets its exact tag and every zero
-        rounded once; a square-free F with real zeros gets its tag or a
-        refusal that names the params."""
+        rounded once; a square-free F with real zeros gets its tag, each
+        zero bracketed in Fractions (such params were refused where the
+        eigensolve could not resolve their zeros)."""
         p, tag = case
         signature, zeros = _exact_truth(p)
         assert quartic._TAGS[signature] is tag
         if zeros is not None:
             _assert_exact_truth(p, zeros)
             return
-        try:
-            rm = roots_of_F(p)
-        except ValueError as err:
-            assert str(err).endswith(f"where F has {signature}: {quartic._params_text(p)}")
-        else:
-            assert classify(rm) is tag
+        rm = roots_of_F(p)
+        assert classify(rm) is tag
+        _assert_brackets(p, rm)
 
     @pytest.mark.parametrize("zeros, tag", [
         # a triple zero 1/640 above its simple zero, which the eigensolve
-        # splits into what the float path takes for two simple zeros
+        # split into what the float path took for two simple zeros
         (((Fraction(3, 2), 1), (Fraction(961, 640), 3)), CaseTag.TRIPLE_WITH_SIMPLE_BELOW),
         # a triple at 1000 with its simple zero at 1001: the float path
-        # (and the CLI) still tags it TwoSimpleOnly
+        # (and the CLI) tagged it TwoSimpleOnly
         (((Fraction(1000), 3), (Fraction(1001), 1)), CaseTag.TRIPLE_WITH_SIMPLE_ABOVE),
     ], ids=["found-triple", "triple-at-1000"])
     def test_pinned_triples(self, zeros, tag):
@@ -419,73 +447,61 @@ class TestExactTaxonomy:
             assert abs(got - want) <= math.ulp(want)
 
     def test_no_eigensolve(self, monkeypatch):
-        """Rational params take no grouping, and none of the fixtures takes
-        float coefficients or the eigensolve: a multiple zero or no real
-        zero never does, and a square-free F with real zeros gets certified
-        closed-form zeros.  With the closed form forced to fail, a
-        square-free F takes the eigensolve."""
+        """No fixture takes a grouping: a multiple zero or no real zero is
+        found in closed form, and a square-free F with real zeros gets
+        certified closed-form zeros, or, with the closed form forced to
+        fail, the Sturm chain's."""
         def refuse(name):
             def call(*args):
                 raise AssertionError(name)
             return call
-        for name in ("_multiple_zeros", "_clustered"):
-            monkeypatch.setattr(quartic, name, refuse(name))
+        monkeypatch.setattr(quartic, "_clustered", refuse("_clustered"))
         for zeros, pairs in TestMultipleZeros.SIGNATURES.values():
             p = _exact_params(zeros, pairs)
             sig = tuple(m for _, m in zeros)
             with monkeypatch.context() as m:
-                for name in ("_float_coefficients", "_companion_roots"):
-                    m.setattr(quartic, name, refuse(name))
-                assert roots_of_F(p).multiplicities() == sig
-                if max(sig, default=2) > 1:
-                    continue
-                with _eigensolve_only(), pytest.raises(AssertionError, match="_float_coefficients"):
-                    roots_of_F(p)
-            with _eigensolve_only():
-                assert roots_of_F(p).multiplicities() == sig
+                m.setattr(quartic, "_isolated_zeros", refuse("_isolated_zeros"))
+                rm = roots_of_F(p)
+                assert rm.multiplicities() == sig
+            if max(sig, default=2) > 1:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(quartic, "_certified_zeros", lambda *args: None)
+                assert roots_of_F(p) == rm
 
-    @pytest.mark.parametrize("d2, zero, eigensolve", [
-        (Fraction(1, 10000001), -1e-7,
-         (-2.8284270747461937, -9.999999000000112e-08, 0.0, 2.828427174746184)),
-        (Fraction(1, 1000000001), -1e-9,
-         (-2.82842712424619, -9.99999999e-10, 0.0, 2.8284271252461903)),
+    @pytest.mark.parametrize("d2, zero", [
+        (Fraction(1, 10000001), -1e-7),
+        (Fraction(1, 1000000001), -1e-9),
     ], ids=["1e-7", "1e-9"])
-    def test_close_simple_pair(self, d2, zero, eigensolve):
+    def test_close_simple_pair(self, d2, zero):
         """-F = f (f^3 - 8f - 8 d2): simple zeros at 0 and about -d2, a pair
-        far closer than the float path's clustering tol, tagged FourSimple
-        (they were refused), each zero certified, the one at the origin as
-        +0.0.  The eigensolve's zeros, within two ulps, stay as they were."""
+        far closer than the float path's clustering tol was, tagged
+        FourSimple, each zero certified and within an ulp of mpmath's, the
+        one at the origin as +0.0."""
         p = Params(0, 2, d2, 0)
         rm = roots_of_F(p)
         assert classify(rm) is CaseTag.FOUR_SIMPLE
         _assert_brackets(p, rm)
+        _assert_mpmath_zeros(p, rm)
         lo, near, origin, hi = rm.values()
         assert origin == 0.0 and math.copysign(1.0, origin) == 1.0
         assert near == pytest.approx(zero, rel=1e-6)
         assert -lo == pytest.approx(math.sqrt(8.0), rel=1e-7)
         assert hi == pytest.approx(math.sqrt(8.0), rel=1e-7)
-        for got, want in zip(rm.values(), eigensolve):
-            assert abs(got - want) <= 2 * math.ulp(want)
-        with _eigensolve_only():
-            assert roots_of_F(p).entries == tuple((v, 1) for v in eigensolve)
 
-    def test_check_on_F_allows_its_rounding(self, monkeypatch):
+    def test_check_on_F_allows_its_rounding(self):
         """-F = f^2 (f + 2c)^2 - 8 d3 with c about 7.8e14: its zeros about
-        +-7.6e-9 lose every digit in the closed form's shift by c, so it
-        takes the eigensolve.  F's float value there is within the rounding
-        of its evaluation, not within 1e-3, and passes (it was refused); an
-        eigenvalue moved 1e-6 off one (|F| = 2.4e18 against a rounding bound
-        of 4.3e3) is still refused."""
+        +-7.6e-9 lose every digit in the closed form's shift by c, so the
+        Sturm chain takes them, and its zeros -2c +- 7.6e-9, near -1.57e15
+        where doubles are 0.25 apart, share one double.  They are refused
+        (the eigensolve's check on F let them pass as FourSimple)."""
         p = Params(Fraction(18014398509481982, 23), 0, 0, 17592186044416)
-        assert quartic._exact_zeros(p) == ((1, 1, 1, 1), None)
-        rm = roots_of_F(p)
-        assert classify(rm) is CaseTag.FOUR_SIMPLE
-        assert rm.values()[2:] == pytest.approx((-7.573261841801273e-09, 7.573261841801273e-09),
-                                                rel=1e-12)
-        eigenvalues = quartic._companion_roots
-        monkeypatch.setattr(quartic, "_companion_roots", lambda coeffs: [
-            z + 1e-6 if abs(z) < 1.0 else z for z in eigenvalues(coeffs)])
-        with _eigensolve_only(), pytest.raises(ValueError, match="fails multiplicity-1 check"):
+        A, L, P, Q, R = quartic._depressed(p)
+        assert quartic._certified_zeros(P, Q, R, A, L, 4) is None
+        shared = float(-2 * p.c)
+        with pytest.raises(ValueError, match=re.escape(
+                f"two distinct zeros of F round to the same double, {shared!r}: "
+                "c=783234717803564.4, d1=0, d2=0, d3=17592186044416")):
             roots_of_F(p)
 
     def test_distinct_zeros_on_one_double_are_refused(self):
@@ -504,18 +520,14 @@ class TestExactTaxonomy:
         assert rm.entries == ((-2.0 ** 53 - 2, 1), (-2.0 ** 53 + 2, 1), (0.0, 2))
 
 
-@contextlib.contextmanager
-def _eigensolve_only():
-    """roots_of_F with the closed form for a square-free F forced to fail,
-    so that F takes the eigensolve as it did before there was one."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(quartic, "_certified_zeros", lambda *args: None)
-        yield
+def _exact(p):
+    """The params as the exact rationals they are."""
+    return Params(*map(Fraction, astuple(p)))
 
 
 def _exact_F(p, f):
     """F at the float or rational f, exactly, for any params."""
-    return eval_F(Params(*map(Fraction, (p.c, p.d1, p.d2, p.d3))), Fraction(f))
+    return eval_F(_exact(p), Fraction(f))
 
 
 def _assert_brackets(p, rm):
@@ -528,6 +540,27 @@ def _assert_brackets(p, rm):
         assert lo >= above, (p, rm)
         assert _exact_F(p, lo) * _exact_F(p, hi) < 0, (p, z)
         above = hi
+
+
+def _mp_zero(p, z):
+    """The zero of F that Newton's method in mpmath, at 60 digits, reaches
+    from z: for a z within an ulp of a simple zero, that zero."""
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(a.numerator) / a.denominator for a in _exact(p).coefficients()]
+        slope = [a * (4 - i) for i, a in enumerate(coeffs[:-1])]
+        x = mpmath.mpf(z)
+        for _ in range(12):
+            x -= mpmath.polyval(coeffs, x) / mpmath.polyval(slope, x)
+        return x
+
+
+def _assert_mpmath_zeros(p, rm):
+    """Each zero of rm is within an ulp of the zero mpmath finds from it,
+    and these are distinct."""
+    found = [_mp_zero(p, z) for z in rm.values()]
+    for z, x in zip(rm.values(), found):
+        assert abs(x - z) <= math.ulp(z), (p, z, x)
+    assert all(a < b for a, b in zip(found, found[1:])), (p, found)
 
 
 @st.composite
@@ -564,34 +597,47 @@ _FOUND_PARAMS = Params(
 
 
 class TestCertifiedZeros:
-    """A square-free F with real zeros and rational params gets closed-form
-    zeros, each within an ulp of its exact zero by a sign change of the
-    exact F, or, where that certificate fails, what the eigensolve gives."""
+    """A square-free F with real zeros gets closed-form zeros, each within
+    an ulp of its exact zero by a sign change of the exact F, or, where that
+    certificate fails, the Sturm chain's, each the exact zero rounded once."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_square_free_params())
     def test_each_zero_brackets_its_exact_zero(self, case):
-        """Certified zeros: the exact signature, tag and verdict (the
-        eigensolve's, where it answers), each exact zero strictly between
-        the floats next to its float, and a zero at the origin as +0.0.
-        Uncertified ones: the eigensolve's outcome, bit for bit."""
+        """The exact signature, tag and verdict, each exact zero strictly
+        between the floats next to its float, and a zero at the origin as
+        +0.0; the Sturm chain's zeros, where it takes them, rounded once."""
         p, zeros = case
         tag = quartic._TAGS[(1,) * len(zeros)]
-        with _eigensolve_only():
-            eigensolve = _outcome(roots_of_F, p)
-        if quartic._exact_zeros(p)[1] is None:
-            assert _outcome(roots_of_F, p) == eigensolve
-            return
         rm = roots_of_F(p)
         assert classify(rm) is tag
         assert existence(classify(rm)) == existence(tag)
-        if not isinstance(eigensolve, str):
-            assert [m for *_, m in eigensolve] == list(rm.multiplicities())
         _assert_brackets(p, rm)
+        A, L, P, Q, R = quartic._depressed(p)
+        if quartic._certified_zeros(P, Q, R, A, L, len(zeros)) is None:
+            assert rm.values() == tuple(float(t) for t in zeros), p
         for z, t in zip(rm.values(), zeros):
             assert math.nextafter(z, -math.inf) < t < math.nextafter(z, math.inf), (p, z, t)
             if z == 0.0:
                 assert math.copysign(1.0, z) == 1.0, p
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(-1e8, 1e8, allow_subnormal=False), min_size=4, max_size=4),
+           st.integers(0, 3), st.integers(1, 1000), st.booleans())
+    def test_float_zeros_come_back_exactly(self, values, close, ulps, pair):
+        """Distinct doubles as the zeros of a square-free F, the last two a
+        complex pair's centre and half-width in half the draws, and in
+        three of four draws a zero moved to 1 to 1000 ulps above another:
+        no refusal, and each zero comes back exactly."""
+        if close:
+            values[1] = values[0]
+            for _ in range(ulps):
+                values[1] = math.nextafter(values[1], math.inf)
+        zeros, pairs = (values[:2], [values[2:]]) if pair else (values, [])
+        assume(len(set(zeros)) == len(zeros) and all(y for _, y in pairs))
+        p = _exact_params(tuple((Fraction(z), 1) for z in sorted(zeros)),
+                          tuple((Fraction(x), Fraction(abs(y))) for x, y in pairs))
+        assert roots_of_F(p).entries == tuple((z + 0.0, 1) for z in sorted(zeros))
 
     @pytest.mark.parametrize("d1, d3, zeros", [
         (Fraction(3, 4), Fraction(1, 2), (-2.0, 2.0)),       # (f^2 - 4)(f^2 + 1)
@@ -607,13 +653,16 @@ class TestCertifiedZeros:
 
     def test_found_params_take_the_eigensolve(self):
         """Real zeros 5e-12 apart (relative) next to a complex pair at the
-        origin defeat the closed form; the eigensolve refuses them, as it
-        did."""
-        assert quartic._exact_zeros(_FOUND_PARAMS) == ((1, 1), None)
-        with pytest.raises(ValueError, match=re.escape(
-                "cluster at 6.593594956089871e-14 fails multiplicity-1 check "
-                "(|F^(0)| = 8.712e+05)")):
-            roots_of_F(_FOUND_PARAMS)
+        origin defeat the closed form, and the eigensolve refused them
+        ("cluster at 6.593594956089871e-14 fails multiplicity-1 check"); the
+        Sturm chain takes them, each within an ulp of mpmath's."""
+        A, L, P, Q, R = quartic._depressed(_FOUND_PARAMS)
+        assert quartic._certified_zeros(P, Q, R, A, L, 2) is None
+        rm = roots_of_F(_FOUND_PARAMS)
+        assert classify(rm) is CaseTag.TWO_SIMPLE_ONLY
+        assert rm.values() == (505608606308.126, 505608606310.82874)
+        _assert_brackets(_FOUND_PARAMS, rm)
+        _assert_mpmath_zeros(_FOUND_PARAMS, rm)
 
     def test_a_neighbour_that_is_the_zero(self, monkeypatch):
         """-F = f^4 + 3f^2 - 4 = (f^2 - 1)(f^2 + 4): a closed-form float one
@@ -629,7 +678,7 @@ class TestCertifiedZeros:
     def test_overlapping_brackets_refused(self, monkeypatch):
         """-F = f^4 - 2: two closed-form floats either side of the zero
         2^(1/4), next to each other, both bracket it; their brackets overlap,
-        so they are refused and the eigensolve finds -2^(1/4) too."""
+        so they are refused and the Sturm chain finds -2^(1/4) too."""
         p = Params(0, 0, 0, Fraction(1, 4))
         below = 2.0 ** 0.25
         if Fraction(below) ** 4 > 2:
@@ -638,9 +687,20 @@ class TestCertifiedZeros:
         monkeypatch.setattr(quartic, "_ferrari", lambda *args: [
             below / 2, math.nextafter(below, 2.0) / 2])
         monkeypatch.setattr(quartic, "_polish", lambda *args: args[-1])
-        assert quartic._exact_zeros(p) == ((1, 1), None)
-        lo, hi = roots_of_F(p).values()
-        assert lo == pytest.approx(-(2.0 ** 0.25)) and hi == pytest.approx(2.0 ** 0.25)
+        A, L, P, Q, R = quartic._depressed(p)
+        assert quartic._certified_zeros(P, Q, R, A, L, 2) is None
+        root = float(_mp_zero(p, 2.0 ** 0.25))  # 2^(1/4) rounded once
+        assert roots_of_F(p).values() == (-root, root)
+
+    def test_sturm_zeros_at_midpoints_round_to_even(self, monkeypatch):
+        """Zeros exactly halfway between two doubles, taken by the Sturm
+        chain (the closed form forced to fail): 1 + 2^-53 goes down to 1.0
+        and 2 + 3 2^-52 up to 2 + 2^-50, each to the double with the even
+        last bit, as float() rounds a Fraction."""
+        zeros = (1 + Fraction(1, 2 ** 53), 2 + Fraction(3, 2 ** 52))
+        p = _exact_params(tuple((z, 1) for z in zeros), ((Fraction(-1), Fraction(1)),))
+        monkeypatch.setattr(quartic, "_certified_zeros", lambda *args: None)
+        assert roots_of_F(p).values() == (1.0, 2 + 2 ** -50) == tuple(map(float, zeros))
 
     def test_zero_at_the_origin_is_positive(self, monkeypatch):
         """-F = f^4 - f: a closed-form float -5e-324 next to the zero 0 has
@@ -663,85 +723,12 @@ class TestCertifiedZeros:
         assert roots_of_F(p).values() == (-0.75, 2.5)
 
 
-# The parent's roots_of_F, kept to check that the companion eigensolve and the
-# integer coefficients give the same zeros to the bit: np.roots on the floats
-# of the exact coefficients, and the grouping and Taylor helpers as they were;
-# its check on F at a cluster allows the rounding of F's evaluation, as
-# quartic._check_cluster does.
-def _reference_taylor(coeffs, x, n):
-    out = []
-    for _ in range(n):
-        v = m = 0.0
-        for a in coeffs:
-            v, m = v * x + a, m * abs(x) + abs(a)
-        out.append((v, m))
-        coeffs = quartic._derivative(coeffs)
-    return out
-
-
-def _reference_multiple_zero(coeffs, group, tol):
-    m = len(group)
-    mean = sum(group) / m
-    if abs(mean.imag) > tol * max(1.0, abs(mean)):
-        return None
-    bounds = _reference_taylor(coeffs, mean.real, m - 1)
-    if all(abs(v) <= quartic._ROUNDING * bound for v, bound in bounds):
-        return mean.real
-    return None
-
-
-def _reference_multiple_zeros(coeffs, roots, tol, radius, floor):
-    if not any(abs(a - b) <= radius for a, b in combinations(roots, 2)):
-        return [], roots
-    groups = []
-    for z in roots:
-        hit = [g for g in groups if any(abs(z - w) <= radius for w in g)]
-        groups = [g for g in groups if g not in hit] + [[z, *(w for g in hit for w in g)]]
-    found, rest = [], []
-    for g in groups:
-        x = _reference_multiple_zero(coeffs, g, tol) if len(g) > 1 else None
-        if x is not None:
-            found.append((x, len(g)))
-        elif len(g) > 1 and radius > floor:
-            more, left = _reference_multiple_zeros(coeffs, g, tol, 0.1 * radius, floor)
-            found += more
-            rest += left
-        else:
-            rest += g
-    return found, rest
-
-
-def _reference_roots_of_F(p, tol=quartic._CLUSTER_TOL):
-    coeffs = [float(v) for v in p.coefficients()]
-    raw = np.roots(coeffs).tolist()
-    scale = max(1.0, *map(abs, raw))
-    entries, rest = _reference_multiple_zeros(
-        coeffs, raw, tol, quartic._NEAR * scale, tol * scale)
-    real = [z.real for z in rest if abs(z.imag) <= tol * max(1.0, abs(z))]
-    for members in quartic._clustered(real, tol):
-        m = len(members)
-        center = sum(members) / m
-        scale = max(1.0, abs(center))
-        for j, (v, bound) in enumerate(_reference_taylor(coeffs, center, m)):
-            if abs(v) > 1e-3 * scale ** (4 - j) and abs(v) > quartic._ROUNDING * bound:
-                raise ValueError(
-                    f"cluster at {center} fails multiplicity-{m} check "
-                    f"(|F^({j})| = {abs(v):.3e})"
-                )
-        entries.append((center, m))
-    return RootMultiset(tuple(sorted(entries)))
-
-
 def _outcome(roots, p):
     """The entries of roots(p) by repr and by type, or the error it raised."""
     try:
         return [(repr(v), type(v), m) for v, m in roots(p).entries]
     except ValueError as err:
         return str(err)
-
-
-def _rational(p):
-    return all(isinstance(v, (int, Fraction)) for v in (p.c, p.d1, p.d2, p.d3))
 
 
 # An exact account of F's real zeros, independent of quartic's invariants:
@@ -789,18 +776,24 @@ def _yun(a):
     return out
 
 
-def _real_zero_count(a):
-    """Distinct real zeros of a, by the signs of its Sturm sequence at -inf
-    and +inf."""
+def _real_zero_count(a, lo=None, hi=None):
+    """Distinct real zeros of a in (lo, hi], by the signs of its Sturm
+    sequence there (at -inf and +inf where they are None)."""
     seq = [a, quartic._derivative(a)]
     while True:
         rem = _strip(_divmod(seq[-2], seq[-1])[1])
         if not rem:
             break
         seq.append([-v for v in rem])
-    changes = lambda signs: sum(u * w < 0 for u, w in zip(signs, signs[1:]))
-    return (changes([v[0] * (-1) ** (len(v) - 1) for v in seq])
-            - changes([v[0] for v in seq]))
+
+    def changes(x, side):
+        if x is None:
+            signs = [v[0] * side ** (len(v) - 1) for v in seq]
+        else:
+            signs = [s for s in (functools.reduce(lambda t, c: t * x + c, v, 0) for v in seq) if s]
+        return sum(u * w < 0 for u, w in zip(signs, signs[1:]))
+
+    return changes(lo, -1) - changes(hi, 1)
 
 
 def _exact_truth(p):
@@ -850,57 +843,35 @@ def _assert_exact_truth(p, truth):
 
 
 def _assert_reference_roots(p):
-    """Rational params with a multiple zero or no real zero give the exact
-    zeros, and a square-free F with real zeros gives the exact signature
-    with each zero certified by ``_assert_brackets``, or, where the closed
-    form fails, what the eigensolve gives.  Every other input gives the
-    reference's entries, by repr and by type, or its error.
-    Rational params also give the floats of their exact coefficients."""
-    if not _rational(p):
-        assert _outcome(roots_of_F, p) == _outcome(_reference_roots_of_F, p)
+    """roots_of_F(p) against an independent truth: the signature of
+    ``_exact_truth`` (Yun and Sturm in Fractions) of p's exact rationals; a
+    multiple zero's F with each rational zero rounded once and each
+    irrational one within an ulp; a square-free F with each zero certified
+    by ``_assert_brackets`` and within an ulp of mpmath's.  Float params
+    give, entry for entry, what their exact rationals give."""
+    exact = _exact(p)
+    outcome = _outcome(roots_of_F, exact)
+    if not all(isinstance(v, (int, Fraction)) for v in astuple(p)):
+        # the same entries, or the same refusal naming p's own params
+        assert _outcome(roots_of_F, p) == (outcome.replace(
+            quartic._params_text(exact), quartic._params_text(p))
+            if isinstance(outcome, str) else outcome)
+    shared = isinstance(outcome, str) and re.fullmatch(
+        r"two distinct zeros of F round to the same double, (\S+): .*", outcome)
+    if shared:  # the half-ulp cell of that double holds two zeros
+        x = float(shared[1])
+        cell = [(Fraction(x) + Fraction(math.nextafter(x, side))) / 2
+                for side in (-math.inf, math.inf)]
+        assert _real_zero_count(_monic([-a for a in exact.coefficients()]), *cell) >= 2, p
         return
-    signature, zeros = _exact_truth(p)
+    signature, zeros = _exact_truth(exact)
     if zeros is not None:
-        _assert_exact_truth(p, zeros)
-    else:
-        with _eigensolve_only():
-            eigensolve = _outcome(roots_of_F, p)
-            _assert_eigensolve_reference(p, signature)
-        if quartic._exact_zeros(p)[1] is None:
-            assert _outcome(roots_of_F, p) == eigensolve
-        else:
-            rm = roots_of_F(p)
-            assert rm.multiplicities() == signature
-            _assert_brackets(p, rm)
-    want = [float(v) for v in p.coefficients()]
-    assert list(map(repr, quartic._float_coefficients(p))) == list(map(repr, want))
-
-
-def _assert_eigensolve_reference(p, signature):
-    """The eigensolve of a square-free F with real zeros and rational params
-    gives the reference's entries, by repr and by type, or its error, except
-    where the reference gets the multiplicities wrong (other multiplicities
-    than the exact ones, or roots merged into a cluster that fails its
-    check): there roots_of_F gives the exact signature, every zero passing
-    the check on F, or refuses, naming the params, or with the check on F of
-    a simple zero (its bound included)."""
-    want = _outcome(_reference_roots_of_F, p)
-    if (re.search("fails multiplicity-[234] check", want) if isinstance(want, str)
-            else tuple(m for *_, m in want) != signature):
-        try:
-            rm = roots_of_F(p)
-        except ValueError as err:
-            assert (str(err).endswith(f"where F has {signature}: {quartic._params_text(p)}")
-                    or re.search("fails multiplicity-1 check|are too large", str(err))), err
-        else:
-            assert rm.multiplicities() == signature
-            coeffs = [float(v) for v in p.coefficients()]
-            for z in rm.values():
-                (v, bound), = _reference_taylor(coeffs, z, 1)
-                assert (abs(v) <= 1e-3 * max(1.0, abs(z)) ** 4
-                        or abs(v) <= quartic._ROUNDING * bound), (p, z, v)
-    else:
-        assert _outcome(roots_of_F, p) == want
+        _assert_exact_truth(exact, zeros)
+        return
+    rm = roots_of_F(exact)
+    assert rm.multiplicities() == signature, (p, rm)
+    _assert_brackets(exact, rm)
+    _assert_mpmath_zeros(exact, rm)
 
 
 @st.composite
@@ -939,12 +910,9 @@ def _trailing_zero_params(draw):
 
 
 class TestReferenceRoots:
-    """roots_of_F against the np.roots path it replaced, entry by entry, where
-    it still takes that path: float params, and rational ones square-free
-    with real zeros whose closed form fails (forced for every such input).
-    Other rational params get the exact zeros, which move a multiple zero
-    off the np.roots path's value by up to about 1e-11 relative, and a
-    simple zero by up to a few hundred ulps."""
+    """roots_of_F against the tests' own exact truth and mpmath, on exact
+    params, on the floats they round to, and on floats, large rationals and
+    vanishing coefficients."""
 
     @settings(max_examples=600, derandomize=True, deadline=None)
     @given(_classify_params())
@@ -975,18 +943,12 @@ class TestReferenceRoots:
     def test_edge_cases(self, values):
         _assert_reference_roots(Params(*values))
 
-    def test_eigensolve_failure_raises_linalg_error(self):
-        """A failed eigensolve raises np.linalg.eigvals' LinAlgError, not a
-        warning or an error of the caller's error state: np.roots refuses a
-        NaN coefficient."""
-        with np.errstate(invalid="raise"):
-            with pytest.raises(np.linalg.LinAlgError, match="must not contain infs or NaNs"):
-                quartic._companion_roots([-1.0, math.nan, 0.0, 1.0])
-
     def test_monomial_takes_no_eigensolve(self):
-        """F = -f^4: four zero roots, the quadruple zero at 0."""
-        assert quartic._companion_roots([-1.0, 0.0, 0.0, 0.0, 0.0]) == [0.0] * 4
-        assert roots_of_F(Params(0, 0, 0, 0)).entries == ((0.0, 4),)
+        """F = -f^4: the quadruple zero at 0, as +0.0, for exact and float
+        params alike."""
+        for p in (Params(0, 0, 0, 0), Params(0.0, -0.0, -0.0, 0.0)):
+            (zero, m), = roots_of_F(p).entries
+            assert (zero, m) == (0.0, 4) and math.copysign(1.0, zero) == 1.0
 
 
 class TestParamsFromRoots:
@@ -1152,6 +1114,41 @@ class TestCofactor:
         assert disc < 0.0
         assert pf == pytest.approx(0.0, abs=1e-8)
         assert qq == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("zeros, pair", [
+        ((Fraction(-3, 4), Fraction(5, 2)), (Fraction(1), Fraction(1, 10 ** 6))),
+        ((Fraction(1), 1 + Fraction(1, 10 ** 12)), (Fraction(3), Fraction(2))),
+        ((Fraction(10 ** 15), Fraction(10 ** 15 + 1)), (Fraction(1, 3), Fraction(1, 7))),
+    ], ids=["near-double-pair", "close-simple-zeros", "far-apart"])
+    def test_discriminant_of_two_simple_zeros(self, zeros, pair):
+        """-(f - z1)(f - z2)((f - x)^2 + y^2): the cofactor's discriminant
+        is -4 y^2 to the last bits, whether the pair or the real zeros are
+        close or far apart (the quadratic's coefficients, rounded, gave
+        -3.9986e-12 for the first)."""
+        p = _exact_params(tuple((z, 1) for z in zeros), (pair,))
+        want = float(-4 * pair[1] ** 2)
+        assert quartic.cofactor_discriminant(p, roots_of_F(p)) == pytest.approx(want, rel=4e-16)
+
+    def test_discriminant_of_irrational_close_zeros(self):
+        """-F = ((f - 1)^2 - 2e-12)((f - 3)^2 + 4): simple zeros 1 -+
+        1.4e-6, irrational, and the cofactor's discriminant -16."""
+        near, pair = [Fraction(1), -2, 1 - Fraction(2, 10 ** 12)], [1, -6, 13]
+        _, a3, a2, a1, a0 = [sum(near[i] * pair[k - i] for i in range(3) if 0 <= k - i < 3)
+                             for k in range(5)]
+        c = a3 / 4
+        p = Params(c, c * c - a2 / 4, -a1 / 8, -a0 / 8)
+        assert quartic.cofactor_discriminant(p, roots_of_F(p)) == pytest.approx(-16.0, rel=4e-16)
+
+    def test_discriminant_of_the_found_params(self):
+        """FOUND 65's complex pair 6.6e-14 +- 1.8e-9 i, beside real zeros
+        near 5.06e11: its discriminant -4 Im^2 as mpmath gives it (the
+        quadratic through Ferrari's zeros gave +1.0e8)."""
+        with mpmath.workdps(60):
+            coeffs = [mpmath.mpf(a.numerator) / a.denominator for a in _FOUND_PARAMS.coefficients()]
+            pair = min(mpmath.polyroots(coeffs, maxsteps=200, extraprec=200), key=abs)
+            want = float(-4 * mpmath.im(pair) ** 2)
+        got = quartic.cofactor_discriminant(_FOUND_PARAMS, roots_of_F(_FOUND_PARAMS))
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_not_a_double_root_rejected(self):
         with pytest.raises(ValueError):

@@ -394,53 +394,58 @@ def _profile_sha256(prof):
 # band's angle: (start, sign, length) -> digest; "readme" is the README's
 # oracle input
 ORACLE_GOLDEN = {
-    ("readme", 1, 0.5): "86311e3ab9c31a81fa081a764793dbfaa0821c43dcc42d8c05e117faff6e043e",
-    ("readme", 1, 12.0): "14384f5f18d16e2bc554d7191a1c9dada40d1ea5439db1358aa5e714b51f2edb",
-    ("fig-case1a", 1, 0.5): "52ea2bb7f9c380969d6863f07ac7d15801e9ef30c063dabfef9c636a854c1c8a",
-    ("fig-case1a", 1, 12.0): "81ab5628a4a04d2792091248f1ab43f397af176e089b9be58d50c98eb01cae33",
-    ("fig-case1a", -1, 0.5): "52ea2bb7f9c380969d6863f07ac7d15801e9ef30c063dabfef9c636a854c1c8a",
-    ("fig-case1a", -1, 12.0): "81ab5628a4a04d2792091248f1ab43f397af176e089b9be58d50c98eb01cae33",
-    ("fig-case1b-k05", 1, 0.5): "9e0809ee2c6e5eaff8c4e9c86c4995096a77d30e206c559ae87268c5f9a5c808",
-    ("fig-case1b-k05", 1, 12.0): "535f07bac4b959374c2a6fb14d37a75a915e43908c2cac033eab47deb5c87523",
-    ("fig-case1b-k05", -1, 0.5): "9e0809ee2c6e5eaff8c4e9c86c4995096a77d30e206c559ae87268c5f9a5c808",
-    ("fig-case1b-k05", -1, 12.0): "535f07bac4b959374c2a6fb14d37a75a915e43908c2cac033eab47deb5c87523",
-    ("fig-case2a", 1, 0.5): "3a91cc79fac8fc3dbd6d49187f5666cdf119d350c8248b8e7baf4915d3b5f029",
-    ("fig-case2a", 1, 12.0): "cb0da6e91930b9cca22e196ff124ffbd577ece85abac71509cbe942a770c24e0",
-    ("fig-case2a", -1, 0.5): "d41cb0daa2a31f50041e9dd50dd2ee17e2647caa40a5ffd08c785bce0777bd53",
-    ("fig-case2a", -1, 12.0): "fd87fda342ee30f7776e7558b9fc8e1c1814cc1e13b3547e78fc7bce7d7ce96f",
-    ("fig-case2b", 1, 0.5): "6595992f8fe70d9d20e73051bb54ff5a74cfb1d7526fa30490e1b52269bdf62c",
-    ("fig-case2b", 1, 12.0): "0e4c086fe2bd6fcb9c705111b78a4f2424ad294314b906358c31635d5aeddebe",
-    ("fig-case2b", -1, 0.5): "6595992f8fe70d9d20e73051bb54ff5a74cfb1d7526fa30490e1b52269bdf62c",
-    ("fig-case2b", -1, 12.0): "0e4c086fe2bd6fcb9c705111b78a4f2424ad294314b906358c31635d5aeddebe",
-    ("fig-case2bc-k1", 1, 0.5): "33e20849b11aaa62bc89ce30a97a429fc5825b53451143e6562aa2469bc7ab6f",
-    ("fig-case2bc-k1", 1, 12.0): "a807686cc3a1a05b68b4fd3bedaaddebcdffdf78115cfc0069bd6e865a04589d",
-    ("fig-case2bc-k1", -1, 0.5): "33e20849b11aaa62bc89ce30a97a429fc5825b53451143e6562aa2469bc7ab6f",
-    ("fig-case2bc-k1", -1, 12.0): "a807686cc3a1a05b68b4fd3bedaaddebcdffdf78115cfc0069bd6e865a04589d",
-    ("fig-case2e", 1, 0.5): "ee90099ef8437451ef25a352f5feef3dd03580eaa9e57ef4e3b294dfdbcb9bda",
-    ("fig-case2e", 1, 12.0): "f59bf28df1cb74131a28066fc8bfc8f4826a354672f995a413ba95cf371b7b83",
-    ("fig-case2e", -1, 0.5): "8e793ac613e5521babf8f537db4009ee701ae1a66de9c21e228a6bba91c949bb",
-    ("fig-case2e", -1, 12.0): "46bfcea2235525b8e99946cdb8e77549ecfb61a833a2fd4d8b2146ac59d948ce",
-    ("fig-case2f", 1, 0.5): "b7a0c16eaffde3f69a5a9a94cbe744473346852564bb98258ee4676e2bdd8c68",
-    ("fig-case2f", 1, 12.0): "92ba214a7308fcf2301527fdf4cc13b600cf75aa7d67a90f6a5dc9f7a23bd745",
-    ("fig-case2f", -1, 0.5): "b7a0c16eaffde3f69a5a9a94cbe744473346852564bb98258ee4676e2bdd8c68",
-    ("fig-case2f", -1, 12.0): "31f3033505916ebc0516b8e1a1c62f37e8655250b32c1d81415c0cfc6a03a7ea",
-    ("fig-case2f-k1", 1, 0.5): "39622b2c981794afc469856f83c0d91cfb6c6a6ef3df0162a9af20ae715d891e",
-    ("fig-case2f-k1", 1, 12.0): "bb4e2a0440c4a87e6eb8ec63f5ba83e515aee9bf93582f0aad23b3025c099fe8",
-    ("fig-case2f-k1", -1, 0.5): "39622b2c981794afc469856f83c0d91cfb6c6a6ef3df0162a9af20ae715d891e",
-    ("fig-case2f-k1", -1, 12.0): "bb4e2a0440c4a87e6eb8ec63f5ba83e515aee9bf93582f0aad23b3025c099fe8",
+    ("readme", 1, 0.5): "271e59f9372f5f4831af0ac5bb5f95b7a4bce1d978e6a3e39611c82de78c1be9",
+    ("readme", 1, 12.0): "79ee6f0504d002807a3e3eef153f9bff0475f77382ac62378b70e4dab225e85f",
+    ("fig-case1a", -1, 0.5): "60dee9693a5665eabc6c88465b86a9b3b19f3f8d87ba117f83f3763a1fc7bb35",
+    ("fig-case1a", -1, 12.0): "687c030b46840b776bd87aeeeeb660dd1e9253660d8aaa8afe2c63f2d6be5d21",
+    ("fig-case1a", 1, 0.5): "60dee9693a5665eabc6c88465b86a9b3b19f3f8d87ba117f83f3763a1fc7bb35",
+    ("fig-case1a", 1, 12.0): "687c030b46840b776bd87aeeeeb660dd1e9253660d8aaa8afe2c63f2d6be5d21",
+    ("fig-case1b-k05", -1, 0.5): "03b64126b87df720387304a19667968c572228893fa71880641b8c7b1595d041",
+    ("fig-case1b-k05", -1, 12.0): "76fb9e6ea2e5181fcd41311ca84fdf0b7bdc0826b8683627823b2cae6c3a8875",
+    ("fig-case1b-k05", 1, 0.5): "03b64126b87df720387304a19667968c572228893fa71880641b8c7b1595d041",
+    ("fig-case1b-k05", 1, 12.0): "76fb9e6ea2e5181fcd41311ca84fdf0b7bdc0826b8683627823b2cae6c3a8875",
+    ("fig-case2a", -1, 0.5): "f48b966573e2eb89f601e5c0ed0f92dac31726eadd86746b59738d9d0081d01d",
+    ("fig-case2a", -1, 12.0): "bb8d2e3dc2fc3c4a0d9c353d433591922a749cce460eb56946c965a002fbf544",
+    ("fig-case2a", 1, 0.5): "8ec705507fe4047890c9fdf32ae9ce223e543a63e4159ed881dec377d226b95e",
+    ("fig-case2a", 1, 12.0): "78a318648be06d8979172e09e563a2e71c33308e84293ac48fe96648b6805c4f",
+    ("fig-case2b", -1, 0.5): "fd73a8031e85ef7ac25383f6a66f083fd8a85c529e361c42d04fb27b9f17d42b",
+    ("fig-case2b", -1, 12.0): "af2c695113f1c4111340a476940806b08a7827eef291a0c637caf66ebe884a16",
+    ("fig-case2b", 1, 0.5): "fd73a8031e85ef7ac25383f6a66f083fd8a85c529e361c42d04fb27b9f17d42b",
+    ("fig-case2b", 1, 12.0): "af2c695113f1c4111340a476940806b08a7827eef291a0c637caf66ebe884a16",
+    ("fig-case2bc-k1", -1, 0.5): "63c7093d6c51d1abf018da1ae196f1b248c1c26a8374cf9e0cf9099efbaa102c",
+    ("fig-case2bc-k1", -1, 12.0): "139433d42b591e23243d1b03b952bf7bfca4258c8a95e629fc125e9ef97e666d",
+    ("fig-case2bc-k1", 1, 0.5): "63c7093d6c51d1abf018da1ae196f1b248c1c26a8374cf9e0cf9099efbaa102c",
+    ("fig-case2bc-k1", 1, 12.0): "139433d42b591e23243d1b03b952bf7bfca4258c8a95e629fc125e9ef97e666d",
+    ("fig-case2e", -1, 0.5): "b379d14d36fb2ae06fa5bca528a82d363315469e66f8f083e31d678bfba6739a",
+    ("fig-case2e", -1, 12.0): "99063d215ee170c07d051ccf089044e30c5a869780ada1228330a9a6a7070010",
+    ("fig-case2e", 1, 0.5): "6b1600e6f4f11a91d8b2a93b5e8c3f93600373653fec4b492fd313597ee26338",
+    ("fig-case2e", 1, 12.0): "a7b79838ca60261c5355ed984e9d8bfb58a279ab93146089d02755e5d64ee85d",
+    ("fig-case2f", -1, 0.5): "89bb5e398d883efcae6c28ce4caa737b08ee187eb6c1605a0cde2a0ab9e5dc96",
+    ("fig-case2f", -1, 12.0): "1339174fb6519d368c40fc8ffc5ed9d6cdc7f19953eaf96e5ad3def81a0d3f6f",
+    ("fig-case2f", 1, 0.5): "89bb5e398d883efcae6c28ce4caa737b08ee187eb6c1605a0cde2a0ab9e5dc96",
+    ("fig-case2f", 1, 12.0): "41a1482fa7f11ff5bda960a331cc5232125ad0bbcce84ff62a8822a344d2ff76",
+    ("fig-case2f-k1", -1, 0.5): "181c6eedfee93bec3b8371a80cb58248876ee1041af59aa32f80aa361d73b0ff",
+    ("fig-case2f-k1", -1, 12.0): "ff49e4c347e52f2bf58647fc5e412042f1b050b9b41796dc23810adf4c3a8479",
+    ("fig-case2f-k1", 1, 0.5): "181c6eedfee93bec3b8371a80cb58248876ee1041af59aa32f80aa361d73b0ff",
+    ("fig-case2f-k1", 1, 12.0): "ff49e4c347e52f2bf58647fc5e412042f1b050b9b41796dc23810adf4c3a8479",
 }
 
 
 class TestOracleGolden:
     """The oracle's output is pinned bit for bit: the README input, and
-    each preset's f(0) with both signs, at lengths 0.5 and 12."""
+    each preset's f(0) with both signs, at lengths 0.5 and 12.  A preset's
+    params are those of its wave's zeros, each the rational it is: float
+    params mean the F they spell, in which fig-case2e's double zero is two
+    simple ones 1.6e-8 apart."""
 
     @pytest.mark.parametrize("start,sign,length", sorted(ORACLE_GOLDEN))
     def test_profile_unchanged(self, start, sign, length):
         if start == "readme":
             p, f0 = P_CASE1A, -2.9
         else:
-            sol, p = build_preset(start)
+            sol, _ = build_preset(start)
+            p = params_from_roots(RootMultiset(
+                tuple((Fraction(v), m) for v, m in sol.roots.entries)))
             f0 = float(sol.profile(np.array([0.0]))[0][0])
         prof = oracle_integrate(p, f0, sign, length)
         assert _profile_sha256(prof) == ORACLE_GOLDEN[(start, sign, length)]
