@@ -39,8 +39,7 @@ class UnresolvedBranch(KBWaveError):
 
 
 class BlowUp(KBWaveError):
-    """Non-finite values appeared in an integration: ``evolve``'s in time, or
-    the orbit oracle's in xi; t is where."""
+    """Non-finite values appeared in ``evolve``'s integration; t is when."""
 
     def __init__(self, message, t=None):
         super().__init__(message)

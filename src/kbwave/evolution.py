@@ -140,14 +140,26 @@ def _operators(n: int, L: float):
     return _dealias_mask(n), ik, ik ** 3
 
 
-def _quadratic_spectra(wh, n: int, mask, ik):
+def _quadratic_spectra(wh, n: int, mask, ik, spectra=None, products=None):
     """Spectra of the two quadratic products, (3/4 u^2)^ and
     (v u_x + 1/2 u v_x)^, of the spectral state wh = (u^, v^) in two
     batched FFTs: the dealiased fields and x-derivatives, then the products
-    of those 2/3-truncated fields."""
-    wd = wh * mask
-    ud, vd, uxd, vxd = np.fft.irfft(np.concatenate((wd, ik * wd)), n)
-    return np.fft.rfft(np.stack((0.75 * ud * ud, vd * uxd + 0.5 * ud * vxd)))
+    of those 2/3-truncated fields.  The four dealiased spectra go into
+    ``spectra``, a (4, modes) complex array, and the two products into
+    ``products``, a (2, n) real one, each made here when not given."""
+    if spectra is None:
+        spectra, products = np.empty((4, len(ik)), complex), np.empty((2, n))
+    np.multiply(wh, mask, out=spectra[:2])
+    np.multiply(ik, spectra[:2], out=spectra[2:])
+    ud, vd, uxd, vxd = np.fft.irfft(spectra, n)
+    sq, quad = products
+    np.multiply(0.75, ud, out=sq)
+    sq *= ud
+    np.multiply(vd, uxd, out=quad)
+    np.multiply(0.5, ud, out=vd)  # vd is spent: it takes 1/2 u v_x
+    vd *= vxd
+    quad += vd
+    return np.fft.rfft(products)
 
 
 def _rhs_arrays(u, v, n: int, mask, ik, ik3):
@@ -240,9 +252,13 @@ def _half_step_propagator(ik, ik3, h: float):
     return np.array([[c, s * ik], [-0.25 * s * ik3, c]])
 
 
-def _propagate(E, w):
-    """Apply the per-mode 2x2 propagator E to the spectral state w = (u^, v^)."""
-    return E[:, 0] * w[0] + E[:, 1] * w[1]
+def _propagate(E, w, out, scratch):
+    """Apply the per-mode 2x2 propagator E to the spectral state w = (u^, v^),
+    into ``out``; ``scratch`` is spent."""
+    np.multiply(E[:, 0], w[0], out=out)
+    np.multiply(E[:, 1], w[1], out=scratch)
+    out += scratch
+    return out
 
 
 def evolve(state0: EvolutionState, dt: float, T: float) -> EvolutionState:
@@ -272,25 +288,39 @@ def evolve(state0: EvolutionState, dt: float, T: float) -> EvolutionState:
     mask, ik, ik3 = _operators(n, state0.L)
     E = _half_step_propagator(ik, ik3, dt)
     to_tendency = np.stack((ik, np.ones_like(ik))) * mask
+    spectra, products = np.empty((4, len(ik)), complex), np.empty((2, n))
 
-    def nonlinear(w):
-        """The quadratic tendencies, 2/3-truncated: N_u = ik (3/4 u^2)^ and
-        N_v = (v u_x + 1/2 u v_x)^."""
-        return to_tendency * _quadratic_spectra(w, n, mask, ik)
+    def nonlinear(w, out):
+        """The quadratic tendencies, 2/3-truncated, into ``out``:
+        N_u = ik (3/4 u^2)^ and N_v = (v u_x + 1/2 u v_x)^."""
+        return np.multiply(to_tendency, _quadratic_spectra(w, n, mask, ik, spectra, products),
+                           out=out)
 
     w = np.fft.rfft(np.stack((state0.u, state0.v)))
+    # each stage writes into these, in the operations and order of
+    # k2 = N(a + (dt/2) b), ..., w = E (a + (dt/6) b + (dt/3) (k2 + k3)) + (dt/6) k4
+    k1, k2, k3, k4, a, b, y, t = np.empty((8, *w.shape), complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
             # Lawson RK4 with every propagation written as a half step:
             # exp(dt M) w = E (E w)
-            k1 = nonlinear(w)
-            a = _propagate(E, w)
-            b = _propagate(E, k1)
-            k2 = nonlinear(a + (0.5 * dt) * b)
-            k3 = nonlinear(a + (0.5 * dt) * k2)
-            k4 = nonlinear(_propagate(E, a + dt * k3))
-            w = (_propagate(E, a + (dt / 6.0) * b + (dt / 3.0) * (k2 + k3))
-                 + (dt / 6.0) * k4)
+            nonlinear(w, k1)
+            _propagate(E, w, a, t)
+            _propagate(E, k1, b, t)
+            np.multiply(0.5 * dt, b, out=y)
+            nonlinear(np.add(a, y, out=y), k2)
+            np.multiply(0.5 * dt, k2, out=y)
+            nonlinear(np.add(a, y, out=y), k3)
+            np.multiply(dt, k3, out=y)
+            nonlinear(_propagate(E, np.add(a, y, out=y), k4, t), k4)
+            np.multiply(dt / 6.0, b, out=y)
+            np.add(a, y, out=y)
+            np.add(k2, k3, out=t)
+            np.multiply(dt / 3.0, t, out=t)
+            y += t
+            _propagate(E, y, w, t)
+            np.multiply(dt / 6.0, k4, out=t)
+            w += t
             if not np.all(np.isfinite(w)):
                 raise BlowUp(
                     f"blow-up detected at t = {state0.t + (i + 1) * dt}",

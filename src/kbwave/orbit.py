@@ -18,7 +18,10 @@ the width of that feature, integrate d xi to near machine precision
 pi/4 the panels run in phi, which keeps its precision near o, and toward a
 multiple zero in -ln(phi) or t, in which xi tends to a straight line.  A
 pulse's panels stop where phi = _PULSE_CUTOFF, |f - o| about 1e-14 |o - e|;
-past them the orbit follows that line.
+past them the orbit follows that line.  A sample is read off the inverse
+series of its panel, the panel variable's Chebyshev interpolant in xi on 24
+nodes, or up to 192 where 24 leave more than rounding; sampling raises where
+even 192 do.
 
 Along an orbit theta runs one way: xi(theta) is odd, and in a band with two
 simple edges xi(theta + pi) = xi(theta) + T, T the period, so the orbit
@@ -33,6 +36,7 @@ import math
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebval, chebvander
 
+from .errors import KBWaveError
 from .quartic import band_edges, quadratic_cofactor
 
 __all__ = ["Orbit", "band"]
@@ -49,6 +53,9 @@ _QUADRANT = 0.25 * math.pi
 # Newton steps from a linear guess between a panel's nodes: its error of
 # about 1e-3 falls to 1e-7, 1e-14 and then rounding
 _NEWTON = 3
+# how far, over the zeros' scale, an inverse series' two highest terms may
+# move f: half an ulp there
+_INVERSE_RTOL = 2.0 ** -53
 _CHUNK = 1 << 16  # grid points sampled at once
 
 
@@ -139,10 +146,14 @@ class Orbit:
         self.half, self.before, self.dxi, self.within = half, before, dxi, within
         self.xi, self.sin2 = before[:-1, None] + within, sin2
 
-        speed = abs(w) * math.sqrt(float(np.max(sin2 * cos2 * np.abs(q))))  # max |f'|
+        slope = abs(w) * np.sqrt(sin2 * cos2 * np.abs(q))  # |f'| at the nodes
         # the two highest Chebyshev coefficients per panel bound the error in xi
         tail = np.abs(dxi @ _TO_COEFFS[-2:].T).sum(axis=1)
-        self.bound = speed * float(np.sum(half * tail))
+        self.bound = float(np.max(slope)) * float(np.sum(half * tail))
+        # how far an error in u moves f, |f'| d xi/du at each panel's largest node
+        self._df_du = half * np.max(slope * dxi, axis=1)
+        self._scale = max(1.0, *(abs(r) for r in (e, o, *cofactor) if not isinstance(r, complex)))
+        self._series = {}  # panel -> its inverse series, made on first use
 
         self.period = 2.0 * before[-1] if mult == 1 else None
         self.end = far[-1]
@@ -189,8 +200,9 @@ class Orbit:
         """(f, f', events) of the orbit at xi >= 0 from its start, theta0 on
         the side ``direction`` (+1 or -1) of its turn at e: theta then runs
         up from direction * theta0.  ``events`` are the xi of its turns at
-        simple edges.  Sampled in chunks, so that no temporary grows with
-        the grid."""
+        simple edges.  Each panel the samples touch gets one inverse series
+        (``_inverse``), evaluated once per sample; sampled in chunks, so
+        that no temporary grows with the grid."""
         start = math.copysign(self.xi0, direction)
         if self.period is not None:
             turns = 0.5 * self.period
@@ -198,23 +210,21 @@ class Orbit:
             events = [j * turns - start for j in range(first, last + 1)]
         else:
             events = [0.0 - start] if 0.0 <= -start <= xi[-1] else []
-        coeffs = self.dxi @ _TO_COEFFS.T  # of d xi / d u on each panel
-        integrals = coeffs @ _INTEGRAL.T
         f, fp = np.empty(len(xi)), np.empty(len(xi))
         for lo in range(0, len(xi), _CHUNK):
             tau = xi[lo:lo + _CHUNK] + start
             if self.period is not None:
                 tau -= self.period * np.round(tau / self.period)
-            sin2, cos2 = self._squares_at(np.abs(tau), coeffs, integrals)
+            sin2, cos2 = self._squares_at(np.abs(tau))
             f[lo:lo + _CHUNK] = self.e + self.w * sin2
             speed = np.sqrt(sin2 * cos2 * np.abs(self.q(sin2, cos2)))
             fp[lo:lo + _CHUNK] = self.w * np.copysign(speed, tau) + 0.0  # no -0 at rest
         return f, fp, events
 
-    def _squares_at(self, a, coeffs, integrals):
+    def _squares_at(self, a):
         """(sin^2, cos^2) of theta in [0, pi/2] where xi(theta) = a >= 0: on
-        its panel by Newton on the panel's Chebyshev series of xi, past a
-        pulse's last panel by the edge's asymptote."""
+        its panel from the panel's inverse series, past a pulse's last panel
+        by the edge's asymptote."""
         count = len(self.half)
         panel = np.searchsorted(self.before, a, side="right") - 1
         if self.period is not None:  # a <= T/2 = before[-1]
@@ -226,12 +236,37 @@ class Orbit:
                 x = self.end + (a[idx] - self.before[-1]) / self.dxi[-1, -1]
                 sin2[idx], cos2[idx] = self._squares(x, True)
                 continue
-            # on u in [-1, 1]: (xi - before[j]) / half[j] = I(u), I' = g
-            target = (a[idx] - self.before[j]) / self.half[j]
-            u = np.interp(target, self.within[j] / self.half[j], _LOBATTO)
-            for _ in range(_NEWTON):
-                u -= (chebval(u, integrals[j]) - target) / chebval(u, coeffs[j])
-                np.clip(u, -1.0, 1.0, out=u)
-            x = self.lo[j] + self.step[j] * (u + 1.0)
+            s = np.clip((a[idx] - self.before[j]) * (2.0 / self.within[j, -1]) - 1.0, -1.0, 1.0)
+            x = self.lo[j] + self.step[j] * ((s + chebval(s, self._inverse(j))) + 1.0)
             sin2[idx], cos2[idx] = self._squares(x, j >= self.near_e)
         return sin2, cos2
+
+    def _inverse(self, j):
+        """The Chebyshev series of u(s) - s on panel j, s in [-1, 1] across
+        its span of xi, made on first use: u at n Lobatto nodes of s by
+        Newton on the panel's series (xi - before[j]) / half[j] = I(u),
+        I' = g, n = 24, 48, 96 or 192, the first whose two highest terms
+        move f by at most _INVERSE_RTOL * scale; KBWaveError if none does.
+        Taken less s, the series' terms and their rounding are small."""
+        if j not in self._series:
+            g = _TO_COEFFS @ self.dxi[j]
+            integral = _INTEGRAL @ g
+            for n in (_PANEL, 2 * _PANEL, 4 * _PANEL, 8 * _PANEL):
+                nodes = -np.cos(np.pi * np.arange(n) / (n - 1))
+                target = (0.5 * self.within[j, -1] / self.half[j]) * (nodes + 1.0)
+                u = np.interp(target, self.within[j] / self.half[j], _LOBATTO)
+                for _ in range(_NEWTON):
+                    at = chebvander(u, _PANEL)
+                    u -= (at @ integral - target) / (at[:, :-1] @ g)
+                    np.clip(u, -1.0, 1.0, out=u)
+                to_coeffs = _TO_COEFFS if n == _PANEL else np.linalg.inv(chebvander(nodes, n - 1))
+                series = to_coeffs @ (u - nodes)
+                moved = self._df_du[j] * np.sum(np.abs(series[-2:]))
+                if moved <= _INVERSE_RTOL * self._scale:
+                    break
+            else:
+                raise KBWaveError(f"the orbit's inverse series did not converge: with {n} terms "
+                                  f"its tail moves f by up to {moved:.3e}, against the bound "
+                                  f"{_INVERSE_RTOL * self._scale:.3e}")
+            self._series[j] = series
+        return self._series[j]

@@ -7,8 +7,8 @@ kinds come from the kernel table ``solutions.CASE2_KERNELS``.  The CLI and
 ``AUTO`` is the one statement of what ``--kind auto`` builds for each case tag.
 
 ``PRESETS`` are the parameter sets behind the reference plots: each is a row
-of ``KINDS`` with its zeros and branch, the constants (c, d1, d2, d3) those
-zeros give, and the closed form it reproduces.  These are the golden
+of ``KINDS`` with its zeros and branch, the constants (c, d1, d2, d3) of
+those zeros as doubles, and the closed form it reproduces.  These are the golden
 configurations used by the CLI ``figures`` verb and by the regression suite.
 """
 
@@ -84,7 +84,11 @@ class Preset(NamedTuple):
     kind: str        # a KINDS key
     zeros: tuple     # in the kind's --roots order
     branch: str
-    params: Params   # the constants the zeros give, exactly
+    # the constants of the zeros as doubles, not exactly: fig-case2e's and
+    # fig-case2f's spell an F with two simple zeros 1.6e-8 apart where the
+    # wave has a double zero at 1; the wave's own F is params_from_roots of
+    # the wave's zeros
+    params: Params
     display: str     # the closed form the preset reproduces
 
 
@@ -124,7 +128,8 @@ PRESETS = {
 
 def build_preset(name: str, xi0: float = 0.0) -> tuple[ClosedFormSolution, Params]:
     """Construct a preset's solution through KINDS and return it with its
-    constants."""
+    ``Preset.params``, doubles that need not spell the wave's F exactly
+    (``params_from_roots`` of the solution's zeros does)."""
     try:
         preset = PRESETS[name]
     except KeyError:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, InvalidConfiguration
+from .errors import InvalidConfiguration
 from .orbit import Orbit, band
 from .quartic import Params, eval_F, first_integral_residual, roots_of_F, scaled_bound
 from .reduction import g_from_f
@@ -190,17 +190,19 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
     of F it meets, and only nears a multiple one.  A start at a simple zero
     (within 1e-12 of it, relative) leaves it into its band, whatever
     ``sign`` says; a start at a multiple zero stays there.  Each sample is
-    the orbit's own value at its xi (``orbit.Orbit``), so h is the grid's
-    spacing and not a step: a coarse h samples the same orbit.
+    the orbit's own value at its xi, read off the inverse series of its
+    panel (``orbit.Orbit.sample``), so h is the grid's spacing and not a
+    step: a coarse h samples the same orbit.
 
     Returns a Profile with f' = (o - e) sin cos sqrt(Q) from the band's
     angle (so f'^2 = F(f) along the profile) and in ``events`` the xi of
-    each turn from 0 to the grid's last point.
+    each turn from 0 to the grid's last point.  g is finite: f keeps to a
+    band of zeros that ``roots_of_F`` holds below about 1.3e77.
 
     Raises ValueError unless h is finite and positive, length finite and
     >= 0, the grid at most MAX_ORACLE_POINTS points and f0 finite,
-    InvalidConfiguration when F(f0) < 0, and BlowUp when g overflows along
-    the orbit.
+    InvalidConfiguration when F(f0) < 0, and KBWaveError where the inverse
+    series of a panel the samples touch has not converged.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h}")
@@ -244,13 +246,7 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
             fp[0] = 0.0
     f[0] = f0
     pf = p.as_floats()
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = g_from_f(f, pf.c, pf.d1)
-    lost = ~np.isfinite(g)
-    if lost.any():
-        at = float(xi[lost.argmax()])
-        raise BlowUp(f"the orbit overflowed at xi = {at:.6g}: g leaves the floats", t=at)
-    return Profile(xi=xi, f=f, f_prime=fp, g=g, events=tuple(events))
+    return Profile(xi=xi, f=f, f_prime=fp, g=g_from_f(f, pf.c, pf.d1), events=tuple(events))
 
 
 def compare_profiles(a: Profile, b: Profile):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kbwave
-from kbwave import cli
+from kbwave import cli, orbit
 from kbwave.cli import main
 from kbwave.quartic import Params
 from kbwave.solutions import solitary_double
@@ -634,13 +634,13 @@ class TestOracleVerb:
     # simple one, and three turns of a band whose other two zeros are complex
     @pytest.mark.parametrize("argv, digest", [
         (["--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9", "--length", "0.5"],
-         "3c97c2cb6e57d600d0da32e60ea1439e38dac25ffa9d3d673c1e744800df715c"),
+         "b66f27849240b8fba8e286b884094af165ab451bc8dd320012153ff8419ab916"),
         (["--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9", "--sign", "-1",
           "--length", "2", "--h", "1e-3"],
-         "f9ff4b787a7e59e0b0eb55f17a71f5655e02b9cba61803b420edce927e78da59"),
+         "9fd9172ab22bf36c46f6a3df4b8d32e704446b1a16d0e93edd3be7f67c163922"),
         (["--params", "0,0,0,1/8", "--f0", "0", "--length", "8", "--h", "1e-3"],
-         "c07838359c23bc06e56f9c1ceb252e8e91f74e2ce9d9bcdca8cf2e778bf76897"),
-    ])
+         "86b60789afd7ce16e4526b05d81363aec58ded3a2661a5e9eec1d1f2b7ee4ca5"),
+    ], ids=["toward-double-zero", "through-a-turn", "complex-pair"])
     def test_output_digest(self, tmp_path, argv, digest):
         out = tmp_path / "orc.csv"
         assert main(["oracle", *argv, "--out", str(out)]) == 0
@@ -686,6 +686,21 @@ class TestOracleVerb:
             prof = oracle_integrate(Params(2, Fraction(-7, 4), Fraction(-7, 2), Fraction(-3, 2)),
                                     -1.0, sign, 1e100, h=1e99)
             assert (prof.f_prime[1:] == 0.0).all() and not np.signbit(prof.f_prime).any()
+
+    def test_unconverged_inverse_series_refused(self, tmp_path, capsys, monkeypatch):
+        """The zeros 0, 1, 1 + 2^-20 and 3 need panels halved toward the
+        edge 1; with none, the inverse series of the panel there does not
+        converge in 192 terms, and the run exits 1 with one error line and
+        no file."""
+        monkeypatch.setattr(orbit, "_halvings", lambda depth: [])
+        out = tmp_path / "orc.csv"
+        message = refusal(["oracle", "--params=-5242881/4194304,-3298541174783/17592186044416,"
+                           "3145731/8388608,0", "--f0", "0.5", "--length", "10", "--h", "1e-2",
+                           "--out", str(out)], capsys)
+        assert message.startswith("the orbit's inverse series did not converge: with 192 terms "
+                                  "its tail moves f by up to ")
+        assert message.endswith(", against the bound 3.331e-16")
+        assert list(tmp_path.iterdir()) == []
 
     def test_f0_is_read_like_params(self, tmp_path):
         """--f0 takes what --params takes: 1/2 is the double nearest 1/2."""

@@ -256,6 +256,46 @@ def test_batched_ffts_equal_the_eleven_fft_formula(n, length, u, v):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def _lawson_as_written(state, dt, steps):
+    """Lawson RK4 as its formulas read, each stage a fresh array: the
+    reference that ``evolve``, whose stages write into buffers, must equal
+    bit for bit."""
+    n = state.n
+    mask, ik, ik3 = evolution._operators(n, state.L)
+    E = evolution._half_step_propagator(ik, ik3, dt)
+    to_tendency = np.stack((ik, np.ones_like(ik))) * mask
+
+    def nonlinear(w):
+        wd = w * mask
+        ud, vd, uxd, vxd = np.fft.irfft(np.concatenate((wd, ik * wd)), n)
+        return to_tendency * np.fft.rfft(np.stack((0.75 * ud * ud, vd * uxd + 0.5 * ud * vxd)))
+
+    def propagate(w):
+        return E[:, 0] * w[0] + E[:, 1] * w[1]
+
+    w = np.fft.rfft(np.stack((state.u, state.v)))
+    for _ in range(steps):
+        k1 = nonlinear(w)
+        a, b = propagate(w), propagate(k1)
+        k2 = nonlinear(a + (0.5 * dt) * b)
+        k3 = nonlinear(a + (0.5 * dt) * k2)
+        k4 = nonlinear(propagate(a + dt * k3))
+        w = propagate(a + (dt / 6.0) * b + (dt / 3.0) * (k2 + k3)) + (dt / 6.0) * k4
+    return np.fft.irfft(w, n)
+
+
+@pytest.mark.parametrize("n,length,u,v", list(_states()))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_buffered_stages_equal_the_formulas(n, length, u, v, sign):
+    """evolve's stages reuse their buffers with the same IEEE operations in
+    the same order: u and v are the formulas' to the bit, forward and back."""
+    state = EvolutionState(x=np.arange(n) * (length / n), u=u, v=v, t=0.0, L=length)
+    dt = sign * 0.5 * stability_limit(state)
+    final = evolve(state, dt, 5 * dt)
+    u_ref, v_ref = _lawson_as_written(state, dt, 5)
+    assert np.array_equal(final.u, u_ref) and np.array_equal(final.v, v_ref)
+
+
 def test_four_ffts_per_stage(monkeypatch):
     calls = []
     for name in ("rfft", "irfft"):
