@@ -2,10 +2,13 @@
 
 Nothing here trusts the closed forms: the first-integral residual uses only
 the analytic derivative and the quartic; the coupled-system residual
-rebuilds both equations with finite differences; the oracle follows the
+rebuilds both equations from the closed form's exact derivatives, f''' from
+its kernel's equation; the oracle follows the
 orbit of f'^2 = F(f) from the zeros of F alone, by quadrature in the band's
 angle, turning at simple zeros.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,13 +32,14 @@ res_bad = np.max(np.abs(fp**2 - kb.eval_F(params, -2.0 + 1.01 * (f + 2.0))))
 print(f"  corrupted residual: {res_bad:.3e}  (clean: {kb.ode_residual(sol, params):.3e})")
 
 print()
-print("== coupled-system residuals (4th-order stencils, step 3e-3 of the wave's length) ==")
+print("== coupled-system residuals (exact derivatives; a wave with beta x 1.001 beside) ==")
 for name in sorted(kb.PRESETS):
     sol, params = kb.build_preset(name)
     T = sol.period
     domain = (0.0, T) if T is not None else (-10.0, 10.0)
-    r_u, r_v, h = kb.pde_residual(sol, params, domain, 400)
-    print(f"  {name:<18} r_u = {r_u:.3e}   r_v = {r_v:.3e}   h = {h:.3e}")
+    r_u, r_v = kb.pde_residual(sol, params, domain, 400)
+    _, wrong = kb.pde_residual(replace(sol, beta=sol.beta * 1.001), params, domain, 400)
+    print(f"  {name:<18} r_u = {r_u:.3e}   r_v = {r_v:.3e}   wrong beta: r_v = {wrong:.3e}")
 
 print()
 print("== orbit oracle vs closed form ==")

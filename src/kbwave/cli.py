@@ -14,9 +14,14 @@ writes.  Every CSV comes from one writer, ``_csv``, which converts whole
 arrays at once; its text is byte for byte ``format(v, ".17g")`` of each
 value, joined by commas and newlines.  ``solve``, ``verify`` and ``figures``
 report the defining residual against the bound the constructors enforce,
-``ClosedFormSolution.residual_bound``.  The ``--kind`` choices and the
-constructor each kind calls come from the family table ``presets.KINDS``;
-what ``--kind auto`` builds for each case tag comes from ``presets.AUTO``.
+``ClosedFormSolution.residual_bound``; ``verify`` adds the record
+``pde_residual``, ``{"r_u", "r_v", "bound", "passed"}``: the coupled
+system's scaled defects from the closed form's exact derivatives, and
+``PDE_RTOL``, the bound both are held to (earlier schema-1 records carried
+a finite-difference step ``h_fd`` in place of ``bound``).  The ``--kind``
+choices and the constructor each kind calls come from the family table
+``presets.KINDS``; what ``--kind auto`` builds for each case tag comes from
+``presets.AUTO``.
 A run exits 0 when its gates pass and 2, with the failed gate's line, when
 one fails.  A refused run raises, and ``main`` prints one ``error: <reason>``
 line and exits 1 with no file written; an infeasible kind's line names the
@@ -705,10 +710,12 @@ def cmd_verify(opts) -> int:
     domain = _solution_domain(sol, opts["domain"])
     n = _sample_count(opts["n"])
     res = ode_residual(sol, params, domain=domain, n=n)
-    r_u, r_v, h_fd = pde_residual(sol, params, domain=domain, n=min(n, 500))
+    # by default at the window's own phases, so the record is the same for every xi0
+    r_u, r_v = pde_residual(sol, params, domain=domain if opts["domain"] else None,
+                            n=min(n, 500))
     pde_ok = max(r_u, r_v) < PDE_RTOL
-    doc = _sidecar(sol, params, res, pde_residual={"r_u": r_u, "r_v": r_v,
-                                                   "h_fd": h_fd, "passed": bool(pde_ok)})
+    doc = _sidecar(sol, params, res, pde_residual={"r_u": r_u, "r_v": r_v, "bound": PDE_RTOL,
+                                                   "passed": bool(pde_ok)})
     _emit(opts["out"], _json(doc))
     if not doc["residual"]["passed"]:
         print(f"residual gate FAILED: {res:.3e} >= {sol.residual_bound:.3e}", file=sys.stderr)

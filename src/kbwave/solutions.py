@@ -349,6 +349,29 @@ class ClosedFormSolution:
             return np.float64(f), np.float64(yp)
         return f, yp
 
+    def jet(self, xi):
+        """(f, f', f''') at the points xi, from the form and its kernel's
+        equation y'^2 = Q(y), which gives y'' = Q'(y)/2 and
+        y''' = Q''(y) y'/2 in x = beta (xi - xi0), and beta, beta^2 and
+        beta^3 times those in xi.  The Moebius map then gives f' = N y'/den^2
+        and f''' = N (y''' den^2 - 6 D y' y'' den + 6 D^2 y'^3)/den^4, with
+        N = B C - A D and den = C + D y, taken as N/den^2 times a sum in
+        s = D/den so that no power of den leaves the floats."""
+        kernel, k, b = _KERNELS[self.kernel], self.modulus, self.beta
+        _, q1, q2, q3, q4 = kernel.q(0.0 if k is None else k * k)
+        x = np.array(xi, dtype=float)
+        x -= self.xi0
+        x *= b
+        y, y1 = kernel.fn(x, k)
+        y1 = y1 * b
+        y2 = 0.5 * b * b * (q1 + y * (2.0 * q2 + y * (3.0 * q3 + y * (4.0 * q4))))
+        y3 = 0.5 * b * b * (2.0 * q2 + y * (6.0 * q3 + y * (12.0 * q4))) * y1
+        den = self.C + self.D * y
+        s = self.D / den
+        fp = (self.B * self.C - self.A * self.D) / den / den
+        f3 = fp * (y3 - 6.0 * s * y1 * y2 + 6.0 * s * s * y1 * y1 * y1)
+        return (self.A + self.B * y) / den, fp * y1, f3
+
     def __call__(self, xi):
         return self.evaluate(xi)[0]
 

@@ -5,13 +5,12 @@ orbit of f'^2 = F(f) through a start value from F's zeros alone, by the
 quadrature in the band's angle of ``orbit.Orbit``, and samples it on a
 uniform grid, each sample the orbit's own value at its xi.  The residuals
 check a closed form against the quartic (``ode_residual``) and against the
-coupled system by finite differences (``pde_residual``).
+coupled system with the closed form's exact derivatives (``pde_residual``).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +34,6 @@ __all__ = [
 # the most grid points oracle_integrate samples: its arrays and a CSV of
 # them take some 200 bytes a point, so this many take about 200 MB
 MAX_ORACLE_POINTS = 10 ** 6
-# pde_residual's step in the wave's length scale: near where the 7-point
-# u_xxx stencil's rounding, about eps |u| / h^3, meets its truncation, h^4
-PDE_STEP = 3e-3
 
 
 @dataclass(frozen=True)
@@ -105,77 +101,41 @@ def ode_residual(sol: ClosedFormSolution, p: Params, domain=None,
 
 def pde_residual(sol: ClosedFormSolution, p: Params, domain=None,
                  n: int = 500):
-    """Finite-difference residuals of the coupled system on the traveling pair.
+    """Residuals of the coupled system on the traveling pair, from the
+    closed form's exact derivatives.
 
     Builds u(x, t) = f(x - ct), v = g(u), replaces d/dt by -c d/xi, and
-    evaluates both equations at n points of the domain (by default the
-    wave's window about xi0), at their phases t = xi - xi0 on the wave at
-    phase 0, with 4th-order central differences (first derivatives on 5
-    points, u_xxx on 7).  The step comes from the wave alone, the same for
-    every domain and n, and scales with the wave under f -> lambda f + a:
-    h = PDE_STEP * s, s its length scale on 500 points of its window
-    (``_length``).  Returns (r_u, r_v, h): the max absolute residual of each
-    equation divided by the largest magnitude its terms reach on the grid
-    (floored at 1, so tall narrow pulses keep a meaningful defect), and the
-    step.  Raises ValueError when n < 2, when 8 h^3 is not a normal double,
-    or when t + h rounds to t at the domain's farthest point.
+    evaluates both equations on the wave at phase 0, at the phases
+    t = xi - xi0 of n points of the domain, or by default at n points of
+    the wave's window (``ClosedFormSolution.window``), the same phases for
+    every xi0.  f, f' and f''' come from the kernel's equation
+    (``ClosedFormSolution.jet``), and v_x = g'(f) f' = -(c + 3f/2) f'.
+    Returns (r_u, r_v): the max absolute residual of each equation divided
+    by the largest magnitude its terms reach on the grid (floored at 1, so
+    tall narrow pulses keep a meaningful defect).  r_v is the check; r_u is
+    0 up to rounding, since v = g(u) solves the first equation, and stays
+    as the cross-check of that reduction.  Raises ValueError when n < 2 or
+    when the phase beta t is not finite at the domain's farthest point.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    lo, hi = default_domain(sol) if domain is None else domain
-    t = np.linspace(lo, hi, n) - sol.xi0
-    wave = sol.with_phase(0.0)
-    own = np.linspace(*sol.window, 500)
-    h = PDE_STEP * _length(own, *wave.profile(own))
-    far = float(max(abs(t[0]), abs(t[-1])))
-    if far + h == far:
-        raise ValueError(f"domain too far from xi0 = {sol.xi0:g} for the stencils: at "
-                         f"|xi - xi0| = {far:.6g} the step h = {h:.3g} rounds away")
-    return (*_pde_defects(wave, p, t, h), h)
-
-
-def _length(xi, f, fp):
-    """A wave's length scale from its samples f, with slopes fp, at the
-    points xi: (max f - min f) / max |f'|, at most the span of xi, which it
-    is where the samples measure no length (a rise within their rounding,
-    as for constant samples, or slopes all 0)."""
-    lo, hi = float(xi[0]), float(xi[-1])
-    rise, slope = float(np.max(f) - np.min(f)), float(np.max(np.abs(fp)))
-    # the rounding of the samples: of f, and of f' times that of xi
-    noise = 1e-12 * (float(np.max(np.abs(f))) + slope * max(abs(lo), abs(hi)))
-    return min(hi - lo, rise / slope) if rise > noise and slope > 0.0 else hi - lo
-
-
-def _pde_defects(sol: ClosedFormSolution, p: Params, xi, h: float):
-    """pde_residual's (r_u, r_v) at the points xi with the step h."""
-    h3 = 8.0 * h * h * h
-    if not sys.float_info.min <= h3 < math.inf:
-        raise ValueError(f"the step h = {h:.3g} is too {'small' if h3 < 1.0 else 'large'} "
-                         f"for the stencils: 8 h^3 is not a normal double")
+    t = np.linspace(*sol.window, n) if domain is None else np.linspace(*domain, n) - sol.xi0
+    far = float(np.max(np.abs(t)))
+    if not math.isfinite(sol.beta * far):
+        raise ValueError(f"the domain reaches |xi - xi0| = {far:g}, too far for a wave of "
+                         f"frequency {sol.beta:g}: its phase does not fit a float")
     pf = p.as_floats()
     c, d1 = pf.c, pf.d1
-    offs = np.arange(-3, 4) * h
-    u = sol.profile((xi[:, None] + offs).ravel())[0].reshape(len(xi), 7)  # xi - 3h .. xi + 3h
+    u, ux, uxxx = sol.with_phase(0.0).jet(t)
     v = g_from_f(u, c, d1)
-
-    def d1_4th(a):  # 4th-order first derivative, 5-point
-        return (a[:, 1] - 8 * a[:, 2] + 8 * a[:, 4] - a[:, 5]) / (12 * h)
-
-    def d3_4th(a):  # 4th-order third derivative, 7-point
-        return (
-            a[:, 0] - 8 * a[:, 1] + 13 * a[:, 2]
-            - 13 * a[:, 4] + 8 * a[:, 5] - a[:, 6]
-        ) / h3
-
-    u0, v0 = u[:, 3], v[:, 3]
-    ux, vx, uxxx = d1_4th(u), d1_4th(v), d3_4th(u)
+    vx = -(c + 1.5 * u) * ux
     # u_t = (3/2) u u_x + v_x   and   v_t = -(1/4) u_xxx + v u_x + (1/2) u v_x
-    terms_u = (-c * ux, 1.5 * u0 * ux, vx)
-    terms_v = (-c * vx, -0.25 * uxxx, v0 * ux, 0.5 * u0 * vx)
+    terms_u = (-c * ux, 1.5 * u * ux, vx)
+    terms_v = (-c * vx, -0.25 * uxxx, v * ux, 0.5 * u * vx)
     r_u = terms_u[0] - terms_u[1] - terms_u[2]
     r_v = terms_v[0] - terms_v[1] - terms_v[2] - terms_v[3]
-    scale_u = max(1.0, *(float(np.max(np.abs(t))) for t in terms_u))
-    scale_v = max(1.0, *(float(np.max(np.abs(t))) for t in terms_v))
+    scale_u = max(1.0, *(float(np.max(np.abs(term))) for term in terms_u))
+    scale_v = max(1.0, *(float(np.max(np.abs(term))) for term in terms_v))
     return (
         float(np.max(np.abs(r_u)) / scale_u),
         float(np.max(np.abs(r_v)) / scale_v),

@@ -569,32 +569,44 @@ class TestVerifyVerb:
         ["--preset", "fig-case2bc-k1"],
         ["--kind", "case1-cn", "--roots", "100,200,300", "--n", "120", "--domain=0,0.5"],
     ])
-    def test_report_gives_the_step_used(self, flags, tmp_path):
+    def test_report_gives_the_bound_used(self, flags, tmp_path):
+        """The record is pde_residual's (r_u, r_v) on the --domain, or by
+        default on the wave's window, with the bound they were held to."""
         from kbwave.verify import pde_residual
 
         opts = cli._options("verify", cli._parser().parse_args(["verify", *flags]))
         sol, params = cli._construct(opts)
-        domain = cli._solution_domain(sol, opts["domain"])
-        r_u, r_v, h = pde_residual(sol, params, domain=domain, n=min(opts["n"], 500))
+        r_u, r_v = pde_residual(sol, params, domain=opts["domain"], n=min(opts["n"], 500))
         out = tmp_path / "rep.json"
         assert main(["verify", *flags, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["pde_residual"] == {
-            "r_u": r_u, "r_v": r_v, "h_fd": h, "passed": True}
-        assert h > 0 and h != 1e-3
+            "r_u": r_u, "r_v": r_v, "bound": cli.PDE_RTOL, "passed": True}
+        assert cli.PDE_RTOL == 1e-6 and max(r_u, r_v) <= 1e-13
+
+    @pytest.mark.parametrize("flags", [
+        # modulus 0.022 and zeros 0.026 apart near -145.7: the stencils read 2.7e-5
+        ["--kind", "case1-dn",
+         "--roots=-145.71648558370455,71.75467622356052,-145.69086468777877"],
+        # zeros of 1e60: the stencils' fixed step 1e-3 read 1.40
+        ["--kind", "solitary_triple", "--roots=1e60,0", "--n", "3"],
+    ])
+    def test_waves_the_stencils_refused_pass(self, flags, capsys):
+        assert main(["verify", *flags]) == 0
+        record = json.loads(capsys.readouterr().out)["pde_residual"]
+        assert record["passed"] is True and record["r_v"] <= 1e-13
 
     @pytest.mark.parametrize("n", ["2", "3"])
     @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
     def test_few_samples_pass(self, preset, n, capsys):
         """Samples too few to show the wave's length (equal values up to
-        rounding, or a pulse seen only at its peak and tails) still take the
-        step of the wave's window: the step 1e-3 passed these too."""
+        rounding, or a pulse seen only at its peak and tails) pass."""
         assert main(["verify", "--preset", preset, "--n", n]) == 0
         assert json.loads(capsys.readouterr().out)["pde_residual"]["passed"] is True
 
     @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
     def test_narrow_window_passes(self, preset, capsys):
-        """A window 2e-3 wide about xi0 takes the step of the wave's window,
-        with 500 samples or 2: it read r_v up to 1.0 with the window's length."""
+        """A window 2e-3 wide about xi0 passes, with 500 samples or 2: with
+        a finite-difference step of the window's length it read r_v up to 1.0."""
         sol, _ = cli.build_preset(preset)
         domain = f"--domain={sol.xi0 - 1e-3!r},{sol.xi0 + 1e-3!r}"
         for n in ("2001", "2"):
@@ -605,16 +617,17 @@ class TestVerifyVerb:
     @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
     def test_far_reference_point_passes(self, preset, xi0, capsys):
         """Every preset builds with its reference point far out, and verify
-        passes there with the step of its xi0 = 0 run, to the bit: the checks
-        run on the wave's own phase.  (The PDE gate failed from xi0 = 1e3 for
-        fig-case2bc-k1, and the orbit check refused fig-case2a at 1e10.)"""
+        passes there with the PDE record of its xi0 = 0 run, to the bit: the
+        checks run on the wave's own phase.  (The PDE gate failed from
+        xi0 = 1e3 for fig-case2bc-k1, and the orbit check refused fig-case2a
+        at 1e10.)"""
         assert cli.build_preset(preset, float(xi0))[0].xi0 == float(xi0)
         reports = []
         for x in ("0", xi0):
             assert main(["verify", "--preset", preset, "--xi0", x]) == 0
             reports.append(json.loads(capsys.readouterr().out)["pde_residual"])
         assert reports[1]["passed"] is True
-        assert repr(reports[1]["h_fd"]) == repr(reports[0]["h_fd"])
+        assert repr(reports[1]) == repr(reports[0])
 
     def test_step_is_no_option(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"
@@ -1047,8 +1060,8 @@ class TestOptionTable:
         # not an abbreviation of --n-grid: flags are spelled in full
         ["evolve", "--preset", "fig-case1a", "--n", "64"],
         ["evolve", "--preset", "fig-case1a", "--format", "json"],
-        # verify takes its finite-difference step from the wave, and solve
-        # writes CSV only
+        # verify has no finite-difference step to set, and solve writes CSV
+        # only
         ["verify", "--preset", "fig-case1a", "--h-fd", "1e-3"],
         ["solve", "--preset", "fig-case1a", "--format", "json"],
     ])
@@ -1236,11 +1249,11 @@ class TestRefusals:
         "solve-far-xi0-period": (["solve", "--preset", "fig-case2a", "--xi0", "1e10", "--n", "3"],
                                  "--xi0 1e+10 is too far out for a uniform grid of 3 points "
                                  "over the wave's window: the doubles there are 1.91e-06 apart"),
-        # t + h rounds to t at the far end of the domain
-        "verify-far-domain": (["verify", "--preset", "fig-case1a",
-                               "--domain=1000000000000000,1000000000000001"],
-                              "domain too far from xi0 = 0 for the stencils: at |xi - xi0| = "
-                              "1e+15 the step h = 0.006 rounds away"),
+        # beta (xi - xi0) overflows at the far end of the domain
+        "verify-far-domain": (["verify", "--kind", "solitary_double", "--roots=-1e16,0,1e16",
+                               "--domain=1e293,1e294"],
+                              "--domain 1e+293,1e+294 is too wide for a wave of frequency "
+                              "1e+16: its phase does not fit a float"),
         "solve-infinite-domain": (["solve", "--preset", "fig-case1a", "--domain=-inf,inf",
                                    "--n", "3"], "--domain -inf,inf is too wide for a wave of "
                                                 "frequency 1: its phase does not fit a float"),

@@ -172,7 +172,7 @@ FIELDS = {
 # a --config object: each key one of its values
 CONFIG = st.fixed_dictionaries({}, optional=FIELDS)
 # a wave the verbs can build, with one to three drawn keys over it, now and
-# then a key that no verb reads (verify's step comes from the wave)
+# then a key that no verb reads (verify has no step to set)
 FIELD = st.sampled_from([*FIELDS, "n_gird", "h_fd"]).flatmap(
     lambda k: FIELDS.get(k, st.just(64)).map(lambda v: (k, v)))
 JOB = st.builds(lambda wave, fields: {**wave, **dict(fields)},

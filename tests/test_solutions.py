@@ -16,7 +16,7 @@ from kbwave.errors import (
     InvalidConfiguration,
     UnresolvedBranch,
 )
-from kbwave.presets import build_preset
+from kbwave.presets import PRESETS, build_preset
 from kbwave.quartic import Params, eval_F, eval_F_deriv, params_from_roots
 from kbwave.solutions import (
     Infeasible,
@@ -842,7 +842,6 @@ class TestOneConstructionPath:
 
     def test_orbit_check_runs_for_the_elliptic_forms_only(self, monkeypatch):
         import kbwave.solutions as S
-        from kbwave.presets import PRESETS
 
         calls = []
         check = S._orbit_check
@@ -873,6 +872,24 @@ class TestEvaluateAndPairs:
                 f_p = sol.evaluate(xi + h)[0]
                 _, fp = sol.evaluate(xi)
                 assert abs((f_p - f_m) / (2 * h) - fp) < 1e-6 * max(1.0, abs(fp))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_jet_is_the_form_and_its_derivatives(self, name):
+        """jet gives profile's f and f' to rounding, and an f''' that meets
+        f''' = F''(f) f'/2, the derivative of f'' = F'(f)/2, to rounding of
+        the largest f'''; with beta x (1 + 1e-6) it meets it only to about
+        1e-6."""
+        sol = build_preset(name)[0]
+        xi = np.linspace(*sol.window, 301) + sol.xi0
+        f, fp = sol.profile(xi)
+        jf, jfp, f3 = sol.jet(xi)
+        assert np.max(np.abs(jf - f)) <= 1e-14 * max(1.0, float(np.max(np.abs(f))))
+        assert np.max(np.abs(jfp - fp)) <= 1e-14 * max(1.0, float(np.max(np.abs(fp))))
+        want = 0.5 * eval_F_deriv(sol.params, f, 2) * fp
+        top = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(f3 - want)) <= 1e-13 * top
+        off = replace(sol, beta=sol.beta * (1.0 + 1e-6)).jet(xi)[2]
+        assert np.max(np.abs(off - want)) > 1e-7 * top
 
     def test_translation_invariance_exact(self):
         base = solitary_double(-3, -2, -1, branch="upper")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,9 @@ from kbwave.quartic import (
     params_from_roots,
     roots_of_F,
 )
+from kbwave.reduction import g_from_f
 from kbwave.solutions import (
+    case1,
     case2,
     general_sn2,
     limiting_form,
@@ -89,122 +92,166 @@ class TestOdeResidual:
 class TestPdeResidual:
     def test_case1a(self):
         sol = solitary_double(-3, -2, -1, branch="upper")
-        r_u, r_v, _ = pde_residual(sol, P_CASE1A, (-10, 10), 400)
-        assert r_u < 1e-6 and r_v < 1e-6
+        r_u, r_v = pde_residual(sol, P_CASE1A, (-10, 10), 400)
+        assert r_u < 1e-13 and r_v < 1e-13
 
     def test_constant_pair(self):
-        """Constant samples give no length scale: the step is the length of
-        the wave's window, (-10, 10) for a constant."""
+        """A constant's derivatives are 0, and so is every term."""
         sol = limiting_form("d", (-3.0, -3.0, -1.0))
-        r_u, r_v, h = pde_residual(sol, sol.params, (-5, 5), 100)
-        assert r_u < 1e-14 and r_v < 1e-14
-        assert h == verify.PDE_STEP * 20
+        assert pde_residual(sol, sol.params, (-5, 5), 100) == (0.0, 0.0)
 
     def test_case2bc_pair(self):
         sol = case2("dn", 8 - 2 * S14, 1.0, 8 + 2 * S14)
-        r_u, r_v, _ = pde_residual(sol, sol.params, (-10, 10), 400)
-        assert r_u < 1e-6 and r_v < 1e-6
+        r_u, r_v = pde_residual(sol, sol.params, (-10, 10), 400)
+        assert r_u < 1e-13 and r_v < 1e-13
 
-    def test_domain_large_enough_for_stencils(self):
-        """The u_xxx stencil divides by 8 h^3, which must be a normal double:
-        a wave so long that the cube of its step overflows is refused, on
-        any domain.  A domain as narrow as (0, 1e-110) takes the wave's step,
-        and passes."""
-        long = periodic_trig(1e-106, 2e-106, 4e-106)  # T = 2.6e106
-        with pytest.raises(ValueError, match="too large for the stencils"):
-            pde_residual(long, long.params, (0.0, 1.0), 10)
+    def test_long_wave_and_narrow_domain_pass(self):
+        """No step has to fit the wave or the domain: a wave so long that
+        the stencils' 8 h^3 overflowed (T = 2.6e106), and a domain as narrow
+        as (0, 1e-110), pass."""
+        long = periodic_trig(1e-106, 2e-106, 4e-106)
+        assert max(pde_residual(long, long.params, (0.0, 1.0), 10)) < 1e-13
         sol = solitary_double(-3, -2, -1)
-        r_u, r_v, h = pde_residual(sol, P_CASE1A, (0.0, 1e-110), 10)
-        assert max(r_u, r_v) < PDE_RTOL and h > 1e-3
+        assert max(pde_residual(sol, P_CASE1A, (0.0, 1e-110), 10)) < 1e-13
 
-    @pytest.mark.parametrize("domain", [(1e200, 1e300), (1e15, 1e15 + 1.0),
-                                        (-1e300, 0.0)])
+    @pytest.mark.parametrize("domain", [(1e200, 1e300), (1e293, 1e294), (-1e300, 0.0)])
     def test_far_domain_is_refused(self, domain):
-        """Where t + h rounds to t at the domain's farthest phase t = xi - xi0,
-        the stencils would sample one point seven times: refused, with the
-        phase and the step named."""
-        sol = solitary_double(-3, -2, -1)
-        with pytest.raises(ValueError, match=r"domain too far from xi0 = 0 for the stencils: "
-                                             r"at \|xi - xi0\| = .* rounds away"):
-            pde_residual(sol, P_CASE1A, domain, 10)
+        """The one refusal: a domain whose phase beta t does not fit a float
+        at its farthest point, named with that distance."""
+        sol = solitary_double(-1e16, 0.0, 1e16)
+        with pytest.raises(ValueError, match=r"the domain reaches \|xi - xi0\| = .*, too far "
+                                             r"for a wave of frequency 1e\+16: its phase"):
+            pde_residual(sol, sol.params, domain, 10)
 
     def test_far_domain_is_in_the_wave_s_phase(self):
-        """The same absolute domain far out is no refusal for the wave whose
-        xi0 sits there: the stencils sit at its phases."""
+        """A domain far out is checked at its phases about the wave's xi0."""
         sol = solitary_double(-3, -2, -1, xi0=1e15)
-        r_u, r_v, h = pde_residual(sol, P_CASE1A, (1e15 - 8.0, 1e15 + 8.0), 500)
-        assert max(r_u, r_v) < PDE_RTOL
-        assert h == pde_residual(solitary_double(-3, -2, -1), P_CASE1A)[2]
+        assert max(pde_residual(sol, P_CASE1A, (1e15 - 8.0, 1e15 + 8.0), 500)) < 1e-13
 
-    def test_narrow_domain_takes_the_step_of_the_wave_s_window(self):
-        """A domain much narrower than the wave takes the step that samples
-        of the wave's window give: one period, or 20 for this pulse."""
+    def test_narrow_domain_passes(self):
+        """A domain much narrower than the wave, about its peak or anywhere
+        in its period, passes."""
         sol = solitary_double(-3, -2, -1)
-        r_u, r_v, h = pde_residual(sol, P_CASE1A, (-1e-3, 1e-3), 500)
-        assert h == pde_residual(sol, P_CASE1A, (-10.0, 10.0), 500)[2]
-        assert max(r_u, r_v) < PDE_RTOL
+        assert max(pde_residual(sol, P_CASE1A, (-1e-3, 1e-3), 500)) < 1e-13
         periodic, params = build_preset("fig-case2a")
-        own = (-0.5 * periodic.period, 0.5 * periodic.period)
-        r_u, r_v, h = pde_residual(periodic, params, (1.0, 1.002), 500)
-        assert h == pde_residual(periodic, params, own, 500)[2]
-        assert max(r_u, r_v) < PDE_RTOL
+        assert max(pde_residual(periodic, params, (1.0, 1.002), 500)) < 1e-13
 
-    def test_one_period_keeps_the_domain_s_step(self):
-        """The default domain (xi0, xi0 + T) keeps the step that its samples
-        give at phase 0, also where its length rounds below T."""
+    def test_one_period_far_out_passes(self):
+        """The default domain (xi0, xi0 + T) at xi0 = 1000, whose length
+        rounds below T, passes; by default the phases are the window's own,
+        so the residuals are those of the wave at xi0 = 0, to the bit."""
         sol, params = build_preset("fig-case2a", 1000.0)
         domain = _solution_domain(sol, None)
         assert domain[1] - domain[0] < sol.period
-        t = np.linspace(0.0, sol.period, 500)
-        r_u, r_v, h = pde_residual(sol, params, domain, 500)
-        assert h == verify.PDE_STEP * verify._length(t, *sol.with_phase(0.0).profile(t))
-        assert max(r_u, r_v) < PDE_RTOL
-
-    def test_step_is_at_most_the_domains_share(self):
-        """Samples that see a pulse only at its peak and far tails take the
-        step of the pulse's window, within the domain's share, and pass."""
-        sol = solitary_double(-3, -2, -1)
-        r_u, r_v, h = pde_residual(sol, P_CASE1A, (-700.0, 700.0), 3)
-        assert h == pde_residual(sol, P_CASE1A)[2]
-        assert h <= verify.PDE_STEP * 1400.0
-        assert max(r_u, r_v) < 1e-6
+        assert max(pde_residual(sol, params, domain, 500)) < 1e-13
+        assert pde_residual(sol, params) == pde_residual(build_preset("fig-case2a")[0], params)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(name=st.sampled_from(sorted(PRESETS)), n=st.integers(2, 600),
            a=st.floats(-1e3, 1e3), width=st.floats(1e-9, 1e3),
            xi0=st.just(0.0) | st.sampled_from([1e3, 1e6, 1e10, 1e14]))
-    def test_step_depends_on_the_wave_alone(self, name, n, a, width, xi0):
-        """The step is PDE_STEP times the length that 500 points of the
-        wave's window measure: the same bits for every domain, every n >= 2
-        and every xi0 (a pulse seen at its peak and tails on (-700, 700)
-        with n = 3, and fig-case1a on (-1e-3, 1e-3) with n = 2, included)."""
+    def test_every_domain_passes(self, name, n, a, width, xi0):
+        """Every preset passes on every domain, with every n >= 2 and every
+        xi0 (a pulse seen at its peak and tails on (-700, 700) with n = 3,
+        and fig-case1a on (-1e-3, 1e-3) with n = 2, included), and by
+        default reads the same bits for every xi0."""
         sol, params = build_preset(name, xi0)
-        own = np.linspace(*sol.window, 500)
-        want = verify.PDE_STEP * verify._length(own, *build_preset(name)[0].profile(own))
         for domain, k in (((a, a + width), n), ((-700.0, 700.0), 3), ((-1e-3, 1e-3), 2)):
             domain = (xi0 + domain[0], xi0 + domain[1])
-            assert pde_residual(sol, params, domain, k)[2] == want
-        assert pde_residual(sol, params, None, n)[2] == want
+            assert max(pde_residual(sol, params, domain, k)) < 1e-13
+        assert pde_residual(sol, params, None, n) == pde_residual(build_preset(name)[0], params,
+                                                                  None, n)
 
-    def test_step_scales_with_the_wave(self):
-        """The image f -> lambda f(lambda xi) + a of a wave on the image of
-        its window takes the step h / lambda and the same verdict."""
+    def test_affine_image_keeps_the_verdict(self):
+        """The image f -> lambda f(lambda xi) + a of a wave passes as the
+        wave does, and its beta x 1.001 mutant is refused as the wave's is."""
         sol = solitary_double(-3, -2, -1)
-        r_u, r_v, h = pde_residual(sol, P_CASE1A, (-10, 10), 500)
         image = solitary_double(-250, -150, -50)  # lambda = 100, a = 50
-        r_u2, r_v2, h2 = pde_residual(image, image.params, (-0.1, 0.1), 500)
-        assert h == pytest.approx(0.006, rel=1e-3)
-        assert h2 == pytest.approx(h / 100, rel=1e-12)
-        assert max(r_u, r_v, r_u2, r_v2) < 1e-8
+        for wave in (sol, image):
+            assert max(pde_residual(wave, wave.params)) < 1e-13
+            assert pde_residual(replace(wave, beta=wave.beta * 1.001), wave.params)[1] > 1e-5
+
+    def test_close_zeros_of_small_modulus_pass(self):
+        """A periodic wave of modulus 0.022 whose zeros lie 0.026 apart near
+        -145.7 passes at rounding, where the stencils read 2.7e-5."""
+        sol = case1("dn", -145.71648558370455, 71.75467622356052, -145.69086468777877)
+        assert sol.modulus == pytest.approx(0.022, abs=1e-3)
+        r_u, r_v = pde_residual(sol, sol.params)
+        assert r_u <= 1e-13 and r_v <= 1e-13
+        assert _stencil_residual(sol, sol.params)[1] > 2e-5
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_at_rounding_and_a_wrong_frequency_refused(self, name):
+        """Every preset reads at most 1e-13, and with beta x 1.001 at least
+        1e-5, against the stencils' 8.7e-11 to 2.7e-8 on the presets."""
+        sol, params = build_preset(name)
+        assert max(pde_residual(sol, params)) <= 1e-13
+        assert pde_residual(replace(sol, beta=sol.beta * 1.001), params)[1] >= 1e-5
 
 
-def _fixed_step_passes(sol, domain, n=500):
-    """The PDE gate's verdict with the fixed step 1e-3, which it took until
-    the step came from the wave: refused on a domain of 6e-3 or less."""
-    if domain[1] - domain[0] <= 6e-3:
-        return False
-    xi = np.linspace(domain[0], domain[1], n)
-    return max(verify._pde_defects(sol, sol.params, xi, 1e-3)) < PDE_RTOL
+def _stencil_residual(sol, p):
+    """The referee: (r_u, r_v) as pde_residual gives them on 500 points of
+    the wave's window, with the derivatives from 4th-order central
+    differences (first derivatives on 5 points, u_xxx on 7) and the step
+    3e-3 times the wave's length scale there, (max f - min f) / max |f'|,
+    at most the window's length."""
+    t = np.linspace(*sol.window, 500)
+    wave = sol.with_phase(0.0)
+    f, fp = wave.profile(t)
+    rise, slope = float(np.max(f) - np.min(f)), float(np.max(np.abs(fp)))
+    noise = 1e-12 * (float(np.max(np.abs(f))) + slope * max(abs(t[0]), abs(t[-1])))
+    span = t[-1] - t[0]
+    h = 3e-3 * (min(span, rise / slope) if rise > noise and slope > 0.0 else span)
+    pf = p.as_floats()
+    c = pf.c
+    u = wave.profile((t[:, None] + np.arange(-3, 4) * h).ravel())[0].reshape(len(t), 7)
+    v = g_from_f(u, c, pf.d1)
+    ux, vx = ((a[:, 1] - 8 * a[:, 2] + 8 * a[:, 4] - a[:, 5]) / (12 * h) for a in (u, v))
+    uxxx = (u[:, 0] - 8 * u[:, 1] + 13 * u[:, 2] - 13 * u[:, 4] + 8 * u[:, 5] - u[:, 6]) / (
+        8.0 * h * h * h)
+    u, v = u[:, 3], v[:, 3]
+    terms_u = (-c * ux, 1.5 * u * ux, vx)
+    terms_v = (-c * vx, -0.25 * uxxx, v * ux, 0.5 * u * vx)
+    r_u = terms_u[0] - terms_u[1] - terms_u[2]
+    r_v = terms_v[0] - terms_v[1] - terms_v[2] - terms_v[3]
+    return tuple(float(np.max(np.abs(r)) / max(1.0, *(float(np.max(np.abs(x))) for x in terms)))
+                 for r, terms in ((r_u, terms_u), (r_v, terms_v)))
+
+
+def _mutants(sol):
+    """sol with one of beta, A, B, C, D and k moved by 1e-6 relative either
+    way: each nonzero one, with k kept at most 1, where the form stays
+    pole-free."""
+    for name in ("beta", "A", "B", "C", "D", "modulus"):
+        x = getattr(sol, name)
+        for moved in ((x * (1.0 - 1e-6), x * (1.0 + 1e-6)) if x else ()):
+            if name == "modulus" and moved > 1.0:
+                continue
+            try:
+                yield replace(sol, **{name: moved})
+            except InvalidConfiguration:
+                continue
+
+
+def _check_against_the_referee(sol, p):
+    """The gate passes sol where the referee does, and refuses each mutant
+    the referee refuses by more than twice its own reading on sol.  That
+    reading is the stencils' error, whose rounding part moves by about its
+    size from sol to a mutant; on waves of close zeros it alone reaches the
+    bound, and so refuses correct waves (1.1e-6 on general_sn2 of -6060.79,
+    -3023.68, -3210.36, -6065.07; 5.5e-5 on case1-dn of -20, -19.99999,
+    -1e-5) and mutants whose defect is far below it."""
+    own = max(_stencil_residual(sol, p))
+    if own < PDE_RTOL:
+        assert max(pde_residual(sol, p)) < PDE_RTOL
+    for mutant in _mutants(sol):
+        if max(_stencil_residual(mutant, p)) - 2.0 * own >= PDE_RTOL:
+            assert max(pde_residual(mutant, p)) >= PDE_RTOL, (mutant, own)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_mutants_the_referee_refuses_are_refused(name):
+    _check_against_the_referee(*build_preset(name))
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -212,12 +259,12 @@ def _fixed_step_passes(sol, domain, n=500):
        base=st.lists(st.floats(-3, 3), min_size=4, max_size=4, unique=True),
        sign=st.sampled_from((-1.0, 1.0)), exponent=st.floats(-2, 3),
        shift=st.just(0.0) | st.floats(-10, 10))
-def test_derived_step_keeps_every_pass_of_the_fixed_step(kind, base, sign, exponent, shift):
+def test_mutants_the_referee_refuses_are_refused(kind, base, sign, exponent, shift):
     """Over the affine images lambda z + a of each family's zeros, with
-    |lambda| from 1e-2 to 1e3 and |a| <= 10 |lambda|, no correct wave that
-    passes the PDE gate with the fixed step 1e-3 fails it with the step
-    measured from the wave (a seeded sweep of 771 waves: 285 failed with the
-    fixed step, 5 with the derived one)."""
+    |lambda| from 1e-2 to 1e3 and |a| <= 10 |lambda|, the gate passes every
+    correct wave the stencil referee passes, and refuses every mutant of
+    beta, A, B, C, D or k by 1e-6 that the referee refuses beyond its own
+    error (``_check_against_the_referee``)."""
     lam = sign * 10.0 ** exponent
     row = KINDS[kind]
     zeros = [lam * z + shift * abs(lam) for z in base[:len(row.zeros.split(","))]]
@@ -227,10 +274,7 @@ def test_derived_step_keeps_every_pass_of_the_fixed_step(kind, base, sign, expon
                             row.options.get("initial_index"))
     except (KBWaveError, ValueError, FloatingPointError):
         return
-    domain = _solution_domain(sol, None)
-    r_u, r_v, _ = pde_residual(sol, sol.params, domain, 500)
-    if _fixed_step_passes(sol, domain):
-        assert max(r_u, r_v) < PDE_RTOL, (kind, zeros, r_u, r_v)
+    _check_against_the_referee(sol, sol.params)
 
 
 class TestOracle:
