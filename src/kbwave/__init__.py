@@ -10,8 +10,8 @@ Library layout:
 * :mod:`kbwave.solutions`  every closed-form family (solitary, trigonometric,
   elliptic) as validated evaluable descriptors;
 * :mod:`kbwave.orbit`      the orbit of one band by quadrature in the band's
-  angle, which the orbit check and the oracle both follow;
-* :mod:`kbwave.verify`     residual checks and the orbit oracle;
+  angle, which verify's orbit check and oracle both follow;
+* :mod:`kbwave.verify`     residual checks, the orbit check and the oracle;
 * :mod:`kbwave.evolution`  pseudo-spectral time evolution on a periodic
   domain;
 * :mod:`kbwave.hierarchy`  exact-rational reductions of the ell-component

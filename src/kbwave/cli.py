@@ -18,7 +18,9 @@ report the defining residual against the bound the constructors enforce,
 ``pde_residual``, ``{"r_u", "r_v", "bound", "passed"}``: the coupled
 system's scaled defects from the closed form's exact derivatives, and
 ``PDE_RTOL``, the bound both are held to (earlier schema-1 records carried
-a finite-difference step ``h_fd`` in place of ``bound``).  The ``--kind``
+a finite-difference step ``h_fd`` in place of ``bound``), and ``orbit``,
+``{"deviation", "bound", "passed"}``: ``verify.orbit_deviation``, the form
+against its own orbit, held to ``ORBIT_RTOL * scale``.  The ``--kind``
 choices and the constructor each kind calls come from the family table
 ``presets.KINDS``; what ``--kind auto`` builds for each case tag comes from
 ``presets.AUTO``.
@@ -74,7 +76,8 @@ from .quartic import (
     roots_of_F,
 )
 from .solutions import ClosedFormSolution, discrepancy_report
-from .verify import build_profile, default_domain, ode_residual, oracle_integrate, pde_residual
+from .verify import (ORBIT_RTOL, build_profile, default_domain, ode_residual,
+                     oracle_integrate, orbit_deviation, pde_residual)
 from .hierarchy import conjecture_report
 
 CSV_HEADER = "xi,f,f_prime,g"
@@ -714,15 +717,19 @@ def cmd_verify(opts) -> int:
     r_u, r_v = pde_residual(sol, params, domain=domain if opts["domain"] else None,
                             n=min(n, 500))
     pde_ok = max(r_u, r_v) < PDE_RTOL
+    dev, bound = orbit_deviation(sol), ORBIT_RTOL * sol.roots.scale()
     doc = _sidecar(sol, params, res, pde_residual={"r_u": r_u, "r_v": r_v, "bound": PDE_RTOL,
-                                                   "passed": bool(pde_ok)})
+                                                   "passed": bool(pde_ok)},
+                   orbit={"deviation": dev, "bound": bound, "passed": dev < bound})
     _emit(opts["out"], _json(doc))
     if not doc["residual"]["passed"]:
         print(f"residual gate FAILED: {res:.3e} >= {sol.residual_bound:.3e}", file=sys.stderr)
     elif not pde_ok:
         print(f"PDE residual gate FAILED: {max(r_u, r_v):.3e} >= {PDE_RTOL:.3e}",
               file=sys.stderr)
-    return 0 if doc["residual"]["passed"] and pde_ok else 2
+    elif not dev < bound:
+        print(f"orbit check FAILED: {dev:.3e} >= {bound:.3e}", file=sys.stderr)
+    return 0 if all(doc[key]["passed"] for key in ("residual", "pde_residual", "orbit")) else 2
 
 
 def cmd_oracle(opts) -> int:

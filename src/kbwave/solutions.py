@@ -22,11 +22,11 @@ line; a defect beyond its rounding bound refuses the form.  An a-priori
 bound (``_apriori_bound``) then shows that the first-integral residual
 f'(xi)^2 - F(f(xi)) sampled over the wave's window
 (``ClosedFormSolution.window``) would pass ``residual_bound``; only where it
-cannot is that residual sampled (``_residual_gate``).  A form with a modulus
-(the Jacobi kernels sn, cn, dn, sn^2) also passes the orbit check: the orbit
-through f(0), followed over one period by quadrature of
-xi(f) = int df / sqrt(F) in the band's angle (``orbit.Orbit``, see
-``_orbit_check``).
+cannot is that residual sampled (``_residual_gate``).  The certificate is
+the constructor's one proof: where the kernel meets its equation, the
+identity holds and the denominator has no zero on the span, f'^2 = F(f)
+everywhere, so a nonconstant wave is its band's orbit.  Following that orbit
+by quadrature is ``verify.orbit_deviation``'s independent check.
 Where the classical printed formulas for a family fail these gates, the
 constructor applies a documented correction and records it in the solution's
 provenance notes; the static :data:`DISCREPANCIES` table aggregates them.
@@ -69,7 +69,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import orbit
 from .elliptic import complete_K, jacobi, normalize_modulus
 from .errors import Infeasible, InvalidConfiguration, UnresolvedBranch
 from .quartic import (Params, RootMultiset, classify,
@@ -93,7 +92,6 @@ __all__ = [
 ]
 
 RESIDUAL_RTOL = 1e-8          # defining-residual gate: < RTOL * scale^4
-ORBIT_RTOL = 1e-6             # orbit check: |closed form - orbit| < RTOL * scale
 MODULUS_CLAMP = 1e-9          # k^2 in (1, 1+clamp] snaps to 1; in [-clamp, 0) to 0
 # k^2 comes from the zeros in a few rounded operations, so a k^2 of 0 comes
 # out within a few ulps of 0 (fig-case2f: 1.7e-16); its square root, ~1e-8,
@@ -237,9 +235,10 @@ _KERNELS = {
     # (1 - y^2)(1 - k^2 y^2)
     "sn": _Kernel(_sn, lambda k2: (1.0, 0.0, -1.0 - k2, 0.0, k2), _periods_K(4.0),
                   lambda k: (-1.0, 1.0), abs),
-    # (1 - y^2)(1 - k^2 + k^2 y^2)
+    # (1 - y^2)(1 - k^2 + k^2 y^2); its span stays [-1, 1] at k = 1 (sech): a
+    # modulus of 1 stands for every k^2 ``_modulus`` snaps there, none with a pole
     "cn": _Kernel(_cn, lambda k2: (1.0 - k2, 0.0, 2.0 * k2 - 1.0, 0.0, -k2), _periods_K(4.0),
-                  lambda k: (0.0 if k == 1.0 else -1.0, 1.0), abs),
+                  lambda k: (-1.0, 1.0), abs),
     # (1 - y^2)(y^2 - 1 + k^2)
     "dn": _Kernel(_dn, lambda k2: (k2 - 1.0, 0.0, 2.0 - k2, 0.0, -1.0), _periods_K(2.0),
                   lambda k: (math.sqrt(max(0.0, (1.0 - k) * (1.0 + k))), 1.0), abs),
@@ -489,21 +488,13 @@ def _modulus(k2) -> float:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4)  # _residual_gate's 513 points and the orbit check's 129
-def _ramp(n):
-    """``np.arange(n, dtype=float)``, read-only: ``_window`` copies it."""
-    x = np.arange(n, dtype=float)
-    x.flags.writeable = False
-    return x
-
-
 def _window(sol, n):
     """n points over the wave's window, in its phase t: bit for bit
     ``np.linspace(*sol.window, n)``, whose arithmetic this repeats without
     its wrapper."""
     start, stop = sol.window
     delta = stop - start
-    x = _ramp(n).copy()
+    x = np.arange(n, dtype=float)
     step = delta / (n - 1)
     if step == 0.0:  # a subnormal step underflows: scale the ramp, then delta
         x /= n - 1
@@ -527,48 +518,6 @@ def _residual_gate(sol, n=513):
             candidate=sol,
         )
     return res
-
-
-def _orbit_check(sol):
-    """Compare the closed form of ``sol``, a wave at phase 0, with the orbit
-    of f'^2 = F(f) through f(0) (``orbit.Orbit``) over one period (or, for
-    a pulse, until it meets its multiple zero), at the bound
-    ORBIT_RTOL * scale; raises UnresolvedBranch with the solution as
-    candidate.  Returns the largest deviation."""
-    gate = ORBIT_RTOL * sol.roots.scale()
-    f0, fp0 = sol.evaluate(0.0)
-    rest_point = [v for v, m in sol.roots.entries if m > 1 and abs(f0 - v) < gate]
-    if rest_point:
-        # the orbit through a multiple zero is that zero: the form must stay there
-        f, _ = sol.profile(_window(sol, 129))
-        return _orbit_verdict(sol, float(np.max(np.abs(f - rest_point[0]))), gate)
-
-    picked = orbit.band(sol.params, sol.roots, f0, gate)
-    if picked is None:
-        raise UnresolvedBranch(
-            f"{sol.kind} failed the orbit check: f(xi0) = {f0!r} lies in no band "
-            f"of F > 0 for the zeros {sol.roots.expand()}", candidate=sol)
-    orb = orbit.Orbit(*picked, f0, fp0)
-    if not orb.bound < 0.1 * gate:
-        raise UnresolvedBranch(
-            f"{sol.kind}: the orbit quadrature did not converge: its error moves "
-            f"f by up to {orb.bound:.3e}, against the bound {gate:.3e}", candidate=sol)
-
-    # the orbit turns at e, at xi_e; f(xi_e +- xi(theta)) = f(theta)
-    xi_e = -orb.xi0 if fp0 * orb.w >= 0.0 else orb.xi0
-    f = orb.f
-    worst = max(float(np.max(np.abs(sol.profile(xi_e + sign * orb.xi)[0] - f)))
-                for sign in (1.0, -1.0))
-    return _orbit_verdict(sol, worst, gate)
-
-
-def _orbit_verdict(sol, worst, gate):
-    if not worst < gate:
-        raise UnresolvedBranch(
-            f"{sol.kind} failed the orbit check: {worst:.3e} >= {gate:.3e}",
-            candidate=sol,
-        )
-    return worst
 
 
 # The certificate.  Every wave is f = (A + B y)/(C + D y) of a kernel with
@@ -704,15 +653,15 @@ def _apriori_bound(wave, cert):
 def _gates(wave):
     """The constructor's gates on ``wave``, a wave at phase 0; each raises
     UnresolvedBranch with the wave as candidate, and float errors are left
-    to the caller.  The certificate runs on every form, and a form it
-    refutes is refused.  The sampled residual gate, ``_residual_gate``, runs
-    only where the certificate and its a-priori bound cannot show that it
-    would pass: zeros with no spread, a certificate not met, a window not
-    finite, or a bound not below ``residual_bound``.  It runs before a
-    refutation is reported, so every form it fails keeps its message.  The
-    orbit check runs on every form with a modulus.  A form that varies
-    needs a frequency that is a positive normal double: a smaller one is
-    the float error of a form that does not fit the floats."""
+    to the caller.  Three, in order: a form that varies needs a frequency
+    that is a positive normal double (a smaller one is the float error of a
+    form that does not fit the floats); the certificate runs on every form,
+    and a form it refutes is refused; the sampled residual gate,
+    ``_residual_gate``, runs only where the certificate and its a-priori
+    bound cannot show that it would pass: zeros with no spread, a
+    certificate not met, a window not finite, or a bound not below
+    ``residual_bound``.  The sampled gate runs before a refutation is
+    reported, so every form it fails keeps its message."""
     gate = wave.residual_bound  # zeros too large for the gate are refused here, unsampled
     start, stop = wave.window   # a periodic form's zero frequency is refused here
     if wave.kernel != "const" and not sys.float_info.min <= wave.beta < math.inf:
@@ -725,8 +674,6 @@ def _gates(wave):
         raise UnresolvedBranch(
             f"{wave.kind} failed the certificate: {cert.defect:.3e} > {cert.allowance:.3e}",
             candidate=wave)
-    if wave.modulus is not None:
-        _orbit_check(wave)
 
 
 def _solution(kind, roots, xi0, mobius, kernel, **kw):

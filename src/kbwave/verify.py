@@ -1,11 +1,11 @@
-"""Independent verification: residuals, the orbit oracle, norms.
+"""Independent verification: residuals, the orbit check and oracle, norms.
 
 The oracle never trusts a closed form: ``oracle_integrate`` follows the
 orbit of f'^2 = F(f) through a start value from F's zeros alone, by the
 quadrature in the band's angle of ``orbit.Orbit``, and samples it on a
-uniform grid, each sample the orbit's own value at its xi.  The residuals
-check a closed form against the quartic (``ode_residual``) and against the
-coupled system with the closed form's exact derivatives (``pde_residual``).
+uniform grid; ``orbit_deviation`` holds a closed form to that orbit.  The
+residuals check a closed form against the quartic (``ode_residual``) and
+against the coupled system with its exact derivatives (``pde_residual``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfiguration
+from .errors import InvalidConfiguration, KBWaveError
 from .orbit import Orbit, band
 from .quartic import Params, eval_F, first_integral_residual, roots_of_F, scaled_bound
 from .reduction import g_from_f
@@ -26,6 +26,7 @@ __all__ = [
     "default_domain",
     "ode_residual",
     "pde_residual",
+    "orbit_deviation",
     "oracle_integrate",
     "compare_profiles",
     "build_profile",
@@ -34,6 +35,7 @@ __all__ = [
 # the most grid points oracle_integrate samples: its arrays and a CSV of
 # them take some 200 bytes a point, so this many take about 200 MB
 MAX_ORACLE_POINTS = 10 ** 6
+ORBIT_RTOL = 1e-6  # orbit check: |closed form - orbit| < ORBIT_RTOL * scale
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,44 @@ def pde_residual(sol: ClosedFormSolution, p: Params, domain=None,
         float(np.max(np.abs(r_u)) / scale_u),
         float(np.max(np.abs(r_v)) / scale_v),
     )
+
+
+def orbit_deviation(sol: ClosedFormSolution) -> float:
+    """max |closed form - orbit| of ``sol`` at phase 0 (the same for every
+    xi0), the orbit of f'^2 = F(f) through the form's value and slope at a
+    turn (``orbit.Orbit``), run in f / w and w xi, w the power of two above
+    the zeros' spread, over one period or until a pulse meets its multiple
+    zero; it passes below ORBIT_RTOL * scale.  A constant, or a form that
+    starts at a multiple zero or in no band, is held to the nearest multiple
+    zero.  KBWaveError where there is no band and no multiple zero, or the
+    quadrature leaves the floats or moves f by 0.1 ORBIT_RTOL * scale."""
+    wave = sol.with_phase(0.0)
+    gate = ORBIT_RTOL * wave.roots.scale()
+    # sn and sin start mid-band, where f' fixes the orbit's phase badly beside
+    # a band edge that Q nearly shares; they turn a quarter period on
+    start = 0.25 * wave.period if wave.period and wave.evaluate(0.0)[1] else 0.0
+    f0, fp0 = wave.evaluate(start)
+    multiple = [v for v, m in wave.roots.entries if m > 1]
+    rest = wave.kernel == "const" or f0 in multiple
+    picked = None if rest else band(wave.params, wave.roots, f0, gate)
+    if picked is None:
+        if not multiple:
+            raise KBWaveError(f"{wave.kind}: f(xi0) = {f0!r} lies in no band of F > 0: no orbit")
+        z = min(multiple, key=lambda v: abs(f0 - v))  # whose orbit is that rest point
+        return float(np.max(np.abs(wave.profile(np.linspace(*wave.window, 129))[0] - z)))
+    zeros = wave.roots.values()
+    w = math.ldexp(1.0, math.frexp(float(max(zeros) - min(zeros)))[1])
+    try:
+        orb = Orbit(*(v / w for v in picked[:2]), [v / w for v in picked[2]], f0 / w, fp0 / w / w)
+    except (ArithmeticError, ValueError) as err:
+        raise KBWaveError(f"{wave.kind}: the orbit quadrature leaves the floats ({err})") from None
+    if not orb.bound * w < 0.1 * gate:
+        raise KBWaveError(f"{wave.kind}: the orbit quadrature did not converge: its error "
+                          f"moves f by up to {orb.bound * w:.3e}, against the bound {gate:.3e}")
+    # the orbit turns at e, at xi_e; f(xi_e +- xi(theta)) = f(theta)
+    xi_e = start - orb.xi0 / w if fp0 * orb.w >= 0.0 else start + orb.xi0 / w
+    xi, f = orb.xi / w, w * orb.f
+    return max(float(np.max(np.abs(wave.profile(xi_e + sign * xi)[0] - f))) for sign in (1.0, -1.0))
 
 
 def oracle_integrate(p: Params, f0: float, sign: int, length: float,

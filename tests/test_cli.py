@@ -595,6 +595,46 @@ class TestVerifyVerb:
         record = json.loads(capsys.readouterr().out)["pde_residual"]
         assert record["passed"] is True and record["r_v"] <= 1e-13
 
+    @pytest.mark.parametrize("flags", [
+        ["--preset", "fig-case1b-k05"],
+        ["--preset", "fig-case2bc-k1", "--xi0", "1e3"],
+        ["--kind", "periodic_trig", "--roots", "0.5,1.5,3", "--branch", "lower"],
+        ["--kind", "solitary_triple", "--roots=1e60,0", "--n", "3"],
+        ["--kind", "case1-dn", "--roots", "1,1,3"],  # a constant, at its rest point
+    ])
+    def test_orbit_record(self, flags, tmp_path):
+        """The record is orbit_deviation's reading with its bound,
+        ORBIT_RTOL * scale, on every wave."""
+        from kbwave.verify import ORBIT_RTOL, orbit_deviation
+
+        sol, _ = cli._construct(cli._options("verify", cli._parser().parse_args(["verify", *flags])))
+        out = tmp_path / "rep.json"
+        assert main(["verify", *flags, "--out", str(out)]) == 0
+        record = json.loads(out.read_text())["orbit"]
+        assert record == {"deviation": orbit_deviation(sol),
+                          "bound": ORBIT_RTOL * sol.roots.scale(), "passed": True}
+        assert record["deviation"] <= 1e-13 * sol.roots.scale()
+
+    def test_failed_orbit_check_exits_2(self, monkeypatch, tmp_path, capsys):
+        """A failed record is written, and the run exits 2 with one line."""
+        monkeypatch.setattr(cli, "orbit_deviation", lambda sol: 1.0)
+        out = tmp_path / "rep.json"
+        assert main(["verify", "--preset", "fig-case1a", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "orbit check FAILED: 1.000e+00 >= 3.000e-06\n"
+        assert json.loads(out.read_text())["orbit"] == {"deviation": 1.0, "bound": 3e-06,
+                                                         "passed": False}
+
+    def test_orbit_that_cannot_be_followed_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        """Without its graded panels the orbit of a near-homoclinic band
+        does not converge: verify refuses with one error line and no file."""
+        monkeypatch.setattr(orbit, "_halvings", lambda depth: [])
+        out = tmp_path / "rep.json"
+        argv = ["verify", "--kind", "case2-inv-sn", "--out", str(out),
+                "--roots=-3.1933706513223035,3.1560461282975467,0.0006870581931064379"]
+        assert refusal(argv, capsys).startswith(
+            "case2_inv_sn: the orbit quadrature did not converge: its error moves f by up to ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["2", "3"])
     @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
     def test_few_samples_pass(self, preset, n, capsys):
@@ -617,16 +657,17 @@ class TestVerifyVerb:
     @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
     def test_far_reference_point_passes(self, preset, xi0, capsys):
         """Every preset builds with its reference point far out, and verify
-        passes there with the PDE record of its xi0 = 0 run, to the bit: the
-        checks run on the wave's own phase.  (The PDE gate failed from
-        xi0 = 1e3 for fig-case2bc-k1, and the orbit check refused fig-case2a
-        at 1e10.)"""
+        passes there with the PDE and orbit records of its xi0 = 0 run, to
+        the bit: the checks run on the wave's own phase.  (The PDE gate
+        failed from xi0 = 1e3 for fig-case2bc-k1, and the orbit check refused
+        fig-case2a at 1e10.)"""
         assert cli.build_preset(preset, float(xi0))[0].xi0 == float(xi0)
         reports = []
         for x in ("0", xi0):
             assert main(["verify", "--preset", preset, "--xi0", x]) == 0
-            reports.append(json.loads(capsys.readouterr().out)["pde_residual"])
-        assert reports[1]["passed"] is True
+            doc = json.loads(capsys.readouterr().out)
+            reports.append((doc["pde_residual"], doc["orbit"]))
+        assert reports[1][0]["passed"] is True and reports[1][1]["passed"] is True
         assert repr(reports[1]) == repr(reports[0])
 
     def test_step_is_no_option(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import kbwave.solutions as S
+from kbwave import verify
 from kbwave.errors import KBWaveError, UnresolvedBranch
 from kbwave.presets import KINDS, PRESETS, build_preset
 from kbwave.quartic import Params, eval_F
@@ -67,8 +68,10 @@ def _reference_solution(kind, roots, xi0, mobius, kernel, **kw):
             f"{sol.kind} failed the defining residual gate: {res:.3e} >= {gate:.3e}",
             candidate=sol,
         )
-    if sol.modulus is not None:
-        S._orbit_check(replace(sol, xi0=0.0))
+    dev, bound = verify.orbit_deviation(sol), verify.ORBIT_RTOL * sol.roots.scale()
+    if not dev < bound:
+        raise UnresolvedBranch(f"{sol.kind} failed the orbit check: {dev:.3e} >= {bound:.3e}",
+                               candidate=sol)
     return sol
 
 

@@ -12,6 +12,7 @@ from kbwave.quartic import (CaseTag, Params, RootMultiset, bands, classify, eval
                             eval_F_deriv, params_from_roots, roots_of_F)
 from kbwave.reduction import g_from_f
 from kbwave.solutions import case1, solitary_double, solitary_triple
+from kbwave.verify import orbit_deviation
 
 P_CASE1A = Params(2.0, -7 / 4, -7 / 2, -3 / 2)  # F = -(f+3)(f+2)^2(f+1)
 ROOTS_CASE1A = RootMultiset(((-3.0, 1), (-2.0, 2), (-1.0, 1)))
@@ -94,12 +95,13 @@ class TestLocalBehavior:
 
     def test_double_rounded_below_zero_has_rate_zero(self):
         """A double edge whose computed F'' rounds below zero, next to simple
-        zeros 1e-8 away, has rate 0; the orbit check reading the table still
-        builds the wave."""
+        zeros 1e-8 away, has rate 0; the wave still builds, and its orbit
+        check passes."""
         sol = case1("cn", 1.0, 1.0 + 1e-8, 1.0 + 2e-8)
         (_, double), _ = bands(sol.params, sol.roots)
         assert double.mult == 2 and eval_F_deriv(sol.params, double.value, 2) < 0
         assert double.rate == 0.0
+        assert orbit_deviation(sol) < 1e-12
 
     def test_quadruple(self):
         # F = -f^4: only the constant f = 0 is real, so there is no band

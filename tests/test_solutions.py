@@ -14,14 +14,15 @@ from kbwave.elliptic import complete_K, jacobi
 from kbwave.errors import (
     InfeasibleBranch,
     InvalidConfiguration,
+    KBWaveError,
     UnresolvedBranch,
 )
 from kbwave.presets import PRESETS, build_preset
 from kbwave.quartic import Params, eval_F, eval_F_deriv, params_from_roots
+from kbwave.verify import orbit_deviation
 from kbwave.solutions import (
     Infeasible,
     _KERNELS,
-    _orbit_check,
     case1,
     case2,
     discrepancy_report,
@@ -32,6 +33,7 @@ from kbwave.solutions import (
     solitary_triple,
     u_v_pair,
 )
+from test_verify import _orbit_refuses
 
 S3 = math.sqrt(3.0)
 S14 = math.sqrt(14.0)
@@ -670,7 +672,8 @@ MUTATION_BASES = {
 
 
 class TestOrbitCheck:
-    """The quadrature orbit check: no false rejections, every mutation caught."""
+    """The quadrature orbit check, ``verify.orbit_deviation``: no false
+    rejections, every mutation caught."""
 
     @pytest.mark.parametrize("f1, f2, f3", [
         (1.504592762678163, 1.8554198448069474, 1.8844673057094008),
@@ -681,7 +684,7 @@ class TestOrbitCheck:
     def test_case1_dn_accepted(self, f1, f2, f3):
         # a fixed-step RK4 check rejected these; DOP853 agrees with them
         sol = case1("dn", f1, f2, f3)
-        assert _orbit_check(sol) < 1e-12 * sol.roots.scale()
+        assert orbit_deviation(sol) < 1e-12 * sol.roots.scale()
         assert _dop853_deviation(sol) < 1e-9
 
     @pytest.mark.parametrize("kind, f1, f2, f3", [
@@ -693,7 +696,7 @@ class TestOrbitCheck:
         sol = case2(kind, f1, f2, f3)
         gaps = np.diff(sol.roots.values()) / sol.roots.scale()
         assert gaps.min() < 1e-7
-        assert _orbit_check(sol) < 1e-10 * sol.roots.scale()
+        assert orbit_deviation(sol) < 1e-10 * sol.roots.scale()
 
     def test_unresolved_quadrature_is_loud(self, monkeypatch):
         """Without the graded panels the near-homoclinic band is not resolved,
@@ -703,8 +706,8 @@ class TestOrbitCheck:
         sol = case2("inv_sn", -3.1933706513223035, 3.1560461282975467,
                     0.0006870581931064379)
         monkeypatch.setattr(orbit, "_halvings", lambda depth: [])
-        with pytest.raises(UnresolvedBranch, match="did not converge"):
-            _orbit_check(sol)
+        with pytest.raises(KBWaveError, match="did not converge"):
+            orbit_deviation(sol)
 
     def test_triple_edge_pulses_follow_their_orbit(self):
         """A pulse that meets a triple zero: its panels run in tan(theta), on
@@ -713,43 +716,43 @@ class TestOrbitCheck:
         rng = np.random.default_rng(29)
         for f_triple, f_simple in rng.uniform(-5.0, 5.0, (200, 2)):
             sol = solitary_triple(f_triple, f_simple)
-            assert _orbit_check(sol) < 1e-12 * sol.roots.scale()
-            with pytest.raises(UnresolvedBranch, match="orbit check"):
-                _orbit_check(replace(sol, beta=sol.beta * 1.001))
+            assert orbit_deviation(sol) < 1e-12 * sol.roots.scale()
+            assert _orbit_refuses(replace(sol, beta=sol.beta * 1.001))
 
     def test_merged_zeros_tiny_band_accepted(self):
         # f2 - f1 = 9e-10, once merged into two doubles by case1: the four
         # zeros stay simple, and the wave, 1e-9 wide, follows its tiny band
         sol = case1("dn", -3.5693995947304504, -3.5693995938207603, -0.6228534466259203)
         assert sol.roots.multiplicities() == (1, 1, 1, 1)
-        assert _orbit_check(sol) < 1e-9
+        assert orbit_deviation(sol) < 1e-9
 
     @pytest.mark.parametrize("name", MUTATION_BASES)
     def test_bases_match_to_rounding(self, name):
         # fig-case2bc-k1 starts 3e-14 inside its band edge: a start phase from
         # f(xi0) alone would be off by the square root of that
         sol = MUTATION_BASES[name]
-        assert _orbit_check(sol) < 1e-10 * sol.roots.scale()
+        assert orbit_deviation(sol) < 1e-10 * sol.roots.scale()
 
     @pytest.mark.parametrize("name", MUTATION_BASES)
     def test_wrong_beta_rejected(self, name):
         sol = MUTATION_BASES[name]
-        with pytest.raises(UnresolvedBranch, match="orbit check"):
-            _orbit_check(replace(sol, beta=sol.beta * 1.001))
+        assert _orbit_refuses(replace(sol, beta=sol.beta * 1.001))
 
     @pytest.mark.parametrize("name", [n for n, s in MUTATION_BASES.items() if s.modulus < 1.0])
     def test_wrong_modulus_rejected(self, name):
         sol = MUTATION_BASES[name]
-        with pytest.raises(UnresolvedBranch, match="orbit check"):
-            _orbit_check(replace(sol, modulus=sol.modulus + 0.01))
+        assert _orbit_refuses(replace(sol, modulus=sol.modulus + 0.01))
 
     @pytest.mark.parametrize("idx", [2, 3])
     def test_printed_adjacent_pairing_rejected(self, idx):
+        """The printed sn^2 coefficients are refused by the orbit check, and
+        by the constructor's gates."""
         roots = (0.0, 1.0, 2.0, 3.0)
         printed = replace(general_sn2(roots, initial_index=idx),
                           **TestGeneralSn2._printed(roots, idx))
-        with pytest.raises(UnresolvedBranch, match="orbit check"):
-            _orbit_check(printed)
+        assert _orbit_refuses(printed)
+        with pytest.raises(UnresolvedBranch):
+            _gates(printed)
 
     @pytest.mark.parametrize("build", [
         lambda: build_preset("fig-case2a")[0],
@@ -764,8 +767,7 @@ class TestOrbitCheck:
         monkeypatch.setitem(S._KERNELS, "abs_sn", S._KERNELS["sn"]._replace(fn=_abs_sn))
         kinked = replace(build(), kernel="abs_sn")
         S._residual_gate(kinked)
-        with pytest.raises(UnresolvedBranch, match="orbit check"):
-            _orbit_check(kinked)
+        assert _orbit_refuses(kinked)
 
     def test_seeded_sweep_has_no_false_rejections(self):
         """Every elliptic constructor on 500 random triples and quadruples:
@@ -806,9 +808,9 @@ class TestOrbitCheck:
 
 
 class TestOneConstructionPath:
-    """Every constructor returns through _solution: the residual gate on
-    every form, the orbit check on the forms with a modulus, and one branch
-    word for the two-branch families."""
+    """Every constructor returns through _solution: the certificate on every
+    form, the residual gate where it cannot vouch for it, no orbit, and one
+    branch word for the two-branch families."""
 
     def test_constant_off_the_zeros_rejected(self):
         import kbwave.solutions as S
@@ -840,18 +842,26 @@ class TestOneConstructionPath:
             with pytest.raises(ValueError, match="branch"):
                 build(word)
 
-    def test_orbit_check_runs_for_the_elliptic_forms_only(self, monkeypatch):
-        import kbwave.solutions as S
+    def test_no_constructor_follows_an_orbit(self, monkeypatch):
+        """With the orbit engine made to raise, every preset and one wave of
+        each ``KINDS`` row still build: the certificate is the constructors'
+        proof, and the orbit check is ``verify``'s."""
+        from kbwave import orbit, verify
+        from kbwave.presets import KINDS
 
-        calls = []
-        check = S._orbit_check
-        monkeypatch.setattr(S, "_orbit_check", lambda sol: calls.append(sol.kind) or check(sol))
+        def refuse(*args, **kwargs):
+            raise AssertionError("a constructor followed an orbit")
+
+        for module in (orbit, verify):
+            monkeypatch.setattr(module, "Orbit", refuse)
         for name in PRESETS:
             build_preset(name)
-        periodic_trig(0.5, 1.5, 3.0)
-        solitary_triple(0.0, 2.0)
-        assert case1("dn", 1.0, 1.0, 3.0).variant == "constant"
-        assert len(calls) == len(ELLIPTIC_PRESETS) == 7
+        zeros = {p.kind: p.zeros for p in PRESETS.values()}
+        zeros.update({"periodic_trig": (0.5, 1.5, 3.0), "solitary_triple": (0.0, 2.0),
+                      "case1-cn": (-3.0, -2.0, -1.0), "general-sn2": (0.0, 1.0, 2.0, 3.0)})
+        assert set(zeros) == set(KINDS)
+        for kind, row in KINDS.items():
+            row.build(zeros[kind], row.options.get("branch"), 0.0, row.options.get("initial_index"))
 
 
 class TestEvaluateAndPairs:

@@ -28,6 +28,7 @@ from kbwave.quartic import (
 )
 from kbwave.reduction import g_from_f
 from kbwave.solutions import (
+    _gates,
     case1,
     case2,
     general_sn2,
@@ -37,11 +38,13 @@ from kbwave.solutions import (
     solitary_triple,
 )
 from kbwave.verify import (
+    ORBIT_RTOL,
     Profile,
     build_profile,
     compare_profiles,
     ode_residual,
     oracle_integrate,
+    orbit_deviation,
     pde_residual,
 )
 
@@ -218,13 +221,13 @@ def _stencil_residual(sol, p):
                  for r, terms in ((r_u, terms_u), (r_v, terms_v)))
 
 
-def _mutants(sol):
-    """sol with one of beta, A, B, C, D and k moved by 1e-6 relative either
-    way: each nonzero one, with k kept at most 1, where the form stays
-    pole-free."""
+def _mutants(sol, moves=(1e-6,)):
+    """sol with one of beta, A, B, C, D and k moved by each of ``moves``
+    relative either way: each nonzero one, with k kept at most 1, where the
+    form stays pole-free."""
     for name in ("beta", "A", "B", "C", "D", "modulus"):
         x = getattr(sol, name)
-        for moved in ((x * (1.0 - 1e-6), x * (1.0 + 1e-6)) if x else ()):
+        for moved in (x * (1.0 + d * rel) for rel in moves for d in (-1.0, 1.0)) if x else ():
             if name == "modulus" and moved > 1.0:
                 continue
             try:
@@ -275,6 +278,133 @@ def test_mutants_the_referee_refuses_are_refused(kind, base, sign, exponent, shi
     except (KBWaveError, ValueError, FloatingPointError):
         return
     _check_against_the_referee(sol, sol.params)
+
+
+class TestOrbitDeviation:
+    """``orbit_deviation``, verify's referee: every wave, pulses, trig
+    waves and constants included, against the orbit through its start."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: solitary_double(-3.0, -2.0, -1.0, branch="lower"),
+        lambda: periodic_trig(0.5, 1.5, 3.0),
+        lambda: solitary_triple(0.0, 2.0),
+        lambda: limiting_form("c", (-1.0, 0.0, 1.0 / 3.0)),
+        lambda: limiting_form("d", (-3.0, -3.0, -1.0)),
+        lambda: case1("dn", 1.0, 1.0, 3.0),
+    ])
+    def test_every_kind_of_wave_passes(self, build):
+        """sech, sin and rational waves match their orbits to rounding, and
+        their beta x 1.001 mutants are refused; a constant sits at its rest
+        point."""
+        sol = build()
+        scale = sol.roots.scale()
+        assert orbit_deviation(sol) < 1e-14 * scale
+        if sol.kernel != "const":
+            assert not orbit_deviation(replace(sol, beta=sol.beta * 1.001)) < ORBIT_RTOL * scale
+
+    def test_a_start_in_no_band_is_refused(self):
+        """A form whose f(0) lies where F < 0 has no orbit to follow where F
+        has only simple zeros, and is held to the rest point of the nearest
+        multiple zero where it has one."""
+        sol = replace(general_sn2((0.0, 1.0, 2.0, 3.0)), A=5.0)
+        assert sol.evaluate(0.0)[0] == 5.0  # above every zero, where F < 0
+        with pytest.raises(KBWaveError, match="lies in no band of F > 0: no orbit"):
+            orbit_deviation(sol)
+        sol = replace(solitary_double(-3.0, -2.0, -1.0), A=0.0)
+        assert sol.evaluate(0.0)[0] == 1.0
+        assert orbit_deviation(sol) == pytest.approx(3.0)  # its distance from -2
+
+    @pytest.mark.parametrize("sol", [
+        periodic_trig(1e-106, 2e-106, 4e-106),
+        solitary_triple(-13.813772423450997, -13.813772420838815),
+    ])
+    def test_waves_narrower_than_the_bound_follow_their_band(self, sol):
+        """A wave narrower than 1e-6 max(1, |r|), whose start lies that close
+        to its multiple zero, is followed on its own band, and not compared
+        with the rest point there, which read its whole width (3.0e-106 and
+        2.6e-9): it reads at most a few ulps of its zeros, and its
+        beta x 1.001 mutant a share of its width."""
+        zeros = sol.roots.values()
+        width = max(zeros) - min(zeros)
+        assert orbit_deviation(sol) <= 16.0 * np.spacing(max(map(abs, zeros)))
+        assert orbit_deviation(replace(sol, beta=sol.beta * 1.001)) > 1e-4 * width
+
+    def test_narrow_pulses_and_trig_waves_pass(self):
+        """Seeded widths 10^U(-12, -6) max(1, |r|), with zeros near 0 or up
+        to 500 out: no wave is refused, and each reads at most 1e-12 of its
+        width, plus the few ulps of its largest zero that its values are
+        rounded to."""
+        rng = np.random.default_rng(5)
+        for i in range(300):
+            far = float(rng.uniform(-5.0, 5.0) * 10.0 ** rng.uniform(-3.0, 2.0))
+            width = 10.0 ** rng.uniform(-12.0, -6.0) * max(1.0, abs(far))
+            lo = far if i % 2 else float(rng.uniform(-3.0, 3.0)) * width
+            hi = lo + width
+            branch = ("upper", "lower")[i % 4 // 2]
+            sol = (periodic_trig(lo, hi, hi + width * rng.uniform(0.1, 3.0), branch=branch),
+                   solitary_double(lo, lo + width * rng.uniform(0.1, 0.9), hi, branch=branch),
+                   solitary_triple(lo, hi) if i % 4 < 2 else solitary_triple(hi, lo))[i % 3]
+            ulp = np.spacing(max(abs(lo), abs(hi)))
+            reading = orbit_deviation(sol)
+            assert reading < ORBIT_RTOL * sol.roots.scale(), (sol.kind, lo, hi)
+            assert reading <= 1e-12 * width + 16.0 * ulp, (sol.kind, lo, hi, reading)
+
+
+def _orbit_refuses(sol):
+    """Whether the orbit check refuses sol: a deviation at its bound, or an
+    orbit it cannot follow."""
+    try:
+        return not orbit_deviation(sol) < ORBIT_RTOL * sol.roots.scale()
+    except (KBWaveError, ValueError):
+        return True
+
+
+def _gates_refuse(sol):
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _gates(sol.with_phase(0.0))
+    except (KBWaveError, ArithmeticError):
+        return True
+    return False
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(sorted(KINDS)),
+       base=st.lists(st.floats(-3, 3), min_size=4, max_size=4, unique=True),
+       sign=st.sampled_from((-1.0, 1.0)), exponent=st.floats(-2, 2),
+       shift=st.just(0.0) | st.floats(-10, 10))
+def test_mutants_the_orbit_check_refuses_are_refused(kind, base, sign, exponent, shift):
+    """Over the affine images lambda z + a of each family's zeros, with
+    |lambda| from 1e-2 to 1e2 and |a| <= 10 |lambda|, every wave passes the
+    orbit check and the constructor's gates, and every mutant of A, B, C, D,
+    beta or k by 1e-6 or 1e-9 (relative, either way) that the orbit check
+    refuses, the gates refuse too."""
+    lam = sign * 10.0 ** exponent
+    row = KINDS[kind]
+    zeros = [lam * z + shift * abs(lam) for z in base[:len(row.zeros.split(","))]]
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = row.build(zeros, row.options.get("branch"), 0.0,
+                            row.options.get("initial_index"))
+    except (KBWaveError, ValueError, FloatingPointError):
+        return
+    assert not _orbit_refuses(sol) and not _gates_refuse(sol)
+    for mutant in _mutants(sol, (1e-6, 1e-9)):
+        if _orbit_refuses(mutant):
+            assert _gates_refuse(mutant), mutant
+
+
+def test_a_near_homoclinic_mutant_only_the_orbit_check_sees():
+    """The limit of the sweep above.  Where the double zero lies 1.9e-10
+    beyond the band of a trig wave, whose period is 5.4e5, the certificate's
+    rounding allowance, scaled by the cancellation in the form's
+    coefficients, covers a 1e-9 move of beta, which moves the wave by 4.4e-5
+    within a period: the constructor's gates pass that mutant, and only
+    verify's orbit check refuses it.  The wave itself passes both."""
+    sol = periodic_trig(-2.0969155128599164, -1.385788345798525, -1.3857883456070763)
+    assert not _orbit_refuses(sol) and not _gates_refuse(sol)
+    mutant = replace(sol, beta=sol.beta * (1.0 + 1e-9))
+    assert _orbit_refuses(mutant) and not _gates_refuse(mutant)
 
 
 class TestOracle:
