@@ -76,8 +76,8 @@ from .quartic import (
     roots_of_F,
 )
 from .solutions import ClosedFormSolution, discrepancy_report
-from .verify import (ORBIT_RTOL, build_profile, default_domain, ode_residual,
-                     oracle_integrate, orbit_deviation, pde_residual)
+from .verify import (build_profile, default_domain, ode_residual, oracle_integrate,
+                     orbit_deviation, pde_residual)
 from .hierarchy import conjecture_report
 
 CSV_HEADER = "xi,f,f_prime,g"
@@ -717,18 +717,18 @@ def cmd_verify(opts) -> int:
     r_u, r_v = pde_residual(sol, params, domain=domain if opts["domain"] else None,
                             n=min(n, 500))
     pde_ok = max(r_u, r_v) < PDE_RTOL
-    dev, bound = orbit_deviation(sol), ORBIT_RTOL * sol.roots.scale()
+    orbit = orbit_deviation(sol)
     doc = _sidecar(sol, params, res, pde_residual={"r_u": r_u, "r_v": r_v, "bound": PDE_RTOL,
                                                    "passed": bool(pde_ok)},
-                   orbit={"deviation": dev, "bound": bound, "passed": dev < bound})
+                   orbit=orbit._asdict())
     _emit(opts["out"], _json(doc))
     if not doc["residual"]["passed"]:
         print(f"residual gate FAILED: {res:.3e} >= {sol.residual_bound:.3e}", file=sys.stderr)
     elif not pde_ok:
         print(f"PDE residual gate FAILED: {max(r_u, r_v):.3e} >= {PDE_RTOL:.3e}",
               file=sys.stderr)
-    elif not dev < bound:
-        print(f"orbit check FAILED: {dev:.3e} >= {bound:.3e}", file=sys.stderr)
+    elif not orbit.passed:
+        print(f"orbit check FAILED: {orbit.deviation:.3e} >= {orbit.bound:.3e}", file=sys.stderr)
     return 0 if all(doc[key]["passed"] for key in ("residual", "pde_residual", "orbit")) else 2
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfiguration, KBWaveError
+from .errors import InvalidConfiguration, UnresolvedBranch
 from .orbit import Orbit, band
 from .quartic import Params, eval_F, first_integral_residual, roots_of_F, scaled_bound
 from .reduction import g_from_f
@@ -26,6 +27,7 @@ __all__ = [
     "default_domain",
     "ode_residual",
     "pde_residual",
+    "OrbitReading",
     "orbit_deviation",
     "oracle_integrate",
     "compare_profiles",
@@ -144,15 +146,23 @@ def pde_residual(sol: ClosedFormSolution, p: Params, domain=None,
     )
 
 
-def orbit_deviation(sol: ClosedFormSolution) -> float:
+class OrbitReading(NamedTuple):
+    """A wave's largest distance from its orbit, and whether it passed below
+    the bound, ORBIT_RTOL * scale."""
+    deviation: float
+    bound: float
+    passed: bool
+
+
+def orbit_deviation(sol: ClosedFormSolution) -> OrbitReading:
     """max |closed form - orbit| of ``sol`` at phase 0 (the same for every
-    xi0), the orbit of f'^2 = F(f) through the form's value and slope at a
-    turn (``orbit.Orbit``), run in f / w and w xi, w the power of two above
-    the zeros' spread, over one period or until a pulse meets its multiple
-    zero; it passes below ORBIT_RTOL * scale.  A constant, or a form that
-    starts at a multiple zero or in no band, is held to the nearest multiple
-    zero.  KBWaveError where there is no band and no multiple zero, or the
-    quadrature leaves the floats or moves f by 0.1 ORBIT_RTOL * scale."""
+    xi0), with its bound: the orbit of f'^2 = F(f) through the form's value
+    and slope at a turn (``orbit.Orbit``), run in f / w and w xi, w the
+    power of two above the zeros' spread, over one period or until a pulse
+    meets its multiple zero.  A constant, or a form that starts at a multiple
+    zero or in no band, is held to the nearest multiple zero.  UnresolvedBranch
+    where there is no band and no multiple zero, or the quadrature leaves the
+    floats or moves f by 0.1 of the bound."""
     wave = sol.with_phase(0.0)
     gate = ORBIT_RTOL * wave.roots.scale()
     # sn and sin start mid-band, where f' fixes the orbit's phase badly beside
@@ -164,22 +174,27 @@ def orbit_deviation(sol: ClosedFormSolution) -> float:
     picked = None if rest else band(wave.params, wave.roots, f0, gate)
     if picked is None:
         if not multiple:
-            raise KBWaveError(f"{wave.kind}: f(xi0) = {f0!r} lies in no band of F > 0: no orbit")
+                raise UnresolvedBranch(f"{wave.kind}: f(xi0) = {f0!r} lies in no band of F > 0: "
+                                   "no orbit", candidate=wave)
         z = min(multiple, key=lambda v: abs(f0 - v))  # whose orbit is that rest point
-        return float(np.max(np.abs(wave.profile(np.linspace(*wave.window, 129))[0] - z)))
+        dev = float(np.max(np.abs(wave.profile(np.linspace(*wave.window, 129))[0] - z)))
+        return OrbitReading(dev, gate, dev < gate)
     zeros = wave.roots.values()
     w = math.ldexp(1.0, math.frexp(float(max(zeros) - min(zeros)))[1])
     try:
         orb = Orbit(*(v / w for v in picked[:2]), [v / w for v in picked[2]], f0 / w, fp0 / w / w)
     except (ArithmeticError, ValueError) as err:
-        raise KBWaveError(f"{wave.kind}: the orbit quadrature leaves the floats ({err})") from None
+        raise UnresolvedBranch(f"{wave.kind}: the orbit quadrature leaves the floats ({err})",
+                               candidate=wave) from None
     if not orb.bound * w < 0.1 * gate:
-        raise KBWaveError(f"{wave.kind}: the orbit quadrature did not converge: its error "
-                          f"moves f by up to {orb.bound * w:.3e}, against the bound {gate:.3e}")
+        raise UnresolvedBranch(f"{wave.kind}: the orbit quadrature did not converge: its error "
+                               f"moves f by up to {orb.bound * w:.3e}, against the bound "
+                               f"{gate:.3e}", candidate=wave)
     # the orbit turns at e, at xi_e; f(xi_e +- xi(theta)) = f(theta)
     xi_e = start - orb.xi0 / w if fp0 * orb.w >= 0.0 else start + orb.xi0 / w
     xi, f = orb.xi / w, w * orb.f
-    return max(float(np.max(np.abs(wave.profile(xi_e + sign * xi)[0] - f))) for sign in (1.0, -1.0))
+    dev = max(float(np.max(np.abs(wave.profile(xi_e + sign * xi)[0] - f))) for sign in (1.0, -1.0))
+    return OrbitReading(dev, gate, dev < gate)
 
 
 def oracle_integrate(p: Params, f0: float, sign: int, length: float,

@@ -611,13 +611,15 @@ class TestVerifyVerb:
         out = tmp_path / "rep.json"
         assert main(["verify", *flags, "--out", str(out)]) == 0
         record = json.loads(out.read_text())["orbit"]
-        assert record == {"deviation": orbit_deviation(sol),
+        assert record == {"deviation": orbit_deviation(sol).deviation,
                           "bound": ORBIT_RTOL * sol.roots.scale(), "passed": True}
         assert record["deviation"] <= 1e-13 * sol.roots.scale()
 
     def test_failed_orbit_check_exits_2(self, monkeypatch, tmp_path, capsys):
         """A failed record is written, and the run exits 2 with one line."""
-        monkeypatch.setattr(cli, "orbit_deviation", lambda sol: 1.0)
+        from kbwave.verify import OrbitReading
+
+        monkeypatch.setattr(cli, "orbit_deviation", lambda sol: OrbitReading(1.0, 3e-06, False))
         out = tmp_path / "rep.json"
         assert main(["verify", "--preset", "fig-case1a", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "orbit check FAILED: 1.000e+00 >= 3.000e-06\n"

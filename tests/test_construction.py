@@ -68,10 +68,10 @@ def _reference_solution(kind, roots, xi0, mobius, kernel, **kw):
             f"{sol.kind} failed the defining residual gate: {res:.3e} >= {gate:.3e}",
             candidate=sol,
         )
-    dev, bound = verify.orbit_deviation(sol), verify.ORBIT_RTOL * sol.roots.scale()
-    if not dev < bound:
-        raise UnresolvedBranch(f"{sol.kind} failed the orbit check: {dev:.3e} >= {bound:.3e}",
-                               candidate=sol)
+    orbit = verify.orbit_deviation(sol)
+    if not orbit.passed:
+        raise UnresolvedBranch(f"{sol.kind} failed the orbit check: {orbit.deviation:.3e} >= "
+                               f"{orbit.bound:.3e}", candidate=sol)
     return sol
 
 

@@ -101,7 +101,7 @@ class TestLocalBehavior:
         (_, double), _ = bands(sol.params, sol.roots)
         assert double.mult == 2 and eval_F_deriv(sol.params, double.value, 2) < 0
         assert double.rate == 0.0
-        assert orbit_deviation(sol) < 1e-12
+        assert orbit_deviation(sol).deviation < 1e-12
 
     def test_quadruple(self):
         # F = -f^4: only the constant f = 0 is real, so there is no band

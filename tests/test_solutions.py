@@ -33,7 +33,6 @@ from kbwave.solutions import (
     solitary_triple,
     u_v_pair,
 )
-from test_verify import _orbit_refuses
 
 S3 = math.sqrt(3.0)
 S14 = math.sqrt(14.0)
@@ -671,6 +670,12 @@ MUTATION_BASES = {
 }
 
 
+def _read_as_refused(sol):
+    """Whether the orbit check reads sol at its bound or beyond."""
+    reading = orbit_deviation(sol)
+    return reading.deviation >= reading.bound
+
+
 class TestOrbitCheck:
     """The quadrature orbit check, ``verify.orbit_deviation``: no false
     rejections, every mutation caught."""
@@ -684,7 +689,7 @@ class TestOrbitCheck:
     def test_case1_dn_accepted(self, f1, f2, f3):
         # a fixed-step RK4 check rejected these; DOP853 agrees with them
         sol = case1("dn", f1, f2, f3)
-        assert orbit_deviation(sol) < 1e-12 * sol.roots.scale()
+        assert orbit_deviation(sol).deviation < 1e-12 * sol.roots.scale()
         assert _dop853_deviation(sol) < 1e-9
 
     @pytest.mark.parametrize("kind, f1, f2, f3", [
@@ -696,7 +701,17 @@ class TestOrbitCheck:
         sol = case2(kind, f1, f2, f3)
         gaps = np.diff(sol.roots.values()) / sol.roots.scale()
         assert gaps.min() < 1e-7
-        assert orbit_deviation(sol) < 1e-10 * sol.roots.scale()
+        assert orbit_deviation(sol).deviation < 1e-10 * sol.roots.scale()
+
+    def test_snapped_pulse_between_close_zeros_refused(self):
+        """k^2 = 1 + 2.0e-10 snaps to 1, so the form is a sech pulse whose
+        tails sit at 0, between the zeros +-3.37e-5, where F < 0, while the
+        periodic wave of these zeros turns at 3.37e-5.  The certificate's
+        snap allowance and the sampled gate pass it; its zeros are close, so
+        the constructor follows its orbit too, and refuses it."""
+        with pytest.raises(UnresolvedBranch, match=r"^case2_inv_cn failed the orbit check: "
+                                                   r"1\.685e-05 >= 1\.065e-05$"):
+            case2("inv_cn", 1.3418840482444512, -3.3708275678834276e-05, -10.651139653823092)
 
     def test_unresolved_quadrature_is_loud(self, monkeypatch):
         """Without the graded panels the near-homoclinic band is not resolved,
@@ -716,32 +731,32 @@ class TestOrbitCheck:
         rng = np.random.default_rng(29)
         for f_triple, f_simple in rng.uniform(-5.0, 5.0, (200, 2)):
             sol = solitary_triple(f_triple, f_simple)
-            assert orbit_deviation(sol) < 1e-12 * sol.roots.scale()
-            assert _orbit_refuses(replace(sol, beta=sol.beta * 1.001))
+            assert orbit_deviation(sol).deviation < 1e-12 * sol.roots.scale()
+            assert _read_as_refused(replace(sol, beta=sol.beta * 1.001))
 
     def test_merged_zeros_tiny_band_accepted(self):
         # f2 - f1 = 9e-10, once merged into two doubles by case1: the four
         # zeros stay simple, and the wave, 1e-9 wide, follows its tiny band
         sol = case1("dn", -3.5693995947304504, -3.5693995938207603, -0.6228534466259203)
         assert sol.roots.multiplicities() == (1, 1, 1, 1)
-        assert orbit_deviation(sol) < 1e-9
+        assert orbit_deviation(sol).deviation < 1e-9
 
     @pytest.mark.parametrize("name", MUTATION_BASES)
     def test_bases_match_to_rounding(self, name):
         # fig-case2bc-k1 starts 3e-14 inside its band edge: a start phase from
         # f(xi0) alone would be off by the square root of that
         sol = MUTATION_BASES[name]
-        assert orbit_deviation(sol) < 1e-10 * sol.roots.scale()
+        assert orbit_deviation(sol).deviation < 1e-10 * sol.roots.scale()
 
     @pytest.mark.parametrize("name", MUTATION_BASES)
     def test_wrong_beta_rejected(self, name):
         sol = MUTATION_BASES[name]
-        assert _orbit_refuses(replace(sol, beta=sol.beta * 1.001))
+        assert _read_as_refused(replace(sol, beta=sol.beta * 1.001))
 
     @pytest.mark.parametrize("name", [n for n, s in MUTATION_BASES.items() if s.modulus < 1.0])
     def test_wrong_modulus_rejected(self, name):
         sol = MUTATION_BASES[name]
-        assert _orbit_refuses(replace(sol, modulus=sol.modulus + 0.01))
+        assert _read_as_refused(replace(sol, modulus=sol.modulus + 0.01))
 
     @pytest.mark.parametrize("idx", [2, 3])
     def test_printed_adjacent_pairing_rejected(self, idx):
@@ -750,7 +765,7 @@ class TestOrbitCheck:
         roots = (0.0, 1.0, 2.0, 3.0)
         printed = replace(general_sn2(roots, initial_index=idx),
                           **TestGeneralSn2._printed(roots, idx))
-        assert _orbit_refuses(printed)
+        assert _read_as_refused(printed)
         with pytest.raises(UnresolvedBranch):
             _gates(printed)
 
@@ -767,7 +782,7 @@ class TestOrbitCheck:
         monkeypatch.setitem(S._KERNELS, "abs_sn", S._KERNELS["sn"]._replace(fn=_abs_sn))
         kinked = replace(build(), kernel="abs_sn")
         S._residual_gate(kinked)
-        assert _orbit_refuses(kinked)
+        assert _read_as_refused(kinked)
 
     def test_seeded_sweep_has_no_false_rejections(self):
         """Every elliptic constructor on 500 random triples and quadruples:
@@ -842,10 +857,11 @@ class TestOneConstructionPath:
             with pytest.raises(ValueError, match="branch"):
                 build(word)
 
-    def test_no_constructor_follows_an_orbit(self, monkeypatch):
+    def test_orbit_check_runs_for_close_zeros_only(self, monkeypatch):
         """With the orbit engine made to raise, every preset and one wave of
-        each ``KINDS`` row still build: the certificate is the constructors'
-        proof, and the orbit check is ``verify``'s."""
+        each ``KINDS`` row on zeros apart still build: there the certificate
+        is the constructors' proof.  A wave of two close zeros follows its
+        orbit."""
         from kbwave import orbit, verify
         from kbwave.presets import KINDS
 
@@ -862,6 +878,8 @@ class TestOneConstructionPath:
         assert set(zeros) == set(KINDS)
         for kind, row in KINDS.items():
             row.build(zeros[kind], row.options.get("branch"), 0.0, row.options.get("initial_index"))
+        with pytest.raises(AssertionError, match="followed an orbit"):
+            general_sn2((0.0, 1.0, 1.0 + 1e-4, 3.0))
 
 
 class TestEvaluateAndPairs:
@@ -1018,6 +1036,20 @@ def test_pole_crossing_form_rejected_at_construction():
         replace(base, C=0.5)  # 0.5 - sqrt(3) sin crosses zero
     with pytest.raises(InvalidConfiguration, match="vanishes"):
         replace(base, C=-base.D)  # touches zero at the end of the range
+
+
+@pytest.mark.parametrize("f1, f2, f3", [
+    (0.024235265923505403, 0.8521119533033578, 0.024235189534825327),
+    (223.51112610384573, 1882.441879538408, 223.50882004794505),
+])
+def test_snapped_cn_keeps_its_whole_span(f1, f2, f3):
+    """A modulus snapped to 1 stands for every k^2 within MODULUS_CLAMP of
+    it, below 1 too, where cn spans [-1, 1]: the pole of these inv_cn forms,
+    at y = -1.6e-6 and -5.2e-6, lies off the (0, 1] of sech but on cn's
+    span, and the form is refused."""
+    with pytest.raises(InvalidConfiguration,
+                       match=r"denominator C \+ D\*y = .* vanishes for y in \[-1\.0, 1\.0\]$"):
+        case2("inv_cn", f1, f2, f3)
 
 
 def test_discrepancy_report_shape():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from kbwave import orbit, verify
 from kbwave.cli import PDE_RTOL, _solution_domain
-from kbwave.errors import InvalidConfiguration, KBWaveError
+from kbwave.errors import InvalidConfiguration, KBWaveError, UnresolvedBranch
 from kbwave.orbit import Orbit
 from kbwave.orbit import band as orbit_band
 from kbwave.presets import KINDS, PRESETS, build_preset
@@ -28,6 +28,7 @@ from kbwave.quartic import (
 )
 from kbwave.reduction import g_from_f
 from kbwave.solutions import (
+    _certificate,
     _gates,
     case1,
     case2,
@@ -298,9 +299,9 @@ class TestOrbitDeviation:
         point."""
         sol = build()
         scale = sol.roots.scale()
-        assert orbit_deviation(sol) < 1e-14 * scale
+        assert orbit_deviation(sol).deviation < 1e-14 * scale
         if sol.kernel != "const":
-            assert not orbit_deviation(replace(sol, beta=sol.beta * 1.001)) < ORBIT_RTOL * scale
+            assert orbit_deviation(replace(sol, beta=sol.beta * 1.001)).deviation >= ORBIT_RTOL * scale
 
     def test_a_start_in_no_band_is_refused(self):
         """A form whose f(0) lies where F < 0 has no orbit to follow where F
@@ -312,7 +313,7 @@ class TestOrbitDeviation:
             orbit_deviation(sol)
         sol = replace(solitary_double(-3.0, -2.0, -1.0), A=0.0)
         assert sol.evaluate(0.0)[0] == 1.0
-        assert orbit_deviation(sol) == pytest.approx(3.0)  # its distance from -2
+        assert orbit_deviation(sol).deviation == pytest.approx(3.0)  # its distance from -2
 
     @pytest.mark.parametrize("sol", [
         periodic_trig(1e-106, 2e-106, 4e-106),
@@ -326,8 +327,8 @@ class TestOrbitDeviation:
         beta x 1.001 mutant a share of its width."""
         zeros = sol.roots.values()
         width = max(zeros) - min(zeros)
-        assert orbit_deviation(sol) <= 16.0 * np.spacing(max(map(abs, zeros)))
-        assert orbit_deviation(replace(sol, beta=sol.beta * 1.001)) > 1e-4 * width
+        assert orbit_deviation(sol).deviation <= 16.0 * np.spacing(max(map(abs, zeros)))
+        assert orbit_deviation(replace(sol, beta=sol.beta * 1.001)).deviation > 1e-4 * width
 
     def test_narrow_pulses_and_trig_waves_pass(self):
         """Seeded widths 10^U(-12, -6) max(1, |r|), with zeros near 0 or up
@@ -346,16 +347,17 @@ class TestOrbitDeviation:
                    solitary_triple(lo, hi) if i % 4 < 2 else solitary_triple(hi, lo))[i % 3]
             ulp = np.spacing(max(abs(lo), abs(hi)))
             reading = orbit_deviation(sol)
-            assert reading < ORBIT_RTOL * sol.roots.scale(), (sol.kind, lo, hi)
-            assert reading <= 1e-12 * width + 16.0 * ulp, (sol.kind, lo, hi, reading)
+            assert reading.bound == ORBIT_RTOL * sol.roots.scale()
+            assert reading.passed, (sol.kind, lo, hi)
+            assert reading.deviation <= 1e-12 * width + 16.0 * ulp, (sol.kind, lo, hi, reading)
 
 
 def _orbit_refuses(sol):
-    """Whether the orbit check refuses sol: a deviation at its bound, or an
-    orbit it cannot follow."""
+    """Whether the orbit check refuses sol: a reading at its bound or
+    beyond, or an orbit it cannot follow."""
     try:
-        return not orbit_deviation(sol) < ORBIT_RTOL * sol.roots.scale()
-    except (KBWaveError, ValueError):
+        return not orbit_deviation(sol).passed
+    except KBWaveError:
         return True
 
 
@@ -371,17 +373,25 @@ def _gates_refuse(sol):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(kind=st.sampled_from(sorted(KINDS)),
        base=st.lists(st.floats(-3, 3), min_size=4, max_size=4, unique=True),
+       pull=st.none() | st.tuples(st.permutations(range(4)), st.floats(-10, -2),
+                                  st.floats(-10, -2)),
        sign=st.sampled_from((-1.0, 1.0)), exponent=st.floats(-2, 2),
        shift=st.just(0.0) | st.floats(-10, 10))
-def test_mutants_the_orbit_check_refuses_are_refused(kind, base, sign, exponent, shift):
+def test_mutants_the_orbit_check_refuses_are_refused(kind, base, pull, sign, exponent, shift):
     """Over the affine images lambda z + a of each family's zeros, with
-    |lambda| from 1e-2 to 1e2 and |a| <= 10 |lambda|, every wave passes the
-    orbit check and the constructor's gates, and every mutant of A, B, C, D,
-    beta or k by 1e-6 or 1e-9 (relative, either way) that the orbit check
-    refuses, the gates refuse too."""
+    |lambda| from 1e-2 to 1e2 and |a| <= 10 |lambda|, and one pair of them
+    sometimes pulled 1e-10..1e-2 together (as ``test_construction._zeros``
+    does), every wave passes the orbit check and the constructor's gates,
+    and every mutant of A, B, C, D, beta or k by 1e-6 or 1e-9 (relative,
+    either way) that the orbit check refuses, the gates refuse too."""
     lam = sign * 10.0 ** exponent
     row = KINDS[kind]
-    zeros = [lam * z + shift * abs(lam) for z in base[:len(row.zeros.split(","))]]
+    n = len(row.zeros.split(","))
+    base = base[:n]
+    if pull is not None:
+        i, j = [m for m in pull[0] if m < n][:2]
+        base[j] = base[i] * (1.0 + 10.0 ** pull[1]) + 10.0 ** pull[2]
+    zeros = [lam * z + shift * abs(lam) for z in base]
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             sol = row.build(zeros, row.options.get("branch"), 0.0,
@@ -394,17 +404,28 @@ def test_mutants_the_orbit_check_refuses_are_refused(kind, base, sign, exponent,
             assert _gates_refuse(mutant), mutant
 
 
-def test_a_near_homoclinic_mutant_only_the_orbit_check_sees():
-    """The limit of the sweep above.  Where the double zero lies 1.9e-10
-    beyond the band of a trig wave, whose period is 5.4e5, the certificate's
-    rounding allowance, scaled by the cancellation in the form's
-    coefficients, covers a 1e-9 move of beta, which moves the wave by 4.4e-5
-    within a period: the constructor's gates pass that mutant, and only
-    verify's orbit check refuses it.  The wave itself passes both."""
-    sol = periodic_trig(-2.0969155128599164, -1.385788345798525, -1.3857883456070763)
+@pytest.mark.parametrize("sol, move", [
+    (periodic_trig(-2.0969155128599164, -1.385788345798525, -1.3857883456070763),
+     {"beta": 1.0 + 1e-9}),
+    (general_sn2((79.60548070634992, 99.56422973614917, 99.56423116186201, 103.04837167867333),
+                 initial_index=3), {"modulus": 1.0 - 1e-9}),
+])
+def test_near_homoclinic_mutants_are_refused_by_their_orbit(sol, move):
+    """Where a zero lies 1.9e-10 beyond the band of a trig wave, whose
+    period is 5.4e5, or two zeros of an sn^2 wave lie 1.4e-6 apart, the
+    certificate's rounding allowance, scaled by the cancellation in the
+    form's coefficients, covers a 1e-9 move of beta or k, which moves the
+    wave by far more than the orbit bound.  Two distinct zeros that close
+    make the constructor's gates follow the orbit too, and they refuse the
+    mutant there; the wave itself passes both."""
     assert not _orbit_refuses(sol) and not _gates_refuse(sol)
-    mutant = replace(sol, beta=sol.beta * (1.0 + 1e-9))
-    assert _orbit_refuses(mutant) and not _gates_refuse(mutant)
+    mutant = replace(sol, **{name: getattr(sol, name) * rel for name, rel in move.items()})
+    cert = _certificate(mutant)
+    assert cert.defect <= cert.allowance  # the certificate alone passes it
+    reading = orbit_deviation(mutant)
+    assert reading.deviation >= reading.bound
+    with pytest.raises(UnresolvedBranch, match="failed the orbit check"):
+        _gates(mutant)
 
 
 class TestOracle:
