@@ -628,8 +628,13 @@ class TestVerifyVerb:
 
     def test_orbit_that_cannot_be_followed_writes_nothing(self, monkeypatch, tmp_path, capsys):
         """Without its graded panels the orbit of a near-homoclinic band
-        does not converge: verify refuses with one error line and no file."""
+        does not converge: verify refuses with one error line and no file.
+        Its zeros are close, so the constructor follows the orbit first
+        unless CLOSE_ZEROS is 0, as here, where verify's own call refuses."""
+        from kbwave import solutions
+
         monkeypatch.setattr(orbit, "_halvings", lambda depth: [])
+        monkeypatch.setattr(solutions, "CLOSE_ZEROS", 0.0)
         out = tmp_path / "rep.json"
         argv = ["verify", "--kind", "case2-inv-sn", "--out", str(out),
                 "--roots=-3.1933706513223035,3.1560461282975467,0.0006870581931064379"]
