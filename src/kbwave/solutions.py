@@ -18,14 +18,16 @@ so no verdict depends on xi0.  On every form, constants included, the
 certificate (``_certificate``) compares the five coefficients of
 (B C - A D)^2 beta^2 Q(y) = -prod((A - r C) + (B - r D) y), with y'^2 = Q(y)
 the kernel's equation, which holds exactly when f'^2 = F(f) on the whole
-line; a defect beyond its rounding bound refuses the form.  An a-priori
-bound (``_apriori_bound``) then shows that the first-integral residual
-f'(xi)^2 - F(f(xi)) sampled over the wave's window
-(``ClosedFormSolution.window``) would pass ``residual_bound``; only where it
-cannot is that residual sampled (``_residual_gate``).  Where the kernel
-meets its equation, the identity holds and the denominator has no zero on
-the span, f'^2 = F(f) everywhere, so a nonconstant wave is its band's orbit;
-only on close zeros (``CLOSE_ZEROS``) must it also pass the orbit check.
+line; a defect beyond its rounding bound refuses the form.  Where the
+kernel meets its equation, the identity holds and the denominator has no
+zero on the span, f'^2 = F(f) everywhere, so a nonconstant wave is its
+band's orbit.  The certificate is the one proof on zeros that lie apart.
+The first-integral residual f'(xi)^2 - F(f(xi)) is sampled over the wave's
+window (``ClosedFormSolution.window``) against ``residual_bound``
+(``_residual_gate``) only where the certificate cannot vouch: on close
+zeros (``CLOSE_ZEROS``), where the orbit check runs too, on a defect that
+only the snap of the modulus to 0 or 1 explains, and where it has no
+spread to work in, is not met, or the window is not finite.
 Where the classical printed formulas for a family fail these gates, the
 constructor applies a documented correction and records it in the solution's
 provenance notes; the static :data:`DISCREPANCIES` table aggregates them.
@@ -253,8 +255,9 @@ _KERNELS = {
     "const": _Kernel(_const, _fixed(0.0, 0.0, 0.0, 0.0, 0.0), _none, lambda k: (1.0, 1.0), _none),
 }
 # On every kernel's span |y| <= 1 and |y'| <= 1, and the computed pair (y, y')
-# meets its equation to |y'^2 - Q(y)| <= KERNEL_ROUNDING (tests/test_solutions.py
-# checks each kernel against it); the a-priori bound rests on both.
+# meets its equation to |y'^2 - Q(y)| <= KERNEL_ROUNDING: the certificate proves
+# f'^2 = F(f) from Q, so its argument rests on both (test_kernel_meets_its_equation
+# in tests/test_solutions.py checks each kernel against them).
 KERNEL_ROUNDING = 1e-13
 
 
@@ -487,30 +490,12 @@ def _modulus(k2) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _window(sol, n):
-    """n points over the wave's window, in its phase t: bit for bit
-    ``np.linspace(*sol.window, n)``, whose arithmetic this repeats without
-    its wrapper."""
-    start, stop = sol.window
-    delta = stop - start
-    x = np.arange(n, dtype=float)
-    step = delta / (n - 1)
-    if step == 0.0:  # a subnormal step underflows: scale the ramp, then delta
-        x /= n - 1
-        x *= delta
-    else:
-        x *= step
-    x += start
-    x[-1] = stop
-    return x
-
-
 def _residual_gate(sol, n=513):
     """Max defining residual |f'^2 - F(f)| over the window of ``sol``, a wave
     at phase 0; raises if over gate.  The gate comes first: zeros too large
     for it are refused unsampled."""
     gate = sol.residual_bound
-    res = sol.residual(_window(sol, n))
+    res = sol.residual(np.linspace(*sol.window, n))
     if not res < gate:
         raise UnresolvedBranch(
             f"{sol.kind} failed the defining residual gate: {res:.3e} >= {gate:.3e}",
@@ -545,15 +530,19 @@ _MERGE_ULPS = float(3.0 * _SAME_ZERO / _U)
 # As two distinct zeros close, the certificate's products cancel to a small
 # G, so its allowance covers ever larger moves of beta and k, and a snapped
 # modulus may stand for another wave; seeded sweeps saw it miss such moves
-# only within 2.4e-5 of the spread (the presets' zeros lie 0.03 apart)
+# only within 2.4e-5 of the spread (the presets' zeros lie 0.03 apart).  This
+# one constant decides where ``_gates`` samples the residual and follows the orbit
 CLOSE_ZEROS = 1e-3
 
 
 class _Certificate(NamedTuple):
-    defect: float     # sum_j |LHS_j - RHS_j|, in the frame
-    allowance: float  # the rounding and the snaps that the defect is held to
-    excess: float     # >= the defect in exact arithmetic, so >= |LHS(y) - RHS(y)| for |y| <= 1
-    scale: float      # w max(|C|, |D|): LHS - RHS in the frame is that of the wave / scale^4
+    defect: float    # sum_j |LHS_j - RHS_j|, in the frame
+    rounding: float  # the rounding bound of the products
+    snap: float      # what the snap of a modulus to 0 or 1 may add to the defect
+
+    @property
+    def allowance(self):  # what the defect is held to
+        return self.rounding + self.snap
 
 
 def _certificate(wave):
@@ -615,43 +604,7 @@ def _certificate(wave):
         if k == 0.0 or k == 1.0:
             snap = MODULUS_CLAMP * abs(G) * sum(abs(x - y) for x, y in zip(equation(1.0),
                                                                            equation(0.0)))
-    return _Certificate(defect, CERTIFICATE_ULPS * _U * error + snap,
-                        defect + 2.0 * _U * (error + defect), w * s)
-
-
-def _apriori_bound(wave, cert):
-    """A bound, in plain floats, on what ``_residual_gate`` would measure on
-    ``wave``.  At every y of the kernel's span the computed f'^2 - F(f) is
-    at most the certificate's exact defect over den^4; the kernel's own
-    rounding (KERNEL_ROUNDING) times (f' / y')^2; F' df + F'' df^2 / 2 and
-    (2 |f'| + df') df' for the rounding df, df' of the Moebius map; and the
-    rounding of F in monomial form and of the difference.  The denominator,
-    linear in y, is smallest at an end of the span, and f, monotone there,
-    is largest at one.  inf or NaN where any of it leaves the floats, as the
-    sampled arithmetic then would."""
-    A, B, C, D, beta = wave.A, wave.B, wave.C, wave.D, wave.beta
-    lo, hi = _KERNELS[wave.kernel].span(wave.modulus)
-    d_lo, d_hi = C + D * lo, C + D * hi
-    den = min(abs(d_lo), abs(d_hi))
-    den2 = den * den
-    aC_D = abs(C) + abs(D)
-    if not (den2 > 0.0 and aC_D * aC_D < math.inf):  # the samples square den
-        return math.inf
-    f = max(abs(A + B * lo) / abs(d_lo), abs(A + B * hi) / abs(d_hi))
-    df = 4.0 * _U * (abs(A) + abs(B) + f * aC_D) / den
-    wb = abs((B * C - A * D) * beta)
-    fp = wb / den2
-    dfp = 16.0 * _U * ((abs(B * C) + abs(A * D)) * abs(beta) + wb * aC_D / den) / den2
-    Z = wave.roots.scale()
-    R = f + Z + df
-    R2 = R * R
-    t = cert.scale / den
-    t *= t
-    e = f + 4.0 * Z
-    e *= e
-    return (cert.excess * t * t + fp * fp * KERNEL_ROUNDING
-            + (4.0 * R + 6.0 * df) * R2 * df + (2.0 * fp + dfp) * dfp
-            + 32.0 * _U * e * e + 4.0 * _U * (fp * fp + R2 * R2))
+    return _Certificate(defect, CERTIFICATE_ULPS * _U * error, snap)
 
 
 def _gates(wave):
@@ -661,26 +614,29 @@ def _gates(wave):
     that is a positive normal double (a smaller one is the float error of a
     form that does not fit the floats); the certificate runs on every form,
     and a form it refutes is refused; the sampled residual gate,
-    ``_residual_gate``, runs only where the certificate and its a-priori
-    bound cannot show that it would pass: zeros with no spread, a
-    certificate not met, a window not finite, or a bound not below
-    ``residual_bound``; the orbit check, only where two distinct zeros lie
-    within CLOSE_ZEROS of their spread.  The sampled gate runs before a
+    ``_residual_gate``, runs where the certificate cannot vouch for the
+    form: two distinct zeros within CLOSE_ZEROS of their spread, a defect
+    that only the snap of the modulus to 0 or 1 explains, zeros with no
+    spread, a certificate not met, or a window not finite; the orbit
+    check, on the same close zeros.  The sampled gate runs before a
     refutation is reported, so every form it fails keeps its message."""
-    gate = wave.residual_bound  # zeros too large for the gate are refused here, unsampled
-    start, stop = wave.window   # a periodic form's zero frequency is refused here
+    wave.residual_bound        # zeros too large for the gate are refused here, unsampled
+    start, stop = wave.window  # a periodic form's zero frequency is refused here
     if wave.kernel != "const" and not sys.float_info.min <= wave.beta < math.inf:
         raise FloatingPointError(f"its frequency {wave.beta!r} is not a positive normal double")
     cert = _certificate(wave)
-    if cert is None or not (cert.defect <= cert.allowance and stop - start < math.inf
-                            and _apriori_bound(wave, cert) < gate):
+    v = wave.roots.values()  # increasing
+    close = len(v) > 2 and min(b - a for a, b in zip(v, v[1:])) < CLOSE_ZEROS * (v[-1] - v[0])
+    # the certificate vouches where rounding explains its defect; what only a
+    # snap of the modulus explains may be another wave
+    vouched = cert is not None and cert.defect <= cert.rounding and stop - start < math.inf
+    if close or not vouched:
         _residual_gate(wave)
     if cert is not None and cert.allowance < cert.defect < math.inf:
         raise UnresolvedBranch(
             f"{wave.kind} failed the certificate: {cert.defect:.3e} > {cert.allowance:.3e}",
             candidate=wave)
-    v = wave.roots.values()  # increasing
-    if len(v) > 2 and min(b - a for a, b in zip(v, v[1:])) < CLOSE_ZEROS * (v[-1] - v[0]):
+    if close:
         from .verify import orbit_deviation  # verify builds on this module
         dev, bound, passed = orbit_deviation(wave)
         if not passed:
@@ -912,9 +868,11 @@ def _case2_shared(f1, f2, f3):
     for fi in vals:
         poly = np.convolve(poly, np.array([1.0 - a * fi, -b * fi]))
     g = -poly  # ascending coefficients g0..g4
+    # f4 makes g1 and g3 vanish to rounding while the products of the zeros
+    # stay in the floats; zeros beyond about 1e102 or below 1e-102 leave them
     gscale = max(1.0, float(np.max(np.abs(g))))
     if abs(g[1]) > 1e-9 * gscale or abs(g[3]) > 1e-9 * gscale:
-        raise InvalidConfiguration("odd coefficients failed to vanish")  # unreachable
+        raise InvalidConfiguration("odd coefficients failed to vanish")
     return f1, f2, f3, a, b, g, RootMultiset.from_values(vals, tol=_SAME_ZERO)
 
 

@@ -174,7 +174,7 @@ def orbit_deviation(sol: ClosedFormSolution) -> OrbitReading:
     picked = None if rest else band(wave.params, wave.roots, f0, gate)
     if picked is None:
         if not multiple:
-                raise UnresolvedBranch(f"{wave.kind}: f(xi0) = {f0!r} lies in no band of F > 0: "
+            raise UnresolvedBranch(f"{wave.kind}: f(xi0) = {f0!r} lies in no band of F > 0: "
                                    "no orbit", candidate=wave)
         z = min(multiple, key=lambda v: abs(f0 - v))  # whose orbit is that rest point
         dev = float(np.max(np.abs(wave.profile(np.linspace(*wave.window, 129))[0] - z)))

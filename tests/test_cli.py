@@ -382,12 +382,18 @@ class TestSolve:
             assert sol.residual_bound == RESIDUAL_RTOL * sol.roots.scale() ** 4
 
     def test_impossible_gate_fails_in_the_constructor(self, tmp_path, monkeypatch, capsys):
-        """One bound: with an impossible RESIDUAL_RTOL the constructor refuses
-        the wave, so the CLI cannot report a pass the library would refuse."""
+        """One bound: with an impossible RESIDUAL_RTOL a constructor that
+        samples the residual, as on two close zeros, refuses the wave; a
+        wave the certificate alone vouches for is built, and the CLI's
+        report of the same bound fails it.  Either way the CLI cannot report
+        a pass the bound refuses."""
         monkeypatch.setattr("kbwave.solutions.RESIDUAL_RTOL", 1e-30)
-        assert main(["solve", "--preset", "fig-case1a", "--out", str(tmp_path / "x.csv")]) == 1
+        assert main(["solve", "--kind", "solitary_double", "--roots=-1,0.5,0.5005",
+                     "--out", str(tmp_path / "x.csv")]) == 1
         assert "defining residual gate" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+        assert main(["solve", "--preset", "fig-case1a", "--out", str(tmp_path / "y.csv")]) == 2
+        assert "residual gate FAILED" in capsys.readouterr().err
 
     def test_explicit_domain_samples(self, tmp_path):
         out = tmp_path / "win.csv"

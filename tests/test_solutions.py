@@ -21,6 +21,7 @@ from kbwave.presets import PRESETS, build_preset
 from kbwave.quartic import Params, eval_F, eval_F_deriv, params_from_roots
 from kbwave.verify import orbit_deviation
 from kbwave.solutions import (
+    CASE2_KINDS,
     Infeasible,
     _KERNELS,
     case1,
@@ -1162,6 +1163,48 @@ def test_case2_representation(kind):
     check()
 
 
+@st.composite
+def _case2_zeros(draw):
+    """Three zeros of a size from 1e-100 to 1e100, two of them sometimes
+    within 1e-15 to 1e-1 (relative) of each other."""
+    size = 10.0 ** draw(st.floats(-100.0, 100.0))
+    f = [draw(st.floats(0.001, 5.0)) * draw(st.sampled_from([-1.0, 1.0])) * size
+         for _ in range(3)]
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(3)))[:2]
+        f[j] = f[i] * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(st.floats(1.0, 15.0)))
+    return f
+
+
+@_sweep(2000)
+@given(_case2_zeros())
+def test_case2_fourth_zero_kills_the_odd_coefficients(zeros):
+    """Where the zeros' products stay in the floats, the implied fourth zero
+    makes the odd coefficients of the reduced quartic vanish to rounding:
+    max(|g1|, |g3|) <= 1e-9 max(1, max |g|), the bound of the check in
+    ``_case2_shared``."""
+    import kbwave.solutions as S
+
+    try:
+        *_, g, _ = S._case2_shared(*zeros)
+    except InvalidConfiguration as err:
+        assert "odd coefficients" not in str(err)
+        return
+    assert max(abs(g[1]), abs(g[3])) <= 1e-9 * max(1.0, float(np.max(np.abs(g))))
+
+
+@pytest.mark.parametrize("zeros", [
+    (-2.188189697408906e+150, -2.1852634460673866e+150, -1.743789615935012e+150),
+    (2.114072185523566e-149, -1.332497087188616e-149, -5.475649033105313e-149),
+])
+def test_case2_zeros_whose_products_leave_the_floats_refused(zeros):
+    """f1 f2 f3 overflows or underflows, so the fourth zero does not kill the
+    odd coefficients; the check in ``_case2_shared`` refuses the zeros."""
+    for kind in CASE2_KINDS:
+        with pytest.raises(InvalidConfiguration, match="odd coefficients failed to vanish"):
+            case2(kind, *zeros)
+
+
 @_sweep(8)
 @given(st.lists(ZERO, min_size=4, max_size=4), st.integers(1, 4))
 def test_general_sn2_representation(zeros, idx):
@@ -1202,8 +1245,8 @@ def test_kernel_meets_its_equation(name):
     """Each kernel's computed pair (y, y') meets its row's equation
     y'^2 = Q(y) to KERNEL_ROUNDING, with |y|, |y'| <= 1 inside its span, and
     y' is dy/dx; at k in {0, 0.5, 0.99, 1} and at random moduli, as
-    ``_modulus`` stores them.  The certificate proves f'^2 = F(f) from Q and
-    the a-priori bound rests on these facts, so this ties both to ``jacobi``."""
+    ``_modulus`` stores them.  The certificate proves f'^2 = F(f) from Q,
+    so its argument rests on these facts, and this ties it to ``jacobi``."""
     import kbwave.solutions as S
     from kbwave.elliptic import normalize_modulus
 
@@ -1244,7 +1287,8 @@ def _gates(sol):
 class TestCertificate:
     """The constructor's gate proves f'^2 = F(f) from the five coefficients
     of (BC - AD)^2 beta^2 Q(y) = -prod((A - rC) + (B - rD) y), and samples
-    only where its a-priori bound cannot show that the sampled gate passes."""
+    only where the certificate cannot vouch: close zeros, a snapped modulus,
+    a certificate not met."""
 
     def test_wrong_pulse_with_close_zeros_refused(self):
         """A 1e-3 error in beta on a pulse whose zeros are close next to their
@@ -1281,15 +1325,13 @@ class TestCertificate:
     def test_float_edges_accepted(self, build):
         """Zeros near the bottom of the floats, a band of width 1.7e-297, a
         modulus snapped to 1 and merged zeros are certified in the wave's own
-        frame, with numpy's float errors raised as the CLI raises them, and
-        the a-priori bound covers what the sampled gate measures."""
+        frame, with numpy's float errors raised as the CLI raises them."""
         import kbwave.solutions as S
 
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             wave = build().with_phase(0.0)
             cert = S._certificate(wave)
             assert cert.defect <= cert.allowance
-            assert not S._apriori_bound(wave, cert) < S._residual_gate(wave)
 
     @pytest.mark.parametrize("build", [
         lambda: solitary_double(-0.1487727709132648, -0.1487727707697996, 0.5355392810644393),
@@ -1297,9 +1339,10 @@ class TestCertificate:
                              0.9146110489426641), initial_index=2),
     ])
     def test_ill_conditioned_forms_keep_the_sampled_verdict(self, build):
-        """Forms whose algebra is right but whose floats are not: the
-        certificate passes them, the a-priori bound cannot, and the sampled
-        gate refuses them as it did before the certificate."""
+        """Forms whose algebra is right but whose floats are not, on two
+        zeros within CLOSE_ZEROS of their spread: the certificate passes
+        them, and the sampled gate refuses them as it did before the
+        certificate."""
         import kbwave.solutions as S
 
         with pytest.raises(UnresolvedBranch, match="defining residual gate") as err:
@@ -1307,7 +1350,8 @@ class TestCertificate:
         wave = err.value.candidate
         cert = S._certificate(wave)
         assert cert.defect <= cert.allowance
-        assert not S._apriori_bound(wave, cert) < wave.residual_bound
+        v = wave.roots.values()
+        assert min(b - a for a, b in zip(v, v[1:])) < S.CLOSE_ZEROS * (v[-1] - v[0])
 
     def test_limiting_form_off_its_constraint_refused(self):
         """limiting_form checks its constraint to 1e-10; a form off it by
@@ -1319,16 +1363,41 @@ class TestCertificate:
         solitary_double(-3.0, -2.0, -1.0 - 1e-11)
 
     def test_certified_build_samples_nothing(self, monkeypatch):
-        """A certified build of a kernel without a modulus never evaluates
-        its profile."""
+        """A build on zeros apart never evaluates its profile: every KINDS
+        row, on each branch and start, and every preset.  A build on two
+        zeros within CLOSE_ZEROS of their spread samples its residual and
+        follows its orbit."""
         import kbwave.solutions as S
+        from kbwave.presets import KINDS
 
+        apart = {
+            "solitary_double": (-3.0, -2.0, -1.0),
+            "periodic_trig": (0.5, 1.5, 3.0),
+            "solitary_triple": (1.0, 0.0),
+            "case1-cn": (-3.0, -2.0, -1.0),
+            "case1-dn": (-3.0, -2.5, -1.0),
+            "case2-sn": (-2.0 - S3, 0.0, -2.0 + S3),
+            "case2-cn": (2.0 - S3, 0.0, 2.0 + S3),
+            "case2-dn": (1.0, 2.0, 3.0),
+            "case2-inv-sn": (-1.0, 1.0, 1.0 / 3.0),
+            "case2-inv-cn": (-1.0, 0.0, 1.0 / 3.0),
+            "general-sn2": (0.0, 0.3, 1.0, 1.7),
+        }
+        assert set(apart) == set(KINDS)
         calls = []
         profile = S.ClosedFormSolution.profile
         monkeypatch.setattr(S.ClosedFormSolution, "profile",
                             lambda self, xi: calls.append(self.kind) or profile(self, xi))
-        solitary_double(-3.0, -2.0, -1.0)
-        periodic_trig(0.5, 1.5, 3.0)
-        solitary_triple(1.0, 0.0)
+        for kind, zeros in apart.items():
+            for branch in ("upper", "lower"):
+                for index in (1, 2, 3, 4) if kind == "general-sn2" else (1,):
+                    KINDS[kind].build(zeros, branch, 0.0, index)
+        for name in PRESETS:
+            build_preset(name)
         assert calls == []
+        general_sn2((0.0, 1.0, 1.0 + 1e-4, 3.0))
+        assert calls
+        calls.clear()
+        solitary_double(-1.0, 0.5, 0.5005)
+        assert calls
 
