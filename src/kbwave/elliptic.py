@@ -5,13 +5,13 @@ straight from the AGM, and sn/cn/dn are computed by recursive descending
 Landen transformations of the function values, which stay well conditioned
 even where cn passes through zero.  Real argument, real modulus k in [0, 1].
 
-At the degenerate moduli the functions reduce to
+Each function takes the complementary modulus k' (k^2 + k'^2 = 1) as its
+caller computed it, never from k: near k = 1 a rounded k holds k' only to
+about u/k'^2 of itself, while the AGM and the Landen descent need k' alone
+(Byrd & Friedman).  At the degenerate moduli the functions reduce to
 
-    k = 0:  sn = sin,  cn = cos,  dn = 1
-    k = 1:  sn = tanh, cn = dn = sech
-
-and arguments k within 1e-12 of those limits are snapped onto them before
-evaluation, which avoids cancellation in the k' = sqrt(1-k^2) factors.
+    k = 0:           sn = sin,  cn = cos,  dn = 1
+    k' = 0 (k = 1):  sn = tanh, cn = dn = sech
 
 The argument ``u`` may be a scalar or a numpy array.  All functions are pure
 and hold no mutable state, so concurrent use is safe.
@@ -36,7 +36,6 @@ __all__ = [
 
 AGM_RTOL = 1e-15
 AGM_MAX_ITER = 64
-MODULUS_SNAP = 1e-12  # distance from {0, 1} inside which k snaps to the limit
 _LANDEN_FLOOR = 1e-10  # below this the trigonometric limit is exact to ~1e-20
 
 
@@ -49,25 +48,13 @@ class JacobiTriple(NamedTuple):
 
 
 def normalize_modulus(k: float) -> float:
-    """Clamp a modulus to [0, 1], snapping values within 1e-12 of the ends.
+    """A modulus (or a complementary one) as a float in [0, 1].
 
-    Raises ValueError for non-finite input or values farther outside [0, 1].
+    Raises ValueError for non-finite input or values outside [0, 1].
     """
     k = float(k)
-    if not math.isfinite(k):
-        raise ValueError(f"modulus must be finite, got {k!r}")
-    if k < 0.0:
-        if k >= -MODULUS_SNAP:
-            return 0.0
+    if not 0.0 <= k <= 1.0:
         raise ValueError(f"modulus {k!r} outside [0, 1]")
-    if k > 1.0:
-        if k <= 1.0 + MODULUS_SNAP:
-            return 1.0
-        raise ValueError(f"modulus {k!r} outside [0, 1]")
-    if k < MODULUS_SNAP:
-        return 0.0
-    if 1.0 - k < MODULUS_SNAP:
-        return 1.0
     return k
 
 
@@ -88,25 +75,26 @@ def agm(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def complete_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, K(k) = pi / (2 AGM(1, k')).
+def complete_K(kp: float) -> float:
+    """Complete elliptic integral of the first kind, K = pi / (2 AGM(1, k')),
+    of the complementary modulus k'.
 
-    Strictly increasing in k; diverges logarithmically as k -> 1, so modulus 1
+    Strictly decreasing in k'; diverges logarithmically as k' -> 0, so k' = 0
     raises InfinitePeriod (the corresponding wave degenerates to a sech pulse
     of infinite period).
     """
-    k = normalize_modulus(k)
-    if k == 1.0:
+    kp = normalize_modulus(kp)
+    if kp == 0.0:
         raise InfinitePeriod("infinite period: complete_K diverges at modulus 1")
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
     return math.pi / (2.0 * agm(1.0, kp))
 
 
-def _jacobi_landen(u, k: float):
+def _jacobi_landen(u, k: float, kp: float):
     """Descending Landen recursion on function values; k in (0, 1) strictly.
 
-    One level maps modulus k to k1 = (1 - k')/(1 + k') (quadratically smaller)
-    and argument u to u/(1 + k1); the values come back through
+    One level maps modulus k to k1 = (1 - k')/(1 + k') (quadratically smaller),
+    its complement to k1' = 2 sqrt(k')/(1 + k'), and argument u to
+    u/(1 + k1); the values come back through
 
         sn(u,k) = (1 + k1) s / (1 + k1 s^2)
         cn(u,k) = c d / (1 + k1 s^2)
@@ -120,16 +108,16 @@ def _jacobi_landen(u, k: float):
         s = np.sin(u)
         c = np.cos(u)
         return s, c, np.sqrt(1.0 - (k * s) ** 2)
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
     k1 = (1.0 - kp) / (1.0 + kp)
-    s, c, d = _jacobi_landen(u / (1.0 + k1), k1)
+    s, c, d = _jacobi_landen(u / (1.0 + k1), k1, 2.0 * math.sqrt(kp) / (1.0 + kp))
     t = k1 * s * s
     den = 1.0 + t
     return (1.0 + k1) * s / den, c * d / den, (1.0 - t) / den
 
 
-def jacobi(u, k: float) -> JacobiTriple:
-    """Jacobi elliptic functions sn, cn, dn of real argument u and modulus k.
+def jacobi(u, k: float, kp: float) -> JacobiTriple:
+    """Jacobi elliptic functions sn, cn, dn of real argument u, modulus k
+    and complementary modulus kp, k^2 + kp^2 = 1.
 
     Satisfies sn^2 + cn^2 = 1 and dn^2 + k^2 sn^2 = 1, and the first-order
     equations (sn')^2 = (1-sn^2)(1-k^2 sn^2), (cn')^2 = (1-cn^2)(1-k^2+k^2 cn^2),
@@ -138,19 +126,19 @@ def jacobi(u, k: float) -> JacobiTriple:
     ``u`` may be a scalar or an ndarray; the triple's components then share
     u's shape.  Total on finite input.
     """
-    k = normalize_modulus(k)
+    k, kp = normalize_modulus(k), normalize_modulus(kp)
     scalar = np.isscalar(u) or (isinstance(u, np.ndarray) and u.ndim == 0)
     uu = np.asarray(u, dtype=float)
     if k == 0.0:
         s, c, d = np.sin(uu), np.cos(uu), np.ones_like(uu)
-    elif k == 1.0:
+    elif kp == 0.0:
         s = np.tanh(uu)
         # sech via exp(-|u|) <= 1 to avoid cosh overflow for large arguments
         e = np.exp(-np.abs(uu))
         c = 2.0 * e / (1.0 + e * e)
         d = c
     else:
-        s, c, d = _jacobi_landen(uu, k)
+        s, c, d = _jacobi_landen(uu, k, kp)
     if scalar:
         return JacobiTriple(float(s), float(c), float(d))
     return JacobiTriple(s, c, d)

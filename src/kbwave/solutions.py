@@ -25,9 +25,13 @@ band's orbit.  The certificate is the one proof on zeros that lie apart.
 The first-integral residual f'(xi)^2 - F(f(xi)) is sampled over the wave's
 window (``ClosedFormSolution.window``) against ``residual_bound``
 (``_residual_gate``) only where the certificate cannot vouch: on close
-zeros (``CLOSE_ZEROS``), where the orbit check runs too, on a defect that
-only the snap of the modulus to 0 or 1 explains, and where it has no
-spread to work in, is not met, or the window is not finite.
+zeros (``CLOSE_ZEROS``), where the orbit check runs too, and where it has
+no spread to work in, is not met, or the window is not finite.
+
+Each elliptic family computes k^2 and k'^2 from differences of its zeros
+(``_moduli``), and the wave carries both k and k'.  One rule decides a
+degenerate modulus: k or k' is 0 only where ``RootMultiset.from_values``
+merged two zeros into a multiple zero.
 Where the classical printed formulas for a family fail these gates, the
 constructor applies a documented correction and records it in the solution's
 provenance notes; the static :data:`DISCREPANCIES` table aggregates them.
@@ -70,7 +74,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .elliptic import complete_K, jacobi, normalize_modulus
+from .elliptic import complete_K, jacobi
 from .errors import Infeasible, InvalidConfiguration, UnresolvedBranch
 from .quartic import (Params, RootMultiset, classify,
                       first_integral_residual, params_from_roots, scaled_bound)
@@ -93,11 +97,6 @@ __all__ = [
 ]
 
 RESIDUAL_RTOL = 1e-8          # defining-residual gate: < RTOL * scale^4
-MODULUS_CLAMP = 1e-9          # k^2 in (1, 1+clamp] snaps to 1; in [-clamp, 0) to 0
-# k^2 comes from the zeros in a few rounded operations, so a k^2 of 0 comes
-# out within a few ulps of 0 (fig-case2f: 1.7e-16); its square root, ~1e-8,
-# would pass the 1e-12 snap of k in normalize_modulus, so k^2 snaps first
-K2_ROUNDING = 4.0 * np.finfo(float).eps
 # case1's and case2's fourth zero comes from the other three in a few rounded
 # operations, so one equal to another lands a few ulps off it (fig-case2e: 1
 # ulp, fig-case2bc-k1: 2): their zeros merge, at the mean, only this close
@@ -145,37 +144,38 @@ def discrepancy_report():
 # kernels: y(x, k) and dy/dx, with the period in x and the range of y
 # ---------------------------------------------------------------------------
 
-# The elliptic kernels call ``jacobi`` through this module's global name.
+# The elliptic kernels call ``jacobi`` through this module's global name,
+# with the modulus k and its complement k' as the solution carries them.
 # Every kernel may overwrite x, a fresh array (0-d for one point); the sin,
 # sech and rational kernels do, and compute in place what the expression in
 # their comment gives, bit for bit: its IEEE operations, in its order.
 
 
-def _sn(x, k):
-    s, c, d = jacobi(x, k)
+def _sn(x, k, kp):
+    s, c, d = jacobi(x, k, kp)
     return s, c * d
 
 
-def _cn(x, k):
-    s, c, d = jacobi(x, k)
+def _cn(x, k, kp):
+    s, c, d = jacobi(x, k, kp)
     return c, -s * d
 
 
-def _dn(x, k):
-    s, c, d = jacobi(x, k)
+def _dn(x, k, kp):
+    s, c, d = jacobi(x, k, kp)
     return d, -(k * k) * s * c
 
 
-def _sn2(x, k):
-    s, c, d = jacobi(x, k)
+def _sn2(x, k, kp):
+    s, c, d = jacobi(x, k, kp)
     return s * s, 2.0 * s * c * d
 
 
-def _sin(x, k):  # sin(x), cos(x)
+def _sin(x, k, kp):  # sin(x), cos(x)
     return np.sin(x), np.cos(x, out=x)
 
 
-def _sech(x, k):  # y = 2 e / (1 + e e) with e = exp(-|x|), and -y tanh(x)
+def _sech(x, k, kp):  # y = 2 e / (1 + e e) with e = exp(-|x|), and -y tanh(x)
     # exp(-|x|) <= 1 form: no cosh overflow in the far tails
     e = np.abs(x, out=np.empty_like(x))
     np.negative(e, out=e)
@@ -190,7 +190,7 @@ def _sech(x, k):  # y = 2 e / (1 + e e) with e = exp(-|x|), and -y tanh(x)
     return y, x
 
 
-def _rational(x, k):  # y = 1 / (1 + x x), and -2 x y y
+def _rational(x, k, kp):  # y = 1 / (1 + x x), and -2 x y y
     with np.errstate(over="ignore"):  # x * x = inf far out, where y is 0
         y = np.multiply(x, x, out=np.empty_like(x))
         y += 1.0
@@ -201,7 +201,7 @@ def _rational(x, k):  # y = 1 / (1 + x x), and -2 x y y
     return y, x
 
 
-def _const(x, k):
+def _const(x, k, kp):
     return np.ones_like(x), np.zeros_like(x)
 
 
@@ -210,8 +210,8 @@ def _none(_):
 
 
 def _periods_K(n):
-    """Period n K(k) in the argument; none at k = 1, where the kernel is a pulse."""
-    return lambda k: n * complete_K(k) if k < 1.0 else None
+    """Period n K in the argument, from k'; none at k' = 0, where the kernel is a pulse."""
+    return lambda kp: n * complete_K(kp) if kp > 0.0 else None
 
 
 def _algebraic_decay(beta):
@@ -221,38 +221,37 @@ def _algebraic_decay(beta):
 
 def _fixed(*q):
     """The equation of a kernel without a modulus."""
-    return lambda k2: q
+    return lambda k2, kp2: q
 
 
 class _Kernel(NamedTuple):
-    fn: Callable      # (x, k) -> (y, dy/dx)
-    q: Callable       # k^2 -> (q0, ..., q4): the kernel's equation y'^2 = sum_j q_j y^j
-    period: Callable  # k -> period in x, or None for a pulse
-    span: Callable    # k -> (min y, max y) over the orbit
+    fn: Callable      # (x, k, k') -> (y, dy/dx)
+    q: Callable       # (k^2, k'^2) -> (q0, ..., q4): the kernel's equation y'^2 = sum_j q_j y^j
+    period: Callable  # k' -> period in x, or None for a pulse
+    span: Callable    # k' -> (min y, max y) over the orbit
     decay: Callable   # beta -> decay rate of the pulse, or None
 
 
 _KERNELS = {
     # (1 - y^2)(1 - k^2 y^2)
-    "sn": _Kernel(_sn, lambda k2: (1.0, 0.0, -1.0 - k2, 0.0, k2), _periods_K(4.0),
-                  lambda k: (-1.0, 1.0), abs),
-    # (1 - y^2)(1 - k^2 + k^2 y^2); its span stays [-1, 1] at k = 1 (sech): a
-    # modulus of 1 stands for every k^2 ``_modulus`` snaps there, none with a pole
-    "cn": _Kernel(_cn, lambda k2: (1.0 - k2, 0.0, 2.0 * k2 - 1.0, 0.0, -k2), _periods_K(4.0),
-                  lambda k: (-1.0, 1.0), abs),
-    # (1 - y^2)(y^2 - 1 + k^2)
-    "dn": _Kernel(_dn, lambda k2: (k2 - 1.0, 0.0, 2.0 - k2, 0.0, -1.0), _periods_K(2.0),
-                  lambda k: (math.sqrt(max(0.0, (1.0 - k) * (1.0 + k))), 1.0), abs),
+    "sn": _Kernel(_sn, lambda k2, kp2: (1.0, 0.0, -1.0 - k2, 0.0, k2), _periods_K(4.0),
+                  lambda kp: (-1.0, 1.0), abs),
+    # (1 - y^2)(k'^2 + k^2 y^2)
+    "cn": _Kernel(_cn, lambda k2, kp2: (kp2, 0.0, 2.0 * k2 - 1.0, 0.0, -k2), _periods_K(4.0),
+                  lambda kp: (-1.0, 1.0), abs),
+    # (1 - y^2)(y^2 - k'^2)
+    "dn": _Kernel(_dn, lambda k2, kp2: (-kp2, 0.0, 2.0 - k2, 0.0, -1.0), _periods_K(2.0),
+                  lambda kp: (kp, 1.0), abs),
     # 4 y (1 - y)(1 - k^2 y)
-    "sn2": _Kernel(_sn2, lambda k2: (0.0, 4.0, -4.0 - 4.0 * k2, 4.0 * k2, 0.0),
-                   _periods_K(2.0), lambda k: (0.0, 1.0), abs),
-    "sin": _Kernel(_sin, _fixed(1.0, 0.0, -1.0, 0.0, 0.0), lambda k: 2.0 * math.pi,
-                   lambda k: (-1.0, 1.0), abs),  # 1 - y^2
+    "sn2": _Kernel(_sn2, lambda k2, kp2: (0.0, 4.0, -4.0 - 4.0 * k2, 4.0 * k2, 0.0),
+                   _periods_K(2.0), lambda kp: (0.0, 1.0), abs),
+    "sin": _Kernel(_sin, _fixed(1.0, 0.0, -1.0, 0.0, 0.0), lambda kp: 2.0 * math.pi,
+                   lambda kp: (-1.0, 1.0), abs),  # 1 - y^2
     "sech": _Kernel(_sech, _fixed(0.0, 0.0, 1.0, 0.0, -1.0), _none,
-                    lambda k: (0.0, 1.0), abs),  # y^2 (1 - y^2)
+                    lambda kp: (0.0, 1.0), abs),  # y^2 (1 - y^2)
     "rational": _Kernel(_rational, _fixed(0.0, 0.0, 0.0, 4.0, -4.0), _none,
-                        lambda k: (0.0, 1.0), _algebraic_decay),  # 4 y^3 (1 - y)
-    "const": _Kernel(_const, _fixed(0.0, 0.0, 0.0, 0.0, 0.0), _none, lambda k: (1.0, 1.0), _none),
+                        lambda kp: (0.0, 1.0), _algebraic_decay),  # 4 y^3 (1 - y)
+    "const": _Kernel(_const, _fixed(0.0, 0.0, 0.0, 0.0, 0.0), _none, lambda kp: (1.0, 1.0), _none),
 }
 # On every kernel's span |y| <= 1 and |y'| <= 1, and the computed pair (y, y')
 # meets its equation to |y'^2 - Q(y)| <= KERNEL_ROUNDING: the certificate proves
@@ -271,8 +270,10 @@ class ClosedFormSolution:
 
     f = (A + B y)/(C + D y) with y = kernel(beta (xi - xi0), modulus); the
     kernel names an entry of the kernel table (sn, cn, dn, sn2, sin, sech,
-    rational, const).  Construction raises InvalidConfiguration when C + D y
-    can vanish over the kernel's range, so every instance is pole-free.
+    rational, const), whose modulus k comes with ``comodulus`` k' = sqrt(1 -
+    k^2), both from the zeros.  Construction raises InvalidConfiguration
+    when C + D y can vanish over the kernel's range, so every instance is
+    pole-free.
     Immutable after construction and safe to share across threads.  The
     defining property is (f')^2 = F(f) with F the quartic of ``params``;
     a constructor's wave has passed ``_gates``, whose certificate proves it
@@ -291,6 +292,7 @@ class ClosedFormSolution:
     kernel: str
     beta: float = 0.0
     modulus: float | None = None
+    comodulus: float | None = None
     xi0: float = 0.0
     branch: str = "upper"
     notes: tuple = ()
@@ -301,7 +303,9 @@ class ClosedFormSolution:
             raise ValueError(f"xi0 must be finite, got {self.xi0}")
         if self.kernel not in _KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {tuple(_KERNELS)}")
-        lo, hi = _KERNELS[self.kernel].span(self.modulus)
+        if (self.modulus is None) != (self.comodulus is None):
+            raise ValueError("a modulus comes with its comodulus")
+        lo, hi = _KERNELS[self.kernel].span(self.comodulus)
         ends = (self.C + self.D * lo, self.C + self.D * hi)
         if not (min(ends) > 0.0 or max(ends) < 0.0):
             raise InvalidConfiguration(
@@ -332,7 +336,7 @@ class ClosedFormSolution:
         x = np.array(xi, dtype=float)
         x -= self.xi0
         x *= self.beta
-        y, yp = _KERNELS[self.kernel].fn(x, self.modulus)
+        y, yp = _KERNELS[self.kernel].fn(x, self.modulus, self.comodulus)
         C, D = self.C, self.D
         f = y * self.B
         f += self.A
@@ -358,12 +362,12 @@ class ClosedFormSolution:
         and f''' = N (y''' den^2 - 6 D y' y'' den + 6 D^2 y'^3)/den^4, with
         N = B C - A D and den = C + D y, taken as N/den^2 times a sum in
         s = D/den so that no power of den leaves the floats."""
-        kernel, k, b = _KERNELS[self.kernel], self.modulus, self.beta
-        _, q1, q2, q3, q4 = kernel.q(0.0 if k is None else k * k)
+        b = self.beta
+        _, q1, q2, q3, q4 = self.equation
         x = np.array(xi, dtype=float)
         x -= self.xi0
         x *= b
-        y, y1 = kernel.fn(x, k)
+        y, y1 = _KERNELS[self.kernel].fn(x, self.modulus, self.comodulus)
         y1 = y1 * b
         y2 = 0.5 * b * b * (q1 + y * (2.0 * q2 + y * (3.0 * q3 + y * (4.0 * q4))))
         y3 = 0.5 * b * b * (2.0 * q2 + y * (6.0 * q3 + y * (12.0 * q4))) * y1
@@ -382,6 +386,12 @@ class ClosedFormSolution:
         f, fp = self.profile(xi)
         return first_integral_residual(self.params if params is None else params.as_floats(),
                                        f, fp)
+
+    @property
+    def equation(self) -> tuple:
+        """(q0, ..., q4) of the kernel's equation y'^2 = sum_j q_j y^j at (k k, k' k')."""
+        k, kp = self.modulus, self.comodulus
+        return _KERNELS[self.kernel].q(*((0.0, 1.0) if k is None else (k * k, kp * kp)))
 
     @property
     def residual_bound(self) -> float:
@@ -408,7 +418,7 @@ class ClosedFormSolution:
     @property
     def period(self) -> float | None:
         """Fundamental period in xi, or None for non-periodic solutions."""
-        P = _KERNELS[self.kernel].period(self.modulus)
+        P = _KERNELS[self.kernel].period(self.comodulus)
         return None if P is None else P / abs(self.beta)
 
     @property
@@ -479,10 +489,25 @@ def _branch_sign(branch) -> float:
     return 1.0 if branch == "upper" else -1.0
 
 
-def _modulus(k2) -> float:
-    """The modulus of a computed k^2: rounding of 0 is 0, and k^2 is clamped
-    to [0, 1] (each family refuses a k^2 farther outside itself)."""
-    return normalize_modulus(math.sqrt(min(k2, 1.0))) if k2 > K2_ROUNDING else 0.0
+def _held(roots, vals):
+    """Each of ``vals`` as ``roots = RootMultiset.from_values(vals, tol)`` holds
+    it, the mean of its cluster (``expand`` lists sorted ``vals``' clusters)."""
+    held = dict(zip(sorted(vals), roots.expand()))
+    return [held[v] for v in vals]
+
+
+def _moduli(kind, n, n_c, den):
+    """(k, k') of k^2 = n / den and k'^2 = n_c / den, each good to a few ulps
+    of itself: the smaller as it is (+0.0 for -0.0), the larger as 1 minus
+    it, so that one is 1 exactly where the other is 0.  A negative one, or a
+    zero denominator, has no real wave: Infeasible."""
+    k2, kp2 = (n / den, n_c / den) if den else (math.nan, math.nan)
+    if not (k2 >= 0.0 and kp2 >= 0.0):
+        raise Infeasible(kind, f"branch infeasible for these roots: modulus^2 = {k2:.6g}, "
+                         f"complementary modulus^2 = {kp2:.6g}", {"k2": k2, "kp2": kp2})
+    if k2 <= kp2:
+        return abs(math.sqrt(k2)), math.sqrt(1.0 - k2)
+    return math.sqrt(1.0 - kp2), abs(math.sqrt(kp2))
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +541,10 @@ def _residual_gate(sol, n=513):
 # in any such frame), so that no product leaves the floats where the wave's
 # numbers do not, and a wave far from 0 keeps the precision of its width.
 # Each side carries a running error bound (Wilkinson), in units of the unit
-# roundoff: one rounding for every input (A, B, C, D, the zeros, beta and k,
-# each computed from the zeros; a multiple zero may also have been merged)
-# and for every operation.  A defect above CERTIFICATE_ULPS times that bound,
-# plus what the snap of the modulus (``_modulus``) moved k^2, is not
-# rounding: the form is wrong.
+# roundoff: one rounding for every input (A, B, C, D, the zeros, beta, k and
+# k', each computed from the zeros; a multiple zero may also have been
+# merged) and for every operation.  A defect above CERTIFICATE_ULPS times that
+# bound is not rounding: the form is wrong.
 
 _U = 2.0 ** -53  # unit roundoff
 CERTIFICATE_ULPS = 16.0
@@ -528,21 +552,16 @@ CERTIFICATE_ULPS = 16.0
 # of the next) lies within 3 _SAME_ZERO max(1, |r|) of each
 _MERGE_ULPS = float(3.0 * _SAME_ZERO / _U)
 # As two distinct zeros close, the certificate's products cancel to a small
-# G, so its allowance covers ever larger moves of beta and k, and a snapped
-# modulus may stand for another wave; seeded sweeps saw it miss such moves
-# only within 2.4e-5 of the spread (the presets' zeros lie 0.03 apart).  This
-# one constant decides where ``_gates`` samples the residual and follows the orbit
+# G, so its rounding bound covers ever larger moves of beta and k; seeded
+# sweeps saw it miss such moves only within 2.4e-5 of the spread (the
+# presets' zeros lie 0.03 apart).  This one constant decides where
+# ``_gates`` samples the residual and follows the orbit
 CLOSE_ZEROS = 1e-3
 
 
 class _Certificate(NamedTuple):
     defect: float    # sum_j |LHS_j - RHS_j|, in the frame
-    rounding: float  # the rounding bound of the products
-    snap: float      # what the snap of a modulus to 0 or 1 may add to the defect
-
-    @property
-    def allowance(self):  # what the defect is held to
-        return self.rounding + self.snap
+    rounding: float  # the rounding bound of the products, which the defect is held to
 
 
 def _certificate(wave):
@@ -589,22 +608,15 @@ def _certificate(wave):
     h = W * bt
     eh = abs(bt) * eW + 2.0 * abs(h)
     G = h * h
-    k = wave.modulus
-    equation = _KERNELS[wave.kernel].q
-    q = equation(0.0 if k is None else k * k)
+    q = wave.equation
     defect = sum(abs(G * qj + pj) for qj, pj in zip(q, p))
     error += (2.0 * abs(h) * eh + abs(G)) * sum(map(abs, q))
-    snap = 0.0
-    if k is not None:
-        # k^2 = k k carries 3 roundings, each q_j that reads it (at most 3)
-        # moves by at most 4 k^2 per rounding and adds its own; and a modulus
-        # of 0 or 1 stands for any k^2 within MODULUS_CLAMP of it, since
-        # ``_modulus`` snaps such a k^2 there
+    if wave.modulus is not None:
+        # k^2 = k k and k'^2 = k' k' carry 3 roundings each, and each q_j
+        # that reads them (at most 3) moves by at most 4 per rounding and adds
+        # its own; k^2 + k'^2 = 1 holds to the roundings of k and k'
         error += 48.0 * abs(G)
-        if k == 0.0 or k == 1.0:
-            snap = MODULUS_CLAMP * abs(G) * sum(abs(x - y) for x, y in zip(equation(1.0),
-                                                                           equation(0.0)))
-    return _Certificate(defect, CERTIFICATE_ULPS * _U * error, snap)
+    return _Certificate(defect, CERTIFICATE_ULPS * _U * error)
 
 
 def _gates(wave):
@@ -615,9 +627,8 @@ def _gates(wave):
     form that does not fit the floats); the certificate runs on every form,
     and a form it refutes is refused; the sampled residual gate,
     ``_residual_gate``, runs where the certificate cannot vouch for the
-    form: two distinct zeros within CLOSE_ZEROS of their spread, a defect
-    that only the snap of the modulus to 0 or 1 explains, zeros with no
-    spread, a certificate not met, or a window not finite; the orbit
+    form: two distinct zeros within CLOSE_ZEROS of their spread, zeros with
+    no spread, a certificate not met, or a window not finite; the orbit
     check, on the same close zeros.  The sampled gate runs before a
     refutation is reported, so every form it fails keeps its message."""
     wave.residual_bound        # zeros too large for the gate are refused here, unsampled
@@ -627,14 +638,12 @@ def _gates(wave):
     cert = _certificate(wave)
     v = wave.roots.values()  # increasing
     close = len(v) > 2 and min(b - a for a, b in zip(v, v[1:])) < CLOSE_ZEROS * (v[-1] - v[0])
-    # the certificate vouches where rounding explains its defect; what only a
-    # snap of the modulus explains may be another wave
     vouched = cert is not None and cert.defect <= cert.rounding and stop - start < math.inf
     if close or not vouched:
         _residual_gate(wave)
-    if cert is not None and cert.allowance < cert.defect < math.inf:
+    if cert is not None and cert.rounding < cert.defect < math.inf:
         raise UnresolvedBranch(
-            f"{wave.kind} failed the certificate: {cert.defect:.3e} > {cert.allowance:.3e}",
+            f"{wave.kind} failed the certificate: {cert.defect:.3e} > {cert.rounding:.3e}",
             candidate=wave)
     if close:
         from .verify import orbit_deviation  # verify builds on this module
@@ -812,12 +821,12 @@ def case1(kind, f1, f2, f3, branch="upper", xi0=0.0) -> ClosedFormSolution:
     (f1 + f3)/2 = -c and alpha = +-(f3 - f1)/2; the branch selects the upper
     (+) or lower (-) oscillation band.
 
-    For the cn kernel the modulus satisfies k^2 = (f3 - f1)^2 /
-    (4 (f2 - f1)(f3 - f2)) >= 1 with equality only when 2 f2 = f1 + f3, so
-    the branch is feasible only at k = 1 (the sech pulse); out-of-range
-    moduli raise Infeasible.  The dn kernel has
-    k = 2 sqrt((f2 - f1)(f3 - f2)) / (f3 - f1) in [0, 1] and is the genuinely
-    periodic member of the family.
+    For the cn kernel k'^2 = -(f4 - f2)^2 / (4 (f2 - f1)(f3 - f2)) <= 0, 0
+    only where f2 and f4 merged into a double zero, so the branch is
+    feasible only at k = 1 (the sech pulse) and raises Infeasible elsewhere.
+    The dn kernel has k^2 = 4 (f2 - f1)(f3 - f2) / (f3 - f1)^2 and
+    k'^2 = (f4 - f2)^2 / (f3 - f1)^2 and is the genuinely periodic member of
+    the family.
     """
     if kind not in ("cn", "dn"):
         raise ValueError("case1 kind must be 'cn' or 'dn'")
@@ -825,30 +834,27 @@ def case1(kind, f1, f2, f3, branch="upper", xi0=0.0) -> ClosedFormSolution:
     f4 = f1 + f3 - f2  # the implied fourth zero; makes d2 = c d1 hold
     roots = RootMultiset.from_values([f1, f2, f3, f4], tol=_SAME_ZERO)
     sigma = _branch_sign(branch)
-    gamma = 0.5 * (f1 + f3)
     if f3 - f1 <= 1e-14 * max(1.0, abs(f1)):
         return _constant(f"case1_{kind}", roots, xi0, f1, branch=branch)
+    f1, f2, f3, f4 = _held(roots, (f1, f2, f3, f4))  # k or k' is 0 where two merged
+    gamma = 0.5 * (f1 + f3)
     span2 = (f2 - f1) * (f3 - f2)
     if kind == "cn":
         if span2 <= 0.0:
             raise Infeasible("case1_cn", "branch infeasible for these roots: "
                              "cn needs f1 < f2 < f3", {"span2": span2})
-        k2 = (f3 - f1) ** 2 / (4.0 * span2)
-        if k2 > 1.0 + MODULUS_CLAMP:
-            raise Infeasible("case1_cn", "branch infeasible for these roots: "
-                             f"cn modulus^2 = {k2:.6g} > 1", {"k2": k2})
+        k, kp = _moduli("case1_cn", (f3 - f1) ** 2, -((f4 - f2) ** 2), 4.0 * span2)
         beta = math.sqrt(span2)
     else:
-        k2 = 4.0 * span2 / (f3 - f1) ** 2
+        k, kp = _moduli("case1_dn", 4.0 * span2, (f4 - f2) ** 2, (f3 - f1) ** 2)
         beta = 0.5 * (f3 - f1)
-    k = _modulus(k2)
     if k == 0.0:
         # dn only (cn has k^2 >= 1): f2 meets f1 or f3, dn == 1, a band edge
         return _constant("case1_dn", roots, xi0, gamma + sigma * 0.5 * (f3 - f1),
                          branch=branch)
     return _solution(
         f"case1_{kind}", roots, xi0, (gamma, sigma * 0.5 * (f3 - f1), 1.0, 0.0), kind,
-        beta=beta, modulus=k, branch=branch,
+        beta=beta, modulus=k, comodulus=kp, branch=branch,
     )
 
 
@@ -873,33 +879,30 @@ def _case2_shared(f1, f2, f3):
     gscale = max(1.0, float(np.max(np.abs(g))))
     if abs(g[1]) > 1e-9 * gscale or abs(g[3]) > 1e-9 * gscale:
         raise InvalidConfiguration("odd coefficients failed to vanish")
-    return f1, f2, f3, a, b, g, RootMultiset.from_values(vals, tol=_SAME_ZERO)
+    return f1, f2, f3, f4, a, b, g, RootMultiset.from_values(vals, tol=_SAME_ZERO)
 
 
 class _Case2Kernel(NamedTuple):
-    """How one case2 kernel matches the reduced quartic's coefficients nu4,
-    nu2 and nu0: its frequency^2, its modulus^2, and the ratio
-    nu0 / (beta^2 b^2) that the constant term must reach."""
+    """One case2 kernel: its frequency^2 from the reduced quartic's nu2 and
+    nu4, and its k^2 and k'^2 from the zeros (``case2``)."""
 
-    beta2: Callable  # (nu2, nu4) -> beta^2
-    k2: Callable     # (nu2, nu4, beta2) -> k^2
-    ratio: Callable  # k2 -> nu0 / (beta^2 b^2)
+    beta2: Callable   # (nu2, nu4) -> beta^2
+    moduli: Callable  # (X^2, Y^2, Z) -> (n, n_c, den), k^2 = n / den, k'^2 = n_c / den
 
 
 # the kernels with real parameters, in the order of CASE2_KINDS and of the
 # case2-* kinds; an inv_ kernel is the Moebius form y/(b + a y) of its base
 CASE2_KERNELS = {
     "sn": _Case2Kernel(lambda nu2, nu4: -nu4 - nu2,
-                       lambda nu2, nu4, beta2: nu4 / beta2, lambda k2: 1.0),
+                       lambda X2, Y2, Z: (X2, -Z, Y2)),
     "cn": _Case2Kernel(lambda nu2, nu4: -2.0 * nu4 - nu2,
-                       lambda nu2, nu4, beta2: -nu4 / beta2, lambda k2: 1.0 - k2),
+                       lambda X2, Y2, Z: (X2, -Y2, Z)),
     "dn": _Case2Kernel(lambda nu2, nu4: -nu4,
-                       lambda nu2, nu4, beta2: (2.0 * nu4 + nu2) / nu4,
-                       lambda k2: -(1.0 - k2)),
+                       lambda X2, Y2, Z: (Z, Y2, X2)),
     "inv_sn": _Case2Kernel(lambda nu2, nu4: nu4,
-                           lambda nu2, nu4, beta2: -(nu2 + nu4) / nu4, lambda k2: k2),
+                           lambda X2, Y2, Z: (Y2, Z, X2)),
     "inv_cn": _Case2Kernel(lambda nu2, nu4: nu2 + 2.0 * nu4,
-                           lambda nu2, nu4, beta2: (nu2 + nu4) / beta2, lambda k2: -k2),
+                           lambda X2, Y2, Z: (-Y2, X2, Z)),
 }
 
 
@@ -950,17 +953,19 @@ def case2(kind, f1, f2, f3, xi0=0.0) -> ClosedFormSolution:
     and the speed is c = -(f1 + f2 + f3 + f4)/4.  The inverse kinds are the
     Moebius forms y/(b + a y) of the base kernel sn or cn.
 
-    Per-kind frequency and modulus come from matching the reduced quartic
-    coefficients (nu4, nu2, nu0), as the kind's ``CASE2_KERNELS`` row
-    states; a branch whose frequency^2, modulus^2 or constant-term
-    consistency fails raises :class:`Infeasible` with the failed quantities
+    The frequency^2 of each kind comes from the reduced quartic's nu2 and
+    nu4, and k^2 and k'^2 are ratios of X^2, Y^2 = X^2 - Z and -Z, X = f2
+    (f1 - f3), Y = f2 (f1 + f3) - 2 f1 f3 = -D (f4 - f2) / f2 and Z = 4 f1 f3
+    (f1 - f2)(f2 - f3), as the kind's ``CASE2_KERNELS`` row states; the
+    constant term nu0 then matches identically.  A branch whose frequency^2,
+    k^2 or k'^2 fails raises :class:`Infeasible` with the failed quantities
     as witness.  The tn and dn*tn kernels never admit real parameters (b^2 <
     0, respectively modulus^2 >= 1 for every real coefficient choice) and
     always raise Infeasible with the computed witness attached.
     """
     if kind not in CASE2_KINDS:
         raise ValueError(f"case2 kind must be one of {CASE2_KINDS}")
-    f1, f2, f3, a, b, g, roots = _case2_shared(f1, f2, f3)
+    f1, f2, f3, f4, a, b, g, roots = _case2_shared(f1, f2, f3)
     if b == 0.0:
         return _constant(f"case2_{kind}", roots, xi0, f1)
     nu4 = g[4] / (b * b)
@@ -976,24 +981,26 @@ def case2(kind, f1, f2, f3, xi0=0.0) -> ClosedFormSolution:
     if not beta2 > scaled_bound(1e-14, roots.scale(), 2):
         raise Infeasible(f"case2_{kind}", "branch infeasible: frequency^2 is not positive",
                          {"beta2": beta2, "nu0": nu0, "nu2": nu2, "nu4": nu4})
-    k2 = row.k2(nu2, nu4, beta2)
-    if not -MODULUS_CLAMP <= k2 <= 1.0 + MODULUS_CLAMP:
-        raise Infeasible(f"case2_{kind}",
-                         f"branch infeasible: modulus^2 = {k2:.6g} outside [0, 1]",
-                         {"k2": k2, "beta2": beta2})
-    k2 = min(max(k2, 0.0), 1.0)
-    r_resid = abs(nu0 - beta2 * b * b * row.ratio(k2))
-    if r_resid > 1e-9 * max(1.0, abs(nu0), abs(beta2 * b * b)):
-        raise Infeasible(f"case2_{kind}", "branch infeasible: constant term of the reduced "
-                         "quartic is inconsistent with this kernel",
-                         {"r_resid": r_resid, "k2": k2, "beta2": beta2})
+    # X, Y, Z (of degree 2, 2, 4) of the zeros over a power of two, an exact
+    # scaling; Z of the zeros as ``roots`` holds them, 0 where f2 merged with f1
+    # or f3.  Where f2 and f4 merged, X Y = -(f4 - f2)(f1 - f3) D is 0, and the
+    # smaller of X, Y is 0
+    s = math.ldexp(1.0, math.frexp(roots.scale())[1])
+    h1, h2, h3, h4 = (h / s for h in _held(roots, (f1, f2, f3, f4)))
+    f1, f2, f3, f4 = f1 / s, f2 / s, f3 / s, f4 / s
+    X = f2 * (f1 - f3)
+    Y = -(f2 * f3 + f1 * f2 - f1 * f3) * (f4 - f2) / f2 if f2 else -2.0 * f1 * f3
+    if h2 == h4:
+        X, Y = (X, 0.0) if abs(Y) < abs(X) else (0.0, Y)
+    Z = 4.0 * h1 * h3 * (h1 - h2) * (h2 - h3)
+    k, kp = _moduli(f"case2_{kind}", *row.moduli(X * X, Y * Y, Z))
     if kind.startswith("inv_"):
         mobius, kernel = (0.0, 1.0, b, a), kind[len("inv_"):]
     else:
         mobius, kernel = (1.0, 0.0, a, b), kind
     return _solution(
         f"case2_{kind}", roots, xi0, mobius, kernel, beta=math.sqrt(beta2),
-        modulus=_modulus(k2),
+        modulus=k, comodulus=kp,
     )
 
 
@@ -1012,7 +1019,8 @@ def general_sn2(roots, initial_index=1, xi0=0.0) -> ClosedFormSolution:
     fail for sorted roots.  The constructor uses the complementary pairing
     (f1<->f4, f2<->f3), a1 = a, a2 = 1, b2 = (f_adj - a)/(b - f_adj), b1 =
     b b2 with f_adj the adjacent root of the band, and modulus^2 =
-    ((f2 - f1)(f4 - f3))/((f3 - f1)(f4 - f2)), which lies in (0, 1) for
+    ((f2 - f1)(f4 - f3))/((f3 - f1)(f4 - f2)) and its complement
+    ((f3 - f2)(f4 - f1))/((f3 - f1)(f4 - f2)), which lie in (0, 1) for
     distinct sorted roots; the correction is recorded in the provenance
     notes.  A branch that fails validation raises UnresolvedBranch with the
     candidate attached.
@@ -1032,10 +1040,11 @@ def general_sn2(roots, initial_index=1, xi0=0.0) -> ClosedFormSolution:
     # start at fs[i], turn at its band neighbor fs[i ^ 1]; pair with fs[3 - i]
     a, b, f_adj = fs[i], fs[3 - i], fs[i ^ 1]
     b2 = (f_adj - a) / (b - f_adj)
-    k2 = (f2 - f1) * (f4 - f3) / ((f3 - f1) * (f4 - f2))
+    k, kp = _moduli("general_sn2", (f2 - f1) * (f4 - f3), (f3 - f2) * (f4 - f1),
+                    (f3 - f1) * (f4 - f2))
     return _solution(
         "general_sn2", RootMultiset(tuple((v, 1) for v in fs)), xi0, (a, b * b2, 1.0, b2), "sn2",
-        beta=0.5 * math.sqrt((f3 - f1) * (f4 - f2)), modulus=_modulus(k2),
+        beta=0.5 * math.sqrt((f3 - f1) * (f4 - f2)), modulus=k, comodulus=kp,
         branch=f"initial_f{initial_index}", notes=("band-pairing-complementary",),
     )
 

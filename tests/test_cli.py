@@ -1273,9 +1273,11 @@ class TestRefusals:
         "solve-case1-huge-roots": (["solve", "--kind", "case1-dn", "--roots", "1e200,2e200,3e200"],
                                    "case1: the form does not fit a float for these zeros (Numerical result out of range)"),
         # products of the zeros overflow, or a and b ~ 1/f overflow case2's quartic in y
+        # (case2-inv-sn takes k and k' from the zeros, not from that quartic,
+        # and refuses the tiny root as Infeasible: its k'^2 is -4e-152)
         "solve-case2-huge-roots": (["solve", "--kind", "case2-cn", "--roots=1e-8,1e300,-2"],
                                    "case2: the form does not fit a float for these zeros (invalid value"),
-        "solve-case2-tiny-root": (["solve", "--kind", "case2-inv-sn", "--roots=1e-152,-1,1e8"],
+        "solve-case2-tiny-root": (["solve", "--kind", "case2-inv-cn", "--roots=1e-152,-1,1e8"],
                                   "case2: the form does not fit a float for these zeros (invalid value"),
         # 2 f1 f3 underflows to 0
         "solve-case2-product-underflows": (["solve", "--kind", "case2-dn",

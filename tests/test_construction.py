@@ -11,6 +11,7 @@ The sweep builds every ``presets.KINDS`` row, with its branches and starts,
 through both, and asks for the same numbers and the same verdict.
 """
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from numbers import Rational
@@ -178,6 +179,14 @@ class TestWindow:
         assert sol.window == build().window
 
 
+def _moved(sol, field, v):
+    """sol with ``field`` set to v; a moved modulus k takes the comodulus
+    sqrt((1 - k)(1 + k)), the wave at that k."""
+    if field == "modulus":
+        return replace(sol, modulus=v, comodulus=math.sqrt((1.0 - v) * (1.0 + v)))
+    return replace(sol, **{field: v})
+
+
 def _mutants(sol, rel):
     """(field, build) for A, B, C, D, beta and the modulus moved by ``rel``
     either way; a number the move leaves as it is (0) is skipped, and so is
@@ -187,7 +196,7 @@ def _mutants(sol, rel):
         v = getattr(sol, field)
         for moved in (() if v is None else (v * (1.0 + rel), v * (1.0 - rel))):
             if moved != v and not (field == "modulus" and moved > 1.0):
-                out.append((field, lambda field=field, moved=moved: replace(sol, **{field: moved})))
+                out.append((field, lambda field=field, moved=moved: _moved(sol, field, moved)))
     return out
 
 
@@ -210,13 +219,14 @@ class TestCertificateVerdicts:
                                              ("fig-case2f", "C")])
     @pytest.mark.parametrize("rel", [1e-9, -1e-9])
     def test_defect_only_the_snap_explains_is_sampled(self, name, field, rel):
-        """A 1e-9 move of C or D on a preset whose modulus is snapped to 0 or
-        1 is within the certificate's allowance only by the snap, which
-        stands for another k^2; the sampled gate refuses it."""
+        """A 1e-9 move of C or D on a preset whose modulus is 0 or 1, at a
+        merged zero: a modulus snapped there once stood for other k^2 and
+        covered the move.  The certificate refutes it, and the sampled gate,
+        which runs first, refuses it."""
         wave = build_preset(name)[0].with_phase(0.0)
         wrong = replace(wave, **{field: getattr(wave, field) * (1.0 + rel)})
         cert = S._certificate(wrong)
-        assert cert.rounding < cert.defect <= cert.allowance
+        assert cert.rounding < cert.defect
         with pytest.raises(UnresolvedBranch, match="defining residual gate"):
             S._gates(wrong)
 

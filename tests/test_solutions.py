@@ -5,6 +5,7 @@ import math
 import time
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -21,6 +22,7 @@ from kbwave.presets import PRESETS, build_preset
 from kbwave.quartic import Params, eval_F, eval_F_deriv, params_from_roots
 from kbwave.verify import orbit_deviation
 from kbwave.solutions import (
+    CASE2_KERNELS,
     CASE2_KINDS,
     Infeasible,
     _KERNELS,
@@ -230,7 +232,7 @@ class TestCase1:
         sol = case1("dn", -3.0, -2.0 - 0.5 * S3, -1.0, branch="upper")
         assert sol.modulus == pytest.approx(0.5, abs=1e-12)
         assert sol.beta == pytest.approx(1.0, abs=1e-12)
-        dn = jacobi(XI, 0.5).dn
+        dn = jacobi(XI, 0.5, 0.5 * S3).dn
         f, _ = sol.profile(XI)
         assert np.max(np.abs(f - (dn - 2.0))) < 1e-12
         want = Params(2.0, -25 / 16, -25 / 8, -39 / 32)
@@ -533,7 +535,7 @@ class TestGeneralSn2:
         k2 = 0.25  # ((f2-f1)(f4-f3))/((f3-f1)(f4-f2))
         assert sol.modulus**2 == pytest.approx(k2, abs=1e-13)
         beta = 0.5 * math.sqrt(4.0)
-        assert sol.period == pytest.approx(2 * complete_K(0.5) / beta, rel=1e-13)
+        assert sol.period == pytest.approx(2 * complete_K(0.5 * S3) / beta, rel=1e-13)
         xi = np.linspace(0, sol.period, 8001)
         f, _ = sol.profile(xi)
         assert f.min() == pytest.approx(0.0, abs=1e-9)
@@ -615,7 +617,7 @@ class TestGeneralSn2:
         if k2 > 1.0:  # reciprocal-modulus normalization
             b1, b2, beta, k2 = b1 / k2, b2 / k2, beta * math.sqrt(k2), 1.0 / k2
         return dict(A=roots[idx - 1], B=b1, C=1.0, D=b2, beta=beta,
-                    modulus=math.sqrt(k2))
+                    modulus=math.sqrt(k2), comodulus=math.sqrt(1.0 - k2))
 
     @pytest.mark.parametrize("idx, error", [
         (1, InvalidConfiguration),  # printed denominator crosses zero
@@ -655,8 +657,8 @@ def _dop853_deviation(sol):
     return worst
 
 
-def _abs_sn(x, k):
-    s, c, d = jacobi(x, k)
+def _abs_sn(x, k, kp):
+    s, c, d = jacobi(x, k, kp)
     return np.abs(s), np.where(s < 0.0, -1.0, 1.0) * c * d  # right derivative at the kink
 
 
@@ -705,13 +707,11 @@ class TestOrbitCheck:
         assert orbit_deviation(sol).deviation < 1e-10 * sol.roots.scale()
 
     def test_snapped_pulse_between_close_zeros_refused(self):
-        """k^2 = 1 + 2.0e-10 snaps to 1, so the form is a sech pulse whose
-        tails sit at 0, between the zeros +-3.37e-5, where F < 0, while the
-        periodic wave of these zeros turns at 3.37e-5.  The certificate's
-        snap allowance and the sampled gate pass it; its zeros are close, so
-        the constructor follows its orbit too, and refuses it."""
-        with pytest.raises(UnresolvedBranch, match=r"^case2_inv_cn failed the orbit check: "
-                                                   r"1\.685e-05 >= 1\.065e-05$"):
+        """Four simple zeros, two of them +-3.37e-5: inv_cn's k'^2 is
+        -2.0e-10, so it has no real wave here.  A snap of k^2 = 1 + 2.0e-10
+        to 1 once built a sech pulse whose tails sit at 0, between those
+        zeros, where F < 0."""
+        with pytest.raises(Infeasible, match=r"complementary modulus\^2 = -2\.00004e-10$"):
             case2("inv_cn", 1.3418840482444512, -3.3708275678834276e-05, -10.651139653823092)
 
     def test_unresolved_quadrature_is_loud(self, monkeypatch):
@@ -757,7 +757,8 @@ class TestOrbitCheck:
     @pytest.mark.parametrize("name", [n for n, s in MUTATION_BASES.items() if s.modulus < 1.0])
     def test_wrong_modulus_rejected(self, name):
         sol = MUTATION_BASES[name]
-        assert _read_as_refused(replace(sol, modulus=sol.modulus + 0.01))
+        k = sol.modulus + 0.01
+        assert _read_as_refused(replace(sol, modulus=k, comodulus=math.sqrt((1 - k) * (1 + k))))
 
     @pytest.mark.parametrize("idx", [2, 3])
     def test_printed_adjacent_pairing_rejected(self, idx):
@@ -995,7 +996,7 @@ def _general_form(sol, xi):
     x = np.array(xi, dtype=float)
     x -= sol.xi0
     x *= sol.beta
-    y, yp = S._KERNELS[sol.kernel].fn(x, sol.modulus)
+    y, yp = S._KERNELS[sol.kernel].fn(x, sol.modulus, sol.comodulus)
     den = y * sol.D + sol.C
     f = (y * sol.B + sol.A) / den
     fp = yp * ((sol.B * sol.C - sol.A * sol.D) * sol.beta) / (den * den)
@@ -1016,9 +1017,10 @@ def test_constant_denominator_profile_keeps_its_bits(kernel, A, B, C, D, beta, k
     the same bits as the general form, for every kernel, array or scalar xi."""
     from dataclasses import replace
 
-    modulus = k if kernel in ("sn", "cn", "dn", "sn2") else None
-    sol = replace(solitary_triple(1.0, 0.0), A=A, B=B, C=C, D=D, kernel=kernel,
-                  beta=beta, modulus=modulus, xi0=xi0)
+    elliptic = kernel in ("sn", "cn", "dn", "sn2")
+    sol = replace(solitary_triple(1.0, 0.0), A=A, B=B, C=C, D=D, kernel=kernel, beta=beta,
+                  modulus=k if elliptic else None,
+                  comodulus=math.sqrt((1 - k) * (1 + k)) if elliptic else None, xi0=xi0)
     for got, want in zip(sol.profile(xi), _general_form(sol, xi)):
         assert np.ndim(got) == np.ndim(xi)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -1044,12 +1046,10 @@ def test_pole_crossing_form_rejected_at_construction():
     (223.51112610384573, 1882.441879538408, 223.50882004794505),
 ])
 def test_snapped_cn_keeps_its_whole_span(f1, f2, f3):
-    """A modulus snapped to 1 stands for every k^2 within MODULUS_CLAMP of
-    it, below 1 too, where cn spans [-1, 1]: the pole of these inv_cn forms,
-    at y = -1.6e-6 and -5.2e-6, lies off the (0, 1] of sech but on cn's
-    span, and the form is refused."""
-    with pytest.raises(InvalidConfiguration,
-                       match=r"denominator C \+ D\*y = .* vanishes for y in \[-1\.0, 1\.0\]$"):
+    """Four simple zeros where inv_cn's k'^2 is -2.6e-12 and -3.4e-11: no
+    real wave.  A snap of k^2 to 1 once built a form here whose pole, at
+    y = -1.6e-6 and -5.2e-6, only cn's span [-1, 1] could see."""
+    with pytest.raises(Infeasible, match=r"complementary modulus\^2 = -"):
         case2("inv_cn", f1, f2, f3)
 
 
@@ -1236,6 +1236,115 @@ def test_narrow_pulse_with_a_wrong_frequency_is_refused(halves, exponent, triple
 
 
 # ---------------------------------------------------------------------------
+# k and k' from the zeros: a modulus of 0 or 1 only at a merged zero
+# ---------------------------------------------------------------------------
+
+MULTIPLE_ZERO_PRESETS = ("fig-case2a", "fig-case2b", "fig-case2bc-k1", "fig-case2e",
+                         "fig-case2f", "fig-case2f-k1")
+PAIR_KINDS = (*(f"case2-{k.replace('_', '-')}" for k in CASE2_KERNELS), "case1-dn",
+              "general-sn2")
+
+
+def _assert_pair(sol):
+    """k and k' of a built wave lie in [0, 1], +0.0 for 0, with k^2 + k'^2
+    = 1 to a few ulps."""
+    k, kp = sol.modulus, sol.comodulus
+    assert 0.0 <= k <= 1.0 and 0.0 <= kp <= 1.0
+    assert math.copysign(1.0, k) == math.copysign(1.0, kp) == 1.0
+    assert abs(k * k + kp * kp - 1.0) <= 4.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", MULTIPLE_ZERO_PRESETS)
+def test_merged_zero_gives_modulus_0_or_1(name):
+    """Each elliptic preset with a multiple zero has k and k' exactly 0 and
+    1, one each."""
+    sol = build_preset(name)[0]
+    assert max(sol.roots.multiplicities()) == 2
+    assert {sol.modulus, sol.comodulus} == {0.0, 1.0}
+    _assert_pair(sol)
+
+
+@_sweep(300)
+@given(zeros=st.lists(ZERO, min_size=4, max_size=4), kind=st.sampled_from(PAIR_KINDS),
+       pull=st.sampled_from([0.0, 1e-3, 1e-7, 1e-12]))
+def test_every_built_modulus_pair_is_complementary(zeros, kind, pull):
+    """Every case2 row, case1 dn and general_sn2, on zeros in [-5, 5] with
+    the second sometimes pulled within ``pull`` of the third: k, k' >= 0
+    with k^2 + k'^2 = 1 to a few ulps on every wave built."""
+    from kbwave.errors import KBWaveError
+    from kbwave.presets import KINDS
+
+    if pull:
+        zeros[1] = zeros[2] + pull
+    row = KINDS[kind]
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # as the CLI builds
+            sol = row.build(zeros[:len(row.zeros.split(","))], "upper", 0.0, 1)
+    except KBWaveError:
+        assume(False)
+    assume(sol.modulus is not None)
+    _assert_pair(sol)
+
+
+@_sweep(150)
+@given(f1=ZERO, width=st.floats(0.1, 10.0), log_kp=st.floats(-14.0, 0.0),
+       branch=st.sampled_from(["upper", "lower"]))
+def test_case1_dn_is_periodic_down_to_tiny_comodulus(f1, width, log_kp, branch):
+    """case1 dn with k' from 1e-14 to 1, on zeros that ``_SAME_ZERO`` keeps
+    distinct, builds a periodic wave whose period is 2 K / beta of mpmath,
+    from the same float zeros, to 1e-13."""
+    kp = 10.0 ** log_kp
+    sol = case1("dn", f1, f1 + 0.5 * width * (1.0 - kp), f1 + width, branch=branch)
+    assume(len(sol.roots.entries) == 4)
+    r1, r2, r3, r4 = (mpmath.mpf(v) for v in sol.roots.expand())
+    with mpmath.workdps(40):
+        want = 2 * mpmath.ellipk(1 - ((r3 - r2) / (r4 - r1)) ** 2) / ((r4 - r1) / 2)
+    assert abs(sol.period - want) <= 1e-13 * want
+
+
+@_sweep(150)
+@given(f1=ZERO, p=st.floats(0.1, 5.0), q=st.floats(0.1, 5.0), log_kp=st.floats(-6.0, 0.0),
+       idx=st.sampled_from([1, 4]))
+def test_general_sn2_is_periodic_down_to_tiny_comodulus(f1, p, q, log_kp, idx):
+    """general_sn2 with k' from about 1e-6 to 1 (its zeros lie more than
+    1e-12 apart, so its k' cannot be smaller) builds a periodic wave whose
+    period is 2 K / beta of mpmath, from the same float zeros, to 1e-13.
+    Starts 1 and 4: on the closest zeros starts 2 and 3 fail the sampled
+    residual gate, with or without a small k' (a FOUND line of CHANGES.md)."""
+    gap = 10.0 ** (2.0 * log_kp) * p * q / (p + q)  # k'^2 is about gap (p + q) / (p q)
+    zeros = (f1, f1 + p, f1 + p + gap, f1 + p + gap + q)
+    try:
+        sol = general_sn2(zeros, initial_index=idx)
+    except InvalidConfiguration as err:
+        assert "apart" in str(err)
+        assume(False)
+    r1, r2, r3, r4 = (mpmath.mpf(v) for v in sol.roots.expand())
+    with mpmath.workdps(40):
+        kp2 = (r3 - r2) * (r4 - r1) / ((r3 - r1) * (r4 - r2))
+        want = 2 * mpmath.ellipk(1 - kp2) / (mpmath.sqrt((r3 - r1) * (r4 - r2)) / 2)
+    assert abs(sol.period - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("f1, f2, f3", [(-3.0, -1.999997, -1.0), (0.0, 0.5 - 1e-6, 1.0)])
+def test_case1_cn_on_four_simple_zeros_infeasible(f1, f2, f3):
+    """Four simple zeros have no cn wave: k'^2 < 0.  A snap of k^2 within
+    1e-9 of 1 once built a pulse here."""
+    with pytest.raises(Infeasible, match=r"complementary modulus\^2 = -"):
+        case1("cn", f1, f2, f3)
+
+
+@pytest.mark.parametrize("f2", [-2.000001, -2.0 - 1e-7])
+def test_case1_dn_on_close_simple_zeros_is_periodic(f2):
+    """k' = 1e-6 and 1e-7: the dn wave of four simple zeros is periodic, and
+    general_sn2 on the same four zeros gives its period.  A snap of k to 1
+    once built a pulse here."""
+    sol = case1("dn", -3.0, f2, -1.0)
+    assert sol.case_tag.value == "FourSimple"
+    same = general_sn2(sol.roots.expand(), initial_index=4)
+    assert sol.period == pytest.approx(same.period, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
 # the kernel table's equations and the certificate they carry
 # ---------------------------------------------------------------------------
 
@@ -1244,32 +1353,34 @@ def test_narrow_pulse_with_a_wrong_frequency_is_refused(halves, exponent, triple
 def test_kernel_meets_its_equation(name):
     """Each kernel's computed pair (y, y') meets its row's equation
     y'^2 = Q(y) to KERNEL_ROUNDING, with |y|, |y'| <= 1 inside its span, and
-    y' is dy/dx; at k in {0, 0.5, 0.99, 1} and at random moduli, as
-    ``_modulus`` stores them.  The certificate proves f'^2 = F(f) from Q,
+    y' is dy/dx; at pairs (k, k') as ``_moduli`` stores them, the smaller
+    of k^2 and k'^2 drawn from {0, 1e-28, 0.25} or [0, 1/2], k' down to
+    1e-14 and k down to 1e-14.  The certificate proves f'^2 = F(f) from Q,
     so its argument rests on these facts, and this ties it to ``jacobi``."""
     import kbwave.solutions as S
-    from kbwave.elliptic import normalize_modulus
 
     row = _KERNELS[name]
-    has_modulus = row.q(0.0) != row.q(1.0)
+    has_modulus = row.q(0.0, 1.0) != row.q(1.0, 0.0)
     eps = np.finfo(float).eps
 
     @_sweep(60)
     @given(x=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40),
-           k=st.one_of(st.sampled_from([0.0, 0.5, 0.99, 1.0]), st.floats(0.0, 1.0)))
-    def check(x, k):
-        k = normalize_modulus(k) if has_modulus else None
+           small=st.one_of(st.sampled_from([0.0, 1e-28, 0.25]), st.floats(0.0, 0.5)),
+           near_one=st.booleans())
+    def check(x, small, near_one):
+        squares = (1.0 - small, small) if near_one else (small, 1.0 - small)
+        k, kp = S._moduli(name, *squares, 1.0) if has_modulus else (None, None)
         x = np.array(x)
-        y, yp = row.fn(x.copy(), k)
-        q = row.q(0.0 if k is None else k * k)
+        y, yp = row.fn(x.copy(), k, kp)
+        q = row.q(0.0, 1.0) if k is None else row.q(k * k, kp * kp)
         Q = sum(c * y ** j for j, c in enumerate(q))
         assert np.max(np.abs(yp * yp - Q)) <= S.KERNEL_ROUNDING
-        lo, hi = row.span(k)
+        lo, hi = row.span(kp)
         assert np.all((lo - 4 * eps <= y) & (y <= hi + 4 * eps))
         assert np.max(np.abs(y)) <= 1.0 + 4 * eps and np.max(np.abs(yp)) <= 1.0 + 4 * eps
         h = 1e-5
-        up, _ = row.fn(x + h, k)
-        down, _ = row.fn(x - h, k)
+        up, _ = row.fn(x + h, k, kp)
+        down, _ = row.fn(x - h, k, kp)
         assert np.max(np.abs((up - down) / (2 * h) - yp)) < 1e-8
 
     check()
@@ -1287,8 +1398,8 @@ def _gates(sol):
 class TestCertificate:
     """The constructor's gate proves f'^2 = F(f) from the five coefficients
     of (BC - AD)^2 beta^2 Q(y) = -prod((A - rC) + (B - rD) y), and samples
-    only where the certificate cannot vouch: close zeros, a snapped modulus,
-    a certificate not met."""
+    only where the certificate cannot vouch: close zeros, a certificate not
+    met."""
 
     def test_wrong_pulse_with_close_zeros_refused(self):
         """A 1e-3 error in beta on a pulse whose zeros are close next to their
@@ -1316,22 +1427,24 @@ class TestCertificate:
         lambda: periodic_trig(1e-106, 2e-106, 4e-106),
         lambda: periodic_trig(0.0, 1.714429317016854e-297, -1.8966986416388227),
         lambda: solitary_double(*CLOSE_PULSE),
-        lambda: case1("cn", 0.0, 0.5 - 1e-6, 1.0),  # k^2 = 1 + 4e-12, snapped to 1
+        # f2 and f4 = 0.5000000000000001 merged into a double zero: k' = 0
+        lambda: case1("cn", 0.0, 0.49999999999999994, 1.0),
         # zeros within 1e-14 of each other: the constant f1, next to zeros that
         # RootMultiset.from_values merged within _SAME_ZERO max(1, |r|)
         lambda: case1("dn", -4.189753565604374e-15, -1.6451493327722633e-16,
                       -1.6451493256063085e-16),
-    ], ids=["tiny-zeros", "tiny-band", "close-zeros", "snapped-modulus", "merged-zeros"])
+    ], ids=["tiny-zeros", "tiny-band", "close-zeros", "merged-pulse", "merged-zeros"])
     def test_float_edges_accepted(self, build):
         """Zeros near the bottom of the floats, a band of width 1.7e-297, a
-        modulus snapped to 1 and merged zeros are certified in the wave's own
-        frame, with numpy's float errors raised as the CLI raises them."""
+        pulse whose double zero the merge made, and merged zeros are
+        certified in the wave's own frame, with numpy's float errors raised
+        as the CLI raises them."""
         import kbwave.solutions as S
 
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             wave = build().with_phase(0.0)
             cert = S._certificate(wave)
-            assert cert.defect <= cert.allowance
+            assert cert.defect <= cert.rounding
 
     @pytest.mark.parametrize("build", [
         lambda: solitary_double(-0.1487727709132648, -0.1487727707697996, 0.5355392810644393),
@@ -1349,7 +1462,7 @@ class TestCertificate:
             build()
         wave = err.value.candidate
         cert = S._certificate(wave)
-        assert cert.defect <= cert.allowance
+        assert cert.defect <= cert.rounding
         v = wave.roots.values()
         assert min(b - a for a, b in zip(v, v[1:])) < S.CLOSE_ZEROS * (v[-1] - v[0])
 
