@@ -778,11 +778,14 @@ def params_from_roots(r: RootMultiset) -> Params:
     roots = r.expand()
     if len(roots) != 4:
         raise ValueError("underdetermined: need total multiplicity 4")
-    # a float root is not rational: it skips the (slow, abstract) Rational probe
-    if type(roots[0]) is not float and all(isinstance(v, Rational) for v in roots):
-        f1, f2, f3, f4 = map(Fraction, roots)
-    else:
-        f1, f2, f3, f4 = map(float, roots)
+    f1, f2, f3, f4 = roots
+    # four floats, the common case, are used as they are; a float root is not
+    # rational, so it skips the (slow, abstract) Rational probe
+    if not type(f1) is type(f2) is type(f3) is type(f4) is float:
+        if type(f1) is not float and all(isinstance(v, Rational) for v in roots):
+            f1, f2, f3, f4 = map(Fraction, roots)
+        else:
+            f1, f2, f3, f4 = map(float, roots)
     e1 = f1 + f2 + f3 + f4
     e2 = f1 * f2 + f1 * f3 + f1 * f4 + f2 * f3 + f2 * f4 + f3 * f4
     e3 = f1 * f2 * f3 + f1 * f2 * f4 + f1 * f3 * f4 + f2 * f3 * f4

@@ -26,7 +26,7 @@ The first-integral residual f'(xi)^2 - F(f(xi)) is sampled over the wave's
 window (``ClosedFormSolution.window``) against ``residual_bound``
 (``_residual_gate``) only where the certificate cannot vouch: on close
 zeros (``CLOSE_ZEROS``), where the orbit check runs too, and where it has
-no spread to work in, is not met, or the window is not finite.
+no spread to work in, is not met, or the period is not finite.
 
 Each elliptic family computes k^2 and k'^2 from differences of its zeros
 (``_moduli``), and the wave carries both k and k'.  One rule decides a
@@ -303,13 +303,19 @@ class ClosedFormSolution:
             raise ValueError(f"xi0 must be finite, got {self.xi0}")
         if self.kernel not in _KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {tuple(_KERNELS)}")
-        if (self.modulus is None) != (self.comodulus is None):
+        k, kp = self.modulus, self.comodulus
+        if (k is None) != (kp is None):
             raise ValueError("a modulus comes with its comodulus")
-        lo, hi = _KERNELS[self.kernel].span(self.comodulus)
-        ends = (self.C + self.D * lo, self.C + self.D * hi)
-        if not (min(ends) > 0.0 or max(ends) < 0.0):
+        # the constructors' pairs meet k^2 + k'^2 = 1 within 2 roundings
+        if k is not None and not abs(k * k + kp * kp - 1.0) <= 4.0 * _U:
+            raise ValueError(f"modulus {k!r} and comodulus {kp!r} are not complementary: "
+                             f"k^2 + k'^2 - 1 = {k * k + kp * kp - 1.0:.3e}")
+        lo, hi = _KERNELS[self.kernel].span(kp)
+        C, D = self.C, self.D
+        den_lo, den_hi = C + D * lo, C + D * hi
+        if not (min(den_lo, den_hi) > 0.0 or max(den_lo, den_hi) < 0.0):
             raise InvalidConfiguration(
-                f"{self.kind}: denominator C + D*y = {self.C!r} + {self.D!r}*y "
+                f"{self.kind}: denominator C + D*y = {C!r} + {D!r}*y "
                 f"vanishes for y in [{lo!r}, {hi!r}]"
             )
 
@@ -559,92 +565,124 @@ _MERGE_ULPS = float(3.0 * _SAME_ZERO / _U)
 CLOSE_ZEROS = 1e-3
 
 
-class _Certificate(NamedTuple):
-    defect: float    # sum_j |LHS_j - RHS_j|, in the frame
-    rounding: float  # the rounding bound of the products, which the defect is held to
-
-
 def _certificate(wave):
-    """The certificate of ``wave``; None where its zeros have no spread (a
-    quadruple zero) or are not finite."""
+    """(defect, rounding, scale, spread, gap) of ``wave``: the certificate's
+    defect sum_j |LHS_j - RHS_j| in the frame and the rounding bound it is
+    held to, both NaN where the zeros have no spread (a quadruple zero) or
+    the frame is not finite; and, from the same walk over the four expanded
+    zeros, their ``RootMultiset.scale``, their spread and the smallest gap
+    between two distinct zeros (inf where fewer than three are distinct,
+    so that no gap is small next to the spread)."""
+    r1, r2, r3, r4 = wave.roots.expand()  # increasing
+    scale, spread = max(1.0, abs(r1), abs(r4)), r4 - r1
+    gap = min(r2 - r1 or math.inf, r3 - r2 or math.inf, r4 - r3 or math.inf)
     z0 = -wave.params.c
-    r1, r2, r3, r4 = wave.roots.expand()
     w = max(abs(r1 - z0), abs(r2 - z0), abs(r3 - z0), abs(r4 - z0))
     if not 0.0 < w < math.inf:
-        return None
+        return math.nan, math.nan, scale, spread, gap
     s = max(abs(wave.C), abs(wave.D))
     A, B, C, D = wave.A / s, wave.B / s, wave.C / s, wave.D / s
     aC, aD, az = abs(C), abs(D), abs(z0)
     a, b = (A - z0 * C) / w, (B - z0 * D) / w  # the numerator's coefficients in the frame
-    ea = (2.0 * abs(A) + 3.0 * az * aC) / w + 2.0 * abs(a)
-    eb = (2.0 * abs(B) + 3.0 * az * aD) / w + 2.0 * abs(b)
+    na, nb = abs(a), abs(b)
+    ea = (2.0 * abs(A) + 3.0 * az * aC) / w + 2.0 * na
+    eb = (2.0 * abs(B) + 3.0 * az * aD) / w + 2.0 * nb
+    eab, aCD = ea + eb, aC + aD
 
-    # -RHS = prod_r ((a - t C) + (b - t D) y), t = (r - z0)/w, in two quadratics;
-    # its error, summed over the coefficients, is sum_i g_i prod_{k != i} m_k
-    # with m = |c0| + |c1| and g the error of c0 plus that of c1.  A simple
-    # zero carries one rounding; a multiple one may be the mean of zeros that
-    # ``RootMultiset.from_values`` merged, each within _SAME_ZERO max(1, |r|)
-    m, g = [], []
-    for r, mult in wave.roots.entries:
-        t = (r - z0) / w
+    # -RHS = prod_r ((a - t C) + (b - t D) y), t = (r - z0)/w: one factor
+    # x0 + x1 y per expanded zero (x = a, b, c, d in turn), multiplied in two
+    # quadratics u = (a0 + a1 y)(b0 + b1 y) and v = (c0 + c1 y)(d0 + d1 y).
+    # Its error, summed over the coefficients, is sum_i g_i prod_{k != i} m_k
+    # with m = |x0| + |x1| and g the error of x0 plus that of x1.  A simple
+    # zero carries one rounding; a multiple one (equal to a neighbour) may be
+    # the mean of zeros that ``RootMultiset.from_values`` merged, each within
+    # _SAME_ZERO max(1, |r|).  A zero equal to the one before takes its factor
+    t = (r1 - z0) / w
+    at = abs(t)
+    et = (abs(r1) if r1 != r2 else _MERGE_ULPS * max(1.0, abs(r1))) / w + 2.0 * at
+    a0, a1 = a - t * C, b - t * D
+    na0, na1 = abs(a0), abs(a1)
+    ga = eab + aCD * (3.0 * at + et) + na0 + na1
+    if r2 == r1:
+        b0, b1, nb0, nb1, gb = a0, a1, na0, na1, ga
+    else:
+        t = (r2 - z0) / w
         at = abs(t)
-        et = (abs(r) if mult == 1 else _MERGE_ULPS * max(1.0, abs(r))) / w + 2.0 * at
+        et = (abs(r2) if r2 != r3 else _MERGE_ULPS * max(1.0, abs(r2))) / w + 2.0 * at
+        b0, b1 = a - t * C, b - t * D
+        nb0, nb1 = abs(b0), abs(b1)
+        gb = eab + aCD * (3.0 * at + et) + nb0 + nb1
+    if r3 == r2:
+        c0, c1, nc0, nc1, gc = b0, b1, nb0, nb1, gb
+    else:
+        t = (r3 - z0) / w
+        at = abs(t)
+        et = (abs(r3) if r3 != r4 else _MERGE_ULPS * max(1.0, abs(r3))) / w + 2.0 * at
         c0, c1 = a - t * C, b - t * D
-        m += [(c0, c1)] * mult
-        g += [ea + eb + (aC + aD) * (3.0 * at + et) + abs(c0) + abs(c1)] * mult
-    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = m
+        nc0, nc1 = abs(c0), abs(c1)
+        gc = eab + aCD * (3.0 * at + et) + nc0 + nc1
+    if r4 == r3:
+        d0, d1, nd0, nd1, gd = c0, c1, nc0, nc1, gc
+    else:
+        t = (r4 - z0) / w
+        at = abs(t)
+        et = abs(r4) / w + 2.0 * at
+        d0, d1 = a - t * C, b - t * D
+        nd0, nd1 = abs(d0), abs(d1)
+        gd = eab + aCD * (3.0 * at + et) + nd0 + nd1
     u0, u1, u2 = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
     v0, v1, v2 = c0 * d0, c0 * d1 + c1 * d0, c1 * d1
-    p = (u0 * v0, u0 * v1 + u1 * v0, u0 * v2 + u1 * v1 + u2 * v0, u1 * v2 + u2 * v1, u2 * v2)
-    ma, mb, mc, md = abs(a0) + abs(a1), abs(b0) + abs(b1), abs(c0) + abs(c1), abs(d0) + abs(d1)
+    ma, mb, mc, md = na0 + na1, nb0 + nb1, nc0 + nc1, nd0 + nd1
     mab, mcd = ma * mb, mc * md
-    error = ((g[0] * mb + g[1] * ma) * mcd + (g[2] * md + g[3] * mc) * mab
-             + 8.0 * mab * mcd)
+    error = (ga * mb + gb * ma) * mcd + (gc * md + gd * mc) * mab + 8.0 * mab * mcd
 
     # LHS = G Q(y), G = (W beta)^2 with W = b C - a D in the frame
     W = b * C - a * D
-    eW = abs(b) * 2.0 * aC + aC * eb + abs(a) * 2.0 * aD + aD * ea + 2.0 * (abs(b * C) + abs(a * D))
+    eW = nb * 2.0 * aC + aC * eb + na * 2.0 * aD + aD * ea + 2.0 * (abs(b * C) + abs(a * D))
     bt = wave.beta / w
     h = W * bt
-    eh = abs(bt) * eW + 2.0 * abs(h)
+    nh = abs(h)
+    eh = abs(bt) * eW + 2.0 * nh
     G = h * h
-    q = wave.equation
-    defect = sum(abs(G * qj + pj) for qj, pj in zip(q, p))
-    error += (2.0 * abs(h) * eh + abs(G)) * sum(map(abs, q))
+    nG = abs(G)
+    q0, q1, q2, q3, q4 = wave.equation
+    defect = (abs(G * q0 + u0 * v0) + abs(G * q1 + (u0 * v1 + u1 * v0))
+              + abs(G * q2 + (u0 * v2 + u1 * v1 + u2 * v0)) + abs(G * q3 + (u1 * v2 + u2 * v1))
+              + abs(G * q4 + u2 * v2))
+    error += (2.0 * nh * eh + nG) * (abs(q0) + abs(q1) + abs(q2) + abs(q3) + abs(q4))
     if wave.modulus is not None:
         # k^2 = k k and k'^2 = k' k' carry 3 roundings each, and each q_j
         # that reads them (at most 3) moves by at most 4 per rounding and adds
         # its own; k^2 + k'^2 = 1 holds to the roundings of k and k'
-        error += 48.0 * abs(G)
-    return _Certificate(defect, CERTIFICATE_ULPS * _U * error)
+        error += 48.0 * nG
+    return defect, CERTIFICATE_ULPS * _U * error, scale, spread, gap
 
 
 def _gates(wave):
     """The constructor's gates on ``wave``, a wave at phase 0; each raises
     UnresolvedBranch with the wave as candidate, and float errors are left
-    to the caller.  In order: a form that varies needs a frequency
-    that is a positive normal double (a smaller one is the float error of a
-    form that does not fit the floats); the certificate runs on every form,
-    and a form it refutes is refused; the sampled residual gate,
-    ``_residual_gate``, runs where the certificate cannot vouch for the
-    form: two distinct zeros within CLOSE_ZEROS of their spread, zeros with
-    no spread, a certificate not met, or a window not finite; the orbit
-    check, on the same close zeros.  The sampled gate runs before a
-    refutation is reported, so every form it fails keeps its message."""
-    wave.residual_bound        # zeros too large for the gate are refused here, unsampled
-    start, stop = wave.window  # a periodic form's zero frequency is refused here
+    to the caller.  In order: zeros too large for the sampled gate are
+    refused, unsampled, and a periodic form's zero frequency; a form that
+    varies needs a frequency that is a positive normal double (a smaller one
+    is the float error of a form that does not fit the floats); the
+    certificate runs on every form, and a form it refutes is refused; the
+    sampled residual gate, ``_residual_gate``, runs where the certificate
+    cannot vouch for the form: two distinct zeros within CLOSE_ZEROS of
+    their spread, zeros with no spread, a certificate not met, or a period
+    not finite; the orbit check, on the same close zeros.  The sampled gate
+    runs before a refutation is reported, so every form it fails keeps its
+    message."""
+    defect, rounding, scale, spread, gap = _certificate(wave)
+    scaled_bound(RESIDUAL_RTOL, scale, 4)  # as wave.residual_bound: refuses zeros too large
+    period = wave.period
     if wave.kernel != "const" and not sys.float_info.min <= wave.beta < math.inf:
         raise FloatingPointError(f"its frequency {wave.beta!r} is not a positive normal double")
-    cert = _certificate(wave)
-    v = wave.roots.values()  # increasing
-    close = len(v) > 2 and min(b - a for a, b in zip(v, v[1:])) < CLOSE_ZEROS * (v[-1] - v[0])
-    vouched = cert is not None and cert.defect <= cert.rounding and stop - start < math.inf
-    if close or not vouched:
+    close = gap < CLOSE_ZEROS * spread
+    if close or not (defect <= rounding and (period is None or period < math.inf)):
         _residual_gate(wave)
-    if cert is not None and cert.rounding < cert.defect < math.inf:
-        raise UnresolvedBranch(
-            f"{wave.kind} failed the certificate: {cert.defect:.3e} > {cert.rounding:.3e}",
-            candidate=wave)
+    if rounding < defect < math.inf:
+        raise UnresolvedBranch(f"{wave.kind} failed the certificate: {defect:.3e} > {rounding:.3e}",
+                               candidate=wave)
     if close:
         from .verify import orbit_deviation  # verify builds on this module
         dev, bound, passed = orbit_deviation(wave)
@@ -656,11 +694,11 @@ def _gates(wave):
 def _solution(kind, roots, xi0, mobius, kernel, **kw):
     """The one way a constructor returns a wave: the form (A + B y)/(C + D y)
     on ``kernel`` with the params of ``roots``, once ``_gates`` pass it at
-    phase 0."""
-    params = params_from_roots(roots).as_floats()
-    A, B, C, D = map(float, mobius)
-    sol = ClosedFormSolution(kind=kind, roots=roots, params=params, A=A, B=B, C=C, D=D,
-                             kernel=kernel, xi0=float(xi0), **kw)
+    phase 0.  The constructors hand floats, zeros and ``mobius`` alike, so
+    the params are floats too."""
+    A, B, C, D = mobius
+    sol = ClosedFormSolution(kind=kind, roots=roots, params=params_from_roots(roots),
+                             A=A, B=B, C=C, D=D, kernel=kernel, xi0=float(xi0), **kw)
     _gates(sol.with_phase(0.0))
     return sol
 
@@ -878,7 +916,10 @@ def _case2_shared(f1, f2, f3):
     # stay in the floats; zeros beyond about 1e102 or below 1e-102 leave them
     gscale = max(1.0, float(np.max(np.abs(g))))
     if abs(g[1]) > 1e-9 * gscale or abs(g[3]) > 1e-9 * gscale:
-        raise InvalidConfiguration("odd coefficients failed to vanish")
+        sizes = [abs(f) for f in (f1, f2, f3) if f]
+        raise InvalidConfiguration(
+            f"the zeros' products leave the floats (|zeros| from {min(sizes):.6g} to "
+            f"{max(sizes):.6g}), so the odd coefficients fail to vanish")
     return f1, f2, f3, f4, a, b, g, RootMultiset.from_values(vals, tol=_SAME_ZERO)
 
 

@@ -9,15 +9,22 @@ it: the gates run on the wave at phase 0, over one period (0, T), or
 (-w, w) with w = 10 / max(1, |beta|) for a pulse or a constant.
 The sweep builds every ``presets.KINDS`` row, with its branches and starts,
 through both, and asks for the same numbers and the same verdict.
+``_reference_certificate`` and ``_reference_gates`` are the list-based
+certificate and the gates' decision that the single-pass ``_certificate`` and
+``_gates`` replaced: the same bits and the same verdicts are asked of those.
 """
 
 import math
+import struct
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kbwave.solutions as S
 from kbwave import verify
@@ -225,8 +232,8 @@ class TestCertificateVerdicts:
         which runs first, refuses it."""
         wave = build_preset(name)[0].with_phase(0.0)
         wrong = replace(wave, **{field: getattr(wave, field) * (1.0 + rel)})
-        cert = S._certificate(wrong)
-        assert cert.rounding < cert.defect
+        defect, rounding, *_ = S._certificate(wrong)
+        assert rounding < defect
         with pytest.raises(UnresolvedBranch, match="defining residual gate"):
             S._gates(wrong)
 
@@ -294,3 +301,169 @@ class TestCertificateVerdicts:
                     with pytest.raises(KBWaveError):
                         S._gates(mutant())
         assert waves > 300 and mutants > 10 * waves
+
+
+# The certificate and the gates' decision as they stood before they were
+# written as one straight-line walk over the zeros: the referee of the
+# single-pass ``_certificate`` and ``_gates``, which keep their IEEE
+# operations in this order.  ``_sum`` adds left to right, as ``sum()`` does
+# on floats before Python 3.12.
+
+
+def _sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _reference_certificate(wave):
+    """(defect, rounding) of ``wave``, or None where its zeros have no
+    spread or are not finite."""
+    z0 = -wave.params.c
+    r1, r2, r3, r4 = wave.roots.expand()
+    w = max(abs(r1 - z0), abs(r2 - z0), abs(r3 - z0), abs(r4 - z0))
+    if not 0.0 < w < math.inf:
+        return None
+    s = max(abs(wave.C), abs(wave.D))
+    A, B, C, D = wave.A / s, wave.B / s, wave.C / s, wave.D / s
+    aC, aD, az = abs(C), abs(D), abs(z0)
+    a, b = (A - z0 * C) / w, (B - z0 * D) / w
+    ea = (2.0 * abs(A) + 3.0 * az * aC) / w + 2.0 * abs(a)
+    eb = (2.0 * abs(B) + 3.0 * az * aD) / w + 2.0 * abs(b)
+    m, g = [], []
+    for r, mult in wave.roots.entries:
+        t = (r - z0) / w
+        at = abs(t)
+        et = (abs(r) if mult == 1 else S._MERGE_ULPS * max(1.0, abs(r))) / w + 2.0 * at
+        c0, c1 = a - t * C, b - t * D
+        m += [(c0, c1)] * mult
+        g += [ea + eb + (aC + aD) * (3.0 * at + et) + abs(c0) + abs(c1)] * mult
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = m
+    u0, u1, u2 = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
+    v0, v1, v2 = c0 * d0, c0 * d1 + c1 * d0, c1 * d1
+    p = (u0 * v0, u0 * v1 + u1 * v0, u0 * v2 + u1 * v1 + u2 * v0, u1 * v2 + u2 * v1, u2 * v2)
+    ma, mb, mc, md = abs(a0) + abs(a1), abs(b0) + abs(b1), abs(c0) + abs(c1), abs(d0) + abs(d1)
+    mab, mcd = ma * mb, mc * md
+    error = ((g[0] * mb + g[1] * ma) * mcd + (g[2] * md + g[3] * mc) * mab
+             + 8.0 * mab * mcd)
+    W = b * C - a * D
+    eW = abs(b) * 2.0 * aC + aC * eb + abs(a) * 2.0 * aD + aD * ea + 2.0 * (abs(b * C) + abs(a * D))
+    bt = wave.beta / w
+    h = W * bt
+    eh = abs(bt) * eW + 2.0 * abs(h)
+    G = h * h
+    q = wave.equation
+    defect = _sum(abs(G * qj + pj) for qj, pj in zip(q, p))
+    error += (2.0 * abs(h) * eh + abs(G)) * _sum(map(abs, q))
+    if wave.modulus is not None:
+        error += 48.0 * abs(G)
+    return defect, S.CERTIFICATE_ULPS * S._U * error
+
+
+def _reference_gates(wave):
+    wave.residual_bound
+    start, stop = wave.window
+    if wave.kernel != "const" and not sys.float_info.min <= wave.beta < math.inf:
+        raise FloatingPointError(f"its frequency {wave.beta!r} is not a positive normal double")
+    cert = _reference_certificate(wave)
+    v = wave.roots.values()
+    close = len(v) > 2 and min(b - a for a, b in zip(v, v[1:])) < S.CLOSE_ZEROS * (v[-1] - v[0])
+    vouched = cert is not None and cert[0] <= cert[1] and stop - start < math.inf
+    if close or not vouched:
+        S._residual_gate(wave)
+    if cert is not None and cert[1] < cert[0] < math.inf:
+        raise UnresolvedBranch(
+            f"{wave.kind} failed the certificate: {cert[0]:.3e} > {cert[1]:.3e}",
+            candidate=wave)
+    if close:
+        dev, bound, passed = verify.orbit_deviation(wave)
+        if not passed:
+            raise UnresolvedBranch(f"{wave.kind} failed the orbit check: {dev:.3e} >= {bound:.3e}",
+                                   candidate=wave)
+
+
+def _bits(*xs):
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+def _verdict(gates, wave):
+    """What ``gates`` says of ``wave``, with float errors raised as the CLI
+    raises them: None, or the refusal's type and message."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            gates(wave)
+    except (KBWaveError, ArithmeticError, ValueError) as err:
+        return type(err).__name__, str(err)
+    return None
+
+
+def _matches_the_referee(wave):
+    """The single-pass certificate reads the referee's (defect, rounding)
+    bit for bit (NaN where the referee has none), and ``_gates`` gives the
+    referee's verdict and message."""
+    defect, rounding, *_ = S._certificate(wave)
+    want = _reference_certificate(wave)
+    if want is None:
+        assert math.isnan(defect) and math.isnan(rounding)
+    else:
+        assert _bits(defect, rounding) == _bits(*want)
+    assert _verdict(S._gates, wave) == _verdict(_reference_gates, wave)
+
+
+
+class TestReferenceCertificate:
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_and_their_mutants_match_the_referee(self, name):
+        wave = build_preset(name)[0].with_phase(0.0)
+        _matches_the_referee(wave)
+        mutants = [m for rel in (1e-6, 1e-9, 1e-12) for _, m in _mutants(wave, rel)]
+        assert len(mutants) >= 24
+        for mutant in mutants:
+            _matches_the_referee(mutant())
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(sorted(KINDS)), branch=st.sampled_from(("upper", "lower")),
+           index=st.integers(1, 4),
+           base=st.lists(st.floats(-5, 5), min_size=4, max_size=4, unique=True),
+           pull=st.none() | st.tuples(st.permutations(range(4)), st.floats(-12, -2),
+                                      st.floats(-12, -2)),
+           sign=st.sampled_from((-1.0, 1.0)), exponent=st.floats(-3, 3),
+           shift=st.just(0.0) | st.floats(-1e4, 1e4), descending=st.booleans(),
+           field=st.sampled_from((None, "A", "B", "C", "D", "beta", "modulus")),
+           rel=st.sampled_from((1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12)))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a build's own float errors
+    def test_kinds_images_and_mutants_match_the_referee(self, kind, branch, index, base, pull,
+                                                        sign, exponent, shift, descending,
+                                                        field, rel):
+        """Every KINDS row on its branches and starts, on affine images
+        lambda z + a of its zeros (|lambda| from 1e-3 to 1e3, |a| <= 1e4,
+        one pair sometimes pulled 1e-12..1e-2 together), in increasing or
+        decreasing order, each build or refused candidate as it is or with
+        one of A, B, C, D, beta and (k, k') moved by 1e-6, 1e-9 or 1e-12
+        either way."""
+        row = KINDS[kind]
+        n = len(row.zeros.split(","))
+        base = base[:n]
+        if pull is not None:
+            i, j = [m for m in pull[0] if m < n][:2]
+            base[j] = base[i] * (1.0 + 10.0 ** pull[1]) + 10.0 ** pull[2]
+        zeros = sorted((sign * 10.0 ** exponent * z + shift for z in base), reverse=descending)
+        try:
+            wave = row.build(zeros, branch, 0.0, index)
+        except UnresolvedBranch as err:
+            wave = err.candidate
+        except (KBWaveError, ValueError):
+            return
+        wave = wave.with_phase(0.0)
+        if field is not None:
+            v = getattr(wave, field)
+            moved = v * (1.0 + rel) if v is not None else None
+            if moved is None or moved == v or (field == "modulus" and moved > 1.0):
+                return
+            try:
+                wave = _moved(wave, field, moved)
+            except (KBWaveError, ValueError):
+                return
+        _matches_the_referee(wave)

@@ -1041,6 +1041,20 @@ def test_pole_crossing_form_rejected_at_construction():
         replace(base, C=-base.D)  # touches zero at the end of the range
 
 
+@pytest.mark.parametrize("name", ["fig-case1b-k05", "fig-case2a", "fig-case2bc-k1"])
+def test_modulus_and_comodulus_are_complementary(name):
+    """A wave's (k, k') meets k^2 + k'^2 = 1 within 4 roundings: a preset's
+    pair does, the same k with k' = sqrt((1 - k)(1 + k)) does, and k moved
+    by 0.01 with its k' kept is refused."""
+    wave = build_preset(name)[0]
+    k, kp = wave.modulus, wave.comodulus
+    assert abs(k * k + kp * kp - 1.0) <= 4.0 * 2.0 ** -53
+    k = k + 0.01 if k < 0.99 else k - 0.01
+    replace(wave, modulus=k, comodulus=math.sqrt((1.0 - k) * (1.0 + k)))
+    with pytest.raises(ValueError, match="not complementary"):
+        replace(wave, modulus=k)
+
+
 @pytest.mark.parametrize("f1, f2, f3", [
     (0.024235265923505403, 0.8521119533033578, 0.024235189534825327),
     (223.51112610384573, 1882.441879538408, 223.50882004794505),
@@ -1188,7 +1202,7 @@ def test_case2_fourth_zero_kills_the_odd_coefficients(zeros):
     try:
         *_, g, _ = S._case2_shared(*zeros)
     except InvalidConfiguration as err:
-        assert "odd coefficients" not in str(err)
+        assert "products leave the floats" not in str(err)
         return
     assert max(abs(g[1]), abs(g[3])) <= 1e-9 * max(1.0, float(np.max(np.abs(g))))
 
@@ -1199,10 +1213,15 @@ def test_case2_fourth_zero_kills_the_odd_coefficients(zeros):
 ])
 def test_case2_zeros_whose_products_leave_the_floats_refused(zeros):
     """f1 f2 f3 overflows or underflows, so the fourth zero does not kill the
-    odd coefficients; the check in ``_case2_shared`` refuses the zeros."""
+    odd coefficients; the check in ``_case2_shared`` refuses the zeros and
+    names the cause, with the zeros' smallest and largest magnitudes."""
+    sizes = sorted(abs(z) for z in zeros)
+    text = (f"the zeros' products leave the floats (|zeros| from {sizes[0]:.6g} to "
+            f"{sizes[-1]:.6g}), so the odd coefficients fail to vanish")
     for kind in CASE2_KINDS:
-        with pytest.raises(InvalidConfiguration, match="odd coefficients failed to vanish"):
+        with pytest.raises(InvalidConfiguration) as err:
             case2(kind, *zeros)
+        assert str(err.value) == text
 
 
 @_sweep(8)
@@ -1443,8 +1462,8 @@ class TestCertificate:
 
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             wave = build().with_phase(0.0)
-            cert = S._certificate(wave)
-            assert cert.defect <= cert.rounding
+            defect, rounding, *_ = S._certificate(wave)
+            assert defect <= rounding
 
     @pytest.mark.parametrize("build", [
         lambda: solitary_double(-0.1487727709132648, -0.1487727707697996, 0.5355392810644393),
@@ -1461,8 +1480,8 @@ class TestCertificate:
         with pytest.raises(UnresolvedBranch, match="defining residual gate") as err:
             build()
         wave = err.value.candidate
-        cert = S._certificate(wave)
-        assert cert.defect <= cert.rounding
+        defect, rounding, *_ = S._certificate(wave)
+        assert defect <= rounding
         v = wave.roots.values()
         assert min(b - a for a, b in zip(v, v[1:])) < S.CLOSE_ZEROS * (v[-1] - v[0])
 
