@@ -19,9 +19,17 @@ Library layout:
 * :mod:`kbwave.presets`    the family table behind ``--kind`` and the reference
   figure configurations;
 * :mod:`kbwave.cli`        command-line front end (``kbwave --help``).
+
+Each submodule but ``cli`` is loaded when it is first used: ``kbwave.<name>``
+runs the body of the module that exports ``name``, and a module's body, once
+run, binds all its exports here, so a process runs only the modules it calls.
 """
 
-from .elliptic import JacobiTriple, complete_K, jacobi, normalize_modulus
+import sys as _sys
+from importlib.util import LazyLoader as _LazyLoader
+from importlib.util import find_spec as _find_spec
+from importlib.util import module_from_spec as _module_from_spec
+
 from .errors import (
     BlowUp,
     InfeasibleBranch,
@@ -31,78 +39,77 @@ from .errors import (
     OutOfBranchRange,
     UnresolvedBranch,
 )
-from .evolution import EvolutionState, evolve, kb_rhs, stability_limit, state_from_callable
-from .hierarchy import (
-    FieldStack,
-    FPoly,
-    conjecture_report,
-    even_ell_nonexistence,
-    l3_asymptotes,
-    l3_fields,
-    l3_implicit_profile,
-    reduce_l3_full,
-    reduce_vanishing,
-)
-from .presets import PRESETS, build_preset
-from .quartic import (
-    CaseTag,
-    Edge,
-    Params,
-    RootMultiset,
-    bands,
-    classify,
-    eval_F,
-    eval_F_deriv,
-    existence,
-    params_from_roots,
-    quadratic_cofactor,
-    roots_of_F,
-)
-from .reduction import g_from_f
-from .solutions import (
-    ClosedFormSolution,
-    Infeasible,
-    case1,
-    case2,
-    discrepancy_report,
-    general_sn2,
-    limiting_form,
-    periodic_trig,
-    solitary_double,
-    solitary_triple,
-    u_v_pair,
-)
-from .verify import Profile, build_profile, compare_profiles, ode_residual, oracle_integrate, pde_residual
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # elliptic
-    "JacobiTriple", "complete_K", "jacobi", "normalize_modulus",
-    # quartic
-    "CaseTag", "Edge", "Params", "RootMultiset", "bands", "classify", "eval_F",
-    "eval_F_deriv", "existence", "params_from_roots", "quadratic_cofactor",
-    "roots_of_F",
-    # reduction
-    "g_from_f",
-    # solutions
-    "ClosedFormSolution", "Infeasible", "case1", "case2",
-    "discrepancy_report", "general_sn2", "limiting_form",
-    "periodic_trig", "solitary_double", "solitary_triple", "u_v_pair",
-    # verify
-    "Profile", "build_profile", "compare_profiles", "ode_residual",
-    "oracle_integrate", "pde_residual",
-    # evolution
-    "EvolutionState", "evolve", "kb_rhs", "stability_limit", "state_from_callable",
-    # hierarchy
-    "FPoly", "FieldStack", "conjecture_report", "even_ell_nonexistence",
-    "l3_asymptotes", "l3_fields", "l3_implicit_profile", "reduce_l3_full",
-    "reduce_vanishing",
-    # presets
-    "PRESETS", "build_preset",
-    # errors
-    "KBWaveError", "InfinitePeriod", "InvalidConfiguration",
-    "InfeasibleBranch", "UnresolvedBranch", "BlowUp",
-    "OutOfBranchRange",
-]
+# each submodule and the names it exports, in the order of __all__
+_EXPORTS = {
+    "elliptic": ("JacobiTriple", "complete_K", "jacobi", "normalize_modulus"),
+    "quartic": ("CaseTag", "Edge", "Params", "RootMultiset", "bands", "classify", "eval_F",
+                "eval_F_deriv", "existence", "params_from_roots", "quadratic_cofactor",
+                "roots_of_F"),
+    "reduction": ("g_from_f",),
+    "solutions": ("ClosedFormSolution", "Infeasible", "case1", "case2",
+                  "discrepancy_report", "general_sn2", "limiting_form",
+                  "periodic_trig", "solitary_double", "solitary_triple", "u_v_pair"),
+    "verify": ("Profile", "build_profile", "compare_profiles", "ode_residual",
+               "oracle_integrate", "pde_residual"),
+    "evolution": ("EvolutionState", "evolve", "kb_rhs", "stability_limit",
+                  "state_from_callable"),
+    "hierarchy": ("FPoly", "FieldStack", "conjecture_report", "even_ell_nonexistence",
+                  "l3_asymptotes", "l3_fields", "l3_implicit_profile", "reduce_l3_full",
+                  "reduce_vanishing"),
+    "presets": ("PRESETS", "build_preset"),
+    "orbit": (),
+    "errors": ("KBWaveError", "InfinitePeriod", "InvalidConfiguration",
+               "InfeasibleBranch", "UnresolvedBranch", "BlowUp", "OutOfBranchRange"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+class _BindingLoader:
+    """A submodule's own loader, which binds the module's exports in the
+    package once the module's body has run."""
+
+    def __init__(self, loader):
+        self.loader = loader
+
+    def __getattr__(self, name):
+        return getattr(self.loader, name)
+
+    def exec_module(self, module):
+        self.loader.exec_module(module)
+        names = _EXPORTS[module.__name__.rpartition(".")[2]]
+        globals().update({name: getattr(module, name) for name in names})
+
+
+def _register(module: str) -> None:
+    """Put the submodule in sys.modules and here, to run its body on the
+    first touch of one of its attributes."""
+    spec = _find_spec(f"{__name__}.{module}")
+    spec.loader = _LazyLoader(_BindingLoader(spec.loader))
+    lazy = _module_from_spec(spec)
+    _sys.modules[spec.name] = lazy
+    globals()[module] = lazy
+    spec.loader.exec_module(lazy)
+
+
+for _module in _EXPORTS:
+    if _module != "errors":
+        _register(_module)
+del _module
+
+
+def __getattr__(name):
+    try:
+        module = globals()[_MODULE_OF[name]]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(module, name)
+
+
+def __dir__():
+    # the package's dunders, submodules and exports, loaded or not
+    return sorted(n for n in {*globals(), *_MODULE_OF} if n[:2] == "__" or n[0] != "_")

@@ -62,23 +62,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, evolution
+# modules, not names: each loads when a verb first calls it (see kbwave/__init__.py)
+from . import __version__, evolution, hierarchy, presets, quartic, solutions, verify
 from .errors import InfeasibleBranch, KBWaveError
-from .presets import AUTO, KINDS, PRESETS, build_preset
-from .quartic import (
-    CaseTag,
-    Params,
-    RootMultiset,
-    classify,
-    cofactor_discriminant,
-    existence,
-    params_from_roots,
-    roots_of_F,
-)
-from .solutions import ClosedFormSolution, discrepancy_report
-from .verify import (build_profile, default_domain, ode_residual, oracle_integrate,
-                     orbit_deviation, pde_residual)
-from .hierarchy import conjecture_report
 
 CSV_HEADER = "xi,f,f_prime,g"
 SCHEMA_VERSION = 1
@@ -220,6 +206,25 @@ class Option(NamedTuple):
         return "--" + self.key.replace("_", "-")
 
 
+class _Names:
+    """Choices read from ``presets`` when first asked for (argparse asks
+    when it checks or lists a value, a config when it checks one), so that
+    a verb which takes none of them does not load the family table."""
+
+    def __init__(self, read: Callable):
+        self._read = read
+
+    @functools.cached_property
+    def _values(self) -> tuple:
+        return self._read()
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __contains__(self, value) -> bool:
+        return value in self._values
+
+
 VERBS = {
     "classify": "case taxonomy of the quartic",
     "solve": "construct and emit a closed form",
@@ -239,11 +244,12 @@ OPTIONS = (
     Option("roots", _numbers, None,
            "comma-separated zeros: the ones --kind takes, as floats, or four that give "
            "the params, read exactly", _PROBLEM),
-    Option("preset", str, None, "figure preset name", _WAVE, choices=tuple(sorted(PRESETS))),
+    Option("preset", str, None, "figure preset name", _WAVE,
+           choices=_Names(lambda: tuple(sorted(presets.PRESETS)))),
     Option("config", str, None,
            "JSON object setting any other option of this verb; flags win", _PROBLEM),
     Option("kind", str, "auto", "family to build; auto takes it from the params' case", _WAVE,
-           choices=("auto", *KINDS)),
+           choices=_Names(lambda: ("auto", *presets.KINDS))),
     Option("initial_index", _whole, None, "starting root (1..4) for general-sn2 (default 1)",
            _WAVE),
     Option("branch", str, None, "band of a two-branch family (default upper)", _WAVE,
@@ -259,7 +265,7 @@ OPTIONS = (
            "output path, whose stem takes -initial, -final and -summary", ("evolve",)),
     Option("out", _path, "figures", "output directory", ("figures",)),
     Option("preset", str, "all", "preset to emit", ("figures",),
-           choices=(*sorted(PRESETS), "all")),
+           choices=_Names(lambda: (*sorted(presets.PRESETS), "all"))),
     Option("f0", _parse_number, None, "starting value (fractions like 1/2 accepted)",
            ("oracle",), required=True),
     Option("sign", _whole, 1, "sign of the starting slope", ("oracle",), choices=(-1, 1)),
@@ -341,7 +347,7 @@ def _resolve_problem(opts):
     if root_list is not None and len(root_list) != 4:
         raise ValueError("four zeros give the params: --roots needs 4 values here, "
                          f"got {len(root_list)}")
-    p = None if vals is None else Params(*vals)
+    p = None if vals is None else quartic.Params(*vals)
     if root_list is None:
         return p, None
     # a token reads as a float only where it is not finite
@@ -354,9 +360,9 @@ def _resolve_problem(opts):
         if other != v:
             raise ValueError(f"--roots {_exact_text(other)} and {_exact_text(v)} are distinct "
                              f"but round to the same double, {_fmt(v)}")
-    zeros = RootMultiset(tuple((v, len(list(run)))
-                               for v, run in itertools.groupby(sorted(root_list))))
-    derived = params_from_roots(zeros)
+    zeros = quartic.RootMultiset(tuple((v, len(list(run)))
+                                       for v, run in itertools.groupby(sorted(root_list))))
+    derived = quartic.params_from_roots(zeros)
     try:
         derived.as_floats()
     except OverflowError:
@@ -382,7 +388,7 @@ def _exact_text(v: Fraction) -> str:
 def _zeros(opts):
     """(params, zeros) of the problem: the zeros of --roots, else roots_of_F's."""
     params, zeros = _resolve_problem(opts)
-    return params, roots_of_F(params) if zeros is None else zeros
+    return params, quartic.roots_of_F(params) if zeros is None else zeros
 
 
 # ---------------------------------------------------------------------------
@@ -400,23 +406,23 @@ def _construct(opts):
     does not read is refused.  For --kind auto that kind is the one AUTO
     gives the case, and a branch AUTO fixes is not read."""
     if opts["preset"] is not None:
-        return build_preset(opts["preset"], xi0=opts["xi0"])
+        return presets.build_preset(opts["preset"], xi0=opts["xi0"])
     kind, xi0, fixed = opts["kind"], opts["xi0"], None
     if kind == "auto":
         params, rm = _zeros(opts)
-        tag = classify(rm)
-        verdict = existence(tag)
+        tag = quartic.classify(rm)
+        verdict = quartic.existence(tag)
         if verdict == "none":
             raise ValueError(
                 f"case {tag.value} admits no non-constant solution; nothing to solve"
             )
-        if tag not in AUTO:
+        if tag not in presets.AUTO:
             # TwoSimpleOnly: no implemented family covers its bounded orbit
             raise ValueError(
                 f"case {tag.value}: {verdict} orbit exists but has no closed form here; "
                 "use the 'oracle' verb to integrate it numerically"
             )
-        kind, at, fixed = AUTO[tag]
+        kind, at, fixed = presets.AUTO[tag]
         values = rm.values()
         zeros = [float(values[i]) for i in at]
         source = f"--kind auto here: case {tag.value} builds {kind}"
@@ -427,11 +433,11 @@ def _construct(opts):
             raise ValueError(f"--params cannot go with --kind {kind}, which takes its "
                              "zeros from --roots")
         zeros = opts["roots"]
-        if zeros is None or len(zeros) != len(KINDS[kind].zeros.split(",")):
-            raise ValueError(f"kind {kind} needs --roots {KINDS[kind].zeros}")
+        if zeros is None or len(zeros) != len(presets.KINDS[kind].zeros.split(",")):
+            raise ValueError(f"kind {kind} needs --roots {presets.KINDS[kind].zeros}")
         zeros = [float(v) for v in zeros]
         params, source = None, None
-    row = KINDS[kind]
+    row = presets.KINDS[kind]
     unread = [o for o in _KIND_OPTIONS
               if opts[o] is not None and (o not in row.options or o == "branch" and fixed)]
     if unread:
@@ -443,14 +449,14 @@ def _construct(opts):
     branch = fixed or branch
 
     def build(k):
-        return KINDS[k].build(zeros, branch, xi0, index)
+        return presets.KINDS[k].build(zeros, branch, xi0, index)
 
     if params is not None:
         return build(kind), params
     try:
         sol = build(kind)
     except InfeasibleBranch as err:
-        family = [k for k in KINDS if k.split("-")[0] == kind.split("-")[0]]
+        family = [k for k in presets.KINDS if k.split("-")[0] == kind.split("-")[0]]
         raise ValueError(f"infeasible: {err}; feasible kinds for these roots: "
                          + (", ".join(k for k in family if _feasible(build, k)) or "(none)"))
     return sol, sol.params
@@ -607,7 +613,8 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _sidecar(sol: ClosedFormSolution, params: Params, residual, **extra) -> dict:
+def _sidecar(sol: solutions.ClosedFormSolution, params: quartic.Params, residual,
+             **extra) -> dict:
     """The solution's JSON report, with the fields of ``extra`` added."""
     pf = params.as_floats()
     gate = sol.residual_bound
@@ -641,7 +648,7 @@ def _solution_domain(sol, domain):
             raise ValueError(f"--domain {domain[0]:g},{domain[1]:g} is too wide for a wave of "
                              f"frequency {sol.beta:g}: its phase does not fit a float")
         return tuple(domain)
-    return default_domain(sol)
+    return verify.default_domain(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +658,7 @@ def _solution_domain(sol, domain):
 
 def cmd_classify(opts) -> int:
     params, rm = _zeros(opts)
-    tag = classify(rm)
+    tag = quartic.classify(rm)
     lines = [
         "params: c={} d1={} d2={} d3={}".format(
             _fmt(params.c), _fmt(params.d1), _fmt(params.d2), _fmt(params.d3)
@@ -660,18 +667,18 @@ def cmd_classify(opts) -> int:
             " ".join(f"{_fmt(v)} (x{m})" for v, m in rm.entries) or "(none real)"
         ),
         f"case: {tag.value}",
-        f"existence: {_verdict_text(tag, existence(tag))}",
+        f"existence: {_verdict_text(tag, quartic.existence(tag))}",
     ]
     if rm.total() == 2:
         # the double zero, or the two simple zeros
-        disc = cofactor_discriminant(params, rm)
+        disc = quartic.cofactor_discriminant(params, rm)
         lines.append(f"cofactor: complex-pair quadratic, discriminant {_fmt(disc)}")
     _emit(opts["out"], "\n".join(lines) + "\n")
     return 0
 
 
-def _verdict_text(tag: CaseTag, verdict: str) -> str:
-    if tag is CaseTag.DOUBLE_BETWEEN_SIMPLES:
+def _verdict_text(tag: quartic.CaseTag, verdict: str) -> str:
+    if tag is quartic.CaseTag.DOUBLE_BETWEEN_SIMPLES:
         return "solitary: two solitary branches (upper and lower)"
     return {"none": "no non-constant real solution",
             "solitary": "solitary: algebraically decaying pulse",
@@ -689,7 +696,7 @@ def cmd_solve(opts) -> int:
     n = _sample_count(opts["n"])
     domain = _solution_domain(sol, opts["domain"])
     try:
-        profile = build_profile(sol, params, domain, n)
+        profile = verify.build_profile(sol, params, domain, n)
     except ValueError:  # Profile's check: the grid is not uniform
         if opts["domain"]:
             raise
@@ -712,12 +719,12 @@ def cmd_verify(opts) -> int:
     sol, params = _construct(opts)
     domain = _solution_domain(sol, opts["domain"])
     n = _sample_count(opts["n"])
-    res = ode_residual(sol, params, domain=domain, n=n)
+    res = verify.ode_residual(sol, params, domain=domain, n=n)
     # by default at the window's own phases, so the record is the same for every xi0
-    r_u, r_v = pde_residual(sol, params, domain=domain if opts["domain"] else None,
-                            n=min(n, 500))
+    r_u, r_v = verify.pde_residual(sol, params, domain=domain if opts["domain"] else None,
+                                   n=min(n, 500))
     pde_ok = max(r_u, r_v) < PDE_RTOL
-    orbit = orbit_deviation(sol)
+    orbit = verify.orbit_deviation(sol)
     doc = _sidecar(sol, params, res, pde_residual={"r_u": r_u, "r_v": r_v, "bound": PDE_RTOL,
                                                    "passed": bool(pde_ok)},
                    orbit=orbit._asdict())
@@ -735,7 +742,7 @@ def cmd_verify(opts) -> int:
 def cmd_oracle(opts) -> int:
     params, _ = _resolve_problem(opts)
     f0 = float(opts["f0"])
-    profile = oracle_integrate(params, f0, opts["sign"], opts["length"], h=opts["h"])
+    profile = verify.oracle_integrate(params, f0, opts["sign"], opts["length"], h=opts["h"])
     _emit(opts["out"], _profile_csv(profile))
     return 0
 
@@ -791,7 +798,7 @@ def cmd_reduce(opts) -> int:
     if ell < 2:
         raise ValueError("ell must be >= 2")
     # one run of the recurrence gives the fields, P and every conjecture row
-    report = conjecture_report(max(ell, 4))
+    report = hierarchy.conjecture_report(max(ell, 4))
     stack = report.stacks[ell - 2]
     _emit(opts["out"], _json({
         "schema": SCHEMA_VERSION,
@@ -805,20 +812,21 @@ def cmd_reduce(opts) -> int:
 
 def cmd_figures(opts) -> int:
     n = _sample_count(opts["n"])
-    names = sorted(PRESETS) if opts["preset"] == "all" else [opts["preset"]]
+    names = sorted(presets.PRESETS) if opts["preset"] == "all" else [opts["preset"]]
     outdir = opts["out"]
     _atomic_write(os.path.join(outdir, "DISCREPANCIES.json"),
-                  _json({"schema": SCHEMA_VERSION, "corrections": discrepancy_report()}))
+                  _json({"schema": SCHEMA_VERSION,
+                         "corrections": solutions.discrepancy_report()}))
     failures = 0
     for name in names:
-        sol, params = build_preset(name)
+        sol, params = presets.build_preset(name)
         domain = _solution_domain(sol, None)
-        profile = build_profile(sol, params, domain, n)
+        profile = verify.build_profile(sol, params, domain, n)
         res = profile.residual(params)
         _atomic_write(os.path.join(outdir, f"{name}.csv"), _profile_csv(profile))
         _atomic_write(os.path.join(outdir, f"{name}.json"),
                       _json(_sidecar(sol, params, res, preset=name,
-                                     display=PRESETS[name].display)))
+                                     display=presets.PRESETS[name].display)))
         passed = res < sol.residual_bound
         print(f"{name}: {'ok' if passed else 'RESIDUAL FAIL'} (residual {res:.3e})")
         failures += not passed
@@ -850,7 +858,9 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, text in VERBS.items():
         sp = sub.add_parser(verb, help=text, allow_abbrev=False)
         for o in VERB_OPTIONS[verb]:
-            sp.add_argument(o.flag, type=o.parse, choices=o.choices, help=_help(o))
+            # the choices go on the action afterwards: add_argument lists
+            # them at once, which would load presets for every verb
+            sp.add_argument(o.flag, type=o.parse, help=_help(o)).choices = o.choices
     return ap
 
 

@@ -166,9 +166,17 @@ class RootMultiset:
 
         Sorted values within tol*max(1, |value|) of their neighbor merge into
         one entry at the cluster mean, with the cluster size as multiplicity.
+        The mean is the left-to-right sum over the count, the bits numpy's
+        mean gives a cluster of fewer than 8 values; a sum of finite zeros
+        that overflows raises OverflowError.
         """
-        clusters = _clustered([float(v) for v in values], tol)
-        return cls(tuple((float(np.mean(c)), len(c)) for c in clusters))
+        entries = []
+        for c in _clustered([float(v) for v in values], tol):
+            total = sum(c)
+            if math.isinf(total) and all(map(math.isfinite, c)):
+                raise OverflowError(f"overflow encountered in the mean of the zeros {c}")
+            entries.append((total / len(c), len(c)))
+        return cls(tuple(entries))
 
 
 def _checked_entries(entries):

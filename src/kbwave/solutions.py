@@ -313,6 +313,13 @@ class ClosedFormSolution:
         lo, hi = _KERNELS[self.kernel].span(kp)
         C, D = self.C, self.D
         den_lo, den_hi = C + D * lo, C + D * hi
+        # an end that overflowed is inf or NaN, which the min and max below
+        # misread; an infinite C or D leaves one of them so
+        if not (math.isfinite(den_lo) and math.isfinite(den_hi)):
+            raise InvalidConfiguration(
+                f"{self.kind}: denominator C + D*y = {C!r} + {D!r}*y overflows "
+                f"for y in [{lo!r}, {hi!r}]"
+            )
         if not (min(den_lo, den_hi) > 0.0 or max(den_lo, den_hi) < 0.0):
             raise InvalidConfiguration(
                 f"{self.kind}: denominator C + D*y = {C!r} + {D!r}*y "

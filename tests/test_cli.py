@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kbwave
-from kbwave import cli, orbit
+from kbwave import cli, orbit, presets, verify
 from kbwave.cli import main
 from kbwave.quartic import Params
 from kbwave.solutions import solitary_double
@@ -625,7 +625,7 @@ class TestVerifyVerb:
         """A failed record is written, and the run exits 2 with one line."""
         from kbwave.verify import OrbitReading
 
-        monkeypatch.setattr(cli, "orbit_deviation", lambda sol: OrbitReading(1.0, 3e-06, False))
+        monkeypatch.setattr(verify, "orbit_deviation", lambda sol: OrbitReading(1.0, 3e-06, False))
         out = tmp_path / "rep.json"
         assert main(["verify", "--preset", "fig-case1a", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "orbit check FAILED: 1.000e+00 >= 3.000e-06\n"
@@ -649,32 +649,32 @@ class TestVerifyVerb:
         assert not out.exists()
 
     @pytest.mark.parametrize("n", ["2", "3"])
-    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    @pytest.mark.parametrize("preset", sorted(presets.PRESETS))
     def test_few_samples_pass(self, preset, n, capsys):
         """Samples too few to show the wave's length (equal values up to
         rounding, or a pulse seen only at its peak and tails) pass."""
         assert main(["verify", "--preset", preset, "--n", n]) == 0
         assert json.loads(capsys.readouterr().out)["pde_residual"]["passed"] is True
 
-    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    @pytest.mark.parametrize("preset", sorted(presets.PRESETS))
     def test_narrow_window_passes(self, preset, capsys):
         """A window 2e-3 wide about xi0 passes, with 500 samples or 2: with
         a finite-difference step of the window's length it read r_v up to 1.0."""
-        sol, _ = cli.build_preset(preset)
+        sol, _ = presets.build_preset(preset)
         domain = f"--domain={sol.xi0 - 1e-3!r},{sol.xi0 + 1e-3!r}"
         for n in ("2001", "2"):
             assert main(["verify", "--preset", preset, domain, "--n", n]) == 0
             assert json.loads(capsys.readouterr().out)["pde_residual"]["passed"] is True
 
     @pytest.mark.parametrize("xi0", ["1e3", "1e6", "1e10", "1e14"])
-    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    @pytest.mark.parametrize("preset", sorted(presets.PRESETS))
     def test_far_reference_point_passes(self, preset, xi0, capsys):
         """Every preset builds with its reference point far out, and verify
         passes there with the PDE and orbit records of its xi0 = 0 run, to
         the bit: the checks run on the wave's own phase.  (The PDE gate
         failed from xi0 = 1e3 for fig-case2bc-k1, and the orbit check refused
         fig-case2a at 1e10.)"""
-        assert cli.build_preset(preset, float(xi0))[0].xi0 == float(xi0)
+        assert presets.build_preset(preset, float(xi0))[0].xi0 == float(xi0)
         reports = []
         for x in ("0", xi0):
             assert main(["verify", "--preset", preset, "--xi0", x]) == 0
@@ -1447,8 +1447,6 @@ class TestRefusals:
         assert [row[1] for row in rows] == [1.0] * 3 and rows[-1][2] == 0.0
 
     def test_oracle_point_limit_is_inclusive(self, tmp_path, monkeypatch):
-        from kbwave import verify
-
         monkeypatch.setattr(verify, "MAX_ORACLE_POINTS", 101)
         argv = ["oracle", "--params", self.P, "--f0", "-2.9", "--h", "1e-3", "--out"]
         assert main([*argv, str(tmp_path / "a.csv"), "--length", "0.1"]) == 0
@@ -1465,3 +1463,15 @@ class TestRefusals:
         assert main([*argv, "--dt", "0.0049", "--out", str(tmp_path / "b.csv")]) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "a-final.csv", "a-initial.csv", "a-summary.json"]
+
+
+@pytest.mark.parametrize("branch", ["upper", "lower"])
+def test_overflowing_denominator_is_refused_by_name(branch, capsys):
+    """The lower branch once failed on numpy's 'invalid value encountered in
+    multiply', the upper one on a pole it does not have."""
+    sign = "-" if branch == "lower" else ""
+    assert main(["solve", "--kind", "periodic_trig", "--roots", "1e-320,1,0",
+                 "--branch", branch]) == 1
+    assert capsys.readouterr().err == (
+        f"error: periodic_trig: denominator C + D*y = inf + {sign}inf*y overflows "
+        "for y in [-1.0, 1.0]\n")

@@ -1356,3 +1356,36 @@ def test_params_same_outcome_as_the_reference(case):
     want = _outcome_of(_reference_params, *values)
     got = _outcome_of(lambda *v: astuple(Params(*v)), *values)
     assert got == want
+
+
+def test_from_values_mean_has_the_bits_of_numpys():
+    """A merged zero is the left-to-right sum of its cluster over the count,
+    which is numpy's mean of fewer than 8 values to the bit, signed zeros
+    and subnormals included."""
+    rng = np.random.default_rng(43)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e300]
+    for _ in range(20000):
+        n = int(rng.integers(1, 5))
+        base = specials[int(rng.integers(len(specials)))] if rng.random() < 0.3 \
+            else float(rng.uniform(-5.0, 5.0)) * 10.0 ** int(rng.integers(-300, 300))
+        cluster = [base + base * 1e-14 * float(rng.standard_normal()) for _ in range(n)]
+        # zeros far below make up a total of 2 or 4
+        far = [-2.0 * abs(base) - 1.0] * (n % 2 * (4 - n))
+        got = RootMultiset.from_values(cluster + far, tol=1e-9).entries[-1]
+        want = float(np.mean(sorted(cluster)))
+        assert got == (want, n)
+        assert math.copysign(1.0, got[0]) == math.copysign(1.0, want)
+
+
+def test_from_values_refuses_a_sum_that_overflows():
+    """Finite zeros whose sum overflows raise OverflowError, as numpy's mean
+    does under the CLI's np.errstate, and a constructor refuses them."""
+    from kbwave.errors import InvalidConfiguration
+    from kbwave.solutions import case1
+
+    with pytest.raises(OverflowError, match="overflow encountered in the mean of the zeros"):
+        RootMultiset.from_values([1.7e308, 1.7e308], tol=1e-9)
+    with pytest.raises(ValueError, match="root values must be finite"):
+        RootMultiset.from_values([math.inf, 1.0], tol=1e-9)
+    with pytest.raises(InvalidConfiguration, match="^case1: the form does not fit a float"):
+        case1("cn", 1.7e308, 1.7e308, 1.7976931348623157e308)

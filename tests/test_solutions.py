@@ -1533,3 +1533,16 @@ class TestCertificate:
         solitary_double(-1.0, 0.5, 0.5005)
         assert calls
 
+
+
+@pytest.mark.parametrize("branch", ["upper", "lower"])
+def test_overflowing_denominator_is_named(branch, recwarn):
+    """1/(f_s1 - f_dbl) overflows for f_s1 = 1e-320, f_dbl = 0: C and D are
+    infinite and an end of C + D y is inf or NaN.  Both branches are refused
+    by name, with no numpy warning (a NaN end once read as no pole)."""
+    with pytest.raises(InvalidConfiguration) as err:
+        periodic_trig(1e-320, 1.0, 0.0, branch=branch)
+    sign = "-" if branch == "lower" else ""
+    assert str(err.value) == (f"periodic_trig: denominator C + D*y = inf + {sign}inf*y "
+                              "overflows for y in [-1.0, 1.0]")
+    assert len(recwarn) == 0
