@@ -46,8 +46,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "elliptic": ("JacobiTriple", "complete_K", "jacobi", "normalize_modulus"),
     "quartic": ("CaseTag", "Edge", "Params", "RootMultiset", "bands", "classify", "eval_F",
-                "eval_F_deriv", "existence", "params_from_roots", "quadratic_cofactor",
-                "roots_of_F"),
+                "eval_F_deriv", "existence", "params_from_roots", "roots_of_F"),
     "reduction": ("g_from_f",),
     "solutions": ("ClosedFormSolution", "Infeasible", "case1", "case2",
                   "discrepancy_report", "general_sn2", "limiting_form",

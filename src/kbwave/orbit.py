@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebval, chebvander
 
 from .errors import KBWaveError
-from .quartic import band_edges, quadratic_cofactor
+from .quartic import band_edges, cofactor_discriminant
 
 __all__ = ["Orbit", "band"]
 
@@ -78,9 +78,9 @@ def band(p, roots, f0, slack):
     rest = list(roots.expand())
     rest.remove(lo)
     rest.remove(hi)
-    if not rest:
-        pf, _, disc = quadratic_cofactor(p, lo, hi)
-        pair = complex(-0.5 * pf, 0.5 * math.sqrt(max(-disc, 0.0)))
+    if not rest:  # the complex pair: its sum from the speed, its gap from F's integers
+        pair = complex(-2.0 * float(p.c) - 0.5 * (lo + hi),
+                       0.5 * math.sqrt(max(-cofactor_discriminant(p, roots), 0.0)))
         rest = [pair, pair.conjugate()]
     # a multiple zero cannot bound the band on both sides (F <= 0 there), so
     # at least one edge is simple; anchor there, where the orbit turns

@@ -52,7 +52,6 @@ __all__ = [
     "params_from_roots",
     "classify",
     "existence",
-    "quadratic_cofactor",
     "cofactor_discriminant",
     "scaled_bound",
 ]
@@ -832,27 +831,3 @@ def cofactor_discriminant(p: Params, roots: RootMultiset) -> float:
         N = [n - round(Fraction(_G(P, Q, R, n, e), _horner(slope, n, e))) for n in N]
     d1, d2 = (_horner(slope, n, e) for n in N)  # G' 2^(3e)
     return float(_discriminant(P, Q, R) * Fraction((N[0] - N[1]) << 5 * e, d1 * d2 * L) ** 2)
-
-
-def quadratic_cofactor(p: Params, f1: float, f2: float | None = None):
-    """Monic quadratic cofactor q(f) with F = -(f-f1)(f-f2) q(f).
-
-    With one argument the division is by (f - f1)^2 (a double root); with two
-    it is by the two given simple roots.  Returns (pf, qq, disc) for
-    q = f^2 + pf f + qq, disc = pf^2 - 4 qq.  For a genuine OneDoubleOnly
-    configuration disc < 0 (then F < 0 away from f1 and only the constant
-    solution exists); for TwoSimpleOnly the cofactor records the
-    complex-conjugate pair implicitly, again with disc < 0.
-    """
-    coeffs = [-float(a) for a in p.coefficients()]  # monic -F, divided by each root
-    for root in (f1, f1 if f2 is None else f2):
-        out = [coeffs[0]]
-        for a in coeffs[1:]:
-            out.append(a + root * out[-1])
-        rem = out.pop()
-        scale = max(1.0, abs(root)) ** (len(out))
-        if abs(rem) > 1e-6 * scale:
-            raise ValueError(f"{root} is not a root (remainder {rem:.3e})")
-        coeffs = out
-    _, pf, qq = coeffs
-    return pf, qq, pf * pf - 4.0 * qq

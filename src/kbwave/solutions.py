@@ -15,18 +15,21 @@ is negative for large |f|, so no real solution of f'^2 = F(f) reaches a pole.
 Every constructor returns through ``_solution``, which runs the gates
 (``_gates``) before the object is surfaced, on the wave at phase 0 (xi0 = 0),
 so no verdict depends on xi0.  On every form, constants included, the
-certificate (``_certificate``) compares the five coefficients of
-(B C - A D)^2 beta^2 Q(y) = -prod((A - r C) + (B - r D) y), with y'^2 = Q(y)
-the kernel's equation, which holds exactly when f'^2 = F(f) on the whole
-line; a defect beyond its rounding bound refuses the form.  Where the
-kernel meets its equation, the identity holds and the denominator has no
-zero on the span, f'^2 = F(f) everywhere, so a nonconstant wave is its
-band's orbit.  The certificate is the one proof on zeros that lie apart.
-The first-integral residual f'(xi)^2 - F(f(xi)) is sampled over the wave's
-window (``ClosedFormSolution.window``) against ``residual_bound``
-(``_residual_gate``) only where the certificate cannot vouch: on close
-zeros (``CLOSE_ZEROS``), where the orbit check runs too, and where it has
-no spread to work in, is not met, or the period is not finite.
+certificate (``_certificate``) reads which wave the stored floats are: a form
+on a kernel with y'^2 = Q(y) solves f'^2 = lam prod_j (f - r_j~) exactly, on
+the whole line, with r_j~ the images of Q's zeros (each kernel table row
+states them, with their multiplicities) and lam a frequency factor, so it is
+the wave of its zeros, f'^2 = F(f), exactly when the images are F's zeros and
+lam = -1.  The certificate reads max_j |r_j~ - r_j| over the width and
+|lam + 1|, each against its running rounding bound; a reading beyond it
+refuses the form.  Where the denominator has no zero on the kernel's span,
+f'^2 = F(f) then holds everywhere, so a nonconstant wave is its band's orbit.
+The readings are the one proof on zeros that lie apart.  The first-integral
+residual f'(xi)^2 - F(f(xi)) is sampled over the wave's window
+(``ClosedFormSolution.window``) against ``residual_bound``
+(``_residual_gate``) only where the certificate cannot vouch: on close zeros
+(``CLOSE_ZEROS``), where the orbit check runs too, and where the readings are
+not numbers (zeros with no spread) or the period is not finite.
 
 Each elliptic family computes k^2 and k'^2 from differences of its zeros
 (``_moduli``), and the wave carries both k and k'.  One rule decides a
@@ -227,31 +230,50 @@ def _fixed(*q):
 class _Kernel(NamedTuple):
     fn: Callable      # (x, k, k') -> (y, dy/dx)
     q: Callable       # (k^2, k'^2) -> (q0, ..., q4): the kernel's equation y'^2 = sum_j q_j y^j
+    zeros: Callable   # (k, k') -> (lead, ((n, d, m), ...)): the same, factored, or None
     period: Callable  # k' -> period in x, or None for a pulse
     span: Callable    # k' -> (min y, max y) over the orbit
     decay: Callable   # beta -> decay rate of the pulse, or None
 
 
+# ``zeros`` factors Q as lead prod (d y - n)^m over Q's zeros n/d of
+# multiplicity m, four in all: d = 0 is a zero at infinity (sin's two,
+# sn^2's one, and sn's at k = 0).  cn's zeros +-i k'/k are a complex pair,
+# None, unless k or k' is 0; const's Q is 0.
 _KERNELS = {
-    # (1 - y^2)(1 - k^2 y^2)
-    "sn": _Kernel(_sn, lambda k2, kp2: (1.0, 0.0, -1.0 - k2, 0.0, k2), _periods_K(4.0),
-                  lambda kp: (-1.0, 1.0), abs),
-    # (1 - y^2)(k'^2 + k^2 y^2)
-    "cn": _Kernel(_cn, lambda k2, kp2: (kp2, 0.0, 2.0 * k2 - 1.0, 0.0, -k2), _periods_K(4.0),
-                  lambda kp: (-1.0, 1.0), abs),
-    # (1 - y^2)(y^2 - k'^2)
-    "dn": _Kernel(_dn, lambda k2, kp2: (-kp2, 0.0, 2.0 - k2, 0.0, -1.0), _periods_K(2.0),
-                  lambda kp: (kp, 1.0), abs),
-    # 4 y (1 - y)(1 - k^2 y)
+    # (1 - y^2)(1 - k^2 y^2): zeros +-1 and +-1/k
+    "sn": _Kernel(_sn, lambda k2, kp2: (1.0, 0.0, -1.0 - k2, 0.0, k2),
+                  lambda k, kp: (1.0, ((1.0, 1.0, 1), (-1.0, 1.0, 1), (1.0, k, 1), (-1.0, k, 1))),
+                  _periods_K(4.0), lambda kp: (-1.0, 1.0), abs),
+    # (1 - y^2)(k'^2 + k^2 y^2): zeros +-1 and +-i k'/k
+    "cn": _Kernel(_cn, lambda k2, kp2: (kp2, 0.0, 2.0 * k2 - 1.0, 0.0, -k2),
+                  lambda k, kp: None if k * kp else (-1.0, ((1.0, 1.0, 1), (-1.0, 1.0, 1),
+                                                            (kp, k, 2))),
+                  _periods_K(4.0), lambda kp: (-1.0, 1.0), abs),
+    # (1 - y^2)(y^2 - k'^2): zeros +-1 and +-k'
+    "dn": _Kernel(_dn, lambda k2, kp2: (-kp2, 0.0, 2.0 - k2, 0.0, -1.0),
+                  lambda k, kp: (-1.0, ((1.0, 1.0, 1), (-1.0, 1.0, 1), (kp, 1.0, 1),
+                                        (-kp, 1.0, 1))),
+                  _periods_K(2.0), lambda kp: (kp, 1.0), abs),
+    # 4 y (1 - y)(1 - k^2 y): zeros 0, 1, 1/k^2 and infinity
     "sn2": _Kernel(_sn2, lambda k2, kp2: (0.0, 4.0, -4.0 - 4.0 * k2, 4.0 * k2, 0.0),
+                   lambda k, kp: (4.0, ((0.0, 1.0, 1), (1.0, 1.0, 1), (1.0, k * k, 1),
+                                        (-1.0, 0.0, 1))),
                    _periods_K(2.0), lambda kp: (0.0, 1.0), abs),
-    "sin": _Kernel(_sin, _fixed(1.0, 0.0, -1.0, 0.0, 0.0), lambda kp: 2.0 * math.pi,
-                   lambda kp: (-1.0, 1.0), abs),  # 1 - y^2
-    "sech": _Kernel(_sech, _fixed(0.0, 0.0, 1.0, 0.0, -1.0), _none,
-                    lambda kp: (0.0, 1.0), abs),  # y^2 (1 - y^2)
-    "rational": _Kernel(_rational, _fixed(0.0, 0.0, 0.0, 4.0, -4.0), _none,
-                        lambda kp: (0.0, 1.0), _algebraic_decay),  # 4 y^3 (1 - y)
-    "const": _Kernel(_const, _fixed(0.0, 0.0, 0.0, 0.0, 0.0), _none, lambda kp: (1.0, 1.0), _none),
+    # 1 - y^2: zeros +-1 and infinity double
+    "sin": _Kernel(_sin, _fixed(1.0, 0.0, -1.0, 0.0, 0.0),
+                   lambda k, kp: (-1.0, ((1.0, 1.0, 1), (-1.0, 1.0, 1), (1.0, 0.0, 2))),
+                   lambda kp: 2.0 * math.pi, lambda kp: (-1.0, 1.0), abs),
+    # y^2 (1 - y^2): zeros +-1 and 0 double
+    "sech": _Kernel(_sech, _fixed(0.0, 0.0, 1.0, 0.0, -1.0),
+                    lambda k, kp: (-1.0, ((1.0, 1.0, 1), (-1.0, 1.0, 1), (0.0, 1.0, 2))),
+                    _none, lambda kp: (0.0, 1.0), abs),
+    # 4 y^3 (1 - y): zeros 1 and 0 triple
+    "rational": _Kernel(_rational, _fixed(0.0, 0.0, 0.0, 4.0, -4.0),
+                        lambda k, kp: (-4.0, ((1.0, 1.0, 1), (0.0, 1.0, 3))), _none,
+                        lambda kp: (0.0, 1.0), _algebraic_decay),
+    "const": _Kernel(_const, _fixed(0.0, 0.0, 0.0, 0.0, 0.0), lambda k, kp: (0.0, ()), _none,
+                     lambda kp: (1.0, 1.0), _none),
 }
 # On every kernel's span |y| <= 1 and |y'| <= 1, and the computed pair (y, y')
 # meets its equation to |y'^2 - Q(y)| <= KERNEL_ROUNDING: the certificate proves
@@ -276,10 +298,11 @@ class ClosedFormSolution:
     pole-free.
     Immutable after construction and safe to share across threads.  The
     defining property is (f')^2 = F(f) with F the quartic of ``params``;
-    a constructor's wave has passed ``_gates``, whose certificate proves it
-    from the coefficients of the Moebius form and the kernel's equation
-    y'^2 = Q(y), to rounding.  ``variant`` labels the reduced forms (sech
-    limits, constants).
+    a constructor's wave has passed ``_gates``, whose certificate reads the
+    zeros and the frequency factor its floats solve, from the Moebius form
+    and the zeros of the kernel's equation y'^2 = Q(y), and finds them F's,
+    to rounding.  ``variant`` labels the reduced forms (sech limits,
+    constants).
     """
 
     kind: str
@@ -375,12 +398,13 @@ class ClosedFormSolution:
         and f''' = N (y''' den^2 - 6 D y' y'' den + 6 D^2 y'^3)/den^4, with
         N = B C - A D and den = C + D y, taken as N/den^2 times a sum in
         s = D/den so that no power of den leaves the floats."""
-        b = self.beta
-        _, q1, q2, q3, q4 = self.equation
+        b, k, kp = self.beta, self.modulus, self.comodulus
+        row = _KERNELS[self.kernel]
+        _, q1, q2, q3, q4 = row.q(*((0.0, 1.0) if k is None else (k * k, kp * kp)))
         x = np.array(xi, dtype=float)
         x -= self.xi0
         x *= b
-        y, y1 = _KERNELS[self.kernel].fn(x, self.modulus, self.comodulus)
+        y, y1 = row.fn(x, k, kp)
         y1 = y1 * b
         y2 = 0.5 * b * b * (q1 + y * (2.0 * q2 + y * (3.0 * q3 + y * (4.0 * q4))))
         y3 = 0.5 * b * b * (2.0 * q2 + y * (6.0 * q3 + y * (12.0 * q4))) * y1
@@ -399,12 +423,6 @@ class ClosedFormSolution:
         f, fp = self.profile(xi)
         return first_integral_residual(self.params if params is None else params.as_floats(),
                                        f, fp)
-
-    @property
-    def equation(self) -> tuple:
-        """(q0, ..., q4) of the kernel's equation y'^2 = sum_j q_j y^j at (k k, k' k')."""
-        k, kp = self.modulus, self.comodulus
-        return _KERNELS[self.kernel].q(*((0.0, 1.0) if k is None else (k * k, kp * kp)))
 
     @property
     def residual_bound(self) -> float:
@@ -542,51 +560,54 @@ def _residual_gate(sol, n=513):
     return res
 
 
-# The certificate.  Every wave is f = (A + B y)/(C + D y) of a kernel with
-# y'^2 = Q(y), so f'^2 = F(f) = -prod(f - r) holds on the whole line exactly
-# when, as polynomials in y,
+# The certificate.  A form f = (A + B y)/(C + D y) of a kernel with
+# y'^2 = Q(y) = lead prod_j (d_j y - n_j), j over Q's four zeros with their
+# multiplicities, solves, exactly and on the whole line (Byrd & Friedman),
 #
-#     (B C - A D)^2 beta^2 Q(y) = -prod_r ((A - r C) + (B - r D) y):
+#     f'^2 = lam prod_j (f - r_j~),   r_j~ = (A d_j + B n_j)/(C d_j + D n_j),
+#     lam = beta^2 lead prod_j (C d_j + D n_j) / (B C - A D)^2:
 #
-# five coefficients, compared without sampling.  They are compared in the
-# wave's own frame f -> (f - z0)/w, z0 = -c the centre of the zeros and w
-# their spread about it, with C and D scaled to at most 1 (the identity holds
-# in any such frame), so that no product leaves the floats where the wave's
-# numbers do not, and a wave far from 0 keeps the precision of its width.
-# Each side carries a running error bound (Wilkinson), in units of the unit
-# roundoff: one rounding for every input (A, B, C, D, the zeros, beta, k and
-# k', each computed from the zeros; a multiple zero may also have been
-# merged) and for every operation.  A defect above CERTIFICATE_ULPS times that
-# bound is not rounding: the form is wrong.
+# it is the wave of its zeros, f'^2 = F(f) = -prod(f - r), exactly when its
+# images r_j~ are F's zeros and lam = -1.  The certificate reads both off the
+# stored floats: max_j |r_j~ - r_j| over the width, images and zeros sorted,
+# and |lam + 1|.  It reads them in the wave's own frame f -> (f - z0)/w,
+# z0 = -c the centre of the zeros and w their spread about it, with C and D
+# scaled to at most 1, so that a wave far from 0 keeps its width's digits.
+# Each reading carries a running error bound (Wilkinson) in units of the
+# unit roundoff: one rounding for every input (A, B, C, D, the zeros, beta,
+# k and k'; a multiple zero may also have been merged) and for every
+# operation.  A reading above CERTIFICATE_ULPS times its bound is not
+# rounding: the floats solve another wave.
 
 _U = 2.0 ** -53  # unit roundoff
-CERTIFICATE_ULPS = 16.0
+# the bound adds every rounding's worst case: seeded sweeps of every family
+# read their waves at under one unit of it, so 4 leaves them a wide margin
+CERTIFICATE_ULPS = 4.0
 # the mean of a merged cluster (at most 4 zeros, each within _SAME_ZERO max(1, |r|)
 # of the next) lies within 3 _SAME_ZERO max(1, |r|) of each
 _MERGE_ULPS = float(3.0 * _SAME_ZERO / _U)
-# As two distinct zeros close, the certificate's products cancel to a small
-# G, so its rounding bound covers ever larger moves of beta and k; seeded
-# sweeps saw it miss such moves only within 2.4e-5 of the spread (the
-# presets' zeros lie 0.03 apart).  This one constant decides where
-# ``_gates`` samples the residual and follows the orbit
+# As two distinct zeros close, the stored form loses the width's digits, and
+# the readings' bound grows to cover ever larger moves of beta and k; within
+# this fraction of the spread ``_gates`` samples the residual and follows the
+# orbit as well (the presets' zeros lie 0.03 apart)
 CLOSE_ZEROS = 1e-3
 
 
 def _certificate(wave):
-    """(defect, rounding, scale, spread, gap) of ``wave``: the certificate's
-    defect sum_j |LHS_j - RHS_j| in the frame and the rounding bound it is
-    held to, both NaN where the zeros have no spread (a quadruple zero) or
-    the frame is not finite; and, from the same walk over the four expanded
-    zeros, their ``RootMultiset.scale``, their spread and the smallest gap
-    between two distinct zeros (inf where fewer than three are distinct,
-    so that no gap is small next to the spread)."""
+    """(zeros, zeros_bound, factor, factor_bound, scale, spread, gap): the
+    readings max_j |r_j~ - r_j| / w and |lam + 1| of ``wave`` with their
+    bounds (NaN where the zeros have no spread; a zeros reading of inf where
+    an image is not a real number); and the zeros' ``RootMultiset.scale``,
+    spread and smallest gap between distinct zeros (inf below three).  A
+    constant, Q = 0 or B C = A D, reads its value A/C against the nearest
+    zero."""
     r1, r2, r3, r4 = wave.roots.expand()  # increasing
     scale, spread = max(1.0, abs(r1), abs(r4)), r4 - r1
     gap = min(r2 - r1 or math.inf, r3 - r2 or math.inf, r4 - r3 or math.inf)
     z0 = -wave.params.c
     w = max(abs(r1 - z0), abs(r2 - z0), abs(r3 - z0), abs(r4 - z0))
     if not 0.0 < w < math.inf:
-        return math.nan, math.nan, scale, spread, gap
+        return math.nan, math.nan, math.nan, math.nan, scale, spread, gap
     s = max(abs(wave.C), abs(wave.D))
     A, B, C, D = wave.A / s, wave.B / s, wave.C / s, wave.D / s
     aC, aD, az = abs(C), abs(D), abs(z0)
@@ -594,75 +615,64 @@ def _certificate(wave):
     na, nb = abs(a), abs(b)
     ea = (2.0 * abs(A) + 3.0 * az * aC) / w + 2.0 * na
     eb = (2.0 * abs(B) + 3.0 * az * aD) / w + 2.0 * nb
-    eab, aCD = ea + eb, aC + aD
-
-    # -RHS = prod_r ((a - t C) + (b - t D) y), t = (r - z0)/w: one factor
-    # x0 + x1 y per expanded zero (x = a, b, c, d in turn), multiplied in two
-    # quadratics u = (a0 + a1 y)(b0 + b1 y) and v = (c0 + c1 y)(d0 + d1 y).
-    # Its error, summed over the coefficients, is sum_i g_i prod_{k != i} m_k
-    # with m = |x0| + |x1| and g the error of x0 plus that of x1.  A simple
-    # zero carries one rounding; a multiple one (equal to a neighbour) may be
-    # the mean of zeros that ``RootMultiset.from_values`` merged, each within
-    # _SAME_ZERO max(1, |r|).  A zero equal to the one before takes its factor
-    t = (r1 - z0) / w
-    at = abs(t)
-    et = (abs(r1) if r1 != r2 else _MERGE_ULPS * max(1.0, abs(r1))) / w + 2.0 * at
-    a0, a1 = a - t * C, b - t * D
-    na0, na1 = abs(a0), abs(a1)
-    ga = eab + aCD * (3.0 * at + et) + na0 + na1
-    if r2 == r1:
-        b0, b1, nb0, nb1, gb = a0, a1, na0, na1, ga
-    else:
-        t = (r2 - z0) / w
-        at = abs(t)
-        et = (abs(r2) if r2 != r3 else _MERGE_ULPS * max(1.0, abs(r2))) / w + 2.0 * at
-        b0, b1 = a - t * C, b - t * D
-        nb0, nb1 = abs(b0), abs(b1)
-        gb = eab + aCD * (3.0 * at + et) + nb0 + nb1
-    if r3 == r2:
-        c0, c1, nc0, nc1, gc = b0, b1, nb0, nb1, gb
-    else:
-        t = (r3 - z0) / w
-        at = abs(t)
-        et = (abs(r3) if r3 != r4 else _MERGE_ULPS * max(1.0, abs(r3))) / w + 2.0 * at
-        c0, c1 = a - t * C, b - t * D
-        nc0, nc1 = abs(c0), abs(c1)
-        gc = eab + aCD * (3.0 * at + et) + nc0 + nc1
-    if r4 == r3:
-        d0, d1, nd0, nd1, gd = c0, c1, nc0, nc1, gc
-    else:
-        t = (r4 - z0) / w
-        at = abs(t)
-        et = abs(r4) / w + 2.0 * at
-        d0, d1 = a - t * C, b - t * D
-        nd0, nd1 = abs(d0), abs(d1)
-        gd = eab + aCD * (3.0 * at + et) + nd0 + nd1
-    u0, u1, u2 = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
-    v0, v1, v2 = c0 * d0, c0 * d1 + c1 * d0, c1 * d1
-    ma, mb, mc, md = na0 + na1, nb0 + nb1, nc0 + nc1, nd0 + nd1
-    mab, mcd = ma * mb, mc * md
-    error = (ga * mb + gb * ma) * mcd + (gc * md + gd * mc) * mab + 8.0 * mab * mcd
-
-    # LHS = G Q(y), G = (W beta)^2 with W = b C - a D in the frame
+    # F's zeros t = (r - z0)/w, each off by at most et: a rounding, or for a
+    # multiple zero the merge that may have made it
+    et = 0.0
+    for r, m in wave.roots.entries:
+        e = (_MERGE_ULPS * max(1.0, abs(r)) if m > 1 else abs(r)) + 2.0 * abs(r - z0)
+        if e > et:
+            et = e
+    ts = (r1 - z0) / w, (r2 - z0) / w, (r3 - z0) / w, (r4 - z0) / w
+    k, kp = (0.0, 1.0) if wave.modulus is None else (wave.modulus, wave.comodulus)
+    factored = _KERNELS[wave.kernel].zeros(k, kp)
+    if factored is None:  # a complex pair
+        return math.inf, 0.0, math.nan, math.nan, scale, spread, gap
+    lead, zeros = factored
     W = b * C - a * D
+    if not (zeros and W):
+        t, e, den = (a, ea, C) if aC >= aD else (b, eb, D)
+        zd = min(abs(t / den - u) for u in ts)
+        return (zd, CERTIFICATE_ULPS * _U * (e + 3.0 * abs(t / den) + et / w + zd), 0.0, 0.0,
+                scale, spread, gap)
+    # each image t~ = N/E, N = a d + b n and E = C d + D n, within ei; an n
+    # or d other than 0 and +-1 is k, k' or k k, with up to three roundings
+    images, prod, ei, erel = [], lead, 0.0, 0.0
+    for n, d, m in zeros:
+        E = C * d + D * n
+        if not E:  # a zero of Q sent to infinity
+            return math.inf, 0.0, math.nan, math.nan, scale, spread, gap
+        t = (a * d + b * n) / E
+        aE, ad, an, at = abs(E), abs(d), abs(n), abs(t)
+        eE = 2.0 * (aC * ad + aD * an) + aE
+        eN = ea * ad + eb * an + at * aE
+        if ad and ad != 1.0:
+            eE += 4.0 * aC * ad
+            eN += 4.0 * na * ad
+        if an and an != 1.0:
+            eE += 4.0 * aD * an
+            eN += 4.0 * nb * an
+        e = (eN + at * eE) / aE + at
+        if e > ei:
+            ei = e
+        if m == 1:
+            erel += eE / aE
+            images.append(t)
+            prod *= E
+        else:
+            erel += m * eE / aE
+            images += (t,) * m
+            prod *= E ** m
+    images.sort()
+    zd = max(abs(images[0] - ts[0]), abs(images[1] - ts[1]), abs(images[2] - ts[2]),
+             abs(images[3] - ts[3]))
     eW = nb * 2.0 * aC + aC * eb + na * 2.0 * aD + aD * ea + 2.0 * (abs(b * C) + abs(a * D))
     bt = wave.beta / w
-    h = W * bt
-    nh = abs(h)
-    eh = abs(bt) * eW + 2.0 * nh
-    G = h * h
-    nG = abs(G)
-    q0, q1, q2, q3, q4 = wave.equation
-    defect = (abs(G * q0 + u0 * v0) + abs(G * q1 + (u0 * v1 + u1 * v0))
-              + abs(G * q2 + (u0 * v2 + u1 * v1 + u2 * v0)) + abs(G * q3 + (u1 * v2 + u2 * v1))
-              + abs(G * q4 + u2 * v2))
-    error += (2.0 * nh * eh + nG) * (abs(q0) + abs(q1) + abs(q2) + abs(q3) + abs(q4))
-    if wave.modulus is not None:
-        # k^2 = k k and k'^2 = k' k' carry 3 roundings each, and each q_j
-        # that reads them (at most 3) moves by at most 4 per rounding and adds
-        # its own; k^2 + k'^2 = 1 holds to the roundings of k and k'
-        error += 48.0 * nG
-    return defect, CERTIFICATE_ULPS * _U * error, scale, spread, gap
+    WW = W * W
+    lam = bt * bt * prod / WW if WW else math.nan  # NaN where W^2 underflows
+    ld = abs(lam + 1.0)
+    el = abs(lam) * (12.0 + erel + 2.0 * eW / abs(W)) + ld
+    return (zd, CERTIFICATE_ULPS * _U * (ei + et / w + zd), ld, CERTIFICATE_ULPS * _U * el,
+            scale, spread, gap)
 
 
 def _gates(wave):
@@ -671,25 +681,28 @@ def _gates(wave):
     to the caller.  In order: zeros too large for the sampled gate are
     refused, unsampled, and a periodic form's zero frequency; a form that
     varies needs a frequency that is a positive normal double (a smaller one
-    is the float error of a form that does not fit the floats); the
-    certificate runs on every form, and a form it refutes is refused; the
-    sampled residual gate, ``_residual_gate``, runs where the certificate
-    cannot vouch for the form: two distinct zeros within CLOSE_ZEROS of
-    their spread, zeros with no spread, a certificate not met, or a period
-    not finite; the orbit check, on the same close zeros.  The sampled gate
-    runs before a refutation is reported, so every form it fails keeps its
-    message."""
-    defect, rounding, scale, spread, gap = _certificate(wave)
+    is the float error of a form that does not fit the floats); the sampled
+    residual gate, ``_residual_gate``, where the certificate cannot vouch for
+    the form: two distinct zeros within CLOSE_ZEROS of their spread, zeros
+    with no spread (a quadruple zero, whose constant is sampled), readings
+    that are not numbers or bounds that are not finite, or a period that is
+    not finite; the certificate's readings, and a form they refute is
+    refused; the orbit check, on the same close zeros."""
+    zd, ze, ld, le, scale, spread, gap = _certificate(wave)
     scaled_bound(RESIDUAL_RTOL, scale, 4)  # as wave.residual_bound: refuses zeros too large
     period = wave.period
     if wave.kernel != "const" and not sys.float_info.min <= wave.beta < math.inf:
         raise FloatingPointError(f"its frequency {wave.beta!r} is not a positive normal double")
     close = gap < CLOSE_ZEROS * spread
-    if close or not (defect <= rounding and (period is None or period < math.inf)):
+    refuted = ze < zd or le < ld
+    decided = refuted or zd <= ze < math.inf and ld <= le < math.inf
+    if close or not decided or not (period is None or period < math.inf):
         _residual_gate(wave)
-    if rounding < defect < math.inf:
-        raise UnresolvedBranch(f"{wave.kind} failed the certificate: {defect:.3e} > {rounding:.3e}",
-                               candidate=wave)
+    if refuted:
+        raise UnresolvedBranch(
+            f"{wave.kind} failed the certificate: its floats solve zeros {zd:.3e} of the width "
+            f"off F's, against {ze:.3e}, at a frequency factor {ld:.3e} off -1, against {le:.3e}",
+            candidate=wave)
     if close:
         from .verify import orbit_deviation  # verify builds on this module
         dev, bound, passed = orbit_deviation(wave)

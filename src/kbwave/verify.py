@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfiguration, UnresolvedBranch
+from .errors import InvalidConfiguration, KBWaveError, UnresolvedBranch
 from .orbit import Orbit, band
 from .quartic import Params, eval_F, first_integral_residual, roots_of_F, scaled_bound
 from .reduction import g_from_f
@@ -216,7 +216,9 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
 
     Raises ValueError unless h is finite and positive, length finite and
     >= 0, the grid at most MAX_ORACLE_POINTS points and f0 finite,
-    InvalidConfiguration when F(f0) < 0, and KBWaveError where the inverse
+    InvalidConfiguration when F(f0) < 0, and KBWaveError where the
+    quadrature's error bound (``orbit.Orbit.bound``) reaches 0.1 of
+    ORBIT_RTOL * scale, the rule of ``orbit_deviation``, or the inverse
     series of a panel the samples touch has not converged.
     """
     if not (math.isfinite(h) and h > 0):
@@ -254,6 +256,11 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
         f, fp, events = np.full(len(xi), float(z)), np.zeros(len(xi)), []
     else:
         orb = Orbit(*picked, z if at_zero else f0)
+        # the rule of orbit_deviation: the quadrature may move f by 0.1 of the bound
+        gate = 0.1 * ORBIT_RTOL * rm.scale()
+        if not orb.bound < gate:
+            raise KBWaveError(f"the orbit quadrature did not converge: its error moves f by up "
+                              f"to {orb.bound:.3e}, against the bound {gate:.3e}")
         # theta runs up from theta0 toward o where f' takes the sign of o - e
         toward_o = (1.0 if sign >= 0 else -1.0) * orb.w > 0.0
         f, fp, events = orb.sample(xi, 1.0 if toward_o else -1.0)

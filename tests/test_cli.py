@@ -758,8 +758,12 @@ class TestOracleVerb:
         """The zeros 0, 1, 1 + 2^-20 and 3 need panels halved toward the
         edge 1; with none, the inverse series of the panel there does not
         converge in 192 terms, and the run exits 1 with one error line and
-        no file."""
+        no file.  (The quadrature's own bound, 13.6, refuses the run first
+        at ORBIT_RTOL; it is set to 1e8 here to reach the series.)"""
+        from kbwave import verify
+
         monkeypatch.setattr(orbit, "_halvings", lambda depth: [])
+        monkeypatch.setattr(verify, "ORBIT_RTOL", 1e8)
         out = tmp_path / "orc.csv"
         message = refusal(["oracle", "--params=-5242881/4194304,-3298541174783/17592186044416,"
                            "3145731/8388608,0", "--f0", "0.5", "--length", "10", "--h", "1e-2",
@@ -767,6 +771,16 @@ class TestOracleVerb:
         assert message.startswith("the orbit's inverse series did not converge: with 192 terms "
                                   "its tail moves f by up to ")
         assert message.endswith(", against the bound 3.331e-16")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unresolved_quadrature_refused(self, tmp_path, capsys):
+        """Zeros +-1 beside the pair +-i/16: the quadrature's bound is above
+        what the oracle may print, and the run exits 1 with one error line
+        and no file."""
+        out = tmp_path / "orc.csv"
+        message = refusal(["oracle", "--params", "0,255/1024,0,1/2048", "--f0", "0", "--length",
+                           "2", "--h", "0.5", "--out", str(out)], capsys)
+        assert message.startswith("the orbit quadrature did not converge: its error moves f ")
         assert list(tmp_path.iterdir()) == []
 
     def test_f0_is_read_like_params(self, tmp_path):

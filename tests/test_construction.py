@@ -9,14 +9,12 @@ it: the gates run on the wave at phase 0, over one period (0, T), or
 (-w, w) with w = 10 / max(1, |beta|) for a pulse or a constant.
 The sweep builds every ``presets.KINDS`` row, with its branches and starts,
 through both, and asks for the same numbers and the same verdict.
-``_reference_certificate`` and ``_reference_gates`` are the list-based
-certificate and the gates' decision that the single-pass ``_certificate`` and
-``_gates`` replaced: the same bits and the same verdicts are asked of those.
+``_exact_readings`` is the referee of the certificate: the zeros and the
+frequency factor the stored floats solve, in exact rational arithmetic; the
+float readings of ``_certificate`` must lie within their running bound of it.
 """
 
 import math
-import struct
-import sys
 from dataclasses import replace
 from fractions import Fraction
 from numbers import Rational
@@ -225,16 +223,16 @@ class TestCertificateVerdicts:
     @pytest.mark.parametrize("name, field", [("fig-case2bc-k1", "D"), ("fig-case2e", "C"),
                                              ("fig-case2f", "C")])
     @pytest.mark.parametrize("rel", [1e-9, -1e-9])
-    def test_defect_only_the_snap_explains_is_sampled(self, name, field, rel):
+    def test_move_at_a_merged_zero_is_refused_by_the_readings(self, name, field, rel):
         """A 1e-9 move of C or D on a preset whose modulus is 0 or 1, at a
-        merged zero: a modulus snapped there once stood for other k^2 and
-        covered the move.  The certificate refutes it, and the sampled gate,
-        which runs first, refuses it."""
+        merged zero, where a snapped modulus once covered the move: the
+        readings refute it, on zeros apart, and refuse it by their own
+        message, unsampled."""
         wave = build_preset(name)[0].with_phase(0.0)
         wrong = replace(wave, **{field: getattr(wave, field) * (1.0 + rel)})
-        defect, rounding, *_ = S._certificate(wrong)
-        assert rounding < defect
-        with pytest.raises(UnresolvedBranch, match="defining residual gate"):
+        zd, ze, ld, le, *_ = S._certificate(wrong)
+        assert ze < zd or le < ld
+        with pytest.raises(UnresolvedBranch, match="failed the certificate"):
             S._gates(wrong)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # zeros of size 1e150
@@ -250,7 +248,7 @@ class TestCertificateVerdicts:
         monkeypatch.setattr(S, "_residual_gate", lambda wave: sampled.append(wave) or gate(wave))
         rng = np.random.default_rng(21)
         forms = unsampled = 0
-        for _ in range(40):
+        for _ in range(90):
             for label, build in _builds(rng, image=True):
                 try:
                     wave = build()
@@ -303,121 +301,68 @@ class TestCertificateVerdicts:
         assert waves > 300 and mutants > 10 * waves
 
 
-# The certificate and the gates' decision as they stood before they were
-# written as one straight-line walk over the zeros: the referee of the
-# single-pass ``_certificate`` and ``_gates``, which keep their IEEE
-# operations in this order.  ``_sum`` adds left to right, as ``sum()`` does
-# on floats before Python 3.12.
+# The referee of the certificate: the readings of the stored floats in exact
+# rational arithmetic.  Every float is a rational, so the images
+# r_j~ = (A d_j + B n_j)/(C d_j + D n_j) of Q's zeros, taken with the kernel
+# row's n_j, d_j and m_j at the stored k and k' (k k exact), and the factor
+# lam = beta^2 lead prod_j (C d_j + D n_j)^m_j/(B C - A D)^2 are exact, and
+# so are max_j |r_j~ - r_j| over the width and |lam + 1|.
 
 
-def _sum(values):
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-def _reference_certificate(wave):
-    """(defect, rounding) of ``wave``, or None where its zeros have no
-    spread or are not finite."""
-    z0 = -wave.params.c
-    r1, r2, r3, r4 = wave.roots.expand()
-    w = max(abs(r1 - z0), abs(r2 - z0), abs(r3 - z0), abs(r4 - z0))
-    if not 0.0 < w < math.inf:
+def _exact_readings(wave):
+    """(zeros, factor) of ``wave`` in Fractions, in the frame of
+    ``_certificate`` (z0 = -c, w the largest |r - z0|); None where the
+    certificate reads no number (no spread, a complex pair, a zero of Q sent
+    to infinity)."""
+    rs = [Fraction(r) for r in wave.roots.expand()]
+    z0 = -Fraction(wave.params.c)
+    w = max(abs(r - z0) for r in rs)
+    k, kp = (0.0, 1.0) if wave.modulus is None else (wave.modulus, wave.comodulus)
+    factored = S._KERNELS[wave.kernel].zeros(Fraction(k), Fraction(kp))
+    if not w or factored is None:
         return None
-    s = max(abs(wave.C), abs(wave.D))
-    A, B, C, D = wave.A / s, wave.B / s, wave.C / s, wave.D / s
-    aC, aD, az = abs(C), abs(D), abs(z0)
-    a, b = (A - z0 * C) / w, (B - z0 * D) / w
-    ea = (2.0 * abs(A) + 3.0 * az * aC) / w + 2.0 * abs(a)
-    eb = (2.0 * abs(B) + 3.0 * az * aD) / w + 2.0 * abs(b)
-    m, g = [], []
-    for r, mult in wave.roots.entries:
-        t = (r - z0) / w
-        at = abs(t)
-        et = (abs(r) if mult == 1 else S._MERGE_ULPS * max(1.0, abs(r))) / w + 2.0 * at
-        c0, c1 = a - t * C, b - t * D
-        m += [(c0, c1)] * mult
-        g += [ea + eb + (aC + aD) * (3.0 * at + et) + abs(c0) + abs(c1)] * mult
-    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = m
-    u0, u1, u2 = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
-    v0, v1, v2 = c0 * d0, c0 * d1 + c1 * d0, c1 * d1
-    p = (u0 * v0, u0 * v1 + u1 * v0, u0 * v2 + u1 * v1 + u2 * v0, u1 * v2 + u2 * v1, u2 * v2)
-    ma, mb, mc, md = abs(a0) + abs(a1), abs(b0) + abs(b1), abs(c0) + abs(c1), abs(d0) + abs(d1)
-    mab, mcd = ma * mb, mc * md
-    error = ((g[0] * mb + g[1] * ma) * mcd + (g[2] * md + g[3] * mc) * mab
-             + 8.0 * mab * mcd)
-    W = b * C - a * D
-    eW = abs(b) * 2.0 * aC + aC * eb + abs(a) * 2.0 * aD + aD * ea + 2.0 * (abs(b * C) + abs(a * D))
-    bt = wave.beta / w
-    h = W * bt
-    eh = abs(bt) * eW + 2.0 * abs(h)
-    G = h * h
-    q = wave.equation
-    defect = _sum(abs(G * qj + pj) for qj, pj in zip(q, p))
-    error += (2.0 * abs(h) * eh + abs(G)) * _sum(map(abs, q))
-    if wave.modulus is not None:
-        error += 48.0 * abs(G)
-    return defect, S.CERTIFICATE_ULPS * S._U * error
-
-
-def _reference_gates(wave):
-    wave.residual_bound
-    start, stop = wave.window
-    if wave.kernel != "const" and not sys.float_info.min <= wave.beta < math.inf:
-        raise FloatingPointError(f"its frequency {wave.beta!r} is not a positive normal double")
-    cert = _reference_certificate(wave)
-    v = wave.roots.values()
-    close = len(v) > 2 and min(b - a for a, b in zip(v, v[1:])) < S.CLOSE_ZEROS * (v[-1] - v[0])
-    vouched = cert is not None and cert[0] <= cert[1] and stop - start < math.inf
-    if close or not vouched:
-        S._residual_gate(wave)
-    if cert is not None and cert[1] < cert[0] < math.inf:
-        raise UnresolvedBranch(
-            f"{wave.kind} failed the certificate: {cert[0]:.3e} > {cert[1]:.3e}",
-            candidate=wave)
-    if close:
-        dev, bound, passed = verify.orbit_deviation(wave)
-        if not passed:
-            raise UnresolvedBranch(f"{wave.kind} failed the orbit check: {dev:.3e} >= {bound:.3e}",
-                                   candidate=wave)
-
-
-def _bits(*xs):
-    return struct.pack(f"<{len(xs)}d", *xs)
-
-
-def _verdict(gates, wave):
-    """What ``gates`` says of ``wave``, with float errors raised as the CLI
-    raises them: None, or the refusal's type and message."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            gates(wave)
-    except (KBWaveError, ArithmeticError, ValueError) as err:
-        return type(err).__name__, str(err)
-    return None
+    lead, zeros = factored
+    A, B, C, D = (Fraction(v) for v in (wave.A, wave.B, wave.C, wave.D))
+    W = B * C - A * D
+    if not (zeros and W):  # the constant A/C = B/D
+        t = A / C if C else B / D
+        return min(abs(t - r) for r in rs) / w, Fraction(0)
+    images, prod = [], Fraction(lead)
+    for n, d, m in zeros:
+        n, d = Fraction(n), Fraction(d)
+        E = C * d + D * n
+        if not E:
+            return None
+        images += [(A * d + B * n) / E] * m
+        prod *= E ** m
+    zd = max(abs(t - r) for t, r in zip(sorted(images), rs)) / w
+    lam = Fraction(wave.beta) ** 2 * prod / (W * W)
+    return zd, abs(lam + 1)
 
 
 def _matches_the_referee(wave):
-    """The single-pass certificate reads the referee's (defect, rounding)
-    bit for bit (NaN where the referee has none), and ``_gates`` gives the
-    referee's verdict and message."""
-    defect, rounding, *_ = S._certificate(wave)
-    want = _reference_certificate(wave)
-    if want is None:
-        assert math.isnan(defect) and math.isnan(rounding)
-    else:
-        assert _bits(defect, rounding) == _bits(*want)
-    assert _verdict(S._gates, wave) == _verdict(_reference_gates, wave)
-
+    """The certificate's float readings lie within their bounds of the exact
+    readings, wherever both are numbers."""
+    zd, ze, ld, le, *_ = S._certificate(wave)
+    want = _exact_readings(wave)
+    if want is None or not (zd < math.inf and ld < math.inf):
+        return False
+    assert abs(Fraction(zd) - want[0]) <= Fraction(ze), (wave, zd, float(want[0]), ze)
+    assert abs(Fraction(ld) - want[1]) <= Fraction(le), (wave, ld, float(want[1]), le)
+    return True
 
 
 class TestReferenceCertificate:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_presets_and_their_mutants_match_the_referee(self, name):
+        """Each preset and its mutants at 1e-6, 1e-9 and 1e-12 either way; the
+        preset itself reads rounding, within its bound of an exact 0 or
+        nearly 0."""
         wave = build_preset(name)[0].with_phase(0.0)
-        _matches_the_referee(wave)
+        assert _matches_the_referee(wave)
+        zd, ze, ld, le, *_ = S._certificate(wave)
+        assert zd <= ze and ld <= le
         mutants = [m for rel in (1e-6, 1e-9, 1e-12) for _, m in _mutants(wave, rel)]
         assert len(mutants) >= 24
         for mutant in mutants:
@@ -442,7 +387,8 @@ class TestReferenceCertificate:
         one pair sometimes pulled 1e-12..1e-2 together), in increasing or
         decreasing order, each build or refused candidate as it is or with
         one of A, B, C, D, beta and (k, k') moved by 1e-6, 1e-9 or 1e-12
-        either way."""
+        either way: the float readings lie within their bounds of the exact
+        ones."""
         row = KINDS[kind]
         n = len(row.zeros.split(","))
         base = base[:n]

@@ -26,7 +26,6 @@ from kbwave.quartic import (
     eval_F_deriv,
     existence,
     params_from_roots,
-    quadratic_cofactor,
     roots_of_F,
 )
 
@@ -1106,14 +1105,11 @@ class TestBandRule:
 
 class TestCofactor:
     def test_one_double_only_has_negative_discriminant(self):
-        # F = -(f-1)^2 (f^2+1): c=-1/2, d1=-1/4, d2=1/4, d3=-1/8
+        # F = -(f-1)^2 (f^2+1): c=-1/2, d1=-1/4, d2=1/4, d3=-1/8; q = f^2 + 1
         p = Params(-0.5, -0.25, 0.25, -0.125)
         rm = roots_of_F(p)
         assert classify(rm) is CaseTag.ONE_DOUBLE_ONLY
-        pf, qq, disc = quadratic_cofactor(p, rm.values()[0])
-        assert disc < 0.0
-        assert pf == pytest.approx(0.0, abs=1e-8)
-        assert qq == pytest.approx(1.0, abs=1e-8)
+        assert quartic.cofactor_discriminant(p, rm) == pytest.approx(-4.0, rel=4e-16)
 
     @pytest.mark.parametrize("zeros, pair", [
         ((Fraction(-3, 4), Fraction(5, 2)), (Fraction(1), Fraction(1, 10 ** 6))),
@@ -1150,22 +1146,32 @@ class TestCofactor:
         got = quartic.cofactor_discriminant(_FOUND_PARAMS, roots_of_F(_FOUND_PARAMS))
         assert got == pytest.approx(want, rel=1e-14)
 
-    def test_not_a_double_root_rejected(self):
-        with pytest.raises(ValueError):
-            quadratic_cofactor(P_CASE1A, -3.0)  # simple root
-
     def test_two_simple_only_complex_pair(self):
-        # F = -(f-1)(f+1)(f^2+1): TwoSimpleOnly with the pair recorded
-        # implicitly by the resynthesized quadratic
-        p = params_from_roots(RootMultiset(((-1.0, 2), (1.0, 2))))  # placeholder
-        # build the real thing: -(f^2-1)(f^2+1) = -f^4 + 0 f^3 + 0 f^2 + 0 f + 1
+        """F = -(f-1)(f+1)(f^2+1): TwoSimpleOnly, and the band [-1, 1]
+        carries its cofactor's pair +-i, the sum from the speed and the gap
+        from the discriminant."""
+        from kbwave.orbit import band
+
         p = Params(0.0, 0.0, 0.0, 1.0 / 8.0)
         rm = roots_of_F(p)
         assert classify(rm) is CaseTag.TWO_SIMPLE_ONLY
-        pf, qq, disc = quadratic_cofactor(p, rm.values()[0], rm.values()[1])
-        assert pf == pytest.approx(0.0, abs=1e-9)
-        assert qq == pytest.approx(1.0, abs=1e-9)
-        assert disc < 0.0
+        assert quartic.cofactor_discriminant(p, rm) == pytest.approx(-4.0, rel=4e-16)
+        e, o, pair = band(p, rm, 0.5, math.inf)
+        assert sorted((e, o)) == [-1.0, 1.0]
+        assert sorted(pair, key=lambda z: z.imag) == [-1j, 1j]
+
+    def test_pair_near_the_band_keeps_its_gap(self):
+        """-(f - 1e6)(f - 1e6 - 1)((f - 1e6 - 2)^2 + 1e-10): the pair lies
+        1e-5 off the axis beside the band [1e6, 1e6 + 1].  F's float
+        coefficients, divided by the band's zeros, once made it a real
+        double zero; the speed and the exact discriminant keep it."""
+        from kbwave.orbit import band
+
+        zeros = (Fraction(10 ** 6), Fraction(10 ** 6 + 1))
+        p = _exact_params(tuple((z, 1) for z in zeros), ((Fraction(10 ** 6 + 2),
+                                                          Fraction(1, 10 ** 5)),))
+        e, o, pair = band(p, roots_of_F(p), 1000000.5, math.inf)
+        assert sorted(pair, key=lambda z: z.imag) == [1000002 - 1e-5j, 1000002 + 1e-5j]
 
 
 class TestRootMultiset:

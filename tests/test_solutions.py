@@ -835,7 +835,7 @@ class TestOneConstructionPath:
 
         roots = RootMultiset(((-3.0, 3), (-1.0, 1)))
         S._constant("solitary_double", roots, 0.0, -3.0)  # a zero of F: accepted
-        with pytest.raises(UnresolvedBranch, match="residual"):
+        with pytest.raises(UnresolvedBranch, match="failed the certificate"):
             S._constant("solitary_double", roots, 0.0, -2.0)
 
     TWO_BRANCH = {
@@ -1405,6 +1405,33 @@ def test_kernel_meets_its_equation(name):
     check()
 
 
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+@pytest.mark.parametrize("k2", [0.0, 1e-20, 0.1, 0.5, 0.9, 1.0 - 1e-12, 1.0])
+def test_kernel_zeros_give_back_its_equation(name, k2):
+    """Each row's factored equation, lead prod_j (d_j y - n_j)^m_j, multiplied
+    out at (k, k') as ``_moduli`` stores them, gives the row's q, which
+    ``jet`` reads; a factor with d_j = 0 is a zero at infinity.  cn's zeros
+    +-i k'/k are a complex pair, stated as None, except at k = 0 and k' = 0."""
+    import kbwave.solutions as S
+
+    row = _KERNELS[name]
+    k, kp = S._moduli(name, k2, 1.0 - k2, 1.0)
+    if row.q(0.0, 1.0) == row.q(1.0, 0.0):  # no modulus
+        k, kp = 0.0, 1.0
+    q = row.q(k * k, kp * kp)
+    factored = row.zeros(k, kp)
+    if factored is None:
+        assert name == "cn" and 0.0 < k < 1.0
+        return
+    lead, zeros = factored
+    poly = [lead]  # ascending coefficients of lead prod (d y - n)
+    for n, d, m in zeros:
+        for _ in range(m):
+            poly = [a * -n + b * d for a, b in zip(poly + [0.0], [0.0] + poly)]
+    assert len(poly) == 5 if zeros else poly == [0.0]
+    assert poly[:5] + [0.0] * (5 - len(poly)) == pytest.approx(q, rel=1e-15, abs=1e-15)
+
+
 CLOSE_PULSE = (713.44839524, 3266.21568993, 3278.86574791)
 
 
@@ -1415,10 +1442,10 @@ def _gates(sol):
 
 
 class TestCertificate:
-    """The constructor's gate proves f'^2 = F(f) from the five coefficients
-    of (BC - AD)^2 beta^2 Q(y) = -prod((A - rC) + (B - rD) y), and samples
-    only where the certificate cannot vouch: close zeros, a certificate not
-    met."""
+    """The constructor's gate proves f'^2 = F(f) from two readings of the
+    form's floats: the zeros r_j~ they solve, the images of Q's zeros, against
+    F's, and the frequency factor lam against -1.  It samples only where the
+    certificate cannot vouch: close zeros, readings that are not numbers."""
 
     def test_wrong_pulse_with_close_zeros_refused(self):
         """A 1e-3 error in beta on a pulse whose zeros are close next to their
@@ -1462,8 +1489,8 @@ class TestCertificate:
 
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             wave = build().with_phase(0.0)
-            defect, rounding, *_ = S._certificate(wave)
-            assert defect <= rounding
+            zd, ze, ld, le, *_ = S._certificate(wave)
+            assert zd <= ze and ld <= le
 
     @pytest.mark.parametrize("build", [
         lambda: solitary_double(-0.1487727709132648, -0.1487727707697996, 0.5355392810644393),
@@ -1472,16 +1499,16 @@ class TestCertificate:
     ])
     def test_ill_conditioned_forms_keep_the_sampled_verdict(self, build):
         """Forms whose algebra is right but whose floats are not, on two
-        zeros within CLOSE_ZEROS of their spread: the certificate passes
-        them, and the sampled gate refuses them as it did before the
-        certificate."""
+        zeros within CLOSE_ZEROS of their spread: the readings' bound, which
+        grows with the cancellation in the stored form, passes them, and the
+        sampled gate refuses them as it did before the certificate."""
         import kbwave.solutions as S
 
         with pytest.raises(UnresolvedBranch, match="defining residual gate") as err:
             build()
         wave = err.value.candidate
-        defect, rounding, *_ = S._certificate(wave)
-        assert defect <= rounding
+        zd, ze, ld, le, *_ = S._certificate(wave)
+        assert zd <= ze and ld <= le
         v = wave.roots.values()
         assert min(b - a for a, b in zip(v, v[1:])) < S.CLOSE_ZEROS * (v[-1] - v[0])
 

@@ -412,29 +412,87 @@ def test_mutants_the_orbit_check_refuses_are_refused(kind, base, pull, sign, exp
             assert _gates_refuse(mutant), mutant
 
 
+NEAR_HOMOCLINIC_SN2 = general_sn2((79.60548070634992, 99.56422973614917, 99.56423116186201,
+                                   103.04837167867333), initial_index=3)
+
+
 @pytest.mark.parametrize("sol, move", [
     (periodic_trig(-2.0969155128599164, -1.385788345798525, -1.3857883456070763),
      {"beta": 1.0 + 1e-9}),
-    (general_sn2((79.60548070634992, 99.56422973614917, 99.56423116186201, 103.04837167867333),
-                 initial_index=3), {"modulus": 1.0 - 1e-9}),
 ])
 def test_near_homoclinic_mutants_are_refused_by_their_orbit(sol, move):
     """Where a zero lies 1.9e-10 beyond the band of a trig wave, whose
-    period is 5.4e5, or two zeros of an sn^2 wave lie 1.4e-6 apart, the
-    certificate's rounding allowance, scaled by the cancellation in the
-    form's coefficients, covers a 1e-9 move of beta or k, which moves the
-    wave by far more than the orbit bound.  Two distinct zeros that close
-    make the constructor's gates follow the orbit too, and they refuse the
-    mutant there; the wave itself passes both."""
+    period is 5.4e5, the stored form loses the width's digits to the
+    cancellation of c1 and c2 (each about 5.2e9, c1 + c2 about 2.8), so the
+    readings' bound covers a 1e-9 move of beta, which moves the wave by far
+    more than the orbit bound.  Two distinct zeros that close make the
+    constructor's gates follow the orbit too, and they refuse the mutant
+    there; the wave itself passes both."""
     assert not _orbit_refuses(sol) and not _gates_refuse(sol)
     (name, rel), = move.items()
     mutant = _moved(sol, name, getattr(sol, name) * rel)
-    defect, rounding, *_ = _certificate(mutant)
-    assert defect <= rounding  # the certificate alone passes it
+    zd, ze, ld, le, *_ = _certificate(mutant)
+    assert zd <= ze and ld <= le  # the readings alone pass it
     reading = orbit_deviation(mutant)
     assert reading.deviation >= reading.bound
     with pytest.raises(UnresolvedBranch, match="failed the orbit check"):
         _gates(mutant)
+
+
+@pytest.mark.parametrize("move", [{"modulus": 1.0 - 1e-9}, {"beta": 1.0 + 1e-6}])
+def test_near_homoclinic_sn2_mutants_are_refused_by_the_readings(move):
+    """Two zeros of an sn^2 wave 1.4e-6 apart (k'^2 = 4.8e-7): a 1e-9 move
+    of k moves the image of 1/k^2, and a 1e-6 move of beta moves the
+    frequency factor by 2e-6, far beyond the readings' bound, which the
+    stored wave meets.  The beta mutant passed the coefficient certificate,
+    the sampled gate and the orbit check (1e-6 of the scale is not built to
+    see a 1e-6 error)."""
+    sol = NEAR_HOMOCLINIC_SN2
+    assert not _orbit_refuses(sol) and not _gates_refuse(sol)
+    (name, rel), = move.items()
+    mutant = _moved(sol, name, getattr(sol, name) * rel)
+    zd, ze, ld, le, *_ = _certificate(mutant)
+    assert ze < zd or le < ld
+    with pytest.raises(UnresolvedBranch, match="failed the certificate"):
+        _gates(mutant)
+
+
+# zeros 1e6 and 1e6 + 1, and the pair 1e6 + 2 +- 1e-5 i: -F's float
+# coefficients once put the pair on the axis
+NEAR_PAIR = Params(Fraction(-4000005, 4), Fraction(-20000050000017500000001, 40000000000),
+                   Fraction(40000150000160000040002000001, 80000000000),
+                   Fraction(-10000050000080000040001000001, 80000))
+
+
+def test_oracle_period_beside_a_pair_near_the_band():
+    """The band [1e6, 1e6 + 1] beside the pair 1e6 + 2 +- 1e-5 i: its period
+    is mpmath's 4 int_0^(pi/2) dtheta / sqrt(Q) with f = 1e6 + sin^2(theta),
+    to rounding, and the oracle comes back to f0 after each of ten periods
+    (the pair made real once read 3.0e-11 off, and drifted 9.3e-10)."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        want = 4 * mpmath.quad(lambda t: 1 / mpmath.sqrt((mpmath.sin(t) ** 2 - 2) ** 2
+                                                         + mpmath.mpf(10) ** -10),
+                               [0, mpmath.pi / 4, mpmath.pi / 2])
+    rm = roots_of_F(NEAR_PAIR)
+    e, o, pair = orbit_band(NEAR_PAIR, rm, 1000000.5, math.inf)
+    assert Orbit(e, o, pair, 1000000.5).period == pytest.approx(float(want), rel=4e-16)
+    T = float(want)
+    prof = oracle_integrate(NEAR_PAIR, 1000000.5, 1, 10 * T, T)
+    assert np.max(np.abs(prof.f - 1000000.5)) <= 2 * np.spacing(1e6)
+
+
+def test_oracle_refuses_an_orbit_its_quadrature_does_not_resolve():
+    """Zeros +-1 beside the pair +-i/16, whose singularity the panels are not
+    graded toward: the quadrature's bound, 1.9e-4, is above 0.1 of
+    ORBIT_RTOL * scale, orbit_deviation's rule, so the oracle refuses
+    rather than print samples 7.7e-7 off the orbit."""
+    p = Params(Fraction(0), Fraction(255, 1024), Fraction(0), Fraction(1, 2048))
+    with pytest.raises(KBWaveError, match="the orbit quadrature did not converge: its error "
+                                          "moves f by up to 1.946e-04, against the bound "
+                                          "1.000e-07"):
+        oracle_integrate(p, 0.0, 1, 2.0, 0.5)
 
 
 class TestOracle:
