@@ -223,7 +223,7 @@ class TestCertificateVerdicts:
     @pytest.mark.parametrize("name, field", [("fig-case2bc-k1", "D"), ("fig-case2e", "C"),
                                              ("fig-case2f", "C")])
     @pytest.mark.parametrize("rel", [1e-9, -1e-9])
-    def test_move_at_a_merged_zero_is_refused_by_the_readings(self, name, field, rel):
+    def test_merged_zero_move_refused_by_the_readings(self, name, field, rel):
         """A 1e-9 move of C or D on a preset whose modulus is 0 or 1, at a
         merged zero, where a snapped modulus once covered the move: the
         readings refute it, on zeros apart, and refuse it by their own
