@@ -18,6 +18,8 @@ Library layout:
   hierarchy and the even-ell nonexistence checks;
 * :mod:`kbwave.presets`    the family table behind ``--kind`` and the reference
   figure configurations;
+* :mod:`kbwave.csvtext`    CSV text of float columns, each value as
+  ``format(v, ".17g")`` writes it;
 * :mod:`kbwave.cli`        command-line front end (``kbwave --help``).
 
 Each submodule but ``cli`` is loaded when it is first used: ``kbwave.<name>``
@@ -60,6 +62,7 @@ _EXPORTS = {
                   "reduce_vanishing"),
     "presets": ("PRESETS", "build_preset"),
     "orbit": (),
+    "csvtext": (),
     "errors": ("KBWaveError", "InfinitePeriod", "InvalidConfiguration",
                "InfeasibleBranch", "UnresolvedBranch", "BlowUp", "OutOfBranchRange"),
 }

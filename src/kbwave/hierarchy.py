@@ -44,8 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
 from .errors import OutOfBranchRange
 
 __all__ = [
@@ -405,6 +403,8 @@ def l3_implicit_profile(c: float, xi_grid, branch: str = "+", xi0: float = 0.0):
     -2c (xi -> -inf) to 0 (xi -> +inf); branch '-' is its mirror.  Returns
     (f, f_prime) arrays; f' is the signed square root of the quintic.
     """
+    import numpy as np  # the module's only numpy: reduce runs without it
+
     if c <= 0:
         raise ValueError("the real branch requires c > 0")
     if branch not in ("+", "-"):

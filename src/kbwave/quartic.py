@@ -36,8 +36,6 @@ from fractions import Fraction
 from numbers import Integral, Rational
 from typing import NamedTuple
 
-import numpy as np
-
 __all__ = [
     "Params",
     "RootMultiset",
@@ -326,6 +324,8 @@ def eval_F(p: Params, f):
 def first_integral_residual(p: Params, f, fp) -> float:
     """max |f'^2 - F(f)| over samples f, f' (arrays) of a wave, F the quartic
     of the float params ``p``."""
+    import numpy as np  # the module's only numpy: classify runs without it
+
     r = fp * fp
     r -= eval_F(p, f)
     return float(np.maximum.reduce(np.abs(r, out=r), axis=None))  # r.max(), without its wrapper

@@ -1191,6 +1191,44 @@ def test_readme_script_runs_without_scipy(tmp_path):
     assert _fresh_process(probe) == str([0] * len(README_SCRIPT))
 
 
+EXACT_RUNS = (
+    ["classify", "--params", "2,-7/4,-7/2,-3/2"],
+    ["classify", "--params=-1/2,-5/16,5/32,0"],  # TwoSimpleOnly: adds the cofactor line
+    ["reduce", "--ell", "7", "--out", "reduction.json"],
+)
+
+
+def test_exact_verbs_run_without_numpy(tmp_path, monkeypatch, capsys):
+    """classify and reduce run on exact arithmetic alone: with numpy made
+    unimportable they exit, print and write what they do with it."""
+    for side in ("with", "without"):
+        (tmp_path / side).mkdir()
+    probe = f"""
+import contextlib, io, json, os, sys
+sys.modules["numpy"] = None
+from kbwave.cli import main
+os.chdir({str(tmp_path / "without")!r})
+runs = []
+for argv in {EXACT_RUNS!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+    without = json.loads(_fresh_process(probe))
+    monkeypatch.chdir(tmp_path / "with")
+    runs = []
+    for argv in EXACT_RUNS:
+        code = main(argv)
+        runs.append([code, *capsys.readouterr()])
+    assert without == runs
+    assert [code for code, *_ in runs] == [0, 0, 0]
+    assert "cofactor: complex-pair quadratic" in runs[1][1]
+    assert ((tmp_path / "without" / "reduction.json").read_bytes()
+            == (tmp_path / "with" / "reduction.json").read_bytes())
+
+
 def test_verify_leaves_numpy_ma_unloaded():
     """The orbit check sorts its panel breaks without np.unique, whose first
     call imports numpy.ma (over 10 ms in a fresh process)."""
@@ -1319,6 +1357,11 @@ class TestRefusals:
         "solve-far-xi0-period": (["solve", "--preset", "fig-case2a", "--xi0", "1e10", "--n", "3"],
                                  "--xi0 1e+10 is too far out for a uniform grid of 3 points "
                                  "over the wave's window: the doubles there are 1.91e-06 apart"),
+        # the largest double: the spacing above it overflowed, with a traceback
+        "solve-largest-xi0": (["solve", "--kind", "solitary_double", "--roots=-3,-2,-1", "--xi0",
+                               "1.7976931348623157e308", "--n", "5"],
+                              "--xi0 1.79769e+308 is too far out for a uniform grid of 5 points "
+                              "over the wave's window: the doubles there are 2e+292 apart"),
         # beta (xi - xi0) overflows at the far end of the domain
         "verify-far-domain": (["verify", "--kind", "solitary_double", "--roots=-1e16,0,1e16",
                                "--domain=1e293,1e294"],

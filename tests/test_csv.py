@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbwave.cli import _E_MAX, _E_MIN, _csv, _fmt, main
+from kbwave.cli import _fmt, main
+from kbwave.csvtext import _E_MAX, _E_MIN, table
 
 
 def reference_csv(header, *columns):
@@ -20,8 +21,8 @@ def reference_csv(header, *columns):
 
 def assert_matches(values, cols):
     values = np.asarray(values, dtype=float)
-    table = values[: len(values) // cols * cols].reshape(-1, cols)
-    assert _csv("h", *table.T) == reference_csv("h", *table.T)
+    rows = values[: len(values) // cols * cols].reshape(-1, cols)
+    assert table("h", *rows.T) == reference_csv("h", *rows.T)
 
 
 def from_bits(bits):

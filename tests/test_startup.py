@@ -2,9 +2,10 @@
 
 A fresh interpreter records, by an audit hook on ``exec``, which kbwave
 module bodies run: ``import kbwave.cli`` runs only the package, its errors
-and the CLI, and each verb adds the modules it calls.  The package still
-answers every name it exports, and ``tools/startup.py`` reports the same
-modules for the README's verbs.
+and the CLI, and each verb adds the modules it calls; ``classify`` and
+``reduce`` import no numpy.  The package still answers every name it
+exports, and ``tools/startup.py`` reports the same modules, and no numpy,
+for the README's verbs.
 """
 
 import json
@@ -26,18 +27,21 @@ def hook(event, args):
             name = os.path.splitext(os.path.basename(path))[0]
             ran.append("kbwave" if name == "__init__" else "kbwave." + name)
 sys.addaudithook(hook)
-report = {}
+report = {"numpy": {}}
 import kbwave, kbwave.cli
 report["import"] = list(ran)
+report["numpy"]["import"] = "numpy" in sys.modules
 del ran[:]
 import contextlib, io
 with contextlib.redirect_stdout(io.StringIO()):
     assert kbwave.cli.main(["classify", "--params", "2,-7/4,-7/2,-3/2"]) == 0
 report["classify"] = list(ran)
+report["numpy"]["classify"] = "numpy" in sys.modules
 del ran[:]
 with contextlib.redirect_stdout(io.StringIO()):
     assert kbwave.cli.main(["reduce", "--ell", "3"]) == 0
 report["reduce"] = list(ran)
+report["numpy"]["reduce"] = "numpy" in sys.modules
 star = {}
 exec("from kbwave import *", star)
 report["star"] = sorted(k for k in star if k != "__builtins__")
@@ -47,6 +51,7 @@ import kbwave.quartic
 report["quartic"] = sys.modules["kbwave.quartic"] is kbwave.quartic
 report["case2_kinds"] = list(kbwave.solutions.CASE2_KINDS)
 sol = kbwave.solitary_double(-3.0, -2.0, -1.0)
+report["numpy"]["waves"] = "numpy" in sys.modules
 again = pickle.loads(pickle.dumps(sol))
 report["pickle"] = again == sol and type(again) is kbwave.ClosedFormSolution
 report["missing"] = not hasattr(kbwave, "no_such_name")
@@ -54,7 +59,7 @@ print(json.dumps(report))
 """
 
 SUBMODULES = {"elliptic", "errors", "evolution", "hierarchy", "orbit", "presets", "quartic",
-              "reduction", "solutions", "verify", "cli"}
+              "reduction", "solutions", "verify", "csvtext", "cli"}
 
 
 def _env():
@@ -82,6 +87,12 @@ class TestLazyModules:
         assert self.report["classify"] == ["kbwave.quartic"]
         assert self.report["reduce"] == ["kbwave.hierarchy"]
 
+    def test_the_exact_verbs_load_no_numpy(self):
+        """Nor the CSV writer, which the lists above would name.  Once the
+        wave modules have run, numpy is loaded."""
+        assert self.report["numpy"] == {"import": False, "classify": False, "reduce": False,
+                                        "waves": True}
+
     def test_the_package_answers_as_before(self):
         import kbwave
 
@@ -108,10 +119,11 @@ def test_startup_tool_lists_the_modules_of_each_verb():
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "startup.py"), "--repeat", "1",
                            "classify", "reduce"], capture_output=True, text=True, check=True)
     header, *rows = proc.stdout.splitlines()
-    assert header.split()[:3] == ["command", "best", "ms"]
+    assert header.split()[:4] == ["command", "best", "ms", "numpy"]
     modules = {row.split()[0]: row.split("  ")[-1].split() for row in rows}
     assert modules == {
         "classify": ["kbwave", "kbwave.errors", "kbwave.cli", "kbwave.quartic"],
         "reduce": ["kbwave", "kbwave.errors", "kbwave.cli", "kbwave.hierarchy"],
     }
     assert all(float(row[44:53]) > 0 for row in rows)
+    assert [row[54:59] for row in rows] == ["   no", "   no"]

@@ -4,12 +4,12 @@
 
 For each command of the README script (only those of the VERBs given, when
 any are), it runs ``kbwave.cli.main`` in a new interpreter N times (default
-5) and prints the best wall time, process start to exit, and the kbwave
-modules whose bodies the command ran.  The modules come from one more run
-under an audit hook on ``exec``, which names each module by its code's file,
-so the timed runs carry no hook.  Each command runs in a new temporary
-directory, with this checkout's ``src`` first on PYTHONPATH; nothing is
-written elsewhere.
+5) and prints the best wall time, process start to exit, whether the
+command imported numpy, and the kbwave modules whose bodies it ran.  The
+modules come from one more run under an audit hook on ``exec``, which names
+each module by its code's file, so the timed runs carry no hook.  Each
+command runs in a new temporary directory, with this checkout's ``src``
+first on PYTHONPATH; nothing is written elsewhere.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ SCRIPT = (
 )
 
 RUN = "import sys; from kbwave.cli import main; sys.exit(main(sys.argv[1:]))"
-# the same run, printing the modules it ran on its last line
+# the same run, printing on its last line whether it imported numpy, then
+# the modules it ran
 AUDITED = """import os, sys
 ran = []
 def hook(event, args):
@@ -50,7 +51,7 @@ def hook(event, args):
 sys.addaudithook(hook)
 from kbwave.cli import main
 code = main(sys.argv[1:])
-print(" ".join(dict.fromkeys(ran)))
+print("yes" if "numpy" in sys.modules else "no", *dict.fromkeys(ran))
 sys.exit(code)
 """
 
@@ -79,13 +80,13 @@ def main(argv=None) -> int:
         ap.error(f"no README command runs {', '.join(sorted(unknown))}")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    print(f"{'command':<44} {'best ms':>8}  modules run")
+    print(f"{'command':<44} {'best ms':>8} {'numpy':>5}  modules run")
     for argv in SCRIPT:
         if args.verbs and argv[0] not in args.verbs:
             continue
         best = min(run(RUN, argv, env)[0] for _ in range(args.repeat))
-        modules = run(AUDITED, argv, env)[1].splitlines()[-1]
-        print(f"{' '.join(argv)[:44]:<44} {1e3 * best:8.1f}  {modules}")
+        numpy, modules = run(AUDITED, argv, env)[1].splitlines()[-1].split(" ", 1)
+        print(f"{' '.join(argv)[:44]:<44} {1e3 * best:8.1f} {numpy:>5}  {modules}")
     return 0
 
 
