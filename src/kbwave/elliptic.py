@@ -90,7 +90,7 @@ def complete_K(kp: float) -> float:
 
 
 def _jacobi_landen(u, k: float, kp: float):
-    """Descending Landen recursion on function values; k in (0, 1) strictly.
+    """Descending Landen recursion on function values; k in [0, 1).
 
     One level maps modulus k to k1 = (1 - k')/(1 + k') (quadratically smaller),
     its complement to k1' = 2 sqrt(k')/(1 + k'), and argument u to
@@ -129,9 +129,7 @@ def jacobi(u, k: float, kp: float) -> JacobiTriple:
     k, kp = normalize_modulus(k), normalize_modulus(kp)
     scalar = np.isscalar(u) or (isinstance(u, np.ndarray) and u.ndim == 0)
     uu = np.asarray(u, dtype=float)
-    if k == 0.0:
-        s, c, d = np.sin(uu), np.cos(uu), np.ones_like(uu)
-    elif kp == 0.0:
+    if kp == 0.0:
         s = np.tanh(uu)
         # sech via exp(-|u|) <= 1 to avoid cosh overflow for large arguments
         e = np.exp(-np.abs(uu))

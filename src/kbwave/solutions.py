@@ -77,6 +77,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import verify
 from .elliptic import complete_K, jacobi
 from .errors import Infeasible, InvalidConfiguration, UnresolvedBranch
 from .quartic import (Params, RootMultiset, classify,
@@ -149,9 +150,9 @@ def discrepancy_report():
 
 # The elliptic kernels call ``jacobi`` through this module's global name,
 # with the modulus k and its complement k' as the solution carries them.
-# Every kernel may overwrite x, a fresh array (0-d for one point); the sin,
-# sech and rational kernels do, and compute in place what the expression in
-# their comment gives, bit for bit: its IEEE operations, in its order.
+# Every kernel may overwrite x, a fresh array (0-d for one point); the sin
+# and rational kernels do, and compute in place what the expression in their
+# comment gives, bit for bit: its IEEE operations, in its order.
 
 
 def _sn(x, k, kp):
@@ -176,21 +177,6 @@ def _sn2(x, k, kp):
 
 def _sin(x, k, kp):  # sin(x), cos(x)
     return np.sin(x), np.cos(x, out=x)
-
-
-def _sech(x, k, kp):  # y = 2 e / (1 + e e) with e = exp(-|x|), and -y tanh(x)
-    # exp(-|x|) <= 1 form: no cosh overflow in the far tails
-    e = np.abs(x, out=np.empty_like(x))
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    y = e * 2.0
-    e *= e
-    e += 1.0
-    y /= e
-    np.negative(y, out=e)
-    np.tanh(x, out=x)
-    x *= e
-    return y, x
 
 
 def _rational(x, k, kp):  # y = 1 / (1 + x x), and -2 x y y
@@ -222,15 +208,9 @@ def _algebraic_decay(beta):
     return math.sqrt(2.0 * abs(beta))
 
 
-def _fixed(*q):
-    """The equation of a kernel without a modulus."""
-    return lambda k2, kp2: q
-
-
 class _Kernel(NamedTuple):
     fn: Callable      # (x, k, k') -> (y, dy/dx)
-    q: Callable       # (k^2, k'^2) -> (q0, ..., q4): the kernel's equation y'^2 = sum_j q_j y^j
-    zeros: Callable   # (k, k') -> (lead, ((n, d, m), ...)): the same, factored, or None
+    zeros: Callable   # (k, k') -> (lead, ((n, d, m), ...)): the kernel's equation, factored
     period: Callable  # k' -> period in x, or None for a pulse
     span: Callable    # k' -> (min y, max y) over the orbit
     decay: Callable   # beta -> decay rate of the pulse, or None
@@ -239,41 +219,39 @@ class _Kernel(NamedTuple):
 # ``zeros`` factors Q as lead prod (d y - n)^m over Q's zeros n/d of
 # multiplicity m, four in all: d = 0 is a zero at infinity (sin's two,
 # sn^2's one, and sn's at k = 0).  cn's zeros +-i k'/k are a complex pair,
-# None, unless k or k' is 0; const's Q is 0.
+# one complex n each, listed last, unless k or k' is 0; const's Q is 0.
 _KERNELS = {
     # (1 - y^2)(1 - k^2 y^2): zeros +-1 and +-1/k
-    "sn": _Kernel(_sn, lambda k2, kp2: (1.0, 0.0, -1.0 - k2, 0.0, k2),
+    "sn": _Kernel(_sn,
                   lambda k, kp: (1.0, ((1.0, 1.0, 1), (-1.0, 1.0, 1), (1.0, k, 1), (-1.0, k, 1))),
                   _periods_K(4.0), lambda kp: (-1.0, 1.0), abs),
     # (1 - y^2)(k'^2 + k^2 y^2): zeros +-1 and +-i k'/k
-    "cn": _Kernel(_cn, lambda k2, kp2: (kp2, 0.0, 2.0 * k2 - 1.0, 0.0, -k2),
-                  lambda k, kp: None if k * kp else (-1.0, ((1.0, 1.0, 1), (-1.0, 1.0, 1),
-                                                            (kp, k, 2))),
+    "cn": _Kernel(_cn,
+                  lambda k, kp: (-1.0, ((1.0, 1.0, 1), (-1.0, 1.0, 1),
+                                        *(((1j * kp, k, 1), (-1j * kp, k, 1)) if k * kp
+                                          else ((kp, k, 2),)))),
                   _periods_K(4.0), lambda kp: (-1.0, 1.0), abs),
     # (1 - y^2)(y^2 - k'^2): zeros +-1 and +-k'
-    "dn": _Kernel(_dn, lambda k2, kp2: (-kp2, 0.0, 2.0 - k2, 0.0, -1.0),
+    "dn": _Kernel(_dn,
                   lambda k, kp: (-1.0, ((1.0, 1.0, 1), (-1.0, 1.0, 1), (kp, 1.0, 1),
                                         (-kp, 1.0, 1))),
                   _periods_K(2.0), lambda kp: (kp, 1.0), abs),
     # 4 y (1 - y)(1 - k^2 y): zeros 0, 1, 1/k^2 and infinity
-    "sn2": _Kernel(_sn2, lambda k2, kp2: (0.0, 4.0, -4.0 - 4.0 * k2, 4.0 * k2, 0.0),
+    "sn2": _Kernel(_sn2,
                    lambda k, kp: (4.0, ((0.0, 1.0, 1), (1.0, 1.0, 1), (1.0, k * k, 1),
                                         (-1.0, 0.0, 1))),
                    _periods_K(2.0), lambda kp: (0.0, 1.0), abs),
     # 1 - y^2: zeros +-1 and infinity double
-    "sin": _Kernel(_sin, _fixed(1.0, 0.0, -1.0, 0.0, 0.0),
-                   lambda k, kp: (-1.0, ((1.0, 1.0, 1), (-1.0, 1.0, 1), (1.0, 0.0, 2))),
+    "sin": _Kernel(_sin, lambda k, kp: (-1.0, ((1.0, 1.0, 1), (-1.0, 1.0, 1), (1.0, 0.0, 2))),
                    lambda kp: 2.0 * math.pi, lambda kp: (-1.0, 1.0), abs),
-    # y^2 (1 - y^2): zeros +-1 and 0 double
-    "sech": _Kernel(_sech, _fixed(0.0, 0.0, 1.0, 0.0, -1.0),
+    # y^2 (1 - y^2): zeros +-1 and 0 double; cn (and dn) at k = 1
+    "sech": _Kernel(lambda x, k, kp: _cn(x, 1.0, 0.0),
                     lambda k, kp: (-1.0, ((1.0, 1.0, 1), (-1.0, 1.0, 1), (0.0, 1.0, 2))),
                     _none, lambda kp: (0.0, 1.0), abs),
     # 4 y^3 (1 - y): zeros 1 and 0 triple
-    "rational": _Kernel(_rational, _fixed(0.0, 0.0, 0.0, 4.0, -4.0),
-                        lambda k, kp: (-4.0, ((1.0, 1.0, 1), (0.0, 1.0, 3))), _none,
+    "rational": _Kernel(_rational, lambda k, kp: (-4.0, ((1.0, 1.0, 1), (0.0, 1.0, 3))), _none,
                         lambda kp: (0.0, 1.0), _algebraic_decay),
-    "const": _Kernel(_const, _fixed(0.0, 0.0, 0.0, 0.0, 0.0), lambda k, kp: (0.0, ()), _none,
-                     lambda kp: (1.0, 1.0), _none),
+    "const": _Kernel(_const, lambda k, kp: (0.0, ()), _none, lambda kp: (1.0, 1.0), _none),
 }
 # On every kernel's span |y| <= 1 and |y'| <= 1, and the computed pair (y, y')
 # meets its equation to |y'^2 - Q(y)| <= KERNEL_ROUNDING: the certificate proves
@@ -360,13 +338,7 @@ class ClosedFormSolution:
 
     def profile(self, xi):
         """Vector evaluation returning (f, f_prime); numpy scalars for a
-        scalar xi.
-
-        With D == 0 the denominator C + D y is the constant C for every
-        finite kernel value (y D is a zero, and C is not), so f is divided
-        by C and f' by C C, and by nothing when C == 1: the same IEEE
-        operations on the same numbers as the general form, so the same
-        bits."""
+        scalar xi."""
         # in place, bit for bit x = beta (xi - xi0), f = (A + B y) / den
         # with den = C + D y, and f' = (B C - A D) beta y' / (den den)
         x = np.array(xi, dtype=float)
@@ -377,15 +349,11 @@ class ClosedFormSolution:
         f = y * self.B
         f += self.A
         yp *= (self.B * C - self.A * D) * self.beta
-        if D != 0.0:
-            den = y * D
-            den += C
-            f /= den
-            den *= den
-            yp /= den
-        elif C != 1.0:
-            f /= C
-            yp /= C * C
+        den = y * D
+        den += C
+        f /= den
+        den *= den
+        yp /= den
         if x.ndim == 0:
             return np.float64(f), np.float64(yp)
         return f, yp
@@ -400,7 +368,12 @@ class ClosedFormSolution:
         s = D/den so that no power of den leaves the floats."""
         b, k, kp = self.beta, self.modulus, self.comodulus
         row = _KERNELS[self.kernel]
-        _, q1, q2, q3, q4 = row.q(*((0.0, 1.0) if k is None else (k * k, kp * kp)))
+        lead, zeros = row.zeros(*((0.0, 1.0) if k is None else (k, kp)))
+        q = [lead, 0.0, 0.0, 0.0, 0.0]  # Q = sum_j q_j y^j, multiplied out of its zeros
+        for n, d, m in zeros:
+            for _ in range(m):
+                q = [q[0] * -n, *(q[j] * -n + q[j - 1] * d for j in range(1, 5))]
+        _, q1, q2, q3, q4 = (c.real for c in q)
         x = np.array(xi, dtype=float)
         x -= self.xi0
         x *= b
@@ -624,10 +597,9 @@ def _certificate(wave):
             et = e
     ts = (r1 - z0) / w, (r2 - z0) / w, (r3 - z0) / w, (r4 - z0) / w
     k, kp = (0.0, 1.0) if wave.modulus is None else (wave.modulus, wave.comodulus)
-    factored = _KERNELS[wave.kernel].zeros(k, kp)
-    if factored is None:  # a complex pair
+    lead, zeros = _KERNELS[wave.kernel].zeros(k, kp)
+    if zeros and type(zeros[-1][0]) is complex:  # a complex pair, which a row lists last
         return math.inf, 0.0, math.nan, math.nan, scale, spread, gap
-    lead, zeros = factored
     W = b * C - a * D
     if not (zeros and W):
         t, e, den = (a, ea, C) if aC >= aD else (b, eb, D)
@@ -704,8 +676,7 @@ def _gates(wave):
             f"off F's, against {ze:.3e}, at a frequency factor {ld:.3e} off -1, against {le:.3e}",
             candidate=wave)
     if close:
-        from .verify import orbit_deviation  # verify builds on this module
-        dev, bound, passed = orbit_deviation(wave)
+        dev, bound, passed = verify.orbit_deviation(wave)
         if not passed:
             raise UnresolvedBranch(f"{wave.kind} failed the orbit check: {dev:.3e} >= {bound:.3e}",
                                    candidate=wave)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -20,7 +20,9 @@ from .errors import InvalidConfiguration, KBWaveError, UnresolvedBranch
 from .orbit import Orbit, band
 from .quartic import Params, eval_F, first_integral_residual, roots_of_F, scaled_bound
 from .reduction import g_from_f
-from .solutions import ClosedFormSolution
+
+if TYPE_CHECKING:  # annotations only: the oracle runs no wave module
+    from .solutions import ClosedFormSolution
 
 __all__ = [
     "Profile",
@@ -154,6 +156,15 @@ class OrbitReading(NamedTuple):
     passed: bool
 
 
+def _unconverged(error: float, scale: float) -> str:
+    """The refusal of an orbit quadrature whose error bound moves f by 0.1 of
+    the orbit check's bound, ORBIT_RTOL * scale, or more, or "": the rule of
+    the orbit check and of the oracle alike."""
+    bound = 0.1 * ORBIT_RTOL * scale
+    return "" if error < bound else (f"the orbit quadrature did not converge: its error moves "
+                                     f"f by up to {error:.3e}, against the bound {bound:.3e}")
+
+
 def orbit_deviation(sol: ClosedFormSolution) -> OrbitReading:
     """max |closed form - orbit| of ``sol`` at phase 0 (the same for every
     xi0), with its bound: the orbit of f'^2 = F(f) through the form's value
@@ -186,10 +197,9 @@ def orbit_deviation(sol: ClosedFormSolution) -> OrbitReading:
     except (ArithmeticError, ValueError) as err:
         raise UnresolvedBranch(f"{wave.kind}: the orbit quadrature leaves the floats ({err})",
                                candidate=wave) from None
-    if not orb.bound * w < 0.1 * gate:
-        raise UnresolvedBranch(f"{wave.kind}: the orbit quadrature did not converge: its error "
-                               f"moves f by up to {orb.bound * w:.3e}, against the bound "
-                               f"{gate:.3e}", candidate=wave)
+    why = _unconverged(orb.bound * w, wave.roots.scale())
+    if why:
+        raise UnresolvedBranch(f"{wave.kind}: {why}", candidate=wave)
     # the orbit turns at e, at xi_e; f(xi_e +- xi(theta)) = f(theta)
     xi_e = start - orb.xi0 / w if fp0 * orb.w >= 0.0 else start + orb.xi0 / w
     xi, f = orb.xi / w, w * orb.f
@@ -256,11 +266,9 @@ def oracle_integrate(p: Params, f0: float, sign: int, length: float,
         f, fp, events = np.full(len(xi), float(z)), np.zeros(len(xi)), []
     else:
         orb = Orbit(*picked, z if at_zero else f0)
-        # the rule of orbit_deviation: the quadrature may move f by 0.1 of the bound
-        gate = 0.1 * ORBIT_RTOL * rm.scale()
-        if not orb.bound < gate:
-            raise KBWaveError(f"the orbit quadrature did not converge: its error moves f by up "
-                              f"to {orb.bound:.3e}, against the bound {gate:.3e}")
+        why = _unconverged(orb.bound, rm.scale())
+        if why:
+            raise KBWaveError(why)
         # theta runs up from theta0 toward o where f' takes the sign of o - e
         toward_o = (1.0 if sign >= 0 else -1.0) * orb.w > 0.0
         f, fp, events = orb.sample(xi, 1.0 if toward_o else -1.0)

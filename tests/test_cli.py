@@ -394,6 +394,8 @@ class TestSolve:
         assert not (tmp_path / "x.csv").exists()
         assert main(["solve", "--preset", "fig-case1a", "--out", str(tmp_path / "y.csv")]) == 2
         assert "residual gate FAILED" in capsys.readouterr().err
+        assert main(["verify", "--preset", "fig-case1a"]) == 2
+        assert capsys.readouterr().err.startswith("residual gate FAILED: ")
 
     def test_explicit_domain_samples(self, tmp_path):
         out = tmp_path / "win.csv"
@@ -636,7 +638,9 @@ class TestVerifyVerb:
         """Without its graded panels the orbit of a near-homoclinic band
         does not converge: verify refuses with one error line and no file.
         Its zeros are close, so the constructor follows the orbit first
-        unless CLOSE_ZEROS is 0, as here, where verify's own call refuses."""
+        unless CLOSE_ZEROS is 0, as here, where verify's own call refuses.
+        The line names the bound the check applies, 0.1 of ORBIT_RTOL * scale,
+        as the oracle's does."""
         from kbwave import solutions
 
         monkeypatch.setattr(orbit, "_halvings", lambda depth: [])
@@ -644,8 +648,9 @@ class TestVerifyVerb:
         out = tmp_path / "rep.json"
         argv = ["verify", "--kind", "case2-inv-sn", "--out", str(out),
                 "--roots=-3.1933706513223035,3.1560461282975467,0.0006870581931064379"]
-        assert refusal(argv, capsys).startswith(
-            "case2_inv_sn: the orbit quadrature did not converge: its error moves f by up to ")
+        assert refusal(argv, capsys) == (
+            "case2_inv_sn: the orbit quadrature did not converge: its error moves f by up to "
+            "2.321e+02, against the bound 3.193e-07")
         assert not out.exists()
 
     @pytest.mark.parametrize("n", ["2", "3"])
@@ -1434,6 +1439,8 @@ class TestRefusals:
         "solve-auto-close-zeros": (["solve", "--kind", "auto", "--roots", "1e-20,2e-20,1,2"],
                                    "general_sn2 needs zeros more than 1e-12 * max(1, |r|) "
                                    "apart: 1e-20 and 2e-20 are not"),
+        "classify-three-params": (["classify", "--params", "2,-7/4,-7/2"],
+                                  "--params needs 4 values c,d1,d2,d3; got 3"),
         "classify-two-roots": (["classify", "--params", P, "--roots", "5,6"],
                                "four zeros give the params: --roots needs 4 values here, got 2"),
         "oracle-three-roots": (["oracle", "--roots=-3,-2,-1", "--f0", "-2.9"],

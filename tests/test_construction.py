@@ -318,10 +318,9 @@ def _exact_readings(wave):
     z0 = -Fraction(wave.params.c)
     w = max(abs(r - z0) for r in rs)
     k, kp = (0.0, 1.0) if wave.modulus is None else (wave.modulus, wave.comodulus)
-    factored = S._KERNELS[wave.kernel].zeros(Fraction(k), Fraction(kp))
-    if not w or factored is None:
+    lead, zeros = S._KERNELS[wave.kernel].zeros(Fraction(k), Fraction(kp))
+    if not w or any(n.imag for n, _, _ in zeros):
         return None
-    lead, zeros = factored
     A, B, C, D = (Fraction(v) for v in (wave.A, wave.B, wave.C, wave.D))
     W = B * C - A * D
     if not (zeros and W):  # the constant A/C = B/D

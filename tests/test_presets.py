@@ -1,5 +1,7 @@
 """Figure presets: each builds the same closed form, field for field."""
 
+import re
+
 import pytest
 
 from kbwave.presets import PRESETS, build_preset
@@ -127,3 +129,10 @@ def test_golden_covers_every_preset():
 def test_preset_fields_exact(name):
     sol, _ = build_preset(name)
     assert {f: repr(getattr(sol, f)) for f in FIELDS} == GOLDEN[name]
+
+
+def test_unknown_preset_is_named_with_the_others():
+    available = ", ".join(sorted(PRESETS))
+    with pytest.raises(KeyError, match=re.escape(f"unknown preset 'fig-case9'; available: "
+                                                 f"{available}")):
+        build_preset("fig-case9")

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import time
 from dataclasses import replace
 
 import mpmath
@@ -15,12 +14,10 @@ from kbwave.elliptic import complete_K, jacobi
 from kbwave.errors import (
     InfeasibleBranch,
     InvalidConfiguration,
-    KBWaveError,
     UnresolvedBranch,
 )
 from kbwave.presets import PRESETS, build_preset
 from kbwave.quartic import Params, eval_F, eval_F_deriv, params_from_roots
-from kbwave.verify import orbit_deviation
 from kbwave.solutions import (
     CASE2_KERNELS,
     CASE2_KINDS,
@@ -518,6 +515,32 @@ class TestCase2:
             case2("sn", 1.0, 2.0 / 3.0, 2.0)
 
 
+def printed_sn2(roots, idx):
+    """The classically printed sn^2 form of the sorted ``roots`` that starts
+    at roots[idx - 1], as ClosedFormSolution fields: the adjacent pairing,
+    per starting root the partner zero and b2/a2, with modulus^2 as printed."""
+    f1, f2, f3, f4 = roots
+    k2 = {
+        1: (f2 - f3) * (f1 - f4) / ((f1 - f3) * (f2 - f4)),
+        2: (f2 - f4) * (f1 - f3) / ((f1 - f4) * (f2 - f3)),
+        3: (f4 - f1) * (f3 - f2) / ((f3 - f1) * (f4 - f2)),
+        4: (f3 - f2) * (f4 - f1) / ((f3 - f1) * (f4 - f2)),
+    }[idx]
+    b = roots[{1: 1, 2: 0, 3: 3, 4: 2}[idx]]
+    b2 = {
+        1: (f4 - f1) / (f2 - f4),
+        2: (f3 - f2) / (f1 - f3),
+        3: (f2 - f3) / (f4 - f2),
+        4: (f1 - f4) / (f3 - f1),
+    }[idx]
+    beta = 0.5 * math.sqrt((f3 - f1) * (f4 - f2))
+    b1 = b * b2
+    if k2 > 1.0:  # reciprocal-modulus normalization
+        b1, b2, beta, k2 = b1 / k2, b2 / k2, beta * math.sqrt(k2), 1.0 / k2
+    return dict(A=roots[idx - 1], B=b1, C=1.0, D=b2, beta=beta,
+                modulus=math.sqrt(k2), comodulus=math.sqrt(1.0 - k2))
+
+
 class TestGeneralSn2:
     @pytest.mark.parametrize("idx", [0, 5])
     def test_initial_index_out_of_range_refused(self, idx):
@@ -594,31 +617,6 @@ class TestGeneralSn2:
         assert sol.D / sol.C == pytest.approx(-2 * (1 + k2) * omega1 / omega2,
                                               rel=1e-10)
 
-    # the classically printed adjacent pairing, per starting root: the partner
-    # zero's index and b2/a2, with modulus^2 as printed
-    @staticmethod
-    def _printed(roots, idx):
-        f1, f2, f3, f4 = roots
-        k2 = {
-            1: (f2 - f3) * (f1 - f4) / ((f1 - f3) * (f2 - f4)),
-            2: (f2 - f4) * (f1 - f3) / ((f1 - f4) * (f2 - f3)),
-            3: (f4 - f1) * (f3 - f2) / ((f3 - f1) * (f4 - f2)),
-            4: (f3 - f2) * (f4 - f1) / ((f3 - f1) * (f4 - f2)),
-        }[idx]
-        b = roots[{1: 1, 2: 0, 3: 3, 4: 2}[idx]]
-        b2 = {
-            1: (f4 - f1) / (f2 - f4),
-            2: (f3 - f2) / (f1 - f3),
-            3: (f2 - f3) / (f4 - f2),
-            4: (f1 - f4) / (f3 - f1),
-        }[idx]
-        beta = 0.5 * math.sqrt((f3 - f1) * (f4 - f2))
-        b1 = b * b2
-        if k2 > 1.0:  # reciprocal-modulus normalization
-            b1, b2, beta, k2 = b1 / k2, b2 / k2, beta * math.sqrt(k2), 1.0 / k2
-        return dict(A=roots[idx - 1], B=b1, C=1.0, D=b2, beta=beta,
-                    modulus=math.sqrt(k2), comodulus=math.sqrt(1.0 - k2))
-
     @pytest.mark.parametrize("idx, error", [
         (1, InvalidConfiguration),  # printed denominator crosses zero
         (2, UnresolvedBranch),
@@ -636,192 +634,7 @@ class TestGeneralSn2:
         roots = (0.0, 1.0, 2.0, 3.0)
         ref = general_sn2(roots, initial_index=idx)
         with pytest.raises(error):
-            _residual_gate(replace(ref, **self._printed(roots, idx)))
-
-
-def _dop853_deviation(sol):
-    """Largest |closed form - DOP853| / scale over one period centred on xi0,
-    or 6 decay lengths either side of a pulse's xi0, integrating f'' =
-    F'(f)/2 (rtol 1e-13) from the closed form's value and slope at xi0."""
-    from scipy.integrate import solve_ivp
-
-    p, scale = sol.params, sol.roots.scale()
-    span = 0.5 * sol.period if sol.period is not None else 6.0 / sol.decay_rate
-    worst = 0.0
-    for end in (sol.xi0 + span, sol.xi0 - span):
-        xi = np.linspace(sol.xi0, end, 129)
-        ref = solve_ivp(lambda _, y: (y[1], 0.5 * eval_F_deriv(p, y[0])), (sol.xi0, end),
-                        sol.evaluate(sol.xi0), method="DOP853", t_eval=xi,
-                        rtol=1e-13, atol=1e-13 * scale)
-        worst = max(worst, float(np.max(np.abs(ref.y[0] - sol.profile(xi)[0]))) / scale)
-    return worst
-
-
-def _abs_sn(x, k, kp):
-    s, c, d = jacobi(x, k, kp)
-    return np.abs(s), np.where(s < 0.0, -1.0, 1.0) * c * d  # right derivative at the kink
-
-
-ELLIPTIC_PRESETS = ("fig-case1b-k05", "fig-case2a", "fig-case2b", "fig-case2bc-k1",
-                    "fig-case2e", "fig-case2f", "fig-case2f-k1")
-WIDE_FOUR = (-2.3, -0.7, 1.1, 4.6)
-
-
-MUTATION_BASES = {
-    **{name: build_preset(name)[0] for name in ELLIPTIC_PRESETS},
-    **{f"general_sn2-f{i}": general_sn2(WIDE_FOUR, initial_index=i) for i in (1, 2, 3, 4)},
-}
-
-
-def _read_as_refused(sol):
-    """Whether the orbit check reads sol at its bound or beyond."""
-    reading = orbit_deviation(sol)
-    return reading.deviation >= reading.bound
-
-
-class TestOrbitCheck:
-    """The quadrature orbit check, ``verify.orbit_deviation``: no false
-    rejections, every mutation caught."""
-
-    @pytest.mark.parametrize("f1, f2, f3", [
-        (1.504592762678163, 1.8554198448069474, 1.8844673057094008),
-        (1.8056260976959813, 1.807608241860267, 2.062353133613742),
-        (3.0019257689350525, 4.294170006228567, 4.32479493058786),
-        (-1.2081772252775136, -1.2077006995676074, 4.2821117592733025),
-    ])
-    def test_case1_dn_accepted(self, f1, f2, f3):
-        # a fixed-step RK4 check rejected these; DOP853 agrees with them
-        sol = case1("dn", f1, f2, f3)
-        assert orbit_deviation(sol).deviation < 1e-12 * sol.roots.scale()
-        assert _dop853_deviation(sol) < 1e-9
-
-    @pytest.mark.parametrize("kind, f1, f2, f3", [
-        ("inv_sn", -3.1933706513223035, 3.1560461282975467, 0.0006870581931064379),
-        ("sn", -0.0010067437975607163, 4.68689723516292, -4.1858572716905655),
-    ])
-    def test_near_homoclinic_accepted(self, kind, f1, f2, f3):
-        # a zero 1e-7 (relative) beyond a band edge: the graded panels resolve it
-        sol = case2(kind, f1, f2, f3)
-        gaps = np.diff(sol.roots.values()) / sol.roots.scale()
-        assert gaps.min() < 1e-7
-        assert orbit_deviation(sol).deviation < 1e-10 * sol.roots.scale()
-
-    def test_snapped_pulse_between_close_zeros_refused(self):
-        """Four simple zeros, two of them +-3.37e-5: inv_cn's k'^2 is
-        -2.0e-10, so it has no real wave here.  A snap of k^2 = 1 + 2.0e-10
-        to 1 once built a sech pulse whose tails sit at 0, between those
-        zeros, where F < 0."""
-        with pytest.raises(Infeasible, match=r"complementary modulus\^2 = -2\.00004e-10$"):
-            case2("inv_cn", 1.3418840482444512, -3.3708275678834276e-05, -10.651139653823092)
-
-    def test_unresolved_quadrature_is_loud(self, monkeypatch):
-        """Without the graded panels the near-homoclinic band is not resolved,
-        and the check says so rather than passing or failing on noise."""
-        from kbwave import orbit
-
-        sol = case2("inv_sn", -3.1933706513223035, 3.1560461282975467,
-                    0.0006870581931064379)
-        monkeypatch.setattr(orbit, "_halvings", lambda depth: [])
-        with pytest.raises(KBWaveError, match="did not converge"):
-            orbit_deviation(sol)
-
-    def test_triple_edge_pulses_follow_their_orbit(self):
-        """A pulse that meets a triple zero: its panels run in tan(theta), on
-        which the orbit's xi is linear, so every seeded draw matches its
-        orbit to rounding and a 1e-3 error in beta is refused."""
-        rng = np.random.default_rng(29)
-        for f_triple, f_simple in rng.uniform(-5.0, 5.0, (200, 2)):
-            sol = solitary_triple(f_triple, f_simple)
-            assert orbit_deviation(sol).deviation < 1e-12 * sol.roots.scale()
-            assert _read_as_refused(replace(sol, beta=sol.beta * 1.001))
-
-    def test_merged_zeros_tiny_band_accepted(self):
-        # f2 - f1 = 9e-10, once merged into two doubles by case1: the four
-        # zeros stay simple, and the wave, 1e-9 wide, follows its tiny band
-        sol = case1("dn", -3.5693995947304504, -3.5693995938207603, -0.6228534466259203)
-        assert sol.roots.multiplicities() == (1, 1, 1, 1)
-        assert orbit_deviation(sol).deviation < 1e-9
-
-    @pytest.mark.parametrize("name", MUTATION_BASES)
-    def test_bases_match_to_rounding(self, name):
-        # fig-case2bc-k1 starts 3e-14 inside its band edge: a start phase from
-        # f(xi0) alone would be off by the square root of that
-        sol = MUTATION_BASES[name]
-        assert orbit_deviation(sol).deviation < 1e-10 * sol.roots.scale()
-
-    @pytest.mark.parametrize("name", MUTATION_BASES)
-    def test_wrong_beta_rejected(self, name):
-        sol = MUTATION_BASES[name]
-        assert _read_as_refused(replace(sol, beta=sol.beta * 1.001))
-
-    @pytest.mark.parametrize("name", [n for n, s in MUTATION_BASES.items() if s.modulus < 1.0])
-    def test_wrong_modulus_rejected(self, name):
-        sol = MUTATION_BASES[name]
-        k = sol.modulus + 0.01
-        assert _read_as_refused(replace(sol, modulus=k, comodulus=math.sqrt((1 - k) * (1 + k))))
-
-    @pytest.mark.parametrize("idx", [2, 3])
-    def test_printed_adjacent_pairing_rejected(self, idx):
-        """The printed sn^2 coefficients are refused by the orbit check, and
-        by the constructor's gates."""
-        roots = (0.0, 1.0, 2.0, 3.0)
-        printed = replace(general_sn2(roots, initial_index=idx),
-                          **TestGeneralSn2._printed(roots, idx))
-        assert _read_as_refused(printed)
-        with pytest.raises(UnresolvedBranch):
-            _gates(printed)
-
-    @pytest.mark.parametrize("build", [
-        lambda: build_preset("fig-case2a")[0],
-        lambda: build_preset("fig-case2e")[0],
-        lambda: case2("sn", -0.0010067437975607163, 4.68689723516292, -4.1858572716905655),
-    ])
-    def test_abs_sn_kink_rejected(self, build, monkeypatch):
-        """|sn| satisfies the same first-order equation away from its kink,
-        so the residual gate passes it; the orbit check does not."""
-        import kbwave.solutions as S
-
-        monkeypatch.setitem(S._KERNELS, "abs_sn", S._KERNELS["sn"]._replace(fn=_abs_sn))
-        kinked = replace(build(), kernel="abs_sn")
-        S._residual_gate(kinked)
-        assert _read_as_refused(kinked)
-
-    def test_seeded_sweep_has_no_false_rejections(self):
-        """Every elliptic constructor on 500 random triples and quadruples:
-        a rejection counts as false when DOP853 agrees with the candidate to
-        1e-9 (relative to the zeros' scale); there must be none.  A sample of
-        the accepted forms is refereed the same way at the check's bound."""
-        rng = np.random.default_rng(0)
-        accepted = []
-        for _ in range(500):
-            triple, quad = rng.uniform(-5.0, 5.0, 3), rng.uniform(-5.0, 5.0, 4)
-            lo, mid, hi = np.sort(triple)
-            builds = [lambda k=k, b=b: case1(k, lo, mid, hi, branch=b)
-                      for k in ("cn", "dn") for b in ("upper", "lower")]
-            builds += [lambda k=k: case2(k, *triple)
-                       for k in ("sn", "cn", "dn", "inv_sn", "inv_cn")]
-            builds += [lambda i=i: general_sn2(quad, initial_index=i) for i in (1, 2, 3, 4)]
-            for build in builds:
-                try:
-                    sol = build()
-                except UnresolvedBranch as err:
-                    assert not _dop853_deviation(err.candidate) < 1e-9, err
-                    continue
-                except (InfeasibleBranch, InvalidConfiguration):
-                    continue
-                accepted.append(sol)
-        assert len(accepted) > 2500
-        for sol in accepted[::100]:
-            assert _dop853_deviation(sol) < 1e-6
-
-    def test_presets_construct_fast(self):
-        for name in ELLIPTIC_PRESETS:
-            best = math.inf
-            for _ in range(20):
-                t0 = time.perf_counter()
-                build_preset(name)
-                best = min(best, time.perf_counter() - t0)
-            assert best < 5e-3, (name, best)
+            _residual_gate(replace(ref, **printed_sn2(roots, idx)))
 
 
 class TestOneConstructionPath:
@@ -898,18 +711,27 @@ class TestEvaluateAndPairs:
         h = 1e-6
         for sol in sols:
             for xi in rng.uniform(-4, 4, size=100):
-                f_m = sol.evaluate(xi - h)[0]
-                f_p = sol.evaluate(xi + h)[0]
+                f_m = sol(xi - h)
+                f_p = sol(xi + h)
                 _, fp = sol.evaluate(xi)
                 assert abs((f_p - f_m) / (2 * h) - fp) < 1e-6 * max(1.0, abs(fp))
 
-    @pytest.mark.parametrize("name", sorted(PRESETS))
+    # every preset, and a wave of each kernel no preset uses
+    JET_WAVES = {
+        **{name: lambda name=name: build_preset(name)[0] for name in sorted(PRESETS)},
+        "general_sn2": lambda: general_sn2((-2.3, -0.7, 1.1, 4.6), initial_index=2),
+        "periodic_trig": lambda: periodic_trig(0.5, 1.5, 3.0),
+        "solitary_triple": lambda: solitary_triple(0.0, 2.0),
+        "constant": lambda: limiting_form("d", (-3.0, -3.0, -1.0)),
+    }
+
+    @pytest.mark.parametrize("name", JET_WAVES)
     def test_jet_is_the_form_and_its_derivatives(self, name):
         """jet gives profile's f and f' to rounding, and an f''' that meets
         f''' = F''(f) f'/2, the derivative of f'' = F'(f)/2, to rounding of
         the largest f'''; with beta x (1 + 1e-6) it meets it only to about
-        1e-6."""
-        sol = build_preset(name)[0]
+        1e-6, unless the wave is a constant."""
+        sol = self.JET_WAVES[name]()
         xi = np.linspace(*sol.window, 301) + sol.xi0
         f, fp = sol.profile(xi)
         jf, jfp, f3 = sol.jet(xi)
@@ -919,7 +741,7 @@ class TestEvaluateAndPairs:
         top = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(f3 - want)) <= 1e-13 * top
         off = replace(sol, beta=sol.beta * (1.0 + 1e-6)).jet(xi)[2]
-        assert np.max(np.abs(off - want)) > 1e-7 * top
+        assert np.max(np.abs(off - want)) > 1e-7 * top or sol.kernel == "const"
 
     def test_translation_invariance_exact(self):
         base = solitary_double(-3, -2, -1, branch="upper")
@@ -1013,8 +835,9 @@ _NONZERO = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
        beta=st.floats(1e-3, 1e3), k=st.floats(0.0, 1.0), xi0=st.floats(-10.0, 10.0),
        xi=st.floats(-1e3, 1e3) | st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
 def test_constant_denominator_profile_keeps_its_bits(kernel, A, B, C, D, beta, k, xi0, xi):
-    """With D == 0 profile divides by C alone (and not at all when C == 1):
-    the same bits as the general form, for every kernel, array or scalar xi."""
+    """With D == 0 the denominator y D + C is C, for every finite kernel
+    value y, so profile's one path gives the same bits as the general form
+    divided by C, for every kernel, array or scalar xi."""
     from dataclasses import replace
 
     elliptic = kernel in ("sn", "cn", "dn", "sn2")
@@ -1371,15 +1194,17 @@ def test_case1_dn_on_close_simple_zeros_is_periodic(f2):
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_kernel_meets_its_equation(name):
     """Each kernel's computed pair (y, y') meets its row's equation
-    y'^2 = Q(y) to KERNEL_ROUNDING, with |y|, |y'| <= 1 inside its span, and
-    y' is dy/dx; at pairs (k, k') as ``_moduli`` stores them, the smaller
-    of k^2 and k'^2 drawn from {0, 1e-28, 0.25} or [0, 1/2], k' down to
-    1e-14 and k down to 1e-14.  The certificate proves f'^2 = F(f) from Q,
-    so its argument rests on these facts, and this ties it to ``jacobi``."""
+    y'^2 = Q(y) = lead prod_j (d_j y - n_j)^m_j, evaluated as that product
+    of its zeros (cn's pair +-i k'/k included), to KERNEL_ROUNDING, with
+    |y|, |y'| <= 1 inside its span, and y' is dy/dx; at pairs (k, k') as
+    ``_moduli`` stores them, the smaller of k^2 and k'^2 drawn from
+    {0, 1e-28, 0.25} or [0, 1/2], k' down to 1e-14 and k down to 1e-14.
+    The certificate proves f'^2 = F(f) from Q's zeros, so its argument
+    rests on these facts, and this ties it to ``jacobi``."""
     import kbwave.solutions as S
 
     row = _KERNELS[name]
-    has_modulus = row.q(0.0, 1.0) != row.q(1.0, 0.0)
+    has_modulus = row.zeros(0.0, 1.0) != row.zeros(1.0, 0.0)
     eps = np.finfo(float).eps
 
     @_sweep(60)
@@ -1391,8 +1216,8 @@ def test_kernel_meets_its_equation(name):
         k, kp = S._moduli(name, *squares, 1.0) if has_modulus else (None, None)
         x = np.array(x)
         y, yp = row.fn(x.copy(), k, kp)
-        q = row.q(0.0, 1.0) if k is None else row.q(k * k, kp * kp)
-        Q = sum(c * y ** j for j, c in enumerate(q))
+        lead, zeros = row.zeros(*((0.0, 1.0) if k is None else (k, kp)))
+        Q = np.real(lead * math.prod((d * y - n) ** m for n, d, m in zeros))
         assert np.max(np.abs(yp * yp - Q)) <= S.KERNEL_ROUNDING
         lo, hi = row.span(kp)
         assert np.all((lo - 4 * eps <= y) & (y <= hi + 4 * eps))
@@ -1405,31 +1230,47 @@ def test_kernel_meets_its_equation(name):
     check()
 
 
+# each kernel's equation y'^2 = sum_j q_j y^j as the textbooks print it
+# (Byrd & Friedman), from k^2 and k'^2
+PRINTED_EQUATIONS = {
+    "sn": lambda k2, kp2: (1.0, 0.0, -1.0 - k2, 0.0, k2),
+    "cn": lambda k2, kp2: (kp2, 0.0, k2 - kp2, 0.0, -k2),
+    "dn": lambda k2, kp2: (-kp2, 0.0, 1.0 + kp2, 0.0, -1.0),
+    "sn2": lambda k2, kp2: (0.0, 4.0, -4.0 - 4.0 * k2, 4.0 * k2, 0.0),
+    "sin": lambda k2, kp2: (1.0, 0.0, -1.0, 0.0, 0.0),
+    "sech": lambda k2, kp2: (0.0, 0.0, 1.0, 0.0, -1.0),
+    "rational": lambda k2, kp2: (0.0, 0.0, 0.0, 4.0, -4.0),
+    "const": lambda k2, kp2: (0.0, 0.0, 0.0, 0.0, 0.0),
+}
+
+
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 @pytest.mark.parametrize("k2", [0.0, 1e-20, 0.1, 0.5, 0.9, 1.0 - 1e-12, 1.0])
 def test_kernel_zeros_give_back_its_equation(name, k2):
-    """Each row's factored equation, lead prod_j (d_j y - n_j)^m_j, multiplied
-    out at (k, k') as ``_moduli`` stores them, gives the row's q, which
-    ``jet`` reads; a factor with d_j = 0 is a zero at infinity.  cn's zeros
-    +-i k'/k are a complex pair, stated as None, except at k = 0 and k' = 0."""
+    """``jet`` multiplies out each row's factored equation,
+    lead prod_j (d_j y - n_j)^m_j, at (k, k') as ``_moduli`` stores them,
+    cn's complex pair included: on the form 1/(2 + y) of the bare kernel,
+    its third derivative is the one the printed equation gives, through
+    y'' = Q'(y)/2, y''' = Q''(y) y'/2 and the Moebius map, to rounding."""
     import kbwave.solutions as S
 
     row = _KERNELS[name]
     k, kp = S._moduli(name, k2, 1.0 - k2, 1.0)
-    if row.q(0.0, 1.0) == row.q(1.0, 0.0):  # no modulus
-        k, kp = 0.0, 1.0
-    q = row.q(k * k, kp * kp)
-    factored = row.zeros(k, kp)
-    if factored is None:
-        assert name == "cn" and 0.0 < k < 1.0
-        return
-    lead, zeros = factored
-    poly = [lead]  # ascending coefficients of lead prod (d y - n)
-    for n, d, m in zeros:
-        for _ in range(m):
-            poly = [a * -n + b * d for a, b in zip(poly + [0.0], [0.0] + poly)]
-    assert len(poly) == 5 if zeros else poly == [0.0]
-    assert poly[:5] + [0.0] * (5 - len(poly)) == pytest.approx(q, rel=1e-15, abs=1e-15)
+    if row.zeros(0.0, 1.0) == row.zeros(1.0, 0.0):  # no modulus
+        k = kp = None
+    form = replace(solitary_triple(1.0, 0.0), A=1.0, B=0.0, C=2.0, D=1.0, kernel=name,
+                   beta=1.0, modulus=k, comodulus=kp)
+    x = np.linspace(-8.0, 8.0, 161)
+    f, fp, f3 = form.jet(x)
+    y, y1 = row.fn(x.copy(), k, kp)
+    _, q1, q2, q3, q4 = PRINTED_EQUATIONS[name](*((0.0, 1.0) if k is None else (k * k, kp * kp)))
+    y2 = 0.5 * (q1 + y * (2.0 * q2 + y * (3.0 * q3 + y * 4.0 * q4)))
+    y3 = 0.5 * (2.0 * q2 + y * (6.0 * q3 + y * 12.0 * q4)) * y1
+    # f = 1/den: f' = -y'/den^2 and f''' = -(y''' den^2 - 6 y' y'' den + 6 y'^3)/den^4
+    den = 2.0 + y
+    want = -(y3 * den * den - 6.0 * y1 * y2 * den + 6.0 * y1 ** 3) / den ** 4
+    assert np.array_equal(f, 1.0 / den) and np.max(np.abs(fp + y1 / den ** 2)) <= 1e-15
+    assert np.max(np.abs(f3 - want)) <= 1e-15 * max(1.0, float(np.max(np.abs(want))))
 
 
 CLOSE_PULSE = (713.44839524, 3266.21568993, 3278.86574791)

@@ -2,10 +2,10 @@
 
 A fresh interpreter records, by an audit hook on ``exec``, which kbwave
 module bodies run: ``import kbwave.cli`` runs only the package, its errors
-and the CLI, and each verb adds the modules it calls; ``classify`` and
-``reduce`` import no numpy.  The package still answers every name it
-exports, and ``tools/startup.py`` reports the same modules, and no numpy,
-for the README's verbs.
+and the CLI, and each verb adds the modules it calls (the oracle no wave
+module); ``classify`` and ``reduce`` import no numpy.  The package still
+answers every name it exports, and ``tools/startup.py`` reports the same
+modules, and no numpy, for the README's verbs.
 """
 
 import json
@@ -42,6 +42,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert kbwave.cli.main(["reduce", "--ell", "3"]) == 0
 report["reduce"] = list(ran)
 report["numpy"]["reduce"] = "numpy" in sys.modules
+del ran[:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert kbwave.cli.main(["oracle", "--params", "2,-7/4,-7/2,-3/2", "--f0", "-2.9",
+                            "--length", "1"]) == 0
+report["oracle"] = list(ran)
 star = {}
 exec("from kbwave import *", star)
 report["star"] = sorted(k for k in star if k != "__builtins__")
@@ -84,8 +89,12 @@ class TestLazyModules:
         assert self.report["import"] == ["kbwave", "kbwave.errors", "kbwave.cli"]
 
     def test_each_verb_runs_the_modules_it_calls(self):
+        """The oracle, which follows an orbit from F's zeros alone, runs no
+        wave module (solutions, elliptic) and no family table (presets)."""
         assert self.report["classify"] == ["kbwave.quartic"]
         assert self.report["reduce"] == ["kbwave.hierarchy"]
+        assert self.report["oracle"] == ["kbwave.verify", "kbwave.orbit", "kbwave.reduction",
+                                         "kbwave.csvtext"]
 
     def test_the_exact_verbs_load_no_numpy(self):
         """Nor the CSV writer, which the lists above would name.  Once the

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from kbwave import orbit, verify
 from kbwave.cli import PDE_RTOL, _solution_domain
-from kbwave.errors import InvalidConfiguration, KBWaveError, UnresolvedBranch
+from kbwave.elliptic import jacobi
+from kbwave.errors import InfeasibleBranch, InvalidConfiguration, KBWaveError, UnresolvedBranch
 from kbwave.orbit import Orbit
 from kbwave.orbit import band as orbit_band
 from kbwave.presets import KINDS, PRESETS, build_preset
@@ -28,6 +30,7 @@ from kbwave.quartic import (
 )
 from kbwave.reduction import g_from_f
 from kbwave.solutions import (
+    Infeasible,
     _certificate,
     _gates,
     case1,
@@ -48,6 +51,7 @@ from kbwave.verify import (
     orbit_deviation,
     pde_residual,
 )
+from test_solutions import printed_sn2
 
 S14 = math.sqrt(14.0)
 P_CASE1A = Params(2.0, -7 / 4, -7 / 2, -3 / 2)
@@ -457,6 +461,191 @@ def test_near_homoclinic_sn2_mutants_are_refused_by_the_readings(move):
         _gates(mutant)
 
 
+def _dop853_deviation(sol):
+    """Largest |closed form - DOP853| / scale over one period centred on xi0,
+    or 6 decay lengths either side of a pulse's xi0, integrating f'' =
+    F'(f)/2 (rtol 1e-13) from the closed form's value and slope at xi0."""
+    from scipy.integrate import solve_ivp
+
+    p, scale = sol.params, sol.roots.scale()
+    span = 0.5 * sol.period if sol.period is not None else 6.0 / sol.decay_rate
+    worst = 0.0
+    for end in (sol.xi0 + span, sol.xi0 - span):
+        xi = np.linspace(sol.xi0, end, 129)
+        ref = solve_ivp(lambda _, y: (y[1], 0.5 * eval_F_deriv(p, y[0])), (sol.xi0, end),
+                        sol.evaluate(sol.xi0), method="DOP853", t_eval=xi,
+                        rtol=1e-13, atol=1e-13 * scale)
+        worst = max(worst, float(np.max(np.abs(ref.y[0] - sol.profile(xi)[0]))) / scale)
+    return worst
+
+
+def _abs_sn(x, k, kp):
+    s, c, d = jacobi(x, k, kp)
+    return np.abs(s), np.where(s < 0.0, -1.0, 1.0) * c * d  # right derivative at the kink
+
+
+ELLIPTIC_PRESETS = ("fig-case1b-k05", "fig-case2a", "fig-case2b", "fig-case2bc-k1",
+                    "fig-case2e", "fig-case2f", "fig-case2f-k1")
+WIDE_FOUR = (-2.3, -0.7, 1.1, 4.6)
+
+
+MUTATION_BASES = {
+    **{name: build_preset(name)[0] for name in ELLIPTIC_PRESETS},
+    **{f"general_sn2-f{i}": general_sn2(WIDE_FOUR, initial_index=i) for i in (1, 2, 3, 4)},
+}
+
+
+def _read_as_refused(sol):
+    """Whether the orbit check reads sol at its bound or beyond."""
+    reading = orbit_deviation(sol)
+    return reading.deviation >= reading.bound
+
+
+class TestOrbitCheck:
+    """The quadrature orbit check, ``verify.orbit_deviation``: no false
+    rejections, every mutation caught."""
+
+    @pytest.mark.parametrize("f1, f2, f3", [
+        (1.504592762678163, 1.8554198448069474, 1.8844673057094008),
+        (1.8056260976959813, 1.807608241860267, 2.062353133613742),
+        (3.0019257689350525, 4.294170006228567, 4.32479493058786),
+        (-1.2081772252775136, -1.2077006995676074, 4.2821117592733025),
+    ])
+    def test_case1_dn_accepted(self, f1, f2, f3):
+        # a fixed-step RK4 check rejected these; DOP853 agrees with them
+        sol = case1("dn", f1, f2, f3)
+        assert orbit_deviation(sol).deviation < 1e-12 * sol.roots.scale()
+        assert _dop853_deviation(sol) < 1e-9
+
+    @pytest.mark.parametrize("kind, f1, f2, f3", [
+        ("inv_sn", -3.1933706513223035, 3.1560461282975467, 0.0006870581931064379),
+        ("sn", -0.0010067437975607163, 4.68689723516292, -4.1858572716905655),
+    ])
+    def test_near_homoclinic_accepted(self, kind, f1, f2, f3):
+        # a zero 1e-7 (relative) beyond a band edge: the graded panels resolve it
+        sol = case2(kind, f1, f2, f3)
+        gaps = np.diff(sol.roots.values()) / sol.roots.scale()
+        assert gaps.min() < 1e-7
+        assert orbit_deviation(sol).deviation < 1e-10 * sol.roots.scale()
+
+    def test_snapped_pulse_between_close_zeros_refused(self):
+        """Four simple zeros, two of them +-3.37e-5: inv_cn's k'^2 is
+        -2.0e-10, so it has no real wave here.  A snap of k^2 = 1 + 2.0e-10
+        to 1 once built a sech pulse whose tails sit at 0, between those
+        zeros, where F < 0."""
+        with pytest.raises(Infeasible, match=r"complementary modulus\^2 = -2\.00004e-10$"):
+            case2("inv_cn", 1.3418840482444512, -3.3708275678834276e-05, -10.651139653823092)
+
+    def test_unresolved_quadrature_is_loud(self, monkeypatch):
+        """Without the graded panels the near-homoclinic band is not resolved,
+        and the check says so rather than passing or failing on noise."""
+        from kbwave import orbit
+
+        sol = case2("inv_sn", -3.1933706513223035, 3.1560461282975467,
+                    0.0006870581931064379)
+        monkeypatch.setattr(orbit, "_halvings", lambda depth: [])
+        with pytest.raises(KBWaveError, match="did not converge"):
+            orbit_deviation(sol)
+
+    def test_triple_edge_pulses_follow_their_orbit(self):
+        """A pulse that meets a triple zero: its panels run in tan(theta), on
+        which the orbit's xi is linear, so every seeded draw matches its
+        orbit to rounding and a 1e-3 error in beta is refused."""
+        rng = np.random.default_rng(29)
+        for f_triple, f_simple in rng.uniform(-5.0, 5.0, (200, 2)):
+            sol = solitary_triple(f_triple, f_simple)
+            assert orbit_deviation(sol).deviation < 1e-12 * sol.roots.scale()
+            assert _read_as_refused(replace(sol, beta=sol.beta * 1.001))
+
+    def test_merged_zeros_tiny_band_accepted(self):
+        # f2 - f1 = 9e-10, once merged into two doubles by case1: the four
+        # zeros stay simple, and the wave, 1e-9 wide, follows its tiny band
+        sol = case1("dn", -3.5693995947304504, -3.5693995938207603, -0.6228534466259203)
+        assert sol.roots.multiplicities() == (1, 1, 1, 1)
+        assert orbit_deviation(sol).deviation < 1e-9
+
+    @pytest.mark.parametrize("name", MUTATION_BASES)
+    def test_bases_match_to_rounding(self, name):
+        # fig-case2bc-k1 starts 3e-14 inside its band edge: a start phase from
+        # f(xi0) alone would be off by the square root of that
+        sol = MUTATION_BASES[name]
+        assert orbit_deviation(sol).deviation < 1e-10 * sol.roots.scale()
+
+    @pytest.mark.parametrize("name", MUTATION_BASES)
+    def test_wrong_beta_rejected(self, name):
+        sol = MUTATION_BASES[name]
+        assert _read_as_refused(replace(sol, beta=sol.beta * 1.001))
+
+    @pytest.mark.parametrize("name", [n for n, s in MUTATION_BASES.items() if s.modulus < 1.0])
+    def test_wrong_modulus_rejected(self, name):
+        sol = MUTATION_BASES[name]
+        k = sol.modulus + 0.01
+        assert _read_as_refused(replace(sol, modulus=k, comodulus=math.sqrt((1 - k) * (1 + k))))
+
+    @pytest.mark.parametrize("idx", [2, 3])
+    def test_printed_adjacent_pairing_rejected(self, idx):
+        """The printed sn^2 coefficients are refused by the orbit check, and
+        by the constructor's gates."""
+        roots = (0.0, 1.0, 2.0, 3.0)
+        printed = replace(general_sn2(roots, initial_index=idx),
+                          **printed_sn2(roots, idx))
+        assert _read_as_refused(printed)
+        with pytest.raises(UnresolvedBranch):
+            _gates(printed)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_preset("fig-case2a")[0],
+        lambda: build_preset("fig-case2e")[0],
+        lambda: case2("sn", -0.0010067437975607163, 4.68689723516292, -4.1858572716905655),
+    ])
+    def test_abs_sn_kink_rejected(self, build, monkeypatch):
+        """|sn| satisfies the same first-order equation away from its kink,
+        so the residual gate passes it; the orbit check does not."""
+        import kbwave.solutions as S
+
+        monkeypatch.setitem(S._KERNELS, "abs_sn", S._KERNELS["sn"]._replace(fn=_abs_sn))
+        kinked = replace(build(), kernel="abs_sn")
+        S._residual_gate(kinked)
+        assert _read_as_refused(kinked)
+
+    def test_seeded_sweep_has_no_false_rejections(self):
+        """Every elliptic constructor on 500 random triples and quadruples:
+        a rejection counts as false when DOP853 agrees with the candidate to
+        1e-9 (relative to the zeros' scale); there must be none.  A sample of
+        the accepted forms is refereed the same way at the check's bound."""
+        rng = np.random.default_rng(0)
+        accepted = []
+        for _ in range(500):
+            triple, quad = rng.uniform(-5.0, 5.0, 3), rng.uniform(-5.0, 5.0, 4)
+            lo, mid, hi = np.sort(triple)
+            builds = [lambda k=k, b=b: case1(k, lo, mid, hi, branch=b)
+                      for k in ("cn", "dn") for b in ("upper", "lower")]
+            builds += [lambda k=k: case2(k, *triple)
+                       for k in ("sn", "cn", "dn", "inv_sn", "inv_cn")]
+            builds += [lambda i=i: general_sn2(quad, initial_index=i) for i in (1, 2, 3, 4)]
+            for build in builds:
+                try:
+                    sol = build()
+                except UnresolvedBranch as err:
+                    assert not _dop853_deviation(err.candidate) < 1e-9, err
+                    continue
+                except (InfeasibleBranch, InvalidConfiguration):
+                    continue
+                accepted.append(sol)
+        assert len(accepted) > 2500
+        for sol in accepted[::100]:
+            assert _dop853_deviation(sol) < 1e-6
+
+    def test_presets_construct_fast(self):
+        for name in ELLIPTIC_PRESETS:
+            best = math.inf
+            for _ in range(20):
+                t0 = time.perf_counter()
+                build_preset(name)
+                best = min(best, time.perf_counter() - t0)
+            assert best < 5e-3, (name, best)
+
+
 # zeros 1e6 and 1e6 + 1, and the pair 1e6 + 2 +- 1e-5 i: -F's float
 # coefficients once put the pair on the axis
 NEAR_PAIR = Params(Fraction(-4000005, 4), Fraction(-20000050000017500000001, 40000000000),
@@ -754,7 +943,7 @@ def _params_of(real, pair):
 
 def _dop853_hops(p, prof, rtol):
     """f at each sample but the first by DOP853 on f'' = F'(f)/2 (the
-    integrator of tests/test_solutions.py's _dop853_deviation) from the
+    integrator of _dop853_deviation) from the
     sample before, (f, f') there: every hop over h at once."""
     from scipy.integrate import solve_ivp
 
